@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fuzz-smoke bench bench-smoke bench-pool bench-cache bench-cache-smoke bench-select bench-select-smoke bench-replica bench-replica-smoke bench-wire bench-wire-smoke bench-ingest bench-ingest-smoke verify
+.PHONY: build test race vet fuzz-smoke benchmark-smoke bench bench-smoke bench-pool bench-cache bench-cache-smoke bench-select bench-select-smoke bench-replica bench-replica-smoke bench-wire bench-wire-smoke bench-ingest bench-ingest-smoke verify
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchRoundTrip -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzPostingsRoundTrip -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzPostingsDecodeCorrupt -fuzztime=$(FUZZTIME) ./internal/codec
+
+# The one benchmark (BENCHMARK.json, ./benchmark) on a 2k-document corpus
+# with 1 s windows: all four workloads, correctness gate included, tracing
+# off then on. Writes benchmark/out/results.json.
+benchmark-smoke:
+	$(GO) run ./benchmark -smoke
 
 # Regenerate BENCH_pool.json (concurrent throughput over the shared pool).
 bench-pool:
@@ -101,5 +107,5 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=SearchKernel -benchmem -benchtime=0.05s .
 
-verify: vet build race fuzz-smoke bench-smoke bench-cache-smoke bench-select-smoke bench-replica-smoke bench-wire-smoke bench-ingest-smoke
+verify: vet build race fuzz-smoke benchmark-smoke bench-smoke bench-cache-smoke bench-select-smoke bench-replica-smoke bench-wire-smoke bench-ingest-smoke
 	@echo "verify: OK"

@@ -178,15 +178,7 @@ func (b *batcher) dispatch(e *exec, name string, items []*batchItem) {
 					RespBytes: br.Sizes[i] + shareOverhead(respOverhead, n, i),
 					Ship:      frame.Ship, Wait: frame.Wait, BatchSize: n,
 				}
-				switch m := br.Items[i].(type) {
-				case *protocol.ErrorReply:
-					it.err = &protocol.RemoteError{Message: m.Message}
-				case *protocol.RankReply:
-					call.LibStats = m.Stats
-					it.reply = br.Items[i]
-				default:
-					it.reply = br.Items[i]
-				}
+				it.reply, it.err = classifyReply(&call, br.Items[i])
 				it.calls = []Call{call}
 				close(it.done)
 			}

@@ -323,6 +323,16 @@ func TestCISmallKPrimeLimitsCandidates(t *testing.T) {
 	if res.Trace.CentralStats.PostingsDecoded == 0 {
 		t.Fatal("CI central stats empty")
 	}
+	// However many groups are expanded, each librarian returns only its
+	// top k (ScoreDocs.K), so at most asked x k scores reach the merge.
+	res, err = f.recep.Query(ModeCI, "alpha federal wallstreet", 3, Options{KPrime: int(g.NumGroups())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := res.Trace; tr.LibrariansAsked != len(order) || tr.MergeCandidates != 3*tr.LibrariansAsked {
+		t.Fatalf("CI over every group: merged %d candidates from %d librarians asked for their top 3",
+			tr.MergeCandidates, tr.LibrariansAsked)
+	}
 }
 
 func TestCIRequiresSetup(t *testing.T) {
@@ -363,8 +373,12 @@ func TestFetchPlain(t *testing.T) {
 			t.Fatalf("fetched %s: title %q text mismatch", a.Key(), a.Title)
 		}
 	}
-	if res.Trace.RoundTrips(PhaseFetch) == 0 {
-		t.Fatal("no fetch round trips recorded")
+	// The documents rode the rank replies: no fetch round, every answer
+	// accounted as piggy-backed.
+	tr := &res.Trace
+	if tr.RoundTrips(PhaseFetch) != 0 || tr.FallbackFetches != 0 || tr.PiggybackedDocs != len(res.Answers) {
+		t.Fatalf("%d answers: %d fetch round trips, %d fallback fetches, %d piggy-backed docs",
+			len(res.Answers), tr.RoundTrips(PhaseFetch), tr.FallbackFetches, tr.PiggybackedDocs)
 	}
 }
 
@@ -392,16 +406,12 @@ func TestFetchCompressed(t *testing.T) {
 	}
 	var cBytes, pBytes int
 	for _, c := range res.Trace.Calls {
-		if c.Phase == PhaseFetch {
-			cBytes += c.DocBytes
-		}
+		cBytes += c.DocBytes
 	}
 	for _, c := range plain.Trace.Calls {
-		if c.Phase == PhaseFetch {
-			pBytes += c.DocBytes
-		}
+		pBytes += c.DocBytes
 	}
-	if cBytes >= pBytes {
+	if cBytes == 0 || cBytes >= pBytes {
 		t.Fatalf("compressed transfer %d bytes >= plain %d", cBytes, pBytes)
 	}
 }

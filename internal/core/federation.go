@@ -101,15 +101,23 @@ func (f *Federation) GlobalDoc(name string, local uint32) (uint32, error) {
 // the offset table (librarians are stored in global-numbering order) rather
 // than scanning it.
 func (f *Federation) ResolveGlobal(global uint32) (string, uint32, error) {
+	li, err := f.owner(global)
+	if err != nil {
+		return "", 0, err
+	}
+	return li.name, global - li.offset, nil
+}
+
+// owner returns the librarian holding a global document number.
+func (f *Federation) owner(global uint32) (*libMeta, error) {
 	if global >= f.totalDocs {
-		return "", 0, fmt.Errorf("core: global doc %d outside collection of %d", global, f.totalDocs)
+		return nil, fmt.Errorf("core: global doc %d outside collection of %d", global, f.totalDocs)
 	}
 	// The last librarian whose offset is <= global owns it: any earlier
 	// librarian with the same offset is empty, and the next one starts past
 	// global.
 	i := sort.Search(len(f.libs), func(i int) bool { return f.libs[i].offset > global }) - 1
-	li := f.libs[i]
-	return li.name, global - li.offset, nil
+	return f.libs[i], nil
 }
 
 // GlobalWeights computes the merged-vocabulary query weights

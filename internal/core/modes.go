@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -32,8 +33,9 @@ func (e *exec) queryCN(res *Result, query string, k int, merge MergeStrategy) er
 		res.Answers = nil
 		return nil
 	}
+	top := e.fetchTop(k, len(names))
 	replies, err := e.callParallel(&res.Trace, PhaseRank, names, func(string) protocol.Message {
-		return &protocol.RankQuery{Query: query, K: uint32(k), Evaluator: uint8(e.eval)}
+		return &protocol.RankQuery{Query: query, K: uint32(k), Evaluator: uint8(e.eval), FetchTop: top, Compressed: e.compressed}
 	})
 	if err != nil {
 		return err
@@ -87,8 +89,9 @@ func (e *exec) queryCV(res *Result, query string, k int) error {
 		res.Answers = nil
 		return nil
 	}
+	top := e.fetchTop(k, len(names))
 	replies, err := e.callParallel(&res.Trace, PhaseRank, names, func(string) protocol.Message {
-		return &protocol.RankQuery{Query: query, K: uint32(k), Weights: weights, Evaluator: uint8(e.eval)}
+		return &protocol.RankQuery{Query: query, K: uint32(k), Weights: weights, Evaluator: uint8(e.eval), FetchTop: top, Compressed: e.compressed}
 	})
 	if err != nil {
 		return err
@@ -122,31 +125,29 @@ func (e *exec) queryCI(res *Result, query string, k int, opts Options) error {
 	res.Trace.CentralStats = centralStats
 
 	globalDocs := central.Expand(groups)
-	// Partition expanded documents by owning librarian.
-	byLib := make(map[string][]uint32)
+	// Partition expanded documents by owning librarian (index into fed.libs).
+	byLib := make([][]uint32, len(e.fed.libs))
 	for _, g := range globalDocs {
-		name, local, err := e.fed.ResolveGlobal(g)
+		li, err := e.fed.owner(g)
 		if err != nil {
 			return err
 		}
-		byLib[name] = append(byLib[name], local)
+		byLib[li.idx] = append(byLib[li.idx], g-li.offset)
 	}
-	names := make([]string, 0, len(byLib))
-	for name, docs := range byLib {
-		sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
-		byLib[name] = docs
-		names = append(names, name)
+	var names []string
+	var owners []int
+	for i, docs := range byLib {
+		if len(docs) > 0 {
+			slices.Sort(docs)
+			names = append(names, e.fed.libs[i].name)
+			owners = append(owners, i)
+		}
 	}
-	sort.Strings(names)
 	res.Trace.Stages.Analyze += time.Since(analyzeStart)
 	if e.topR > 0 && len(names) > 0 {
 		// Top-R selection over the owners of expanded candidates: documents
 		// at unselected librarians are dropped from the score phase, trading
 		// recall for fan-out exactly as in CN/CV.
-		owners := make([]int, len(names))
-		for i, name := range names {
-			owners[i] = e.fed.byName[name].idx
-		}
 		terms := make([]string, 0, len(weights))
 		for t := range weights {
 			terms = append(terms, t)
@@ -162,8 +163,11 @@ func (e *exec) queryCI(res *Result, query string, k int, opts Options) error {
 		res.Answers = nil
 		return nil
 	}
+	top := e.fetchTop(k, len(names))
 	replies, err := e.callParallel(&res.Trace, PhaseRank, names, func(name string) protocol.Message {
-		return &protocol.ScoreDocs{Query: query, Docs: byLib[name], Weights: weights}
+		// K: the global top k lies within the librarians' own top k.
+		return &protocol.ScoreDocs{Query: query, Docs: byLib[e.fed.byName[name].idx], Weights: weights,
+			K: uint32(k), FetchTop: top, Compressed: e.compressed}
 	})
 	if err != nil {
 		return err
@@ -206,6 +210,11 @@ func (e *exec) mergeWith(res *Result, replies map[string]protocol.Message, k int
 		// arrive in document order, so restore score order here.
 		sort.SliceStable(answers, func(i, j int) bool { return answers[i].Score > answers[j].Score })
 		lists[name] = answers
+		if e.blobs != nil {
+			for _, blob := range rr.Docs {
+				e.blobs[docKey{li.idx, blob.Doc}] = blob
+			}
+		}
 		total += len(answers)
 	}
 	res.Trace.MergeCandidates = total

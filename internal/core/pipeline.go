@@ -37,6 +37,8 @@ const (
 	FeaturePipelining = protocol.FeaturePipelining
 	// FeatureBatching negotiates cross-client query batching (BatchQuery).
 	FeatureBatching = protocol.FeatureBatching
+	// FeatureRankFetch lets rank replies carry the answers' documents.
+	FeatureRankFetch = protocol.FeatureRankFetch
 	// FeatureNone requests the seed wire protocol: untagged frames, one
 	// exchange per connection, no batching. Use it to pin a receptionist to
 	// pre-negotiation behaviour.
@@ -44,7 +46,7 @@ const (
 )
 
 // DefaultWireFeatures is requested when Config.WireFeatures is zero.
-const DefaultWireFeatures = protocol.FeaturePipelining | protocol.FeatureBatching
+const DefaultWireFeatures = protocol.FeaturePipelining | protocol.FeatureBatching | protocol.FeatureRankFetch
 
 // DefaultPipelineDepth bounds concurrent exchanges per pipelined connection
 // when Config.PipelineDepth is zero.
@@ -99,6 +101,9 @@ type pipeConn struct {
 	rep  *replica
 	conn net.Conn
 
+	// granted is what the peer granted in this connection's Hello.
+	granted protocol.Features
+
 	writeCh chan pipeWrite
 	dead    chan struct{} // closed by fail(); loops treat it as shutdown
 
@@ -110,12 +115,13 @@ type pipeConn struct {
 	draining bool  // no new exchanges; close when pending drains to zero
 }
 
-func newPipeConn(p *Pool, rep *replica, conn net.Conn, depth int) *pipeConn {
+func newPipeConn(p *Pool, rep *replica, conn net.Conn, granted protocol.Features) *pipeConn {
 	pc := &pipeConn{
 		pool:    p,
 		rep:     rep,
 		conn:    conn,
-		writeCh: make(chan pipeWrite, depth),
+		granted: granted,
+		writeCh: make(chan pipeWrite, p.depth),
 		dead:    make(chan struct{}),
 		pending: make(map[uint32]*pipePending),
 	}
@@ -231,7 +237,7 @@ func (pc *pipeConn) closedByPool() bool {
 }
 
 func (pc *pipeConn) writeLoop() {
-	wr := &protocol.Writer{W: pc.conn, Tagged: true}
+	wr := &protocol.Writer{Tagged: true} // frames only; the loop writes them
 	for {
 		select {
 		case w := <-pc.writeCh:
@@ -241,25 +247,27 @@ func (pc *pipeConn) writeLoop() {
 			if skip {
 				continue
 			}
+			frame, err := wr.Frame(w.tag, w.msg)
 			// Stamp before the write hits the wire: the reply races the
 			// stamping otherwise, and a zero writtenAt would turn the
 			// measured wait into garbage that poisons the hedge-delay
 			// quantile. Ship is therefore the queue-to-wire delay and Wait
 			// the write plus round trip — together the exchange's true total.
+			// The frame size is stamped here too, or Call.ReqBytes reads 0.
 			began := time.Now()
 			pc.mu.Lock()
 			w.pend.writtenAt = began
 			w.pend.ship = began.Sub(w.pend.start)
+			w.pend.wrote = len(frame)
 			pc.mu.Unlock()
-			n, err := wr.Write(w.tag, w.msg)
+			if err == nil {
+				_, err = pc.conn.Write(frame)
+			}
 			if err != nil {
 				pc.fail(fmt.Errorf("core: pipelined write: %w", err), !pc.closedByPool())
 				return
 			}
-			pc.mu.Lock()
-			w.pend.wrote = n
-			pc.mu.Unlock()
-			pc.pool.metrics.wireBytesOut.Add(uint64(n))
+			pc.pool.metrics.wireBytesOut.Add(uint64(len(frame)))
 		case <-pc.dead:
 			return
 		}
@@ -313,6 +321,9 @@ func (pc *pipeConn) readLoop() {
 // connection (legacy parity — the peer is presumed stuck and retries must
 // redial), while a plain cancellation abandons only this exchange's tag.
 func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name string, phase Phase, req protocol.Message) (Call, protocol.Message, error) {
+	if !pc.granted.Has(protocol.FeatureRankFetch) {
+		req = protocol.WithoutRankFetch(req)
+	}
 	call := Call{Librarian: name, Replica: pc.rep.endpoint, Phase: phase, ReqType: req.Type()}
 	pend := &pipePending{done: make(chan struct{}), start: time.Now()}
 	tag, err := pc.register(pend)
@@ -584,7 +595,7 @@ func (p *Pool) dialPipe(ctx context.Context, rep *replica, timeout time.Duration
 	}
 
 	rep.wire.Store(wirePipelined)
-	pc := newPipeConn(p, rep, conn, p.depth)
+	pc := newPipeConn(p, rep, conn, hr.Features)
 	s := &rep.pipes
 	s.mu.Lock()
 	if s.draining {

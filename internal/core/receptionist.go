@@ -169,7 +169,8 @@ type Config struct {
 	ReplicaProbeAfter time.Duration
 	// WireFeatures is the wire-protocol feature set requested in every
 	// Hello: FeaturePipelining multiplexes exchanges over tagged frames,
-	// FeatureBatching enables cross-client query batching. Zero requests
+	// FeatureBatching enables cross-client query batching, FeatureRankFetch
+	// lets rank replies carry the answers' documents. Zero requests
 	// DefaultWireFeatures; FeatureNone pins the seed protocol (untagged
 	// frames, one exchange per connection). Each librarian grants the subset
 	// it supports, so mixed-version fleets degrade per-connection to the

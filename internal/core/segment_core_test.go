@@ -13,12 +13,11 @@ import (
 	"teraphim/internal/store"
 )
 
-// newSegmentedFleet serves the same corpus as newFixture, but every
+// newSegmentedDialer serves the same corpus as newFixture, but every
 // subcollection is an UpdatableLibrarian fed through the streaming Ingest
 // API in three chunks (background merging off, so each ends up with three
-// live segments). Returns the receptionist plus the updatables for the
-// concurrency tests to poke.
-func newSegmentedFleet(t testing.TB, corpus map[string][]store.Document, order []string) (*Receptionist, map[string]*librarian.UpdatableLibrarian) {
+// live segments).
+func newSegmentedDialer(t testing.TB, corpus map[string][]store.Document, order []string) (*librarian.InProcessDialer, map[string]*librarian.UpdatableLibrarian) {
 	t.Helper()
 	a := testAnalyzer()
 	ctx := context.Background()
@@ -49,7 +48,15 @@ func newSegmentedFleet(t testing.TB, corpus map[string][]store.Document, order [
 		ups[name] = up
 		dialer.AddEndpoint(name, up, simnet.LinkConfig{})
 	}
-	recep, err := Connect(dialer, order, Config{Analyzer: a})
+	return dialer, ups
+}
+
+// newSegmentedFleet connects a default receptionist to a newSegmentedDialer
+// fleet, returning the updatables for the concurrency tests to poke.
+func newSegmentedFleet(t testing.TB, corpus map[string][]store.Document, order []string) (*Receptionist, map[string]*librarian.UpdatableLibrarian) {
+	t.Helper()
+	dialer, ups := newSegmentedDialer(t, corpus, order)
+	recep, err := Connect(dialer, order, Config{Analyzer: testAnalyzer()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,7 +94,10 @@ func (s *Session) QueryContext(ctx context.Context, mode Mode, query string, k i
 		}
 		defer adm.release()
 	}
-	e := &exec{ctx: ctx, fed: s.fed, pool: s.pool, policy: policyFor(opts), topR: topR, eval: opts.Evaluator}
+	e := &exec{ctx: ctx, fed: s.fed, pool: s.pool, policy: policyFor(opts), topR: topR, eval: opts.Evaluator, compressed: opts.CompressedTransfer}
+	if opts.Fetch {
+		e.blobs = make(map[docKey]protocol.DocBlob)
+	}
 	res := &Result{}
 	res.Trace.Mode = mode
 	switch mode {
@@ -105,7 +109,7 @@ func (s *Session) QueryContext(ctx context.Context, mode Mode, query string, k i
 		err = e.queryCI(res, query, k, opts)
 	}
 	if err == nil && opts.Fetch {
-		err = e.fetchAnswers(res, opts.CompressedTransfer)
+		err = e.fetchAnswers(res)
 	}
 	s.pool.observeQuery(mode, query, time.Since(start), res, err)
 	if err != nil {
@@ -148,12 +152,40 @@ type exec struct {
 	// this query sends (and applied locally by CI's central index). Already
 	// validated by QueryContext.
 	eval search.Evaluator
+	// blobs is non-nil when the query fetches text (Options.Fetch): the
+	// documents rank replies carried (see fetchTop), then any fetched later.
+	// compressed is Options.CompressedTransfer.
+	blobs      map[docKey]protocol.DocBlob
+	compressed bool
 
 	// hedgesLaunched/hedgesWon accumulate across this query's phases (the
 	// per-librarian exchange goroutines bump them concurrently) and are
 	// published into the Trace by callParallel.
 	hedgesLaunched atomic.Int64
 	hedgesWon      atomic.Int64
+}
+
+// docKey names a document by owner (index into Federation.libs) and local id.
+type docKey struct {
+	lib int
+	doc uint32
+}
+
+// overFetch bounds the documents the librarians attach to their rank replies
+// for one query at about overFetch x k in total. A variable only so that
+// BenchmarkWideFleetOverFetch can sweep it (DESIGN §13 has the numbers).
+var overFetch = 4
+
+// fetchTop is how many of its best results each of the asked librarians
+// attaches text for: all k while asked <= overFetch — any one librarian may
+// own the whole answer — and ceil(overFetch*k/asked) on wider fleets. The
+// per-librarian links run in parallel, so over-fetching costs bytes and
+// librarian store work, not latency; fetchAnswers requests what is missing.
+func (e *exec) fetchTop(k, asked int) uint32 {
+	if e.blobs == nil || asked == 0 {
+		return 0
+	}
+	return uint32(min(k, (overFetch*k+asked-1)/asked))
 }
 
 // callParallel sends one request to each named librarian concurrently and
@@ -318,14 +350,13 @@ func (e *exec) callLibrarian(name string, phase Phase, req protocol.Message) ([]
 // failure so the retry loop can avoid it.
 func (e *exec) attempt(ctx context.Context, name string, phase Phase, req protocol.Message, avoid string, tryOnly bool, onLease func(endpoint string)) ([]Call, protocol.Message, string, error) {
 	if e.pool.features.Has(protocol.FeaturePipelining) {
-		legacy := false
 		// A pick taken just before RemoveReplica swapped the set can land on
 		// a replica whose connections are draining. The legacy path served
 		// such exchanges unnoticed (the endpoint itself is still alive), so
-		// a drain must not surface as a failed attempt: re-pick against the
-		// freshly installed set, which no longer contains the removed
-		// replica. One re-pick suffices — drained replicas are never in the
-		// current set — but bound the loop against pathological churn.
+		// a drain must neither surface nor use up a retry: re-pick against
+		// the freshly installed set, which no longer contains the removed
+		// replica — for as long as it takes, since under sustained churn a
+		// re-pick's dial can outlast the next removal.
 		// onLease fires once per logical attempt, not per re-pick: the hedge
 		// path counts a launched hedge in it, and a drain re-pick is still
 		// the same attempt.
@@ -339,7 +370,7 @@ func (e *exec) attempt(ctx context.Context, name string, phase Phase, req protoc
 				}
 			}
 		}
-		for tries := 0; tries < 3; tries++ {
+		for {
 			calls, reply, ep, err := e.attemptPiped(ctx, name, phase, req, avoid, tryOnly, onceLease)
 			if errors.Is(err, errConnDraining) && ctx.Err() == nil {
 				continue
@@ -350,13 +381,7 @@ func (e *exec) attempt(ctx context.Context, name string, phase Phase, req protoc
 			// The replica negotiated the seed framing (a mixed-version
 			// fleet): fall through to the legacy exclusive-connection path,
 			// whose idle list already holds the handshook connection.
-			legacy = true
 			break
-		}
-		if !legacy {
-			// Every re-pick landed on a draining replica (sustained churn):
-			// report the transient error and let the retry policy handle it.
-			return nil, nil, "", errConnDraining
 		}
 	}
 	pc, err := e.pool.leaseReplica(ctx, name, avoid, tryOnly)
@@ -498,6 +523,10 @@ func (e *exec) attemptHedged(name string, phase Phase, req protocol.Message, avo
 // exchange performs one request/response round trip on the leased
 // connection, recording traffic and librarian statistics in the Call.
 func (e *exec) exchange(ctx context.Context, pc *PooledConn, phase Phase, req protocol.Message) (Call, protocol.Message, error) {
+	// Exclusive-lease connections speak the seed wire — all but the one a
+	// declined pipelining handshake parked are dialled without a Hello — so
+	// nothing was granted on them: send the pre-feature frame.
+	req = protocol.WithoutRankFetch(req)
 	call := Call{Librarian: pc.name, Replica: pc.Endpoint(), Phase: phase, ReqType: req.Type()}
 	conn := pc.conn
 	// Deadline errors surface from the read/write below; a fresh deadline
@@ -566,55 +595,65 @@ func classifyReply(call *Call, reply protocol.Message) (protocol.Message, error)
 		return nil, &protocol.RemoteError{Message: m.Message}
 	case *protocol.RankReply:
 		call.LibStats = m.Stats
+		call.countDocs(m.Docs)
 	case *protocol.BooleanReply:
 		call.LibStats = m.Stats
 	case *protocol.FetchReply:
-		call.DocsFetched = len(m.Docs)
-		for _, d := range m.Docs {
-			call.DocBytes += len(d.Data)
-		}
+		call.countDocs(m.Docs)
 	}
 	return reply, nil
 }
 
-// fetchAnswers runs the document-retrieval phase for res.Answers in place.
-func (e *exec) fetchAnswers(res *Result, compressed bool) error {
-	// Group requested docs by librarian; requests are sent in one block per
-	// librarian, per the paper's "documents should be bundled into blocks"
-	// finding.
-	byLib := make(map[string][]uint32)
+func (c *Call) countDocs(docs []protocol.DocBlob) {
+	c.DocsFetched = len(docs)
+	for _, d := range docs {
+		c.DocBytes += len(d.Data)
+	}
+}
+
+// fetchAnswers fills Title and Text of res.Answers in place: from the
+// documents the rank replies carried, and through one FetchDocs round for
+// exactly the answers still without one (a peer lacking FeatureRankFetch, a
+// document over the librarian's byte budget, a fleet too wide for fetchTop).
+func (e *exec) fetchAnswers(res *Result) error {
+	// Requests are sent in one block per librarian, per the paper's
+	// "documents should be bundled into blocks" finding.
+	missing := make([][]uint32, len(e.fed.libs))
 	for _, a := range res.Answers {
-		byLib[a.Librarian] = append(byLib[a.Librarian], a.LocalDoc)
+		idx := e.fed.byName[a.Librarian].idx
+		if _, ok := e.blobs[docKey{idx, a.LocalDoc}]; ok {
+			res.Trace.PiggybackedDocs++
+		} else {
+			missing[idx] = append(missing[idx], a.LocalDoc)
+		}
 	}
-	names := make([]string, 0, len(byLib))
-	for name, docs := range byLib {
-		sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
-		byLib[name] = docs
-		names = append(names, name)
+	var names []string
+	for i, docs := range missing {
+		if len(docs) > 0 {
+			slices.Sort(docs)
+			names = append(names, e.fed.libs[i].name)
+		}
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil
-	}
+	res.Trace.FallbackFetches = len(names)
 	replies, err := e.callParallel(&res.Trace, PhaseFetch, names, func(name string) protocol.Message {
-		return &protocol.FetchDocs{Docs: byLib[name], Compressed: compressed}
+		return &protocol.FetchDocs{Docs: missing[e.fed.byName[name].idx], Compressed: e.compressed}
 	})
 	if err != nil {
 		return err
 	}
-	texts := make(map[string]protocol.DocBlob)
 	for name, reply := range replies {
 		fr, ok := reply.(*protocol.FetchReply)
 		if !ok {
 			return fmt.Errorf("core: librarian %q answered FetchDocs with %v", name, reply.Type())
 		}
+		idx := e.fed.byName[name].idx
 		for _, blob := range fr.Docs {
-			texts[fmt.Sprintf("%s:%d", name, blob.Doc)] = blob
+			e.blobs[docKey{idx, blob.Doc}] = blob
 		}
 	}
 	for i := range res.Answers {
 		a := &res.Answers[i]
-		blob, ok := texts[a.Key()]
+		blob, ok := e.blobs[docKey{e.fed.byName[a.Librarian].idx, a.LocalDoc}]
 		if !ok {
 			if _, answered := replies[a.Librarian]; !answered {
 				// The librarian failed its fetch exchange and the policy

@@ -90,7 +90,8 @@ type Call struct {
 
 	// LibStats is the librarian-side evaluation work (rank/score calls).
 	LibStats search.Stats
-	// DocsFetched and DocBytes describe fetch traffic.
+	// DocsFetched and DocBytes describe the documents a reply carried: a
+	// FetchReply's, or those attached to a rank reply.
 	DocsFetched int
 	DocBytes    int
 
@@ -161,6 +162,13 @@ type Trace struct {
 	// HedgeWins counts those whose reply arrived first and was used.
 	Hedges    int
 	HedgeWins int
+
+	// PiggybackedDocs counts answers of a Fetch query whose document arrived
+	// attached to a rank reply (FeatureRankFetch); FallbackFetches counts the
+	// librarians that had to be sent a FetchDocs for the rest. A query
+	// answered in one exchange per librarian has FallbackFetches == 0.
+	PiggybackedDocs int
+	FallbackFetches int
 
 	// Failures records librarians that failed every attempt of an exchange,
 	// whether or not the query went on to succeed from the survivors.

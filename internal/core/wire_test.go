@@ -362,3 +362,35 @@ func TestCrossClientBatching(t *testing.T) {
 	}
 	assertNoLeakedConns(t, batched.Pool())
 }
+
+// TestPipelinedRequestBytesExact pins the write-loop accounting: the frame
+// size is stamped before the bytes reach the wire, so even on a zero-latency
+// link — where the reply can settle the exchange before Write returns —
+// every Call reports its request bytes and a trace's byte total is an exact,
+// repeatable count.
+func TestPipelinedRequestBytesExact(t *testing.T) {
+	corpus, order := smallCorpus(t)
+	queries := []string{"alpha federal wallstreet", "federal fiscal", "widget", "alpha w1 w2 w3", "aurora finance wholesale"}
+	run := func() (bytes int) {
+		r := buildRecep(t, corpus, order, Config{}, nil)
+		for exchanges := 0; exchanges < 2000; {
+			for _, q := range queries {
+				res, err := r.Query(ModeCN, q, 10, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range res.Trace.Calls {
+					if c.ReqBytes <= 0 || c.RespBytes <= 0 {
+						t.Fatalf("exchange %d (%q to %s): %d request bytes, %d reply bytes", exchanges, q, c.Librarian, c.ReqBytes, c.RespBytes)
+					}
+					exchanges++
+				}
+				bytes += res.Trace.BytesTransferred(0)
+			}
+		}
+		return bytes
+	}
+	if first, second := run(), run(); first != second {
+		t.Fatalf("the same queries moved %d bytes, then %d", first, second)
+	}
+}

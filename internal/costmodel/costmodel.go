@@ -151,8 +151,12 @@ func Estimate(cfg Config, trace *core.Trace) (Breakdown, error) {
 	// Central work: the receptionist's own index processing (CI group
 	// ranking, or the whole query for MS) plus result merging.
 	b.Rank += centralTime(cfg, trace)
+	// Documents are charged to the phase whose replies carried them: a
+	// one-exchange query (rank replies with the text attached) pays their
+	// disk reads, transfer and decompression under Rank and has no Fetch.
+	b.Rank += decompressTime(cfg, trace, core.PhaseRank)
 	b.Fetch = estimatePhase(cfg, trace, core.PhaseFetch)
-	b.Fetch += decompressTime(cfg, trace)
+	b.Fetch += decompressTime(cfg, trace, core.PhaseFetch)
 	// MS-style local fetches: disk reads and decompression at the server
 	// itself, no network.
 	if trace.LocalDocsFetched > 0 {
@@ -220,15 +224,11 @@ func libCPU(cfg Config, call core.Call) time.Duration {
 }
 
 // libDisk is the librarian-side disk cost of one call: one positioned read
-// per inverted list in the rank phase, one per document in the fetch phase.
+// per inverted list evaluated and one per document the reply carried.
 func libDisk(cfg Config, call core.Call, contended bool) time.Duration {
 	s := cfg.scaleStats(call.LibStats)
-	accesses := s.ListsFetched
-	bytes := s.IndexBytesRead
-	if call.Phase == core.PhaseFetch {
-		accesses += call.DocsFetched
-		bytes += uint64(call.DocBytes)
-	}
+	accesses := s.ListsFetched + call.DocsFetched
+	bytes := s.IndexBytesRead + uint64(call.DocBytes)
 	if accesses == 0 && bytes == 0 {
 		return 0
 	}
@@ -259,15 +259,15 @@ func statsCPU(cpu CPUModel, s search.Stats) time.Duration {
 	return d
 }
 
-// decompressTime charges the receptionist for expanding compressed document
-// transfers.
-func decompressTime(cfg Config, trace *core.Trace) time.Duration {
+// decompressTime charges the receptionist for expanding the compressed
+// documents one phase's replies carried.
+func decompressTime(cfg Config, trace *core.Trace, phase core.Phase) time.Duration {
 	if cfg.CPU.DecompressRate <= 0 {
 		return 0
 	}
 	var bytes int
 	for _, call := range trace.Calls {
-		if call.Phase == core.PhaseFetch {
+		if call.Phase == phase {
 			bytes += call.DocBytes
 		}
 	}

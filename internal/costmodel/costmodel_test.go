@@ -243,3 +243,40 @@ func TestRetriedCallsSerialisePerLibrarian(t *testing.T) {
 		}
 	}
 }
+
+// TestOneExchangeTrace: a query whose rank replies carried the documents
+// (core's FeatureRankFetch) moves the same bytes and reads the same disk
+// blocks as the two-round query, so its documents must be charged — to the
+// rank phase, there being no other — and the estimate must come out exactly
+// one network contact cheaper.
+func TestOneExchangeTrace(t *testing.T) {
+	stats := search.Stats{TermsLooked: 5, ListsFetched: 5, PostingsDecoded: 20000, IndexBytesRead: 5000, CandidateDocs: 2000}
+	twoRound := &core.Trace{Mode: core.ModeCV, MergeCandidates: 20, Calls: []core.Call{
+		{Librarian: "AP", Phase: core.PhaseRank, ReqBytes: 120, RespBytes: 700, LibStats: stats},
+		{Librarian: "AP", Phase: core.PhaseFetch, ReqBytes: 60, RespBytes: 24000, DocsFetched: 12, DocBytes: 23000},
+	}}
+	oneExchange := &core.Trace{Mode: core.ModeCV, MergeCandidates: 20, PiggybackedDocs: 12, Calls: []core.Call{
+		{Librarian: "AP", Phase: core.PhaseRank, ReqBytes: 120 + 60, RespBytes: 700 + 24000, LibStats: stats, DocsFetched: 12, DocBytes: 23000},
+	}}
+	for _, cfg := range AllConfigs() {
+		two, err := Estimate(cfg, twoRound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := Estimate(cfg, oneExchange)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.Fetch != 0 {
+			t.Errorf("%s: a trace without fetch calls is charged %v of fetch", cfg.Name, one.Fetch)
+		}
+		docs := one.Rank - two.Rank
+		if docs <= 0 {
+			t.Errorf("%s: rank phase %v with 23 kB of documents attached, %v without: the documents cost nothing", cfg.Name, one.Rank, two.Rank)
+		}
+		contact := cfg.linkFor("AP").timeFor(0)
+		if saved := two.Total() - one.Total(); saved < contact-time.Microsecond || saved > contact+time.Microsecond {
+			t.Errorf("%s: one exchange saves %v over two rounds, want the %v of one network contact", cfg.Name, saved, contact)
+		}
+	}
+}

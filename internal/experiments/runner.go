@@ -79,7 +79,13 @@ func newRunnerFromCorpus(corpus *trecsynth.Corpus) (*Runner, error) {
 		}
 	}
 	r.dialer = librarian.NewInProcessDialer(r.libs, simnet.LinkConfig{})
-	recep, err := core.Connect(r.dialer, names, core.Config{Analyzer: r.analyzer})
+	// The tables reproduce the paper's protocol — every nominated score
+	// returned, documents fetched in a second round — so the one-exchange
+	// FeatureRankFetch extension is not requested.
+	recep, err := core.Connect(r.dialer, names, core.Config{
+		Analyzer:     r.analyzer,
+		WireFeatures: core.FeaturePipelining | core.FeatureBatching,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: connect receptionist: %w", err)
 	}

@@ -160,14 +160,12 @@ func (l *Librarian) handle(scratch *search.Scratch, msg protocol.Message, conn p
 		return l.hello(granted)
 	case *protocol.VocabRequest:
 		return l.vocab()
-	case *protocol.RankQuery:
-		return l.rank(scratch, m)
-	case *protocol.ScoreDocs:
-		return l.score(scratch, m)
+	case *protocol.RankQuery, *protocol.ScoreDocs:
+		return rankPhase(l, scratch, msg)
 	case *protocol.BatchQuery:
-		return l.batch(scratch, m)
+		return batchReply(l, scratch, m)
 	case *protocol.FetchDocs:
-		return l.fetch(m)
+		return fetchReply(l, m)
 	case *protocol.ModelRequest:
 		return &protocol.ModelReply{Model: l.docs.Model().Marshal()}
 	case *protocol.BooleanQuery:
@@ -190,27 +188,6 @@ func (l *Librarian) hello(granted protocol.Features) protocol.Message {
 		StoreBytes: l.docs.CompressedSize(),
 		Features:   granted,
 	}
-}
-
-// batch evaluates a BatchQuery item by item on the session scratch, in
-// order, so every item's result is bit-identical to the same request sent
-// alone. Failure is per item: a bad query yields an ErrorReply in its slot
-// without touching its batch peers.
-func (l *Librarian) batch(scratch *search.Scratch, m *protocol.BatchQuery) protocol.Message {
-	reply := &protocol.BatchReply{Items: make([]protocol.Message, len(m.Items))}
-	for i, it := range m.Items {
-		switch q := it.(type) {
-		case *protocol.RankQuery:
-			reply.Items[i] = l.rank(scratch, q)
-		case *protocol.ScoreDocs:
-			reply.Items[i] = l.score(scratch, q)
-		default:
-			// Unreachable off the wire (the decoder rejects non-batchable
-			// item types); kept for locally constructed messages.
-			reply.Items[i] = &protocol.ErrorReply{Message: fmt.Sprintf("unbatchable message %v", it.Type())}
-		}
-	}
-	return reply
 }
 
 func (l *Librarian) vocab() protocol.Message {
@@ -246,7 +223,7 @@ func (l *Librarian) score(scratch *search.Scratch, m *protocol.ScoreDocs) protoc
 		}
 		return &protocol.ErrorReply{Message: err.Error()}
 	}
-	return rankReply(results, stats)
+	return scoreReply(results, stats, m.K)
 }
 
 func (l *Librarian) boolean(m *protocol.BooleanQuery) protocol.Message {
@@ -274,30 +251,39 @@ func rankReply(results []search.Result, stats search.Stats) *protocol.RankReply 
 	return reply
 }
 
-func (l *Librarian) fetch(m *protocol.FetchDocs) protocol.Message {
-	reply := &protocol.FetchReply{Docs: make([]protocol.DocBlob, 0, len(m.Docs))}
-	for _, id := range m.Docs {
-		title, err := l.docs.Title(id)
-		if err != nil {
-			return &protocol.ErrorReply{Message: err.Error()}
+// scoreReply builds a ScoreDocs reply: every nominated score in request
+// order when k is zero (the seed behaviour), otherwise the k best,
+// best-first.
+func scoreReply(results []search.Result, stats search.Stats, k uint32) *protocol.RankReply {
+	if k > 0 {
+		search.SortResults(results)
+		if uint64(len(results)) > uint64(k) {
+			results = results[:k]
 		}
-		blob := protocol.DocBlob{Doc: id, Title: title, Compressed: m.Compressed}
-		if m.Compressed {
-			data, err := l.docs.FetchCompressed(id)
-			if err != nil {
-				return &protocol.ErrorReply{Message: err.Error()}
-			}
-			blob.Data = append([]byte(nil), data...)
-		} else {
-			doc, err := l.docs.Fetch(id)
-			if err != nil {
-				return &protocol.ErrorReply{Message: err.Error()}
-			}
-			blob.Data = []byte(doc.Text)
-		}
-		reply.Docs = append(reply.Docs, blob)
 	}
-	return reply
+	return rankReply(results, stats)
+}
+
+func (l *Librarian) fetchOne(id uint32, compressed bool) (protocol.DocBlob, error) {
+	title, err := l.docs.Title(id)
+	if err != nil {
+		return protocol.DocBlob{}, err
+	}
+	blob := protocol.DocBlob{Doc: id, Title: title, Compressed: compressed}
+	if compressed {
+		data, err := l.docs.FetchCompressed(id)
+		if err != nil {
+			return protocol.DocBlob{}, err
+		}
+		blob.Data = append([]byte(nil), data...)
+	} else {
+		doc, err := l.docs.Fetch(id)
+		if err != nil {
+			return protocol.DocBlob{}, err
+		}
+		blob.Data = []byte(doc.Text)
+	}
+	return blob, nil
 }
 
 // Server runs a librarian behind a TCP (or other) listener. Sessions are

@@ -220,24 +220,7 @@ func (m *manifest) score(scratch *search.Scratch, q *protocol.ScoreDocs) protoco
 			results[segPos[si][j]] = search.Result{Doc: r.Doc + sg.base, Score: r.Score}
 		}
 	}
-	return rankReply(results, stats)
-}
-
-// batch mirrors Librarian.batch: items evaluated in order on the session
-// scratch, failure is per item.
-func (m *manifest) batch(scratch *search.Scratch, b *protocol.BatchQuery) protocol.Message {
-	reply := &protocol.BatchReply{Items: make([]protocol.Message, len(b.Items))}
-	for i, it := range b.Items {
-		switch q := it.(type) {
-		case *protocol.RankQuery:
-			reply.Items[i] = m.rank(scratch, q)
-		case *protocol.ScoreDocs:
-			reply.Items[i] = m.score(scratch, q)
-		default:
-			reply.Items[i] = &protocol.ErrorReply{Message: fmt.Sprintf("unbatchable message %v", it.Type())}
-		}
-	}
-	return reply
+	return scoreReply(results, stats, q.K)
 }
 
 func (m *manifest) boolean(q *protocol.BooleanQuery) protocol.Message {
@@ -323,36 +306,30 @@ func (m *manifest) hello(granted protocol.Features) protocol.Message {
 	}
 }
 
-func (m *manifest) fetch(q *protocol.FetchDocs) protocol.Message {
+func (m *manifest) fetchOne(id uint32, compressed bool) (protocol.DocBlob, error) {
 	// The fast path requires the stored blobs to be coded with the
 	// manifest's transfer model — true for any manifest Update or the
 	// constructor produced, not after a compaction retrained the store.
 	if m.single() && m.segs[0].lib.docs.Model() == m.model {
-		return m.segs[0].lib.fetch(q)
+		return m.segs[0].lib.fetchOne(id, compressed)
 	}
-	reply := &protocol.FetchReply{Docs: make([]protocol.DocBlob, 0, len(q.Docs))}
-	for _, id := range q.Docs {
-		if id >= m.total {
-			return &protocol.ErrorReply{Message: fmt.Sprintf("store: doc %d outside collection of %d", id, m.total)}
-		}
-		sg := m.locate(id)
-		doc, err := sg.lib.docs.Fetch(id - sg.base)
-		if err != nil {
-			return &protocol.ErrorReply{Message: err.Error()}
-		}
-		blob := protocol.DocBlob{Doc: id, Title: doc.Title, Compressed: q.Compressed}
-		if q.Compressed {
-			data, err := m.model.CompressDoc(doc.Text)
-			if err != nil {
-				return &protocol.ErrorReply{Message: err.Error()}
-			}
-			blob.Data = data
-		} else {
-			blob.Data = []byte(doc.Text)
-		}
-		reply.Docs = append(reply.Docs, blob)
+	if id >= m.total {
+		return protocol.DocBlob{}, fmt.Errorf("store: doc %d outside collection of %d", id, m.total)
 	}
-	return reply
+	sg := m.locate(id)
+	doc, err := sg.lib.docs.Fetch(id - sg.base)
+	if err != nil {
+		return protocol.DocBlob{}, err
+	}
+	blob := protocol.DocBlob{Doc: id, Title: doc.Title, Compressed: compressed}
+	if compressed {
+		if blob.Data, err = m.model.CompressDoc(doc.Text); err != nil {
+			return protocol.DocBlob{}, err
+		}
+	} else {
+		blob.Data = []byte(doc.Text)
+	}
+	return blob, nil
 }
 
 func (m *manifest) modelReply() protocol.Message {

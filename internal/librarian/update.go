@@ -294,14 +294,12 @@ func (u *UpdatableLibrarian) dispatch(scratch *search.Scratch, msg protocol.Mess
 		return m.hello(granted)
 	case *protocol.VocabRequest:
 		return m.vocab()
-	case *protocol.RankQuery:
-		return m.rank(scratch, req)
-	case *protocol.ScoreDocs:
-		return m.score(scratch, req)
+	case *protocol.RankQuery, *protocol.ScoreDocs:
+		return rankPhase(m, scratch, msg)
 	case *protocol.BatchQuery:
-		return m.batch(scratch, req)
+		return batchReply(m, scratch, req)
 	case *protocol.FetchDocs:
-		return m.fetch(req)
+		return fetchReply(m, req)
 	case *protocol.ModelRequest:
 		return m.modelReply()
 	case *protocol.BooleanQuery:

@@ -26,6 +26,14 @@ const (
 	// frames (several rank-phase requests evaluated in one round trip).
 	// Batching composes with, but does not require, pipelining.
 	FeatureBatching Features = 1 << 1
+	// FeatureRankFetch lets a rank-phase request ask for a trimmed,
+	// text-carrying reply: ScoreDocs.K (top-K best-first instead of every
+	// nominated score) and RankQuery/ScoreDocs.FetchTop (DocBlobs for the
+	// best results attached to the RankReply), so a Fetch query completes
+	// in one exchange. The fields are optional trailing bytes that a peer
+	// without this bit rejects (its decoders demand an exhausted payload),
+	// which is why they are sent only on connections that granted it.
+	FeatureRankFetch Features = 1 << 2
 
 	// FeatureNone is a configuration sentinel meaning "request nothing":
 	// it forces the seed wire format when a zero Features value would
@@ -36,7 +44,7 @@ const (
 
 // SupportedFeatures is every extension this build of the librarian can
 // grant. The granted set on a Hello exchange is requested ∩ supported.
-const SupportedFeatures = FeaturePipelining | FeatureBatching
+const SupportedFeatures = FeaturePipelining | FeatureBatching | FeatureRankFetch
 
 // wireFeatureMask strips configuration sentinels (FeatureNone) so they are
 // never transmitted.
@@ -66,7 +74,10 @@ func (f Features) String() string {
 	if f.Has(FeatureBatching) {
 		add("batching")
 	}
-	if rest := f &^ (FeaturePipelining | FeatureBatching | FeatureNone); rest != 0 {
+	if f.Has(FeatureRankFetch) {
+		add("rankfetch")
+	}
+	if rest := f &^ (SupportedFeatures | FeatureNone); rest != 0 {
 		add(fmt.Sprintf("unknown(%#x)", uint32(rest)))
 	}
 	if f.Has(FeatureNone) {

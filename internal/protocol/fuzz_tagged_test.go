@@ -23,11 +23,15 @@ func batchSeedMessages() []Message {
 			&RankQuery{Query: "alpha federal", K: 10},
 			&RankQuery{Query: "wallstreet", K: 5, Weights: map[string]float64{"w": 1.5}},
 			&ScoreDocs{Query: "alpha", Docs: []uint32{1, 9, 200}},
+			&RankQuery{Query: "alpha federal", K: 10, FetchTop: 10},
+			&ScoreDocs{Query: "alpha", Docs: []uint32{1, 9, 200}, K: 10, FetchTop: 10, Compressed: true},
 		}},
 		&BatchReply{Items: []Message{
 			&RankReply{Results: []ScoredDoc{{Doc: 3, Score: 0.5}}},
 			&ErrorReply{Message: "no such term"},
 			&RankReply{},
+			&RankReply{Results: []ScoredDoc{{Doc: 3, Score: 0.5}}, Docs: []DocBlob{{Doc: 3, Title: "AP-3", Data: []byte("text")}}},
+			&RankReply{Results: []ScoredDoc{{Doc: 9, Score: 0.5}}, Docs: []DocBlob{{Doc: 9, Data: []byte{1, 2}, Compressed: true}}},
 		}},
 	}
 }
@@ -98,11 +102,16 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		bq := &BatchQuery{}
 		br := &BatchReply{}
 		for i := 0; i < n; i++ {
+			// Every third item asks for, and gets, attached documents.
+			top, blobs := uint32(0), []DocBlob(nil)
+			if i%3 == 0 {
+				top, blobs = u32>>1, []DocBlob{{Doc: u32, Title: s, Data: []byte(s), Compressed: i%2 == 1}}
+			}
 			if i%2 == 0 {
-				bq.Items = append(bq.Items, &RankQuery{Query: s, K: u32 + uint32(i), Weights: map[string]float64{s: fl}})
-				br.Items = append(br.Items, &RankReply{Results: []ScoredDoc{{Doc: u32, Score: fl}}})
+				bq.Items = append(bq.Items, &RankQuery{Query: s, K: u32 + uint32(i), Weights: map[string]float64{s: fl}, FetchTop: top})
+				br.Items = append(br.Items, &RankReply{Results: []ScoredDoc{{Doc: u32, Score: fl}}, Docs: blobs})
 			} else {
-				bq.Items = append(bq.Items, &ScoreDocs{Query: s, Docs: []uint32{u32, u32 + 1}})
+				bq.Items = append(bq.Items, &ScoreDocs{Query: s, Docs: []uint32{u32, u32 + 1}, K: top, FetchTop: top})
 				br.Items = append(br.Items, &ErrorReply{Message: s})
 			}
 		}

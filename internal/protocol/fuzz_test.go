@@ -18,8 +18,12 @@ func fuzzSeedMessages() []Message {
 		&VocabRequest{},
 		&VocabReply{Terms: []TermStat{{Term: "aardvark", FT: 3}, {Term: "aardwolf", FT: 1}}},
 		&RankQuery{Query: "distributed retrieval", K: 20, Weights: map[string]float64{"a": 1.5}},
+		&RankQuery{Query: "distributed retrieval", K: 20, FetchTop: 20, Compressed: true},
 		&RankReply{Results: []ScoredDoc{{Doc: 5, Score: 0.77}}, Stats: stats},
+		&RankReply{Results: []ScoredDoc{{Doc: 5, Score: 0.77}}, Stats: stats,
+			Docs: []DocBlob{{Doc: 5, Title: "AP-5", Data: []byte{0xC0, 0xFF, 0xEE}, Compressed: true}, {Doc: 9, Title: "AP-9"}}},
 		&ScoreDocs{Query: "q", Docs: []uint32{1, 5, 900}, Weights: map[string]float64{"x": 2}},
+		&ScoreDocs{Query: "q", Docs: []uint32{1, 5, 900}, Weights: map[string]float64{"x": 2}, K: 20, FetchTop: 5},
 		&FetchDocs{Docs: []uint32{0, 3, 77}, Compressed: true},
 		&FetchReply{Docs: []DocBlob{{Doc: 3, Title: "AP-3", Data: []byte("hello"), Compressed: false}}},
 		&ErrorReply{Message: "no such document"},
@@ -107,8 +111,13 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			&VocabReply{Terms: []TermStat{{Term: s, FT: u32}, {Term: s + "x", FT: u32 / 2}}},
 			&RankQuery{Query: s, K: u32, Weights: weights, Evaluator: uint8(u64)},
 			&RankQuery{Query: s, K: u32}, // nil weights (CN), exact evaluator
+			&RankQuery{Query: s, K: u32, Weights: weights, Evaluator: uint8(u64), FetchTop: u32 >> 1, Compressed: flag && u32>>1 != 0},
 			&RankReply{Results: []ScoredDoc{{Doc: u32, Score: fl}, {Doc: u32 + 1, Score: fl / 2}}, Stats: stats},
+			&RankReply{Results: []ScoredDoc{{Doc: u32, Score: fl}}, Stats: stats,
+				Docs: []DocBlob{{Doc: u32, Title: s, Data: b, Compressed: flag}, {Doc: u32 + 1, Data: b}}},
 			&ScoreDocs{Query: s, Docs: docs, Weights: weights},
+			&ScoreDocs{Query: s, Docs: docs, Weights: weights, K: u32},
+			&ScoreDocs{Query: s, Docs: docs, K: u32, FetchTop: u32 >> 1, Compressed: flag && u32>>1 != 0},
 			&FetchDocs{Docs: docs, Compressed: flag},
 			&FetchReply{Docs: []DocBlob{{Doc: u32, Title: s, Data: b, Compressed: flag}}},
 			&ErrorReply{Message: s},
@@ -166,7 +175,8 @@ func equalMessage(a, b Message) bool {
 		return true
 	case *RankQuery:
 		y := b.(*RankQuery)
-		return x.Query == y.Query && x.K == y.K && x.Evaluator == y.Evaluator && equalWeights(x.Weights, y.Weights)
+		return x.Query == y.Query && x.K == y.K && x.Evaluator == y.Evaluator && equalWeights(x.Weights, y.Weights) &&
+			x.FetchTop == y.FetchTop && x.Compressed == y.Compressed
 	case *RankReply:
 		y := b.(*RankReply)
 		if x.Stats != y.Stats || len(x.Results) != len(y.Results) {
@@ -177,25 +187,17 @@ func equalMessage(a, b Message) bool {
 				return false
 			}
 		}
-		return true
+		return equalBlobs(x.Docs, y.Docs)
 	case *ScoreDocs:
 		y := b.(*ScoreDocs)
-		return x.Query == y.Query && equalU32s(x.Docs, y.Docs) && equalWeights(x.Weights, y.Weights)
+		return x.Query == y.Query && equalU32s(x.Docs, y.Docs) && equalWeights(x.Weights, y.Weights) &&
+			x.K == y.K && x.FetchTop == y.FetchTop && x.Compressed == y.Compressed
 	case *FetchDocs:
 		y := b.(*FetchDocs)
 		return x.Compressed == y.Compressed && equalU32s(x.Docs, y.Docs)
 	case *FetchReply:
 		y := b.(*FetchReply)
-		if len(x.Docs) != len(y.Docs) {
-			return false
-		}
-		for i := range x.Docs {
-			if x.Docs[i].Doc != y.Docs[i].Doc || x.Docs[i].Title != y.Docs[i].Title ||
-				x.Docs[i].Compressed != y.Docs[i].Compressed || !bytes.Equal(x.Docs[i].Data, y.Docs[i].Data) {
-				return false
-			}
-		}
-		return true
+		return equalBlobs(x.Docs, y.Docs)
 	case *ErrorReply:
 		y := b.(*ErrorReply)
 		return x.Message == y.Message
@@ -213,6 +215,19 @@ func equalMessage(a, b Message) bool {
 		return bytes.Equal(x.Data, y.Data)
 	}
 	return false
+}
+
+func equalBlobs(a, b []DocBlob) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Doc != b[i].Doc || a[i].Title != b[i].Title ||
+			a[i].Compressed != b[i].Compressed || !bytes.Equal(a[i].Data, b[i].Data) {
+			return false
+		}
+	}
+	return true
 }
 
 func equalWeights(a, b map[string]float64) bool {

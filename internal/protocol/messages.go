@@ -174,10 +174,12 @@ func (m *RankQuery) encode(b []byte) []byte {
 	// Hello/HelloReply Features: encoded only when non-zero, so an
 	// exact-evaluator query is byte-identical to the seed frame and old
 	// librarians never see the field.
-	if m.Evaluator != 0 {
+	// FetchTop follows it under the same rule, so a fetch request spells
+	// out even a zero Evaluator to keep the field positions fixed.
+	if m.Evaluator != 0 || m.FetchTop != 0 {
 		b = putUint(b, uint64(m.Evaluator))
 	}
-	return b
+	return putFetchTop(b, m.FetchTop, m.Compressed)
 }
 
 func (m *RankQuery) decode(b []byte) error {
@@ -201,6 +203,9 @@ func (m *RankQuery) decode(b []byte) error {
 		}
 		m.Evaluator = uint8(ev)
 	}
+	if m.FetchTop, m.Compressed, b, err = getFetchTop(b); err != nil {
+		return err
+	}
 	return expectEmpty(b, TypeRankQuery)
 }
 
@@ -214,6 +219,9 @@ func (m *RankReply) encode(b []byte) []byte {
 		b = putFloat(b, r.Score)
 	}
 	b = putStats(b, m.Stats)
+	if len(m.Docs) > 0 {
+		b = putBlobs(b, m.Docs)
+	}
 	return b
 }
 
@@ -241,6 +249,12 @@ func (m *RankReply) decode(b []byte) error {
 	if m.Stats, b, err = getStats(b); err != nil {
 		return err
 	}
+	m.Docs = m.Docs[:0]
+	if len(b) > 0 {
+		if m.Docs, b, err = getBlobs(m.Docs, b); err != nil {
+			return err
+		}
+	}
 	return expectEmpty(b, TypeRankReply)
 }
 
@@ -257,7 +271,10 @@ func (m *ScoreDocs) encode(b []byte) []byte {
 		prev = uint64(d)
 	}
 	b = putWeights(b, m.Weights)
-	return b
+	if m.K != 0 || m.FetchTop != 0 {
+		b = putUint(b, uint64(m.K))
+	}
+	return putFetchTop(b, m.FetchTop, m.Compressed)
 }
 
 func (m *ScoreDocs) decode(b []byte) error {
@@ -284,6 +301,17 @@ func (m *ScoreDocs) decode(b []byte) error {
 		m.Docs = append(m.Docs, uint32(prev))
 	}
 	if m.Weights, b, err = getWeights(b); err != nil {
+		return err
+	}
+	m.K = 0
+	if len(b) > 0 {
+		var k uint64
+		if k, b, err = getUint(b); err != nil {
+			return err
+		}
+		m.K = uint32(k)
+	}
+	if m.FetchTop, m.Compressed, b, err = getFetchTop(b); err != nil {
 		return err
 	}
 	return expectEmpty(b, TypeScoreDocs)
@@ -336,9 +364,21 @@ func (m *FetchDocs) decode(b []byte) error {
 // Type implements Message.
 func (*FetchReply) Type() MsgType { return TypeFetchReply }
 
-func (m *FetchReply) encode(b []byte) []byte {
-	b = putUint(b, uint64(len(m.Docs)))
-	for _, d := range m.Docs {
+func (m *FetchReply) encode(b []byte) []byte { return putBlobs(b, m.Docs) }
+
+func (m *FetchReply) decode(b []byte) error {
+	var err error
+	if m.Docs, b, err = getBlobs(m.Docs, b); err != nil {
+		return err
+	}
+	return expectEmpty(b, TypeFetchReply)
+}
+
+// putBlobs appends a counted document list — the FetchReply payload, and
+// the optional tail of a RankReply.
+func putBlobs(b []byte, docs []DocBlob) []byte {
+	b = putUint(b, uint64(len(docs)))
+	for _, d := range docs {
 		b = putUint(b, uint64(d.Doc))
 		b = putString(b, d.Title)
 		b = putBytes(b, d.Data)
@@ -351,37 +391,96 @@ func (m *FetchReply) encode(b []byte) []byte {
 	return b
 }
 
-func (m *FetchReply) decode(b []byte) error {
+// getBlobs decodes a putBlobs list into docs' capacity, returning the
+// unread remainder of b.
+func getBlobs(docs []DocBlob, b []byte) ([]DocBlob, []byte, error) {
 	n, b, err := getUint(b)
 	if err != nil {
-		return err
+		return nil, b, err
 	}
-	if hint := capHint(n, len(b), 4); cap(m.Docs) < hint {
-		m.Docs = make([]DocBlob, 0, hint)
+	if hint := capHint(n, len(b), 4); cap(docs) < hint {
+		docs = make([]DocBlob, 0, hint)
 	} else {
-		m.Docs = m.Docs[:0]
+		docs = docs[:0]
 	}
 	for i := uint64(0); i < n; i++ {
 		var blob DocBlob
 		var doc uint64
 		if doc, b, err = getUint(b); err != nil {
-			return err
+			return nil, b, err
 		}
 		blob.Doc = uint32(doc)
 		if blob.Title, b, err = getString(b); err != nil {
-			return err
+			return nil, b, err
 		}
 		if blob.Data, b, err = getBytes(b); err != nil {
-			return err
+			return nil, b, err
 		}
 		if len(b) < 1 {
-			return ErrShortPayload
+			return nil, b, ErrShortPayload
 		}
 		blob.Compressed = b[0] == 1
 		b = b[1:]
-		m.Docs = append(m.Docs, blob)
+		docs = append(docs, blob)
 	}
-	return expectEmpty(b, TypeFetchReply)
+	return docs, b, nil
+}
+
+// putFetchTop appends a rank-phase request's piggy-back ask as one integer,
+// FetchTop with the Compressed flag in its low bit; nothing when FetchTop is
+// zero, so requests that attach no documents keep their previous bytes.
+func putFetchTop(b []byte, top uint32, compressed bool) []byte {
+	if top == 0 {
+		return b
+	}
+	v := uint64(top) << 1
+	if compressed {
+		v |= 1
+	}
+	return putUint(b, v)
+}
+
+// getFetchTop reads what putFetchTop wrote; an exhausted payload means no
+// documents were asked for.
+func getFetchTop(b []byte) (uint32, bool, []byte, error) {
+	if len(b) == 0 {
+		return 0, false, b, nil
+	}
+	v, b, err := getUint(b)
+	if err != nil {
+		return 0, false, b, err
+	}
+	return uint32(v >> 1), v&1 == 1 && v>>1 != 0, b, nil
+}
+
+// WithoutRankFetch returns msg as it must be sent on a connection that did
+// not grant FeatureRankFetch: K, FetchTop and Compressed cleared on a
+// RankQuery or ScoreDocs, so the frame is byte-identical to the pre-feature
+// wire. The request is copied, never modified — a retry or a hedge may be
+// sending the same one on a connection that did grant the bit — and a
+// message carrying none of the fields is returned as is. A BatchQuery is
+// the exception: its Items are replaced in place, because the sender reads
+// the Sizes its own BatchQuery collects while encoding.
+func WithoutRankFetch(msg Message) Message {
+	switch m := msg.(type) {
+	case *RankQuery:
+		if m.FetchTop != 0 {
+			c := *m
+			c.FetchTop, c.Compressed = 0, false
+			return &c
+		}
+	case *ScoreDocs:
+		if m.K != 0 || m.FetchTop != 0 {
+			c := *m
+			c.K, c.FetchTop, c.Compressed = 0, 0, false
+			return &c
+		}
+	case *BatchQuery:
+		for i, it := range m.Items {
+			m.Items[i] = WithoutRankFetch(it)
+		}
+	}
+	return msg
 }
 
 // Type implements Message.

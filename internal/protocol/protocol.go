@@ -168,6 +168,13 @@ type RankQuery struct {
 	// byte-identical to the original frame format (the Hello Features
 	// convention); old peers simply never send it and decode it as absent.
 	Evaluator uint8
+	// FetchTop asks the librarian to attach the documents of its best
+	// FetchTop results to the RankReply (RankReply.Docs), in the wire form
+	// Compressed selects (as FetchDocs.Compressed). Optional trailing
+	// fields, encoded only when FetchTop is non-zero and sent only on
+	// connections that granted FeatureRankFetch.
+	FetchTop   uint32
+	Compressed bool
 }
 
 // ScoredDoc is one (local document id, similarity) pair.
@@ -177,10 +184,18 @@ type ScoredDoc struct {
 }
 
 // RankReply returns a ranking (or the scores of nominated documents) along
-// with the evaluation statistics the cost model consumes.
+// with the evaluation statistics the cost model consumes. Docs carries the
+// documents a request's FetchTop asked for, in Results order: those of the
+// FetchTop best positive-score results that fit the librarian's per-reply
+// byte budget. It need not be a prefix (an oversize document is passed
+// over), so the receiver looks documents up by DocBlob.Doc and fetches
+// what is missing; zero-score results, which the receptionist's merge
+// drops, never get one. It is an optional trailing field, encoded only
+// when non-empty.
 type RankReply struct {
 	Results []ScoredDoc
 	Stats   search.Stats
+	Docs    []DocBlob
 }
 
 // ScoreDocs asks for exact similarities of the nominated local documents
@@ -189,6 +204,14 @@ type ScoreDocs struct {
 	Query   string
 	Docs    []uint32
 	Weights map[string]float64
+	// K, when non-zero, trims the reply to the K best nominated documents,
+	// best-first (score descending, ties by ascending document id); zero
+	// returns every nominated score in request order. FetchTop and
+	// Compressed are as on RankQuery. All three are optional trailing
+	// fields gated by FeatureRankFetch.
+	K          uint32
+	FetchTop   uint32
+	Compressed bool
 }
 
 // FetchDocs requests document texts. Compressed selects wire format: true
@@ -482,17 +505,28 @@ type Writer struct {
 	buf []byte
 }
 
-// Write frames and writes msg (tag is ignored in the seed framing),
-// returning the bytes written.
-func (wr *Writer) Write(tag uint32, msg Message) (int, error) {
+// Frame encodes msg as one complete frame (tag is ignored in the seed
+// framing) into the Writer's buffer and returns it without writing — for
+// callers that must record the frame's size before its bytes reach the
+// wire. The frame is valid until the next Frame or Write.
+func (wr *Writer) Frame(tag uint32, msg Message) ([]byte, error) {
 	b, err := AppendFrame(wr.buf[:0], tag, wr.Tagged, msg)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if cap(b) <= maxPooledBuf {
 		wr.buf = b
 	} else {
 		wr.buf = nil
+	}
+	return b, nil
+}
+
+// Write frames and writes msg, returning the bytes written.
+func (wr *Writer) Write(tag uint32, msg Message) (int, error) {
+	b, err := wr.Frame(tag, msg)
+	if err != nil {
+		return 0, err
 	}
 	n, err := wr.W.Write(b)
 	if err != nil {

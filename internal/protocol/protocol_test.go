@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -151,14 +152,24 @@ func TestCorruptFrames(t *testing.T) {
 }
 
 func TestTrailingBytesRejected(t *testing.T) {
-	// One trailing varint after the weights is the optional Evaluator field;
-	// anything beyond it is still garbage and must be rejected.
-	msg := &RankQuery{Query: "q", K: 1}
-	payload := msg.encode(nil)
-	payload = append(payload, 0xAB, 0xAB)
-	var back RankQuery
-	if err := back.decode(payload); err == nil {
-		t.Fatal("trailing bytes: want error")
+	// The optional trailing fields (RankQuery Evaluator+FetchTop, ScoreDocs
+	// K+FetchTop, RankReply Docs) are all present and well-formed here, so
+	// the one byte beyond them is what expectEmpty must reject — not a
+	// field that failed to parse.
+	blob := DocBlob{Doc: 3, Title: "t", Data: []byte("text")}
+	for _, c := range []struct{ full, back Message }{
+		{&RankQuery{Query: "q", K: 1, Evaluator: 1, FetchTop: 2, Compressed: true}, &RankQuery{}},
+		{&ScoreDocs{Query: "q", Docs: []uint32{1, 4}, K: 1, FetchTop: 1}, &ScoreDocs{}},
+		{&RankReply{Results: []ScoredDoc{{Doc: 3, Score: 1}}, Docs: []DocBlob{blob}}, &RankReply{}},
+	} {
+		payload := c.full.encode(nil)
+		if err := c.back.decode(payload); err != nil {
+			t.Fatalf("%v with every optional field: %v", c.full.Type(), err)
+		}
+		err := c.back.decode(append(payload, 0x01))
+		if err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
+			t.Fatalf("%v plus one byte: got %v, want the trailing-bytes rejection", c.full.Type(), err)
+		}
 	}
 }
 

@@ -213,6 +213,10 @@ const (
 	// FeatureBatching lets rank-phase queries from concurrent clients
 	// coalesce into one frame per librarian (Options.BatchWindow).
 	FeatureBatching = core.FeatureBatching
+	// FeatureRankFetch lets rank replies carry only each librarian's top k
+	// and, for Options.Fetch queries, the text of its best documents, so
+	// the query completes in one exchange per librarian.
+	FeatureRankFetch = core.FeatureRankFetch
 	// FeatureNone pins the seed framing: no negotiation, byte-identical
 	// wire traffic to a pre-feature deployment.
 	FeatureNone = core.FeatureNone
