@@ -20,7 +20,9 @@ vet:
 	$(GO) vet ./...
 
 # Short fuzz runs: long enough to catch regressions in the decoder and
-# codec invariants, short enough for every verify run. -run='^$$' skips
+# codec invariants (the last two compare the windowed bit reader and the
+# block postings decoder against bit-at-a-time references), short enough for
+# every verify run. -run='^$$' skips
 # the unit tests, which `race` already covered.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=$(FUZZTIME) ./internal/protocol
@@ -29,6 +31,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchRoundTrip -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzPostingsRoundTrip -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzPostingsDecodeCorrupt -fuzztime=$(FUZZTIME) ./internal/codec
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlockMatchesReference -fuzztime=$(FUZZTIME) ./internal/codec
+	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=$(FUZZTIME) ./internal/bitio
 
 # The one benchmark (BENCHMARK.json, ./benchmark) on a 2k-document corpus
 # with 1 s windows: all four workloads, correctness gate included, tracing

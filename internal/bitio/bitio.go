@@ -9,8 +9,10 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrUnexpectedEOF is returned when a read runs past the end of the input.
@@ -20,8 +22,8 @@ var ErrUnexpectedEOF = errors.New("bitio: unexpected end of input")
 // The zero value is ready to use.
 type Writer struct {
 	buf  []byte
-	cur  byte // bits accumulated for the in-progress byte
-	ncur uint // number of valid bits in cur (0..7)
+	acc  uint64 // pending bits in the low nacc bits; higher bits are stale
+	nacc uint   // number of pending bits (0..7 between calls)
 }
 
 // NewWriter returns a Writer with capacity for sizeHint bytes.
@@ -31,33 +33,36 @@ func NewWriter(sizeHint int) *Writer {
 
 // WriteBit appends a single bit (0 or 1).
 func (w *Writer) WriteBit(bit uint) {
-	w.cur = w.cur<<1 | byte(bit&1)
-	w.ncur++
-	if w.ncur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.ncur = 0, 0
-	}
+	w.WriteBits(uint64(bit), 1)
 }
 
 // WriteBits appends the low n bits of v, most significant first.
 // n must be in [0, 64].
 func (w *Writer) WriteBits(v uint64, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		w.WriteBit(uint(v >> uint(i) & 1))
+	if n > 56 {
+		// Up to 7 pending bits plus the field must fit the accumulator.
+		w.WriteBits(v>>32, n-32)
+		n = 32
+	}
+	w.acc = w.acc<<n | v&(1<<n-1)
+	w.nacc += n
+	for w.nacc >= 8 {
+		w.nacc -= 8
+		w.buf = append(w.buf, byte(w.acc>>w.nacc))
 	}
 }
 
 // WriteUnary appends v encoded in unary: v one-bits followed by a zero.
 func (w *Writer) WriteUnary(v uint64) {
-	for i := uint64(0); i < v; i++ {
-		w.WriteBit(1)
+	for ; v >= 56; v -= 56 {
+		w.WriteBits(1<<56-1, 56)
 	}
-	w.WriteBit(0)
+	w.WriteBits((1<<v-1)<<1, uint(v)+1)
 }
 
 // BitLen reports the total number of bits written so far.
 func (w *Writer) BitLen() int {
-	return len(w.buf)*8 + int(w.ncur)
+	return len(w.buf)*8 + int(w.nacc)
 }
 
 // Bytes flushes the in-progress byte (zero-padded) and returns the buffer.
@@ -65,8 +70,8 @@ func (w *Writer) BitLen() int {
 // until the next Write call, so callers that keep it must copy.
 func (w *Writer) Bytes() []byte {
 	out := w.buf
-	if w.ncur > 0 {
-		out = append(out, w.cur<<(8-w.ncur))
+	if w.nacc > 0 {
+		out = append(out, byte(w.acc<<(8-w.nacc)))
 	}
 	return out
 }
@@ -74,15 +79,20 @@ func (w *Writer) Bytes() []byte {
 // Reset discards all written bits, retaining allocated capacity.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
-	w.cur, w.ncur = 0, 0
+	w.acc, w.nacc = 0, 0
 }
 
-// Reader consumes bits MSB-first from a byte slice.
+// Reader consumes bits MSB-first from a byte slice through a 64-bit window,
+// so a fixed-width read is a shift and a unary read a leading-zero count.
 type Reader struct {
 	data []byte
-	pos  int  // next byte index
-	cur  byte // remaining bits of the current byte, left-aligned
-	ncur uint // number of valid bits in cur
+	pos  int // index of the next byte to load into win
+	// win holds the next unread bits left-aligned: its top nwin bits are
+	// bits pos*8-nwin .. pos*8-1 of data. Bits below them are either zero or
+	// a copy of the stream bits that follow, never anything else, so a refill
+	// may OR the same bytes in again.
+	win  uint64
+	nwin uint // 0..64; at most 63 while eight more bytes remain at pos
 }
 
 // NewReader returns a Reader over data. The Reader does not copy data.
@@ -96,35 +106,88 @@ func NewReader(data []byte) *Reader {
 func (r *Reader) Reset(data []byte) {
 	r.data = data
 	r.pos = 0
-	r.cur, r.ncur = 0, 0
+	r.win, r.nwin = 0, 0
 }
 
-// ReadBit reads a single bit.
+// refill tops the window up to at least 56 bits, or to every bit left when
+// fewer remain: one eight-byte load while the input allows it, byte by byte
+// in the last word.
+func (r *Reader) refill() {
+	if r.pos+8 <= len(r.data) {
+		r.win |= binary.BigEndian.Uint64(r.data[r.pos:]) >> (r.nwin & 63)
+		r.pos += int(63-r.nwin) >> 3
+		r.nwin |= 56
+		return
+	}
+	for r.nwin <= 56 && r.pos < len(r.data) {
+		r.win |= uint64(r.data[r.pos]) << (56 - r.nwin)
+		r.pos++
+		r.nwin += 8
+	}
+}
+
+// Peek refills the window and returns it with the number of leading bits
+// that are valid: at least 56 unless fewer remain in the input. The bits
+// below them are unspecified. Together with Skip it lets a decoder take
+// several codes from one refill with a single bounds check.
+func (r *Reader) Peek() (win uint64, n uint) {
+	r.refill()
+	return r.win, r.nwin
+}
+
+// Skip consumes n bits, n no larger than the count Peek last returned.
+func (r *Reader) Skip(n uint) {
+	r.win <<= n
+	r.nwin -= n
+}
+
+// ReadBit reads a single bit. An empty window takes one byte here, not a
+// full refill: that keeps ReadBit small enough to inline into the Huffman
+// text decoder, which calls it once per bit.
 func (r *Reader) ReadBit() (uint, error) {
-	if r.ncur == 0 {
+	if r.nwin == 0 {
 		if r.pos >= len(r.data) {
 			return 0, ErrUnexpectedEOF
 		}
-		r.cur = r.data[r.pos]
+		r.win = uint64(r.data[r.pos]) << 56
 		r.pos++
-		r.ncur = 8
+		r.nwin = 8
 	}
-	bit := uint(r.cur >> 7)
-	r.cur <<= 1
-	r.ncur--
+	bit := uint(r.win >> 63)
+	r.win <<= 1
+	r.nwin--
 	return bit, nil
 }
 
 // ReadBits reads n bits (n ≤ 64) and returns them right-aligned.
 func (r *Reader) ReadBits(n uint) (uint64, error) {
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(bit)
+	if n > r.nwin {
+		return r.readBitsRefill(n)
 	}
+	v := r.win >> (64 - n)
+	r.win <<= n
+	r.nwin -= n
+	return v, nil
+}
+
+// readBitsRefill is ReadBits when the window holds fewer than n bits. A read
+// past the end consumes the rest of the input, as reading bit by bit would.
+func (r *Reader) readBitsRefill(n uint) (uint64, error) {
+	if int(n) > r.Remaining() {
+		r.pos = len(r.data)
+		r.win, r.nwin = 0, 0
+		return 0, ErrUnexpectedEOF
+	}
+	var v uint64
+	for n > r.nwin {
+		v = v<<r.nwin | r.win>>(64-r.nwin)
+		n -= r.nwin
+		r.win, r.nwin = 0, 0
+		r.refill()
+	}
+	v = v<<n | r.win>>(64-n)
+	r.win <<= n
+	r.nwin -= n
 	return v, nil
 }
 
@@ -132,20 +195,25 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 func (r *Reader) ReadUnary() (uint64, error) {
 	var v uint64
 	for {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+		ones := uint(bits.LeadingZeros64(^r.win))
+		if ones < r.nwin {
+			r.win <<= ones + 1
+			r.nwin -= ones + 1
+			return v + uint64(ones), nil
 		}
-		if bit == 0 {
-			return v, nil
+		// Every valid bit is a one: count them and look further.
+		v += uint64(r.nwin)
+		r.win, r.nwin = 0, 0
+		r.refill()
+		if r.nwin == 0 {
+			return 0, ErrUnexpectedEOF
 		}
-		v++
 	}
 }
 
 // BitPos reports the number of bits consumed so far.
 func (r *Reader) BitPos() int {
-	return r.pos*8 - int(r.ncur)
+	return r.pos*8 - int(r.nwin)
 }
 
 // SeekBit positions the reader at an absolute bit offset.
@@ -154,14 +222,12 @@ func (r *Reader) SeekBit(bit int) error {
 		return fmt.Errorf("bitio: seek to bit %d outside input of %d bits", bit, len(r.data)*8)
 	}
 	r.pos = bit / 8
-	rem := uint(bit % 8)
-	if rem == 0 {
-		r.cur, r.ncur = 0, 0
-		return nil
+	r.win, r.nwin = 0, 0
+	if rem := uint(bit % 8); rem != 0 {
+		r.win = uint64(r.data[r.pos]) << (56 + rem)
+		r.nwin = 8 - rem
+		r.pos++
 	}
-	r.cur = r.data[r.pos] << rem
-	r.ncur = 8 - rem
-	r.pos++
 	return nil
 }
 

@@ -110,20 +110,56 @@ func PutGolomb(w *bitio.Writer, v, b uint64) error {
 	return nil
 }
 
+// GolombCode is a Golomb divisor together with the truncated-binary
+// constants derived from it, so a decoder works them out once per list
+// rather than once per value. Build one with NewGolombCode.
+type GolombCode struct {
+	b uint64
+	// A remainder below thresh is a short-bit codeword; any other is one bit
+	// longer and stored offset by thresh.
+	short  uint
+	thresh uint64
+}
+
+// NewGolombCode returns the code with divisor b (b ≥ 1).
+func NewGolombCode(b uint64) GolombCode {
+	nbits := uint(bits.Len64(b - 1)) // ceil(log2 b)
+	if nbits == 0 {
+		// b = 1: the remainder is always 0 and takes no bits — a
+		// zero-width short codeword that every remainder uses.
+		return GolombCode{b: b, thresh: 1}
+	}
+	return GolombCode{b: b, short: nbits - 1, thresh: 1<<nbits - b}
+}
+
+// Read reads one Golomb code: quotient in unary, remainder in truncated
+// binary.
+func (g *GolombCode) Read(r *bitio.Reader) (uint64, error) {
+	q, err := r.ReadUnary()
+	if err != nil {
+		return 0, err
+	}
+	rem, err := r.ReadBits(g.short)
+	if err != nil {
+		return 0, err
+	}
+	if rem >= g.thresh {
+		bit, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		rem = rem<<1 + uint64(bit) - g.thresh
+	}
+	return q*g.b + rem + 1, nil
+}
+
 // Golomb reads one Golomb code with divisor b.
 func Golomb(r *bitio.Reader, b uint64) (uint64, error) {
 	if b == 0 {
 		return 0, errors.New("codec: golomb divisor must be >= 1")
 	}
-	q, err := r.ReadUnary()
-	if err != nil {
-		return 0, err
-	}
-	rem, err := readTruncated(r, b)
-	if err != nil {
-		return 0, err
-	}
-	return q*b + rem + 1, nil
+	g := NewGolombCode(b)
+	return g.Read(r)
 }
 
 // writeTruncated emits rem ∈ [0, b) using the truncated binary code: values
@@ -139,26 +175,6 @@ func writeTruncated(w *bitio.Writer, rem, b uint64) {
 	} else {
 		w.WriteBits(rem+thresh, nbits)
 	}
-}
-
-func readTruncated(r *bitio.Reader, b uint64) (uint64, error) {
-	if b == 1 {
-		return 0, nil
-	}
-	nbits := uint(bits.Len64(b - 1))
-	thresh := uint64(1)<<nbits - b
-	v, err := r.ReadBits(nbits - 1)
-	if err != nil {
-		return 0, err
-	}
-	if v < thresh {
-		return v, nil
-	}
-	bit, err := r.ReadBit()
-	if err != nil {
-		return 0, err
-	}
-	return v<<1 + uint64(bit) - thresh, nil
 }
 
 // PutVByte appends v in the classic variable-byte code (7 data bits per

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -310,5 +311,42 @@ func BenchmarkDecodePostings(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodePostingsInto measures the block decoder the cursors run, in
+// skip-block-sized calls, on lists whose density gives each Golomb divisor b.
+func BenchmarkDecodePostingsInto(b *testing.B) {
+	const n, block = 8192, 64
+	for _, div := range []uint64{1, 2, 3, 64, 1000} {
+		numDocs := uint32(float64(div) * n / 0.69)
+		if numDocs < n {
+			numDocs = n
+		}
+		rng := rand.New(rand.NewSource(1))
+		postings := randomPostings(rng, n, numDocs)
+		g := NewGolombCode(GolombParameter(uint64(numDocs), n))
+		b.Run(fmt.Sprintf("b=%d", g.b), func(b *testing.B) {
+			w := bitio.NewWriter(1 << 16)
+			if err := EncodePostings(w, postings, numDocs); err != nil {
+				b.Fatal(err)
+			}
+			data := w.Bytes()
+			dst := make([]Posting, block)
+			var r bitio.Reader
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Reset(data)
+				prev := int64(-1)
+				for done := 0; done < n; done += block {
+					var err error
+					if prev, err = g.DecodePostingsInto(dst, &r, prev); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/posting")
+			b.ReportMetric(float64(len(data))*8/n, "bits/posting")
+		})
 	}
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"teraphim/internal/bitio"
 )
@@ -43,19 +44,71 @@ func EncodePostings(w *bitio.Writer, postings []Posting, numDocs uint32) error {
 	return nil
 }
 
-// DecodePostingsInto is the allocation-free fast path used by block-decoding
-// cursors: it decodes exactly count postings from r into dst[:count], given
-// the list's Golomb divisor b and the document id preceding the block
-// (prevDoc, -1 at the start of a list — gap coding is continuous across
-// blocks, so a decoder that seeks to a skip point resumes with the skip
-// entry's last document). It returns the last document id decoded so the
-// caller can chain blocks. dst must have room for count postings; no bounds
-// validation is performed beyond the bitstream itself, callers wanting the
-// checked path use DecodePostings.
-func DecodePostingsInto(dst []Posting, r *bitio.Reader, count int, b uint64, prevDoc int64) (int64, error) {
+// DecodePostingsInto is the allocation-free block decoder under the
+// cursors: it decodes exactly len(dst) postings from r into dst, given the
+// document id preceding the block (prevDoc, -1 at the start of a list — gap
+// coding is continuous across blocks, so a decoder that seeks to a skip point
+// resumes with the skip entry's last document). It returns the last document
+// id decoded so the caller can chain blocks. No bounds validation is
+// performed beyond the bitstream itself; callers wanting the checked path use
+// DecodePostings.
+//
+// Postings are taken from the reader's 64-bit window, as many as fit per
+// refill, and one comparison of a posting's length against the valid bits
+// left stands in for every per-field end-of-input check. A posting that does
+// not fit a whole window — a very long code, or the end of the input — goes
+// through the single-value readers, which report the error.
+func (g *GolombCode) DecodePostingsInto(dst []Posting, r *bitio.Reader, prevDoc int64) (int64, error) {
 	doc := prevDoc
-	for i := 0; i < count; i++ {
-		gap, err := Golomb(r, b)
+	long := g.short + 1
+	for i := 0; i < len(dst); {
+		w, avail := r.Peek()
+		left := avail
+		// Shift counts are masked to 63 so each compiles to one instruction,
+		// and a run of ones is measured by the bit index h of the zero that
+		// ends it (run length 63-h), which is what the hardware returns.
+		// Where a mask changes a count, the run is 63 ones or longer, the
+		// posting cannot fit a window, and the length test rejects it.
+		for i < len(dst) {
+			h := uint(bits.Len64(^w)) - 1
+			q := 63 - h // unary quotient
+			x := w << (-h & 63)
+			// Both remainder lengths are worked out and one is selected, so
+			// that the compiler emits conditional moves: on real lists the
+			// length is a coin toss, and a mispredicted branch costs more
+			// than the rest of the posting.
+			full := x >> ((64 - long) & 63)
+			rem, n := full>>1, g.short
+			x <<= g.short & 63
+			isLong := rem >= g.thresh
+			if isLong {
+				rem = full - g.thresh
+			}
+			if isLong {
+				n = long
+			}
+			if isLong {
+				x <<= 1
+			}
+			// Gamma: glen ones, a zero, then the glen low bits of f_dt.
+			h = uint(bits.Len64(^x)) - 1
+			glen := 63 - h
+			fdt := (x<<(glen&63) | 1<<63) >> (h & 63)
+			n += q + 2*glen + 2
+			if n > left {
+				break
+			}
+			left -= n
+			w = x << (^(2 * h) & 63) // past the 2*glen+1 bits of the gamma code
+			doc += int64(uint64(q)*g.b + rem + 1)
+			dst[i] = Posting{Doc: uint32(doc), FDT: uint32(fdt)}
+			i++
+		}
+		if left < avail {
+			r.Skip(avail - left)
+			continue
+		}
+		gap, err := g.Read(r)
 		if err != nil {
 			return doc, fmt.Errorf("codec: posting %d gap: %w", i, err)
 		}
@@ -65,6 +118,7 @@ func DecodePostingsInto(dst []Posting, r *bitio.Reader, count int, b uint64, pre
 		}
 		doc += int64(gap)
 		dst[i] = Posting{Doc: uint32(doc), FDT: uint32(fdt)}
+		i++
 	}
 	return doc, nil
 }
@@ -75,10 +129,10 @@ func DecodePostings(dst []Posting, r *bitio.Reader, count int, numDocs uint32) (
 	if count == 0 {
 		return dst, nil
 	}
-	b := GolombParameter(uint64(numDocs), uint64(count))
+	g := NewGolombCode(GolombParameter(uint64(numDocs), uint64(count)))
 	doc := int64(-1)
 	for i := 0; i < count; i++ {
-		gap, err := Golomb(r, b)
+		gap, err := g.Read(r)
 		if err != nil {
 			return dst, fmt.Errorf("codec: posting %d gap: %w", i, err)
 		}

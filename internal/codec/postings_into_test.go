@@ -25,11 +25,11 @@ func TestDecodePostingsIntoMatchesDecodePostings(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		b := GolombParameter(uint64(numDocs), uint64(n))
+		g := NewGolombCode(GolombParameter(uint64(numDocs), uint64(n)))
 
 		// Whole list in one call.
 		dst := make([]Posting, n)
-		last, err := DecodePostingsInto(dst, bitio.NewReader(w.Bytes()), n, b, -1)
+		last, err := g.DecodePostingsInto(dst, bitio.NewReader(w.Bytes()), -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,12 +50,12 @@ func TestDecodePostingsIntoMatchesDecodePostings(t *testing.T) {
 		cut := 1 + rng.Intn(n-1)
 		r := bitio.NewReader(w.Bytes())
 		head := make([]Posting, cut)
-		prev, err := DecodePostingsInto(head, r, cut, b, -1)
+		prev, err := g.DecodePostingsInto(head, r, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tail := make([]Posting, n-cut)
-		if _, err := DecodePostingsInto(tail, r, n-cut, b, prev); err != nil {
+		if _, err := g.DecodePostingsInto(tail, r, prev); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -81,9 +81,9 @@ func TestDecodePostingsIntoTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := w.Bytes()
-	b := GolombParameter(10, 3)
+	g := NewGolombCode(GolombParameter(10, 3))
 	dst := make([]Posting, 4)
-	if _, err := DecodePostingsInto(dst, bitio.NewReader(data), 4, b, -1); err == nil {
+	if _, err := g.DecodePostingsInto(dst, bitio.NewReader(data), -1); err == nil {
 		t.Fatal("decoding past the end of the list: want error")
 	}
 }

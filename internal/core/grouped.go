@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"teraphim/internal/index"
 	"teraphim/internal/search"
@@ -61,7 +60,9 @@ func BuildGrouped(docTerms [][]string, groupSize int, analyzer *textproc.Analyze
 // preprocessing ("the preprocessing involves merging the subcollection
 // vocabularies and indexes"). offsets[i] is the global document number of
 // subIndexes[i]'s local document 0; totalDocs the collection size. The
-// result is identical to BuildGrouped over the original documents.
+// sub-indexes are taken in increasing offset order (out of order, a group
+// that straddles two of them is rejected as a duplicate posting). The result
+// is identical to BuildGrouped over the original documents.
 func BuildGroupedFromIndexes(subIndexes []*index.Index, offsets []uint32, totalDocs uint32, groupSize int, analyzer *textproc.Analyzer) (*GroupedIndex, error) {
 	if groupSize < 1 {
 		return nil, fmt.Errorf("core: group size %d must be >= 1", groupSize)
@@ -76,47 +77,45 @@ func BuildGroupedFromIndexes(subIndexes []*index.Index, offsets []uint32, totalD
 	numGroups := (totalDocs + g - 1) / g
 	rb := index.NewRawBuilder(numGroups)
 
-	// Accumulate f_{group,term} across subcollections. A term's group
-	// postings can straddle subcollection boundaries, so gather per term
-	// before emitting.
-	acc := make(map[string]map[uint32]uint32, 4096)
+	// Accumulate f_{group,term} across subcollections. Postings are
+	// document-sorted and the sub-indexes come in offset order, so a term's
+	// groups arrive in increasing order: a posting either opens a new group
+	// or adds to the term's last one, which the previous subcollection may
+	// have opened when a group straddles the boundary.
+	acc := make(map[string][]index.Posting, 4096)
+	var cur index.TermCursor
 	for i, ix := range subIndexes {
 		offset := offsets[i]
 		var walkErr error
 		ix.Terms(func(term string, ft uint32) bool {
-			cur, err := ix.Cursor(term)
-			if err != nil {
-				walkErr = err
+			if walkErr = ix.ResetCursor(&cur, term); walkErr != nil {
 				return false
 			}
 			groups := acc[term]
-			if groups == nil {
-				groups = make(map[uint32]uint32, ft/g+1)
-				acc[term] = groups
-			}
-			for cur.Next() {
-				p := cur.Posting()
-				global := offset + p.Doc
-				if global >= totalDocs {
-					walkErr = fmt.Errorf("core: doc %d of %q exceeds collection size %d", p.Doc, term, totalDocs)
-					return false
+			for blk := cur.NextBlock(); blk != nil; blk = cur.NextBlock() {
+				for _, p := range blk {
+					global := offset + p.Doc
+					if global >= totalDocs {
+						walkErr = fmt.Errorf("core: doc %d of %q exceeds collection size %d", p.Doc, term, totalDocs)
+						return false
+					}
+					grp := global / g
+					if n := len(groups); n > 0 && groups[n-1].Doc == grp {
+						groups[n-1].FDT += p.FDT
+					} else {
+						groups = append(groups, index.Posting{Doc: grp, FDT: p.FDT})
+					}
 				}
-				groups[global/g] += p.FDT
 			}
+			acc[term] = groups
 			return true
 		})
 		if walkErr != nil {
 			return nil, walkErr
 		}
 	}
-	postings := make([]index.Posting, 0, 256)
 	for term, groups := range acc {
-		postings = postings[:0]
-		for grp, fgt := range groups {
-			postings = append(postings, index.Posting{Doc: grp, FDT: fgt})
-		}
-		sort.Slice(postings, func(i, j int) bool { return postings[i].Doc < postings[j].Doc })
-		if err := rb.AddPostings(term, postings); err != nil {
+		if err := rb.AddPostings(term, groups); err != nil {
 			return nil, fmt.Errorf("core: term %q: %w", term, err)
 		}
 	}

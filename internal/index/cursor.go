@@ -17,15 +17,15 @@ const fallbackBlock = 64
 // forward, decoding only the block containing the target — the "skipping"
 // optimisation whose effect the paper estimates at 2x for small k'.
 //
-// Postings are decoded a skip-block at a time into an internal buffer via
-// codec.DecodePostingsInto, so the per-posting cost is an array read rather
+// Postings are decoded a skip-block at a time into an internal buffer by the
+// list's codec.GolombCode, so the per-posting cost is an array read rather
 // than a bit-level decode call. The buffer (and the cursor itself, through
 // Index.ResetCursor) is reusable across terms and queries, which is what
 // keeps the scoring kernel allocation-free in steady state.
 type TermCursor struct {
 	entry   *termEntry
 	r       bitio.Reader
-	golombB uint64
+	code    codec.GolombCode
 	skipIvl uint32
 
 	pos   uint32 // postings consumed so far (next posting index to deliver)
@@ -74,7 +74,7 @@ func (ix *Index) ResetCursor(c *TermCursor, term string) error {
 func (ix *Index) resetCursorEntry(c *TermCursor, e *termEntry) {
 	c.entry = e
 	c.r.Reset(e.postings)
-	c.golombB = codec.GolombParameter(uint64(ix.numDocs), uint64(e.ft))
+	c.code = codec.NewGolombCode(codec.GolombParameter(uint64(ix.numDocs), uint64(e.ft)))
 	c.skipIvl = ix.skipIvl
 	c.pos = 0
 	c.cur = Posting{}
@@ -86,6 +86,10 @@ func (ix *Index) resetCursorEntry(c *TermCursor, e *termEntry) {
 
 // FT returns f_t for the cursor's term.
 func (c *TermCursor) FT() uint32 { return c.entry.ft }
+
+// ListBytes reports the exact compressed size in bytes of the cursor's
+// postings list. It feeds Stats.IndexBytesRead.
+func (c *TermCursor) ListBytes() uint64 { return uint64(len(c.entry.postings)) }
 
 // blockSize is the number of postings decoded per fill: the skip interval,
 // so that seeks always land on buffer boundaries, or a fixed block when the
@@ -112,7 +116,7 @@ func (c *TermCursor) fill() bool {
 	if uint32(cap(c.buf)) < n {
 		c.buf = make([]Posting, c.blockSize())
 	}
-	last, err := codec.DecodePostingsInto(c.buf[:n], &c.r, int(n), c.golombB, c.streamPrev)
+	last, err := c.code.DecodePostingsInto(c.buf[:n], &c.r, c.streamPrev)
 	c.bufStart = start
 	if err != nil {
 		c.bufLen = 0
@@ -140,18 +144,14 @@ func (c *TermCursor) Next() bool {
 		c.valid = false
 		return false
 	}
-	gap, err := codec.Golomb(&c.r, c.golombB)
+	var one [1]Posting
+	last, err := c.code.DecodePostingsInto(one[:], &c.r, c.streamPrev)
 	if err != nil {
 		c.valid = false
 		return false
 	}
-	fdt, err := codec.Gamma(&c.r)
-	if err != nil {
-		c.valid = false
-		return false
-	}
-	c.streamPrev += int64(gap)
-	c.cur = Posting{Doc: uint32(c.streamPrev), FDT: uint32(fdt)}
+	c.streamPrev = last
+	c.cur = one[0]
 	c.pos++
 	c.bufStart, c.bufLen = c.pos, 0
 	c.valid = true

@@ -143,8 +143,8 @@ func (fs *FreqSorted) MaxFDT(term string) uint32 { return fs.maxFDT[term] }
 
 // ListBytes reports the exact compressed size in bytes of one term's
 // frequency-sorted list (0 when the term is absent), mirroring
-// Index.ListBytes so the pruned evaluator feeds Stats.IndexBytesRead the
-// same way the exact kernel does.
+// TermCursor.ListBytes so the pruned evaluator feeds Stats.IndexBytesRead
+// the same way the exact kernel does.
 func (fs *FreqSorted) ListBytes(term string) uint64 {
 	if e, ok := fs.entries[term]; ok {
 		return uint64(len(e.data))

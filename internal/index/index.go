@@ -311,16 +311,6 @@ func (ix *Index) Terms(fn func(term string, ft uint32) bool) {
 // dictionary.
 func (ix *Index) SizeBytes() uint64 { return ix.postings }
 
-// ListBytes reports the exact compressed size in bytes of one term's
-// postings list (0 when the term is absent). It feeds Stats.IndexBytesRead
-// exactly, replacing the earlier pro-rata approximation over SizeBytes.
-func (ix *Index) ListBytes(term string) uint64 {
-	if i, ok := ix.byTerm[term]; ok {
-		return uint64(len(ix.entries[i].postings))
-	}
-	return 0
-}
-
 // DictSizeBytes approximates the dictionary ("vocabulary") size: the
 // quantity a CV receptionist must store per collection.
 func (ix *Index) DictSizeBytes() uint64 {

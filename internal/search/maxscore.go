@@ -112,7 +112,7 @@ func (e *Engine) daatOpen(s *Scratch, stats *Stats) int {
 			continue // term in the weight map but not this collection
 		}
 		stats.ListsFetched++
-		stats.IndexBytesRead += e.ix.ListBytes(qt.term)
+		stats.IndexBytesRead += c.ListBytes()
 		opened++
 		if !c.Next() {
 			continue // immediately-corrupt list: nothing to evaluate

@@ -273,7 +273,7 @@ func (e *Engine) rankWith(ctx context.Context, s *Scratch, query string, k int, 
 			continue
 		}
 		stats.ListsFetched++
-		stats.IndexBytesRead += e.ix.ListBytes(qt.term)
+		stats.IndexBytesRead += s.cur.ListBytes()
 		for {
 			blk := s.cur.NextBlock()
 			if blk == nil {
@@ -330,7 +330,7 @@ func (e *Engine) ScoreDocsWith(s *Scratch, query string, docs []uint32, weights 
 			continue
 		}
 		stats.ListsFetched++
-		stats.IndexBytesRead += e.ix.ListBytes(qt.term)
+		stats.IndexBytesRead += s.cur.ListBytes()
 		for _, d := range s.docbuf {
 			if !s.cur.Advance(d) {
 				break
