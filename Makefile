@@ -1,11 +1,11 @@
 # Development targets. `make verify` is the pre-merge wall: static checks,
-# the full test suite under the race detector, and short fuzz smokes of the
-# wire protocol and postings codec.
+# the internal/core line ceiling, the full test suite under the race
+# detector, and short fuzz smokes of the wire protocol and postings codec.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fuzz-smoke benchmark-smoke bench bench-smoke bench-pool bench-cache bench-cache-smoke bench-select bench-select-smoke bench-replica bench-replica-smoke bench-wire bench-wire-smoke bench-ingest bench-ingest-smoke verify
+.PHONY: build test race vet loc fuzz-smoke benchmark-smoke bench bench-smoke bench-cache bench-cache-smoke bench-select bench-select-smoke bench-replica bench-replica-smoke bench-wire bench-wire-smoke bench-ingest bench-ingest-smoke verify
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,21 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# ROADMAP aim 2 in one number per package: non-test Go lines, benchmark/
+# excluded. internal/core may not grow past CORE_LOC_MAX; a change that
+# collapses another of its parallel paths lowers the ceiling to what it
+# reached.
+CORE_LOC_MAX = 4964
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%7d .%s\n' $$n $${d#$(CURDIR)}; \
+		case $$d in */internal/core) core=$$n;; esac; \
+	done; \
+	if [ $$core -gt $(CORE_LOC_MAX) ]; then \
+		echo "loc: internal/core has $$core non-test lines, the ceiling is $(CORE_LOC_MAX)"; exit 1; \
+	fi
 
 # Short fuzz runs: long enough to catch regressions in the decoder and
 # codec invariants (the last two compare the windowed bit reader and the
@@ -39,10 +54,6 @@ fuzz-smoke:
 # off then on. Writes benchmark/out/results.json.
 benchmark-smoke:
 	$(GO) run ./benchmark -smoke
-
-# Regenerate BENCH_pool.json (concurrent throughput over the shared pool).
-bench-pool:
-	$(GO) test -run='^$$' -bench=PoolThroughput .
 
 # Regenerate BENCH_cache.json: repeated-query throughput with the result
 # cache off vs on (the writer is gated on CACHE_BENCH_RECORD).
@@ -111,5 +122,5 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=SearchKernel -benchmem -benchtime=0.05s .
 
-verify: vet build race fuzz-smoke benchmark-smoke bench-smoke bench-cache-smoke bench-select-smoke bench-replica-smoke bench-wire-smoke bench-ingest-smoke
+verify: vet build loc race fuzz-smoke benchmark-smoke bench-smoke bench-cache-smoke bench-select-smoke bench-replica-smoke bench-wire-smoke bench-ingest-smoke
 	@echo "verify: OK"

@@ -1,9 +1,8 @@
 package teraphim
 
 // BenchmarkCacheThroughput measures what the receptionist result cache buys
-// on a repeated-query workload: the same client fan-out as
-// BenchmarkPoolThroughput (CV over latency-shaped links), run cache-off and
-// cache-on. With the cache every repeat of the 24-query rotation is answered
+// on a repeated-query workload: N client goroutines fanning out over one
+// shared Pool (CV over latency-shaped links), run cache-off and cache-on. With the cache every repeat of the 24-query rotation is answered
 // from memory — no librarian round trips — so throughput decouples from the
 // simulated network entirely. Run
 //
@@ -20,7 +19,63 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
+
+	"teraphim/internal/librarian"
+	"teraphim/internal/trecsynth"
 )
+
+var (
+	poolBenchOnce    sync.Once
+	poolBenchDialer  *InProcessDialer
+	poolBenchNames   []string
+	poolBenchQueries []string
+	poolBenchErr     error
+)
+
+// poolBenchSetup builds three librarians from a reduced synthetic corpus and
+// wires them behind an in-process dialer, once for the whole sweep.
+func poolBenchSetup(b *testing.B) {
+	b.Helper()
+	poolBenchOnce.Do(func() {
+		cfg := trecsynth.DefaultConfig()
+		cfg.Subs = []trecsynth.SubSpec{
+			{Name: "AP", NumDocs: 250},
+			{Name: "FR", NumDocs: 200},
+			{Name: "WSJ", NumDocs: 250},
+		}
+		cfg.VocabSize = 3000
+		cfg.NumTopics = 20
+		cfg.NumLongQueries = 8
+		cfg.NumShortQueries = 24
+		corpus, err := trecsynth.Generate(cfg)
+		if err != nil {
+			poolBenchErr = err
+			return
+		}
+		var libs []*Librarian
+		for _, sub := range corpus.Subcollections {
+			lib, err := librarian.Build(sub.Name, sub.Docs, librarian.BuildOptions{})
+			if err != nil {
+				poolBenchErr = err
+				return
+			}
+			libs = append(libs, lib)
+			poolBenchNames = append(poolBenchNames, sub.Name)
+		}
+		// Shape the links with a sub-millisecond one-way delay so the
+		// workload is network-bound, like the paper's LAN/WAN settings:
+		// throughput then scales with clients by overlapping waits,
+		// which a CPU-bound in-process loop could not show on one core.
+		poolBenchDialer = NewInProcessDialer(libs, LinkConfig{Latency: 500 * time.Microsecond})
+		for _, q := range corpus.QueriesOf(trecsynth.ShortQuery) {
+			poolBenchQueries = append(poolBenchQueries, q.Text)
+		}
+	})
+	if poolBenchErr != nil {
+		b.Fatal(poolBenchErr)
+	}
+}
 
 type cacheBenchRow struct {
 	Cache      bool    `json:"cache"`

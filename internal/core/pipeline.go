@@ -12,23 +12,27 @@ import (
 	"teraphim/internal/protocol"
 )
 
-// Pipelined connections.
+// The transport.
 //
-// The seed pool leases a whole connection per in-flight exchange, so a
-// replica's concurrency is capped at MaxConnsPerLibrarian. When both sides
-// negotiate FeaturePipelining (via the Hello feature bitmask), frames carry a
-// u32 exchange tag and one connection multiplexes up to PipelineDepth
-// concurrent exchanges: the lease unit shifts from an exclusive connection to
-// an exclusive tag, multiplying per-replica capacity by the pipeline depth
-// without opening more sockets. The paper's cost model charges per network
-// contact; pipelining keeps contacts (and connections) flat while concurrency
-// grows.
+// Every exchange with a librarian runs on a pipeConn: a connection with a
+// write loop that serializes frames and a read loop that hands each reply to
+// the exchange waiting for it. What the connection's Hello negotiated decides
+// how many exchanges it carries at once. When both sides agree on
+// FeaturePipelining, frames carry a u32 exchange tag and one connection
+// multiplexes up to PipelineDepth concurrent exchanges, so a replica's
+// capacity is MaxConnsPerLibrarian × PipelineDepth without more sockets — the
+// paper's cost model charges per network contact, and pipelining keeps
+// contacts flat while concurrency grows. Otherwise (an old peer, or a pool
+// pinned to FeatureNone, which sends no negotiation Hello at all) frames are
+// the seed's untagged ones and the connection carries one exchange at a time:
+// depth 1.
 //
-// Failure semantics mirror the legacy path: any deadline expiry — the
-// per-call policy timer or a context deadline — kills the whole connection
-// (the peer is presumed stuck; every pending exchange errors out and retries
-// redial), while a plain cancellation merely abandons its tag, leaving the
-// connection healthy for its neighbours.
+// Any deadline expiry — the per-call policy timer or a context deadline —
+// kills the whole connection (the peer is presumed stuck; every pending
+// exchange errors out and retries redial). A plain cancellation before the
+// request was written skips the frame. After the write, a tagged connection
+// abandons the tag and discards the late reply; an untagged stream cannot tell
+// a late reply from the next one, so the connection is discarded as dirty.
 
 // Wire feature constants re-exported so callers configuring a Receptionist
 // don't need to import internal/protocol.
@@ -52,30 +56,20 @@ const DefaultWireFeatures = protocol.FeaturePipelining | protocol.FeatureBatchin
 // when Config.PipelineDepth is zero.
 const DefaultPipelineDepth = 8
 
-// Wire states for replica.wire: what the Hello negotiation told us.
-const (
-	wireUnknown   int32 = iota // no handshake completed yet
-	wirePipelined              // peer granted FeaturePipelining
-	wireLegacy                 // peer declined; use the seed exclusive-conn path
-)
-
-// errWireLegacy is returned by attemptPiped when the replica is known to
-// speak only the seed framing; the caller falls through to the legacy path.
-var errWireLegacy = errors.New("core: replica negotiated legacy framing")
-
-// errConnDraining reports a pipelined connection that stopped accepting new
-// exchanges because its replica is being removed.
+// errConnDraining reports a connection that stopped accepting new exchanges
+// because its replica is being removed.
 var errConnDraining = errors.New("core: connection draining")
 
 // pipePending is one in-flight exchange on a pipeConn. All fields except done
-// are guarded by the owning pipeConn's mu: the write loop stamps them, the
-// read loop settles them, and the exchanging goroutine copies them out — any
-// of which may race with a timed-out exchanger absent the lock.
+// and tag are guarded by the owning pipeConn's mu: the write loop stamps them,
+// the read loop settles them, and the exchanging goroutine copies them out —
+// any of which may race with a timed-out exchanger absent the lock.
 type pipePending struct {
 	done chan struct{} // closed exactly once when reply/err is set
+	tag  uint32        // set once by register; 0 on an untagged connection
 
-	start     time.Time // enqueue time; Ship measures from here
-	writtenAt time.Time
+	start     time.Time     // enqueue time; Ship measures from here
+	writtenAt time.Time     // zero until the write loop commits to writing the frame
 	ship      time.Duration // queue + serialization time
 	wait      time.Duration // write complete -> reply delivered
 	wrote     int
@@ -87,22 +81,24 @@ type pipePending struct {
 
 // pipeWrite is one queued frame for a pipeConn's write loop.
 type pipeWrite struct {
-	tag  uint32
 	msg  protocol.Message
 	pend *pipePending
 }
 
-// pipeConn is one negotiated, tagged connection multiplexing concurrent
-// exchanges. A dedicated write loop serializes frames and a dedicated read
-// loop demultiplexes replies by tag; replies for unknown tags (abandoned
-// exchanges) are discarded without disturbing the framing.
+// pipeConn is one connection to one replica. A dedicated write loop
+// serializes frames and a dedicated read loop hands each reply to its pending
+// exchange: by tag on a tagged connection, where replies for unknown tags
+// (abandoned exchanges) are discarded without disturbing the framing; to the
+// sole pending exchange on an untagged one.
 type pipeConn struct {
 	pool *Pool
 	rep  *replica
 	conn net.Conn
 
-	// granted is what the peer granted in this connection's Hello.
+	// granted is what the peer granted in this connection's Hello (nothing
+	// when no negotiation Hello was sent); tagged is its FeaturePipelining bit.
 	granted protocol.Features
+	tagged  bool
 
 	writeCh chan pipeWrite
 	dead    chan struct{} // closed by fail(); loops treat it as shutdown
@@ -121,6 +117,7 @@ func newPipeConn(p *Pool, rep *replica, conn net.Conn, granted protocol.Features
 		rep:     rep,
 		conn:    conn,
 		granted: granted,
+		tagged:  granted.Has(protocol.FeaturePipelining),
 		writeCh: make(chan pipeWrite, p.depth),
 		dead:    make(chan struct{}),
 		pending: make(map[uint32]*pipePending),
@@ -132,10 +129,10 @@ func newPipeConn(p *Pool, rep *replica, conn net.Conn, granted protocol.Features
 }
 
 // syncBusyLocked moves the in-use/idle gauges when the connection crosses the
-// 0↔>0 pending boundary: a pipelined connection counts as in-use while any
-// exchange is in flight on it, idle otherwise. Caller holds pc.mu. After
-// fail() the gauges are settled once and for all — a read-loop iteration that
-// raced the failure must not flip them again off the cleared pending map.
+// 0↔>0 pending boundary: a connection counts as in-use while any exchange is
+// in flight on it, idle otherwise. Caller holds pc.mu. After fail() the gauges
+// are settled once and for all — a read-loop iteration that raced the failure
+// must not flip them again off the cleared pending map.
 func (pc *pipeConn) syncBusyLocked() {
 	if pc.err != nil {
 		return
@@ -155,41 +152,60 @@ func (pc *pipeConn) syncBusyLocked() {
 	}
 }
 
-// register adds a new pending exchange and returns its tag.
-func (pc *pipeConn) register(pend *pipePending) (uint32, error) {
+// room reports how many more exchanges the connection should take; zero or
+// less means full. ok is false when it can take none whatever the overload: it
+// has failed, or it is untagged and carrying its one exchange.
+func (pc *pipeConn) room() (n int, ok bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.err != nil {
-		return 0, pc.err
-	}
-	if pc.draining {
-		return 0, errConnDraining
-	}
-	pc.nextTag++
-	tag := pc.nextTag
-	pc.pending[tag] = pend
-	pc.syncBusyLocked()
-	return tag, nil
+	n = pc.pool.connDepth(pc.tagged) - len(pc.pending)
+	return n, pc.err == nil && (pc.tagged || n > 0)
 }
 
-// forget abandons a tag after a plain cancellation: the exchange's slot is
-// released but the connection stays up — a late reply for the tag is
-// discarded by the read loop, so the stream never desynchronizes and the
-// discard counts nothing against the dirty-connection metric.
-func (pc *pipeConn) forget(tag uint32) {
+// register adds pend as a new pending exchange and gives it its tag. It
+// reports false when the connection cannot take it: failed, draining, or
+// untagged and already carrying an exchange.
+func (pc *pipeConn) register(pend *pipePending) bool {
 	pc.mu.Lock()
-	pend, ok := pc.pending[tag]
-	if !ok {
+	defer pc.mu.Unlock()
+	if pc.err != nil || pc.draining || !pc.tagged && len(pc.pending) > 0 {
+		return false
+	}
+	if pc.tagged {
+		pc.nextTag++
+	}
+	pend.tag = pc.nextTag
+	pc.pending[pend.tag] = pend
+	pc.syncBusyLocked()
+	return true
+}
+
+// forget abandons an exchange after a plain cancellation. If its request has
+// not been written the write loop skips the frame and the connection stays
+// up. If it has, a tagged connection stays up too — the read loop discards
+// the late reply by its tag, so the stream never desynchronizes and nothing
+// counts against the dirty-connection metric — but an untagged one would hand
+// that reply to its next exchange, so it fails as dirty.
+func (pc *pipeConn) forget(pend *pipePending) {
+	pc.mu.Lock()
+	if pc.pending[pend.tag] != pend {
 		pc.mu.Unlock()
 		return
 	}
+	if !pc.tagged && !pend.writtenAt.IsZero() {
+		pc.mu.Unlock()
+		pc.fail(context.Canceled, true)
+		return
+	}
 	pend.abandoned = true
-	delete(pc.pending, tag)
+	delete(pc.pending, pend.tag)
 	pc.syncBusyLocked()
 	drained := pc.draining && len(pc.pending) == 0
 	pc.mu.Unlock()
 	if drained {
 		pc.fail(errConnDraining, false)
+	} else if !pc.tagged {
+		pc.rep.pipes.wake()
 	}
 }
 
@@ -225,46 +241,38 @@ func (pc *pipeConn) fail(err error, dirty bool) {
 	pc.rep.pipes.forget(pc)
 }
 
-// closedByPool reports whether the pool has been Closed — teardown noise from
-// Close must not count as dirty discards.
-func (pc *pipeConn) closedByPool() bool {
-	select {
-	case <-pc.pool.done:
-		return true
-	default:
-		return false
-	}
-}
-
 func (pc *pipeConn) writeLoop() {
-	wr := &protocol.Writer{Tagged: true} // frames only; the loop writes them
+	wr := &protocol.Writer{Tagged: pc.tagged} // frames only; the loop writes them
 	for {
 		select {
 		case w := <-pc.writeCh:
-			pc.mu.Lock()
-			skip := w.pend.abandoned || pc.err != nil
-			pc.mu.Unlock()
-			if skip {
-				continue
-			}
-			frame, err := wr.Frame(w.tag, w.msg)
+			frame, err := wr.Frame(w.pend.tag, w.msg)
 			// Stamp before the write hits the wire: the reply races the
 			// stamping otherwise, and a zero writtenAt would turn the
 			// measured wait into garbage that poisons the hedge-delay
 			// quantile. Ship is therefore the queue-to-wire delay and Wait
 			// the write plus round trip — together the exchange's true total.
 			// The frame size is stamped here too, or Call.ReqBytes reads 0.
+			// The stamp and the abandoned check share one critical section:
+			// forget decides by writtenAt whether the frame can still be
+			// skipped.
 			began := time.Now()
 			pc.mu.Lock()
-			w.pend.writtenAt = began
-			w.pend.ship = began.Sub(w.pend.start)
-			w.pend.wrote = len(frame)
+			skip := w.pend.abandoned || pc.err != nil
+			if !skip {
+				w.pend.writtenAt = began
+				w.pend.ship = began.Sub(w.pend.start)
+				w.pend.wrote = len(frame)
+			}
 			pc.mu.Unlock()
+			if skip {
+				continue
+			}
 			if err == nil {
 				_, err = pc.conn.Write(frame)
 			}
 			if err != nil {
-				pc.fail(fmt.Errorf("core: pipelined write: %w", err), !pc.closedByPool())
+				pc.fail(fmt.Errorf("core: write %s: %w", pc.rep.endpoint, err), !pc.pool.isClosed())
 				return
 			}
 			pc.pool.metrics.wireBytesOut.Add(uint64(len(frame)))
@@ -275,14 +283,14 @@ func (pc *pipeConn) writeLoop() {
 }
 
 func (pc *pipeConn) readLoop() {
-	rd := &protocol.Reader{R: pc.conn, Tagged: true}
+	rd := &protocol.Reader{R: pc.conn, Tagged: pc.tagged}
 	for {
 		msg, tag, n, err := rd.Read()
 		if err != nil {
 			pc.mu.Lock()
 			busy := len(pc.pending) > 0
 			pc.mu.Unlock()
-			pc.fail(fmt.Errorf("core: pipelined read: %w", err), busy && !pc.closedByPool())
+			pc.fail(fmt.Errorf("core: read %s: %w", pc.rep.endpoint, err), busy && !pc.pool.isClosed())
 			return
 		}
 		m := pc.pool.metrics
@@ -313,23 +321,23 @@ func (pc *pipeConn) readLoop() {
 			pc.fail(errConnDraining, false)
 			return
 		}
+		if !pc.tagged {
+			pc.rep.pipes.wake()
+		}
 	}
 }
 
-// exchange runs one tagged request/reply on the connection under the caller's
-// deadline policy: a policy-timer or context-deadline expiry kills the whole
-// connection (legacy parity — the peer is presumed stuck and retries must
-// redial), while a plain cancellation abandons only this exchange's tag.
-func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name string, phase Phase, req protocol.Message) (Call, protocol.Message, error) {
+// exchange runs one request/reply, already registered as pend, on the
+// connection under the caller's deadline policy: a policy-timer or
+// context-deadline expiry kills the whole connection (the peer is presumed
+// stuck and retries must redial), while a plain cancellation abandons only
+// this exchange (see forget).
+func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name string, phase Phase, req protocol.Message, pend *pipePending) (Call, protocol.Message, error) {
 	if !pc.granted.Has(protocol.FeatureRankFetch) {
 		req = protocol.WithoutRankFetch(req)
 	}
 	call := Call{Librarian: name, Replica: pc.rep.endpoint, Phase: phase, ReqType: req.Type()}
-	pend := &pipePending{done: make(chan struct{}), start: time.Now()}
-	tag, err := pc.register(pend)
-	if err != nil {
-		return call, nil, err
-	}
+	pend.start = time.Now() // the write loop reads it only after the send below
 
 	var timer <-chan time.Time
 	if timeout > 0 {
@@ -339,14 +347,14 @@ func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name st
 	}
 
 	select {
-	case pc.writeCh <- pipeWrite{tag: tag, msg: req, pend: pend}:
+	case pc.writeCh <- pipeWrite{msg: req, pend: pend}:
 	case <-pc.dead:
 		pc.mu.Lock()
 		err := pc.err
 		pc.mu.Unlock()
 		return call, nil, err
 	case <-ctx.Done():
-		pc.forget(tag)
+		pc.forget(pend)
 		return call, nil, ctx.Err()
 	case <-timer:
 		pc.fail(os.ErrDeadlineExceeded, true)
@@ -362,7 +370,7 @@ func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name st
 			pc.fail(os.ErrDeadlineExceeded, true)
 			return call, nil, os.ErrDeadlineExceeded
 		}
-		pc.forget(tag)
+		pc.forget(pend)
 		return call, nil, ctx.Err()
 	case <-timer:
 		pc.fail(os.ErrDeadlineExceeded, true)
@@ -377,20 +385,28 @@ func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name st
 	if rerr != nil {
 		return call, nil, rerr
 	}
-	reply, err = classifyReply(&call, reply)
+	reply, err := classifyReply(&call, reply)
 	return call, reply, err
 }
 
-// pipeSet is a replica's collection of pipelined connections.
+// pipeSet is a replica's collection of connections.
 type pipeSet struct {
 	mu       sync.Mutex
-	cond     *sync.Cond // signalled when conns/creating changes
+	cond     *sync.Cond // signalled when a pipeFor waiter should look again
 	conns    []*pipeConn
 	creating int
 	draining bool
 }
 
 func (s *pipeSet) init() { s.cond = sync.NewCond(&s.mu) }
+
+// wake makes every pipeFor waiter look again. It takes the lock so that a
+// waiter between its scan and its Wait cannot miss the change.
+func (s *pipeSet) wake() {
+	s.mu.Lock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
 
 // forget removes pc from the set (called by pipeConn.fail).
 func (s *pipeSet) forget(pc *pipeConn) {
@@ -434,87 +450,124 @@ func (s *pipeSet) drain() {
 	}
 }
 
-// pipeFor returns a pipelined connection for rep: the least-loaded live one
-// if it has headroom, a fresh dial while the replica is under its connection
-// cap, otherwise the least-loaded one shared beyond its depth — total
-// concurrency is already bounded by the caller's tag lease, so sharing at
-// overload cannot run away.
-func (p *Pool) pipeFor(ctx context.Context, rep *replica, timeout time.Duration) (*pipeConn, error) {
+// pipeFor registers a new pending exchange on one of rep's connections and
+// returns both: on the live connection with the most room if any has some, on
+// a fresh dial while the replica is under its connection cap (hs is then what
+// the dial's negotiation Hello produced, if it sent one), otherwise on the
+// least-loaded tagged connection, shared beyond its depth — total concurrency
+// is already bounded by the caller's tag lease, so sharing at overload cannot
+// run away. An untagged connection is never shared.
+func (p *Pool) pipeFor(ctx context.Context, rep *replica, timeout time.Duration) (pc *pipeConn, pend *pipePending, hs *pipeHandshake, err error) {
+	pend = &pipePending{done: make(chan struct{})}
 	s := &rep.pipes
 	s.mu.Lock()
 	for {
-		select {
-		case <-p.done:
+		if p.isClosed() {
 			s.mu.Unlock()
-			return nil, ErrPoolClosed
-		default:
+			return nil, nil, nil, ErrPoolClosed
 		}
 		if s.draining {
 			s.mu.Unlock()
-			return nil, errConnDraining
+			return nil, nil, nil, errConnDraining
 		}
 		var best *pipeConn
-		bestLoad := 0
-		for _, pc := range s.conns {
-			pc.mu.Lock()
-			dead, load := pc.err != nil, len(pc.pending)
-			pc.mu.Unlock()
-			if dead {
-				continue
-			}
-			if best == nil || load < bestLoad {
-				best, bestLoad = pc, load
+		bestRoom := 0
+		for _, c := range s.conns {
+			if room, ok := c.room(); ok && (best == nil || room > bestRoom) {
+				best, bestRoom = c, room
 			}
 		}
-		if best != nil && bestLoad < p.depth {
-			s.mu.Unlock()
-			return best, nil
+		atCap := len(s.conns)+s.creating >= p.max
+		if best != nil && (bestRoom > 0 || atCap) {
+			if best.register(pend) {
+				s.mu.Unlock()
+				return best, pend, nil, nil
+			}
+			continue // it failed or filled since the scan: look again
 		}
-		if len(s.conns)+s.creating < p.max {
+		if !atCap {
 			s.creating++
 			s.mu.Unlock()
-			pc, _, err := p.dialPipe(ctx, rep, timeout)
+			pc, hs, err = p.dialPipe(ctx, rep, timeout, pend)
 			s.mu.Lock()
 			s.creating--
 			s.cond.Broadcast()
 			s.mu.Unlock()
-			return pc, err
+			return pc, pend, hs, err
 		}
-		if best != nil {
+		// Nothing can take the exchange and the cap is accounted for: by dead
+		// connections not yet forgotten, by dials in flight (bounded by the
+		// exchange deadline their handshake carries), or by untagged
+		// connections each carrying its one exchange — possible only while
+		// leases taken before a dial narrowed rep.tags are still out. Each of
+		// those ends in a wake; so does the caller giving up.
+		if err := ctx.Err(); err != nil {
 			s.mu.Unlock()
-			return best, nil
+			return nil, nil, nil, err
 		}
-		// No live connection and the cap is accounted for by dead conns not
-		// yet forgotten or dials in flight — both broadcast on completion.
-		// The dial handshake carries the exchange deadline, so this wait is
-		// bounded by dial completion.
+		stop := context.AfterFunc(ctx, s.wake)
 		s.cond.Wait()
+		stop()
 	}
 }
 
-// pipeHandshake reports what the setup exchange on a freshly negotiated
+// pipeHandshake reports what the negotiation Hello on a freshly dialled
 // connection produced, so a caller whose own request was the Hello can use
 // the handshake's reply directly instead of paying a second round trip.
 type pipeHandshake struct {
-	reply protocol.Message
+	reply *protocol.HelloReply
 	wrote int
 	read  int
 	ship  time.Duration
 	wait  time.Duration
 }
 
-// dialPipe dials rep, performs the Hello feature negotiation in seed framing,
-// and — when the peer grants pipelining — upgrades the connection to tagged
-// frames and registers it with the replica. When the peer declines, the
-// handshook connection is parked on the legacy idle list, the replica is
-// marked wireLegacy, and errWireLegacy tells the caller to fall through to
-// the seed exclusive-connection path.
-func (p *Pool) dialPipe(ctx context.Context, rep *replica, timeout time.Duration) (*pipeConn, *pipeHandshake, error) {
+// dialPipe dials rep, registers pend on the new connection and adds it to the
+// replica's set. A pool that requests pipelining first negotiates features
+// with a Hello in seed framing, and the connection is tagged if the peer
+// grants it; any other pool sends nothing of its own, so its byte stream is
+// the seed's. rep.tags is resized for the framing the dial ended up with.
+func (p *Pool) dialPipe(ctx context.Context, rep *replica, timeout time.Duration, pend *pipePending) (*pipeConn, *pipeHandshake, error) {
 	conn, err := p.dialer.Dial(rep.endpoint)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: dial %s: %w", rep.endpoint, err)
 	}
+	var hs *pipeHandshake
+	var granted protocol.Features
+	if p.features.Has(protocol.FeaturePipelining) {
+		if hs, err = p.negotiate(ctx, conn, timeout); err != nil {
+			conn.Close()
+			return nil, nil, fmt.Errorf("core: handshake %s: %w", rep.endpoint, err)
+		}
+		granted = hs.reply.Features
+	}
+	pc := newPipeConn(p, rep, conn, granted)
+	rep.sizeTags(p.max * p.connDepth(pc.tagged))
+	pc.register(pend) // before anyone else can see the connection
+	s := &rep.pipes
+	s.mu.Lock()
+	// Close and RemoveReplica flag first and collect s.conns second, so a
+	// connection they did not collect sees the flag here.
+	switch {
+	case p.isClosed():
+		err = ErrPoolClosed
+	case s.draining:
+		err = errConnDraining
+	default:
+		s.conns = append(s.conns, pc)
+		s.cond.Broadcast()
+	}
+	s.mu.Unlock()
+	if err != nil {
+		pc.fail(err, false)
+		return nil, hs, err
+	}
+	return pc, hs, nil
+}
 
+// negotiate runs the Hello feature negotiation, in seed framing, on a freshly
+// dialled connection.
+func (p *Pool) negotiate(ctx context.Context, conn net.Conn, timeout time.Duration) (*pipeHandshake, error) {
 	// The handshake honours the same effective deadline an exchange would:
 	// the earlier of the per-call timeout and the context's own deadline,
 	// with cancellation snapping the deadline into the past.
@@ -548,170 +601,29 @@ func (p *Pool) dialPipe(ctx context.Context, rep *replica, timeout time.Duration
 	start := time.Now()
 	wrote, err := protocol.WriteMessage(conn, &protocol.Hello{Features: p.features})
 	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("core: handshake %s: %w", rep.endpoint, err)
+		return nil, err
 	}
 	written := time.Now()
 	p.metrics.wireBytesOut.Add(uint64(wrote))
 	reply, read, err := protocol.ReadMessage(conn)
 	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("core: handshake %s: %w", rep.endpoint, err)
+		return nil, err
 	}
 	_ = conn.SetDeadline(time.Time{})
 	p.metrics.wireBytesIn.Add(uint64(read))
 	p.metrics.wireRoundTrips.Inc()
 	hr, ok := reply.(*protocol.HelloReply)
 	if !ok {
-		conn.Close()
-		return nil, nil, fmt.Errorf("core: handshake %s: unexpected %v reply", rep.endpoint, reply.Type())
+		return nil, fmt.Errorf("unexpected %v reply", reply.Type())
 	}
 	if extra := hr.Features &^ p.features; extra != 0 {
-		conn.Close()
-		return nil, nil, &protocol.FeatureMismatchError{Requested: p.features, Granted: hr.Features}
+		return nil, &protocol.FeatureMismatchError{Requested: p.features, Granted: hr.Features}
 	}
-	hs := &pipeHandshake{
-		reply: reply,
+	return &pipeHandshake{
+		reply: hr,
 		wrote: wrote,
 		read:  read,
 		ship:  written.Sub(start),
 		wait:  time.Since(written),
-	}
-
-	if !hr.Features.Has(protocol.FeaturePipelining) {
-		// Peer speaks the seed framing. Park the handshook connection for
-		// the legacy lease path and remember the negotiation outcome.
-		rep.wire.Store(wireLegacy)
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			conn.Close()
-			return nil, hs, ErrPoolClosed
-		}
-		p.idle[rep.endpoint] = append(p.idle[rep.endpoint], conn)
-		p.metrics.connsIdle.Inc()
-		p.mu.Unlock()
-		return nil, hs, errWireLegacy
-	}
-
-	rep.wire.Store(wirePipelined)
-	pc := newPipeConn(p, rep, conn, hr.Features)
-	s := &rep.pipes
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		pc.fail(errConnDraining, false)
-		return nil, hs, errConnDraining
-	}
-	s.conns = append(s.conns, pc)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return pc, hs, nil
-}
-
-// hsCall converts a handshake's measurements into the Call record for a
-// setup Hello that was answered by the handshake itself.
-func hsCall(name, endpoint string, phase Phase, req protocol.Message, hs *pipeHandshake) Call {
-	return Call{
-		Librarian: name, Replica: endpoint, Phase: phase, ReqType: req.Type(),
-		ReqBytes: hs.wrote, RespBytes: hs.read, Ship: hs.ship, Wait: hs.wait,
-	}
-}
-
-// attemptPiped is attempt() over the pipelined path: lease a tag instead of
-// a connection, multiplex the exchange onto one of the replica's negotiated
-// connections, and report health identically. It returns errWireLegacy when
-// the replica speaks (or turns out to speak) only the seed framing, in which
-// case attempt falls through to the legacy exclusive-connection path.
-func (e *exec) attemptPiped(ctx context.Context, name string, phase Phase, req protocol.Message, avoid string, tryOnly bool, onLease func(endpoint string)) ([]Call, protocol.Message, string, error) {
-	p := e.pool
-	rt, ok := p.routers[name]
-	if !ok {
-		return nil, nil, "", fmt.Errorf("core: unknown librarian %q", name)
-	}
-	rep := rt.pick(avoid)
-	if rep == nil {
-		return nil, nil, "", fmt.Errorf("core: librarian %q has no replicas", name)
-	}
-	if rep.wire.Load() == wireLegacy {
-		return nil, nil, "", errWireLegacy
-	}
-	endpoint := rep.endpoint
-
-	// Lease a tag — the pipelined unit of concurrency. Capacity is
-	// MaxConnsPerLibrarian × PipelineDepth, the capacity multiplication
-	// this path exists for.
-	if tryOnly {
-		select {
-		case rep.tags <- struct{}{}:
-		default:
-			return nil, nil, "", errNoFreeSlot
-		}
-	} else {
-		waitStart := time.Now()
-		select {
-		case rep.tags <- struct{}{}:
-		case <-p.done:
-			return nil, nil, "", ErrPoolClosed
-		case <-ctx.Done():
-			return nil, nil, "", ctx.Err()
-		}
-		p.metrics.acquireWait.ObserveDuration(time.Since(waitStart))
-	}
-	defer func() { <-rep.tags }()
-	rep.inflight.Add(1)
-	defer rep.inflight.Add(-1)
-	if onLease != nil {
-		onLease(endpoint)
-	}
-
-	var pc *pipeConn
-	var hs *pipeHandshake
-	var err error
-	if rep.wire.Load() == wirePipelined {
-		pc, err = p.pipeFor(ctx, rep, e.policy.timeout)
-	} else {
-		// First contact: dial and negotiate. The handshake Hello doubles as
-		// the exchange when the caller's own request is a Hello, so setup
-		// costs one round trip per connection, exactly like the seed.
-		pc, hs, err = p.dialPipe(ctx, rep, e.policy.timeout)
-	}
-	if errors.Is(err, errWireLegacy) {
-		if _, isHello := req.(*protocol.Hello); isHello && hs != nil {
-			call := hsCall(name, endpoint, phase, req, hs)
-			rt.reportSuccess(rep, call.Ship+call.Wait)
-			return []Call{call}, hs.reply, endpoint, nil
-		}
-		return nil, nil, endpoint, errWireLegacy
-	}
-	if err != nil {
-		// A drain is administrative (the replica was just removed), not a
-		// health signal.
-		if ctx.Err() == nil && !errors.Is(err, ErrPoolClosed) && !errors.Is(err, errConnDraining) {
-			rt.reportFailure(rep)
-		}
-		return nil, nil, endpoint, err
-	}
-	if hs != nil {
-		if _, isHello := req.(*protocol.Hello); isHello {
-			call := hsCall(name, endpoint, phase, req, hs)
-			rt.reportSuccess(rep, call.Ship+call.Wait)
-			return []Call{call}, hs.reply, endpoint, nil
-		}
-	}
-
-	call, reply, err := pc.exchange(ctx, e.policy.timeout, name, phase, req)
-	if err != nil {
-		var remote *protocol.RemoteError
-		if errors.As(err, &remote) {
-			// The peer answered; the transport is healthy and its latency is
-			// a real observation.
-			rt.reportSuccess(rep, call.Ship+call.Wait)
-		} else if ctx.Err() == nil && !errors.Is(err, ErrPoolClosed) && !errors.Is(err, errConnDraining) {
-			rt.reportFailure(rep)
-		}
-		return []Call{call}, nil, endpoint, err
-	}
-	rt.reportSuccess(rep, call.Ship+call.Wait)
-	return []Call{call}, reply, endpoint, nil
+	}, nil
 }

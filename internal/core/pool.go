@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"sync"
 	"time"
@@ -24,26 +23,26 @@ import (
 // librarian when Config.MaxConnsPerLibrarian is zero.
 const DefaultMaxConnsPerLibrarian = 4
 
-// ErrPoolClosed is returned by Acquire / Query / Setup* after Close.
+// ErrPoolClosed is returned by Query / Setup* after Close.
 var ErrPoolClosed = errors.New("core: pool is closed")
 
 // Pool owns every connection the federation holds to its librarians and
-// bounds them at MaxConnsPerLibrarian per replica endpoint. Sessions lease a
-// connection per exchange (Acquire/Release); idle connections are reused,
-// and a connection whose stream was interrupted mid-message (dirty) is
-// discarded rather than returned — the next frame on it would decode
-// garbage, so the redial logic from the fault-tolerance layer replaces it
-// instead.
+// bounds them at MaxConnsPerLibrarian per replica endpoint. An exchange
+// leases one of the endpoint's tags, is placed on a connection with room for
+// it (pipeFor: reuse, dial under the cap, or share a tagged one) and runs
+// there; see pipeline.go. A connection whose stream was interrupted
+// mid-message (dirty) is closed, never reused — the next frame on it would
+// decode garbage — and the fault-tolerance layer's retry redials.
 //
-// When Config.Replicas gives a librarian several endpoints, each lease goes
+// When Config.Replicas gives a librarian several endpoints, each exchange goes
 // through the librarian's router: power-of-two-choices over the healthy
 // replicas, with failing endpoints ejected and probed back in. A librarian
-// without configured replicas routes every lease to the single endpoint
+// without configured replicas routes every exchange to the single endpoint
 // named after it — exactly the pre-replication behaviour.
 //
 // A Pool is safe for concurrent use. Close may race with in-flight queries:
-// it closes every connection (waking blocked readers), and subsequent
-// leases fail with ErrPoolClosed.
+// it closes every connection (failing what is pending on them), and
+// subsequent exchanges fail with ErrPoolClosed.
 type Pool struct {
 	fed    *Federation
 	dialer simnet.Dialer
@@ -51,7 +50,7 @@ type Pool struct {
 	// features is the wire feature set requested in every Hello (already
 	// sentinel-masked: zero means the seed protocol, no negotiation bytes).
 	features protocol.Features
-	// depth bounds concurrent exchanges per pipelined connection.
+	// depth bounds concurrent exchanges per tagged connection.
 	depth int
 	// batch coalesces concurrent rank-phase queries to the same librarian
 	// into BatchQuery frames; nil unless batching is requested.
@@ -61,7 +60,7 @@ type Pool struct {
 	// map's keys are immutable after NewPool; the replica sets behind them
 	// change via AddReplica/RemoveReplica (atomic copy-on-write installs).
 	routers map[string]*router
-	// done is closed by Close so blocked Acquires fail fast.
+	// done is closed by Close so blocked tag leases fail fast.
 	done chan struct{}
 
 	// metrics is never nil: a pool without a configured registry gets a
@@ -76,13 +75,9 @@ type Pool struct {
 	cache     *resultCache
 	admission *admission
 
-	// idle and leased are keyed by replica endpoint (== librarian name in
-	// an unreplicated pool): a parked connection may only be reused for the
-	// endpoint it is dialled to.
+	// mu orders Close against AddReplica/RemoveReplica.
 	mu     sync.Mutex
 	closed bool
-	idle   map[string][]net.Conn
-	leased map[net.Conn]string
 }
 
 // NewPool dials nothing eagerly beyond the Hello handshake: it contacts
@@ -145,8 +140,6 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 		metrics:       newMetrics(reg),
 		slowThreshold: cfg.SlowQueryThreshold,
 		slowLog:       slowLog,
-		idle:          make(map[string][]net.Conn, len(names)),
-		leased:        make(map[net.Conn]string),
 	}
 	if cfg.Cache != nil {
 		p.cache = newResultCache(*cfg.Cache, p.metrics)
@@ -182,7 +175,7 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 		// The router PRNG seed is derived from the librarian's position, so
 		// replica selection is deterministic given a fixed query schedule —
 		// the property tests rely on it, production does not care.
-		p.routers[name] = newRouter(name, endpoints, max, depth, ejectAfter, probeAfter, p.metrics, int64(i)+1)
+		p.routers[name] = newRouter(name, endpoints, max, p.connDepth(features.Has(protocol.FeaturePipelining)), ejectAfter, probeAfter, p.metrics, int64(i)+1)
 	}
 	for name := range cfg.Replicas {
 		if _, ok := fed.byName[name]; !ok {
@@ -271,187 +264,30 @@ func (p *Pool) CacheStats() (stats CacheStats, ok bool) {
 	return p.cache.stats(), true
 }
 
-// PooledConn is one leased connection to one replica of one librarian. It
-// is owned by a single goroutine between Acquire and Release; the pool only
-// touches it again at Close (to unblock a stuck read) and at Release.
-type PooledConn struct {
-	pool  *Pool
-	name  string
-	rep   *replica
-	conn  net.Conn
-	dirty bool
+// connDepth is how many exchanges one connection carries at once:
+// PipelineDepth when its frames are tagged, one when they are not. A replica's
+// lease semaphore starts out sized for what the pool will ask its peers for.
+func (p *Pool) connDepth(tagged bool) int {
+	if tagged {
+		return p.depth
+	}
+	return 1
 }
 
-// Librarian returns the name of the librarian this lease is bound to.
-func (pc *PooledConn) Librarian() string { return pc.name }
-
-// Endpoint returns the replica endpoint this lease is bound to (equal to
-// Librarian() in an unreplicated pool).
-func (pc *PooledConn) Endpoint() string { return pc.rep.endpoint }
-
-// Conn returns the underlying connection. Nil is possible only between a
-// failed ensure (dial error) and Release.
-func (pc *PooledConn) Conn() net.Conn { return pc.conn }
-
-// MarkDirty records that the stream was interrupted mid-message. The
-// connection will be discarded: the next exchange on this lease redials,
-// and Release closes it instead of returning it to the idle list.
-func (pc *PooledConn) MarkDirty() { pc.dirty = true }
-
-// ensure makes the lease usable: on first use or after MarkDirty it
-// discards the old connection and dials a fresh one through the pool's
-// dialer. Dial failures leave the lease empty so a later retry can try
-// again.
-func (pc *PooledConn) ensure() error {
-	if pc.conn != nil && !pc.dirty {
-		return nil
+// isClosed reports whether Close has been called.
+func (p *Pool) isClosed() bool {
+	select {
+	case <-p.done:
+		return true
+	default:
+		return false
 	}
-	p := pc.pool
-	if pc.conn != nil {
-		p.mu.Lock()
-		delete(p.leased, pc.conn)
-		p.mu.Unlock()
-		_ = pc.conn.Close()
-		pc.conn = nil
-		pc.dirty = false
-		p.metrics.dirtyDiscards.Inc()
-	}
-	conn, err := p.dialer.Dial(pc.rep.endpoint)
-	if err != nil {
-		return fmt.Errorf("redial: %w", err)
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		_ = conn.Close()
-		return ErrPoolClosed
-	}
-	p.leased[conn] = pc.rep.endpoint
-	p.mu.Unlock()
-	pc.conn = conn
-	return nil
 }
 
-// errNoFreeSlot is the sentinel a try-only lease (a hedge) gets when every
-// connection slot of the picked replica is busy. It never surfaces to
-// callers: a hedge that cannot get a slot simply does not launch.
-var errNoFreeSlot = errors.New("core: no free replica slot")
-
-// leaseReplica routes through the librarian's router to pick a replica,
-// takes one of its connection slots and, if one is idle, an existing
-// connection — without dialing. The exchange loop dials lazily via ensure
-// so that dial failures participate in the retry/backoff policy. The slot
-// wait — the queueing delay when all MaxConnsPerLibrarian leases are out —
-// is observed into the acquire-wait histogram and aborts if ctx is
-// cancelled first. avoid steers the pick away from an endpoint when
-// alternatives exist; tryOnly makes the slot take non-blocking (hedges
-// never queue behind regular exchanges).
-func (p *Pool) leaseReplica(ctx context.Context, name, avoid string, tryOnly bool) (*PooledConn, error) {
-	rt, ok := p.routers[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown librarian %q", name)
-	}
-	rep := rt.pick(avoid)
-	if rep == nil {
-		return nil, fmt.Errorf("core: librarian %q has no replicas", name)
-	}
-	if tryOnly {
-		select {
-		case rep.slots <- struct{}{}:
-		default:
-			return nil, errNoFreeSlot
-		}
-	} else {
-		start := time.Now()
-		select {
-		case rep.slots <- struct{}{}:
-		case <-p.done:
-			return nil, ErrPoolClosed
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		p.metrics.acquireWait.ObserveDuration(time.Since(start))
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		<-rep.slots
-		return nil, ErrPoolClosed
-	}
-	pc := &PooledConn{pool: p, name: name, rep: rep}
-	ep := rep.endpoint
-	if list := p.idle[ep]; len(list) > 0 {
-		pc.conn = list[len(list)-1]
-		p.idle[ep] = list[:len(list)-1]
-		p.leased[pc.conn] = ep
-		p.metrics.connsIdle.Dec()
-	}
-	p.mu.Unlock()
-	rep.inflight.Add(1)
-	p.metrics.connsInUse.Inc()
-	return pc, nil
-}
-
-func (p *Pool) leaseCtx(ctx context.Context, name string) (*PooledConn, error) {
-	return p.leaseReplica(ctx, name, "", false)
-}
-
-func (p *Pool) lease(name string) (*PooledConn, error) {
-	return p.leaseCtx(context.Background(), name)
-}
-
-// Acquire leases a ready connection to the named librarian, blocking while
-// all MaxConnsPerLibrarian leases are out. The caller must Release it
-// (always — even after errors on the connection; mark those leases dirty
-// first so the stream is discarded).
-func (p *Pool) Acquire(name string) (*PooledConn, error) {
-	pc, err := p.lease(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := pc.ensure(); err != nil {
-		p.Release(pc)
-		return nil, err
-	}
-	return pc, nil
-}
-
-// Release returns a lease to the pool: a clean connection goes back on the
-// idle list for reuse; a dirty (or post-Close, or removed-replica)
-// connection is closed. Release is idempotent per lease only in the sense
-// that callers must not release the same PooledConn twice.
-func (p *Pool) Release(pc *PooledConn) {
-	if pc == nil || pc.pool != p {
-		return
-	}
-	p.mu.Lock()
-	if pc.conn != nil {
-		delete(p.leased, pc.conn)
-		if pc.dirty || p.closed || pc.rep.isRemoved() {
-			_ = pc.conn.Close()
-			if pc.dirty {
-				p.metrics.dirtyDiscards.Inc()
-			}
-		} else {
-			ep := pc.rep.endpoint
-			p.idle[ep] = append(p.idle[ep], pc.conn)
-			p.metrics.connsIdle.Inc()
-		}
-		pc.conn = nil
-	}
-	p.mu.Unlock()
-	p.metrics.connsInUse.Dec()
-	pc.rep.inflight.Add(-1)
-	// Free the slot last, so a waiter that gets it observes the idle list
-	// already updated.
-	<-pc.rep.slots
-}
-
-// Close shuts the pool down. Idle connections are closed immediately;
-// leased connections are closed too, which wakes any exchange blocked on a
-// read — the owning session observes a transport error and then fails its
-// redial with ErrPoolClosed. Close is idempotent and safe to call while
-// queries are in flight: no panic, no leaked connections.
+// Close shuts the pool down: every connection is closed, which fails the
+// exchanges pending on it with a transport error, and whatever they try next
+// fails with ErrPoolClosed. Close is idempotent and safe to call while queries
+// are in flight: no panic, no leaked connections.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -460,38 +296,20 @@ func (p *Pool) Close() error {
 	}
 	p.closed = true
 	close(p.done)
-	var conns []net.Conn
-	for _, list := range p.idle {
-		conns = append(conns, list...)
-	}
-	p.idle = make(map[string][]net.Conn)
-	for conn := range p.leased {
-		conns = append(conns, conn)
-	}
 	p.mu.Unlock()
-	// Pipelined connections first: their fail() settles every pending
-	// exchange and does its own gauge accounting, so the idle-gauge reset
-	// below only zeroes what the legacy conns still held.
 	for _, rt := range p.routers {
 		for _, r := range rt.snapshot() {
 			r.pipes.closeAll()
 		}
 	}
-	p.metrics.connsIdle.Set(0)
-	var first error
-	for _, conn := range conns {
-		if err := conn.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return nil
 }
 
 // AddReplica registers a new endpoint serving the named librarian's
 // subcollection. The grown set is installed atomically (copy-on-write) and
 // versioned through the federation epoch, like every other piece of shared
 // setup state; queries already in flight finish on the replicas they hold,
-// new leases see the new set immediately. The endpoint must be dialable
+// new exchanges see the new set immediately. The endpoint must be dialable
 // through the pool's dialer and must serve the same documents as the
 // librarian's other replicas — replicas are interchangeable by contract.
 // The epoch bump conservatively flushes the result cache (a rare admin
@@ -514,18 +332,17 @@ func (p *Pool) AddReplica(lib, endpoint string) error {
 			}
 		}
 	}
-	rt.add(newReplica(endpoint, p.max, p.depth))
+	rt.add(newReplica(endpoint, p.max, p.connDepth(p.features.Has(protocol.FeaturePipelining))))
 	p.fed.bumpEpoch()
 	return nil
 }
 
 // RemoveReplica takes an endpoint out of the named librarian's replica set.
-// The shrunk set is installed atomically: new leases never see the removed
-// replica again, its idle connections are closed now, and exchanges
-// in flight on it complete normally — their replies still count — before
-// Release closes their connections instead of parking them. Removing the
-// last replica is refused (it would leave the subcollection unreachable;
-// kill the pool instead if that is the intent).
+// The shrunk set is installed atomically: new exchanges never see the removed
+// replica again, its idle connections are closed now, and exchanges in flight
+// on it complete normally — their replies still count — before their
+// connections close. Removing the last replica is refused (it would leave the
+// subcollection unreachable; kill the pool instead if that is the intent).
 func (p *Pool) RemoveReplica(lib, endpoint string) error {
 	rt, ok := p.routers[lib]
 	if !ok {
@@ -545,18 +362,10 @@ func (p *Pool) RemoveReplica(lib, endpoint string) error {
 		p.mu.Unlock()
 		return fmt.Errorf("core: librarian %q has no replica %q", lib, endpoint)
 	}
-	conns := p.idle[endpoint]
-	delete(p.idle, endpoint)
-	for range conns {
-		p.metrics.connsIdle.Dec()
-	}
 	p.fed.bumpEpoch()
 	p.mu.Unlock()
-	for _, conn := range conns {
-		_ = conn.Close()
-	}
-	// Pipelined connections drain: exchanges in flight complete (their
-	// replies still count), idle ones close now, and no new exchange starts.
+	// Exchanges in flight complete (their replies still count), idle
+	// connections close now, and no new exchange starts.
 	removed.pipes.drain()
 	return nil
 }

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"teraphim/internal/protocol"
 	"teraphim/internal/simnet"
 )
 
@@ -27,10 +30,12 @@ func sameRanking(got, want []Answer) bool {
 	return true
 }
 
-// countingDialer wraps a dialer and tracks, per librarian, how many dials
-// happened and how many of the dialled connections are open right now —
-// enough to verify both idle reuse (few dials) and the pool bound (open
-// conns never exceed MaxConnsPerLibrarian).
+// countingDialer wraps a dialer and records, per endpoint, what the pool put
+// on the wire from the outside: how many dials happened, how many of the
+// dialled connections are open right now and were ever open at once (the
+// MaxConnsPerLibrarian bound), how many were closed, which frames were written
+// (tagged, untagged, Hello) and whether an untagged request was ever written
+// while the previous one on the same connection was still unanswered.
 type countingDialer struct {
 	inner simnet.Dialer
 
@@ -38,14 +43,27 @@ type countingDialer struct {
 	dials   map[string]int
 	open    map[string]int
 	maxOpen map[string]int
+	closed  map[string]int
+	// Frames written, by kind; overlaps counts untagged requests written on
+	// a connection that still owed the reply to an earlier one.
+	hellos, taggedFrames, untaggedFrames, overlaps map[string]int
+	// drop, when set for an endpoint, swallows the next frame written to it
+	// (the librarian never sees it, so no reply comes) and is closed then.
+	drop map[string]chan struct{}
 }
 
 func newCountingDialer(inner simnet.Dialer) *countingDialer {
 	return &countingDialer{
-		inner:   inner,
-		dials:   make(map[string]int),
-		open:    make(map[string]int),
-		maxOpen: make(map[string]int),
+		inner:          inner,
+		dials:          make(map[string]int),
+		open:           make(map[string]int),
+		maxOpen:        make(map[string]int),
+		closed:         make(map[string]int),
+		hellos:         make(map[string]int),
+		taggedFrames:   make(map[string]int),
+		untaggedFrames: make(map[string]int),
+		overlaps:       make(map[string]int),
+		drop:           make(map[string]chan struct{}),
 	}
 }
 
@@ -64,27 +82,109 @@ func (d *countingDialer) Dial(name string) (net.Conn, error) {
 	return &countedConn{Conn: conn, dialer: d, name: name}, nil
 }
 
-func (d *countingDialer) connClosed(name string) {
-	d.mu.Lock()
-	d.open[name]--
-	d.mu.Unlock()
-}
-
 func (d *countingDialer) stats(name string) (dials, open, maxOpen int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.dials[name], d.open[name], d.maxOpen[name]
 }
 
+// dropNext arranges for the next frame written to the endpoint to vanish; the
+// returned channel is closed when it has.
+func (d *countingDialer) dropNext(name string) <-chan struct{} {
+	dropped := make(chan struct{})
+	d.mu.Lock()
+	d.drop[name] = dropped
+	d.mu.Unlock()
+	return dropped
+}
+
+// countedConn is one dialled connection. The pool writes each frame with one
+// Write, so Write sees whole request frames; Read follows the reply stream
+// frame by frame to know when an untagged request has been answered.
 type countedConn struct {
 	net.Conn
 	dialer *countingDialer
 	name   string
 	once   sync.Once
+
+	mu     sync.Mutex
+	tagged bool   // a tagged frame has been written: replies are tagged too
+	owed   int    // untagged requests written and not yet answered
+	hdr    []byte // reply header bytes seen so far
+	body   int    // reply payload bytes still to come
+}
+
+func (c *countedConn) Write(p []byte) (int, error) {
+	payload := int(binary.LittleEndian.Uint32(p[:4]))
+	tagged := len(p) == payload+9
+	c.mu.Lock()
+	overlap := !tagged && c.owed > 0
+	if tagged {
+		c.tagged = true
+	} else {
+		c.owed++
+	}
+	c.mu.Unlock()
+	d := c.dialer
+	d.mu.Lock()
+	if tagged {
+		d.taggedFrames[c.name]++
+	} else {
+		d.untaggedFrames[c.name]++
+	}
+	if protocol.MsgType(p[4]) == protocol.TypeHello {
+		d.hellos[c.name]++
+	}
+	if overlap {
+		d.overlaps[c.name]++
+	}
+	dropped := d.drop[c.name]
+	delete(d.drop, c.name)
+	d.mu.Unlock()
+	if dropped != nil {
+		close(dropped)
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *countedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	for b := p[:n]; len(b) > 0; {
+		if c.body == 0 {
+			hl := 5
+			if c.tagged {
+				hl = 9
+			}
+			take := min(hl-len(c.hdr), len(b))
+			c.hdr = append(c.hdr, b[:take]...)
+			b = b[take:]
+			if len(c.hdr) < hl {
+				break
+			}
+			c.body = int(binary.LittleEndian.Uint32(c.hdr[:4]))
+			c.hdr = c.hdr[:0]
+		}
+		take := min(c.body, len(b))
+		c.body -= take
+		b = b[take:]
+		if c.body == 0 && !c.tagged {
+			c.owed--
+		}
+	}
+	c.mu.Unlock()
+	return n, err
 }
 
 func (c *countedConn) Close() error {
-	c.once.Do(func() { c.dialer.connClosed(c.name) })
+	c.once.Do(func() {
+		d := c.dialer
+		d.mu.Lock()
+		d.open[c.name]--
+		d.closed[c.name]++
+		d.mu.Unlock()
+	})
 	return c.Conn.Close()
 }
 
@@ -93,21 +193,28 @@ type poolFixture struct {
 	*fixture
 	pool    *Pool
 	counter *countingDialer
+	// goroutines is runtime.NumGoroutine just before the pool was built.
+	goroutines int
 }
 
 func newPoolFixture(t testing.TB, maxConns int) *poolFixture {
+	return newPoolFixtureWire(t, maxConns, 0)
+}
+
+func newPoolFixtureWire(t testing.TB, maxConns int, features protocol.Features) *poolFixture {
 	t.Helper()
 	corpus, order := smallCorpus(t)
 	f := newFixture(t, corpus, order)
 	// The fixture's own receptionist stays as the MS reference path; build a
 	// second pool with a counting dialer for the pool assertions.
 	counter := newCountingDialer(f.dialer)
-	pool, err := NewPool(counter, order, Config{Analyzer: testAnalyzer(), MaxConnsPerLibrarian: maxConns})
+	goroutines := runtime.NumGoroutine()
+	pool, err := NewPool(counter, order, Config{Analyzer: testAnalyzer(), MaxConnsPerLibrarian: maxConns, WireFeatures: features})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pool.Close() })
-	return &poolFixture{fixture: f, pool: pool, counter: counter}
+	return &poolFixture{fixture: f, pool: pool, counter: counter, goroutines: goroutines}
 }
 
 // TestCVIdenticalToMSConcurrent drives the paper's headline invariant — CV
@@ -240,184 +347,89 @@ func TestConcurrentSessionsAcrossModes(t *testing.T) {
 	}
 }
 
-// TestPoolBoundsConnectionsPerLibrarian checks that MaxConnsPerLibrarian
-// really bounds concurrency: with a bound of 2 and 12 goroutines querying
-// flat out, no librarian ever has more than 2 open connections, yet every
-// query completes.
-func TestPoolBoundsConnectionsPerLibrarian(t *testing.T) {
-	pf := newPoolFixture(t, 2)
-	if _, err := pf.pool.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 12
-	var wg sync.WaitGroup
-	errc := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				if _, err := pf.pool.Query(ModeCV, "alpha federal wallstreet", 10, Options{}); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	for _, name := range pf.order {
-		_, _, maxOpen := pf.counter.stats(name)
-		if maxOpen > 2 {
-			t.Fatalf("librarian %s had %d concurrent connections, bound is 2", name, maxOpen)
-		}
-	}
-}
-
-// TestPoolReusesIdleConnections checks the whole point of pooling: a long
-// sequential run of queries does not redial — the Hello-era connection is
-// reused for every exchange.
-func TestPoolReusesIdleConnections(t *testing.T) {
-	pf := newPoolFixture(t, 4)
-	if _, err := pf.pool.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		if _, err := pf.pool.Query(ModeCN, "alpha federal", 5, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range pf.order {
-		dials, _, _ := pf.counter.stats(name)
-		if dials != 1 {
-			t.Fatalf("librarian %s dialled %d times across 25 sequential queries, want 1 (Hello only)", name, dials)
-		}
-	}
-}
-
-// TestPoolAcquireRelease exercises the explicit lease API, including dirty
-// discard: a lease marked dirty is replaced by a fresh dial on next use.
-func TestPoolAcquireRelease(t *testing.T) {
-	pf := newPoolFixture(t, 2)
-	if _, err := pf.pool.Acquire("nope"); !errorsIsUnknownLibrarian(err) {
-		t.Fatalf("Acquire unknown librarian: got %v", err)
-	}
-	pc, err := pf.pool.Acquire("AP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc.Librarian() != "AP" || pc.Conn() == nil {
-		t.Fatal("Acquire returned an unusable lease")
-	}
-	pf.pool.Release(pc)
-	dialsBefore, _, _ := pf.counter.stats("AP")
-
-	// Clean release → reuse, no new dial.
-	pc, err = pf.pool.Acquire("AP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf.pool.Release(pc)
-	if dials, _, _ := pf.counter.stats("AP"); dials != dialsBefore {
-		t.Fatalf("clean lease redialled: %d → %d", dialsBefore, dials)
-	}
-
-	// Dirty release → discard, next Acquire dials fresh.
-	pc, err = pf.pool.Acquire("AP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc.MarkDirty()
-	pf.pool.Release(pc)
-	pc, err = pf.pool.Acquire("AP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf.pool.Release(pc)
-	if dials, _, _ := pf.counter.stats("AP"); dials != dialsBefore+1 {
-		t.Fatalf("dirty lease not replaced by one fresh dial: %d → %d", dialsBefore, dials)
-	}
-}
-
-func errorsIsUnknownLibrarian(err error) bool {
-	return err != nil && !errors.Is(err, ErrPoolClosed)
-}
-
-// TestPoolCloseDuringQueries hammers Close against in-flight queries: 10
-// goroutines query in a loop while the main goroutine closes the pool (and
-// three more goroutines race duplicate Closes). Nothing may panic, queries
-// must cleanly either succeed or fail, and when the dust settles every
-// connection must be closed — no leases or idle conns leaked.
+// TestPoolCloseDuringQueries hammers Close against in-flight queries, on
+// tagged and on seed framing: 10 goroutines query in a loop while the main
+// goroutine closes the pool (and three more goroutines race duplicate
+// Closes). Nothing may panic, queries must cleanly either succeed or fail,
+// and when the dust settles nothing may be left behind: every connection the
+// pool dialled is closed, and the goroutines it started — a read and a write
+// loop per connection — are gone.
 func TestPoolCloseDuringQueries(t *testing.T) {
-	pf := newPoolFixture(t, 3)
-	if _, err := pf.pool.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 10
-	var started sync.WaitGroup
-	var wg sync.WaitGroup
-	var successes, failures atomic.Int64
-	started.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			started.Done()
-			for i := 0; ; i++ {
-				_, err := pf.pool.Query(ModeCV, "alpha federal wallstreet", 10, Options{})
-				if err != nil {
-					failures.Add(1)
-					return
+	for _, tc := range []struct {
+		name     string
+		features protocol.Features
+	}{
+		{"tagged", 0},
+		{"seed framing", protocol.FeatureNone},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pf := newPoolFixtureWire(t, 3, tc.features)
+			if _, err := pf.pool.SetupVocabulary(); err != nil {
+				t.Fatal(err)
+			}
+			const goroutines = 10
+			var started sync.WaitGroup
+			var wg sync.WaitGroup
+			var failures atomic.Int64
+			started.Add(goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					started.Done()
+					for {
+						// Retries keep redialling into the shutdown.
+						_, err := pf.pool.Query(ModeCV, "alpha federal wallstreet", 10, Options{Retries: 2})
+						if err != nil {
+							failures.Add(1)
+							return
+						}
+					}
+				}()
+			}
+			started.Wait()
+			time.Sleep(5 * time.Millisecond) // let some queries land mid-flight
+			var closers sync.WaitGroup
+			for c := 0; c < 3; c++ {
+				closers.Add(1)
+				go func() {
+					defer closers.Done()
+					if err := pf.pool.Close(); err != nil {
+						t.Errorf("Close: %v", err)
+					}
+				}()
+			}
+			closers.Wait()
+			wg.Wait()
+			if failures.Load() != goroutines {
+				t.Fatalf("expected every goroutine to observe shutdown, got %d failures", failures.Load())
+			}
+			for _, name := range pf.order {
+				dials, open, _ := pf.counter.stats(name)
+				if dials == 0 || open != 0 {
+					t.Fatalf("librarian %s: %d of %d dialled connections still open after Close", name, open, dials)
 				}
-				successes.Add(1)
 			}
-		}(g)
-	}
-	started.Wait()
-	time.Sleep(5 * time.Millisecond) // let some queries land mid-flight
-	var closers sync.WaitGroup
-	for c := 0; c < 3; c++ {
-		closers.Add(1)
-		go func() {
-			defer closers.Done()
+			// The loops (and the in-process librarians serving the closed
+			// connections) unwind on their own schedule; two seconds is far
+			// beyond what a closed pipe needs to wake its reader.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > pf.goroutines {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines after Close, %d before the pool was built\n%s",
+						runtime.NumGoroutine(), pf.goroutines, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// Fresh queries fail fast with ErrPoolClosed.
+			if _, err := pf.pool.Query(ModeCV, "alpha", 5, Options{}); !errors.Is(err, ErrPoolClosed) {
+				t.Fatalf("query after Close: got %v, want ErrPoolClosed", err)
+			}
 			if err := pf.pool.Close(); err != nil {
-				t.Errorf("Close: %v", err)
+				t.Fatalf("second Close: %v", err)
 			}
-		}()
-	}
-	closers.Wait()
-	wg.Wait()
-	if failures.Load() != goroutines {
-		t.Fatalf("expected every goroutine to observe shutdown, got %d failures", failures.Load())
-	}
-	// After shutdown no connection may be leaked: leased and idle both empty,
-	// and the dialer agrees nothing is open.
-	pf.pool.mu.Lock()
-	leaked, idle := len(pf.pool.leased), 0
-	for _, l := range pf.pool.idle {
-		idle += len(l)
-	}
-	pf.pool.mu.Unlock()
-	if leaked != 0 || idle != 0 {
-		t.Fatalf("pool leaked %d leased + %d idle connections after Close", leaked, idle)
-	}
-	for _, name := range pf.order {
-		if _, open, _ := pf.counter.stats(name); open != 0 {
-			t.Fatalf("librarian %s still has %d open connections after Close", name, open)
-		}
-	}
-	// Fresh queries fail fast with ErrPoolClosed.
-	if _, err := pf.pool.Query(ModeCV, "alpha", 5, Options{}); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("query after Close: got %v, want ErrPoolClosed", err)
-	}
-	if _, err := pf.pool.Acquire("AP"); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("Acquire after Close: got %v, want ErrPoolClosed", err)
-	}
-	if err := pf.pool.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
+		})
 	}
 }
 

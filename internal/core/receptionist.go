@@ -124,8 +124,9 @@ type Config struct {
 	// the standard pipeline.
 	Analyzer *textproc.Analyzer
 	// MaxConnsPerLibrarian bounds how many connections the pool keeps open
-	// to each librarian, and therefore how many exchanges can run against
-	// one librarian concurrently. Zero selects
+	// to each librarian endpoint, and therefore how many exchanges can run
+	// against it concurrently: PipelineDepth per connection on tagged
+	// frames, one per connection otherwise. Zero selects
 	// DefaultMaxConnsPerLibrarian.
 	MaxConnsPerLibrarian int
 	// Metrics is the registry the pool registers its instruments on, letting
@@ -172,14 +173,16 @@ type Config struct {
 	// FeatureBatching enables cross-client query batching, FeatureRankFetch
 	// lets rank replies carry the answers' documents. Zero requests
 	// DefaultWireFeatures; FeatureNone pins the seed protocol (untagged
-	// frames, one exchange per connection). Each librarian grants the subset
-	// it supports, so mixed-version fleets degrade per-connection to the
-	// seed framing instead of failing.
+	// frames, one exchange per connection at a time, no negotiation bytes).
+	// Each librarian grants the subset it supports, so in a mixed-version
+	// fleet a connection to an old librarian carries seed frames at depth
+	// one instead of failing.
 	WireFeatures protocol.Features
 	// PipelineDepth bounds concurrent exchanges multiplexed on one
-	// pipelined connection; per-replica concurrency becomes
+	// tagged connection; per-replica concurrency becomes
 	// MaxConnsPerLibrarian × PipelineDepth. Zero selects
-	// DefaultPipelineDepth. Ignored when pipelining is not negotiated.
+	// DefaultPipelineDepth. A connection that did not negotiate pipelining
+	// has depth one whatever this says.
 	PipelineDepth int
 }
 
@@ -188,7 +191,7 @@ type Config struct {
 // models, central index) and a bounded connection Pool, and is safe for
 // concurrent use: any number of goroutines may Query at once, sharing the
 // setup work done once. Use Pool()/Federation() directly for finer control
-// (per-client Sessions, explicit connection leases).
+// (per-client Sessions, replica membership).
 type Receptionist struct {
 	pool *Pool
 }
@@ -218,7 +221,7 @@ func (r *Receptionist) Pool() *Pool { return r.pool }
 // Federation returns the shared federation state behind this receptionist.
 func (r *Receptionist) Federation() *Federation { return r.pool.fed }
 
-// Close closes every librarian connection, idle or leased. Queries in
+// Close closes every librarian connection, idle or in use. Queries in
 // flight fail with transport errors (or complete their current exchange);
 // new queries fail with ErrPoolClosed. Close is idempotent.
 func (r *Receptionist) Close() error { return r.pool.Close() }

@@ -28,19 +28,15 @@ const hedgeMinSamples = 16
 // exchanges across them and routes around the ones that are failing.
 type replica struct {
 	endpoint string
-	// slots is the per-endpoint connection-slot semaphore (capacity
-	// MaxConnsPerLibrarian). Hedges take a slot only if one is free right
-	// now, which is what keeps them from queue-jumping regular exchanges.
-	slots chan struct{}
-	// tags is the pipelined-lease semaphore (capacity MaxConnsPerLibrarian ×
-	// PipelineDepth): when the endpoint negotiates FeaturePipelining, the
-	// lease unit is an exchange tag rather than a whole connection, so the
-	// same connection budget carries depth× the concurrency.
-	tags chan struct{}
-	// wire records the Hello negotiation outcome for this endpoint
-	// (wireUnknown until first contact, then wirePipelined or wireLegacy).
-	wire atomic.Int32
-	// pipes is the set of negotiated tagged connections to this endpoint.
+	// tags is the lease semaphore, one token per exchange in flight: its
+	// capacity is what the endpoint's MaxConnsPerLibrarian connections carry
+	// at once at the depth their Hello negotiated (PipelineDepth each on
+	// tagged frames, one each on untagged). Hedges take a tag only if one is
+	// free right now, which is what keeps them from queue-jumping regular
+	// exchanges. sizeTags replaces the channel; a lease returns its token to
+	// the channel it took it from.
+	tags atomic.Pointer[chan struct{}]
+	// pipes is the set of connections to this endpoint.
 	pipes pipeSet
 	// inflight counts leases currently out — the load signal the
 	// power-of-two-choices pick compares.
@@ -54,13 +50,21 @@ type replica struct {
 }
 
 func newReplica(endpoint string, maxConns, depth int) *replica {
-	r := &replica{
-		endpoint: endpoint,
-		slots:    make(chan struct{}, maxConns),
-		tags:     make(chan struct{}, maxConns*depth),
-	}
+	r := &replica{endpoint: endpoint}
+	r.sizeTags(maxConns * depth)
 	r.pipes.init()
 	return r
+}
+
+// sizeTags makes n the capacity of the lease semaphore. Leases taken from the
+// channel it replaces stay valid, so for as long as they are out more than n
+// exchanges may be leased; pipeFor holds back what the connections cannot
+// carry.
+func (r *replica) sizeTags(n int) {
+	if old := r.tags.Load(); old == nil || cap(*old) != n {
+		tags := make(chan struct{}, n)
+		r.tags.Store(&tags)
+	}
 }
 
 // selectableAt reports whether the router may route a new exchange here:
@@ -300,8 +304,7 @@ func (rt *router) add(r *replica) {
 }
 
 // remove drops the replica with the given endpoint from the set and marks
-// it removed, so in-flight leases bound to it close their connections on
-// release instead of parking them idle. Reports whether it was present.
+// it removed, so no pick selects it again. Reports whether it was present.
 func (rt *router) remove(endpoint string) (*replica, bool) {
 	rt.rmu.Lock()
 	defer rt.rmu.Unlock()

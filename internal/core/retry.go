@@ -126,11 +126,3 @@ func retryableError(err error) bool {
 	var mismatch *protocol.FeatureMismatchError
 	return !errors.As(err, &mismatch)
 }
-
-// dirtiesConn reports whether err leaves the stream desynced: anything that
-// interrupts a frame mid-message (timeout, short write, closed pipe) does; a
-// RemoteError arrived in a complete frame and leaves the stream usable.
-func dirtiesConn(err error) bool {
-	var remote *protocol.RemoteError
-	return !errors.As(err, &remote)
-}

@@ -340,95 +340,118 @@ func (e *exec) callLibrarian(name string, phase Phase, req protocol.Message) ([]
 	return calls, nil, &Failure{Librarian: name, Phase: phase, Attempts: maxAttempts, Err: lastErr}
 }
 
+// errNoFreeSlot is the sentinel a try-only lease (a hedge) gets when every
+// tag of the picked replica is out. It never surfaces to callers: a hedge
+// that cannot get a tag simply does not launch.
+var errNoFreeSlot = errors.New("core: no free replica slot")
+
 // attempt performs one exchange against one replica of the named librarian:
-// lease (router-picked, steering around avoid), dial if the lease came
-// without a live connection, exchange, report the outcome to the router's
-// passive health tracking, release. onLease, when non-nil, observes the
+// pick (router, steering around avoid), lease one of the replica's tags — the
+// unit of concurrency, so capacity is what its connections can carry — get
+// placed on a connection, exchange, report the outcome to the router's
+// passive health tracking, release. The tag wait — the queueing delay when
+// every tag is out — is observed into the acquire-wait histogram and aborts
+// if ctx is cancelled first; tryOnly makes the take non-blocking (hedges
+// never queue behind regular exchanges). onLease, when non-nil, observes the
 // chosen endpoint as soon as the lease is taken — the hedge path uses it to
 // route the hedge away from the primary and to count only hedges that
-// actually got a connection slot. The endpoint used is returned even on
-// failure so the retry loop can avoid it.
+// actually got a tag. The endpoint used is returned even on failure so the
+// retry loop can avoid it.
 func (e *exec) attempt(ctx context.Context, name string, phase Phase, req protocol.Message, avoid string, tryOnly bool, onLease func(endpoint string)) ([]Call, protocol.Message, string, error) {
-	if e.pool.features.Has(protocol.FeaturePipelining) {
-		// A pick taken just before RemoveReplica swapped the set can land on
-		// a replica whose connections are draining. The legacy path served
-		// such exchanges unnoticed (the endpoint itself is still alive), so
-		// a drain must neither surface nor use up a retry: re-pick against
-		// the freshly installed set, which no longer contains the removed
-		// replica — for as long as it takes, since under sustained churn a
-		// re-pick's dial can outlast the next removal.
-		// onLease fires once per logical attempt, not per re-pick: the hedge
-		// path counts a launched hedge in it, and a drain re-pick is still
-		// the same attempt.
-		leased := false
-		onceLease := onLease
-		if onLease != nil {
-			onceLease = func(ep string) {
-				if !leased {
-					leased = true
-					onLease(ep)
-				}
-			}
+	p := e.pool
+	rt, ok := p.routers[name]
+	if !ok {
+		return nil, nil, "", fmt.Errorf("core: unknown librarian %q", name)
+	}
+	for {
+		rep := rt.pick(avoid)
+		if rep == nil {
+			return nil, nil, "", fmt.Errorf("core: librarian %q has no replicas", name)
 		}
-		for {
-			calls, reply, ep, err := e.attemptPiped(ctx, name, phase, req, avoid, tryOnly, onceLease)
-			if errors.Is(err, errConnDraining) && ctx.Err() == nil {
-				continue
-			}
-			if !errors.Is(err, errWireLegacy) {
-				return calls, reply, ep, err
-			}
-			// The replica negotiated the seed framing (a mixed-version
-			// fleet): fall through to the legacy exclusive-connection path,
-			// whose idle list already holds the handshook connection.
-			break
-		}
-	}
-	pc, err := e.pool.leaseReplica(ctx, name, avoid, tryOnly)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	defer e.pool.Release(pc)
-	endpoint := pc.Endpoint()
-	if onLease != nil {
-		onLease(endpoint)
-	}
-	rt := e.pool.routers[name]
-	if err := pc.ensure(); err != nil {
-		// Health accounting never counts a cancelled attempt against the
-		// replica: a hedge loser or an abandoned query says nothing about
-		// the endpoint. Pool shutdown says nothing either.
-		if ctx.Err() == nil && !errors.Is(err, ErrPoolClosed) {
-			rt.reportFailure(pc.rep)
-		}
-		return nil, nil, endpoint, err
-	}
-	call, reply, err := e.exchange(ctx, pc, phase, req)
-	if err != nil {
-		if dirtiesConn(err) {
-			pc.MarkDirty()
-			if ctx.Err() == nil {
-				rt.reportFailure(pc.rep)
+		tags := *rep.tags.Load()
+		if tryOnly {
+			select {
+			case tags <- struct{}{}:
+			default:
+				return nil, nil, "", errNoFreeSlot
 			}
 		} else {
-			// A RemoteError is a completed exchange: the replica is healthy
-			// and its latency is a real observation.
-			rt.reportSuccess(pc.rep, call.Ship+call.Wait)
+			waitStart := time.Now()
+			select {
+			case tags <- struct{}{}:
+			case <-p.done:
+				return nil, nil, "", ErrPoolClosed
+			case <-ctx.Done():
+				return nil, nil, "", ctx.Err()
+			}
+			p.metrics.acquireWait.ObserveDuration(time.Since(waitStart))
 		}
-		return []Call{call}, nil, endpoint, err
+		rep.inflight.Add(1)
+		if onLease != nil {
+			// Once per logical attempt: the hedge path counts a launched
+			// hedge in it, and a drain re-pick is still the same attempt.
+			onLease(rep.endpoint)
+			onLease = nil
+		}
+
+		var calls []Call
+		var reply protocol.Message
+		pc, pend, hs, err := p.pipeFor(ctx, rep, e.policy.timeout)
+		if _, isHello := req.(*protocol.Hello); err == nil && isHello && hs != nil {
+			// The connection is new and its negotiation Hello asked what req
+			// asks: use that reply, so setup costs one round trip per
+			// connection, exactly like the seed.
+			pc.forget(pend)
+			reply = hs.reply
+			calls = []Call{{
+				Librarian: name, Replica: rep.endpoint, Phase: phase, ReqType: req.Type(),
+				ReqBytes: hs.wrote, RespBytes: hs.read, Ship: hs.ship, Wait: hs.wait,
+			}}
+		} else if err == nil {
+			calls = make([]Call, 1)
+			calls[0], reply, err = pc.exchange(ctx, e.policy.timeout, name, phase, req, pend)
+		}
+		rep.inflight.Add(-1)
+		<-tags
+
+		if err == nil {
+			rt.reportSuccess(rep, calls[0].Ship+calls[0].Wait)
+			return calls, reply, rep.endpoint, nil
+		}
+		var remote *protocol.RemoteError
+		switch {
+		case errors.As(err, &remote):
+			// The peer answered, so the exchange completed: the transport is
+			// healthy and its latency is a real observation.
+			rt.reportSuccess(rep, calls[0].Ship+calls[0].Wait)
+		case errors.Is(err, errConnDraining):
+			// A pick taken just before RemoveReplica swapped the set can land
+			// on a replica whose connections are draining. A drain is the
+			// pool's doing, neither a health signal nor an attempt: re-pick
+			// against the freshly installed set, which no longer contains the
+			// removed replica — for as long as it takes, since under
+			// sustained churn a re-pick's dial can outlast the next removal.
+			if ctx.Err() == nil {
+				continue
+			}
+		case ctx.Err() == nil && !errors.Is(err, ErrPoolClosed):
+			// Health accounting never counts a cancelled attempt against the
+			// replica: a hedge loser or an abandoned query says nothing about
+			// the endpoint. Pool shutdown says nothing either.
+			rt.reportFailure(rep)
+		}
+		return calls, reply, rep.endpoint, err
 	}
-	rt.reportSuccess(pc.rep, call.Ship+call.Wait)
-	return []Call{call}, reply, endpoint, nil
 }
 
 // attemptHedged is one policy attempt that may race two replicas: the
 // primary runs immediately; if the policy hedges (Options.HedgeAfter) and
 // the primary outlives the librarian's tracked latency quantile, a hedge
 // launches against a different replica and the first reply wins, the loser
-// cancelled through its context (its deadline snaps and its stream is
-// discarded as dirty). The hedge takes a connection slot only if one is
+// cancelled through its context (its exchange is abandoned; an untagged
+// connection is discarded with it). The hedge takes a tag only if one is
 // free right now — hedging adds no load to a saturated replica set — and a
-// hedge that never got a slot is not counted as launched.
+// hedge that never got a tag is not counted as launched.
 func (e *exec) attemptHedged(name string, phase Phase, req protocol.Message, avoid string) ([]Call, protocol.Message, string, error) {
 	rt := e.pool.routers[name]
 	var delay time.Duration
@@ -518,72 +541,6 @@ func (e *exec) attemptHedged(name string, phase Phase, req protocol.Message, avo
 	// error: the hedge's no-free-slot sentinel is not a query error, and
 	// the primary's failure is the one the retry policy should classify.
 	return calls, nil, primary.ep, primary.err
-}
-
-// exchange performs one request/response round trip on the leased
-// connection, recording traffic and librarian statistics in the Call.
-func (e *exec) exchange(ctx context.Context, pc *PooledConn, phase Phase, req protocol.Message) (Call, protocol.Message, error) {
-	// Exclusive-lease connections speak the seed wire — all but the one a
-	// declined pipelining handshake parked are dialled without a Hello — so
-	// nothing was granted on them: send the pre-feature frame.
-	req = protocol.WithoutRankFetch(req)
-	call := Call{Librarian: pc.name, Replica: pc.Endpoint(), Phase: phase, ReqType: req.Type()}
-	conn := pc.conn
-	// Deadline errors surface from the read/write below; a fresh deadline
-	// applies to every attempt, and is cleared before the connection can
-	// return to the idle list. The effective deadline is the earlier of the
-	// per-exchange Options.Timeout and the context's own deadline.
-	var deadline time.Time
-	if e.policy.timeout > 0 {
-		deadline = time.Now().Add(e.policy.timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	if !deadline.IsZero() {
-		_ = conn.SetDeadline(deadline)
-		defer func() { _ = conn.SetDeadline(time.Time{}) }()
-	}
-	if ctx.Done() != nil {
-		// Cancellation must wake a read blocked on a slow librarian, not
-		// just future deadline checks: snap the deadline into the past, which
-		// fails the pending I/O and marks the stream dirty for discard.
-		snapped := make(chan struct{})
-		stop := context.AfterFunc(ctx, func() {
-			defer close(snapped)
-			_ = conn.SetDeadline(time.Now().Add(-time.Second))
-		})
-		defer func() {
-			if !stop() {
-				// The snap is running (a hedge race can cancel ctx in the
-				// same instant the exchange completes cleanly): wait for it
-				// and undo it, or a healthy connection would be parked on
-				// the idle list with a poisoned deadline and fail its next
-				// exchange instantly.
-				<-snapped
-				_ = conn.SetDeadline(time.Time{})
-			}
-		}()
-	}
-	shipStart := time.Now()
-	wrote, err := protocol.WriteMessage(conn, req)
-	call.ReqBytes = wrote
-	call.Ship = time.Since(shipStart)
-	if err != nil {
-		return call, nil, err
-	}
-	e.pool.metrics.wireBytesOut.Add(uint64(wrote))
-	waitStart := time.Now()
-	reply, read, err := protocol.ReadMessage(conn)
-	call.RespBytes = read
-	call.Wait = time.Since(waitStart)
-	if err != nil {
-		return call, nil, err
-	}
-	e.pool.metrics.wireBytesIn.Add(uint64(read))
-	e.pool.metrics.wireRoundTrips.Inc()
-	reply, err = classifyReply(&call, reply)
-	return call, reply, err
 }
 
 // classifyReply turns a decoded reply into the exchange outcome: an

@@ -70,19 +70,6 @@ func TestWireGoldenParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The seed wire negotiated nothing; the default wire negotiated the
-	// pipelined framing on every replica.
-	eachReplica(seed.Pool(), func(lib string, rep *replica) {
-		if w := rep.wire.Load(); w != wireUnknown && w != wireLegacy {
-			t.Errorf("%s %s: FeatureNone pool negotiated wire state %d", lib, rep.endpoint, w)
-		}
-	})
-	eachReplica(piped.Pool(), func(lib string, rep *replica) {
-		if w := rep.wire.Load(); w != wirePipelined {
-			t.Errorf("%s %s: default pool wire state %d, want pipelined", lib, rep.endpoint, w)
-		}
-	})
-
 	queries := []string{"alpha federal wallstreet", "federal fiscal", "widget", "alpha w1 w2 w3"}
 	for _, tc := range []struct {
 		mode Mode
@@ -150,43 +137,6 @@ func TestWireGoldenParityUnderFaults(t *testing.T) {
 	assertNoLeakedConns(t, piped.pool)
 }
 
-// TestMixedFleetDegradesToSeedFraming pins the rollout story: a pool asking
-// for everything against librarians supporting nothing must settle on the
-// seed framing, answer correctly, and quietly ignore batch windows (no
-// grant, no coalescing).
-func TestMixedFleetDegradesToSeedFraming(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	old := buildRecep(t, corpus, order, Config{}, func(libs []*librarian.Librarian) {
-		for _, lib := range libs {
-			lib.SupportFeatures(0)
-		}
-	})
-	modern := buildRecep(t, corpus, order, Config{}, nil)
-	eachReplica(old.Pool(), func(lib string, rep *replica) {
-		if w := rep.wire.Load(); w != wireLegacy {
-			t.Errorf("%s %s: wire state %d, want legacy after zero grant", lib, rep.endpoint, w)
-		}
-	})
-	for _, q := range []string{"alpha federal wallstreet", "federal fiscal"} {
-		want, err := modern.Query(ModeCN, q, 10, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := old.Query(ModeCN, q, 10, Options{BatchWindow: 2 * time.Millisecond})
-		if err != nil {
-			t.Fatalf("%q on degraded fleet: %v", q, err)
-		}
-		if !answersEqual(want.Answers, got.Answers) {
-			t.Fatalf("%q: degraded fleet diverged from modern fleet", q)
-		}
-		for _, c := range got.Trace.Calls {
-			if c.BatchSize != 0 {
-				t.Fatalf("unbatchable fleet produced a batched call: %+v", c)
-			}
-		}
-	}
-}
-
 // TestPipelineSharesOneConnection is the capacity-multiplication pin: with
 // one connection per librarian and the default depth, 16 concurrent queries
 // all complete over that single connection per replica — the seed wire
@@ -229,10 +179,10 @@ func TestPipelineSharesOneConnection(t *testing.T) {
 func TestPipeDemuxMisbehavingPeer(t *testing.T) {
 	newPipe := func(t *testing.T) (*pipeConn, net.Conn) {
 		t.Helper()
-		pool := &Pool{metrics: newMetrics(obs.NewRegistry()), done: make(chan struct{})}
+		pool := &Pool{metrics: newMetrics(obs.NewRegistry()), done: make(chan struct{}), depth: 8}
 		rep := newReplica("X#0", 1, 8)
 		client, server := net.Pipe()
-		pc := newPipeConn(pool, rep, client, 8)
+		pc := newPipeConn(pool, rep, client, protocol.FeaturePipelining)
 		rep.pipes.mu.Lock()
 		rep.pipes.conns = append(rep.pipes.conns, pc)
 		rep.pipes.mu.Unlock()
@@ -241,6 +191,14 @@ func TestPipeDemuxMisbehavingPeer(t *testing.T) {
 			server.Close()
 		})
 		return pc, server
+	}
+	exchange := func(pc *pipeConn) (protocol.Message, error) {
+		pend := &pipePending{done: make(chan struct{})}
+		if !pc.register(pend) {
+			return nil, errConst("connection refused the exchange")
+		}
+		_, reply, err := pc.exchange(context.Background(), time.Second, "X", PhaseSetup, &protocol.VocabRequest{}, pend)
+		return reply, err
 	}
 
 	t.Run("unknown and duplicate tags are discarded", func(t *testing.T) {
@@ -266,7 +224,7 @@ func TestPipeDemuxMisbehavingPeer(t *testing.T) {
 			}
 			_, _ = wr.Write(tag, &protocol.VocabReply{Terms: []protocol.TermStat{{Term: "u", FT: 2}}})
 		}()
-		_, reply, err := pc.exchange(context.Background(), time.Second, "X", PhaseSetup, &protocol.VocabRequest{})
+		reply, err := exchange(pc)
 		if err != nil {
 			t.Fatalf("first exchange: %v", err)
 		}
@@ -274,7 +232,7 @@ func TestPipeDemuxMisbehavingPeer(t *testing.T) {
 		if !ok || len(vr.Terms) != 1 || vr.Terms[0].Term != "t" {
 			t.Fatalf("first exchange got %#v, want the tag-matched VocabReply", reply)
 		}
-		_, reply, err = pc.exchange(context.Background(), time.Second, "X", PhaseSetup, &protocol.VocabRequest{})
+		reply, err = exchange(pc)
 		if err != nil {
 			t.Fatalf("exchange after garbage frames: %v", err)
 		}
@@ -293,7 +251,7 @@ func TestPipeDemuxMisbehavingPeer(t *testing.T) {
 			// A frame whose length claims more than MaxFrameSize.
 			_, _ = server.Write(bytes.Repeat([]byte{0xff}, 9))
 		}()
-		_, _, err := pc.exchange(context.Background(), time.Second, "X", PhaseSetup, &protocol.VocabRequest{})
+		_, err := exchange(pc)
 		if err == nil {
 			t.Fatal("exchange against a corrupt peer: want error")
 		}

@@ -66,12 +66,20 @@ func (e *refEngine) rank(query string, k int) []Result {
 		wq2 = 1
 	}
 	wq := math.Sqrt(wq2)
+	// Sum in one fixed term order: ranging over the weights map would add the
+	// same contributions in a different order per document, so the reference
+	// itself would score identical documents an ULP apart, differently per run.
+	terms := make([]string, 0, len(weights))
+	for t := range weights {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
 	var results []Result
 	for d, counts := range e.docs {
 		var dot float64
-		for t, w := range weights {
+		for _, t := range terms {
 			if f, ok := counts[t]; ok {
-				dot += w * math.Log(float64(f)+1)
+				dot += weights[t] * math.Log(float64(f)+1)
 			}
 		}
 		if dot > 0 && e.wd[d] > 0 {
@@ -113,20 +121,48 @@ func TestEngineAgainstBruteForce(t *testing.T) {
 				qb.WriteString("t" + strconv.Itoa(rng.Intn(vocab+3)) + " ") // may include absent terms
 			}
 			k := rng.Intn(15) + 1
-			ranking, err := engine.Rank(qb.String(), k, nil)
-			got := ranking.Results
+			query := qb.String()
+			ranking, err := engine.Rank(query, k, nil)
 			if err != nil {
 				return false
 			}
-			want := ref.rank(qb.String(), k)
-			if len(got) != len(want) {
-				t.Logf("seed %d query %q: engine %d results, reference %d", seed, qb.String(), len(got), len(want))
+			got := ranking.Results
+			// Every matching document, best first, from both sides.
+			ranking, err = engine.Rank(query, ndocs, nil)
+			if err != nil {
 				return false
 			}
-			for i := range want {
-				if got[i].Doc != want[i].Doc || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-					t.Logf("seed %d query %q rank %d: engine %+v, reference %+v",
-						seed, qb.String(), i, got[i], want[i])
+			all := ranking.Results
+			want := ref.rank(query, ndocs)
+			if len(all) != len(want) || len(got) != min(k, len(all)) {
+				t.Logf("seed %d query %q k %d: engine %d of %d results, reference %d", seed, query, k, len(got), len(all), len(want))
+				return false
+			}
+			refScore := make(map[uint32]float64, len(want))
+			for _, r := range want {
+				refScore[r.Doc] = r.Score
+			}
+			// Documents whose scores are mathematically tied (w·ln2·ln3 against
+			// w·ln3·ln2) come out an ULP apart, in the engine and in the
+			// reference independently, so Doc is not compared rank by rank.
+			// Instead: rank i holds the reference's i-th best score, that score
+			// is the reference's score for the document holding it, the order
+			// is score-descending with exact ties by ascending Doc, and the
+			// top k is a prefix of the whole ranking, so the tie-break also
+			// decides who makes the cut.
+			for i, r := range all {
+				rs, ok := refScore[r.Doc]
+				if !ok || math.Abs(r.Score-rs) > 1e-9 || math.Abs(r.Score-want[i].Score) > 1e-9 {
+					t.Logf("seed %d query %q rank %d: engine %+v, reference %+v, reference score of doc %v",
+						seed, query, i, r, want[i], rs)
+					return false
+				}
+				if i > 0 && (all[i-1].Score < r.Score || all[i-1].Score == r.Score && all[i-1].Doc >= r.Doc) {
+					t.Logf("seed %d query %q: ranks %d and %d out of order: %+v, %+v", seed, query, i-1, i, all[i-1], r)
+					return false
+				}
+				if i < len(got) && got[i] != r {
+					t.Logf("seed %d query %q rank %d: top-%d has %+v, the whole ranking %+v", seed, query, i, k, got[i], r)
 					return false
 				}
 			}

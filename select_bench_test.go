@@ -91,9 +91,9 @@ func selectFleet(b *testing.B, librarians, docsPerSub int) *selectBenchFleet {
 		libs = append(libs, lib)
 		f.names = append(f.names, sub.Name)
 	}
-	// The same sub-millisecond one-way delay as BenchmarkPoolThroughput:
-	// the workload is network-bound, so skipping librarians translates
-	// directly into wall-clock time.
+	// A sub-millisecond one-way delay, as in BenchmarkCacheThroughput: the
+	// workload is network-bound, so skipping librarians translates directly
+	// into wall-clock time.
 	f.dialer = NewInProcessDialer(libs, LinkConfig{Latency: 300 * time.Microsecond})
 	for _, q := range corpus.QueriesOf(trecsynth.ShortQuery) {
 		f.queries = append(f.queries, q.Text)
@@ -103,14 +103,14 @@ func selectFleet(b *testing.B, librarians, docsPerSub int) *selectBenchFleet {
 
 // selectBenchRow is one sweep cell of BENCH_select.json.
 type selectBenchRow struct {
-	Librarians     int     `json:"librarians"`
-	TopR           int     `json:"top_r"`
-	Queries        int     `json:"queries"`
-	Seconds        float64 `json:"seconds"`
-	QueriesSec     float64 `json:"queries_per_sec"`
-	MeanLibsAsked  float64 `json:"mean_librarians_asked"`
-	OverlapAtTen   float64 `json:"overlap_at_10_vs_full"`
-	EffectQueries  int     `json:"effectiveness_queries"`
+	Librarians    int     `json:"librarians"`
+	TopR          int     `json:"top_r"`
+	Queries       int     `json:"queries"`
+	Seconds       float64 `json:"seconds"`
+	QueriesSec    float64 `json:"queries_per_sec"`
+	MeanLibsAsked float64 `json:"mean_librarians_asked"`
+	OverlapAtTen  float64 `json:"overlap_at_10_vs_full"`
+	EffectQueries int     `json:"effectiveness_queries"`
 }
 
 // sweepRs returns the R values swept for one fleet: 1, quarter, half, all.

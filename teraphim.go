@@ -201,8 +201,8 @@ const (
 
 // WireFeatures is the bitmask of optional wire-protocol capabilities a pool
 // requests in its Hello handshake (ReceptionistConfig.WireFeatures); each
-// librarian grants the subset it supports, and ungranted features degrade
-// to the seed framing.
+// librarian grants the subset it supports, and a connection whose peer does
+// not grant pipelining speaks the seed framing, one exchange at a time.
 type WireFeatures = protocol.Features
 
 // Wire-protocol feature bits.
