@@ -68,10 +68,10 @@ func ingestBenchDocs(rng *rand.Rand, n int) []Document {
 	return docs
 }
 
-func newIngestBenchLibrarian(b *testing.B, nDocs int, cfg IngestConfig) *UpdatableLibrarian {
+func newIngestBenchLibrarian(b *testing.B, nDocs int, cfg IngestConfig) *Librarian {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
-	up, err := NewUpdatableLibrarian("LIVE", ingestBenchDocs(rng, nDocs), BuildOptions{})
+	up, err := BuildLibrarian("LIVE", ingestBenchDocs(rng, nDocs))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -82,10 +82,9 @@ func newIngestBenchLibrarian(b *testing.B, nDocs int, cfg IngestConfig) *Updatab
 	return up
 }
 
-func newIngestBenchPool(b *testing.B, up *UpdatableLibrarian) *Pool {
+func newIngestBenchPool(b *testing.B, up *Librarian) *Pool {
 	b.Helper()
-	dialer := NewInProcessDialer(nil, LinkConfig{})
-	dialer.AddEndpoint("LIVE", up, LinkConfig{})
+	dialer := NewInProcessDialer([]*Librarian{up}, LinkConfig{})
 	pool, err := ConnectPool(dialer, []string{"LIVE"}, ReceptionistConfig{MaxConnsPerLibrarian: 4})
 	if err != nil {
 		b.Fatal(err)
@@ -112,13 +111,12 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	order := []string{"update=rebuild", "update=ingest", "queries=idle", "queries=during-ingest"}
 
 	b.Run("update=rebuild", func(b *testing.B) {
-		up := newIngestBenchLibrarian(b, ingestBenchSeedDocs, IngestConfig{})
 		rng := rand.New(rand.NewSource(11))
 		corpus := ingestBenchDocs(rand.New(rand.NewSource(7)), ingestBenchSeedDocs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			corpus = append(corpus, ingestBenchDocs(rng, ingestBenchBatchDocs)...)
-			if err := up.Update(corpus); err != nil {
+			if _, err := BuildLibrarian("LIVE", corpus); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,5 +1,5 @@
 // Command ingest demonstrates streaming ingestion under live query load: an
-// in-process updatable librarian keeps answering a fleet of query clients
+// in-process librarian keeps answering a fleet of query clients
 // while document batches stream in through the bounded ingest queue,
 // background builders seal them into segments and the size-tiered policy
 // merges them down. The report shows both sides of the trade — ingest
@@ -79,7 +79,7 @@ func run(w io.Writer, args []string) error {
 	for i := range seedDocs {
 		seedDocs[i] = synthDoc(rng, i)
 	}
-	up, err := librarian.NewUpdatable("LIVE", seedDocs, librarian.BuildOptions{})
+	up, err := librarian.Build("LIVE", seedDocs, librarian.BuildOptions{})
 	if err != nil {
 		return err
 	}
@@ -90,8 +90,7 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 
-	dialer := librarian.NewInProcessDialer(nil, simnet.LinkConfig{})
-	dialer.AddEndpoint("LIVE", up, simnet.LinkConfig{})
+	dialer := librarian.NewInProcessDialer([]*librarian.Librarian{up}, simnet.LinkConfig{})
 	pool, err := core.NewPool(dialer, []string{"LIVE"}, core.Config{MaxConnsPerLibrarian: *clients})
 	if err != nil {
 		return err

@@ -20,7 +20,7 @@ func main() {
 			"several hosts; librarians manage subcollections and receptionists broker queries."},
 	}
 
-	up, err := teraphim.NewUpdatableLibrarian("LIVE", seed, teraphim.BuildOptions{})
+	up, err := teraphim.BuildLibrarian("LIVE", seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,8 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	dialer := teraphim.NewInProcessDialer(nil, teraphim.LinkConfig{})
-	dialer.AddEndpoint("LIVE", up, teraphim.LinkConfig{})
+	dialer := teraphim.NewInProcessDialer([]*teraphim.Librarian{up}, teraphim.LinkConfig{})
 	pool, err := teraphim.ConnectPool(dialer, []string{"LIVE"}, teraphim.ReceptionistConfig{
 		Cache: &teraphim.CacheConfig{},
 	})

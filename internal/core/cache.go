@@ -26,7 +26,7 @@ import (
 //     Federation's setup epoch (bumped by SetupVocabulary, SetupModels and
 //     SetupCentralIndex) and the cache's own invalidation generation
 //     (bumped by InvalidateCache, which callers wire to
-//     UpdatableLibrarian.OnUpdate for serving-time collection swaps). A
+//     Librarian.OnUpdate for serving-time collection swaps). A
 //     stamp mismatch is a miss; one atomic increment invalidates the whole
 //     cache in O(1).
 //
@@ -263,9 +263,8 @@ func (c *resultCache) removeLocked(el *list.Element) {
 
 // invalidate drops every current entry in O(1) by bumping the cache
 // generation: stamps no longer match, so each entry dies lazily on its next
-// lookup (or by LRU eviction). This is the hook the updatable-librarian
-// path uses — a collection swap at any librarian makes every cached answer
-// suspect. The counter records the *event* (exactly once, even on an empty
+// lookup (or by LRU eviction). This is the hook Librarian.OnUpdate drives —
+// a publication at any librarian makes every cached answer suspect. The counter records the *event* (exactly once, even on an empty
 // cache); the doomed entries show up in Evictions as lookups drop them.
 func (c *resultCache) invalidate() {
 	c.gen.Add(1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -298,13 +299,13 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidateOnLibrarianUpdate wires the updatable-librarian path
-// end to end: a pool over an UpdatableLibrarian registers InvalidateCache
-// via OnUpdate, and a collection swap stops the old answer cold — the repeat
-// query re-evaluates and sees the new collection.
+// TestCacheInvalidateOnLibrarianUpdate wires the ingest path end to end: a
+// pool registers InvalidateCache via Librarian.OnUpdate, and a publication
+// stops the old answer cold — the repeat query re-evaluates and sees the
+// grown collection.
 func TestCacheInvalidateOnLibrarianUpdate(t *testing.T) {
 	a := testAnalyzer()
-	up, err := librarian.NewUpdatable("UP", []store.Document{
+	up, err := librarian.Build("UP", []store.Document{
 		{ID: 0, Title: "d0", Text: "alpha alpha original"},
 		{ID: 1, Title: "d1", Text: "federal original"},
 	}, librarian.BuildOptions{Analyzer: a})
@@ -339,11 +340,11 @@ func TestCacheInvalidateOnLibrarianUpdate(t *testing.T) {
 		t.Fatalf("repeat before update: hit=%v err=%v", res != nil && res.Trace.CacheHit, err)
 	}
 
-	err = up.Update([]store.Document{
-		{ID: 0, Title: "n0", Text: "alpha replacement one"},
-		{ID: 1, Title: "n1", Text: "alpha replacement two"},
-	})
-	if err != nil {
+	defer up.Close()
+	if err := up.Ingest(context.Background(), []store.Document{{Title: "d2", Text: "alpha arrival"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := up.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	res, err := pool.Query(ModeCN, "alpha", 5, Options{})
@@ -351,10 +352,10 @@ func TestCacheInvalidateOnLibrarianUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Trace.CacheHit {
-		t.Fatal("hit across a collection swap: the cached answer outlived its collection")
+		t.Fatal("hit across a publication: the cached answer outlived its collection")
 	}
 	if len(res.Answers) != 2 {
-		t.Fatalf("post-update answers = %d, want 2 from the new collection", len(res.Answers))
+		t.Fatalf("post-update answers = %d, want 2 from the grown collection", len(res.Answers))
 	}
 }
 

@@ -121,18 +121,32 @@ func TestMetricsMatchTraces(t *testing.T) {
 
 // TestLibrarianMetricsMatchTraces shares one registry between the pool and
 // instrumented librarians and checks that the librarian-side evaluation
-// counters equal the work the query traces report.
+// counters equal the work the query traces report. The first librarian
+// ingested half its documents, so its request, ingest and segment
+// instruments must all move on that registry.
 func TestLibrarianMetricsMatchTraces(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	a := testAnalyzer()
 	reg := obs.NewRegistry()
 	var libs []*librarian.Librarian
-	for _, name := range order {
-		lib, err := librarian.Build(name, corpus[name], librarian.BuildOptions{Analyzer: a})
+	for i, name := range order {
+		docs := corpus[name]
+		built := len(docs)
+		if i == 0 {
+			built /= 2 // the rest arrives by Ingest (a no-op for the others)
+		}
+		lib, err := librarian.Build(name, docs[:built], librarian.BuildOptions{Analyzer: a})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer lib.Close()
 		lib.Instrument(reg)
+		if err := lib.Ingest(context.Background(), docs[built:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := lib.Flush(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		libs = append(libs, lib)
 	}
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{})
@@ -187,6 +201,12 @@ func TestLibrarianMetricsMatchTraces(t *testing.T) {
 	}
 	if gotSessions != 0 {
 		t.Errorf("active_sessions = %v after Close+Wait, want 0", gotSessions)
+	}
+	grown := `{librarian="` + order[0] + `"}`
+	segs, batches := vals["teraphim_segment_live"+grown], vals["teraphim_ingest_batches_total"+grown]
+	timed, reqs := vals["teraphim_librarian_request_seconds_count"+grown], vals["teraphim_librarian_requests_total"+grown]
+	if segs != 2 || batches != 1 || timed != reqs {
+		t.Errorf("ingesting librarian %s: %v segments live, %v batches, %v of %v requests timed", order[0], segs, batches, timed, reqs)
 	}
 }
 

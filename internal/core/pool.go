@@ -244,7 +244,7 @@ func (p *Pool) Boolean(expr string) (*BooleanResult, error) {
 }
 
 // InvalidateCache drops every cached result in O(1). Wire it to
-// UpdatableLibrarian.OnUpdate (or call it after any out-of-band collection
+// Librarian.OnUpdate (or call it after any out-of-band collection
 // change) so answers computed over the old subcollections are never served
 // again; setup exchanges (vocabulary, models, central index) invalidate
 // automatically through the federation epoch. A no-op when no cache is

@@ -145,7 +145,7 @@ type Config struct {
 	// mode, normalized text, k and merge strategy) are answered from memory
 	// with zero librarian round trips. Nil disables caching. Entries are
 	// invalidated automatically when setup state changes and explicitly via
-	// InvalidateCache (wire it to UpdatableLibrarian.OnUpdate).
+	// InvalidateCache (wire it to Librarian.OnUpdate).
 	Cache *CacheConfig
 	// Admission bounds concurrent query evaluation: beyond MaxInFlight
 	// running queries and MaxQueue waiting ones, requests shed immediately

@@ -14,19 +14,19 @@ import (
 )
 
 // newSegmentedDialer serves the same corpus as newFixture, but every
-// subcollection is an UpdatableLibrarian fed through the streaming Ingest
+// subcollection is a Librarian fed through the streaming Ingest
 // API in three chunks (background merging off, so each ends up with three
 // live segments).
-func newSegmentedDialer(t testing.TB, corpus map[string][]store.Document, order []string) (*librarian.InProcessDialer, map[string]*librarian.UpdatableLibrarian) {
+func newSegmentedDialer(t testing.TB, corpus map[string][]store.Document, order []string) (*librarian.InProcessDialer, map[string]*librarian.Librarian) {
 	t.Helper()
 	a := testAnalyzer()
 	ctx := context.Background()
 	dialer := librarian.NewInProcessDialer(nil, simnet.LinkConfig{})
-	ups := make(map[string]*librarian.UpdatableLibrarian, len(order))
+	ups := make(map[string]*librarian.Librarian, len(order))
 	for _, name := range order {
 		docs := corpus[name]
 		cut1, cut2 := len(docs)/3, 2*len(docs)/3
-		up, err := librarian.NewUpdatable(name, docs[:cut1], librarian.BuildOptions{Analyzer: a})
+		up, err := librarian.Build(name, docs[:cut1], librarian.BuildOptions{Analyzer: a})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,8 +52,8 @@ func newSegmentedDialer(t testing.TB, corpus map[string][]store.Document, order 
 }
 
 // newSegmentedFleet connects a default receptionist to a newSegmentedDialer
-// fleet, returning the updatables for the concurrency tests to poke.
-func newSegmentedFleet(t testing.TB, corpus map[string][]store.Document, order []string) (*Receptionist, map[string]*librarian.UpdatableLibrarian) {
+// fleet, returning the librarians for the concurrency tests to poke.
+func newSegmentedFleet(t testing.TB, corpus map[string][]store.Document, order []string) (*Receptionist, map[string]*librarian.Librarian) {
 	t.Helper()
 	dialer, ups := newSegmentedDialer(t, corpus, order)
 	recep, err := Connect(dialer, order, Config{Analyzer: testAnalyzer()})
@@ -161,7 +161,7 @@ func TestSegmentedFleetParityDuringCompaction(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, up := range ups {
 		wg.Add(1)
-		go func(u *librarian.UpdatableLibrarian) {
+		go func(u *librarian.Librarian) {
 			defer wg.Done()
 			_ = u.Compact(context.Background())
 		}(up)
@@ -193,7 +193,7 @@ func TestSegmentedFleetParityDuringCompaction(t *testing.T) {
 // query issued after a Flush must never be served a stale cached answer.
 func TestCacheInvalidationUnderRapidEpochs(t *testing.T) {
 	a := testAnalyzer()
-	up, err := librarian.NewUpdatable("UP", []store.Document{
+	up, err := librarian.Build("UP", []store.Document{
 		{ID: 0, Title: "d0", Text: "alpha base one"},
 		{ID: 1, Title: "d1", Text: "alpha base two"},
 	}, librarian.BuildOptions{Analyzer: a})

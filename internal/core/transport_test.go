@@ -380,6 +380,12 @@ func testTransportDrain(t *testing.T, fl transportFleet) {
 				t.Fatal(err)
 			}
 		}
+		// The held exchange's completion is signalled before its drained
+		// connection is closed, so the close may still be on its way.
+		deadline := time.Now().Add(5 * time.Second)
+		for _, open, _ := f.counter.stats(victim); open != 0 && time.Now().Before(deadline); _, open, _ = f.counter.stats(victim) {
+			time.Sleep(100 * time.Microsecond)
+		}
 		if d, open, _ := f.counter.stats(victim); d != dials || open != 0 {
 			t.Errorf("%s: removed endpoint has %d open connections and was dialled %d more times", victim, open, d-dials)
 		}

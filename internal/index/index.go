@@ -202,6 +202,10 @@ func (ix *Index) NumDocs() uint32 { return ix.numDocs }
 // NumTerms returns the number of distinct indexed terms.
 func (ix *Index) NumTerms() int { return len(ix.entries) }
 
+// SkipInterval returns the skip-point spacing the index was built with (0:
+// no skip structures), so a merge can rebuild under the same setting.
+func (ix *Index) SkipInterval() uint32 { return ix.skipIvl }
+
 // NumPostings returns the total number of (doc, f_dt) pairs stored.
 func (ix *Index) NumPostings() uint64 { return ix.numPtrs }
 

@@ -1,7 +1,6 @@
 package librarian
 
 import (
-	"strings"
 	"testing"
 
 	"teraphim/internal/protocol"
@@ -11,8 +10,8 @@ import (
 // TestEvaluatorWireParity pins the dynamic-pruning evaluators across the
 // wire: a RankQuery carrying EvalMaxScore or EvalWAND must return exactly
 // the reply the exact evaluator returns — documents, scores and the
-// list-level Stats charges — against both a single-segment librarian and a
-// three-segment updatable librarian, with and without explicit weights.
+// list-level Stats charges — against the corpus as one segment and as three,
+// with and without explicit weights.
 func TestEvaluatorWireParity(t *testing.T) {
 	uni, seg := buildSegmentedPair(t, 120)
 	weights := map[string]float64{"whale": 1.2, "reef": 0.8, "storm": 1.5}
@@ -27,7 +26,7 @@ func TestEvaluatorWireParity(t *testing.T) {
 	}
 	for _, lib := range []struct {
 		name string
-		srv  ConnServer
+		srv  *Librarian
 	}{{"uni", uni}, {"seg", seg}} {
 		for _, tc := range queries {
 			for _, k := range []int{1, 10, 200} {
@@ -54,25 +53,6 @@ func TestEvaluatorWireParity(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestEvaluatorWireValidation: an out-of-range evaluator byte is answered
-// with an ErrorReply by both librarian flavours, before any evaluation.
-func TestEvaluatorWireValidation(t *testing.T) {
-	uni, seg := buildSegmentedPair(t, 30)
-	for _, lib := range []struct {
-		name string
-		srv  ConnServer
-	}{{"uni", uni}, {"seg", seg}} {
-		reply := callServer(t, lib.srv, &protocol.RankQuery{Query: "whale", K: 5, Evaluator: 99})
-		er, ok := reply.(*protocol.ErrorReply)
-		if !ok {
-			t.Fatalf("%s: got %T (%+v), want ErrorReply", lib.name, reply, reply)
-		}
-		if !strings.Contains(er.Message, "evaluator") {
-			t.Fatalf("%s: error %q does not mention the evaluator", lib.name, er.Message)
 		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"teraphim/internal/index"
-	"teraphim/internal/search"
 	"teraphim/internal/store"
 )
 
@@ -25,8 +23,8 @@ var (
 	// ErrIngestQueueFull reports that an Ingest call gave up (its context
 	// expired) while waiting for room on the bounded ingest queue.
 	ErrIngestQueueFull = errors.New("librarian: ingest queue full")
-	// ErrLibrarianClosed reports an operation on an UpdatableLibrarian
-	// after Close.
+	// ErrLibrarianClosed reports an ingest operation on a Librarian after
+	// Close.
 	ErrLibrarianClosed = errors.New("librarian: closed")
 )
 
@@ -61,30 +59,30 @@ type IngestConfig struct {
 	MinSegmentDocs int
 }
 
-func (u *UpdatableLibrarian) queueDepth() int {
-	if u.cfg.QueueDepth > 0 {
-		return u.cfg.QueueDepth
+func (l *Librarian) queueDepth() int {
+	if l.cfg.QueueDepth > 0 {
+		return l.cfg.QueueDepth
 	}
 	return defaultQueueDepth
 }
 
-func (u *UpdatableLibrarian) numWorkers() int {
-	if u.cfg.Workers > 0 {
-		return u.cfg.Workers
+func (l *Librarian) numWorkers() int {
+	if l.cfg.Workers > 0 {
+		return l.cfg.Workers
 	}
 	return 1
 }
 
-func (u *UpdatableLibrarian) fanIn() int {
-	if u.cfg.MergeFanIn > 1 {
-		return u.cfg.MergeFanIn
+func (l *Librarian) fanIn() int {
+	if l.cfg.MergeFanIn > 1 {
+		return l.cfg.MergeFanIn
 	}
 	return defaultMergeFanIn
 }
 
-func (u *UpdatableLibrarian) minSegDocs() int {
-	if u.cfg.MinSegmentDocs > 0 {
-		return u.cfg.MinSegmentDocs
+func (l *Librarian) minSegDocs() int {
+	if l.cfg.MinSegmentDocs > 0 {
+		return l.cfg.MinSegmentDocs
 	}
 	return defaultMinSegDocs
 }
@@ -93,8 +91,8 @@ func (u *UpdatableLibrarian) minSegDocs() int {
 // [base·F^t, base·F^(t+1)) documents, so merging F tier-t segments yields a
 // tier-t+1 segment and the segment count stays logarithmic in collection
 // size.
-func (u *UpdatableLibrarian) tierOf(docs uint32) int {
-	base, fan := uint64(u.minSegDocs()), uint64(u.fanIn())
+func (l *Librarian) tierOf(docs uint32) int {
+	base, fan := uint64(l.minSegDocs()), uint64(l.fanIn())
 	t := 0
 	for size := base; uint64(docs) >= size*fan && t < maxTier; size *= fan {
 		t++
@@ -104,31 +102,31 @@ func (u *UpdatableLibrarian) tierOf(docs uint32) int {
 
 // ConfigureIngest installs cfg. It must be called before the first Ingest
 // (the pipeline's queue and workers are sized lazily on first use).
-func (u *UpdatableLibrarian) ConfigureIngest(cfg IngestConfig) error {
-	u.qmu.Lock()
-	defer u.qmu.Unlock()
-	if u.closed {
-		return fmt.Errorf("librarian: configure %q: %w", u.name, ErrLibrarianClosed)
+func (l *Librarian) ConfigureIngest(cfg IngestConfig) error {
+	l.qmu.Lock()
+	defer l.qmu.Unlock()
+	if l.closed {
+		return fmt.Errorf("librarian: configure %q: %w", l.name, ErrLibrarianClosed)
 	}
-	if u.started {
-		return fmt.Errorf("librarian: configure %q: ingest pipeline already running", u.name)
+	if l.started {
+		return fmt.Errorf("librarian: configure %q: ingest pipeline already running", l.name)
 	}
-	u.cfg = cfg
+	l.cfg = cfg
 	return nil
 }
 
 // ensureStartedLocked lazily creates the queue and spawns the workers.
-// Caller holds u.qmu.
-func (u *UpdatableLibrarian) ensureStartedLocked() {
-	if u.started {
+// Caller holds l.qmu.
+func (l *Librarian) ensureStartedLocked() {
+	if l.started {
 		return
 	}
-	u.queue = make(chan []store.Document, u.queueDepth())
-	u.stop = make(chan struct{})
-	u.started = true
-	for i := 0; i < u.numWorkers(); i++ {
-		u.workers.Add(1)
-		go u.worker()
+	l.queue = make(chan []store.Document, l.queueDepth())
+	l.stop = make(chan struct{})
+	l.started = true
+	for i := 0; i < l.numWorkers(); i++ {
+		l.workers.Add(1)
+		go l.worker()
 	}
 }
 
@@ -138,42 +136,42 @@ func (u *UpdatableLibrarian) ensureStartedLocked() {
 // Ingest waits for room until ctx is done, then fails with an error
 // matching ErrIngestQueueFull — the backpressure signal: the caller is
 // producing documents faster than the builders retire them.
-func (u *UpdatableLibrarian) Ingest(ctx context.Context, docs []store.Document) error {
+func (l *Librarian) Ingest(ctx context.Context, docs []store.Document) error {
 	if len(docs) == 0 {
 		return nil
 	}
-	u.qmu.Lock()
-	if u.closed {
-		u.qmu.Unlock()
-		return fmt.Errorf("librarian: ingest into %q: %w", u.name, ErrLibrarianClosed)
+	l.qmu.Lock()
+	if l.closed {
+		l.qmu.Unlock()
+		return fmt.Errorf("librarian: ingest into %q: %w", l.name, ErrLibrarianClosed)
 	}
-	u.ensureStartedLocked()
-	queue := u.queue
-	u.enqueuers.Add(1)
-	u.qmu.Unlock()
-	defer u.enqueuers.Done()
+	l.ensureStartedLocked()
+	queue := l.queue
+	l.enqueuers.Add(1)
+	l.qmu.Unlock()
+	defer l.enqueuers.Done()
 
 	batch := append([]store.Document(nil), docs...)
 	select {
 	case queue <- batch:
 	default:
-		u.queueFullWaits.Add(1)
-		if m := u.metrics.Load(); m != nil {
+		l.queueFullWaits.Add(1)
+		if m := l.metrics.Load(); m != nil {
 			m.queueFull.Inc()
 		}
 		select {
 		case queue <- batch:
 		case <-ctx.Done():
-			return fmt.Errorf("librarian: ingest into %q: %w: %w", u.name, ErrIngestQueueFull, context.Cause(ctx))
-		case <-u.closing:
-			return fmt.Errorf("librarian: ingest into %q: %w", u.name, ErrLibrarianClosed)
+			return fmt.Errorf("librarian: ingest into %q: %w: %w", l.name, ErrIngestQueueFull, context.Cause(ctx))
+		case <-l.closing:
+			return fmt.Errorf("librarian: ingest into %q: %w", l.name, ErrLibrarianClosed)
 		}
 	}
-	u.fmu.Lock()
-	u.enqSeq++
-	u.fmu.Unlock()
-	u.docsQueued.Add(uint64(len(docs)))
-	if m := u.metrics.Load(); m != nil {
+	l.fmu.Lock()
+	l.enqSeq++
+	l.fmu.Unlock()
+	l.docsQueued.Add(uint64(len(docs)))
+	if m := l.metrics.Load(); m != nil {
 		m.docsQueued.Add(uint64(len(docs)))
 		m.queueLen.Set(int64(len(queue)))
 	}
@@ -185,49 +183,49 @@ func (u *UpdatableLibrarian) Ingest(ctx context.Context, docs []store.Document) 
 // asynchronous build error since the previous Flush, clearing it — the
 // redesigned API's error channel for work that failed off the caller's
 // goroutine.
-func (u *UpdatableLibrarian) Flush(ctx context.Context) error {
-	u.fmu.Lock()
-	target := u.enqSeq
-	for u.pubSeq < target {
-		wake := u.notify
-		u.fmu.Unlock()
+func (l *Librarian) Flush(ctx context.Context) error {
+	l.fmu.Lock()
+	target := l.enqSeq
+	for l.pubSeq < target {
+		wake := l.notify
+		l.fmu.Unlock()
 		select {
 		case <-wake:
 		case <-ctx.Done():
-			return fmt.Errorf("librarian: flush %q: %w", u.name, context.Cause(ctx))
+			return fmt.Errorf("librarian: flush %q: %w", l.name, context.Cause(ctx))
 		}
-		u.fmu.Lock()
+		l.fmu.Lock()
 	}
-	err := u.ingestErr
-	u.ingestErr = nil
-	u.fmu.Unlock()
+	err := l.ingestErr
+	l.ingestErr = nil
+	l.fmu.Unlock()
 	return err
 }
 
 // batchDone advances the publication sequence and wakes Flush waiters.
-func (u *UpdatableLibrarian) batchDone(err error) {
-	u.fmu.Lock()
-	u.pubSeq++
-	if err != nil && u.ingestErr == nil {
-		u.ingestErr = err
+func (l *Librarian) batchDone(err error) {
+	l.fmu.Lock()
+	l.pubSeq++
+	if err != nil && l.ingestErr == nil {
+		l.ingestErr = err
 	}
-	close(u.notify)
-	u.notify = make(chan struct{})
-	u.fmu.Unlock()
+	close(l.notify)
+	l.notify = make(chan struct{})
+	l.fmu.Unlock()
 }
 
-func (u *UpdatableLibrarian) worker() {
-	defer u.workers.Done()
+func (l *Librarian) worker() {
+	defer l.workers.Done()
 	for {
 		select {
-		case batch := <-u.queue:
-			u.buildBatch(batch)
-		case <-u.stop:
+		case batch := <-l.queue:
+			l.buildBatch(batch)
+		case <-l.stop:
 			// Drain what Close let in, then exit.
 			for {
 				select {
-				case batch := <-u.queue:
-					u.buildBatch(batch)
+				case batch := <-l.queue:
+					l.buildBatch(batch)
 				default:
 					return
 				}
@@ -238,85 +236,79 @@ func (u *UpdatableLibrarian) worker() {
 
 // buildBatch seals one batch into a segment and publishes it. Build
 // failures are recorded for the next Flush; the pipeline keeps going.
-func (u *UpdatableLibrarian) buildBatch(docs []store.Document) {
-	if gate := u.testBuildGate; gate != nil {
+func (l *Librarian) buildBatch(docs []store.Document) {
+	if gate := l.testBuildGate; gate != nil {
 		gate()
 	}
 	start := time.Now()
-	build := u.testBuild
+	build := l.testBuild
 	if build == nil {
-		build = func(docs []store.Document) (*Librarian, error) {
-			return Build(u.name, docs, BuildOptions{Analyzer: u.analyzer, SkipInterval: u.skip})
+		build = func(docs []store.Document) (*segment, error) {
+			return buildSegment(l.name, docs, l.analyzer, l.skip)
 		}
 	}
-	lib, err := build(docs)
+	sg, err := build(docs)
 	if err != nil {
-		u.ingestFailures.Add(1)
-		if m := u.metrics.Load(); m != nil {
+		l.ingestFailures.Add(1)
+		if m := l.metrics.Load(); m != nil {
 			m.ingestErrors.Inc()
 		}
-		u.batchDone(fmt.Errorf("librarian: ingest into %q: %w", u.name, err))
+		l.batchDone(fmt.Errorf("librarian: ingest into %q: %w", l.name, err))
 		return
 	}
-	u.appendSegment(lib)
-	u.docsIndexed.Add(uint64(len(docs)))
-	u.batchesDone.Add(1)
-	if m := u.metrics.Load(); m != nil {
+	l.appendSegment(sg)
+	l.docsIndexed.Add(uint64(len(docs)))
+	l.batchesDone.Add(1)
+	if m := l.metrics.Load(); m != nil {
 		m.docsIndexed.Add(uint64(len(docs)))
 		m.batches.Inc()
 		m.buildSeconds.ObserveDuration(time.Since(start))
-		m.queueLen.Set(int64(len(u.queue)))
+		m.queueLen.Set(int64(len(l.queue)))
 	}
-	u.batchDone(nil)
+	l.batchDone(nil)
 }
 
 // Close stops the ingest pipeline: no new Ingest is accepted, queued
 // batches are still built and published, and Close returns once workers and
-// background merges have drained. Queries (ServeConn) and the compatibility
-// surface keep working against the final manifest; further Ingest calls
-// fail with ErrLibrarianClosed. Close is idempotent.
-func (u *UpdatableLibrarian) Close() error {
-	u.qmu.Lock()
-	if u.closed {
-		u.qmu.Unlock()
+// background merges have drained. Queries (ServeConn, Engine, Store) keep
+// working against the final manifest; further Ingest calls fail with
+// ErrLibrarianClosed. Close is idempotent, and on a librarian that never
+// ingested there is nothing to stop.
+func (l *Librarian) Close() error {
+	l.qmu.Lock()
+	if l.closed {
+		l.qmu.Unlock()
 		return nil
 	}
-	u.closed = true
-	started := u.started
-	u.qmu.Unlock()
-	close(u.closing)
+	l.closed = true
+	started := l.started
+	l.qmu.Unlock()
+	close(l.closing)
 	// Wait for in-flight enqueuers (closing unblocked any stuck on a full
 	// queue); only then may the workers treat an empty queue as final.
-	u.enqueuers.Wait()
+	l.enqueuers.Wait()
 	if started {
-		close(u.stop)
-		u.workers.Wait()
+		close(l.stop)
+		l.workers.Wait()
 	}
-	u.mergeWG.Wait()
+	l.mergeWG.Wait()
 	return nil
 }
 
 // Compact synchronously merges every segment present when it is called into
 // one, honouring ctx between segments. Concurrent ingest may leave newer
-// segments unmerged; a concurrent Update discards the compaction.
-func (u *UpdatableLibrarian) Compact(ctx context.Context) error {
-	u.mergeMu.Lock()
-	defer u.mergeMu.Unlock()
-	for {
-		m := u.snapshot()
-		if len(m.segs) <= 1 {
-			return nil
-		}
-		installed, err := u.mergeRange(ctx, m.segs)
-		if err != nil {
-			return fmt.Errorf("librarian: compact %q: %w", u.name, err)
-		}
-		if installed {
-			return nil
-		}
-		// The run vanished mid-merge (an Update replaced the collection);
-		// re-read and retry against the new manifest.
+// segments unmerged.
+func (l *Librarian) Compact(ctx context.Context) error {
+	l.mergeMu.Lock()
+	defer l.mergeMu.Unlock()
+	m := l.man.Load()
+	if len(m.segs) <= 1 {
+		return nil
 	}
+	if err := l.mergeRange(ctx, m, 0, len(m.segs)); err != nil {
+		return fmt.Errorf("librarian: compact %q: %w", l.name, err)
+	}
+	return nil
 }
 
 // maybeMerge schedules a background compaction pass if one is not already
@@ -324,26 +316,23 @@ func (u *UpdatableLibrarian) Compact(ctx context.Context) error {
 // adjacent same-tier segments until no run qualifies — adjacency is
 // required because doc ids are positional: merging non-adjacent segments
 // would renumber documents between them.
-func (u *UpdatableLibrarian) maybeMerge() {
-	if u.cfg.MergeFanIn < 0 {
+func (l *Librarian) maybeMerge() {
+	if l.cfg.MergeFanIn < 0 {
 		return
 	}
-	if !u.merging.CompareAndSwap(false, true) {
+	if !l.merging.CompareAndSwap(false, true) {
 		return
 	}
-	u.mergeWG.Add(1)
+	l.mergeWG.Add(1)
 	go func() {
-		defer u.mergeWG.Done()
-		defer u.merging.Store(false)
-		u.mergeMu.Lock()
-		defer u.mergeMu.Unlock()
+		defer l.mergeWG.Done()
+		defer l.merging.Store(false)
+		l.mergeMu.Lock()
+		defer l.mergeMu.Unlock()
 		for {
-			m := u.snapshot()
-			i, j := u.findRun(m)
-			if j == i {
-				return
-			}
-			if installed, err := u.mergeRange(context.Background(), m.segs[i:j]); err != nil || !installed {
+			m := l.man.Load()
+			i, j := l.findRun(m)
+			if j == i || l.mergeRange(context.Background(), m, i, j) != nil {
 				return
 			}
 		}
@@ -352,12 +341,12 @@ func (u *UpdatableLibrarian) maybeMerge() {
 
 // findRun returns the first run [i, j) of at least MergeFanIn adjacent
 // segments sharing a tier, or (0, 0) if none qualifies.
-func (u *UpdatableLibrarian) findRun(m *manifest) (int, int) {
-	fan := u.fanIn()
+func (l *Librarian) findRun(m *manifest) (int, int) {
+	fan := l.fanIn()
 	for i := 0; i < len(m.segs); {
-		tier := u.tierOf(m.segs[i].docs)
+		tier := l.tierOf(m.segs[i].docs)
 		j := i + 1
-		for j < len(m.segs) && u.tierOf(m.segs[j].docs) == tier {
+		for j < len(m.segs) && l.tierOf(m.segs[j].docs) == tier {
 			j++
 		}
 		if j-i >= fan {
@@ -368,88 +357,32 @@ func (u *UpdatableLibrarian) findRun(m *manifest) (int, int) {
 	return 0, 0
 }
 
-// mergeRange merges the given adjacent segments into one — the index via
-// the exact index.Merge, the store rebuilt from the losslessly recovered
-// documents — and splices the result into the current manifest in place of
-// the inputs. If the inputs are no longer (contiguously) present when the
-// merge completes, the result is dropped and installed=false is returned.
-func (u *UpdatableLibrarian) mergeRange(ctx context.Context, run []*segment) (installed bool, err error) {
+// mergeRange merges segments [i, j) of m into one and splices the result
+// into the current manifest at the same position. The caller holds mergeMu
+// and read m under it: merges are the only publications that move or replace
+// segments, and ingest only appends behind them, so [i, j) still names the
+// same segments when the merge publishes.
+func (l *Librarian) mergeRange(ctx context.Context, m *manifest, i, j int) error {
 	start := time.Now()
-	subs := make([]*index.Index, len(run))
-	offs := make([]uint32, len(run))
-	var total uint32
-	for i, sg := range run {
-		subs[i] = sg.lib.engine.Index()
-		offs[i] = total
-		total += sg.docs
-	}
-	m := u.snapshot()
-	ix, err := index.Merge(subs, offs, total, m.builderOpts()...)
+	ix, err := l.mergeIndexes(m.segs[i:j])
 	if err != nil {
-		return false, fmt.Errorf("merge %d segments: %w", len(run), err)
+		return fmt.Errorf("merge %d segments: %w", j-i, err)
 	}
-	docs := make([]store.Document, 0, total)
-	for _, sg := range run {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		for id := uint32(0); id < sg.docs; id++ {
-			d, err := sg.lib.docs.Fetch(id)
-			if err != nil {
-				return false, fmt.Errorf("recover doc %d: %w", sg.base+id, err)
-			}
-			docs = append(docs, d)
-		}
-	}
-	st, err := store.Build(docs)
+	merged, err := l.mergeSegments(ctx, m.segs[i:j], ix)
 	if err != nil {
-		return false, fmt.Errorf("rebuild store: %w", err)
+		return err
 	}
-	lib, err := New(u.name, search.NewEngine(ix, u.analyzer), st)
-	if err != nil {
-		return false, err
-	}
-	merged := &segment{lib: lib, docs: total}
-
-	installed = u.publish(func(cur *manifest) *manifest {
-		at := findSegments(cur.segs, run)
-		if at < 0 {
-			return nil // inputs replaced mid-merge; drop the result
-		}
-		segs := make([]*segment, 0, len(cur.segs)-len(run)+1)
-		segs = append(segs, cur.segs[:at]...)
-		segs = append(segs, merged)
-		segs = append(segs, cur.segs[at+len(run):]...)
-		return u.newManifest(segs, cur.model)
+	l.publish(func(cur *manifest) *manifest {
+		segs := append(append(append(make([]*segment, 0, len(cur.segs)-(j-i)+1),
+			cur.segs[:i]...), merged), cur.segs[j:]...)
+		return l.newManifest(segs, cur.model)
 	})
-	if installed {
-		u.mergesDone.Add(1)
-		if mm := u.metrics.Load(); mm != nil {
-			mm.merges.Inc()
-			mm.mergeSeconds.ObserveDuration(time.Since(start))
-		}
+	l.mergesDone.Add(1)
+	if lm := l.metrics.Load(); lm != nil {
+		lm.merges.Inc()
+		lm.mergeSeconds.ObserveDuration(time.Since(start))
 	}
-	return installed, nil
-}
-
-// findSegments locates run as a contiguous subsequence of segs (matching by
-// the segments' immutable librarians), or -1. Ingest only ever appends and
-// merges splice, so a surviving run stays contiguous; only a wholesale
-// Update can make it vanish.
-func findSegments(segs, run []*segment) int {
-	if len(run) == 0 {
-		return -1
-	}
-outer:
-	for i := 0; i+len(run) <= len(segs); i++ {
-		for j := range run {
-			if segs[i+j].lib != run[j].lib {
-				continue outer
-			}
-		}
-		return i
-	}
-	return -1
+	return nil
 }
 
 // SegmentInfo describes one live segment.
@@ -480,33 +413,33 @@ type SegmentStats struct {
 }
 
 // SegmentStats reports the current manifest and pipeline counters.
-func (u *UpdatableLibrarian) SegmentStats() SegmentStats {
-	m := u.snapshot()
+func (l *Librarian) SegmentStats() SegmentStats {
+	m := l.man.Load()
 	s := SegmentStats{
 		Segments:       make([]SegmentInfo, len(m.segs)),
 		TotalDocs:      m.total,
-		Epoch:          u.epoch.Load(),
-		QueueCap:       u.queueDepth(),
-		DocsQueued:     u.docsQueued.Load(),
-		DocsIndexed:    u.docsIndexed.Load(),
-		BatchesBuilt:   u.batchesDone.Load(),
-		Merges:         u.mergesDone.Load(),
-		IngestFailures: u.ingestFailures.Load(),
-		QueueFullWaits: u.queueFullWaits.Load(),
+		Epoch:          l.epoch.Load(),
+		QueueCap:       l.queueDepth(),
+		DocsQueued:     l.docsQueued.Load(),
+		DocsIndexed:    l.docsIndexed.Load(),
+		BatchesBuilt:   l.batchesDone.Load(),
+		Merges:         l.mergesDone.Load(),
+		IngestFailures: l.ingestFailures.Load(),
+		QueueFullWaits: l.queueFullWaits.Load(),
 	}
 	for i, sg := range m.segs {
 		s.Segments[i] = SegmentInfo{
 			Base:       sg.base,
 			Docs:       sg.docs,
-			Tier:       u.tierOf(sg.docs),
-			IndexBytes: sg.lib.engine.Index().SizeBytes(),
-			StoreBytes: sg.lib.docs.CompressedSize(),
+			Tier:       l.tierOf(sg.docs),
+			IndexBytes: sg.engine.Index().SizeBytes(),
+			StoreBytes: sg.store.CompressedSize(),
 		}
 	}
-	u.qmu.Lock()
-	if u.started {
-		s.QueueLen = len(u.queue)
+	l.qmu.Lock()
+	if l.started {
+		s.QueueLen = len(l.queue)
 	}
-	u.qmu.Unlock()
+	l.qmu.Unlock()
 	return s
 }

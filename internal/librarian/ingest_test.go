@@ -12,9 +12,9 @@ import (
 	"teraphim/internal/store"
 )
 
-func newIngestable(t *testing.T, n int, cfg IngestConfig) *UpdatableLibrarian {
+func newIngestable(t *testing.T, n int, cfg IngestConfig) *Librarian {
 	t.Helper()
-	u, err := NewUpdatable("ING", synthCorpus(n), BuildOptions{})
+	u, err := Build("ING", synthCorpus(n), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,15 +31,10 @@ func TestIngestFlushVisibility(t *testing.T) {
 	u := newIngestable(t, 4, IngestConfig{MergeFanIn: -1})
 	ctx := context.Background()
 
-	if err := u.Ingest(ctx, []store.Document{
+	ingestFlush(t, u, []store.Document{
 		{Title: "new-0", Text: "bioluminescent plankton"},
 		{Title: "new-1", Text: "bioluminescent algae bloom"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	rr := rankOf(t, callServer(t, u, &protocol.RankQuery{Query: "bioluminescent", K: 10}))
 	if len(rr.Results) != 2 {
@@ -71,32 +66,21 @@ func TestIngestFlushVisibility(t *testing.T) {
 	}
 }
 
-// TestAppendDoesNotRereadStore is the regression test for the old Append,
-// which re-fetched every existing document to rebuild the whole collection.
-// The segmented Append must seal new docs into a fresh segment without a
-// single read of the existing store.
-func TestAppendDoesNotRereadStore(t *testing.T) {
-	u, err := NewUpdatable("ING", synthCorpus(20), BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	st := u.Current().Store()
+// TestIngestDoesNotRereadStore: a batch is sealed into a fresh segment, and
+// then ranked, without a single read of the existing store.
+func TestIngestDoesNotRereadStore(t *testing.T) {
+	u := newIngestable(t, 20, IngestConfig{MergeFanIn: -1})
+	st := u.Store()
 	before := st.Fetches()
 
-	if err := u.Append([]store.Document{{Title: "fresh", Text: "isotope spectrometer"}}); err != nil {
-		t.Fatal(err)
-	}
+	ingestFlush(t, u, []store.Document{{Title: "fresh", Text: "isotope spectrometer"}})
 
-	if got := st.Fetches(); got != before {
-		t.Fatalf("Append read the existing store %d times; want 0", got-before)
-	}
 	rr := rankOf(t, callServer(t, u, &protocol.RankQuery{Query: "spectrometer", K: 5}))
 	if len(rr.Results) != 1 || rr.Results[0].Doc != 20 {
-		t.Fatalf("appended doc not ranked at id 20: %+v", rr.Results)
+		t.Fatalf("ingested doc not ranked at id 20: %+v", rr.Results)
 	}
 	if got := st.Fetches(); got != before {
-		t.Fatalf("ranking after Append read the old store %d times; want 0", got-before)
+		t.Fatalf("ingest and ranking read the existing store %d times; want 0", got-before)
 	}
 }
 
@@ -152,7 +136,7 @@ func TestIngestBackpressureTyped(t *testing.T) {
 func TestFlushReturnsAsyncBuildError(t *testing.T) {
 	u := newIngestable(t, 2, IngestConfig{MergeFanIn: -1})
 	boom := errors.New("synthetic build failure")
-	u.testBuild = func(docs []store.Document) (*Librarian, error) { return nil, boom }
+	u.testBuild = func(docs []store.Document) (*segment, error) { return nil, boom }
 	ctx := context.Background()
 
 	if err := u.Ingest(ctx, []store.Document{{Title: "x", Text: "doomed"}}); err != nil {
@@ -271,8 +255,8 @@ func TestMergePolicySizeTiered(t *testing.T) {
 }
 
 // TestEpochOnUpdateUnderMergeStorm: every publication — ingested batch,
-// background merge, Compact, Update — must bump the epoch exactly once and
-// fire OnUpdate exactly once, even when they race.
+// background merge, Compact — must bump the epoch exactly once and fire
+// OnUpdate exactly once, even when they race.
 func TestEpochOnUpdateUnderMergeStorm(t *testing.T) {
 	u := newIngestable(t, 1, IngestConfig{MinSegmentDocs: 1, MergeFanIn: 2, QueueDepth: 32})
 	var fired atomic.Uint64
@@ -302,9 +286,6 @@ func TestEpochOnUpdateUnderMergeStorm(t *testing.T) {
 	if err := u.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Update(synthCorpus(5)); err != nil {
-		t.Fatal(err)
-	}
 	if err := u.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +293,11 @@ func TestEpochOnUpdateUnderMergeStorm(t *testing.T) {
 	if got, want := fired.Load(), u.Epoch(); got != want {
 		t.Fatalf("OnUpdate fired %d times over %d epochs", got, want)
 	}
-	if u.Epoch() < 21 { // 20 batches + ≥1 compaction/merge + 1 update
+	if u.Epoch() < 21 { // 20 batches + ≥1 compaction/merge
 		t.Fatalf("epoch %d implausibly low", u.Epoch())
 	}
-	if got := u.SegmentStats().TotalDocs; got != 5 {
-		t.Fatalf("final Update did not win: %d docs", got)
+	if got := u.SegmentStats().TotalDocs; got != 21 {
+		t.Fatalf("merges lost or duplicated documents: %d docs", got)
 	}
 }
 

@@ -3,20 +3,23 @@
 // subcollection, evaluates ranked queries against it, and returns documents
 // — all over the protocol package's wire format.
 //
-// A Librarian is transport-agnostic (ServeConn handles any stream); Server
-// adds a TCP accept loop with managed goroutine lifetime for real
-// deployments, and InProcessDialer wires librarians to a receptionist
-// through simulated links.
+// There is one Librarian. Its collection is a manifest of immutable segments
+// (segment.go) published copy-on-write (update.go); Build and Load return it
+// with one segment, Ingest (ingest.go) appends more while it serves, and a
+// librarian that never ingests starts no goroutine — which is all "static"
+// means. ServeConn (serve.go) handles any stream; Server adds a TCP accept
+// loop with managed goroutine lifetime for real deployments, and
+// InProcessDialer wires librarians to a receptionist through simulated links.
 package librarian
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"teraphim/internal/index"
 	"teraphim/internal/protocol"
@@ -26,24 +29,70 @@ import (
 	"teraphim/internal/textproc"
 )
 
-// Librarian owns one subcollection: its index, document store and analysis
-// pipeline. Librarian methods are safe for concurrent use; a Librarian can
-// be the target of several receptionists at once, as the paper requires.
+// Librarian owns one subcollection: its segments, the analysis pipeline they
+// were built with, and the ingest pipeline that grows them. All methods are
+// safe for concurrent use; a Librarian can be the target of several
+// receptionists at once, as the paper requires.
 type Librarian struct {
-	name   string
-	engine *search.Engine
-	docs   *store.Store
+	name     string
+	analyzer *textproc.Analyzer
+	skip     uint32 // skip interval of every segment index, merged ones included
 
 	// supported is the feature set this librarian will grant on Hello
 	// exchanges (stored as the raw bitmask). Defaults to
 	// protocol.SupportedFeatures; see SupportFeatures.
 	supported atomic.Uint32
 
+	// epoch counts manifest publications (ingested batches, merges);
+	// receptionist-side caches compare it (or subscribe via OnUpdate) to
+	// drop answers computed over an older snapshot.
+	epoch atomic.Uint64
+	man   atomic.Pointer[manifest]
+
+	mu       sync.Mutex // serializes manifest publication + callback list
+	onUpdate []func()
+
+	// Ingest pipeline state — see ingest.go.
+	cfg       IngestConfig
+	qmu       sync.Mutex
+	queue     chan []store.Document
+	stop      chan struct{} // closed by Close after enqueuers drain: workers finish the queue and exit
+	closing   chan struct{} // closed by Close first: unblocks enqueuers waiting for queue space
+	started   bool
+	closed    bool
+	enqueuers sync.WaitGroup
+	workers   sync.WaitGroup
+
+	fmu       sync.Mutex
+	enqSeq    uint64
+	pubSeq    uint64
+	notify    chan struct{}
+	ingestErr error
+
+	mergeMu sync.Mutex // at most one merge or compaction at a time
+	merging atomic.Bool
+	mergeWG sync.WaitGroup
+
+	docsQueued     atomic.Uint64
+	docsIndexed    atomic.Uint64
+	batchesDone    atomic.Uint64
+	mergesDone     atomic.Uint64
+	ingestFailures atomic.Uint64
+	queueFullWaits atomic.Uint64
+
 	// metrics is nil until Instrument; sessions load it once at start.
 	metrics atomic.Pointer[libMetrics]
+
+	// testBuildGate and testBuild, when set (before the first Ingest), hook
+	// the background builders: the gate is invoked at the start of every
+	// batch build (deterministic backpressure tests block on it), and
+	// testBuild replaces the segment build (failure-path tests inject
+	// errors with it).
+	testBuildGate func()
+	testBuild     func(docs []store.Document) (*segment, error)
 }
 
-// New assembles a librarian from its parts.
+// New assembles a librarian from its parts, as a one-segment collection.
 func New(name string, engine *search.Engine, docs *store.Store) (*Librarian, error) {
 	if name == "" {
 		return nil, errors.New("librarian: name must be non-empty")
@@ -55,8 +104,15 @@ func New(name string, engine *search.Engine, docs *store.Store) (*Librarian, err
 		return nil, fmt.Errorf("librarian %q: index has %d docs, store has %d",
 			name, engine.Index().NumDocs(), docs.NumDocs())
 	}
-	l := &Librarian{name: name, engine: engine, docs: docs}
+	l := &Librarian{
+		name:     name,
+		analyzer: engine.Analyzer(),
+		skip:     engine.Index().SkipInterval(),
+		closing:  make(chan struct{}),
+		notify:   make(chan struct{}),
+	}
 	l.supported.Store(uint32(protocol.SupportedFeatures))
+	l.man.Store(l.newManifest([]*segment{{engine: engine, store: docs, docs: docs.NumDocs()}}, docs.Model()))
 	return l, nil
 }
 
@@ -85,205 +141,41 @@ func Build(name string, docs []store.Document, opts BuildOptions) (*Librarian, e
 	if analyzer == nil {
 		analyzer = textproc.NewAnalyzer()
 	}
-	var builderOpts []index.BuilderOption
+	skip := uint32(index.DefaultSkipInterval)
 	switch {
 	case opts.SkipInterval > 0:
-		builderOpts = append(builderOpts, index.WithSkipInterval(uint32(opts.SkipInterval)))
+		skip = uint32(opts.SkipInterval)
 	case opts.SkipInterval < 0:
-		builderOpts = append(builderOpts, index.WithSkipInterval(0))
+		skip = 0
 	}
-	ib := index.NewBuilder(builderOpts...)
-	for _, d := range docs {
-		ib.Add(analyzer.Terms(nil, d.Text))
-	}
-	ix, err := ib.Build()
+	sg, err := buildSegment(name, docs, analyzer, skip)
 	if err != nil {
-		return nil, fmt.Errorf("librarian %q: build index: %w", name, err)
+		return nil, err
 	}
-	st, err := store.Build(docs)
-	if err != nil {
-		return nil, fmt.Errorf("librarian %q: build store: %w", name, err)
-	}
-	return New(name, search.NewEngine(ix, analyzer), st)
+	return New(name, sg.engine, sg.store)
 }
 
 // Name returns the librarian's collection name.
 func (l *Librarian) Name() string { return l.name }
 
-// Engine exposes the search engine (for local experimentation).
-func (l *Librarian) Engine() *search.Engine { return l.engine }
+// Engine exposes the search engine over the whole collection (for local
+// experimentation): the sole segment's, or on a multi-segment manifest the
+// merged view, materialised once per manifest. The snapshot is immutable
+// and stays valid after later ingestion.
+func (l *Librarian) Engine() *search.Engine { return l.view().engine }
 
-// Store exposes the document store.
-func (l *Librarian) Store() *store.Store { return l.docs }
+// Store exposes the document store over the whole collection, as Engine.
+func (l *Librarian) Store() *store.Store { return l.view().store }
 
-// ServeConn answers protocol messages on conn until EOF or an unrecoverable
-// transport error. Protocol-level errors are reported to the peer as
-// ErrorReply messages and the session continues. Each session borrows one
-// search.Scratch for its lifetime, so consecutive queries on a connection
-// reuse the scoring kernel's accumulators instead of reallocating them.
-//
-// When the connection's first frame is a Hello granted FeaturePipelining,
-// the session switches to tagged framing after the HelloReply and serves
-// requests concurrently (see serveTagged). A Hello on any later frame can
-// never change the framing — the peer may already have frames in flight —
-// so mid-stream Hellos are granted everything requested except pipelining.
-func (l *Librarian) ServeConn(conn io.ReadWriter) error {
-	return serveConn(l, conn)
-}
-
-// connServer implementation — the serving loops in serve.go are shared with
-// UpdatableLibrarian.
-func (l *Librarian) serveName() string         { return l.name }
-func (l *Librarian) serveMetrics() *libMetrics { return l.metrics.Load() }
-func (l *Librarian) grantFeatures(req protocol.Features) protocol.Features {
-	return req & protocol.Features(l.supported.Load())
-}
-func (l *Librarian) helloReply(granted protocol.Features) protocol.Message {
-	return l.hello(granted)
-}
-func (l *Librarian) dispatch(scratch *search.Scratch, msg protocol.Message, conn protocol.Features) protocol.Message {
-	return l.handle(scratch, msg, conn)
-}
-
-// handle dispatches one request to the engine/store. scratch is the
-// session's reusable evaluation state; conn is the feature set active on
-// the connection (it bounds what a mid-stream Hello may be granted).
-func (l *Librarian) handle(scratch *search.Scratch, msg protocol.Message, conn protocol.Features) protocol.Message {
-	switch m := msg.(type) {
-	case *protocol.Hello:
-		granted := m.Features.Wire() & protocol.Features(l.supported.Load())
-		if !conn.Has(protocol.FeaturePipelining) {
-			// Framing is fixed after the first frame; only a connection
-			// already running tagged may report pipelining as active.
-			granted &^= protocol.FeaturePipelining
-		}
-		return l.hello(granted)
-	case *protocol.VocabRequest:
-		return l.vocab()
-	case *protocol.RankQuery, *protocol.ScoreDocs:
-		return rankPhase(l, scratch, msg)
-	case *protocol.BatchQuery:
-		return batchReply(l, scratch, m)
-	case *protocol.FetchDocs:
-		return fetchReply(l, m)
-	case *protocol.ModelRequest:
-		return &protocol.ModelReply{Model: l.docs.Model().Marshal()}
-	case *protocol.BooleanQuery:
-		return l.boolean(m)
-	case *protocol.IndexRequest:
-		return l.shipIndex()
-	default:
-		return &protocol.ErrorReply{Message: fmt.Sprintf("unexpected message %v", msg.Type())}
-	}
-}
-
-func (l *Librarian) hello(granted protocol.Features) protocol.Message {
-	ix := l.engine.Index()
-	return &protocol.HelloReply{
-		Name:       l.name,
-		NumDocs:    ix.NumDocs(),
-		NumTerms:   uint32(ix.NumTerms()),
-		IndexBytes: ix.SizeBytes(),
-		VocabBytes: ix.DictSizeBytes(),
-		StoreBytes: l.docs.CompressedSize(),
-		Features:   granted,
-	}
-}
-
-func (l *Librarian) vocab() protocol.Message {
-	ix := l.engine.Index()
-	reply := &protocol.VocabReply{Terms: make([]protocol.TermStat, 0, ix.NumTerms())}
-	ix.Terms(func(term string, ft uint32) bool {
-		reply.Terms = append(reply.Terms, protocol.TermStat{Term: term, FT: ft})
-		return true
-	})
-	return reply
-}
-
-func (l *Librarian) rank(scratch *search.Scratch, m *protocol.RankQuery) protocol.Message {
-	eval := search.Evaluator(m.Evaluator)
-	if !eval.Valid() {
-		return &protocol.ErrorReply{Message: fmt.Sprintf("unknown evaluator %d", m.Evaluator)}
-	}
-	results, stats, err := l.engine.RankWithEval(scratch, m.Query, int(m.K), m.Weights, eval)
+func (l *Librarian) view() *segment {
+	sg, err := l.man.Load().merged()
 	if err != nil {
-		if errors.Is(err, search.ErrEmptyQuery) {
-			return &protocol.RankReply{Stats: stats}
-		}
-		return &protocol.ErrorReply{Message: err.Error()}
+		// The segments a manifest holds were verified at build time and are
+		// immutable; failing to merge them means corrupted invariants, not a
+		// recoverable condition.
+		panic(fmt.Sprintf("librarian %q: merge current snapshot: %v", l.name, err))
 	}
-	return rankReply(results, stats)
-}
-
-func (l *Librarian) score(scratch *search.Scratch, m *protocol.ScoreDocs) protocol.Message {
-	results, stats, err := l.engine.ScoreDocsWith(scratch, m.Query, m.Docs, m.Weights)
-	if err != nil {
-		if errors.Is(err, search.ErrEmptyQuery) {
-			return &protocol.RankReply{Stats: stats}
-		}
-		return &protocol.ErrorReply{Message: err.Error()}
-	}
-	return scoreReply(results, stats, m.K)
-}
-
-func (l *Librarian) boolean(m *protocol.BooleanQuery) protocol.Message {
-	q, err := l.engine.ParseBoolean(m.Expr)
-	if err != nil {
-		return &protocol.ErrorReply{Message: err.Error()}
-	}
-	docs, stats := l.engine.EvaluateBoolean(q)
-	return &protocol.BooleanReply{Docs: docs, Stats: stats}
-}
-
-func (l *Librarian) shipIndex() protocol.Message {
-	var buf bytes.Buffer
-	if _, err := l.engine.Index().WriteTo(&buf); err != nil {
-		return &protocol.ErrorReply{Message: fmt.Sprintf("serialise index: %v", err)}
-	}
-	return &protocol.IndexReply{Data: buf.Bytes()}
-}
-
-func rankReply(results []search.Result, stats search.Stats) *protocol.RankReply {
-	reply := &protocol.RankReply{Results: make([]protocol.ScoredDoc, len(results)), Stats: stats}
-	for i, r := range results {
-		reply.Results[i] = protocol.ScoredDoc{Doc: r.Doc, Score: r.Score}
-	}
-	return reply
-}
-
-// scoreReply builds a ScoreDocs reply: every nominated score in request
-// order when k is zero (the seed behaviour), otherwise the k best,
-// best-first.
-func scoreReply(results []search.Result, stats search.Stats, k uint32) *protocol.RankReply {
-	if k > 0 {
-		search.SortResults(results)
-		if uint64(len(results)) > uint64(k) {
-			results = results[:k]
-		}
-	}
-	return rankReply(results, stats)
-}
-
-func (l *Librarian) fetchOne(id uint32, compressed bool) (protocol.DocBlob, error) {
-	title, err := l.docs.Title(id)
-	if err != nil {
-		return protocol.DocBlob{}, err
-	}
-	blob := protocol.DocBlob{Doc: id, Title: title, Compressed: compressed}
-	if compressed {
-		data, err := l.docs.FetchCompressed(id)
-		if err != nil {
-			return protocol.DocBlob{}, err
-		}
-		blob.Data = append([]byte(nil), data...)
-	} else {
-		doc, err := l.docs.Fetch(id)
-		if err != nil {
-			return protocol.DocBlob{}, err
-		}
-		blob.Data = []byte(doc.Text)
-	}
-	return blob, nil
+	return sg
 }
 
 // Server runs a librarian behind a TCP (or other) listener. Sessions are
@@ -309,21 +201,33 @@ func Serve(lib *Librarian, ln net.Listener) *Server {
 // Addr returns the listener address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
+// Accept retry backoff: a failing Accept (typically the process is at its
+// descriptor limit) is retried after a delay that doubles up to the cap, so
+// the loop does not burn a core the open sessions need to finish and free
+// descriptors.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	backoff := acceptBackoffMin
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
+			select {
+			case <-s.closed:
+				return
+			case <-time.After(backoff):
+			}
+			backoff = min(2*backoff, acceptBackoffMax)
 			continue
 		}
+		backoff = acceptBackoffMin
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -357,16 +261,15 @@ type InProcessDialer struct {
 	wg    sync.WaitGroup
 }
 
-// ConnServer is any endpoint that can answer protocol messages on a stream —
-// a *Librarian or an *UpdatableLibrarian. InProcessDialer accepts either, so
-// in-process fleets can mix frozen and live-ingesting subcollections.
+// ConnServer is held only for benchmark/, which is frozen and names it;
+// every endpoint is a *Librarian. It goes with the next benchmark PR.
 type ConnServer interface {
 	Name() string
 	ServeConn(conn io.ReadWriter) error
 }
 
 type linkSpec struct {
-	lib ConnServer
+	lib *Librarian
 	cfg simnet.LinkConfig
 }
 
@@ -384,7 +287,7 @@ func NewInProcessDialer(libs []*Librarian, cfg simnet.LinkConfig) *InProcessDial
 // Several endpoints may share one Librarian (it is concurrency-safe), which
 // models replicas of a subcollection without duplicating the index. Safe to
 // call while the dialer is in use, so replica sets can grow live.
-func (d *InProcessDialer) AddEndpoint(name string, lib ConnServer, cfg simnet.LinkConfig) {
+func (d *InProcessDialer) AddEndpoint(name string, lib *Librarian, cfg simnet.LinkConfig) {
 	d.mu.Lock()
 	d.links[name] = linkSpec{lib: lib, cfg: cfg}
 	d.mu.Unlock()

@@ -1,11 +1,18 @@
 package librarian
 
 import (
+	"context"
+	"errors"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"teraphim/internal/protocol"
+	"teraphim/internal/search"
 	"teraphim/internal/simnet"
 	"teraphim/internal/store"
 	"teraphim/internal/textproc"
@@ -30,30 +37,6 @@ func buildTestLibrarian(t testing.TB) *Librarian {
 	return lib
 }
 
-// call performs one request/response over an in-process pipe session.
-func call(t *testing.T, lib *Librarian, msg protocol.Message) protocol.Message {
-	t.Helper()
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = lib.ServeConn(server)
-	}()
-	defer func() {
-		client.Close()
-		server.Close()
-		<-done
-	}()
-	if _, err := protocol.WriteMessage(client, msg); err != nil {
-		t.Fatal(err)
-	}
-	reply, _, err := protocol.ReadMessage(client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reply
-}
-
 func TestBuildValidation(t *testing.T) {
 	if _, err := Build("", testDocs(), BuildOptions{}); err == nil {
 		t.Fatal("empty name: want error")
@@ -63,21 +46,9 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-func TestHello(t *testing.T) {
-	lib := buildTestLibrarian(t)
-	reply := call(t, lib, &protocol.Hello{})
-	hr, ok := reply.(*protocol.HelloReply)
-	if !ok {
-		t.Fatalf("got %T", reply)
-	}
-	if hr.Name != "AP" || hr.NumDocs != 3 || hr.NumTerms == 0 {
-		t.Fatalf("HelloReply = %+v", hr)
-	}
-}
-
 func TestVocab(t *testing.T) {
 	lib := buildTestLibrarian(t)
-	reply := call(t, lib, &protocol.VocabRequest{})
+	reply := callServer(t, lib, &protocol.VocabRequest{})
 	vr, ok := reply.(*protocol.VocabReply)
 	if !ok {
 		t.Fatalf("got %T", reply)
@@ -93,7 +64,7 @@ func TestVocab(t *testing.T) {
 
 func TestRankOverWire(t *testing.T) {
 	lib := buildTestLibrarian(t)
-	reply := call(t, lib, &protocol.RankQuery{Query: "cats sunlight", K: 10})
+	reply := callServer(t, lib, &protocol.RankQuery{Query: "cats sunlight", K: 10})
 	rr, ok := reply.(*protocol.RankReply)
 	if !ok {
 		t.Fatalf("got %T", reply)
@@ -123,21 +94,9 @@ func TestRankOverWire(t *testing.T) {
 	}
 }
 
-func TestRankEmptyQueryOverWire(t *testing.T) {
-	lib := buildTestLibrarian(t)
-	reply := call(t, lib, &protocol.RankQuery{Query: "!!!", K: 5})
-	rr, ok := reply.(*protocol.RankReply)
-	if !ok {
-		t.Fatalf("empty query should yield empty RankReply, got %T", reply)
-	}
-	if len(rr.Results) != 0 {
-		t.Fatalf("expected no results, got %d", len(rr.Results))
-	}
-}
-
 func TestScoreDocsOverWire(t *testing.T) {
 	lib := buildTestLibrarian(t)
-	reply := call(t, lib, &protocol.ScoreDocs{Query: "cats", Docs: []uint32{0, 1, 2}})
+	reply := callServer(t, lib, &protocol.ScoreDocs{Query: "cats", Docs: []uint32{0, 1, 2}})
 	rr, ok := reply.(*protocol.RankReply)
 	if !ok {
 		t.Fatalf("got %T", reply)
@@ -150,18 +109,10 @@ func TestScoreDocsOverWire(t *testing.T) {
 	}
 }
 
-func TestScoreDocsBadDoc(t *testing.T) {
-	lib := buildTestLibrarian(t)
-	reply := call(t, lib, &protocol.ScoreDocs{Query: "cats", Docs: []uint32{99}})
-	if _, ok := reply.(*protocol.ErrorReply); !ok {
-		t.Fatalf("out-of-range doc: got %T, want ErrorReply", reply)
-	}
-}
-
 func TestFetchPlainAndCompressed(t *testing.T) {
 	lib := buildTestLibrarian(t)
 
-	reply := call(t, lib, &protocol.FetchDocs{Docs: []uint32{0, 2}})
+	reply := callServer(t, lib, &protocol.FetchDocs{Docs: []uint32{0, 2}})
 	fr, ok := reply.(*protocol.FetchReply)
 	if !ok {
 		t.Fatalf("got %T", reply)
@@ -170,7 +121,7 @@ func TestFetchPlainAndCompressed(t *testing.T) {
 		t.Fatalf("plain fetch wrong: %+v", fr)
 	}
 
-	reply = call(t, lib, &protocol.FetchDocs{Docs: []uint32{1}, Compressed: true})
+	reply = callServer(t, lib, &protocol.FetchDocs{Docs: []uint32{1}, Compressed: true})
 	fr, ok = reply.(*protocol.FetchReply)
 	if !ok {
 		t.Fatalf("got %T", reply)
@@ -184,22 +135,6 @@ func TestFetchPlainAndCompressed(t *testing.T) {
 	}
 	if text != testDocs()[1].Text {
 		t.Fatalf("compressed fetch decompressed to %q", text)
-	}
-}
-
-func TestFetchBadDoc(t *testing.T) {
-	lib := buildTestLibrarian(t)
-	reply := call(t, lib, &protocol.FetchDocs{Docs: []uint32{42}})
-	if _, ok := reply.(*protocol.ErrorReply); !ok {
-		t.Fatalf("got %T, want ErrorReply", reply)
-	}
-}
-
-func TestUnexpectedMessage(t *testing.T) {
-	lib := buildTestLibrarian(t)
-	reply := call(t, lib, &protocol.ErrorReply{Message: "client should not send this"})
-	if _, ok := reply.(*protocol.ErrorReply); !ok {
-		t.Fatalf("got %T, want ErrorReply", reply)
 	}
 }
 
@@ -323,5 +258,122 @@ func TestBuildStemsConsistently(t *testing.T) {
 	}
 	if !strings.Contains(lib.Name(), "X") {
 		t.Fatal("name lost")
+	}
+}
+
+// TestNeverIngestedStartsNoGoroutine: a librarian that is built and served
+// but never ingests owns no goroutine — no ingest worker, no merge pass —
+// so once its sessions (both framings) end, none is left.
+func TestNeverIngestedStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	lib := buildTestLibrarian(t)
+	for _, features := range []protocol.Features{0, protocol.FeaturePipelining} {
+		client, server := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = lib.ServeConn(server)
+		}()
+		wr, rd := &protocol.Writer{W: client}, &protocol.Reader{R: client}
+		ask := func(tag uint32, msg protocol.Message) {
+			if _, err := wr.Write(tag, msg); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := rd.Read(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ask(0, &protocol.Hello{Features: features})
+		wr.Tagged, rd.Tagged = features != 0, features != 0
+		for i := 0; i < 25; i++ {
+			ask(uint32(i), &protocol.RankQuery{Query: "cats dogs", K: 3})
+		}
+		client.Close()
+		<-done
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after serving a never-ingested librarian, %d before it was built", after, before)
+	}
+}
+
+// TestSavedLibrarianCanGrow: a collection that was built, grown, compacted,
+// saved and loaded is a librarian like any other — it ingests again, and
+// then answers exactly as one built from all the documents at once.
+func TestSavedLibrarianCanGrow(t *testing.T) {
+	docs := synthCorpus(90)
+	lib := servedAs(t, docs[:60], 2)
+	if err := lib.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := Save(dir, lib, SaveOptions{Stopwords: true, Stemming: true}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	ingestFlush(t, loaded, docs[60:])
+	fresh := servedAs(t, docs, 1)
+	for _, req := range []protocol.Message{
+		&protocol.RankQuery{Query: "whale reef tide", K: 30},
+		&protocol.RankQuery{Query: "anchor gull", K: 5, Evaluator: uint8(search.EvalMaxScore)},
+		&protocol.ScoreDocs{Query: "storm lantern", Docs: []uint32{89, 0, 59, 60, 61, 30}},
+		&protocol.FetchDocs{Docs: []uint32{0, 29, 30, 59, 60, 89}},
+		&protocol.VocabRequest{},
+	} {
+		got, want := comparable(t, loaded, callServer(t, loaded, req)), comparable(t, fresh, callServer(t, fresh, req))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: loaded-then-grown librarian answers\n%+v\na fresh build\n%+v", req.Type(), got, want)
+		}
+	}
+}
+
+// flakyListener fails its first fails Accept calls the way a process at its
+// descriptor limit does, then accepts.
+type flakyListener struct {
+	net.Listener
+	fails int32
+	calls atomic.Int32
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.calls.Add(1) <= l.fails {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// TestAcceptLoopBacksOff: failing Accepts are retried at a doubling delay,
+// not in a spin — four failures cost at least 5+10+20+40 ms and no call
+// beyond them — and the server then serves and closes as usual.
+func TestAcceptLoopBacksOff(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &flakyListener{Listener: ln, fails: 4}
+	start := time.Now()
+	srv := Serve(buildTestLibrarian(t), fl)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := protocol.WriteMessage(conn, &protocol.VocabRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := protocol.ReadMessage(conn); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed, calls := time.Since(start), fl.calls.Load(); elapsed < 15*acceptBackoffMin || calls > fl.fails+2 {
+		t.Fatalf("served after %v and %d Accept calls; %d failures must cost at least %v and no extra calls",
+			elapsed, calls, fl.fails, 15*acceptBackoffMin)
 	}
 }

@@ -9,10 +9,12 @@ import (
 	"teraphim/internal/search"
 )
 
-// libMetrics is one librarian's instrument set. ServeConn loads it through
-// an atomic pointer once per session, so Instrument may be called before or
-// after serving starts and an uninstrumented librarian pays a single atomic
-// load per session.
+// libMetrics is one librarian's instrument set: the teraphim_librarian_*
+// family tracks the serving loops, teraphim_ingest_* the producer/consumer
+// pipeline and teraphim_segment_* the manifest shape and merge activity.
+// Loaded through an atomic pointer, so Instrument may be called before or
+// after serving starts and an uninstrumented librarian pays one nil check
+// per session, batch and publication.
 type libMetrics struct {
 	activeSessions *obs.Gauge
 	requests       *obs.Counter
@@ -20,6 +22,19 @@ type libMetrics struct {
 	bytesOut       *obs.Counter
 	serviceTime    *obs.Histogram
 	search         *search.Metrics
+
+	docsQueued   *obs.Counter
+	docsIndexed  *obs.Counter
+	batches      *obs.Counter
+	ingestErrors *obs.Counter
+	queueFull    *obs.Counter
+	queueLen     *obs.Gauge
+	buildSeconds *obs.Histogram
+
+	segmentsLive *obs.Gauge
+	docsTotal    *obs.Gauge
+	merges       *obs.Counter
+	mergeSeconds *obs.Histogram
 }
 
 // observe records one answered request. Safe on a nil receiver — the
@@ -48,10 +63,11 @@ func (m *libMetrics) observe(read, wrote int, start time.Time, reply protocol.Me
 
 // Instrument registers this librarian's instruments on reg and starts
 // recording: active sessions, request count, wire bytes in/out, per-request
-// service time (read-to-write-complete), and the evaluation work behind
-// rank/score/boolean replies (postings decoded, candidates scored). All
-// series carry a librarian label, so several librarians can share one
-// registry — the deployment the paper's receptionist federates over.
+// service time (read-to-write-complete), the evaluation work behind
+// rank/score/boolean replies (postings decoded, candidates scored), the
+// ingest queue and builders, and the segment count and merges. All series
+// carry a librarian label, so several librarians can share one registry —
+// the deployment the paper's receptionist federates over.
 func (l *Librarian) Instrument(reg *obs.Registry) {
 	labels := fmt.Sprintf("librarian=%q", l.name)
 	m := &libMetrics{
@@ -66,6 +82,33 @@ func (l *Librarian) Instrument(reg *obs.Registry) {
 		serviceTime: reg.Histogram("teraphim_librarian_request_seconds",
 			"Per-request service time: evaluation plus reply write.", labels, nil),
 		search: search.NewMetrics(reg, labels),
+
+		docsQueued: reg.Counter("teraphim_ingest_docs_queued_total",
+			"Documents accepted onto the ingest queue.", labels),
+		docsIndexed: reg.Counter("teraphim_ingest_docs_indexed_total",
+			"Documents built into published segments.", labels),
+		batches: reg.Counter("teraphim_ingest_batches_total",
+			"Ingest batches built and published.", labels),
+		ingestErrors: reg.Counter("teraphim_ingest_errors_total",
+			"Ingest batches whose background build failed.", labels),
+		queueFull: reg.Counter("teraphim_ingest_queue_full_total",
+			"Ingest calls that found the queue full and had to wait.", labels),
+		queueLen: reg.Gauge("teraphim_ingest_queue_depth",
+			"Batches currently waiting on the ingest queue.", labels),
+		buildSeconds: reg.Histogram("teraphim_ingest_build_seconds",
+			"Per-batch segment build time (tokenize, index, compress).", labels, nil),
+
+		segmentsLive: reg.Gauge("teraphim_segment_live",
+			"Segments in the current manifest.", labels),
+		docsTotal: reg.Gauge("teraphim_segment_docs",
+			"Documents across the current manifest.", labels),
+		merges: reg.Counter("teraphim_segment_merges_total",
+			"Segment merges installed (background tiers and Compact).", labels),
+		mergeSeconds: reg.Histogram("teraphim_segment_merge_seconds",
+			"Per-merge compaction time.", labels, nil),
 	}
 	l.metrics.Store(m)
+	snap := l.man.Load()
+	m.segmentsLive.Set(int64(len(snap.segs)))
+	m.docsTotal.Set(int64(snap.total))
 }

@@ -32,7 +32,9 @@ type SaveOptions struct {
 	Stemming  bool
 }
 
-// Save writes the librarian's collection to dir, creating it if needed.
+// Save writes the librarian's collection to dir, creating it if needed. A
+// collection that has grown to several segments is written as its merged
+// view — one index, one store — so Load reopens it as one segment.
 func Save(dir string, lib *Librarian, opts SaveOptions) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("librarian: create %s: %w", dir, err)

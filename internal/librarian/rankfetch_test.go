@@ -9,25 +9,20 @@ import (
 	"testing"
 
 	"teraphim/internal/protocol"
-	"teraphim/internal/store"
 )
 
-// rankFetchServers is the same 60-document corpus three ways: a frozen
-// Librarian, a three-segment UpdatableLibrarian, and that fleet compacted
-// (one segment whose store model is no longer the transfer model, so
-// compressed documents are transcoded).
-func rankFetchServers(t *testing.T) map[string]ConnServer {
+// rankFetchServers is the same 60-document corpus three ways: built as one
+// segment, served as three, and those three compacted (one segment whose
+// store model is no longer the transfer model, so compressed documents are
+// transcoded).
+func rankFetchServers(t *testing.T) map[string]*Librarian {
 	t.Helper()
-	static, err := Build("C", synthCorpus(60), BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, seg := buildSegmentedPair(t, 60)
+	static, seg := buildSegmentedPair(t, 60)
 	_, compacted := buildSegmentedPair(t, 60)
 	if err := compacted.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	return map[string]ConnServer{"static": static, "segmented": seg, "compacted": compacted}
+	return map[string]*Librarian{"static": static, "segmented": seg, "compacted": compacted}
 }
 
 // TestScoreDocsTopK: K trims a ScoreDocs reply to the best K in exactly the
@@ -123,24 +118,8 @@ func TestRankReplyDocumentBudget(t *testing.T) {
 	docs[5].Text = "kraken"
 	docs[11].Text = strings.TrimSpace(strings.Repeat("kraken ", replyDocBudget/7+1)) + " reef"
 	docs[17].Text = "kraken reef whale"
-	static, err := Build("C", docs, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	up, err := NewUpdatable("C", docs[:10], BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { up.Close() })
-	if err := up.ConfigureIngest(IngestConfig{MergeFanIn: -1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range [][]store.Document{docs[10:20], docs[20:]} {
-		if err := up.Append(chunk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, srv := range map[string]ConnServer{"static": static, "segmented": up} {
+	static, up := servedAs(t, docs, 1), servedAs(t, docs, 3)
+	for name, srv := range map[string]*Librarian{"static": static, "segmented": up} {
 		rr := rankOf(t, callServer(t, srv, &protocol.RankQuery{Query: "kraken", K: 5, FetchTop: 5}))
 		if len(rr.Results) != 3 || rr.Results[0].Doc != 5 || rr.Results[1].Doc != 11 || rr.Results[2].Doc != 17 {
 			t.Fatalf("%s: ranking %+v, want docs 5, 11, 17", name, rr.Results)

@@ -2,6 +2,7 @@ package librarian
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -15,44 +16,100 @@ import (
 	"teraphim/internal/textproc"
 )
 
-// An UpdatableLibrarian's collection is LSM-shaped: a sequence of immutable
-// segments, each a complete mini-collection (index + compressed store) built
-// by the ordinary Build machinery, tiled over the global doc-id space by
-// per-segment offset bases. Queries fan in over the segments of one
-// atomically-published manifest; ingest appends fresh segments; background
-// merges compact adjacent runs. Nothing in a published manifest ever
-// mutates, which is what lets the serving loops dispatch every frame — even
-// pipelined, concurrent frames — against a consistent snapshot.
+// A librarian's collection is LSM-shaped: a sequence of immutable segments,
+// each a complete mini-collection (index + compressed store), tiled over the
+// global doc-id space by per-segment offset bases. Queries fan in over the
+// segments of one atomically-published manifest; ingest appends fresh
+// segments; background merges compact adjacent runs. Nothing in a published
+// manifest ever mutates, which is what lets the serving loops dispatch every
+// frame — even pipelined, concurrent frames — against a consistent snapshot.
+// A built or loaded collection is the one-segment case of the same loops.
 
 // segment is one immutable slice of the collection. base is the global id
-// of the segment's local document 0; docs is its document count. The
-// Librarian inside is a full single-collection librarian, reused for its
-// engine and store.
+// of the segment's local document 0; docs is its document count.
 type segment struct {
-	lib  *Librarian
-	base uint32
-	docs uint32
+	engine *search.Engine
+	store  *store.Store
+	base   uint32
+	docs   uint32
 }
 
-// manifest is one published snapshot of the segmented collection. It is
-// immutable after publication; the lazily-materialised merged views
-// (whole-collection index, whole-collection librarian, vocabulary totals)
-// are memoised per manifest behind sync.Once.
+// buildSegment analyses, indexes and compresses docs into a segment.
+func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyzer, skip uint32) (*segment, error) {
+	ib := index.NewBuilder(index.WithSkipInterval(skip))
+	for _, d := range docs {
+		ib.Add(analyzer.Terms(nil, d.Text))
+	}
+	ix, err := ib.Build()
+	if err != nil {
+		return nil, fmt.Errorf("librarian %q: build index: %w", name, err)
+	}
+	st, err := store.Build(docs)
+	if err != nil {
+		return nil, fmt.Errorf("librarian %q: build store: %w", name, err)
+	}
+	return &segment{engine: search.NewEngine(ix, analyzer), store: st, docs: st.NumDocs()}, nil
+}
+
+// mergeIndexes merges the indexes of adjacent segments — index.Merge is
+// exact, so the result is identical to indexing their concatenated documents
+// directly. One segment's index is already that.
+func (l *Librarian) mergeIndexes(segs []*segment) (*index.Index, error) {
+	if len(segs) == 1 {
+		return segs[0].engine.Index(), nil
+	}
+	subs := make([]*index.Index, len(segs))
+	offs := make([]uint32, len(segs))
+	var total uint32
+	for i, sg := range segs {
+		subs[i] = sg.engine.Index()
+		offs[i] = total
+		total += sg.docs
+	}
+	return index.Merge(subs, offs, total, index.WithSkipInterval(l.skip))
+}
+
+// mergeSegments folds adjacent segments into one: the merged index plus a
+// store rebuilt from the losslessly recovered documents (no side copy of the
+// text exists), honouring ctx between segments.
+func (l *Librarian) mergeSegments(ctx context.Context, segs []*segment, ix *index.Index) (*segment, error) {
+	docs := make([]store.Document, 0, ix.NumDocs())
+	for _, sg := range segs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for id := uint32(0); id < sg.docs; id++ {
+			d, err := sg.store.Fetch(id)
+			if err != nil {
+				return nil, fmt.Errorf("recover doc %d: %w", sg.base+id, err)
+			}
+			docs = append(docs, d)
+		}
+	}
+	st, err := store.Build(docs)
+	if err != nil {
+		return nil, fmt.Errorf("rebuild store: %w", err)
+	}
+	return &segment{engine: search.NewEngine(ix, l.analyzer), store: st, docs: st.NumDocs()}, nil
+}
+
+// manifest is one published snapshot of the collection. It is immutable
+// after publication; the lazily-materialised merged views (whole-collection
+// index, whole-collection segment, vocabulary totals) are memoised per
+// manifest behind sync.Once.
 //
 // model is the manifest's transfer model: the Huffman model advertised via
-// ModelRequest and used to (re)compress documents shipped with
+// ModelRequest and used to compress documents shipped with
 // FetchDocs{Compressed}. Each segment's store has its own model, so a
-// multi-segment fetch transcodes through the transfer model (the escape
-// mechanism makes any model able to code any text); a fresh Update installs
-// its store's own model so the single-segment path ships stored blobs
-// byte-identically, exactly like a plain Librarian.
+// document whose segment was coded with another is transcoded through the
+// transfer model (the escape mechanism makes any model able to code any
+// text); the segment a collection was built or loaded as carries the
+// transfer model itself, and its stored blobs ship as they are.
 type manifest struct {
-	name     string
-	analyzer *textproc.Analyzer
-	skip     int
-	segs     []*segment // ascending base, tiling [0, total)
-	total    uint32
-	model    *huffman.TextModel
+	lib   *Librarian
+	segs  []*segment // ascending base, tiling [0, total)
+	total uint32
+	model *huffman.TextModel
 
 	statsOnce sync.Once
 	numTerms  uint32
@@ -62,36 +119,16 @@ type manifest struct {
 	ix     *index.Index
 	ixErr  error
 
-	matOnce sync.Once
-	mat     *Librarian
-	matErr  error
+	viewOnce sync.Once
+	view     *segment
+	viewErr  error
 }
-
-func (m *manifest) builderOpts() []index.BuilderOption {
-	switch {
-	case m.skip > 0:
-		return []index.BuilderOption{index.WithSkipInterval(uint32(m.skip))}
-	case m.skip < 0:
-		return []index.BuilderOption{index.WithSkipInterval(0)}
-	}
-	return nil
-}
-
-// single reports whether the manifest is a lone segment covering the whole
-// collection — the shape every compatibility path (Update, initial build)
-// produces, served through the same code as a plain Librarian for exact
-// behavioural parity.
-func (m *manifest) single() bool { return len(m.segs) == 1 }
 
 // locate returns the segment holding global doc id — the ResolveGlobal
 // binary-search idiom over segment bases. The caller checks id < m.total.
 func (m *manifest) locate(id uint32) *segment {
 	i := sort.Search(len(m.segs), func(i int) bool { return m.segs[i].base > id }) - 1
 	return m.segs[i]
-}
-
-func (m *manifest) locateIdx(id uint32) int {
-	return sort.Search(len(m.segs), func(i int) bool { return m.segs[i].base > id }) - 1
 }
 
 // localWeights computes the collection-wide w_{q,t} map for a query: f_t
@@ -102,7 +139,7 @@ func (m *manifest) locateIdx(id uint32) int {
 // cosine measure all collection dependence lives in w_{q,t}. Returns ok
 // false when the query has no indexable terms (the ErrEmptyQuery case).
 func (m *manifest) localWeights(query string) (map[string]float64, bool) {
-	terms := m.analyzer.Terms(nil, query)
+	terms := m.lib.analyzer.Terms(nil, query)
 	if len(terms) == 0 {
 		return nil, false
 	}
@@ -114,7 +151,7 @@ func (m *manifest) localWeights(query string) (map[string]float64, bool) {
 	for t, fqt := range freqs {
 		var ft uint64
 		for _, sg := range m.segs {
-			ft += uint64(sg.lib.engine.Index().TermFreq(t))
+			ft += uint64(sg.engine.Index().TermFreq(t))
 		}
 		if ft == 0 {
 			continue
@@ -125,16 +162,13 @@ func (m *manifest) localWeights(query string) (map[string]float64, bool) {
 }
 
 func (m *manifest) rank(scratch *search.Scratch, q *protocol.RankQuery) protocol.Message {
-	if m.single() {
-		return m.segs[0].lib.rank(scratch, q)
+	eval := search.Evaluator(q.Evaluator)
+	if !eval.Valid() {
+		return &protocol.ErrorReply{Message: fmt.Sprintf("unknown evaluator %d", q.Evaluator)}
 	}
 	k := int(q.K)
 	if k <= 0 {
 		return &protocol.ErrorReply{Message: fmt.Sprintf("search: k must be positive, got %d", k)}
-	}
-	eval := search.Evaluator(q.Evaluator)
-	if !eval.Valid() {
-		return &protocol.ErrorReply{Message: fmt.Sprintf("unknown evaluator %d", q.Evaluator)}
 	}
 	weights := q.Weights
 	if weights == nil {
@@ -146,10 +180,7 @@ func (m *manifest) rank(scratch *search.Scratch, q *protocol.RankQuery) protocol
 	var all []search.Result
 	var stats search.Stats
 	for _, sg := range m.segs {
-		if sg.docs == 0 {
-			continue
-		}
-		res, st, err := sg.lib.engine.RankWithEval(scratch, q.Query, k, weights, eval)
+		res, st, err := sg.engine.RankWithEval(scratch, q.Query, k, weights, eval)
 		if err != nil {
 			if errors.Is(err, search.ErrEmptyQuery) {
 				return &protocol.RankReply{Stats: stats}
@@ -160,7 +191,11 @@ func (m *manifest) rank(scratch *search.Scratch, q *protocol.RankQuery) protocol
 		for i := range res {
 			res[i].Doc += sg.base
 		}
-		all = append(all, res...)
+		if all == nil {
+			all = res
+		} else {
+			all = append(all, res...)
+		}
 	}
 	// Each segment returned its exact local top k; the global top k is the
 	// best k of the union. SortResults orders best-first with ties broken
@@ -174,129 +209,120 @@ func (m *manifest) rank(scratch *search.Scratch, q *protocol.RankQuery) protocol
 }
 
 func (m *manifest) score(scratch *search.Scratch, q *protocol.ScoreDocs) protocol.Message {
-	if m.single() {
-		return m.segs[0].lib.score(scratch, q)
-	}
 	weights := q.Weights
 	if weights == nil {
 		var ok bool
 		if weights, ok = m.localWeights(q.Query); !ok {
 			return &protocol.RankReply{}
 		}
-	} else if len(m.analyzer.Terms(nil, q.Query)) == 0 {
-		// Parity with the single-index evaluator: an unindexable query is
-		// reported (as an empty ranking) before any doc-id validation.
-		return &protocol.RankReply{}
 	}
-	// Partition the nominated docs by segment, keeping request positions so
-	// the reply is reassembled in requested order like ScoreDocs demands.
-	segDocs := make([][]uint32, len(m.segs))
-	segPos := make([][]int, len(m.segs))
-	for i, d := range q.Docs {
-		if d >= m.total {
-			return &protocol.ErrorReply{Message: fmt.Sprintf(
-				"search: score doc %d: index: doc %d outside collection of %d", d, d, m.total)}
-		}
-		si := m.locateIdx(d)
-		segDocs[si] = append(segDocs[si], d-m.segs[si].base)
-		segPos[si] = append(segPos[si], i)
-	}
+	// Each segment scores the nominated docs it holds into their slots.
 	results := make([]search.Result, len(q.Docs))
 	var stats search.Stats
-	for si, docs := range segDocs {
-		if len(docs) == 0 {
-			continue
-		}
-		sg := m.segs[si]
-		res, st, err := sg.lib.engine.ScoreDocsWith(scratch, q.Query, docs, weights)
-		if err != nil {
-			if errors.Is(err, search.ErrEmptyQuery) {
-				return &protocol.RankReply{Stats: stats}
-			}
+	for _, sg := range m.segs {
+		st, err := sg.engine.ScoreDocsAt(scratch, q.Query, q.Docs, sg.base, weights, results)
+		if errors.Is(err, search.ErrEmptyQuery) {
+			return &protocol.RankReply{}
+		} else if err != nil {
 			return &protocol.ErrorReply{Message: err.Error()}
 		}
 		stats.Add(st)
-		for j, r := range res {
-			results[segPos[si][j]] = search.Result{Doc: r.Doc + sg.base, Score: r.Score}
+	}
+	// Like the engine, report a nominated doc no segment holds only after an
+	// unindexable query had its chance to answer with an empty ranking.
+	for _, d := range q.Docs {
+		if d >= m.total {
+			return &protocol.ErrorReply{Message: fmt.Sprintf(
+				"search: score doc %d: index: doc %d outside collection of %d", d, d, m.total)}
 		}
 	}
 	return scoreReply(results, stats, q.K)
 }
 
 func (m *manifest) boolean(q *protocol.BooleanQuery) protocol.Message {
-	if m.single() {
-		return m.segs[0].lib.boolean(q)
-	}
 	var docs []uint32
 	var stats search.Stats
 	for _, sg := range m.segs {
-		bq, err := sg.lib.engine.ParseBoolean(q.Expr)
+		bq, err := sg.engine.ParseBoolean(q.Expr)
 		if err != nil {
 			return &protocol.ErrorReply{Message: err.Error()}
 		}
-		res, st := sg.lib.engine.EvaluateBoolean(bq)
+		res, st := sg.engine.EvaluateBoolean(bq)
 		stats.Add(st)
 		// Per-segment evaluation composes exactly: NOT complements within
 		// each segment's range, and concatenation in base order restores the
-		// global ascending-id order the single-index evaluator returns.
-		for _, d := range res {
-			docs = append(docs, d+sg.base)
+		// global ascending-id order a single index returns.
+		for i := range res {
+			res[i] += sg.base
+		}
+		if docs == nil {
+			docs = res
+		} else {
+			docs = append(docs, res...)
 		}
 	}
 	return &protocol.BooleanReply{Docs: docs, Stats: stats}
 }
 
+// vocab merges the segments' lexicographic term lists, summing f_t.
 func (m *manifest) vocab() protocol.Message {
-	if m.single() {
-		return m.segs[0].lib.vocab()
-	}
-	fts := make(map[string]uint32)
+	var terms []protocol.TermStat
 	for _, sg := range m.segs {
-		sg.lib.engine.Index().Terms(func(term string, ft uint32) bool {
-			fts[term] += ft
+		ix := sg.engine.Index()
+		seg := make([]protocol.TermStat, 0, ix.NumTerms())
+		ix.Terms(func(term string, ft uint32) bool {
+			seg = append(seg, protocol.TermStat{Term: term, FT: ft})
 			return true
 		})
+		if terms == nil {
+			terms = seg
+			continue
+		}
+		merged := make([]protocol.TermStat, 0, len(terms)+len(seg))
+		for len(terms) > 0 && len(seg) > 0 {
+			switch a, b := terms[0], seg[0]; {
+			case a.Term < b.Term:
+				merged, terms = append(merged, a), terms[1:]
+			case a.Term > b.Term:
+				merged, seg = append(merged, b), seg[1:]
+			default:
+				merged = append(merged, protocol.TermStat{Term: a.Term, FT: a.FT + b.FT})
+				terms, seg = terms[1:], seg[1:]
+			}
+		}
+		terms = append(append(merged, terms...), seg...)
 	}
-	terms := make([]string, 0, len(fts))
-	for t := range fts {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms) // single-index replies are lexicographic; match them
-	reply := &protocol.VocabReply{Terms: make([]protocol.TermStat, 0, len(terms))}
-	for _, t := range terms {
-		reply.Terms = append(reply.Terms, protocol.TermStat{Term: t, FT: fts[t]})
-	}
-	return reply
+	return &protocol.VocabReply{Terms: terms}
 }
 
+// initStats counts the distinct terms and their dictionary bytes: a term is
+// charged to the first segment that holds it.
 func (m *manifest) initStats() {
 	m.statsOnce.Do(func() {
-		seen := make(map[string]struct{})
-		for _, sg := range m.segs {
-			sg.lib.engine.Index().Terms(func(term string, ft uint32) bool {
-				if _, ok := seen[term]; !ok {
-					seen[term] = struct{}{}
-					m.dictBytes += uint64(len(term)) + 8
+		for i, sg := range m.segs {
+			sg.engine.Index().Terms(func(term string, _ uint32) bool {
+				for _, earlier := range m.segs[:i] {
+					if earlier.engine.Index().TermFreq(term) > 0 {
+						return true
+					}
 				}
+				m.numTerms++
+				m.dictBytes += uint64(len(term)) + 8 // as index.DictSizeBytes
 				return true
 			})
 		}
-		m.numTerms = uint32(len(seen))
 	})
 }
 
 func (m *manifest) hello(granted protocol.Features) protocol.Message {
-	if m.single() {
-		return m.segs[0].lib.hello(granted)
-	}
 	m.initStats()
 	var ixBytes, storeBytes uint64
 	for _, sg := range m.segs {
-		ixBytes += sg.lib.engine.Index().SizeBytes()
-		storeBytes += sg.lib.docs.CompressedSize()
+		ixBytes += sg.engine.Index().SizeBytes()
+		storeBytes += sg.store.CompressedSize()
 	}
 	return &protocol.HelloReply{
-		Name:       m.name,
+		Name:       m.lib.name,
 		NumDocs:    m.total,
 		NumTerms:   m.numTerms,
 		IndexBytes: ixBytes,
@@ -307,59 +333,43 @@ func (m *manifest) hello(granted protocol.Features) protocol.Message {
 }
 
 func (m *manifest) fetchOne(id uint32, compressed bool) (protocol.DocBlob, error) {
-	// The fast path requires the stored blobs to be coded with the
-	// manifest's transfer model — true for any manifest Update or the
-	// constructor produced, not after a compaction retrained the store.
-	if m.single() && m.segs[0].lib.docs.Model() == m.model {
-		return m.segs[0].lib.fetchOne(id, compressed)
-	}
 	if id >= m.total {
 		return protocol.DocBlob{}, fmt.Errorf("store: doc %d outside collection of %d", id, m.total)
 	}
 	sg := m.locate(id)
-	doc, err := sg.lib.docs.Fetch(id - sg.base)
+	if compressed && sg.store.Model() == m.model {
+		// The stored blob is already coded with the transfer model: ship it
+		// without a decompress-recompress round.
+		title, err := sg.store.Title(id - sg.base)
+		if err != nil {
+			return protocol.DocBlob{}, err
+		}
+		data, err := sg.store.FetchCompressed(id - sg.base)
+		if err != nil {
+			return protocol.DocBlob{}, err
+		}
+		return protocol.DocBlob{Doc: id, Title: title, Data: append([]byte(nil), data...), Compressed: true}, nil
+	}
+	doc, err := sg.store.Fetch(id - sg.base)
 	if err != nil {
 		return protocol.DocBlob{}, err
 	}
 	blob := protocol.DocBlob{Doc: id, Title: doc.Title, Compressed: compressed}
 	if compressed {
-		if blob.Data, err = m.model.CompressDoc(doc.Text); err != nil {
-			return protocol.DocBlob{}, err
-		}
+		blob.Data, err = m.model.CompressDoc(doc.Text)
 	} else {
 		blob.Data = []byte(doc.Text)
 	}
-	return blob, nil
+	return blob, err
 }
 
-func (m *manifest) modelReply() protocol.Message {
-	return &protocol.ModelReply{Model: m.model.Marshal()}
-}
-
-// mergedIndex materialises (once per manifest) the whole-collection index by
-// merging the segment indexes — index.Merge is exact, so the result is
-// identical to indexing the concatenated collection directly.
+// mergedIndex materialises (once per manifest) the whole-collection index.
 func (m *manifest) mergedIndex() (*index.Index, error) {
-	m.ixOnce.Do(func() {
-		if m.single() {
-			m.ix = m.segs[0].lib.engine.Index()
-			return
-		}
-		subs := make([]*index.Index, len(m.segs))
-		offs := make([]uint32, len(m.segs))
-		for i, sg := range m.segs {
-			subs[i] = sg.lib.engine.Index()
-			offs[i] = sg.base
-		}
-		m.ix, m.ixErr = index.Merge(subs, offs, m.total, m.builderOpts()...)
-	})
+	m.ixOnce.Do(func() { m.ix, m.ixErr = m.lib.mergeIndexes(m.segs) })
 	return m.ix, m.ixErr
 }
 
 func (m *manifest) shipIndex() protocol.Message {
-	if m.single() {
-		return m.segs[0].lib.shipIndex()
-	}
 	ix, err := m.mergedIndex()
 	if err != nil {
 		return &protocol.ErrorReply{Message: fmt.Sprintf("serialise index: %v", err)}
@@ -371,49 +381,21 @@ func (m *manifest) shipIndex() protocol.Message {
 	return &protocol.IndexReply{Data: buf.Bytes()}
 }
 
-// materialize collapses the manifest into one ordinary Librarian (once per
-// manifest): the merged index plus a store rebuilt from the segments'
-// losslessly recovered documents. It backs the compatibility surface
-// (Current/Engine) on multi-segment manifests; single-segment manifests
-// return their librarian unchanged.
-func (m *manifest) materialize() (*Librarian, error) {
-	m.matOnce.Do(func() {
-		if m.single() {
-			m.mat = m.segs[0].lib
+// merged collapses the manifest into one segment (once per manifest) — what
+// Engine and Store expose, and Save writes. The sole segment of a
+// one-segment manifest is returned as it is.
+func (m *manifest) merged() (*segment, error) {
+	m.viewOnce.Do(func() {
+		if len(m.segs) == 1 {
+			m.view = m.segs[0]
 			return
 		}
 		ix, err := m.mergedIndex()
 		if err != nil {
-			m.matErr = fmt.Errorf("librarian %q: materialize index: %w", m.name, err)
+			m.viewErr = err
 			return
 		}
-		docs, err := m.allDocs()
-		if err != nil {
-			m.matErr = err
-			return
-		}
-		st, err := store.Build(docs)
-		if err != nil {
-			m.matErr = fmt.Errorf("librarian %q: materialize store: %w", m.name, err)
-			return
-		}
-		m.mat, m.matErr = New(m.name, search.NewEngine(ix, m.analyzer), st)
+		m.view, m.viewErr = m.lib.mergeSegments(context.Background(), m.segs, ix)
 	})
-	return m.mat, m.matErr
-}
-
-// allDocs recovers every document from the segment stores, in global id
-// order (the stores are lossless, so no side copy of the text exists).
-func (m *manifest) allDocs() ([]store.Document, error) {
-	docs := make([]store.Document, 0, m.total)
-	for _, sg := range m.segs {
-		for id := uint32(0); id < sg.docs; id++ {
-			d, err := sg.lib.docs.Fetch(id)
-			if err != nil {
-				return nil, fmt.Errorf("librarian %q: recover doc %d: %w", m.name, sg.base+id, err)
-			}
-			docs = append(docs, d)
-		}
-	}
-	return docs, nil
+	return m.view, m.viewErr
 }

@@ -1,12 +1,9 @@
 package librarian
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
-	"net"
-	"reflect"
 	"testing"
 
 	"teraphim/internal/huffman"
@@ -39,57 +36,19 @@ func synthCorpus(n int) []store.Document {
 	return docs
 }
 
-// callServer performs one request/response over an in-process pipe session
-// against any ConnServer (plain or updatable librarian).
-func callServer(t *testing.T, lib ConnServer, msg protocol.Message) protocol.Message {
+// callServer performs one request/response over an in-process pipe session.
+func callServer(t *testing.T, lib *Librarian, msg protocol.Message) protocol.Message {
 	t.Helper()
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = lib.ServeConn(server)
-	}()
-	defer func() {
-		client.Close()
-		server.Close()
-		<-done
-	}()
-	if _, err := protocol.WriteMessage(client, msg); err != nil {
-		t.Fatal(err)
-	}
-	reply, _, err := protocol.ReadMessage(client)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reply, _ := exchange(t, lib, msg)
 	return reply
 }
 
-// buildSegmentedPair returns the same corpus twice: once as a 1-segment
-// rebuild and once ingested as three segments (background merging off).
-func buildSegmentedPair(t *testing.T, n int) (uni, seg *UpdatableLibrarian) {
+// buildSegmentedPair returns the same corpus twice: built as one segment,
+// and served as three (background merging off).
+func buildSegmentedPair(t *testing.T, n int) (uni, seg *Librarian) {
 	t.Helper()
 	corpus := synthCorpus(n)
-	uni, err := NewUpdatable("C", corpus, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err = NewUpdatable("C", corpus[:n/3], BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.ConfigureIngest(IngestConfig{MergeFanIn: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Append(corpus[n/3 : 2*n/3]); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Append(corpus[2*n/3:]); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(seg.SegmentStats().Segments); got != 3 {
-		t.Fatalf("segments = %d, want 3", got)
-	}
-	return uni, seg
+	return servedAs(t, corpus, 1), servedAs(t, corpus, 3)
 }
 
 func rankOf(t *testing.T, reply protocol.Message) *protocol.RankReply {
@@ -114,150 +73,6 @@ func assertRankParity(t *testing.T, label string, a, b *protocol.RankReply) {
 		if math.Abs(a.Results[i].Score-b.Results[i].Score) > 1e-9 {
 			t.Fatalf("%s: result %d score %g vs %g", label, i, a.Results[i].Score, b.Results[i].Score)
 		}
-	}
-}
-
-// TestSegmentedRankParity pins the tentpole's golden property: a
-// multi-segment ingest of a corpus ranks identically (doc ids exact, scores
-// to 1e-9) to a single-segment rebuild, both with collection-local
-// statistics (CN) and with supplied global weights (CV).
-func TestSegmentedRankParity(t *testing.T) {
-	uni, seg := buildSegmentedPair(t, 60)
-	queries := []string{"whale reef", "storm", "lantern compass tide", "salt salt keel", "anchor gull mast drift"}
-	for _, q := range queries {
-		for _, k := range []uint32{1, 5, 100} {
-			a := rankOf(t, callServer(t, uni, &protocol.RankQuery{Query: q, K: k}))
-			b := rankOf(t, callServer(t, seg, &protocol.RankQuery{Query: q, K: k}))
-			assertRankParity(t, fmt.Sprintf("CN %q k=%d", q, k), a, b)
-		}
-		// CV: supplied weights are authoritative on both sides.
-		weights := map[string]float64{}
-		for _, term := range uni.analyzer.Terms(nil, q) {
-			weights[term] = uni.Current().Engine().LocalWeight(term, 1)
-		}
-		a := rankOf(t, callServer(t, uni, &protocol.RankQuery{Query: q, K: 10, Weights: weights}))
-		b := rankOf(t, callServer(t, seg, &protocol.RankQuery{Query: q, K: 10, Weights: weights}))
-		assertRankParity(t, fmt.Sprintf("CV %q", q), a, b)
-	}
-}
-
-// TestSegmentedScoreDocsParity covers the CI-mode path: nominated documents
-// scattered across segment boundaries, in arbitrary request order.
-func TestSegmentedScoreDocsParity(t *testing.T) {
-	uni, seg := buildSegmentedPair(t, 60)
-	docs := []uint32{59, 0, 21, 40, 19, 20, 39, 7, 58}
-	weights := map[string]float64{"whale": 1.5, "reef": 0.7, "tide": 2.1}
-	a := rankOf(t, callServer(t, uni, &protocol.ScoreDocs{Query: "whale reef tide", Docs: docs, Weights: weights}))
-	b := rankOf(t, callServer(t, seg, &protocol.ScoreDocs{Query: "whale reef tide", Docs: docs, Weights: weights}))
-	assertRankParity(t, "scoredocs", a, b)
-	if len(a.Results) != len(docs) {
-		t.Fatalf("scoredocs returned %d results, want %d", len(a.Results), len(docs))
-	}
-	// Results come back in requested order on both sides.
-	for i, r := range b.Results {
-		if r.Doc != docs[i] {
-			t.Fatalf("result %d is doc %d, want %d (request order)", i, r.Doc, docs[i])
-		}
-	}
-}
-
-// TestSegmentedAuxParity covers the non-rank surface: vocabulary, boolean
-// (including NOT, whose complement must compose across segments), hello
-// statistics, document fetch in both forms, and the shipped index.
-func TestSegmentedAuxParity(t *testing.T) {
-	uni, seg := buildSegmentedPair(t, 60)
-
-	av := callServer(t, uni, &protocol.VocabRequest{})
-	bv := callServer(t, seg, &protocol.VocabRequest{})
-	if !reflect.DeepEqual(av, bv) {
-		t.Fatalf("vocab mismatch:\n%+v\n%+v", av, bv)
-	}
-
-	for _, expr := range []string{"whale and reef", "storm or squall", "not whale", "gull and not (reef or tide)"} {
-		ab, ok := callServer(t, uni, &protocol.BooleanQuery{Expr: expr}).(*protocol.BooleanReply)
-		if !ok {
-			t.Fatalf("boolean %q: no reply from uni", expr)
-		}
-		bb, ok := callServer(t, seg, &protocol.BooleanQuery{Expr: expr}).(*protocol.BooleanReply)
-		if !ok {
-			t.Fatalf("boolean %q: no reply from seg", expr)
-		}
-		if !reflect.DeepEqual(ab.Docs, bb.Docs) {
-			t.Fatalf("boolean %q: %v vs %v", expr, ab.Docs, bb.Docs)
-		}
-	}
-
-	ah := callServer(t, uni, &protocol.Hello{}).(*protocol.HelloReply)
-	bh := callServer(t, seg, &protocol.Hello{}).(*protocol.HelloReply)
-	if ah.NumDocs != bh.NumDocs || ah.NumTerms != bh.NumTerms || ah.VocabBytes != bh.VocabBytes {
-		t.Fatalf("hello stats: %+v vs %+v", ah, bh)
-	}
-
-	// Plain fetch: identical text and titles, ids preserved.
-	ids := []uint32{0, 19, 20, 41, 59}
-	af := callServer(t, uni, &protocol.FetchDocs{Docs: ids}).(*protocol.FetchReply)
-	bf := callServer(t, seg, &protocol.FetchDocs{Docs: ids}).(*protocol.FetchReply)
-	if !reflect.DeepEqual(af, bf) {
-		t.Fatalf("fetch mismatch")
-	}
-
-	// Compressed fetch decompresses through the advertised model on both.
-	for _, lib := range []*UpdatableLibrarian{uni, seg} {
-		mr := callServer(t, lib, &protocol.ModelRequest{}).(*protocol.ModelReply)
-		model, err := huffman.UnmarshalTextModel(mr.Model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cf := callServer(t, lib, &protocol.FetchDocs{Docs: ids, Compressed: true}).(*protocol.FetchReply)
-		for i, blob := range cf.Docs {
-			text, err := model.DecompressDoc(blob.Data)
-			if err != nil {
-				t.Fatalf("decompress doc %d: %v", blob.Doc, err)
-			}
-			if text != string(af.Docs[i].Data) {
-				t.Fatalf("compressed fetch of doc %d decodes wrong text", blob.Doc)
-			}
-		}
-	}
-
-	// The shipped index is byte-identical: index.Merge is exact.
-	ai := callServer(t, uni, &protocol.IndexRequest{}).(*protocol.IndexReply)
-	bi := callServer(t, seg, &protocol.IndexRequest{}).(*protocol.IndexReply)
-	if !bytes.Equal(ai.Data, bi.Data) {
-		t.Fatalf("shipped index differs: %d vs %d bytes", len(ai.Data), len(bi.Data))
-	}
-}
-
-// TestSegmentedErrorParity pins the error surface: bad k, out-of-range
-// nominated docs and unindexable queries answer identically whether the
-// collection is one segment or several.
-func TestSegmentedErrorParity(t *testing.T) {
-	uni, seg := buildSegmentedPair(t, 60)
-
-	a := callServer(t, uni, &protocol.RankQuery{Query: "whale", K: 0})
-	b := callServer(t, seg, &protocol.RankQuery{Query: "whale", K: 0})
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("k=0: %+v vs %+v", a, b)
-	}
-	if _, ok := a.(*protocol.ErrorReply); !ok {
-		t.Fatalf("k=0 answered with %T", a)
-	}
-
-	a = callServer(t, uni, &protocol.ScoreDocs{Query: "whale", Docs: []uint32{3, 999}})
-	b = callServer(t, seg, &protocol.ScoreDocs{Query: "whale", Docs: []uint32{3, 999}})
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("out-of-range: %+v vs %+v", a, b)
-	}
-	if _, ok := a.(*protocol.ErrorReply); !ok {
-		t.Fatalf("out-of-range answered with %T", a)
-	}
-
-	// Stopword-only query: empty ranking, not an error, on both.
-	a = callServer(t, uni, &protocol.RankQuery{Query: "the of and", K: 5})
-	b = callServer(t, seg, &protocol.RankQuery{Query: "the of and", K: 5})
-	ra, rb := rankOf(t, a), rankOf(t, b)
-	if len(ra.Results) != 0 || len(rb.Results) != 0 {
-		t.Fatalf("stopword query returned results: %+v vs %+v", ra, rb)
 	}
 }
 

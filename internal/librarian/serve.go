@@ -12,41 +12,6 @@ import (
 	"teraphim/internal/search"
 )
 
-// connServer abstracts "a thing that answers protocol messages over a
-// stream" so the two serving loops — the seed one-frame-at-a-time framing
-// and the tagged pipelined framing — are written once and shared between the
-// immutable Librarian and the segmented UpdatableLibrarian.
-//
-// The contract that makes sharing safe: dispatch must be callable from many
-// goroutines at once, and each call must evaluate against one consistent
-// snapshot of the collection. A plain Librarian is immutable, so this is
-// trivial; an UpdatableLibrarian loads its current segment manifest at the
-// top of each dispatch, which is exactly the per-frame snapshot rule that
-// lets updatable librarians grant FeaturePipelining.
-type connServer interface {
-	serveName() string
-	serveMetrics() *libMetrics
-	// grantFeatures masks a peer's requested features down to what this
-	// server supports right now.
-	grantFeatures(requested protocol.Features) protocol.Features
-	// helloReply builds the HelloReply advertising the granted features and
-	// the current collection statistics.
-	helloReply(granted protocol.Features) protocol.Message
-	// dispatch answers one request. scratch is reusable evaluation state
-	// owned by the caller; conn is the feature set active on the connection
-	// (it bounds what a mid-stream Hello may be granted).
-	dispatch(scratch *search.Scratch, msg protocol.Message, conn protocol.Features) protocol.Message
-}
-
-// collection is one consistent snapshot of a librarian's documents — a plain
-// Librarian, or one manifest of an UpdatableLibrarian — as the request
-// handlers below need it.
-type collection interface {
-	rank(scratch *search.Scratch, q *protocol.RankQuery) protocol.Message
-	score(scratch *search.Scratch, q *protocol.ScoreDocs) protocol.Message
-	fetchOne(id uint32, compressed bool) (protocol.DocBlob, error)
-}
-
 // replyDocBudget bounds the document bytes (titles and text) a librarian
 // attaches to one rank reply. The attached documents are speculative — the
 // receptionist keeps only those that survive its merge — and the scores
@@ -63,15 +28,15 @@ const replyDocBudget = 32 << 10
 // receptionist keys what it gets by document id, so the smaller ones after
 // it still save their round trip. One that cannot be read ends the list;
 // the fallback fetch reports that error in its own right.
-func rankPhase(c collection, scratch *search.Scratch, msg protocol.Message) protocol.Message {
+func (m *manifest) rankPhase(scratch *search.Scratch, msg protocol.Message) protocol.Message {
 	var reply protocol.Message
 	var top uint32
 	var compressed bool
 	switch q := msg.(type) {
 	case *protocol.RankQuery:
-		reply, top, compressed = c.rank(scratch, q), q.FetchTop, q.Compressed
+		reply, top, compressed = m.rank(scratch, q), q.FetchTop, q.Compressed
 	case *protocol.ScoreDocs:
-		reply, top, compressed = c.score(scratch, q), q.FetchTop, q.Compressed
+		reply, top, compressed = m.score(scratch, q), q.FetchTop, q.Compressed
 	default:
 		// Unreachable off the wire (the decoder rejects non-batchable item
 		// types); kept for locally constructed batches.
@@ -83,7 +48,7 @@ func rankPhase(c collection, scratch *search.Scratch, msg protocol.Message) prot
 	}
 	budget := replyDocBudget
 	for i := 0; i < len(rr.Results) && uint64(i) < uint64(top) && rr.Results[i].Score > 0; i++ {
-		blob, err := c.fetchOne(rr.Results[i].Doc, compressed)
+		blob, err := m.fetchOne(rr.Results[i].Doc, compressed)
 		if err != nil {
 			break
 		}
@@ -99,20 +64,20 @@ func rankPhase(c collection, scratch *search.Scratch, msg protocol.Message) prot
 // order, so every item's result is bit-identical to the same request sent
 // alone. Failure is per item: a bad query yields an ErrorReply in its slot
 // without touching its batch peers.
-func batchReply(c collection, scratch *search.Scratch, m *protocol.BatchQuery) protocol.Message {
-	reply := &protocol.BatchReply{Items: make([]protocol.Message, len(m.Items))}
-	for i, it := range m.Items {
-		reply.Items[i] = rankPhase(c, scratch, it)
+func (m *manifest) batchReply(scratch *search.Scratch, q *protocol.BatchQuery) protocol.Message {
+	reply := &protocol.BatchReply{Items: make([]protocol.Message, len(q.Items))}
+	for i, it := range q.Items {
+		reply.Items[i] = m.rankPhase(scratch, it)
 	}
 	return reply
 }
 
 // fetchReply answers a FetchDocs; the first unreadable document fails the
 // whole request.
-func fetchReply(c collection, m *protocol.FetchDocs) protocol.Message {
-	reply := &protocol.FetchReply{Docs: make([]protocol.DocBlob, 0, len(m.Docs))}
-	for _, id := range m.Docs {
-		blob, err := c.fetchOne(id, m.Compressed)
+func (m *manifest) fetchReply(q *protocol.FetchDocs) protocol.Message {
+	reply := &protocol.FetchReply{Docs: make([]protocol.DocBlob, 0, len(q.Docs))}
+	for _, id := range q.Docs {
+		blob, err := m.fetchOne(id, q.Compressed)
 		if err != nil {
 			return &protocol.ErrorReply{Message: err.Error()}
 		}
@@ -121,16 +86,78 @@ func fetchReply(c collection, m *protocol.FetchDocs) protocol.Message {
 	return reply
 }
 
-// serveConn is the seed serving loop shared by Librarian.ServeConn and
-// UpdatableLibrarian.ServeConn: strictly ordered request/reply frames, one
-// pooled scratch per session. When the connection's first frame is a Hello
-// granted FeaturePipelining, the session switches to tagged framing after
-// the HelloReply and continues in serveTagged. A Hello on any later frame
-// can never change the framing — the peer may already have frames in flight
-// — so mid-stream Hellos are granted everything requested except pipelining
-// (enforced inside dispatch).
-func serveConn(s connServer, conn io.ReadWriter) error {
-	m := s.serveMetrics()
+// rankReply and scoreReply shape evaluation results for the wire.
+func rankReply(results []search.Result, stats search.Stats) *protocol.RankReply {
+	reply := &protocol.RankReply{Results: make([]protocol.ScoredDoc, len(results)), Stats: stats}
+	for i, r := range results {
+		reply.Results[i] = protocol.ScoredDoc{Doc: r.Doc, Score: r.Score}
+	}
+	return reply
+}
+
+// scoreReply builds a ScoreDocs reply: every nominated score in request
+// order when k is zero (the seed behaviour), otherwise the k best,
+// best-first.
+func scoreReply(results []search.Result, stats search.Stats, k uint32) *protocol.RankReply {
+	if k > 0 {
+		search.SortResults(results)
+		if uint64(len(results)) > uint64(k) {
+			results = results[:k]
+		}
+	}
+	return rankReply(results, stats)
+}
+
+// dispatch answers one request against the manifest current when it arrives
+// — the per-frame snapshot that lets tagged frames be evaluated concurrently
+// while segments land and merge: a session straddling a publication sees
+// some answers from the old snapshot and some from the new, never a mixture
+// within one answer. scratch is the caller's reusable evaluation state; conn
+// is the feature set active on the connection, which bounds what a Hello may
+// be granted.
+func (l *Librarian) dispatch(scratch *search.Scratch, msg protocol.Message, conn protocol.Features) protocol.Message {
+	m := l.man.Load()
+	switch req := msg.(type) {
+	case *protocol.Hello:
+		granted := req.Features.Wire() & protocol.Features(l.supported.Load())
+		if !conn.Has(protocol.FeaturePipelining) {
+			// Only a connection whose framing is still open, or already
+			// tagged, may report pipelining as active.
+			granted &^= protocol.FeaturePipelining
+		}
+		return m.hello(granted)
+	case *protocol.VocabRequest:
+		return m.vocab()
+	case *protocol.RankQuery, *protocol.ScoreDocs:
+		return m.rankPhase(scratch, msg)
+	case *protocol.BatchQuery:
+		return m.batchReply(scratch, req)
+	case *protocol.FetchDocs:
+		return m.fetchReply(req)
+	case *protocol.ModelRequest:
+		return &protocol.ModelReply{Model: m.model.Marshal()}
+	case *protocol.BooleanQuery:
+		return m.boolean(req)
+	case *protocol.IndexRequest:
+		return m.shipIndex()
+	default:
+		return &protocol.ErrorReply{Message: fmt.Sprintf("unexpected message %v", msg.Type())}
+	}
+}
+
+// ServeConn answers protocol messages on conn until EOF or an unrecoverable
+// transport error: strictly ordered request/reply frames, one pooled scratch
+// per session, so consecutive queries on a connection reuse the scoring
+// kernel's accumulators instead of reallocating them. Protocol-level errors
+// are reported to the peer as ErrorReply messages and the session continues.
+//
+// When the connection's first frame is a Hello granted FeaturePipelining,
+// the session switches to tagged framing after the HelloReply and serves
+// requests concurrently (see serveTagged). A Hello on any later frame can
+// never change the framing — the peer may already have frames in flight —
+// so mid-stream Hellos are granted everything requested except pipelining.
+func (l *Librarian) ServeConn(conn io.ReadWriter) error {
+	m := l.metrics.Load()
 	if m != nil {
 		m.activeSessions.Inc()
 		defer m.activeSessions.Dec()
@@ -139,36 +166,27 @@ func serveConn(s connServer, conn io.ReadWriter) error {
 	defer scratch.Release()
 	rd := &protocol.Reader{R: conn}
 	wr := &protocol.Writer{W: conn}
-	first := true
+	// The framing is open for exactly the first frame.
+	open := protocol.FeaturePipelining
 	for {
 		msg, _, read, err := rd.ReadReuse()
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			return fmt.Errorf("librarian %q: %w", s.serveName(), err)
+			return fmt.Errorf("librarian %q: %w", l.name, err)
 		}
 		start := time.Now()
-		var reply protocol.Message
-		upgrade := protocol.Features(0)
-		if h, ok := msg.(*protocol.Hello); ok && first {
-			granted := s.grantFeatures(h.Features.Wire())
-			reply = s.helloReply(granted)
-			if granted.Has(protocol.FeaturePipelining) {
-				upgrade = granted
-			}
-		} else {
-			reply = s.dispatch(scratch, msg, 0)
-		}
-		first = false
+		reply := l.dispatch(scratch, msg, open)
 		wrote, err := wr.Write(0, reply)
 		m.observe(read, wrote, start, reply)
 		if err != nil {
-			return fmt.Errorf("librarian %q: %w", s.serveName(), err)
+			return fmt.Errorf("librarian %q: %w", l.name, err)
 		}
-		if upgrade != 0 {
-			return serveTagged(s, conn, rd, m, upgrade)
+		if hr, ok := reply.(*protocol.HelloReply); ok && hr.Features.Has(protocol.FeaturePipelining) {
+			return l.serveTagged(conn, rd, m, hr.Features)
 		}
+		open = 0
 	}
 }
 
@@ -176,7 +194,7 @@ func serveConn(s connServer, conn io.ReadWriter) error {
 // requests are evaluated concurrently (each on its own pooled scratch), and
 // replies are written under a mutex with the request's tag — in completion
 // order, not arrival order.
-func serveTagged(s connServer, conn io.ReadWriter, rd *protocol.Reader, m *libMetrics, features protocol.Features) error {
+func (l *Librarian) serveTagged(conn io.ReadWriter, rd *protocol.Reader, m *libMetrics, features protocol.Features) error {
 	rd.Tagged = true
 	wr := &protocol.Writer{W: conn, Tagged: true}
 	var wmu sync.Mutex
@@ -190,14 +208,14 @@ func serveTagged(s connServer, conn io.ReadWriter, rd *protocol.Reader, m *libMe
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			return fmt.Errorf("librarian %q: %w", s.serveName(), err)
+			return fmt.Errorf("librarian %q: %w", l.name, err)
 		}
 		wg.Add(1)
 		go func(msg protocol.Message, tag uint32, read int) {
 			defer wg.Done()
 			start := time.Now()
 			scratch := search.GetScratch()
-			reply := s.dispatch(scratch, msg, features)
+			reply := l.dispatch(scratch, msg, features)
 			scratch.Release()
 			wmu.Lock()
 			wrote, werr := wr.Write(tag, reply)

@@ -1,7 +1,6 @@
 package librarian
 
 import (
-	"net"
 	"sync"
 	"testing"
 
@@ -10,78 +9,22 @@ import (
 	"teraphim/internal/textproc"
 )
 
-func newUpdatable(t *testing.T) *UpdatableLibrarian {
+func newUpdatable(t *testing.T) *Librarian {
 	t.Helper()
-	u, err := NewUpdatable("UP", []store.Document{
+	u, err := Build("UP", []store.Document{
 		{Title: "d0", Text: "original cats and dogs"},
 		{Title: "d1", Text: "original fish"},
 	}, BuildOptions{Analyzer: textproc.NewAnalyzer(textproc.WithoutStopwords(), textproc.WithoutStemming())})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { u.Close() })
 	return u
 }
 
-func TestUpdateSwapsCollection(t *testing.T) {
-	u := newUpdatable(t)
-	before := u.Current()
-	ranking, err := u.Engine().Rank("cats", 5, nil)
-	results := ranking.Results
-	if err != nil || len(results) != 1 {
-		t.Fatalf("before update: %v, %v", results, err)
-	}
-	err = u.Update([]store.Document{
-		{Title: "n0", Text: "replacement ferrets"},
-		{Title: "n1", Text: "replacement cats everywhere cats"},
-		{Title: "n2", Text: "more ferrets"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranking, err = u.Engine().Rank("ferrets", 5, nil)
-	results = ranking.Results
-	if err != nil || len(results) != 2 {
-		t.Fatalf("after update: %v, %v", results, err)
-	}
-	// Old snapshot stays intact for in-flight users.
-	ranking, err = before.Engine().Rank("dogs", 5, nil)
-	results = ranking.Results
-	if err != nil || len(results) != 1 {
-		t.Fatalf("old snapshot: %v, %v", results, err)
-	}
-	if u.Name() != "UP" {
-		t.Fatal("name lost")
-	}
-}
-
-func TestAppendKeepsExistingDocs(t *testing.T) {
-	u := newUpdatable(t)
-	if err := u.Append([]store.Document{{Title: "d2", Text: "brand new parrots"}}); err != nil {
-		t.Fatal(err)
-	}
-	st := u.Current().Store()
-	if st.NumDocs() != 3 {
-		t.Fatalf("after append: %d docs", st.NumDocs())
-	}
-	// Existing documents keep their ids and text.
-	doc, err := st.Fetch(0)
-	if err != nil || doc.Text != "original cats and dogs" {
-		t.Fatalf("doc 0 after append: %+v, %v", doc, err)
-	}
-	doc, err = st.Fetch(2)
-	if err != nil || doc.Title != "d2" {
-		t.Fatalf("doc 2 after append: %+v, %v", doc, err)
-	}
-	ranking, err := u.Engine().Rank("parrots", 5, nil)
-	results := ranking.Results
-	if err != nil || len(results) != 1 || results[0].Doc != 2 {
-		t.Fatalf("parrots: %v, %v", results, err)
-	}
-}
-
-// TestEpochAndOnUpdate pins the cache-invalidation signal: every successful
-// swap bumps the epoch and then fires the registered callbacks in order,
-// after the new collection is already serving.
+// TestEpochAndOnUpdate pins the cache-invalidation signal: every
+// publication bumps the epoch and then fires the registered callbacks in
+// order, after the new collection is already serving.
 func TestEpochAndOnUpdate(t *testing.T) {
 	u := newUpdatable(t)
 	if u.Epoch() != 0 {
@@ -99,80 +42,65 @@ func TestEpochAndOnUpdate(t *testing.T) {
 	u.OnUpdate(nil) // must be ignored, not panic later
 	u.OnUpdate(func() { fired = append(fired, "second") })
 
-	if err := u.Update([]store.Document{{Title: "n0", Text: "swapped collection"}}); err != nil {
-		t.Fatal(err)
-	}
+	ingestFlush(t, u, []store.Document{{Title: "n0", Text: "swapped collection"}})
 	if u.Epoch() != 1 {
-		t.Fatalf("epoch after update = %d, want 1", u.Epoch())
+		t.Fatalf("epoch after ingest = %d, want 1", u.Epoch())
 	}
 	if len(fired) != 2 || fired[0] != "first" || fired[1] != "second" {
 		t.Fatalf("callbacks fired = %v, want [first second] in order", fired)
 	}
-
-	// Append goes through Update, so it signals too.
-	if err := u.Append([]store.Document{{Title: "n1", Text: "swapped again"}}); err != nil {
-		t.Fatal(err)
-	}
-	if u.Epoch() != 2 {
-		t.Fatalf("epoch after append = %d, want 2", u.Epoch())
-	}
-	if len(fired) != 4 {
-		t.Fatalf("callbacks fired %d times after two swaps, want 4", len(fired))
+	if u.Name() != "UP" {
+		t.Fatal("name lost")
 	}
 }
 
-// TestServeAcrossUpdate drives a wire session through an update: requests
-// before the swap see the old collection, requests after see the new one,
-// on the same connection.
-func TestServeAcrossUpdate(t *testing.T) {
+// TestServeAcrossIngest drives a wire session through a publication:
+// requests before it see the old collection, requests after see the new
+// one, on the same connection, and existing documents keep their ids.
+func TestServeAcrossIngest(t *testing.T) {
 	u := newUpdatable(t)
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = u.ServeConn(server)
-	}()
-	defer func() {
-		client.Close()
-		server.Close()
-		<-done
-	}()
-	ask := func(query string) int {
+	before := u.Engine()
+	client, _ := taggedSession(t, u)
+	wr := &protocol.Writer{W: client, Tagged: true}
+	rd := &protocol.Reader{R: client, Tagged: true}
+	ask := func(query string) []protocol.ScoredDoc {
 		t.Helper()
-		if _, err := protocol.WriteMessage(client, &protocol.RankQuery{Query: query, K: 5}); err != nil {
+		if _, err := wr.Write(1, &protocol.RankQuery{Query: query, K: 5}); err != nil {
 			t.Fatal(err)
 		}
-		reply, _, err := protocol.ReadMessage(client)
+		reply, _, _, err := rd.Read()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, ok := reply.(*protocol.RankReply)
-		if !ok {
-			t.Fatalf("got %T", reply)
-		}
-		return len(rr.Results)
+		return rankOf(t, reply).Results
 	}
-	if n := ask("cats"); n != 1 {
-		t.Fatalf("pre-update cats: %d", n)
+	if got := ask("ferrets"); len(got) != 0 {
+		t.Fatalf("pre-ingest ferrets: %+v", got)
 	}
-	if err := u.Update([]store.Document{{Title: "n0", Text: "only ferrets now"}}); err != nil {
-		t.Fatal(err)
+	ingestFlush(t, u, []store.Document{{Title: "d2", Text: "only ferrets now"}})
+	if got := ask("ferrets"); len(got) != 1 || got[0].Doc != 2 {
+		t.Fatalf("post-ingest ferrets: %+v, want doc 2", got)
 	}
-	if n := ask("cats"); n != 0 {
-		t.Fatalf("post-update cats: %d (old collection still serving)", n)
+	if got := ask("cats"); len(got) != 1 || got[0].Doc != 0 {
+		t.Fatalf("post-ingest cats: %+v, want doc 0", got)
 	}
-	if n := ask("ferrets"); n != 1 {
-		t.Fatalf("post-update ferrets: %d", n)
+	// Engine and Store follow the collection; a snapshot taken earlier stays
+	// intact for whoever holds it.
+	if doc, err := u.Store().Fetch(2); err != nil || doc.Title != "d2" || u.Store().NumDocs() != 3 {
+		t.Fatalf("merged store doc 2: %+v, %v", doc, err)
+	}
+	if r, err := before.Rank("ferrets", 5, nil); err != nil || len(r.Results) != 0 {
+		t.Fatalf("old snapshot: %v, %v", r.Results, err)
 	}
 }
 
-// TestConcurrentQueriesDuringUpdate exercises the swap under the race
-// detector: readers and an updater run simultaneously.
-func TestConcurrentQueriesDuringUpdate(t *testing.T) {
+// TestConcurrentQueriesDuringIngest exercises publication and the memoised
+// merged view under the race detector: readers and a writer run
+// simultaneously.
+func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	u := newUpdatable(t)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	errs := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
@@ -180,35 +108,19 @@ func TestConcurrentQueriesDuringUpdate(t *testing.T) {
 			for {
 				select {
 				case <-stop:
-					errs <- nil
 					return
 				default:
 				}
 				if _, err := u.Engine().Rank("cats ferrets", 5, nil); err != nil {
-					errs <- err
+					t.Error(err)
 					return
 				}
 			}
 		}()
 	}
 	for round := 0; round < 20; round++ {
-		docs := []store.Document{
-			{Title: "a", Text: "cats cats cats"},
-			{Title: "b", Text: "ferrets ferrets"},
-		}
-		if round%2 == 1 {
-			docs = append(docs, store.Document{Title: "c", Text: "cats and ferrets"})
-		}
-		if err := u.Update(docs); err != nil {
-			t.Fatal(err)
-		}
+		ingestFlush(t, u, []store.Document{{Title: "c", Text: "cats and ferrets"}})
 	}
 	close(stop)
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 }

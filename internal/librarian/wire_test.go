@@ -14,7 +14,7 @@ import (
 // taggedSession negotiates a pipelined session with lib and returns the
 // client conn plus the granted features. Callers speak tagged frames on the
 // returned conn; closing it ends the session.
-func taggedSession(t *testing.T, lib ConnServer) (net.Conn, protocol.Features) {
+func taggedSession(t *testing.T, lib *Librarian) (net.Conn, protocol.Features) {
 	t.Helper()
 	client, server := net.Pipe()
 	done := make(chan struct{})
@@ -155,14 +155,13 @@ func TestHelloMidSessionNeverUpgrades(t *testing.T) {
 	}
 }
 
-// TestUpdatablePipeliningUnderIngest pins the headline capability the
-// rebuild-and-swap design could not offer: an updatable librarian grants
-// FeaturePipelining, and a tagged session stays correct while segments land
+// TestPipeliningUnderIngest pins the capability a rebuild-and-swap design
+// could not offer: a tagged session stays correct while segments land
 // and merge underneath it. Every in-flight reply reflects exactly one
 // published manifest, and once ingestion quiesces, a tagged ranking equals
 // the seed-framing one frame for frame.
-func TestUpdatablePipeliningUnderIngest(t *testing.T) {
-	u, err := NewUpdatable("PL", synthCorpus(3), BuildOptions{})
+func TestPipeliningUnderIngest(t *testing.T) {
+	u, err := Build("PL", synthCorpus(3), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +172,7 @@ func TestUpdatablePipeliningUnderIngest(t *testing.T) {
 
 	client, granted := taggedSession(t, u)
 	if !granted.Has(protocol.FeaturePipelining) {
-		t.Fatalf("updatable librarian granted %v, want pipelining", granted)
+		t.Fatalf("granted %v, want pipelining", granted)
 	}
 	wr := &protocol.Writer{W: client, Tagged: true}
 	rd := &protocol.Reader{R: client, Tagged: true}
@@ -235,7 +234,10 @@ func TestUpdatablePipeliningUnderIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Quiesced: tagged and seed-framing sessions must answer identically.
+	// Quiesced — Close also waits out the merges, which change the Stats a
+	// ranking reports — tagged and seed-framing sessions must answer
+	// identically.
+	u.Close()
 	for _, q := range []string{"sentinel", "whale reef", "beacon tide"} {
 		if _, err := wr.Write(77, &protocol.RankQuery{Query: q, K: 50}); err != nil {
 			t.Fatal(err)
@@ -259,7 +261,7 @@ func TestUpdatablePipeliningUnderIngest(t *testing.T) {
 // item-for-item ordering preserved.
 func TestBatchPerItemFailure(t *testing.T) {
 	lib := buildTestLibrarian(t)
-	reply := call(t, lib, &protocol.BatchQuery{Items: []protocol.Message{
+	reply := callServer(t, lib, &protocol.BatchQuery{Items: []protocol.Message{
 		&protocol.RankQuery{Query: "cats", K: 3},
 		&protocol.ScoreDocs{Query: "cats", Docs: []uint32{999}}, // no such doc
 		&protocol.RankQuery{Query: "dogs", K: 3},

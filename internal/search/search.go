@@ -308,17 +308,44 @@ func (e *Engine) ScoreDocs(query string, docs []uint32, weights map[string]float
 
 // ScoreDocsWith is ScoreDocs running on a caller-owned Scratch.
 func (e *Engine) ScoreDocsWith(s *Scratch, query string, docs []uint32, weights map[string]float64) ([]Result, Stats, error) {
+	out := make([]Result, len(docs))
+	stats, err := e.ScoreDocsAt(s, query, docs, 0, weights, out)
+	if err != nil {
+		return nil, stats, err
+	}
+	for _, d := range docs {
+		if d >= e.ix.NumDocs() {
+			_, err := e.ix.DocWeight(d) // canonical out-of-range error
+			return nil, stats, fmt.Errorf("search: score doc %d: %w", d, err)
+		}
+	}
+	return out, stats, nil
+}
+
+// ScoreDocsAt is the kernel of ScoreDocs for an engine holding one slice of
+// a larger collection: docs are ids in a space where this engine's document
+// 0 is base. It scores those that fall in the engine's range and writes
+// out[i] for docs[i]; slots of documents outside the range are left alone,
+// and with none inside it no list is touched.
+func (e *Engine) ScoreDocsAt(s *Scratch, query string, docs []uint32, base uint32, weights map[string]float64, out []Result) (Stats, error) {
 	var stats Stats
 	parseQueryInto(s, e.analyzer, query)
 	if len(s.qterms) == 0 {
-		return nil, stats, ErrEmptyQuery
+		return stats, ErrEmptyQuery
 	}
+	numDocs := e.ix.NumDocs()
+	s.docbuf = s.docbuf[:0]
+	for _, d := range docs {
+		if d-base < numDocs {
+			s.docbuf = append(s.docbuf, d-base)
+		}
+	}
+	if len(s.docbuf) == 0 {
+		return stats, nil
+	}
+	slices.Sort(s.docbuf)
 	wq := e.resolveWeights(s, weights)
 	stats.TermsLooked = len(s.qterms)
-
-	s.docbuf = append(s.docbuf[:0], docs...)
-	slices.Sort(s.docbuf)
-	numDocs := e.ix.NumDocs()
 	s.reset(numDocs)
 
 	for i := range s.qterms {
@@ -344,19 +371,18 @@ func (e *Engine) ScoreDocsWith(s *Scratch, query string, docs []uint32, weights 
 	stats.CandidateDocs = len(s.touched)
 
 	inv := e.ix.InvDocWeights()
-	out := make([]Result, len(docs))
 	for i, d := range docs {
-		if d >= numDocs {
-			_, err := e.ix.DocWeight(d) // canonical out-of-range error
-			return nil, stats, fmt.Errorf("search: score doc %d: %w", d, err)
+		local := d - base
+		if local >= numDocs {
+			continue
 		}
 		score := 0.0
-		if a := s.get(d); a > 0 && inv[d] > 0 {
-			score = a * inv[d] / wq
+		if a := s.get(local); a > 0 && inv[local] > 0 {
+			score = a * inv[local] / wq
 		}
 		out[i] = Result{Doc: d, Score: score}
 	}
-	return out, stats, nil
+	return stats, nil
 }
 
 // topK normalises the touched accumulators by W_q·W_d and selects the k

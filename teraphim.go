@@ -49,7 +49,7 @@
 // (mode, normalized query, k, merge strategy, top-R): a repeat query is
 // answered from memory with zero librarian round trips, and every entry is
 // invalidated when setup state changes or InvalidateCache runs (wire it to
-// UpdatableLibrarian.OnUpdate so cached answers never outlive the
+// Librarian.OnUpdate so cached answers never outlive the
 // collection they were computed from). ReceptionistConfig.Admission bounds
 // concurrent evaluation: beyond MaxInFlight running queries and MaxQueue
 // waiters, requests fail fast with ErrOverloaded instead of stacking up
@@ -57,15 +57,14 @@
 //
 // # Streaming ingestion
 //
-// An UpdatableLibrarian grows its subcollection while serving. Ingest
-// enqueues document batches onto a bounded queue (context-aware, failing
+// A Librarian grows its subcollection while serving. Ingest enqueues document batches onto a bounded queue (context-aware, failing
 // with ErrIngestQueueFull under sustained backpressure); background builders
 // seal each batch into an immutable segment; a size-tiered policy merges
 // segments so query fan-in stays logarithmic; Flush waits for visibility and
 // surfaces asynchronous build errors; Compact folds everything to one
 // segment on demand. Rankings over a segmented collection are exactly those
-// of the equivalent single-segment collection. Update (rebuild-and-swap)
-// and Append remain as synchronous compatibility wrappers.
+// of the equivalent single-segment collection. A librarian that never
+// ingests starts no goroutine; that is all "static" means.
 //
 // # Replication and hedging
 //
@@ -341,8 +340,8 @@ func BuildLibrarianWith(name string, docs []Document, opts BuildOptions) (*Libra
 	return librarian.Build(name, docs, opts)
 }
 
-// Streaming ingestion: an UpdatableLibrarian grows its collection while
-// serving, LSM-style — documents stream through Ingest onto a bounded queue,
+// Streaming ingestion: a Librarian grows its collection while serving,
+// LSM-style — documents stream through Ingest onto a bounded queue,
 // background builders seal them into immutable segments, and a size-tiered
 // policy merges segments behind the scenes. Queries always see one
 // consistent snapshot; every publication bumps the epoch and fires OnUpdate
@@ -350,36 +349,26 @@ func BuildLibrarianWith(name string, docs []Document, opts BuildOptions) (*Libra
 // story that §4 of the paper counts among distribution's management
 // benefits, taken from rebuild-and-swap to incremental.
 type (
-	// UpdatableLibrarian is a librarian whose collection can grow
-	// (Ingest/Append), be compacted (Compact) or be replaced wholesale
-	// (Update) while serving.
-	UpdatableLibrarian = librarian.UpdatableLibrarian
-	// IngestConfig tunes an updatable librarian's ingest pipeline: queue
-	// depth, builder concurrency and the size-tiered merge policy. Install
-	// with UpdatableLibrarian.ConfigureIngest before the first Ingest.
+	// IngestConfig tunes a librarian's ingest pipeline: queue depth,
+	// builder concurrency and the size-tiered merge policy. Install with
+	// Librarian.ConfigureIngest before the first Ingest.
 	IngestConfig = librarian.IngestConfig
-	// SegmentStats is a point-in-time snapshot of an updatable librarian's
-	// segments and ingest pipeline counters.
+	// SegmentStats is a point-in-time snapshot of a librarian's segments
+	// and ingest pipeline counters.
 	SegmentStats = librarian.SegmentStats
-	// SegmentInfo describes one live segment of an updatable librarian.
+	// SegmentInfo describes one live segment of a librarian.
 	SegmentInfo = librarian.SegmentInfo
 )
 
-// ErrIngestQueueFull is returned by UpdatableLibrarian.Ingest when the
-// bounded ingest queue stays full until the call's context expires — the
-// backpressure signal that documents arrive faster than the background
-// builders retire them. Test with errors.Is.
+// ErrIngestQueueFull is returned by Librarian.Ingest when the bounded ingest
+// queue stays full until the call's context expires — the backpressure
+// signal that documents arrive faster than the background builders retire
+// them. Test with errors.Is.
 var ErrIngestQueueFull = librarian.ErrIngestQueueFull
 
-// ErrLibrarianClosed is returned by ingest operations on an
-// UpdatableLibrarian after Close. Test with errors.Is.
+// ErrLibrarianClosed is returned by ingest operations on a Librarian after
+// Close. Test with errors.Is.
 var ErrLibrarianClosed = librarian.ErrLibrarianClosed
-
-// NewUpdatableLibrarian builds the initial collection of an updatable
-// librarian.
-func NewUpdatableLibrarian(name string, docs []Document, opts BuildOptions) (*UpdatableLibrarian, error) {
-	return librarian.NewUpdatable(name, docs, opts)
-}
 
 // ServeLibrarian serves lib's collection on ln until Close.
 func ServeLibrarian(lib *Librarian, ln net.Listener) *LibrarianServer {

@@ -204,7 +204,7 @@ func TestMonoServerOverPublicAPI(t *testing.T) {
 }
 
 func TestStreamingIngestOverPublicAPI(t *testing.T) {
-	up, err := NewUpdatableLibrarian("LIVE", apiDocs()[:2], BuildOptions{})
+	up, err := BuildLibrarian("LIVE", apiDocs()[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +213,7 @@ func TestStreamingIngestOverPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dialer := NewInProcessDialer(nil, LinkConfig{})
-	dialer.AddEndpoint("LIVE", up, LinkConfig{})
+	dialer := NewInProcessDialer([]*Librarian{up}, LinkConfig{})
 	pool, err := ConnectPool(dialer, []string{"LIVE"}, ReceptionistConfig{Cache: &CacheConfig{}})
 	if err != nil {
 		t.Fatal(err)
