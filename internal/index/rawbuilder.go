@@ -25,19 +25,24 @@ type RawBuilder struct {
 	skipIvl uint32
 }
 
+// skipIntervalOf resolves the skip interval that Builder options select, for
+// the index producers that are not a Builder (RawBuilder, Merge).
+func skipIntervalOf(opts []BuilderOption) uint32 {
+	cfg := Builder{skipIvl: DefaultSkipInterval}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg.skipIvl
+}
+
 // NewRawBuilder returns a RawBuilder for a collection of numDocs documents.
 func NewRawBuilder(numDocs uint32, opts ...BuilderOption) *RawBuilder {
-	// Reuse Builder options for skip configuration.
-	cfg := &Builder{skipIvl: DefaultSkipInterval}
-	for _, opt := range opts {
-		opt(cfg)
-	}
 	return &RawBuilder{
 		numDocs: numDocs,
 		terms:   make(map[string][]Posting, 1024),
 		sumSq:   make([]float64, numDocs),
 		lens:    make([]uint32, numDocs),
-		skipIvl: cfg.skipIvl,
+		skipIvl: skipIntervalOf(opts),
 	}
 }
 

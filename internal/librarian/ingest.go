@@ -180,9 +180,9 @@ func (l *Librarian) Ingest(ctx context.Context, docs []store.Document) error {
 
 // Flush blocks until every batch accepted by Ingest before the call has
 // been built and published (or failed), honouring ctx. It returns the first
-// asynchronous build error since the previous Flush, clearing it — the
-// redesigned API's error channel for work that failed off the caller's
-// goroutine.
+// asynchronous build or background-merge error since the previous Flush,
+// clearing it — the redesigned API's error channel for work that failed off
+// the caller's goroutine.
 func (l *Librarian) Flush(ctx context.Context) error {
 	l.fmu.Lock()
 	target := l.enqSeq
@@ -202,13 +202,24 @@ func (l *Librarian) Flush(ctx context.Context) error {
 	return err
 }
 
-// batchDone advances the publication sequence and wakes Flush waiters.
-func (l *Librarian) batchDone(err error) {
+// fail counts a failed background build or merge and keeps the first one
+// since the last Flush for the next Flush to return.
+func (l *Librarian) fail(err error) {
+	l.ingestFailures.Add(1)
+	if m := l.metrics.Load(); m != nil {
+		m.ingestErrors.Inc()
+	}
 	l.fmu.Lock()
-	l.pubSeq++
-	if err != nil && l.ingestErr == nil {
+	if l.ingestErr == nil {
 		l.ingestErr = err
 	}
+	l.fmu.Unlock()
+}
+
+// batchDone advances the publication sequence and wakes Flush waiters.
+func (l *Librarian) batchDone() {
+	l.fmu.Lock()
+	l.pubSeq++
 	close(l.notify)
 	l.notify = make(chan struct{})
 	l.fmu.Unlock()
@@ -234,8 +245,8 @@ func (l *Librarian) worker() {
 	}
 }
 
-// buildBatch seals one batch into a segment and publishes it. Build
-// failures are recorded for the next Flush; the pipeline keeps going.
+// buildBatch seals one batch into a segment under the librarian's model and
+// publishes it. Failures are recorded for the next Flush; the pipeline goes on.
 func (l *Librarian) buildBatch(docs []store.Document) {
 	if gate := l.testBuildGate; gate != nil {
 		gate()
@@ -244,16 +255,13 @@ func (l *Librarian) buildBatch(docs []store.Document) {
 	build := l.testBuild
 	if build == nil {
 		build = func(docs []store.Document) (*segment, error) {
-			return buildSegment(l.name, docs, l.analyzer, l.skip)
+			return buildSegment(l.name, docs, l.analyzer, l.skip, l.model)
 		}
 	}
 	sg, err := build(docs)
 	if err != nil {
-		l.ingestFailures.Add(1)
-		if m := l.metrics.Load(); m != nil {
-			m.ingestErrors.Inc()
-		}
-		l.batchDone(fmt.Errorf("librarian: ingest into %q: %w", l.name, err))
+		l.fail(fmt.Errorf("librarian: ingest into %q: %w", l.name, err))
+		l.batchDone()
 		return
 	}
 	l.appendSegment(sg)
@@ -265,7 +273,7 @@ func (l *Librarian) buildBatch(docs []store.Document) {
 		m.buildSeconds.ObserveDuration(time.Since(start))
 		m.queueLen.Set(int64(len(l.queue)))
 	}
-	l.batchDone(nil)
+	l.batchDone()
 }
 
 // Close stops the ingest pipeline: no new Ingest is accepted, queued
@@ -296,8 +304,8 @@ func (l *Librarian) Close() error {
 }
 
 // Compact synchronously merges every segment present when it is called into
-// one, honouring ctx between segments. Concurrent ingest may leave newer
-// segments unmerged.
+// one; a ctx already done stops it before the merge starts. Concurrent ingest
+// may leave newer segments unmerged.
 func (l *Librarian) Compact(ctx context.Context) error {
 	l.mergeMu.Lock()
 	defer l.mergeMu.Unlock()
@@ -305,7 +313,11 @@ func (l *Librarian) Compact(ctx context.Context) error {
 	if len(m.segs) <= 1 {
 		return nil
 	}
-	if err := l.mergeRange(ctx, m, 0, len(m.segs)); err != nil {
+	err := ctx.Err()
+	if err == nil {
+		err = l.mergeRange(m, 0, len(m.segs))
+	}
+	if err != nil {
 		return fmt.Errorf("librarian: compact %q: %w", l.name, err)
 	}
 	return nil
@@ -326,15 +338,28 @@ func (l *Librarian) maybeMerge() {
 	l.mergeWG.Add(1)
 	go func() {
 		defer l.mergeWG.Done()
-		defer l.merging.Store(false)
+		var err error
 		l.mergeMu.Lock()
-		defer l.mergeMu.Unlock()
-		for {
+		for err == nil {
 			m := l.man.Load()
 			i, j := l.findRun(m)
-			if j == i || l.mergeRange(context.Background(), m, i, j) != nil {
-				return
+			if j == i {
+				break
 			}
+			err = l.mergeRange(m, i, j)
+		}
+		l.mergeMu.Unlock()
+		l.merging.Store(false)
+		if err != nil {
+			// The failed run stays; the next ingested segment retries it.
+			l.fail(fmt.Errorf("librarian: background merge in %q: %w", l.name, err))
+			return
+		}
+		// A segment published after the pass last read the manifest found the
+		// flag still set and started no pass of its own: look once more, now
+		// that one can start.
+		if i, j := l.findRun(l.man.Load()); j > i {
+			l.maybeMerge()
 		}
 	}()
 }
@@ -362,20 +387,16 @@ func (l *Librarian) findRun(m *manifest) (int, int) {
 // and read m under it: merges are the only publications that move or replace
 // segments, and ingest only appends behind them, so [i, j) still names the
 // same segments when the merge publishes.
-func (l *Librarian) mergeRange(ctx context.Context, m *manifest, i, j int) error {
+func (l *Librarian) mergeRange(m *manifest, i, j int) error {
 	start := time.Now()
-	ix, err := l.mergeIndexes(m.segs[i:j])
+	merged, err := l.newManifest(m.segs[i:j]).merged()
 	if err != nil {
 		return fmt.Errorf("merge %d segments: %w", j-i, err)
-	}
-	merged, err := l.mergeSegments(ctx, m.segs[i:j], ix)
-	if err != nil {
-		return err
 	}
 	l.publish(func(cur *manifest) *manifest {
 		segs := append(append(append(make([]*segment, 0, len(cur.segs)-(j-i)+1),
 			cur.segs[:i]...), merged), cur.segs[j:]...)
-		return l.newManifest(segs, cur.model)
+		return l.newManifest(segs)
 	})
 	l.mergesDone.Add(1)
 	if lm := l.metrics.Load(); lm != nil {

@@ -370,3 +370,68 @@ func TestSnapshotNeverMixture(t *testing.T) {
 		t.Fatalf("after flush: %d sentinel docs, want 10", len(rr.Results))
 	}
 }
+
+// TestBackgroundMergeLeavesNoRun pins the merge policy's invariant rather
+// than one interleaving: once every batch is flushed and Close has waited out
+// the merges, no run of MergeFanIn same-tier segments is left. A pass that
+// ended just as the segment completing a run was published used to leave it
+// unmerged until some later ingest — for ever, after the last one.
+func TestBackgroundMergeLeavesNoRun(t *testing.T) {
+	u := newIngestable(t, 1, IngestConfig{MinSegmentDocs: 1, MergeFanIn: 2, QueueDepth: 32})
+	ctx := context.Background()
+	for i := 0; i < 16; i++ {
+		if err := u.Ingest(ctx, []store.Document{{Title: fmt.Sprintf("w-%02d", i), Text: "ballast bilge"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := u.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if i, j := u.findRun(u.man.Load()); i != 0 || j != 0 {
+		t.Fatalf("segments [%d, %d) still qualify for a merge after Close: %+v", i, j, u.SegmentStats().Segments)
+	}
+}
+
+// TestFlushReturnsBackgroundMergeError: a merge that fails off every
+// caller's goroutine is counted and reported by the next Flush like a failed
+// build, and the manifest it could not merge keeps serving. The failure is a
+// segment whose text is coded under a model of its own, which store.Concat
+// refuses.
+func TestFlushReturnsBackgroundMergeError(t *testing.T) {
+	u := newIngestable(t, 4, IngestConfig{MinSegmentDocs: 8, MergeFanIn: 2})
+	u.testBuild = func(docs []store.Document) (*segment, error) {
+		return buildSegment(u.name, docs, u.analyzer, u.skip, nil) // trains a foreign model
+	}
+	ctx := context.Background()
+	if err := u.Ingest(ctx, []store.Document{{Title: "z0", Text: "zeppelin mooring"}, {Title: "z1", Text: "zeppelin hangar"}}); err != nil {
+		t.Fatal(err)
+	}
+	// The merge may end before or after the batch's own Flush returns; Close
+	// waits for it, so one of the two Flushes carries its error.
+	err := u.Flush(ctx)
+	u.Close()
+	if err == nil {
+		err = u.Flush(ctx)
+	}
+	if !errors.Is(err, store.ErrModelMismatch) {
+		t.Fatalf("Flush error = %v, want the background merge's ErrModelMismatch", err)
+	}
+	if err := u.Flush(ctx); err != nil {
+		t.Fatalf("the error was not cleared: %v", err)
+	}
+	st := u.SegmentStats()
+	if st.IngestFailures != 1 || st.Merges != 0 || len(st.Segments) != 2 || st.TotalDocs != 6 {
+		t.Fatalf("after the failed merge: %+v", st)
+	}
+	rr := rankOf(t, callServer(t, u, &protocol.RankQuery{Query: "zeppelin", K: 5}))
+	if len(rr.Results) != 2 || rr.Results[0].Doc+rr.Results[1].Doc != 4+5 {
+		t.Fatalf("unmerged manifest ranks %+v, want docs 4 and 5", rr.Results)
+	}
+	fr := callServer(t, u, &protocol.FetchDocs{Docs: []uint32{0, 5}}).(*protocol.FetchReply)
+	if len(fr.Docs) != 2 || fr.Docs[0].Title != "doc-000" || string(fr.Docs[1].Data) != "zeppelin hangar" {
+		t.Fatalf("unmerged manifest fetches %+v", fr.Docs)
+	}
+}

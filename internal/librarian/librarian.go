@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"teraphim/internal/huffman"
 	"teraphim/internal/index"
 	"teraphim/internal/protocol"
 	"teraphim/internal/search"
@@ -37,6 +38,10 @@ type Librarian struct {
 	name     string
 	analyzer *textproc.Analyzer
 	skip     uint32 // skip interval of every segment index, merged ones included
+	// model is the collection's one text model, frozen for the librarian's
+	// life: every segment's store is coded under it, so a merge concatenates
+	// stores and a compressed fetch ships the stored blob as it is.
+	model *huffman.TextModel
 
 	// supported is the feature set this librarian will grant on Hello
 	// exchanges (stored as the raw bitmask). Defaults to
@@ -108,11 +113,12 @@ func New(name string, engine *search.Engine, docs *store.Store) (*Librarian, err
 		name:     name,
 		analyzer: engine.Analyzer(),
 		skip:     engine.Index().SkipInterval(),
+		model:    docs.Model(),
 		closing:  make(chan struct{}),
 		notify:   make(chan struct{}),
 	}
 	l.supported.Store(uint32(protocol.SupportedFeatures))
-	l.man.Store(l.newManifest([]*segment{{engine: engine, store: docs, docs: docs.NumDocs()}}, docs.Model()))
+	l.man.Store(l.newManifest([]*segment{{engine: engine, store: docs, docs: docs.NumDocs()}}))
 	return l, nil
 }
 
@@ -136,6 +142,10 @@ type BuildOptions struct {
 }
 
 // Build constructs a librarian from raw documents: analyse, index, compress.
+// The text model is trained here, on docs, and kept for the librarian's life
+// — documents ingested later are coded under it, novel words through its
+// escape codes — so build from a representative sample: a librarian built
+// from no documents stores everything it ingests at near raw size.
 func Build(name string, docs []store.Document, opts BuildOptions) (*Librarian, error) {
 	analyzer := opts.Analyzer
 	if analyzer == nil {
@@ -148,7 +158,7 @@ func Build(name string, docs []store.Document, opts BuildOptions) (*Librarian, e
 	case opts.SkipInterval < 0:
 		skip = 0
 	}
-	sg, err := buildSegment(name, docs, analyzer, skip)
+	sg, err := buildSegment(name, docs, analyzer, skip, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // rankFetchServers is the same 60-document corpus three ways: built as one
-// segment, served as three, and those three compacted (one segment whose
-// store model is no longer the transfer model, so compressed documents are
-// transcoded).
+// segment, served as three, and those three compacted (one segment again,
+// its store the concatenation of the three under the model trained on the
+// first).
 func rankFetchServers(t *testing.T) map[string]*Librarian {
 	t.Helper()
 	static, seg := buildSegmentedPair(t, 60)

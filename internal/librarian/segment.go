@@ -2,7 +2,6 @@ package librarian
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -20,10 +19,12 @@ import (
 // each a complete mini-collection (index + compressed store), tiled over the
 // global doc-id space by per-segment offset bases. Queries fan in over the
 // segments of one atomically-published manifest; ingest appends fresh
-// segments; background merges compact adjacent runs. Nothing in a published
-// manifest ever mutates, which is what lets the serving loops dispatch every
-// frame — even pipelined, concurrent frames — against a consistent snapshot.
-// A built or loaded collection is the one-segment case of the same loops.
+// segments; background merges compact adjacent runs — an exact index merge
+// over concatenated stores, every store being coded under the librarian's one
+// text model. Nothing in a published manifest ever mutates, which is what
+// lets the serving loops dispatch every frame — even pipelined, concurrent
+// frames — against a consistent snapshot. A built or loaded collection is the
+// one-segment case of the same loops.
 
 // segment is one immutable slice of the collection. base is the global id
 // of the segment's local document 0; docs is its document count.
@@ -34,8 +35,9 @@ type segment struct {
 	docs   uint32
 }
 
-// buildSegment analyses, indexes and compresses docs into a segment.
-func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyzer, skip uint32) (*segment, error) {
+// buildSegment analyses, indexes and compresses docs into a segment, the text
+// under model — or, for Build, which passes nil, under one trained on docs.
+func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyzer, skip uint32, model *huffman.TextModel) (*segment, error) {
 	ib := index.NewBuilder(index.WithSkipInterval(skip))
 	for _, d := range docs {
 		ib.Add(analyzer.Terms(nil, d.Text))
@@ -44,72 +46,26 @@ func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyze
 	if err != nil {
 		return nil, fmt.Errorf("librarian %q: build index: %w", name, err)
 	}
-	st, err := store.Build(docs)
+	var st *store.Store
+	if model == nil {
+		st, err = store.Build(docs)
+	} else {
+		st, err = store.BuildWith(model, docs)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("librarian %q: build store: %w", name, err)
 	}
 	return &segment{engine: search.NewEngine(ix, analyzer), store: st, docs: st.NumDocs()}, nil
 }
 
-// mergeIndexes merges the indexes of adjacent segments — index.Merge is
-// exact, so the result is identical to indexing their concatenated documents
-// directly. One segment's index is already that.
-func (l *Librarian) mergeIndexes(segs []*segment) (*index.Index, error) {
-	if len(segs) == 1 {
-		return segs[0].engine.Index(), nil
-	}
-	subs := make([]*index.Index, len(segs))
-	offs := make([]uint32, len(segs))
-	var total uint32
-	for i, sg := range segs {
-		subs[i] = sg.engine.Index()
-		offs[i] = total
-		total += sg.docs
-	}
-	return index.Merge(subs, offs, total, index.WithSkipInterval(l.skip))
-}
-
-// mergeSegments folds adjacent segments into one: the merged index plus a
-// store rebuilt from the losslessly recovered documents (no side copy of the
-// text exists), honouring ctx between segments.
-func (l *Librarian) mergeSegments(ctx context.Context, segs []*segment, ix *index.Index) (*segment, error) {
-	docs := make([]store.Document, 0, ix.NumDocs())
-	for _, sg := range segs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for id := uint32(0); id < sg.docs; id++ {
-			d, err := sg.store.Fetch(id)
-			if err != nil {
-				return nil, fmt.Errorf("recover doc %d: %w", sg.base+id, err)
-			}
-			docs = append(docs, d)
-		}
-	}
-	st, err := store.Build(docs)
-	if err != nil {
-		return nil, fmt.Errorf("rebuild store: %w", err)
-	}
-	return &segment{engine: search.NewEngine(ix, l.analyzer), store: st, docs: st.NumDocs()}, nil
-}
-
 // manifest is one published snapshot of the collection. It is immutable
 // after publication; the lazily-materialised merged views (whole-collection
 // index, whole-collection segment, vocabulary totals) are memoised per
 // manifest behind sync.Once.
-//
-// model is the manifest's transfer model: the Huffman model advertised via
-// ModelRequest and used to compress documents shipped with
-// FetchDocs{Compressed}. Each segment's store has its own model, so a
-// document whose segment was coded with another is transcoded through the
-// transfer model (the escape mechanism makes any model able to code any
-// text); the segment a collection was built or loaded as carries the
-// transfer model itself, and its stored blobs ship as they are.
 type manifest struct {
 	lib   *Librarian
 	segs  []*segment // ascending base, tiling [0, total)
 	total uint32
-	model *huffman.TextModel
 
 	statsOnce sync.Once
 	numTerms  uint32
@@ -337,9 +293,9 @@ func (m *manifest) fetchOne(id uint32, compressed bool) (protocol.DocBlob, error
 		return protocol.DocBlob{}, fmt.Errorf("store: doc %d outside collection of %d", id, m.total)
 	}
 	sg := m.locate(id)
-	if compressed && sg.store.Model() == m.model {
-		// The stored blob is already coded with the transfer model: ship it
-		// without a decompress-recompress round.
+	if compressed {
+		// Every segment is coded under the model ModelRequest advertises:
+		// the stored blob ships as it is.
 		title, err := sg.store.Title(id - sg.base)
 		if err != nil {
 			return protocol.DocBlob{}, err
@@ -351,21 +307,25 @@ func (m *manifest) fetchOne(id uint32, compressed bool) (protocol.DocBlob, error
 		return protocol.DocBlob{Doc: id, Title: title, Data: append([]byte(nil), data...), Compressed: true}, nil
 	}
 	doc, err := sg.store.Fetch(id - sg.base)
-	if err != nil {
-		return protocol.DocBlob{}, err
-	}
-	blob := protocol.DocBlob{Doc: id, Title: doc.Title, Compressed: compressed}
-	if compressed {
-		blob.Data, err = m.model.CompressDoc(doc.Text)
-	} else {
-		blob.Data = []byte(doc.Text)
-	}
-	return blob, err
+	return protocol.DocBlob{Doc: id, Title: doc.Title, Data: []byte(doc.Text)}, err
 }
 
-// mergedIndex materialises (once per manifest) the whole-collection index.
+// mergedIndex materialises (once per manifest) the whole-collection index:
+// index.Merge is exact, so it is the index of the segments' concatenated
+// documents. One segment's index is already that.
 func (m *manifest) mergedIndex() (*index.Index, error) {
-	m.ixOnce.Do(func() { m.ix, m.ixErr = m.lib.mergeIndexes(m.segs) })
+	m.ixOnce.Do(func() {
+		if len(m.segs) == 1 {
+			m.ix = m.segs[0].engine.Index()
+			return
+		}
+		subs := make([]*index.Index, len(m.segs))
+		offs := make([]uint32, len(m.segs))
+		for i, sg := range m.segs {
+			subs[i], offs[i] = sg.engine.Index(), sg.base
+		}
+		m.ix, m.ixErr = index.Merge(subs, offs, m.total, index.WithSkipInterval(m.lib.skip))
+	})
 	return m.ix, m.ixErr
 }
 
@@ -381,21 +341,30 @@ func (m *manifest) shipIndex() protocol.Message {
 	return &protocol.IndexReply{Data: buf.Bytes()}
 }
 
-// merged collapses the manifest into one segment (once per manifest) — what
-// Engine and Store expose, and Save writes. The sole segment of a
-// one-segment manifest is returned as it is.
+// merged collapses the manifest into one segment (once per manifest): the
+// merged index over the concatenation of the segments' stores — all coded
+// under the librarian's one model, so no document is read, decompressed or
+// compressed. Engine and Store expose it, Save writes it, and a background
+// merge or Compact publishes it for the manifest of just the segments being
+// folded. The sole segment of a one-segment manifest is returned as it is.
 func (m *manifest) merged() (*segment, error) {
 	m.viewOnce.Do(func() {
 		if len(m.segs) == 1 {
 			m.view = m.segs[0]
 			return
 		}
-		ix, err := m.mergedIndex()
-		if err != nil {
-			m.viewErr = err
+		var ix *index.Index
+		if ix, m.viewErr = m.mergedIndex(); m.viewErr != nil {
 			return
 		}
-		m.view, m.viewErr = m.lib.mergeSegments(context.Background(), m.segs, ix)
+		stores := make([]*store.Store, len(m.segs))
+		for i, sg := range m.segs {
+			stores[i] = sg.store
+		}
+		var st *store.Store
+		if st, m.viewErr = store.Concat(stores); m.viewErr == nil {
+			m.view = &segment{engine: search.NewEngine(ix, m.lib.analyzer), store: st, docs: st.NumDocs()}
+		}
 	})
 	return m.view, m.viewErr
 }

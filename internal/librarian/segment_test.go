@@ -1,14 +1,17 @@
 package librarian
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"teraphim/internal/huffman"
 	"teraphim/internal/protocol"
 	"teraphim/internal/store"
+	"teraphim/internal/trecsynth"
 )
 
 // synthCorpus builds a deterministic synthetic corpus: a fixed vocabulary
@@ -78,8 +81,7 @@ func assertRankParity(t *testing.T, label string, a, b *protocol.RankReply) {
 
 // TestSegmentedParityAfterCompact folds the segments down and re-checks the
 // whole surface still matches the rebuild — including compressed fetch,
-// which now transcodes through the manifest's transfer model because the
-// compacted store retrained its own.
+// whose blobs must decode under the model the librarian advertises.
 func TestSegmentedParityAfterCompact(t *testing.T) {
 	uni, seg := buildSegmentedPair(t, 60)
 	if err := seg.Compact(context.Background()); err != nil {
@@ -104,10 +106,10 @@ func TestSegmentedParityAfterCompact(t *testing.T) {
 	for i, blob := range cf.Docs {
 		text, err := model.DecompressDoc(blob.Data)
 		if err != nil {
-			t.Fatalf("decompress transcoded doc %d: %v", blob.Doc, err)
+			t.Fatalf("decompress fetched doc %d: %v", blob.Doc, err)
 		}
 		if text != string(af.Docs[i].Data) {
-			t.Fatalf("transcoded fetch of doc %d decodes wrong text", blob.Doc)
+			t.Fatalf("compressed fetch of doc %d decodes wrong text", blob.Doc)
 		}
 	}
 
@@ -118,4 +120,122 @@ func TestSegmentedParityAfterCompact(t *testing.T) {
 	if got := seg.SegmentStats().Merges; got != 1 {
 		t.Fatalf("idle compact merged again: %d merges", got)
 	}
+}
+
+// fetchCounts snapshots the stores' read counters.
+func fetchCounts(stores []*store.Store) []uint64 {
+	out := make([]uint64, len(stores))
+	for i, st := range stores {
+		out[i] = st.Fetches()
+	}
+	return out
+}
+
+// assertConcatenation checks that got, in order, hold exactly the blobs of
+// parts, in order — the same backing bytes, not a recompression — under
+// lib's one model, and that producing got read no document of parts (their
+// counters still equal before).
+func assertConcatenation(t *testing.T, lib *Librarian, got, parts []*store.Store, before []uint64) {
+	t.Helper()
+	for i, n := range fetchCounts(parts) {
+		if n != before[i] {
+			t.Fatalf("input store %d was read %d times by the merge; want 0", i, n-before[i])
+		}
+	}
+	blobs := func(stores []*store.Store) (out [][]byte) {
+		for _, st := range stores {
+			if st.Model() != lib.model {
+				t.Fatalf("a store's model is not the librarian's")
+			}
+			for id := uint32(0); id < st.NumDocs(); id++ {
+				blob, err := st.FetchCompressed(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, blob)
+			}
+		}
+		return out
+	}
+	have, want := blobs(got), blobs(parts)
+	if len(have) != len(want) {
+		t.Fatalf("%d documents after the merge, %d before", len(have), len(want))
+	}
+	for id := range want {
+		if !bytes.Equal(have[id], want[id]) || (len(want[id]) > 0 && &have[id][0] != &want[id][0]) {
+			t.Fatalf("doc %d: the merged store does not share the input's blob", id)
+		}
+	}
+}
+
+// TestMergeIsConcatenation extends TestIngestDoesNotRereadStore to merges:
+// a background merge, the merged view behind Store() and Compact each yield
+// the input stores' blobs in order under the librarian's model, without one
+// read of an input store.
+func TestMergeIsConcatenation(t *testing.T) {
+	docs := synthCorpus(44)
+
+	bg := newIngestable(t, 4, IngestConfig{MinSegmentDocs: 4, MergeFanIn: 2})
+	parts := []*store.Store{bg.Store()}
+	bg.testBuild = func(batch []store.Document) (*segment, error) {
+		sg, err := buildSegment(bg.name, batch, bg.analyzer, bg.skip, bg.model)
+		if err == nil {
+			parts = append(parts, sg.store) // one worker; read after Close
+		}
+		return sg, err
+	}
+	for i := 4; i < len(docs); i += 4 {
+		ingestFlush(t, bg, docs[i:i+4])
+	}
+	if err := bg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bg.SegmentStats().Merges == 0 {
+		t.Fatal("no background merge ran")
+	}
+	var live []*store.Store
+	for _, sg := range bg.man.Load().segs {
+		live = append(live, sg.store)
+	}
+	assertConcatenation(t, bg, live, parts, make([]uint64, len(parts)))
+
+	lib := servedAs(t, docs, 4)
+	parts = nil
+	for _, sg := range lib.man.Load().segs {
+		parts = append(parts, sg.store)
+	}
+	before := fetchCounts(parts)
+	assertConcatenation(t, lib, []*store.Store{lib.Store()}, parts, before)
+	before = fetchCounts(parts)
+	if err := lib.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	assertConcatenation(t, lib, []*store.Store{lib.man.Load().segs[0].store}, parts, before)
+}
+
+// BenchmarkMergeSegments prices one tier-0 merge as ingest-mixed runs them:
+// four 400-document segments of benchmark-shaped text into one.
+func BenchmarkMergeSegments(b *testing.B) {
+	cfg := trecsynth.DefaultConfig()
+	cfg.Subs = []trecsynth.SubSpec{{Name: "M", NumDocs: 1600}}
+	corpus, err := trecsynth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib := servedAs(b, corpus.Subcollections[0].Docs, 4)
+	segs := lib.man.Load().segs
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lib.newManifest(segs).merged(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	n := float64(b.N) * float64(lib.man.Load().total)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/doc")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/n, "allocs/doc")
 }

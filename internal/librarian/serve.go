@@ -135,7 +135,7 @@ func (l *Librarian) dispatch(scratch *search.Scratch, msg protocol.Message, conn
 	case *protocol.FetchDocs:
 		return m.fetchReply(req)
 	case *protocol.ModelRequest:
-		return &protocol.ModelReply{Model: m.model.Marshal()}
+		return &protocol.ModelReply{Model: m.lib.model.Marshal()}
 	case *protocol.BooleanQuery:
 		return m.boolean(req)
 	case *protocol.IndexRequest:

@@ -1,9 +1,6 @@
 package librarian
 
-import (
-	"teraphim/internal/huffman"
-	"teraphim/internal/store"
-)
+import "teraphim/internal/store"
 
 // The paper's §4 lists "faster update" among distribution's management
 // benefits: a subcollection can be re-indexed at its own site without
@@ -18,7 +15,7 @@ import (
 // newManifest assembles a manifest from segments in order: empty segments
 // are pruned (keeping at least one so there is always a collection to
 // answer from) and offset bases reassigned cumulatively.
-func (l *Librarian) newManifest(segs []*segment, model *huffman.TextModel) *manifest {
+func (l *Librarian) newManifest(segs []*segment) *manifest {
 	kept := make([]*segment, 0, len(segs))
 	for _, sg := range segs {
 		if sg.docs > 0 {
@@ -34,7 +31,7 @@ func (l *Librarian) newManifest(segs []*segment, model *huffman.TextModel) *mani
 		out[i] = &segment{engine: sg.engine, store: sg.store, docs: sg.docs, base: base}
 		base += sg.docs
 	}
-	return &manifest{lib: l, segs: out, total: base, model: model}
+	return &manifest{lib: l, segs: out, total: base}
 }
 
 // Epoch returns the number of manifest publications since construction. Any
@@ -82,7 +79,7 @@ func (l *Librarian) publish(next func(old *manifest) *manifest) {
 func (l *Librarian) appendSegment(sg *segment) {
 	l.publish(func(old *manifest) *manifest {
 		segs := append(append(make([]*segment, 0, len(old.segs)+1), old.segs...), sg)
-		return l.newManifest(segs, old.model)
+		return l.newManifest(segs)
 	})
 	l.maybeMerge()
 }

@@ -9,6 +9,7 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -23,7 +24,10 @@ type Document struct {
 	Text  string
 }
 
-// Store is an immutable compressed document archive.
+// Store is an immutable compressed document archive. A model is trained once
+// (Build) and then only shared: BuildWith compresses further documents under
+// it and Concat joins stores that hold it, which is what makes a librarian's
+// segment merge a concatenation.
 type Store struct {
 	model   *huffman.TextModel
 	blobs   [][]byte // compressed text per doc
@@ -37,8 +41,15 @@ type Store struct {
 	fetches atomic.Uint64
 }
 
-// Build compresses docs into a Store. Documents are assigned ids 0..n-1 in
-// order; each Document.ID field is ignored on input.
+// ErrModelMismatch reports a Concat whose inputs were not all compressed
+// under one text model: their blobs cannot sit in one store.
+var ErrModelMismatch = errors.New("store: stores do not share one text model")
+
+// Build trains a text model over docs and compresses them under it. A model
+// is chosen by what Build saw, as in MG's first pass, and never retrained:
+// documents added later (BuildWith) code their novel words through its escape
+// mechanism, and a model trained on no documents stores text near raw size —
+// so train on a representative sample.
 func Build(docs []Document) (*Store, error) {
 	texts := make([]string, len(docs))
 	for i, d := range docs {
@@ -48,6 +59,13 @@ func Build(docs []Document) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: train model: %w", err)
 	}
+	return BuildWith(model, docs)
+}
+
+// BuildWith compresses docs under an existing model into a Store. Documents
+// are assigned ids 0..n-1 in order; each Document.ID field is ignored on
+// input.
+func BuildWith(model *huffman.TextModel, docs []Document) (*Store, error) {
 	s := &Store{model: model, blobs: make([][]byte, len(docs)), titles: make([]string, len(docs))}
 	for i, d := range docs {
 		blob, err := model.CompressDoc(d.Text)
@@ -57,6 +75,30 @@ func Build(docs []Document) (*Store, error) {
 		s.blobs[i] = blob
 		s.titles[i] = d.Title
 		s.rawSize += uint64(len(d.Text))
+	}
+	return s, nil
+}
+
+// Concat returns the store holding the documents of stores in order. Every
+// input must hold the same model (pointer identity), or the error matches
+// ErrModelMismatch; the result shares the inputs' blobs and titles — stores
+// are immutable — so nothing is read, decompressed or compressed.
+func Concat(stores []*Store) (*Store, error) {
+	if len(stores) == 0 {
+		return nil, errors.New("store: nothing to concatenate")
+	}
+	var n int
+	for i, in := range stores {
+		if in.model != stores[0].model {
+			return nil, fmt.Errorf("store: concatenate store %d of %d: %w", i, len(stores), ErrModelMismatch)
+		}
+		n += len(in.blobs)
+	}
+	s := &Store{model: stores[0].model, blobs: make([][]byte, 0, n), titles: make([]string, 0, n)}
+	for _, in := range stores {
+		s.blobs = append(s.blobs, in.blobs...)
+		s.titles = append(s.titles, in.titles...)
+		s.rawSize += in.rawSize
 	}
 	return s, nil
 }
@@ -119,7 +161,7 @@ func (s *Store) CompressedSize() uint64 {
 // RawSize returns the total bytes of original document text.
 func (s *Store) RawSize() uint64 { return s.rawSize }
 
-// Model exposes the trained compression model (for size accounting).
+// Model exposes the compression model the blobs are coded under.
 func (s *Store) Model() *huffman.TextModel { return s.model }
 
 // File format (little endian):

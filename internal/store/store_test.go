@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -63,6 +64,62 @@ func TestFetchCompressedAndDecompress(t *testing.T) {
 	}
 	if _, err := s.FetchCompressed(99); err == nil {
 		t.Fatal("out-of-range compressed fetch: want error")
+	}
+}
+
+// TestBuildWithAndConcat: documents compressed under an existing model join
+// the store that trained it without a read of either — the blobs are shared,
+// in order — and the joined store answers for all of them, novel words
+// included; a store under another model is refused with the typed error.
+func TestBuildWithAndConcat(t *testing.T) {
+	first, err := Build(sampleDocs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := []Document{
+		{Title: "NEW-1", Text: "Unseen zeppelins moor over the lazy dog."},
+		{Title: "NEW-2", Text: ""},
+	}
+	second, err := BuildWith(first.Model(), later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := BuildWith(first.Model(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := Concat([]*Store{first, empty, second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Fetches() != 0 || second.Fetches() != 0 {
+		t.Fatalf("Concat read its inputs: %d and %d fetches", first.Fetches(), second.Fetches())
+	}
+	if all.Model() != first.Model() || all.NumDocs() != 6 || all.RawSize() != first.RawSize()+second.RawSize() ||
+		all.CompressedSize() != first.CompressedSize()+second.CompressedSize() {
+		t.Fatalf("joined store: %d docs, raw %d, compressed %d", all.NumDocs(), all.RawSize(), all.CompressedSize())
+	}
+	for i, want := range append(sampleDocs(), later...) {
+		got, err := all.Fetch(uint32(i))
+		if err != nil || got.Text != want.Text || got.Title != want.Title {
+			t.Fatalf("Fetch(%d) = %+v, %v; want %+v", i, got, err, want)
+		}
+	}
+	joined, _ := all.FetchCompressed(4)
+	input, _ := second.FetchCompressed(0)
+	if &joined[0] != &input[0] {
+		t.Fatal("the joined store copied a blob it could share")
+	}
+
+	foreign, err := Build(later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Concat([]*Store{first, foreign}); !errors.Is(err, ErrModelMismatch) {
+		t.Fatalf("joining stores of two models: %v, want ErrModelMismatch", err)
+	}
+	if _, err := Concat(nil); err == nil {
+		t.Fatal("joining no stores: want error")
 	}
 }
 

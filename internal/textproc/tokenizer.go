@@ -54,8 +54,22 @@ type WordSpan struct {
 
 // SplitWords decomposes text into an alternating sequence of separators and
 // words such that concatenating Sep+Word over all spans, plus the returned
-// tail, reproduces text exactly.
+// tail, reproduces text exactly. The words are counted in a first pass so the
+// result is allocated once: growing it span by span was a tenth of the CPU of
+// building a document store.
 func SplitWords(text string) (spans []WordSpan, tail string) {
+	n, inWord := 0, false
+	for _, r := range text {
+		isWord := unicode.IsLetter(r) || unicode.IsDigit(r)
+		if isWord && !inWord {
+			n++
+		}
+		inWord = isWord
+	}
+	if n == 0 {
+		return nil, text
+	}
+	spans = make([]WordSpan, 0, n)
 	sepStart := 0
 	wordStart := -1
 	for i, r := range text {

@@ -330,7 +330,9 @@ func WithoutStemming() AnalyzerOption { return textproc.WithoutStemming() }
 func WithStopwords(words []string) AnalyzerOption { return textproc.WithStopwords(words) }
 
 // BuildLibrarian indexes and compresses docs into a librarian named name,
-// using the standard analyzer.
+// using the standard analyzer. docs also train the librarian's text model,
+// which is kept for good — everything ingested later is compressed under it
+// — so pass a representative sample.
 func BuildLibrarian(name string, docs []Document) (*Librarian, error) {
 	return librarian.Build(name, docs, librarian.BuildOptions{})
 }
