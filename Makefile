@@ -23,7 +23,7 @@ vet:
 # excluded. internal/core may not grow past CORE_LOC_MAX nor
 # internal/librarian past LIBRARIAN_LOC_MAX; a change that collapses another
 # of their parallel paths lowers the ceiling to what it reached.
-CORE_LOC_MAX = 4964
+CORE_LOC_MAX = 4762
 LIBRARIAN_LOC_MAX = 1756
 loc:
 	@for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \

@@ -164,11 +164,10 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	b.Run("queries=idle", func(b *testing.B) {
 		up := newIngestBenchLibrarian(b, ingestBenchSeedDocs+ingestBenchStreamDocs, IngestConfig{})
 		pool := newIngestBenchPool(b, up)
-		sess := pool.Session()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			q := ingestBenchVocab[i%len(ingestBenchVocab)] + " " + ingestBenchVocab[(i*7)%len(ingestBenchVocab)]
-			if _, err := sess.Query(ModeCN, q, 10, Options{}); err != nil {
+			if _, err := pool.Query(ModeCN, q, 10, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -185,7 +184,6 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	b.Run("queries=during-ingest", func(b *testing.B) {
 		up := newIngestBenchLibrarian(b, ingestBenchSeedDocs, IngestConfig{})
 		pool := newIngestBenchPool(b, up)
-		sess := pool.Session()
 		ctx := context.Background()
 		producerDone := make(chan error, 1)
 		go func() {
@@ -202,7 +200,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			q := ingestBenchVocab[i%len(ingestBenchVocab)] + " " + ingestBenchVocab[(i*7)%len(ingestBenchVocab)]
-			if _, err := sess.Query(ModeCN, q, 10, Options{}); err != nil {
+			if _, err := pool.Query(ModeCN, q, 10, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -122,12 +122,11 @@ func runReplicaBench(b *testing.B, f *replicaBenchFleet, clients int, opts Optio
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess := f.pool.Session()
 			var mine []time.Duration
 			for i := range work {
 				q := f.queries[i%len(f.queries)]
 				qStart := time.Now()
-				res, err := sess.Query(ModeCN, q, 10, opts)
+				res, err := f.pool.Query(ModeCN, q, 10, opts)
 				if err != nil {
 					errs <- fmt.Errorf("query %d (%q): %w", i, q, err)
 					return

@@ -180,10 +180,9 @@ func BenchmarkWireThroughput(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					sess := f.pool.Session()
 					for i := range work {
 						q := f.queries[i%len(f.queries)]
-						if _, err := sess.Query(ModeCN, q, 10, opts); err != nil {
+						if _, err := f.pool.Query(ModeCN, q, 10, opts); err != nil {
 							errs <- fmt.Errorf("query %d (%q): %w", i, q, err)
 							return
 						}

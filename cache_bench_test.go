@@ -117,10 +117,9 @@ func BenchmarkCacheThroughput(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						sess := pool.Session()
 						for i := range work {
 							q := poolBenchQueries[i%len(poolBenchQueries)]
-							if _, err := sess.Query(ModeCV, q, 20, Options{}); err != nil {
+							if _, err := pool.Query(ModeCV, q, 20, Options{}); err != nil {
 								errs <- err
 								return
 							}

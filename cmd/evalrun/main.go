@@ -82,12 +82,12 @@ func run(w io.Writer, args []string) error {
 	}
 	analyzer := libs[0].Engine().Analyzer()
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{})
-	recep, err := core.Connect(dialer, names, core.Config{Analyzer: analyzer})
+	pool, err := core.NewPool(dialer, names, core.Config{Analyzer: analyzer})
 	if err != nil {
 		return err
 	}
 	defer func() {
-		recep.Close()
+		pool.Close()
 		dialer.Wait()
 	}()
 
@@ -113,12 +113,12 @@ func run(w io.Writer, args []string) error {
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	if qmode != core.ModeCN {
-		if _, err := recep.SetupVocabulary(); err != nil {
+		if _, err := pool.SetupVocabulary(); err != nil {
 			return err
 		}
 	}
 	if qmode == core.ModeCI {
-		if _, err := recep.SetupCentralIndexRemote(*groupSize); err != nil {
+		if _, err := pool.SetupCentralIndexRemote(*groupSize); err != nil {
 			return err
 		}
 	}
@@ -131,7 +131,7 @@ func run(w io.Writer, args []string) error {
 		runs := make(map[string]eval.Run, len(qs))
 		degraded := 0
 		for _, q := range qs {
-			res, err := recep.Query(qmode, q.text, *k, opts)
+			res, err := pool.Query(qmode, q.text, *k, opts)
 			if err != nil {
 				return fmt.Errorf("query %s: %w", q.id, err)
 			}

@@ -62,8 +62,8 @@ func run(w io.Writer, args []string) error {
 	}
 	defer r.Close()
 	fmt.Fprintf(w, "Ready in %.1fs: %d documents, %d librarians, %d queries\n\n",
-		time.Since(start).Seconds(), r.Receptionist().TotalDocs(),
-		len(r.Receptionist().Librarians()), len(r.Corpus.Queries))
+		time.Since(start).Seconds(), r.Pool().Federation().TotalDocs(),
+		len(r.Pool().Federation().Librarians()), len(r.Corpus.Queries))
 
 	type section struct {
 		name string

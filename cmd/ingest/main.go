@@ -138,7 +138,6 @@ func run(w io.Writer, args []string) error {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			sess := pool.Session()
 			for i := c; ; i++ {
 				select {
 				case <-stopQueries:
@@ -146,7 +145,7 @@ func run(w io.Writer, args []string) error {
 					return
 				default:
 				}
-				if _, err := sess.Query(core.ModeCN, queries[i%len(queries)], *k, core.Options{}); err != nil {
+				if _, err := pool.Query(core.ModeCN, queries[i%len(queries)], *k, core.Options{}); err != nil {
 					qErrs <- fmt.Errorf("client %d: %w", c, err)
 					return
 				}

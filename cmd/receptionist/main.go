@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -135,11 +136,12 @@ func run(w io.Writer, stdin io.Reader, args []string) error {
 	if *inflight > 0 {
 		cfg.Admission = &core.AdmissionConfig{MaxInFlight: *inflight, MaxQueue: *queue, MaxWait: *queueWait}
 	}
-	recep, err := core.Connect(dialer, names, cfg)
+	pool, err := core.NewPool(dialer, names, cfg)
 	if err != nil {
 		return err
 	}
-	defer recep.Close()
+	defer pool.Close()
+	fed := pool.Federation()
 	if *obsAddr != "" {
 		srv, err := obs.ListenAndServe(*obsAddr, reg)
 		if err != nil {
@@ -149,8 +151,8 @@ func run(w io.Writer, stdin io.Reader, args []string) error {
 		fmt.Fprintf(w, "metrics and pprof on http://%s/\n", srv.Addr())
 	}
 	fmt.Fprintf(w, "connected to %d librarians, %d documents total\n",
-		len(recep.Librarians()), recep.TotalDocs())
-	for _, name := range recep.Librarians() {
+		len(fed.Librarians()), fed.TotalDocs())
+	for _, name := range fed.Librarians() {
 		if eps := replicas[name]; len(eps) > 1 {
 			fmt.Fprintf(w, "librarian %s: %d replicas (%s)\n", name, len(eps), strings.Join(eps, ", "))
 		}
@@ -162,22 +164,36 @@ func run(w io.Writer, stdin io.Reader, args []string) error {
 	// Selection ranks librarians from the merged vocabulary statistics, so
 	// -topr needs SetupVocabulary even in CN mode.
 	if qmode == core.ModeCV || *topR > 0 {
-		if _, err := recep.SetupVocabulary(); err != nil {
+		if _, err := pool.SetupVocabulary(); err != nil {
 			return err
 		}
-		terms, bytes := recep.VocabularySize()
+		terms, bytes := fed.VocabularySize()
 		fmt.Fprintf(w, "merged vocabulary: %d terms (%d bytes)\n", terms, bytes)
 	}
 	if *topR > 0 {
 		fmt.Fprintf(w, "collection selection on: top %d of %d librarians per query\n",
-			*topR, len(recep.Librarians()))
+			*topR, len(fed.Librarians()))
 	}
 	if *fetch && *compressed {
-		if _, err := recep.SetupModels(); err != nil {
+		if _, err := pool.SetupModels(); err != nil {
 			return err
 		}
 	}
 
+	// Boolean queries take only the fault-policy options; the rest are
+	// validated and ignored.
+	opts := core.Options{
+		Fetch:              *fetch,
+		CompressedTransfer: *compressed,
+		Timeout:            *timeout,
+		Retries:            *retries,
+		Backoff:            *backoff,
+		AllowPartial:       *partial,
+		MinLibrarians:      *minLibs,
+		TopR:               *topR,
+		HedgeAfter:         *hedge,
+		Evaluator:          evaluator,
+	}
 	scanner := bufio.NewScanner(stdin)
 	fmt.Fprint(w, "query> ")
 	for scanner.Scan() {
@@ -187,12 +203,13 @@ func run(w io.Writer, stdin io.Reader, args []string) error {
 			continue
 		}
 		if *boolean {
-			res, err := recep.Boolean(q)
+			res, err := pool.Boolean(context.Background(), q, opts)
 			if err != nil {
 				fmt.Fprintf(w, "error: %v\n", err)
 			} else {
 				fmt.Fprintf(w, "%d documents match across %d librarians\n",
 					len(res.Answers), res.Trace.LibrariansAsked)
+				reportFaults(w, &res.Trace)
 				show := res.Answers
 				if len(show) > *k {
 					show = show[:*k]
@@ -204,18 +221,7 @@ func run(w io.Writer, stdin io.Reader, args []string) error {
 			fmt.Fprint(w, "query> ")
 			continue
 		}
-		res, err := recep.Query(qmode, q, *k, core.Options{
-			Fetch:              *fetch,
-			CompressedTransfer: *compressed,
-			Timeout:            *timeout,
-			Retries:            *retries,
-			Backoff:            *backoff,
-			AllowPartial:       *partial,
-			MinLibrarians:      *minLibs,
-			TopR:               *topR,
-			HedgeAfter:         *hedge,
-			Evaluator:          evaluator,
-		})
+		res, err := pool.Query(qmode, q, *k, opts)
 		if err != nil {
 			fmt.Fprintf(w, "error: %v\n", err)
 			fmt.Fprint(w, "query> ")
@@ -232,19 +238,7 @@ func run(w io.Writer, stdin io.Reader, args []string) error {
 				len(res.Answers), res.Trace.LibrariansAsked,
 				res.Trace.MergeCandidates, res.Trace.BytesTransferred(0))
 		}
-		if res.Trace.Degraded {
-			fmt.Fprintf(w, "DEGRADED: answered without %d librarian(s)\n", len(res.Trace.Failures))
-			for _, f := range res.Trace.Failures {
-				fmt.Fprintf(w, "  %s failed in %s phase after %d attempt(s): %v\n",
-					f.Librarian, f.Phase, f.Attempts, f.Err)
-			}
-		}
-		if retried := res.Trace.RetryAttempts(); retried > 0 {
-			fmt.Fprintf(w, "recovered after %d retried exchange(s)\n", retried)
-		}
-		if res.Trace.Hedges > 0 {
-			fmt.Fprintf(w, "hedged %d exchange(s), %d won the race\n", res.Trace.Hedges, res.Trace.HedgeWins)
-		}
+		reportFaults(w, &res.Trace)
 		for i, a := range res.Answers {
 			fmt.Fprintf(w, "%3d. %-24s %.4f", i+1, a.Key(), a.Score)
 			if a.Title != "" {
@@ -258,6 +252,24 @@ func run(w io.Writer, stdin io.Reader, args []string) error {
 		fmt.Fprint(w, "query> ")
 	}
 	return scanner.Err()
+}
+
+// reportFaults prints what the fault-tolerance machinery did for one query:
+// librarians answered without, retried exchanges, hedges.
+func reportFaults(w io.Writer, tr *core.Trace) {
+	if tr.Degraded {
+		fmt.Fprintf(w, "DEGRADED: answered without %d librarian(s)\n", len(tr.Failures))
+		for _, f := range tr.Failures {
+			fmt.Fprintf(w, "  %s failed in %s phase after %d attempt(s): %v\n",
+				f.Librarian, f.Phase, f.Attempts, f.Err)
+		}
+	}
+	if retried := tr.RetryAttempts(); retried > 0 {
+		fmt.Fprintf(w, "recovered after %d retried exchange(s)\n", retried)
+	}
+	if tr.Hedges > 0 {
+		fmt.Fprintf(w, "hedged %d exchange(s), %d won the race\n", tr.Hedges, tr.HedgeWins)
+	}
 }
 
 func firstLine(text string) string {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"teraphim/internal/librarian"
+	"teraphim/internal/protocol"
 	"teraphim/internal/store"
 	"teraphim/internal/textproc"
 )
@@ -75,6 +76,63 @@ func TestInteractiveBooleanSession(t *testing.T) {
 	}
 	if !strings.Contains(out, "news:1") {
 		t.Fatalf("expected news:1 (election AND networks):\n%s", out)
+	}
+}
+
+// stallingLibrarian answers the Hello handshake like a one-document librarian
+// speaking the seed protocol, then reads every request and answers none.
+func stallingLibrarian(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, _, err := protocol.ReadMessage(conn); err != nil {
+					return
+				}
+				if _, err := protocol.WriteMessage(conn, &protocol.HelloReply{Name: "stall", NumDocs: 1}); err != nil {
+					return
+				}
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestBooleanHonoursTimeout: -boolean runs under the same fault policy as a
+// ranked query, so a librarian that never answers fails the query at
+// -timeout, and -partial answers from the others.
+func TestBooleanHonoursTimeout(t *testing.T) {
+	libs := startFleet(t) + ",stall=" + stallingLibrarian(t)
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{nil, "error: "},
+		{[]string{"-partial"}, "DEGRADED: answered without 1 librarian(s)"},
+	} {
+		var buf bytes.Buffer
+		args := append([]string{"-libs", libs, "-mode", "cn", "-boolean", "-timeout", "200ms", "-nostem", "-nostop"}, tc.flags...)
+		start := time.Now()
+		if err := run(&buf, strings.NewReader("election\n"), args); err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed > 3*time.Second {
+			t.Fatalf("%v: Boolean query against a stalled librarian took %v with -timeout 200ms", tc.flags, elapsed)
+		}
+		if out := buf.String(); !strings.Contains(out, tc.want) {
+			t.Fatalf("%v: want %q in output:\n%s", tc.flags, tc.want, out)
+		}
 	}
 }
 

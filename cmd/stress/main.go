@@ -324,10 +324,9 @@ func drive(dialer simnet.Dialer, names []string, mode core.Mode, queries []strin
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess := pool.Session()
 			for i := range work {
 				qStart := time.Now()
-				res, err := sess.Query(mode, queries[i%len(queries)], k, opts)
+				res, err := pool.Query(mode, queries[i%len(queries)], k, opts)
 				if err != nil {
 					// A shed query is the admission control working as
 					// intended, not a run-ending failure: tally it and move

@@ -1,6 +1,7 @@
 package teraphim_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func Example() {
 
 // Federating several librarians behind a receptionist with the Central
 // Vocabulary methodology: scores are identical to a monolithic system's.
-func ExampleReceptionist() {
+func ExamplePool() {
 	analyzer := teraphim.NewAnalyzer()
 	libA, err := teraphim.BuildLibrarianWith("A", []teraphim.Document{
 		{Title: "a0", Text: "solar energy from photovoltaic panels"},
@@ -49,15 +50,15 @@ func ExampleReceptionist() {
 		log.Fatal(err)
 	}
 	dialer := teraphim.NewInProcessDialer([]*teraphim.Librarian{libA, libB}, teraphim.LinkConfig{})
-	recep, err := teraphim.ConnectReceptionist(dialer, []string{"A", "B"}, teraphim.ReceptionistConfig{Analyzer: analyzer})
+	pool, err := teraphim.ConnectPool(dialer, []string{"A", "B"}, teraphim.ReceptionistConfig{Analyzer: analyzer})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer recep.Close()
-	if _, err := recep.SetupVocabulary(); err != nil {
+	defer pool.Close()
+	if _, err := pool.SetupVocabulary(); err != nil {
 		log.Fatal(err)
 	}
-	res, err := recep.Query(teraphim.ModeCV, "wind energy", 2, teraphim.Options{})
+	res, err := pool.Query(teraphim.ModeCV, "wind energy", 2, teraphim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func ExampleReceptionist() {
 
 // Distributed Boolean evaluation needs no global statistics: the answer is
 // the union of per-librarian result sets.
-func ExampleReceptionist_boolean() {
+func ExamplePool_boolean() {
 	analyzer := teraphim.NewAnalyzer(teraphim.WithoutStopwords(), teraphim.WithoutStemming())
 	libA, err := teraphim.BuildLibrarianWith("A", []teraphim.Document{
 		{Title: "a0", Text: "apples and oranges"},
@@ -83,12 +84,12 @@ func ExampleReceptionist_boolean() {
 		log.Fatal(err)
 	}
 	dialer := teraphim.NewInProcessDialer([]*teraphim.Librarian{libA, libB}, teraphim.LinkConfig{})
-	recep, err := teraphim.ConnectReceptionist(dialer, []string{"A", "B"}, teraphim.ReceptionistConfig{Analyzer: analyzer})
+	pool, err := teraphim.ConnectPool(dialer, []string{"A", "B"}, teraphim.ReceptionistConfig{Analyzer: analyzer})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer recep.Close()
-	res, err := recep.Boolean("apples OR oranges")
+	defer pool.Close()
+	res, err := pool.Boolean(context.Background(), "apples OR oranges", teraphim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Federated search: three librarian servers on real TCP sockets, one
 // shared federation comparing the CN and CV methodologies, then fanning
-// several concurrent client sessions out over the connection pool — the
+// several concurrent clients out over the one receptionist pool — the
 // paper's core architecture in ~100 lines.
 //
 //	go run ./examples/federated
@@ -63,7 +63,7 @@ func run() error {
 	}
 
 	// One pool holds the shared federation state. The vocabulary merge
-	// below runs exactly once; every session reuses it.
+	// below runs exactly once; every client reuses it.
 	pool, err := teraphim.ConnectPool(dialer, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
 	if err != nil {
 		return err
@@ -90,7 +90,7 @@ func run() error {
 			res.Trace.RoundTrips(0), res.Trace.BytesTransferred(0))
 	}
 
-	// Concurrent serving: each client is a lightweight session borrowing
+	// Concurrent serving: each client queries the same pool, borrowing
 	// pooled connections; none repeats the vocabulary setup.
 	const clients = 4
 	queries := []string{"election networks", "distributed index", "court statutes", "storm turnout"}
@@ -101,8 +101,7 @@ func run() error {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			sess := pool.Session()
-			res, err := sess.Query(teraphim.ModeCV, queries[c], 1, teraphim.Options{})
+			res, err := pool.Query(teraphim.ModeCV, queries[c], 1, teraphim.Options{})
 			if err != nil {
 				errs <- err
 				return
@@ -117,7 +116,7 @@ func run() error {
 	for err := range errs {
 		return err
 	}
-	fmt.Printf("%d concurrent CV sessions over one federation:\n", clients)
+	fmt.Printf("%d concurrent CV clients over one federation:\n", clients)
 	for c, q := range queries {
 		fmt.Printf("  client %d: %-20q top answer %s\n", c, q, tops[c])
 	}

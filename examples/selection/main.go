@@ -72,15 +72,15 @@ func run() error {
 		docCounts[sub.Name] = len(sub.Docs)
 	}
 	dialer := teraphim.NewInProcessDialer(libs, teraphim.LinkConfig{})
-	recep, err := teraphim.ConnectReceptionist(dialer, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
+	pool, err := teraphim.ConnectPool(dialer, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
 	if err != nil {
 		return err
 	}
 	defer func() {
-		recep.Close()
+		pool.Close()
 		dialer.Wait()
 	}()
-	if _, err := recep.SetupVocabulary(); err != nil {
+	if _, err := pool.SetupVocabulary(); err != nil {
 		return err
 	}
 
@@ -93,7 +93,7 @@ func run() error {
 		var postingsSel, postingsFull float64
 		for _, q := range queries {
 			// Full-fleet CV answer as the reference.
-			ref, err := recep.Query(teraphim.ModeCV, q.Text, 20, teraphim.Options{})
+			ref, err := pool.Query(teraphim.ModeCV, q.Text, 20, teraphim.Options{})
 			if err != nil {
 				return err
 			}
@@ -101,7 +101,7 @@ func run() error {
 
 			// GlOSS-style selection: score each librarian by
 			// sum over query terms of ft(lib)/docs(lib) weighted by global idf.
-			selected := selectLibrarians(recep, vocabs, docCounts, analyzer, q.Text, n)
+			selected := selectLibrarians(pool.Federation(), vocabs, docCounts, analyzer, q.Text, n)
 			// Evaluate by filtering the reference answers to selected
 			// librarians (a CV query to a fleet subset returns exactly the
 			// subset's answers, since scores are global).
@@ -139,10 +139,10 @@ func run() error {
 
 // selectLibrarians ranks librarians for a query by a GlOSS-style goodness
 // estimate: Σ_t idf_global(t) · ft(lib,t)/numDocs(lib).
-func selectLibrarians(recep *teraphim.Receptionist, vocabs map[string]map[string]uint32,
+func selectLibrarians(fed *teraphim.Federation, vocabs map[string]map[string]uint32,
 	docCounts map[string]int, analyzer *teraphim.Analyzer, query string, n int) []string {
 	terms := analyzer.Terms(nil, query)
-	weights, err := recep.GlobalWeights(query)
+	weights, err := fed.GlobalWeights(query)
 	if err != nil {
 		return nil
 	}

@@ -54,7 +54,6 @@ func main() {
 			"instead of rebuilding the whole collection."}},
 	}
 
-	sess := pool.Session()
 	for i, batch := range batches {
 		if err := up.Ingest(ctx, batch); err != nil {
 			log.Fatal(err)
@@ -62,7 +61,7 @@ func main() {
 		if err := up.Flush(ctx); err != nil {
 			log.Fatal(err)
 		}
-		res, err := sess.Query(teraphim.ModeCN, "distributed ranked retrieval", 3, teraphim.Options{})
+		res, err := pool.Query(teraphim.ModeCN, "distributed ranked retrieval", 3, teraphim.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -112,20 +112,20 @@ func run() error {
 			return err
 		}
 	}
-	recep, err := teraphim.ConnectReceptionist(dialer, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
+	pool, err := teraphim.ConnectPool(dialer, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
 	if err != nil {
 		return err
 	}
 	defer func() {
-		recep.Close()
+		pool.Close()
 		dialer.Wait()
 	}()
-	if _, err := recep.SetupVocabulary(); err != nil {
+	if _, err := pool.SetupVocabulary(); err != nil {
 		return err
 	}
 	for _, q := range queries[:2] {
 		start := time.Now()
-		res, err := recep.Query(teraphim.ModeCV, q.Text, 5, teraphim.Options{})
+		res, err := pool.Query(teraphim.ModeCV, q.Text, 5, teraphim.Options{})
 		if err != nil {
 			return err
 		}
@@ -168,9 +168,8 @@ func run() error {
 		start := time.Now()
 		for c := 0; c < wireClients; c++ {
 			go func(c int) {
-				sess := pool.Session()
 				for _, q := range queries {
-					if _, err := sess.Query(teraphim.ModeCV, q.Text, 5,
+					if _, err := pool.Query(teraphim.ModeCV, q.Text, 5,
 						teraphim.Options{BatchWindow: wire.window}); err != nil {
 						errs <- err
 						return
@@ -200,15 +199,15 @@ func run() error {
 	// query from the three surviving sites.
 	fmt.Println("\nDegraded operation: the Tel Aviv librarian (WSJ) dies after setup:")
 	flaky := &flakySite{inner: dialer, site: "WSJ", writesLeft: 2} // Hello + vocabulary
-	recep2, err := teraphim.ConnectReceptionist(flaky, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
+	pool2, err := teraphim.ConnectPool(flaky, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
 	if err != nil {
 		return err
 	}
-	defer recep2.Close()
-	if _, err := recep2.SetupVocabulary(); err != nil {
+	defer pool2.Close()
+	if _, err := pool2.SetupVocabulary(); err != nil {
 		return err
 	}
-	res, err := recep2.Query(teraphim.ModeCV, queries[0].Text, 5, teraphim.Options{
+	res, err := pool2.Query(teraphim.ModeCV, queries[0].Text, 5, teraphim.Options{
 		Retries:      1,
 		Backoff:      10 * time.Millisecond,
 		AllowPartial: true,
@@ -230,23 +229,23 @@ func run() error {
 // the clock, prices the traces).
 func fetchTraces(libs []*teraphim.Librarian, names []string, analyzer *teraphim.Analyzer, queries []trecsynth.Query, opts core.Options) ([]*core.Trace, error) {
 	dialer := teraphim.NewInProcessDialer(libs, teraphim.LinkConfig{})
-	recep, err := teraphim.ConnectReceptionist(dialer, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
+	pool, err := teraphim.ConnectPool(dialer, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		recep.Close()
+		pool.Close()
 		dialer.Wait()
 	}()
-	if _, err := recep.SetupVocabulary(); err != nil {
+	if _, err := pool.SetupVocabulary(); err != nil {
 		return nil, err
 	}
-	if _, err := recep.SetupModels(); err != nil {
+	if _, err := pool.SetupModels(); err != nil {
 		return nil, err
 	}
 	var traces []*core.Trace
 	for _, q := range queries {
-		res, err := recep.Query(teraphim.ModeCV, q.Text, 20, opts)
+		res, err := pool.Query(teraphim.ModeCV, q.Text, 20, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -247,9 +247,8 @@ func TestAdmissionShedsUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess := pool.Session()
 			for i := 0; i < perClient; i++ {
-				res, err := sess.Query(ModeCV, "alpha federal wallstreet", 10, Options{})
+				res, err := pool.Query(ModeCV, "alpha federal wallstreet", 10, Options{})
 				if err != nil {
 					if !errors.Is(err, ErrOverloaded) {
 						errc <- err

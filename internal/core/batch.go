@@ -139,7 +139,7 @@ func (b *batcher) dispatch(e *exec, name string, items []*batchItem) {
 			timeout = it.timeout
 		}
 	}
-	de := &exec{ctx: context.Background(), fed: e.fed, pool: e.pool, policy: callPolicy{timeout: timeout}}
+	de := &exec{ctx: context.Background(), fed: e.fed, pool: e.pool, plan: plan{policy: callPolicy{timeout: timeout}}}
 
 	if len(items) == 1 {
 		// A batch of one ships the original message: bit-identical to the

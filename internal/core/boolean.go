@@ -7,19 +7,10 @@ import (
 	"teraphim/internal/protocol"
 )
 
-// BooleanResult is the outcome of a distributed Boolean query: the union of
-// the per-librarian result sets (§1 of the paper — no global information or
-// score merging is required).
-type BooleanResult struct {
-	// Answers holds matching documents in global-document order, without
-	// scores or text (use Query/Fetch for ranked retrieval with documents).
-	Answers []Answer
-	Trace   Trace
-}
-
-// boolean evaluates expr at every librarian and unions the result sets.
-func (e *exec) boolean(expr string) (*BooleanResult, error) {
-	res := &BooleanResult{}
+// boolean evaluates expr at every librarian and unions the result sets in
+// global-document order.
+func (e *exec) boolean(expr string) (*Result, error) {
+	res := &Result{}
 	res.Trace.Mode = ModeCN // Boolean evaluation is inherently central-nothing
 	res.Trace.LibrariansAsked = len(e.fed.libs)
 	replies, err := e.callParallel(&res.Trace, PhaseRank, e.fed.Librarians(), func(string) protocol.Message {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -76,15 +75,15 @@ type CacheStats struct {
 	Bytes         int64
 }
 
-// cacheKey identifies one cacheable query. The query text is normalized
-// through the federation's analyzer (the same pipeline every librarian
-// applies), so "Alpha, Federal!" and "alpha federal" share an entry. KPrime,
-// Fetch and TopR participate because they change the answer (candidate set,
-// document text, and fan-out width respectively); the fault-tolerance knobs
-// do not, because a successful non-degraded result is the same under any of
-// them. The merge strategy and topR stored here are the *resolved* values
-// (validated, defaulted, clamped), so option spellings that evaluate
-// identically share an entry.
+// cacheKey identifies one cacheable query; resolve fills in all but the
+// query text, which the pool normalizes through the federation's analyzer
+// (the same pipeline every librarian applies), so "Alpha, Federal!" and
+// "alpha federal" share an entry. KPrime, Fetch and TopR participate because
+// they change the answer (candidate set, document text, and fan-out width
+// respectively); the fault-tolerance knobs do not, because a successful
+// non-degraded result is the same under any of them. Merge, KPrime and TopR
+// are the *resolved* values (validated, defaulted, clamped), so option
+// spellings that evaluate identically share an entry.
 type cacheKey struct {
 	mode   Mode
 	query  string
@@ -154,30 +153,6 @@ func newResultCache(cfg CacheConfig, m *Metrics) *resultCache {
 		entries:       m.cacheEntries,
 		sizeBytes:     m.cacheBytes,
 	}
-}
-
-// keyFor builds the cache key for one query from its already-resolved merge
-// strategy and top-R (the session validates and clamps both before any
-// lookup). Every ranked query is cacheable to look up — the fault-tolerance
-// options don't participate in the key because degraded results are never
-// stored, so whatever a hit returns is a complete answer under any policy.
-func (c *resultCache) keyFor(fed *Federation, mode Mode, query string, k int, merge MergeStrategy, topR int, opts Options) cacheKey {
-	key := cacheKey{
-		mode:  mode,
-		query: strings.Join(fed.analyzer.Terms(nil, query), " "),
-		k:     k,
-		merge: merge,
-		fetch: opts.Fetch,
-		topR:  topR,
-		eval:  opts.Evaluator,
-	}
-	if mode == ModeCI {
-		key.kPrime = opts.KPrime
-		if key.kPrime <= 0 {
-			key.kPrime = DefaultKPrime
-		}
-	}
-	return key
 }
 
 // get returns a defensive copy of the entry for key at the given epoch. An

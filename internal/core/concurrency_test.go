@@ -40,7 +40,7 @@ func TestManyReceptionistsOneLibrarianFleet(t *testing.T) {
 	}()
 
 	// Reference answer from one receptionist.
-	ref, err := Connect(dialer, order, Config{Analyzer: a})
+	ref, err := NewPool(dialer, order, Config{Analyzer: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestManyReceptionistsOneLibrarianFleet(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			recep, err := Connect(dialer, order, Config{Analyzer: a})
+			recep, err := NewPool(dialer, order, Config{Analyzer: a})
 			if err != nil {
 				errs <- err
 				return

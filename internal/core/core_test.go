@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
@@ -23,7 +24,7 @@ func testAnalyzer() *textproc.Analyzer {
 
 // fixture bundles a small distributed deployment plus its MS equivalent.
 type fixture struct {
-	recep   *Receptionist
+	recep   *Pool
 	mono    *MonoServer
 	dialer  *librarian.InProcessDialer
 	corpus  map[string][]store.Document
@@ -51,7 +52,7 @@ func newFixture(t testing.TB, corpus map[string][]store.Document, order []string
 		}
 	}
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{})
-	recep, err := Connect(dialer, order, Config{Analyzer: a})
+	recep, err := NewPool(dialer, order, Config{Analyzer: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func smallCorpus(t testing.TB) (map[string][]store.Document, []string) {
 func TestConnectAndGlobalNumbering(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	f := newFixture(t, corpus, order)
-	r := f.recep
+	r := f.recep.Federation()
 
 	if got := r.Librarians(); len(got) != 3 || got[0] != "AP" {
 		t.Fatalf("Librarians = %v", got)
@@ -270,7 +271,7 @@ func TestCIMatchesCVOrderingWithFullExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.recep.SetupCentralIndex(g); err != nil {
+	if err := f.recep.Federation().SetupCentralIndex(g); err != nil {
 		t.Fatal(err)
 	}
 	// k' = every group: expansion covers the whole collection, so CI
@@ -309,7 +310,7 @@ func TestCISmallKPrimeLimitsCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.recep.SetupCentralIndex(g); err != nil {
+	if err := f.recep.Federation().SetupCentralIndex(g); err != nil {
 		t.Fatal(err)
 	}
 	res, err := f.recep.Query(ModeCI, "alpha federal", 10, Options{KPrime: 2})
@@ -344,7 +345,7 @@ func TestCIRequiresSetup(t *testing.T) {
 	if _, err := f.recep.Query(ModeCI, "alpha", 5, Options{}); err == nil {
 		t.Fatal("CI without SetupCentralIndex: want error")
 	}
-	if err := f.recep.SetupCentralIndex(nil); err == nil {
+	if err := f.recep.Federation().SetupCentralIndex(nil); err == nil {
 		t.Fatal("nil grouped index: want error")
 	}
 	// Mismatched doc count.
@@ -352,7 +353,7 @@ func TestCIRequiresSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.recep.SetupCentralIndex(g); err == nil {
+	if err := f.recep.Federation().SetupCentralIndex(g); err == nil {
 		t.Fatal("mismatched grouped index: want error")
 	}
 }
@@ -472,7 +473,7 @@ func TestVocabularySize(t *testing.T) {
 	if _, err := f.recep.SetupVocabulary(); err != nil {
 		t.Fatal(err)
 	}
-	terms, bytes := f.recep.VocabularySize()
+	terms, bytes := f.recep.Federation().VocabularySize()
 	if terms == 0 || bytes == 0 {
 		t.Fatalf("vocabulary size = %d terms, %d bytes", terms, bytes)
 	}
@@ -540,7 +541,7 @@ func TestDistributedBoolean(t *testing.T) {
 
 	// Union semantics: "alpha OR federal" matches AP topical docs and FR
 	// topical docs; compare against a direct per-subcollection evaluation.
-	res, err := f.recep.Boolean("alpha OR federal")
+	res, err := f.recep.Boolean(context.Background(), "alpha OR federal", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +585,7 @@ func TestDistributedBoolean(t *testing.T) {
 func TestDistributedBooleanParseError(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	f := newFixture(t, corpus, order)
-	if _, err := f.recep.Boolean("alpha AND ("); err == nil {
+	if _, err := f.recep.Boolean(context.Background(), "alpha AND (", Options{}); err == nil {
 		t.Fatal("malformed Boolean expression: want error")
 	}
 }
@@ -700,7 +701,7 @@ func TestGroupedIndexPersistRoundTrip(t *testing.T) {
 	if _, err := f.recep.SetupVocabulary(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.recep.SetupCentralIndex(loaded); err != nil {
+	if err := f.recep.Federation().SetupCentralIndex(loaded); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.recep.Query(ModeCI, "alpha federal", 5, Options{KPrime: 3}); err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"teraphim/internal/obs"
 	"teraphim/internal/search"
 )
 
@@ -100,14 +99,20 @@ func TestEvaluatorCacheKeyFragmentation(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	f := newFixture(t, corpus, order)
 	fed := f.recep.Federation()
-	cache := newResultCache(CacheConfig{}, newMetrics(obs.NewRegistry()))
-	exact := cache.keyFor(fed, ModeCN, "alpha federal", 10, MergeFaceValue, 0, Options{})
-	maxsc := cache.keyFor(fed, ModeCN, "alpha federal", 10, MergeFaceValue, 0, Options{Evaluator: search.EvalMaxScore})
-	wand := cache.keyFor(fed, ModeCN, "alpha federal", 10, MergeFaceValue, 0, Options{Evaluator: search.EvalWAND})
+	keyFor := func(opts Options) cacheKey {
+		p, err := resolve(fed, ModeCN, 10, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.cacheKey
+	}
+	exact := keyFor(Options{})
+	maxsc := keyFor(Options{Evaluator: search.EvalMaxScore})
+	wand := keyFor(Options{Evaluator: search.EvalWAND})
 	if exact == maxsc || exact == wand || maxsc == wand {
 		t.Fatalf("evaluator does not fragment the cache key: %+v / %+v / %+v", exact, maxsc, wand)
 	}
-	again := cache.keyFor(fed, ModeCN, "alpha federal", 10, MergeFaceValue, 0, Options{Evaluator: search.EvalMaxScore})
+	again := keyFor(Options{Evaluator: search.EvalMaxScore})
 	if again != maxsc {
 		t.Fatalf("same evaluator produced different keys: %+v vs %+v", again, maxsc)
 	}

@@ -89,7 +89,7 @@ func TestLibrarianCrashMidSessionSurfacesError(t *testing.T) {
 		// then dies.
 		"bad": haltAfter(bad, 1),
 	}
-	recep, err := Connect(dialer, []string{"good", "bad"}, Config{Analyzer: testAnalyzer()})
+	recep, err := NewPool(dialer, []string{"good", "bad"}, Config{Analyzer: testAnalyzer()})
 	if err != nil {
 		t.Fatalf("connect should succeed (Hello is answered): %v", err)
 	}
@@ -108,7 +108,7 @@ func TestConnectFailsWhenLibrarianUnreachable(t *testing.T) {
 	dialer := simnet.MapDialer{
 		"gone": func() (net.Conn, error) { return nil, errors.New("connection refused") },
 	}
-	if _, err := Connect(dialer, []string{"gone"}, Config{}); err == nil {
+	if _, err := NewPool(dialer, []string{"gone"}, Config{}); err == nil {
 		t.Fatal("unreachable librarian: want error")
 	}
 }
@@ -128,7 +128,7 @@ func TestConnectFailsOnGarbageHello(t *testing.T) {
 			return client, nil
 		},
 	}
-	if _, err := Connect(dialer, []string{"garbage"}, Config{}); err == nil {
+	if _, err := NewPool(dialer, []string{"garbage"}, Config{}); err == nil {
 		t.Fatal("garbage Hello reply: want error")
 	}
 }
@@ -152,7 +152,7 @@ func TestQueryAfterCloseFails(t *testing.T) {
 func TestSetupVocabularyAgainstCrashedLibrarian(t *testing.T) {
 	_, bad := buildFailureLibs(t)
 	dialer := simnet.MapDialer{"bad": haltAfter(bad, 1)}
-	recep, err := Connect(dialer, []string{"bad"}, Config{Analyzer: testAnalyzer()})
+	recep, err := NewPool(dialer, []string{"bad"}, Config{Analyzer: testAnalyzer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func timeoutOnceDialer(lib *librarian.Librarian) func() (net.Conn, error) {
 
 // partialFixture wires the four-librarian corpus with ZIFF dying after its
 // setup exchanges, returning the receptionist plus the analysed terms for CI.
-func partialFixture(t *testing.T, setupMsgs int) (*Receptionist, [][]string) {
+func partialFixture(t *testing.T, setupMsgs int) (*Pool, [][]string) {
 	t.Helper()
 	corpus, order := fourLibCorpus()
 	a := testAnalyzer()
@@ -250,7 +250,7 @@ func partialFixture(t *testing.T, setupMsgs int) (*Receptionist, [][]string) {
 		"WSJ":  func() (net.Conn, error) { return goodDialer.Dial("WSJ") },
 		"ZIFF": deadAfterSetup(libs["ZIFF"], setupMsgs),
 	}
-	recep, err := Connect(dialer, order, Config{Analyzer: a})
+	recep, err := NewPool(dialer, order, Config{Analyzer: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestPartialResultAcrossModes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := recep.SetupCentralIndex(g); err != nil {
+				if err := recep.Federation().SetupCentralIndex(g); err != nil {
 					t.Fatal(err)
 				}
 				// Expand every group so the dead librarian's documents are
@@ -370,7 +370,7 @@ func TestRetryRecoversTimedOutLibrarian(t *testing.T) {
 		"good": func() (net.Conn, error) { return goodDialer.Dial("good") },
 		"bad":  timeoutOnceDialer(flaky),
 	}
-	recep, err := Connect(dialer, []string{"good", "bad"}, Config{Analyzer: a})
+	recep, err := NewPool(dialer, []string{"good", "bad"}, Config{Analyzer: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestDeadlineMarksConnDirtyAndResyncs(t *testing.T) {
 		"good": func() (net.Conn, error) { return goodDialer.Dial("good") },
 		"bad":  timeoutOnceDialer(flaky),
 	}
-	recep, err := Connect(dialer, []string{"good", "bad"}, Config{Analyzer: a})
+	recep, err := NewPool(dialer, []string{"good", "bad"}, Config{Analyzer: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestQueryTimeout(t *testing.T) {
 	}
 	// Links with 200ms one-way latency: a 20ms query deadline must trip.
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{Latency: 200 * time.Millisecond})
-	recep, err := Connect(dialer, order, Config{Analyzer: a})
+	recep, err := NewPool(dialer, order, Config{Analyzer: a})
 	if err != nil {
 		t.Fatal(err)
 	}

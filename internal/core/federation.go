@@ -15,7 +15,7 @@ import (
 
 // libMeta is the federation's knowledge of one librarian: identity, global
 // numbering and collection statistics. It is written once during NewPool's
-// Hello exchange and read-only thereafter, so sessions may share it freely.
+// Hello exchange and read-only thereafter, so queries may share it freely.
 type libMeta struct {
 	name    string
 	idx     int // position in Federation.libs (global numbering order)
@@ -40,13 +40,13 @@ type vocabState struct {
 // modelSet maps librarian name to its document-decompression model.
 type modelSet map[string]*huffman.TextModel
 
-// Federation is the shared, slowly-changing half of the old Receptionist:
-// global document numbering, the merged vocabulary, Huffman text models and
-// the grouped central index. It is built once (via a Pool's Setup*
-// exchanges) and then read concurrently by any number of sessions — the
-// split the paper's §5 "multiple users at capacity" regime requires, where
-// expensive collection metadata is gathered once and per-query state stays
-// cheap.
+// Federation is the receptionist's shared, slowly-changing state: global
+// document numbering, the merged vocabulary, Huffman text models and the
+// grouped central index. Its Pool builds it (NewPool's Hello exchange, then
+// the Setup* exchanges) and hands it out through Pool.Federation; any number
+// of concurrent queries read it — the split the paper's §5 "multiple users at
+// capacity" regime requires, where expensive collection metadata is gathered
+// once and per-query state stays cheap.
 //
 // All fields are either immutable after construction or installed through
 // atomic pointers, so a Federation is safe for concurrent use.

@@ -48,27 +48,6 @@ func (s MergeStrategy) String() string {
 // would otherwise evaluate like MergeFaceValue but cache under its own key).
 var ErrUnknownMergeStrategy = errors.New("core: unknown merge strategy")
 
-// effectiveMerge resolves the strategy a query actually applies: CN honours
-// Options.Merge (zero selects the paper's face-value merge); CV and CI
-// scores are already globally comparable, so Options.Merge is ignored and
-// they always collate at face value. The result cache keys on this resolved
-// value so option spellings that evaluate identically share an entry. A
-// value outside the defined strategies is rejected with
-// ErrUnknownMergeStrategy in every mode — including CV/CI, where it would
-// be ignored: an out-of-range strategy is a caller bug worth surfacing, not
-// a knob that happens not to matter today.
-func effectiveMerge(mode Mode, opts Options) (MergeStrategy, error) {
-	switch opts.Merge {
-	case 0, MergeFaceValue, MergeRoundRobin, MergeNormalized:
-	default:
-		return 0, fmt.Errorf("%w: %v", ErrUnknownMergeStrategy, opts.Merge)
-	}
-	if mode != ModeCN || opts.Merge == 0 {
-		return MergeFaceValue, nil
-	}
-	return opts.Merge, nil
-}
-
 // fuse collates per-librarian answer lists (each already sorted by
 // decreasing local score) into a global top-k under the given strategy.
 // lists is keyed by librarian name; order supplies deterministic librarian

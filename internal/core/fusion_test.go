@@ -208,13 +208,13 @@ func TestEffectiveMerge(t *testing.T) {
 		{ModeCI, Options{Merge: MergeNormalized}, MergeFaceValue},
 	}
 	for _, tc := range cases {
-		got, err := effectiveMerge(tc.mode, tc.opts)
+		p, err := resolve(&Federation{}, tc.mode, 10, tc.opts)
 		if err != nil {
-			t.Errorf("effectiveMerge(%v, Merge=%v): %v", tc.mode, tc.opts.Merge, err)
+			t.Errorf("resolve(%v, Merge=%v): %v", tc.mode, tc.opts.Merge, err)
 			continue
 		}
-		if got != tc.want {
-			t.Errorf("effectiveMerge(%v, Merge=%v) = %v, want %v", tc.mode, tc.opts.Merge, got, tc.want)
+		if p.merge != tc.want {
+			t.Errorf("resolve(%v, Merge=%v).merge = %v, want %v", tc.mode, tc.opts.Merge, p.merge, tc.want)
 		}
 	}
 }
@@ -225,9 +225,9 @@ func TestEffectiveMerge(t *testing.T) {
 func TestEffectiveMergeRejectsUnknown(t *testing.T) {
 	for _, mode := range []Mode{ModeCN, ModeCV, ModeCI} {
 		for _, bad := range []MergeStrategy{MergeStrategy(42), MergeStrategy(-1), MergeStrategy(4)} {
-			_, err := effectiveMerge(mode, Options{Merge: bad})
+			_, err := resolve(&Federation{}, mode, 10, Options{Merge: bad})
 			if !errors.Is(err, ErrUnknownMergeStrategy) {
-				t.Errorf("effectiveMerge(%v, Merge=%v) err = %v, want ErrUnknownMergeStrategy", mode, bad, err)
+				t.Errorf("resolve(%v, Merge=%v) err = %v, want ErrUnknownMergeStrategy", mode, bad, err)
 			}
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // (face value by default, as in the paper). CN needs no central state —
 // except when TopR is set, which requires SetupVocabulary for the
 // collection statistics the ranker scores with.
-func (e *exec) queryCN(res *Result, query string, k int, merge MergeStrategy) error {
+func (e *exec) queryCN(res *Result, query string) error {
 	names := e.fed.Librarians()
 	if e.topR > 0 {
 		vs := e.fed.vocab.Load()
@@ -33,21 +33,21 @@ func (e *exec) queryCN(res *Result, query string, k int, merge MergeStrategy) er
 		res.Answers = nil
 		return nil
 	}
-	top := e.fetchTop(k, len(names))
+	top := e.fetchTop(len(names))
 	replies, err := e.callParallel(&res.Trace, PhaseRank, names, func(string) protocol.Message {
-		return &protocol.RankQuery{Query: query, K: uint32(k), Evaluator: uint8(e.eval), FetchTop: top, Compressed: e.compressed}
+		return &protocol.RankQuery{Query: query, K: uint32(e.k), Evaluator: uint8(e.eval), FetchTop: top, Compressed: e.compressed}
 	})
 	if err != nil {
 		return err
 	}
-	return e.mergeWith(res, replies, k, merge)
+	return e.collate(res, replies)
 }
 
 // queryCV implements Central Vocabulary: the receptionist computes global
 // term weights from its merged vocabulary, skips librarians holding none of
 // the query terms, and ships the weights with the query. Librarian scores
 // are then exactly the mono-server scores.
-func (e *exec) queryCV(res *Result, query string, k int) error {
+func (e *exec) queryCV(res *Result, query string) error {
 	analyzeStart := time.Now()
 	weights, err := e.fed.GlobalWeights(query)
 	if err != nil {
@@ -89,20 +89,20 @@ func (e *exec) queryCV(res *Result, query string, k int) error {
 		res.Answers = nil
 		return nil
 	}
-	top := e.fetchTop(k, len(names))
+	top := e.fetchTop(len(names))
 	replies, err := e.callParallel(&res.Trace, PhaseRank, names, func(string) protocol.Message {
-		return &protocol.RankQuery{Query: query, K: uint32(k), Weights: weights, Evaluator: uint8(e.eval), FetchTop: top, Compressed: e.compressed}
+		return &protocol.RankQuery{Query: query, K: uint32(e.k), Weights: weights, Evaluator: uint8(e.eval), FetchTop: top, Compressed: e.compressed}
 	})
 	if err != nil {
 		return err
 	}
-	return e.mergeRankings(res, replies, k)
+	return e.collate(res, replies)
 }
 
 // queryCI implements Central Index: rank groups on the central grouped
 // index, expand the best k' groups into document ids, have the owning
 // librarians score exactly those documents with global weights, and merge.
-func (e *exec) queryCI(res *Result, query string, k int, opts Options) error {
+func (e *exec) queryCI(res *Result, query string) error {
 	central := e.fed.CentralIndex()
 	if central == nil {
 		return errors.New("core: SetupCentralIndex has not run")
@@ -112,12 +112,8 @@ func (e *exec) queryCI(res *Result, query string, k int, opts Options) error {
 	if err != nil {
 		return err
 	}
-	kPrime := opts.KPrime
-	if kPrime <= 0 {
-		kPrime = DefaultKPrime
-	}
 	scratch := search.GetScratch()
-	groups, centralStats, err := central.RankGroupsEval(scratch, query, kPrime, e.eval)
+	groups, centralStats, err := central.RankGroupsEval(scratch, query, e.kPrime, e.eval)
 	scratch.Release()
 	if err != nil {
 		return err
@@ -163,27 +159,22 @@ func (e *exec) queryCI(res *Result, query string, k int, opts Options) error {
 		res.Answers = nil
 		return nil
 	}
-	top := e.fetchTop(k, len(names))
+	top := e.fetchTop(len(names))
 	replies, err := e.callParallel(&res.Trace, PhaseRank, names, func(name string) protocol.Message {
 		// K: the global top k lies within the librarians' own top k.
 		return &protocol.ScoreDocs{Query: query, Docs: byLib[e.fed.byName[name].idx], Weights: weights,
-			K: uint32(k), FetchTop: top, Compressed: e.compressed}
+			K: uint32(e.k), FetchTop: top, Compressed: e.compressed}
 	})
 	if err != nil {
 		return err
 	}
-	return e.mergeRankings(res, replies, k)
+	return e.collate(res, replies)
 }
 
-// mergeRankings collates per-librarian rankings into the global top k,
-// accepting scores exactly (CV/CI, where weights make them globally
-// comparable).
-func (e *exec) mergeRankings(res *Result, replies map[string]protocol.Message, k int) error {
-	return e.mergeWith(res, replies, k, MergeFaceValue)
-}
-
-// mergeWith collates per-librarian rankings under a fusion strategy.
-func (e *exec) mergeWith(res *Result, replies map[string]protocol.Message, k int, strategy MergeStrategy) error {
+// collate merges per-librarian rankings into the global top k under the
+// plan's fusion strategy — always face value in CV and CI, whose weights
+// make scores globally comparable.
+func (e *exec) collate(res *Result, replies map[string]protocol.Message) error {
 	mergeStart := time.Now()
 	defer func() { res.Trace.Stages.Merge += time.Since(mergeStart) }()
 	lists := make(map[string][]Answer, len(replies))
@@ -218,6 +209,6 @@ func (e *exec) mergeWith(res *Result, replies map[string]protocol.Message, k int
 		total += len(answers)
 	}
 	res.Trace.MergeCandidates = total
-	res.Answers = fuse(strategy, lists, e.fed.Librarians(), k)
+	res.Answers = fuse(e.merge, lists, e.fed.Librarians(), e.k)
 	return nil
 }

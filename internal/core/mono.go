@@ -8,8 +8,9 @@ import (
 )
 
 // MonoServer is the MS baseline: the whole collection in one index on one
-// machine, queried directly with no network. It mirrors the Receptionist's
-// Query signature so experiments can drive every mode uniformly.
+// machine, queried directly with no network. Its Query resolves Options
+// exactly as Pool.Query does, so experiments can drive every mode uniformly
+// and a value one rejects the other rejects too.
 type MonoServer struct {
 	engine *search.Engine
 	docs   *store.Store
@@ -41,10 +42,11 @@ func (m *MonoServer) Engine() *search.Engine { return m.engine }
 // Query evaluates the query locally. The trace contains only central
 // statistics (no network calls).
 func (m *MonoServer) Query(query string, k int, opts Options) (*Result, error) {
-	if !opts.Evaluator.Valid() {
-		return nil, fmt.Errorf("%w: %d", search.ErrUnknownEvaluator, uint8(opts.Evaluator))
+	pl, err := resolve(nil, ModeMS, k, opts)
+	if err != nil {
+		return nil, err
 	}
-	ranking, err := m.engine.RankEval(query, k, nil, opts.Evaluator)
+	ranking, err := m.engine.RankEval(query, pl.k, nil, pl.eval)
 	if err != nil {
 		return nil, fmt.Errorf("core: mono-server rank: %w", err)
 	}
@@ -64,7 +66,7 @@ func (m *MonoServer) Query(query string, k int, opts Options) (*Result, error) {
 		}
 		res.Answers = append(res.Answers, a)
 	}
-	if opts.Fetch && m.docs != nil {
+	if pl.fetch && m.docs != nil {
 		for i := range res.Answers {
 			blob, err := m.docs.FetchCompressed(res.Answers[i].GlobalDoc)
 			if err != nil {

@@ -53,7 +53,7 @@ func TestMetricsMatchTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.recep.SetupCentralIndex(g); err != nil {
+	if err := f.recep.Federation().SetupCentralIndex(g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -150,7 +150,7 @@ func TestLibrarianMetricsMatchTraces(t *testing.T) {
 		libs = append(libs, lib)
 	}
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{})
-	recep, err := Connect(dialer, order, Config{Analyzer: a, Metrics: reg})
+	recep, err := NewPool(dialer, order, Config{Analyzer: a, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestLibrarianMetricsMatchTraces(t *testing.T) {
 
 // slowFixture is a deployment whose links add real propagation delay, so a
 // query that is not cancelled takes hundreds of milliseconds.
-func slowFixture(t *testing.T, latency time.Duration, cfg Config) *Receptionist {
+func slowFixture(t *testing.T, latency time.Duration, cfg Config) *Pool {
 	t.Helper()
 	corpus, order := smallCorpus(t)
 	a := testAnalyzer()
@@ -226,7 +226,7 @@ func slowFixture(t *testing.T, latency time.Duration, cfg Config) *Receptionist 
 	}
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{Latency: latency})
 	cfg.Analyzer = a
-	recep, err := Connect(dialer, order, cfg)
+	recep, err := NewPool(dialer, order, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

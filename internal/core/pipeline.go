@@ -34,7 +34,7 @@ import (
 // abandons the tag and discards the late reply; an untagged stream cannot tell
 // a late reply from the next one, so the connection is discarded as dirty.
 
-// Wire feature constants re-exported so callers configuring a Receptionist
+// Wire feature constants re-exported so callers configuring a Pool
 // don't need to import internal/protocol.
 const (
 	// FeaturePipelining negotiates tagged frames and connection multiplexing.

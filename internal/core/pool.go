@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,7 +27,13 @@ const DefaultMaxConnsPerLibrarian = 4
 // ErrPoolClosed is returned by Query / Setup* after Close.
 var ErrPoolClosed = errors.New("core: pool is closed")
 
-// Pool owns every connection the federation holds to its librarians and
+// Pool is the receptionist: the one handle that brokers queries to a fixed
+// set of librarians (Query, QueryContext, Boolean), runs the setup exchanges
+// that build its shared Federation (SetupVocabulary, SetupModels,
+// SetupCentralIndexRemote), and manages replica membership. Federation state
+// is read through Federation().
+//
+// It owns every connection the federation holds to its librarians and
 // bounds them at MaxConnsPerLibrarian per replica endpoint. An exchange
 // leases one of the endpoint's tags, is placed on a connection with room for
 // it (pipeFor: reuse, dial under the cap, or share a tagged one) and runs
@@ -217,31 +224,124 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 // Federation returns the shared federation state served by this pool.
 func (p *Pool) Federation() *Federation { return p.fed }
 
-// Session returns a lightweight query-serving handle over this pool. A
-// Session carries no mutable state: creating one is free, and any number
-// may be used concurrently.
-func (p *Pool) Session() *Session { return &Session{fed: p.fed, pool: p} }
+// Session returns the pool itself: held for benchmark/load.go until ROADMAP
+// item 1a.
+func (p *Pool) Session() *Pool { return p }
 
-// Query leases a session for a single query — the convenience path for
-// callers that don't want to hold a Session.
+// Query is QueryContext under context.Background.
 func (p *Pool) Query(mode Mode, query string, k int, opts Options) (*Result, error) {
-	return p.Session().Query(mode, query, k, opts)
+	return p.QueryContext(context.Background(), mode, query, k, opts)
 }
 
-// QueryContext is Query under a context; see Session.QueryContext.
+// QueryContext evaluates a ranked query under the given methodology (CN, CV
+// or CI), returning the top k answers merged across librarians. It is safe
+// for any number of concurrent callers. Cancelling ctx aborts the query
+// promptly — admission waits, connection-slot waits, retry backoffs and
+// blocked reads all observe it — and a ctx deadline bounds every librarian
+// exchange in addition to Options.Timeout. Interrupted streams are discarded,
+// never leaked or reused.
 func (p *Pool) QueryContext(ctx context.Context, mode Mode, query string, k int, opts Options) (*Result, error) {
-	return p.Session().QueryContext(ctx, mode, query, k, opts)
+	pl, err := resolve(p.fed, mode, k, opts)
+	if err != nil {
+		return nil, err
+	}
+	if ctx, err = live(ctx); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	// The cache is consulted before admission control: a hit costs no
+	// librarian work, so serving it even when the pool is saturated is
+	// exactly the overload relief the cache exists for. The key is the
+	// resolved plan, so option spellings that evaluate identically share an
+	// entry.
+	key := pl.cacheKey
+	var epoch uint64
+	if p.cache != nil {
+		key.query = strings.Join(p.fed.analyzer.Terms(nil, query), " ")
+		epoch = p.fed.Epoch() + p.cache.gen.Load()
+		if res, ok := p.cache.get(key, epoch); ok {
+			p.observeQuery(mode, query, time.Since(start), res, nil)
+			return res, nil
+		}
+	}
+	if adm := p.admission; adm != nil {
+		if err := adm.acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer adm.release()
+	}
+	e := &exec{ctx: ctx, fed: p.fed, pool: p, plan: pl}
+	if pl.fetch {
+		e.blobs = make(map[docKey]protocol.DocBlob)
+	}
+	res := &Result{}
+	res.Trace.Mode = mode
+	switch mode {
+	case ModeCN:
+		err = e.queryCN(res, query)
+	case ModeCV:
+		err = e.queryCV(res, query)
+	case ModeCI:
+		err = e.queryCI(res, query)
+	}
+	if err == nil && pl.fetch {
+		err = e.fetchAnswers(res)
+	}
+	p.observeQuery(mode, query, time.Since(start), res, err)
+	if err != nil {
+		return nil, err
+	}
+	if p.cache != nil && !res.Trace.Degraded {
+		// Stamped with the epoch read before evaluation: if setup state
+		// changed underneath this query, the stamp is already stale and the
+		// entry dies on its first lookup rather than serving a mixed answer.
+		p.cache.put(key, epoch, res)
+	}
+	return res, nil
+}
+
+// Boolean evaluates expr at every librarian and unions the result sets (§1 of
+// the paper: no global information or score merging is required). Answers
+// come in global-document order, without scores or text. Only the
+// fault-policy fields of opts apply — Timeout, Retries, Backoff,
+// AllowPartial, MinLibrarians, HedgeAfter; the others are validated and
+// ignored. Fan-out is always full, results are never cached, and the query
+// passes admission control like a ranked one.
+func (p *Pool) Boolean(ctx context.Context, expr string, opts Options) (*Result, error) {
+	// Boolean evaluation has no k and is inherently central-nothing: 1 and
+	// ModeCN only satisfy resolve's checks.
+	pl, err := resolve(p.fed, ModeCN, 1, opts)
+	if err != nil {
+		return nil, err
+	}
+	if ctx, err = live(ctx); err != nil {
+		return nil, err
+	}
+	if adm := p.admission; adm != nil {
+		if err := adm.acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer adm.release()
+	}
+	e := &exec{ctx: ctx, fed: p.fed, pool: p, plan: pl}
+	return e.boolean(expr)
+}
+
+// live defaults a nil ctx and fails an already-cancelled one up front.
+// Without this, cancellation is only observed through connection deadlines
+// and slot waits, and a fast in-process exchange can win that race and
+// "succeed" for a caller that already gave up.
+func live(ctx context.Context) (context.Context, error) {
+	if ctx == nil {
+		return context.Background(), nil
+	}
+	return ctx, ctx.Err()
 }
 
 // Metrics returns the pool's observability surface. It is always non-nil:
 // when Config.Metrics was not set the instruments live on a private
 // registry reachable through Metrics().Registry().
 func (p *Pool) Metrics() *Metrics { return p.metrics }
-
-// Boolean leases a session for a single Boolean query.
-func (p *Pool) Boolean(expr string) (*BooleanResult, error) {
-	return p.Session().Boolean(expr)
-}
 
 // InvalidateCache drops every cached result in O(1). Wire it to
 // Librarian.OnUpdate (or call it after any out-of-band collection

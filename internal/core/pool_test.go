@@ -220,7 +220,7 @@ func newPoolFixtureWire(t testing.TB, maxConns int, features protocol.Features) 
 // TestCVIdenticalToMSConcurrent drives the paper's headline invariant — CV
 // rankings identical to MS, score for score — through 8 goroutines sharing
 // one Federation via the pool. Run under -race this is the proof that the
-// Federation/Session split left no shared mutable per-query state.
+// shared Federation holds no mutable per-query state.
 func TestCVIdenticalToMSConcurrent(t *testing.T) {
 	pf := newPoolFixture(t, 4)
 	if _, err := pf.pool.SetupVocabulary(); err != nil {
@@ -250,10 +250,9 @@ func TestCVIdenticalToMSConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sess := pf.pool.Session()
 			for round := 0; round < rounds; round++ {
 				qi := (g + round) % len(queries)
-				cv, err := sess.Query(ModeCV, queries[qi], 15, Options{})
+				cv, err := pf.pool.Query(ModeCV, queries[qi], 15, Options{})
 				if err != nil {
 					errc <- err
 					return
@@ -280,7 +279,7 @@ func TestCVIdenticalToMSConcurrent(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessionsAcrossModes runs 9 concurrent sessions over one
+// TestConcurrentSessionsAcrossModes runs 9 concurrent clients over one
 // shared Federation, three per mode (CN, CV, CI), and checks every result
 // against a single-threaded reference answer for that (mode, query) pair.
 func TestConcurrentSessionsAcrossModes(t *testing.T) {
@@ -324,10 +323,9 @@ func TestConcurrentSessionsAcrossModes(t *testing.T) {
 			wg.Add(1)
 			go func(m Mode, g int) {
 				defer wg.Done()
-				sess := pf.pool.Session()
 				for round := 0; round < rounds; round++ {
 					q := queries[(g+round)%len(queries)]
-					res, err := sess.Query(m, q, 10, opts)
+					res, err := pf.pool.Query(m, q, 10, opts)
 					if err != nil {
 						errc <- err
 						return
@@ -434,7 +432,7 @@ func TestPoolCloseDuringQueries(t *testing.T) {
 }
 
 // TestSetupSharedAcrossSessions verifies the amortization claim behind the
-// pool: setup runs once, and every later session sees its results without
+// pool: setup runs once, and every later client sees its results without
 // further setup traffic — the per-librarian dial count stays at one and the
 // vocabulary exchange is never repeated.
 func TestSetupSharedAcrossSessions(t *testing.T) {
@@ -453,8 +451,7 @@ func TestSetupSharedAcrossSessions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess := pf.pool.Session()
-			res, err := sess.Query(ModeCV, "alpha federal", 10, Options{})
+			res, err := pf.pool.Query(ModeCV, "alpha federal", 10, Options{})
 			if err != nil {
 				errc <- err
 				return

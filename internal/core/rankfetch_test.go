@@ -242,8 +242,8 @@ func TestRankFetchMixedFleetFallsBackPerLibrarian(t *testing.T) {
 		libs[1].SupportFeatures(protocol.SupportedFeatures &^ protocol.FeatureRankFetch)
 	})
 	ref := buildRecep(t, corpus, order, Config{WireFeatures: twoRound}, nil)
-	for _, r := range []*Receptionist{mixed, ref} {
-		setupAll(t, r.Pool())
+	for _, r := range []*Pool{mixed, ref} {
+		setupAll(t, r)
 	}
 	old := order[1]
 	for _, mode := range []Mode{ModeCN, ModeCV, ModeCI} {
@@ -358,8 +358,8 @@ func TestRankFetchWideFleet(t *testing.T) {
 	const k = 8
 	wide := buildRecep(t, corpus, order, Config{}, nil)
 	ref := buildRecep(t, corpus, order, Config{WireFeatures: twoRound}, nil)
-	for _, r := range []*Receptionist{wide, ref} {
-		setupAll(t, r.Pool())
+	for _, r := range []*Pool{wide, ref} {
+		setupAll(t, r)
 	}
 	for _, mode := range []Mode{ModeCN, ModeCV, ModeCI} {
 		opts := Options{Fetch: true, CompressedTransfer: mode != ModeCN, KPrime: 40}

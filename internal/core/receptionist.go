@@ -1,15 +1,15 @@
 package core
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"teraphim/internal/obs"
 	"teraphim/internal/protocol"
 	"teraphim/internal/search"
-	"teraphim/internal/simnet"
 	"teraphim/internal/textproc"
 )
 
@@ -118,7 +118,7 @@ type Options struct {
 // DefaultKPrime is the paper's default k' for the CI methodology.
 const DefaultKPrime = 100
 
-// Config configures a Receptionist (and the Pool underneath it).
+// Config configures a Pool.
 type Config struct {
 	// Analyzer must match the librarians' analysis pipeline. Nil selects
 	// the standard pipeline.
@@ -186,147 +186,89 @@ type Config struct {
 	PipelineDepth int
 }
 
-// Receptionist brokers queries to a fixed set of librarians. It is a thin
-// handle over a shared Federation (global numbering, merged vocabulary,
-// models, central index) and a bounded connection Pool, and is safe for
-// concurrent use: any number of goroutines may Query at once, sharing the
-// setup work done once. Use Pool()/Federation() directly for finer control
-// (per-client Sessions, replica membership).
-type Receptionist struct {
-	pool *Pool
+// ErrInvalidK is returned by the query path for a k outside [1, 2³²−1]: k
+// travels as a uint32 in every rank request, so a larger value would wrap on
+// the wire. Test with errors.Is.
+var ErrInvalidK = errors.New("core: k out of range")
+
+// ErrUnsupportedMode is returned for a mode the entry point does not serve: a
+// Pool serves CN, CV and CI, a MonoServer only MS. Test with errors.Is.
+var ErrUnsupportedMode = errors.New("core: unsupported mode")
+
+// plan is one query's Options after resolve: validated, defaulted and
+// clamped. Its cacheKey holds everything that fixes the answer (query text
+// left empty — the pool fills in the normalised text), so equivalent option
+// spellings evaluate and cache identically; the rest is how to get there.
+type plan struct {
+	cacheKey
+	policy     callPolicy
+	compressed bool
 }
 
-// Connect dials the named librarians (in the given order — the order fixes
-// global document numbering) and performs the Hello exchange. It is exactly
-// NewReceptionist(NewPool(...)): the single setup path lives in NewPool,
-// and Connect is the one-line convenience over it.
-func Connect(dialer simnet.Dialer, names []string, cfg Config) (*Receptionist, error) {
-	pool, err := NewPool(dialer, names, cfg)
-	if err != nil {
-		return nil, err
+// resolve is the one reader of Options. It rejects a k the wire cannot carry,
+// a mode this entry point does not serve (fed is nil for MonoServer, which
+// serves only MS), an undefined merge strategy and an undefined evaluator —
+// each before any librarian sees a frame — and defaults or clamps the rest.
+// Merge and Evaluator fail in every mode, including those that ignore them:
+// an out-of-range value is a caller bug worth surfacing, not a knob that
+// happens not to matter today.
+func resolve(fed *Federation, mode Mode, k int, opts Options) (plan, error) {
+	if k <= 0 || uint64(k) > math.MaxUint32 {
+		return plan{}, fmt.Errorf("%w: %d", ErrInvalidK, k)
 	}
-	return NewReceptionist(pool), nil
-}
-
-// NewReceptionist wraps an already-connected pool in the Receptionist
-// convenience API. Receptionists are stateless handles: any number may wrap
-// the same pool, alongside direct Pool/Session use.
-func NewReceptionist(pool *Pool) *Receptionist {
-	return &Receptionist{pool: pool}
-}
-
-// Pool returns the connection pool serving this receptionist.
-func (r *Receptionist) Pool() *Pool { return r.pool }
-
-// Federation returns the shared federation state behind this receptionist.
-func (r *Receptionist) Federation() *Federation { return r.pool.fed }
-
-// Close closes every librarian connection, idle or in use. Queries in
-// flight fail with transport errors (or complete their current exchange);
-// new queries fail with ErrPoolClosed. Close is idempotent.
-func (r *Receptionist) Close() error { return r.pool.Close() }
-
-// Librarians returns the librarian names in global-numbering order.
-func (r *Receptionist) Librarians() []string { return r.pool.fed.Librarians() }
-
-// TotalDocs returns the number of documents across all librarians.
-func (r *Receptionist) TotalDocs() uint32 { return r.pool.fed.TotalDocs() }
-
-// GlobalDoc converts (librarian, local id) to the global document number.
-func (r *Receptionist) GlobalDoc(name string, local uint32) (uint32, error) {
-	return r.pool.fed.GlobalDoc(name, local)
-}
-
-// ResolveGlobal converts a global document number to (librarian, local id).
-func (r *Receptionist) ResolveGlobal(global uint32) (string, uint32, error) {
-	return r.pool.fed.ResolveGlobal(global)
-}
-
-// SetupVocabulary performs the CV preprocessing step: fetch each librarian's
-// vocabulary and merge into the global term statistics. The returned trace
-// records the transfer cost. Required before CV or CI queries.
-func (r *Receptionist) SetupVocabulary() (Trace, error) { return r.pool.SetupVocabulary() }
-
-// VocabularySize returns the number of distinct terms in the merged
-// vocabulary and its approximate storage cost in bytes.
-func (r *Receptionist) VocabularySize() (terms int, bytes uint64) {
-	return r.pool.fed.VocabularySize()
-}
-
-// SetupModels fetches each librarian's document-compression model, enabling
-// compressed document transfer.
-func (r *Receptionist) SetupModels() (Trace, error) { return r.pool.SetupModels() }
-
-// SetupCentralIndexRemote performs the CI preprocessing entirely over the
-// wire: fetch every librarian's inverted index, merge them into a grouped
-// central index with groups of groupSize adjacent documents, and install
-// it. The returned trace records the (large) one-time transfer cost the
-// paper's §4 discusses for the CI receptionist.
-func (r *Receptionist) SetupCentralIndexRemote(groupSize int) (Trace, error) {
-	return r.pool.SetupCentralIndexRemote(groupSize)
-}
-
-// SetupCentralIndex installs the grouped central index for CI queries. The
-// grouped index must have been built over the same documents in the same
-// global order (see BuildGrouped); this is the offline "merge the
-// subcollection indexes" preprocessing the paper describes.
-func (r *Receptionist) SetupCentralIndex(g *GroupedIndex) error {
-	return r.pool.fed.SetupCentralIndex(g)
-}
-
-// GlobalWeights computes the merged-vocabulary query weights
-// w_{q,t} = log(f_{q,t}+1)·log(N/f_t+1) with N and f_t global. Requires
-// SetupVocabulary.
-func (r *Receptionist) GlobalWeights(query string) (map[string]float64, error) {
-	return r.pool.fed.GlobalWeights(query)
-}
-
-// SelectLibrarians returns the names of the r librarians a TopR=r query for
-// query would fan out to, in global-numbering order; see
-// Federation.SelectLibrarians. Requires SetupVocabulary.
-func (r *Receptionist) SelectLibrarians(query string, topR int) ([]string, error) {
-	return r.pool.fed.SelectLibrarians(query, topR)
-}
-
-// Query evaluates a ranked query under the given methodology, returning the
-// top k answers merged across librarians. Safe for concurrent use.
-func (r *Receptionist) Query(mode Mode, query string, k int, opts Options) (*Result, error) {
-	return r.pool.Query(mode, query, k, opts)
-}
-
-// QueryContext is Query under a context; see Session.QueryContext.
-func (r *Receptionist) QueryContext(ctx context.Context, mode Mode, query string, k int, opts Options) (*Result, error) {
-	return r.pool.QueryContext(ctx, mode, query, k, opts)
-}
-
-// Metrics returns the observability surface of the underlying pool.
-func (r *Receptionist) Metrics() *Metrics { return r.pool.Metrics() }
-
-// InvalidateCache drops every cached result; see Pool.InvalidateCache.
-func (r *Receptionist) InvalidateCache() { r.pool.InvalidateCache() }
-
-// CacheStats snapshots the result cache's counters; ok is false when no
-// cache is configured.
-func (r *Receptionist) CacheStats() (stats CacheStats, ok bool) { return r.pool.CacheStats() }
-
-// Boolean evaluates expr at every librarian and unions the result sets.
-func (r *Receptionist) Boolean(expr string) (*BooleanResult, error) {
-	return r.pool.Boolean(expr)
-}
-
-// AddReplica registers a new endpoint serving the named librarian's
-// subcollection; see Pool.AddReplica.
-func (r *Receptionist) AddReplica(lib, endpoint string) error {
-	return r.pool.AddReplica(lib, endpoint)
-}
-
-// RemoveReplica takes an endpoint out of the named librarian's replica set;
-// see Pool.RemoveReplica.
-func (r *Receptionist) RemoveReplica(lib, endpoint string) error {
-	return r.pool.RemoveReplica(lib, endpoint)
-}
-
-// Replicas reports the current replica set of the named librarian.
-func (r *Receptionist) Replicas(lib string) ([]ReplicaStatus, error) {
-	return r.pool.Replicas(lib)
+	served := mode == ModeMS
+	if fed != nil {
+		served = mode == ModeCN || mode == ModeCV || mode == ModeCI
+	}
+	if !served {
+		return plan{}, fmt.Errorf("%w: %v", ErrUnsupportedMode, mode)
+	}
+	switch opts.Merge {
+	case 0, MergeFaceValue, MergeRoundRobin, MergeNormalized:
+	default:
+		return plan{}, fmt.Errorf("%w: %v", ErrUnknownMergeStrategy, opts.Merge)
+	}
+	if !opts.Evaluator.Valid() {
+		return plan{}, fmt.Errorf("%w: %d", search.ErrUnknownEvaluator, uint8(opts.Evaluator))
+	}
+	p := plan{
+		cacheKey: cacheKey{mode: mode, k: k, merge: MergeFaceValue, fetch: opts.Fetch, eval: opts.Evaluator},
+		// Negative counts and durations are treated like zero. A negative
+		// timeout would otherwise set a conn deadline in the past and fail
+		// every exchange instantly — counted as librarian failures when the
+		// librarians were never even asked.
+		policy: callPolicy{
+			timeout:       max(opts.Timeout, 0),
+			retries:       max(opts.Retries, 0),
+			backoff:       max(opts.Backoff, 0),
+			allowPartial:  opts.AllowPartial || opts.MinLibrarians > 0,
+			minLibrarians: opts.MinLibrarians,
+			batchWindow:   max(opts.BatchWindow, 0),
+		},
+		compressed: opts.CompressedTransfer,
+	}
+	// CV and CI scores are already globally comparable, so only CN honours
+	// Merge; zero selects the paper's face-value merge.
+	if mode == ModeCN && opts.Merge != 0 {
+		p.merge = opts.Merge
+	}
+	if mode == ModeCI {
+		p.kPrime = opts.KPrime
+		if p.kPrime <= 0 {
+			p.kPrime = DefaultKPrime
+		}
+	}
+	// A hedge quantile outside (0,1) is meaningless: treat it as off.
+	if opts.HedgeAfter > 0 && opts.HedgeAfter < 1 {
+		p.policy.hedge = opts.HedgeAfter
+	}
+	// Non-positive TopR is full fan-out (the paper's behaviour); larger than
+	// the fleet clamps to it, so R=64 on four librarians behaves, and caches,
+	// exactly like R=4. R equal to the fleet keeps the selection path live
+	// rather than short-circuiting to full fan-out — that is what makes the
+	// R=all golden comparison exercise the real code.
+	if fed != nil && opts.TopR > 0 {
+		p.topR = min(opts.TopR, len(fed.libs))
+	}
+	return p, nil
 }

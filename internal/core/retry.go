@@ -12,9 +12,9 @@ import (
 // with several retries cannot stall a query for minutes.
 const maxBackoff = 5 * time.Second
 
-// callPolicy holds the fault-tolerance knobs of one query. It lives on the
-// per-query exec (never on shared state), so concurrent queries with
-// different policies cannot interfere; setup exchanges (NewPool,
+// callPolicy holds the fault-tolerance knobs of one query, as resolve left
+// them. It lives on the per-query exec (never on shared state), so concurrent
+// queries with different policies cannot interfere; setup exchanges (NewPool,
 // SetupVocabulary, ...) run with the zero policy — no retries, no partial
 // results — because a partially merged vocabulary or central index would
 // silently corrupt CV/CI semantics.
@@ -32,40 +32,6 @@ type callPolicy struct {
 	// batcher waiting for same-librarian peers (Options.BatchWindow); zero
 	// sends every query in its own frame.
 	batchWindow time.Duration
-}
-
-func policyFor(opts Options) callPolicy {
-	p := callPolicy{
-		timeout:       opts.Timeout,
-		retries:       opts.Retries,
-		backoff:       opts.Backoff,
-		allowPartial:  opts.AllowPartial || opts.MinLibrarians > 0,
-		minLibrarians: opts.MinLibrarians,
-		hedge:         opts.HedgeAfter,
-		batchWindow:   opts.BatchWindow,
-	}
-	// A hedge quantile outside (0,1) is meaningless — treat it as off, the
-	// same forgiving normalisation the other knobs get.
-	if p.hedge <= 0 || p.hedge >= 1 {
-		p.hedge = 0
-	}
-	if p.retries < 0 {
-		p.retries = 0
-	}
-	// Negative durations are treated like zero, exactly as negative retry
-	// counts are. A negative timeout would otherwise set a conn deadline in
-	// the past and fail every exchange instantly — counted as librarian
-	// failures when the librarians were never even asked.
-	if p.timeout < 0 {
-		p.timeout = 0
-	}
-	if p.backoff < 0 {
-		p.backoff = 0
-	}
-	if p.batchWindow < 0 {
-		p.batchWindow = 0
-	}
-	return p
 }
 
 // backoffDelay is the capped exponential wait before retry number n (1 for

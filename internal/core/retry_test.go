@@ -63,6 +63,13 @@ func TestBackoffDelayNeverNegativeOrUncapped(t *testing.T) {
 // would otherwise set every conn deadline in the past and record librarians
 // as failed without ever asking them.
 func TestPolicyForClampsNegatives(t *testing.T) {
+	policyFor := func(opts Options) callPolicy {
+		p, err := resolve(&Federation{}, ModeCN, 10, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.policy
+	}
 	p := policyFor(Options{Timeout: -time.Second, Retries: -4, Backoff: -time.Minute})
 	if p.timeout != 0 || p.retries != 0 || p.backoff != 0 {
 		t.Fatalf("negative knobs not clamped: %+v", p)

@@ -53,10 +53,10 @@ func newSegmentedDialer(t testing.TB, corpus map[string][]store.Document, order 
 
 // newSegmentedFleet connects a default receptionist to a newSegmentedDialer
 // fleet, returning the librarians for the concurrency tests to poke.
-func newSegmentedFleet(t testing.TB, corpus map[string][]store.Document, order []string) (*Receptionist, map[string]*librarian.Librarian) {
+func newSegmentedFleet(t testing.TB, corpus map[string][]store.Document, order []string) (*Pool, map[string]*librarian.Librarian) {
 	t.Helper()
 	dialer, ups := newSegmentedDialer(t, corpus, order)
-	recep, err := Connect(dialer, order, Config{Analyzer: testAnalyzer()})
+	recep, err := NewPool(dialer, order, Config{Analyzer: testAnalyzer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSegmentedFleetParityAcrossModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.recep.SetupCentralIndex(g); err != nil {
+	if err := f.recep.Federation().SetupCentralIndex(g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,7 +104,7 @@ func TestSegmentedFleetParityAcrossModes(t *testing.T) {
 	if _, err := seg.SetupVocabulary(); err != nil {
 		t.Fatal(err)
 	}
-	if err := seg.SetupCentralIndex(g); err != nil {
+	if err := seg.Federation().SetupCentralIndex(g); err != nil {
 		t.Fatal(err)
 	}
 

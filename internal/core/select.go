@@ -10,24 +10,6 @@ import (
 // term statistics there is nothing to rank collections by.
 var ErrSelectionNeedsVocabulary = errors.New("core: top-R selection requires SetupVocabulary")
 
-// effectiveTopR resolves Options.TopR for one query against a federation of
-// len(fed.libs) librarians: non-positive disables selection (full fan-out,
-// the paper's behaviour), and larger-than-fleet values clamp to the fleet
-// size — R=64 on a 4-librarian fleet behaves, and caches, exactly like R=4.
-// Note R == fleet size keeps the selection path live (every librarian is
-// ranked and selected) rather than short-circuiting to full fan-out; that
-// is what makes the R=all golden comparison exercise the real code path.
-func effectiveTopR(fed *Federation, opts Options) int {
-	r := opts.TopR
-	if r <= 0 {
-		return 0
-	}
-	if n := len(fed.libs); r > n {
-		return n
-	}
-	return r
-}
-
 // selectTopR narrows a candidate librarian set to the query's top-R by CORI
 // score. candidates is the mode's own eligible set as indexes into fed.libs
 // (nil means every librarian); the result is their names in global-numbering

@@ -106,7 +106,7 @@ func TestTopRRequiresVocabulary(t *testing.T) {
 	if _, err := f.recep.Query(ModeCN, "alpha", 5, Options{TopR: 1}); !errors.Is(err, ErrSelectionNeedsVocabulary) {
 		t.Fatalf("CN TopR before SetupVocabulary: err = %v, want ErrSelectionNeedsVocabulary", err)
 	}
-	if _, err := f.recep.SelectLibrarians("alpha", 1); !errors.Is(err, ErrSelectionNeedsVocabulary) {
+	if _, err := f.recep.Federation().SelectLibrarians("alpha", 1); !errors.Is(err, ErrSelectionNeedsVocabulary) {
 		t.Fatalf("SelectLibrarians before SetupVocabulary: err = %v, want ErrSelectionNeedsVocabulary", err)
 	}
 	// Without TopR, CN still needs nothing.
@@ -121,24 +121,24 @@ func TestSelectLibrariansOrder(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	f := newFixture(t, corpus, order)
 	setupAllModes(t, f)
-	names, err := f.recep.SelectLibrarians("alpha federal wallstreet", 3)
+	names, err := f.recep.Federation().SelectLibrarians("alpha federal wallstreet", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(names, order) {
 		t.Fatalf("SelectLibrarians(r=3) = %v, want global order %v", names, order)
 	}
-	names, err = f.recep.SelectLibrarians("federal finance", 1)
+	names, err = f.recep.Federation().SelectLibrarians("federal finance", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(names, []string{"FR"}) {
 		t.Fatalf("SelectLibrarians(federal, r=1) = %v, want [FR]", names)
 	}
-	if names, _ := f.recep.SelectLibrarians("alpha", 0); len(names) != 0 {
+	if names, _ := f.recep.Federation().SelectLibrarians("alpha", 0); len(names) != 0 {
 		t.Fatalf("SelectLibrarians(r=0) = %v, want empty", names)
 	}
-	names, err = f.recep.SelectLibrarians("alpha", 99)
+	names, err = f.recep.Federation().SelectLibrarians("alpha", 99)
 	if err != nil || len(names) != len(order) {
 		t.Fatalf("SelectLibrarians(r=99) = %v, %v; want the whole fleet", names, err)
 	}
@@ -215,7 +215,7 @@ func TestTopRComposesWithPartialResults(t *testing.T) {
 		"FR":  func() (net.Conn, error) { return inner.Dial("FR") },
 		"WSJ": func() (net.Conn, error) { return inner.Dial("WSJ") },
 	}
-	recep, err := Connect(dialer, order, Config{Analyzer: a})
+	recep, err := NewPool(dialer, order, Config{Analyzer: a})
 	if err != nil {
 		t.Fatal(err)
 	}

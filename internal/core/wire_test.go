@@ -18,7 +18,7 @@ import (
 // buildRecep wires a receptionist over corpus with the given config. mutate,
 // when non-nil, adjusts the librarians before the pool's setup Hello runs —
 // mixed-fleet tests use it to withdraw feature support.
-func buildRecep(t *testing.T, corpus map[string][]store.Document, order []string, cfg Config, mutate func([]*librarian.Librarian)) *Receptionist {
+func buildRecep(t *testing.T, corpus map[string][]store.Document, order []string, cfg Config, mutate func([]*librarian.Librarian)) *Pool {
 	t.Helper()
 	a := testAnalyzer()
 	var libs []*librarian.Librarian
@@ -34,7 +34,7 @@ func buildRecep(t *testing.T, corpus map[string][]store.Document, order []string
 	}
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{})
 	cfg.Analyzer = a
-	recep, err := Connect(dialer, order, cfg)
+	recep, err := NewPool(dialer, order, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestWireGoldenParity(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	seed := buildRecep(t, corpus, order, Config{WireFeatures: protocol.FeatureNone}, nil)
 	piped := buildRecep(t, corpus, order, Config{}, nil)
-	for _, r := range []*Receptionist{seed, piped} {
+	for _, r := range []*Pool{seed, piped} {
 		if _, err := r.SetupVocabulary(); err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestCrossClientBatching(t *testing.T) {
 	if maxBatch < 2 {
 		t.Fatalf("8 concurrent clients in a 25ms window never shared a frame (max batch size %d)", maxBatch)
 	}
-	assertNoLeakedConns(t, batched.Pool())
+	assertNoLeakedConns(t, batched)
 }
 
 // TestPipelinedRequestBytesExact pins the write-loop accounting: the frame

@@ -96,7 +96,7 @@ func resourceTotals(traces []*core.Trace) (lists, postings float64) {
 }
 
 func meanRank(traces []*core.Trace, cfg costmodel.Config, runner *Runner) (time.Duration, error) {
-	cfg.WorkScale = float64(paperCorpusDocs) / float64(runner.recep.TotalDocs())
+	cfg.WorkScale = float64(paperCorpusDocs) / float64(runner.pool.Federation().TotalDocs())
 	var sum time.Duration
 	for _, tr := range traces {
 		b, err := costmodel.Estimate(cfg, tr)
@@ -122,7 +122,7 @@ func (r *Runner) Throughput(w io.Writer) error {
 		{Label: "CI", Mode: core.ModeCI, KPrime: 100, Group: 10},
 	}
 	cfg := costmodel.MultiDisk()
-	cfg.WorkScale = float64(paperCorpusDocs) / float64(r.recep.TotalDocs())
+	cfg.WorkScale = float64(paperCorpusDocs) / float64(r.pool.Federation().TotalDocs())
 	line(w, "Saturation throughput (short queries, multi-disk, k=20)\n")
 	line(w, "%-6s %14s %18s %24s\n", "Mode", "queries/sec", "per machine", "bottleneck")
 	for _, spec := range specs {

@@ -40,7 +40,7 @@ type Runner struct {
 
 	libs   []*librarian.Librarian
 	dialer *librarian.InProcessDialer
-	recep  *core.Receptionist
+	pool   *core.Pool
 	mono   *core.MonoServer
 
 	docTerms [][]string // analysed docs in global order
@@ -82,18 +82,18 @@ func newRunnerFromCorpus(corpus *trecsynth.Corpus) (*Runner, error) {
 	// The tables reproduce the paper's protocol — every nominated score
 	// returned, documents fetched in a second round — so the one-exchange
 	// FeatureRankFetch extension is not requested.
-	recep, err := core.Connect(r.dialer, names, core.Config{
+	pool, err := core.NewPool(r.dialer, names, core.Config{
 		Analyzer:     r.analyzer,
 		WireFeatures: core.FeaturePipelining | core.FeatureBatching,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: connect receptionist: %w", err)
 	}
-	r.recep = recep
-	if _, err := recep.SetupVocabulary(); err != nil {
+	r.pool = pool
+	if _, err := pool.SetupVocabulary(); err != nil {
 		return nil, fmt.Errorf("experiments: setup vocabulary: %w", err)
 	}
-	if _, err := recep.SetupModels(); err != nil {
+	if _, err := pool.SetupModels(); err != nil {
 		return nil, fmt.Errorf("experiments: setup models: %w", err)
 	}
 
@@ -119,14 +119,14 @@ func newRunnerFromCorpus(corpus *trecsynth.Corpus) (*Runner, error) {
 	return r, nil
 }
 
-// Close tears down receptionist sessions.
+// Close tears down the receptionist's connections.
 func (r *Runner) Close() {
-	r.recep.Close()
+	r.pool.Close()
 	r.dialer.Wait()
 }
 
-// Receptionist exposes the deployment's receptionist.
-func (r *Runner) Receptionist() *core.Receptionist { return r.recep }
+// Pool exposes the deployment's receptionist.
+func (r *Runner) Pool() *core.Pool { return r.pool }
 
 // MonoServer exposes the MS baseline.
 func (r *Runner) MonoServer() *core.MonoServer { return r.mono }
@@ -135,7 +135,7 @@ func (r *Runner) MonoServer() *core.MonoServer { return r.mono }
 // group size G and installs it at the receptionist.
 func (r *Runner) GroupedIndex(g int) (*core.GroupedIndex, error) {
 	if gi, ok := r.grouped[g]; ok {
-		if err := r.recep.SetupCentralIndex(gi); err != nil {
+		if err := r.pool.Federation().SetupCentralIndex(gi); err != nil {
 			return nil, err
 		}
 		return gi, nil
@@ -144,7 +144,7 @@ func (r *Runner) GroupedIndex(g int) (*core.GroupedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.recep.SetupCentralIndex(gi); err != nil {
+	if err := r.pool.Federation().SetupCentralIndex(gi); err != nil {
 		return nil, err
 	}
 	r.grouped[g] = gi
@@ -190,7 +190,7 @@ func (r *Runner) Run(spec RunSpec, queries []trecsynth.Query, k int, opts core.O
 		if spec.Mode == core.ModeMS {
 			res, err = r.mono.Query(q.Text, k, opts)
 		} else {
-			res, err = r.recep.Query(spec.Mode, q.Text, k, opts)
+			res, err = r.pool.Query(spec.Mode, q.Text, k, opts)
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: %s query %s: %w", spec.Label, q.ID, err)
@@ -216,7 +216,7 @@ func (r *Runner) Effectiveness(spec RunSpec, queries []trecsynth.Query) (eval.Su
 
 // sortedLibNames returns librarian names in deterministic order.
 func (r *Runner) sortedLibNames() []string {
-	names := append([]string(nil), r.recep.Librarians()...)
+	names := append([]string(nil), r.pool.Federation().Librarians()...)
 	sort.Strings(names)
 	return names
 }

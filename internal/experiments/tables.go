@@ -77,7 +77,7 @@ const paperCorpusDocs = 740000
 // phase is charged (Table 3); when true, rank+fetch (Table 4).
 func (r *Runner) timing(total bool) ([]timingRow, error) {
 	configs := costmodel.AllConfigs()
-	workScale := float64(paperCorpusDocs) / float64(r.recep.TotalDocs())
+	workScale := float64(paperCorpusDocs) / float64(r.pool.Federation().TotalDocs())
 	for i := range configs {
 		configs[i].WorkScale = workScale
 	}
@@ -172,7 +172,7 @@ func (r *Runner) Sizes(w io.Writer) error {
 	line(w, "  total: raw text %d B, compressed text %d B (%.1f%%), librarian indexes %d B (%.1f%% of text)\n",
 		rawText, compText, pct(compText, rawText), indexBytes, pct(indexBytes, rawText))
 
-	terms, vocabBytes := r.recep.VocabularySize()
+	terms, vocabBytes := r.pool.Federation().VocabularySize()
 	line(w, "  CV receptionist: merged vocabulary %d terms, %d B (%.2f%% of text)\n",
 		terms, vocabBytes, pct(vocabBytes, rawText))
 

@@ -187,7 +187,7 @@ func BenchmarkSearchKernel(b *testing.B) {
 				if mode.mode == core.ModeMS {
 					_, err = r.MonoServer().Query(q, k, mode.opts)
 				} else {
-					_, err = r.Receptionist().Query(mode.mode, q, k, mode.opts)
+					_, err = r.Pool().Query(mode.mode, q, k, mode.opts)
 				}
 				return err
 			})

@@ -176,18 +176,17 @@ func BenchmarkSelectThroughput(b *testing.B) {
 
 				// Untimed effectiveness pre-pass: overlap@10 against full
 				// fan-out, and the fan-out width selection actually used.
-				sess := pool.Session()
 				probe := fleet.queries
 				if len(probe) > 16 {
 					probe = probe[:16]
 				}
 				var overlap, asked float64
 				for _, q := range probe {
-					full, err := sess.Query(ModeCV, q, 10, Options{})
+					full, err := pool.Query(ModeCV, q, 10, Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
-					sel, err := sess.Query(ModeCV, q, 10, Options{TopR: topR})
+					sel, err := pool.Query(ModeCV, q, 10, Options{TopR: topR})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -205,10 +204,9 @@ func BenchmarkSelectThroughput(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						sess := pool.Session()
 						for i := range work {
 							q := fleet.queries[i%len(fleet.queries)]
-							if _, err := sess.Query(ModeCV, q, 10, Options{TopR: topR}); err != nil {
+							if _, err := pool.Query(ModeCV, q, 10, Options{TopR: topR}); err != nil {
 								errs <- err
 								return
 							}

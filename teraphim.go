@@ -8,8 +8,9 @@
 // A collection is divided into subcollections, each managed by an
 // independent Librarian: a mono-server engine holding a compressed inverted
 // index, a table of document weights, and a compressed document store.
-// One or more Receptionists broker user queries to librarians and merge
-// the returned rankings. Three federated methodologies are implemented:
+// A receptionist — a Pool, from ConnectPool — brokers user queries to the
+// librarians and merges the returned rankings; several may serve one fleet.
+// Three federated methodologies are implemented:
 //
 //   - Central Nothing (CN): the receptionist knows only the librarian
 //     list; each librarian ranks with its own local statistics and the
@@ -39,8 +40,8 @@
 // ServeMetrics exposes one or more registries as a Prometheus /metrics
 // endpoint plus net/http/pprof profiles; see README.md for the endpoint
 // recipe and the metric name table. Queries accept a context through
-// QueryContext (on Receptionist, Pool and Session): cancellation aborts
-// slot waits, retry backoffs and in-flight reads promptly.
+// Pool.QueryContext and Pool.Boolean: cancellation aborts admission and slot
+// waits, retry backoffs and in-flight reads promptly.
 //
 // # Overload protection
 //
@@ -88,7 +89,7 @@
 // is the scaling wall. Options.TopR narrows the fan-out: SetupVocabulary
 // derives CORI-style per-librarian collection scores alongside the global
 // term statistics, and a TopR = R query contacts only the R librarians
-// most likely to hold answers (Receptionist.SelectLibrarians previews the
+// most likely to hold answers (Federation.SelectLibrarians previews the
 // choice). Selection composes with everything else — CV eligibility, CI
 // candidate expansion, partial results, admission and the result cache —
 // and Trace.LibrariansSelected records what it did.
@@ -120,14 +121,12 @@ type (
 	LibrarianServer = librarian.Server
 	// BuildOptions configures BuildLibrarianWith.
 	BuildOptions = librarian.BuildOptions
-	// Receptionist brokers queries to librarians.
-	Receptionist = core.Receptionist
-	// ReceptionistConfig configures ConnectReceptionist.
+	// ReceptionistConfig configures ConnectPool.
 	ReceptionistConfig = core.Config
 	// CacheConfig enables and sizes the receptionist result cache
 	// (ReceptionistConfig.Cache): repeated queries are answered from memory
 	// with zero librarian round trips, invalidated by setup changes and
-	// Receptionist.InvalidateCache / Pool.InvalidateCache.
+	// Pool.InvalidateCache.
 	CacheConfig = core.CacheConfig
 	// CacheStats snapshots the result cache's hit/miss/eviction counters.
 	CacheStats = core.CacheStats
@@ -138,11 +137,11 @@ type (
 	// distributed collection: global numbering, merged vocabulary,
 	// decompression models and the CI central index.
 	Federation = core.Federation
-	// Pool is a bounded per-librarian connection pool over one Federation;
-	// it is safe for concurrent use by many sessions.
+	// Pool is the receptionist: it brokers queries (Query, QueryContext,
+	// Boolean) over bounded per-librarian connections, runs the setup
+	// exchanges that build its Federation, and is safe for concurrent use
+	// by any number of clients.
 	Pool = core.Pool
-	// Session is a lightweight per-client query handle over a Pool.
-	Session = core.Session
 	// Mode selects a distributed methodology (CN, CV, CI or MS).
 	Mode = core.Mode
 	// Options tunes one query evaluation.
@@ -166,8 +165,7 @@ type (
 	// AnalyzerOption configures NewAnalyzer.
 	AnalyzerOption = textproc.Option
 	// ReplicaStatus is a point-in-time view of one replica endpoint: health,
-	// in-flight exchanges and failure streak (Receptionist.Replicas /
-	// Pool.Replicas).
+	// in-flight exchanges and failure streak (Pool.Replicas).
 	ReplicaStatus = core.ReplicaStatus
 	// Dialer connects a receptionist to named librarians.
 	Dialer = simnet.Dialer
@@ -252,9 +250,6 @@ func ParseEvaluator(s string) (Evaluator, error) { return search.ParseEvaluator(
 // ErrUnknownEvaluator is returned by the query path when Options.Evaluator
 // names no defined evaluation strategy. Test with errors.Is.
 var ErrUnknownEvaluator = search.ErrUnknownEvaluator
-
-// BooleanResult is the union result of a distributed Boolean query.
-type BooleanResult = core.BooleanResult
 
 // ErrOverloaded is returned by the query path when admission control sheds
 // a request (in-flight limit reached, queue full or deadline unmeetable).
@@ -398,26 +393,10 @@ func NewInProcessDialer(libs []*Librarian, cfg LinkConfig) *InProcessDialer {
 // replicas deterministically without a real network.
 func NewChaosDialer(inner Dialer) *ChaosDialer { return simnet.NewChaos(inner) }
 
-// ConnectReceptionist dials the named librarians (order fixes global
-// document numbering) and performs the initial Hello exchange. It is the
-// single-client convenience over ConnectPool: a Receptionist is a stateless
-// handle on the pool it wraps, so ConnectReceptionist(...) is exactly
-// ConnectPool(...) followed by NewReceptionist.
-func ConnectReceptionist(dialer Dialer, names []string, cfg ReceptionistConfig) (*Receptionist, error) {
-	pool, err := ConnectPool(dialer, names, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewReceptionist(pool), nil
-}
-
-// NewReceptionist wraps an already-connected pool in the Receptionist
-// convenience API.
-func NewReceptionist(pool *Pool) *Receptionist { return core.NewReceptionist(pool) }
-
-// ConnectPool dials the named librarians and returns a connection pool
-// whose Federation is shared by every Session: run the Setup* exchanges
-// once, then fan out concurrent clients over Pool.Query or Pool.Session.
+// ConnectPool dials the named librarians (order fixes global document
+// numbering), performs the initial Hello exchange and returns the
+// receptionist: run the Setup* exchanges once, then serve any number of
+// concurrent clients through Pool.Query.
 func ConnectPool(dialer Dialer, names []string, cfg ReceptionistConfig) (*Pool, error) {
 	return core.NewPool(dialer, names, cfg)
 }

@@ -60,7 +60,7 @@ func TestDistributedFlowOverPublicAPI(t *testing.T) {
 		libs = append(libs, lib)
 	}
 	dialer := NewInProcessDialer(libs, LinkConfig{})
-	recep, err := ConnectReceptionist(dialer, []string{"A", "B"}, ReceptionistConfig{Analyzer: analyzer})
+	recep, err := ConnectPool(dialer, []string{"A", "B"}, ReceptionistConfig{Analyzer: analyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTCPFlowOverPublicAPI(t *testing.T) {
 	defer srv.Close()
 
 	dialer := TCPDialer{"tcp": srv.Addr().String()}
-	recep, err := ConnectReceptionist(dialer, []string{"tcp"}, ReceptionistConfig{})
+	recep, err := ConnectPool(dialer, []string{"tcp"}, ReceptionistConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +222,7 @@ func TestStreamingIngestOverPublicAPI(t *testing.T) {
 	up.OnUpdate(pool.InvalidateCache)
 
 	ctx := context.Background()
-	sess := pool.Session()
-	if _, err := sess.Query(ModeCN, "compression keeps the index small", 4, Options{}); err != nil {
+	if _, err := pool.Query(ModeCN, "compression keeps the index small", 4, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := up.Ingest(ctx, apiDocs()[2:]); err != nil {
@@ -232,7 +231,7 @@ func TestStreamingIngestOverPublicAPI(t *testing.T) {
 	if err := up.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Query(ModeCN, "compression keeps the index small", 4, Options{})
+	res, err := pool.Query(ModeCN, "compression keeps the index small", 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
