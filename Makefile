@@ -21,27 +21,38 @@ vet:
 
 # ROADMAP aim 2 in one number per package: non-test Go lines, benchmark/
 # excluded. internal/core may not grow past CORE_LOC_MAX nor
-# internal/librarian past LIBRARIAN_LOC_MAX; a change that collapses another
-# of their parallel paths lowers the ceiling to what it reached.
+# internal/librarian past LIBRARIAN_LOC_MAX, nor the packages the write path
+# runs through below the librarian — internal/{textproc,index,huffman,store},
+# counted together — past WRITE_LOC_MAX; a change that collapses another of
+# their parallel paths lowers the ceiling to what it reached.
+# LIBRARIAN_LOC_MAX rose 1756 -> 1786 once, on purpose: Build became MG's two
+# passes over the one segment build ingest runs, and that build became one
+# scan per document with a per-call word memo (see DESIGN §14).
 CORE_LOC_MAX = 4762
-LIBRARIAN_LOC_MAX = 1756
+LIBRARIAN_LOC_MAX = 1786
+WRITE_LOC_MAX = 2901
 loc:
-	@for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
+	@write=0; for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%7d .%s\n' $$n $${d#$(CURDIR)}; \
-		case $$d in */internal/core) core=$$n;; */internal/librarian) librarian=$$n;; esac; \
+		case $$d in */internal/core) core=$$n;; */internal/librarian) librarian=$$n;; \
+			*/internal/textproc|*/internal/index|*/internal/huffman|*/internal/store) write=$$((write + n));; esac; \
 	done; \
 	if [ $$core -gt $(CORE_LOC_MAX) ]; then \
 		echo "loc: internal/core has $$core non-test lines, the ceiling is $(CORE_LOC_MAX)"; exit 1; \
 	fi; \
 	if [ $$librarian -gt $(LIBRARIAN_LOC_MAX) ]; then \
 		echo "loc: internal/librarian has $$librarian non-test lines, the ceiling is $(LIBRARIAN_LOC_MAX)"; exit 1; \
+	fi; \
+	if [ $$write -gt $(WRITE_LOC_MAX) ]; then \
+		echo "loc: internal/{textproc,index,huffman,store} have $$write non-test lines, the ceiling is $(WRITE_LOC_MAX)"; exit 1; \
 	fi
 
 # Short fuzz runs: long enough to catch regressions in the decoder and
 # codec invariants (two compare the windowed bit reader and the block postings
-# decoder against bit-at-a-time references; the last holds a text model frozen
-# at training to restoring any later string), short enough for every verify
+# decoder against bit-at-a-time references; one holds a text model frozen at
+# training to restoring any later string; the last compares the write path's
+# word scanner with the rune loop it replaced), short enough for every verify
 # run. -run='^$$' skips the unit tests, which `race` already covered.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=$(FUZZTIME) ./internal/protocol
@@ -53,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlockMatchesReference -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=$(FUZZTIME) ./internal/bitio
 	$(GO) test -run='^$$' -fuzz=FuzzFrozenModelRoundTrip -fuzztime=$(FUZZTIME) ./internal/huffman
+	$(GO) test -run='^$$' -fuzz=FuzzSplitWordsMatchesReference -fuzztime=$(FUZZTIME) ./internal/textproc
 
 # The one benchmark (BENCHMARK.json, ./benchmark) on a 2k-document corpus
 # with 1 s windows: all four workloads, correctness gate included, tracing

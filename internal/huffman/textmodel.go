@@ -49,15 +49,10 @@ func (lx *lexicon) intern(tok string) uint32 {
 	return id
 }
 
-func (lx *lexicon) lookup(tok string) (uint32, bool) {
-	id, ok := lx.byToken[tok]
-	return id, ok
-}
-
-// NewTextModel trains a model over the given documents. Every distinct word
-// and separator seen becomes a lexicon entry; the escape codeword is
-// weighted at roughly the count of singletons so that novel tokens in future
-// documents stay cheap.
+// NewTextModel trains a model over the given documents — MG's first pass,
+// which only counts tokens. Every distinct word and separator seen becomes a
+// lexicon entry; the escape codeword is weighted at roughly the count of
+// singletons so that novel tokens in future documents stay cheap.
 func NewTextModel(docs []string) (*TextModel, error) {
 	words := newLexicon()
 	seps := newLexicon()
@@ -70,8 +65,10 @@ func NewTextModel(docs []string) (*TextModel, error) {
 		}
 		(*freqs)[id]++
 	}
+	var spans []textproc.WordSpan
 	for _, doc := range docs {
-		spans, tail := textproc.SplitWords(doc)
+		var tail string
+		spans, tail = textproc.AppendWords(spans[:0], doc)
 		for _, s := range spans {
 			count(seps, &sepFreq, s.Sep)
 			count(words, &wordFreq, s.Word)
@@ -101,20 +98,37 @@ func NewTextModel(docs []string) (*TextModel, error) {
 // CompressDoc returns the compressed byte representation of text.
 func (m *TextModel) CompressDoc(text string) ([]byte, error) {
 	spans, tail := textproc.SplitWords(text)
-	w := bitio.NewWriter(len(text)/3 + 16)
+	syms := make([]uint32, len(spans))
+	for i, s := range spans {
+		syms[i] = m.WordSymbol(s.Word)
+	}
+	return m.CompressSpans(spans, syms, tail)
+}
+
+// WordSymbol returns word's symbol in the model's word lexicon, or the escape
+// symbol for a word the model was not trained on.
+func (m *TextModel) WordSymbol(word string) uint32 {
+	return m.words.byToken[word] // the escape symbol is 0 and never a key
+}
+
+// CompressSpans compresses a document that SplitWords or AppendWords has split
+// into spans and tail, syms[i] being WordSymbol(spans[i].Word): a writer that
+// meets a word many times looks its symbol up once.
+func (m *TextModel) CompressSpans(spans []textproc.WordSpan, syms []uint32, tail string) ([]byte, error) {
+	w := bitio.NewWriter(2*len(spans) + 16)
 	// Span count first so the decoder knows the structure.
 	if err := codec.PutGamma(w, uint64(len(spans))+1); err != nil {
 		return nil, err
 	}
-	for _, s := range spans {
-		if err := m.putToken(w, m.seps, m.sepCode, s.Sep); err != nil {
+	for i, s := range spans {
+		if err := putToken(w, m.sepCode, m.seps.byToken[s.Sep], s.Sep); err != nil {
 			return nil, err
 		}
-		if err := m.putToken(w, m.words, m.wordCode, s.Word); err != nil {
+		if err := putToken(w, m.wordCode, syms[i], s.Word); err != nil {
 			return nil, err
 		}
 	}
-	if err := m.putToken(w, m.seps, m.sepCode, tail); err != nil {
+	if err := putToken(w, m.sepCode, m.seps.byToken[tail], tail); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), w.Bytes()...), nil
@@ -149,9 +163,10 @@ func (m *TextModel) DecompressDoc(data []byte) (string, error) {
 	return sb.String(), nil
 }
 
-func (m *TextModel) putToken(w *bitio.Writer, lx *lexicon, code *Code, tok string) error {
-	if id, ok := lx.lookup(tok); ok && id != escapeSym {
-		return code.Encode(w, id)
+// putToken writes tok, whose symbol in code's lexicon is sym.
+func putToken(w *bitio.Writer, code *Code, sym uint32, tok string) error {
+	if sym != escapeSym {
+		return code.Encode(w, sym)
 	}
 	// Escape: codeword 0 then gamma length+1 then raw bytes.
 	if err := code.Encode(w, escapeSym); err != nil {

@@ -12,7 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"teraphim/internal/bitio"
@@ -74,9 +75,18 @@ type Index struct {
 	maxFDT  []uint32
 }
 
-// Builder accumulates documents and produces an Index.
+// Builder accumulates documents and produces an Index. Terms are interned to
+// dense ids on first sight, and a document is counted by id in tf rather than
+// in a map of its own, so W_d sums log(f_dt+1)² over the document's distinct
+// terms in the order each first appears in it: the float64 sum, and so the
+// float32 weight, is the same on every run.
 type Builder struct {
-	terms   map[string][]Posting
+	ids     map[string]uint32 // term -> id
+	terms   []string          // id -> term
+	lists   [][]Posting       // id -> postings, ascending doc
+	tf      []uint32          // id -> f_dt in the document being added; 0 between documents
+	seen    []uint32          // that document's distinct ids, first appearance order
+	scratch []uint32          // Add's ids
 	weights []float32
 	lens    []uint32
 	skipIvl uint32
@@ -93,7 +103,7 @@ func WithSkipInterval(interval uint32) BuilderOption {
 
 // NewBuilder returns an empty Builder.
 func NewBuilder(opts ...BuilderOption) *Builder {
-	b := &Builder{terms: make(map[string][]Posting, 1024), skipIvl: DefaultSkipInterval}
+	b := &Builder{ids: make(map[string]uint32, 1024), skipIvl: DefaultSkipInterval}
 	for _, opt := range opts {
 		opt(b)
 	}
@@ -103,19 +113,48 @@ func NewBuilder(opts ...BuilderOption) *Builder {
 // Add indexes one document given its analysed terms and returns the document
 // id assigned (dense, starting at 0). Terms may repeat; repeats become f_dt.
 func (b *Builder) Add(terms []string) uint32 {
-	doc := uint32(len(b.weights))
-	counts := make(map[string]uint32, len(terms))
+	ids := b.scratch[:0]
 	for _, t := range terms {
-		counts[t]++
+		ids = append(ids, b.TermID(t))
+	}
+	b.scratch = ids
+	return b.AddIDs(ids)
+}
+
+// TermID returns term's id in this Builder, interning it on first sight.
+func (b *Builder) TermID(term string) uint32 {
+	if id, ok := b.ids[term]; ok {
+		return id
+	}
+	id := uint32(len(b.terms))
+	b.ids[term] = id
+	b.terms = append(b.terms, term)
+	b.lists = append(b.lists, nil)
+	b.tf = append(b.tf, 0)
+	return id
+}
+
+// AddIDs is Add for a document given as the TermIDs of its analysed terms.
+func (b *Builder) AddIDs(ids []uint32) uint32 {
+	doc := uint32(len(b.weights))
+	seen := b.seen[:0]
+	for _, id := range ids {
+		if b.tf[id] == 0 {
+			seen = append(seen, id)
+		}
+		b.tf[id]++
 	}
 	var sumSq float64
-	for t, f := range counts {
-		b.terms[t] = append(b.terms[t], Posting{Doc: doc, FDT: f})
+	for _, id := range seen {
+		f := b.tf[id]
+		b.tf[id] = 0
+		b.lists[id] = append(b.lists[id], Posting{Doc: doc, FDT: f})
 		w := math.Log(float64(f) + 1)
 		sumSq += w * w
 	}
+	b.seen = seen
 	b.weights = append(b.weights, float32(math.Sqrt(sumSq)))
-	b.lens = append(b.lens, uint32(len(terms)))
+	b.lens = append(b.lens, uint32(len(ids)))
 	return doc
 }
 
@@ -133,14 +172,14 @@ func (b *Builder) Build() (*Index, error) {
 		numDocs: uint32(len(b.weights)),
 		skipIvl: b.skipIvl,
 	}
-	terms := make([]string, 0, len(b.terms))
-	for t := range b.terms {
-		terms = append(terms, t)
+	order := make([]uint32, len(b.terms)) // ids in term order
+	for i := range order {
+		order[i] = uint32(i)
 	}
-	sort.Strings(terms)
+	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(b.terms[x], b.terms[y]) })
 	w := bitio.NewWriter(4096)
-	for _, t := range terms {
-		postings := b.terms[t]
+	for _, id := range order {
+		t, postings := b.terms[id], b.lists[id]
 		// Builder.Add appends docs in increasing order, so the list is
 		// already sorted; verify cheaply in case of misuse.
 		entry, err := compressList(w, t, postings, idx.numDocs, b.skipIvl)
@@ -152,7 +191,7 @@ func (b *Builder) Build() (*Index, error) {
 		idx.numPtrs += uint64(len(postings))
 		idx.postings += uint64(len(entry.postings))
 	}
-	b.terms = nil
+	b.ids, b.terms, b.lists = nil, nil, nil
 	return idx, nil
 }
 

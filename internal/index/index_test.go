@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+
+	"teraphim/internal/bitio"
 )
 
 // buildTiny builds a small index over fixed documents.
@@ -362,7 +364,9 @@ func TestQuickIndexRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkBuild(b *testing.B) {
+// benchDocs returns BenchmarkBuild's documents: 2,000 of 20–119 terms drawn
+// uniformly from 5,000.
+func benchDocs() [][]string {
 	rng := rand.New(rand.NewSource(3))
 	docs := make([][]string, 2000)
 	for d := range docs {
@@ -372,6 +376,99 @@ func BenchmarkBuild(b *testing.B) {
 			docs[d][i] = "term" + strconv.Itoa(rng.Intn(5000))
 		}
 	}
+	return docs
+}
+
+// mapBuilder is Builder as it was before term ids, its Add kept verbatim as
+// the reference: one map per document, W_d summed in that map's iteration
+// order.
+type mapBuilder struct {
+	terms   map[string][]Posting
+	weights []float32
+	lens    []uint32
+	skipIvl uint32
+}
+
+func (b *mapBuilder) Add(terms []string) uint32 {
+	doc := uint32(len(b.weights))
+	counts := make(map[string]uint32, len(terms))
+	for _, t := range terms {
+		counts[t]++
+	}
+	var sumSq float64
+	for t, f := range counts {
+		b.terms[t] = append(b.terms[t], Posting{Doc: doc, FDT: f})
+		w := math.Log(float64(f) + 1)
+		sumSq += w * w
+	}
+	b.weights = append(b.weights, float32(math.Sqrt(sumSq)))
+	b.lens = append(b.lens, uint32(len(terms)))
+	return doc
+}
+
+func (b *mapBuilder) Build() (*Index, error) {
+	idx := &Index{
+		entries: make([]termEntry, 0, len(b.terms)),
+		byTerm:  make(map[string]int, len(b.terms)),
+		weights: b.weights,
+		lens:    b.lens,
+		numDocs: uint32(len(b.weights)),
+		skipIvl: b.skipIvl,
+	}
+	terms := make([]string, 0, len(b.terms))
+	for t := range b.terms {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
+	w := bitio.NewWriter(4096)
+	for _, t := range terms {
+		postings := b.terms[t]
+		entry, err := compressList(w, t, postings, idx.numDocs, b.skipIvl)
+		if err != nil {
+			return nil, err
+		}
+		idx.byTerm[t] = len(idx.entries)
+		idx.entries = append(idx.entries, entry)
+		idx.numPtrs += uint64(len(postings))
+		idx.postings += uint64(len(entry.postings))
+	}
+	return idx, nil
+}
+
+// TestBuilderMatchesMapReference: the id-counting Builder writes the bytes
+// the map-counting one wrote, and — its W_d summed in first-appearance order
+// rather than map order — the same bytes on every build.
+func TestBuilderMatchesMapReference(t *testing.T) {
+	docs := benchDocs()
+	serialise := func(ix *Index, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ref := &mapBuilder{terms: map[string][]Posting{}, skipIvl: DefaultSkipInterval}
+	for _, d := range docs {
+		ref.Add(d)
+	}
+	want := serialise(ref.Build())
+	for run := 0; run < 20; run++ {
+		b := NewBuilder()
+		for _, d := range docs {
+			b.Add(d)
+		}
+		if got := serialise(b.Build()); !bytes.Equal(got, want) {
+			t.Fatalf("build %d: %d bytes differ from the map reference's %d", run, len(got), len(want))
+		}
+	}
+}
+
+func BenchmarkBuild(b *testing.B) {
+	docs := benchDocs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"teraphim/internal/huffman"
 	"teraphim/internal/protocol"
 	"teraphim/internal/store"
 )
@@ -403,7 +404,11 @@ func TestBackgroundMergeLeavesNoRun(t *testing.T) {
 func TestFlushReturnsBackgroundMergeError(t *testing.T) {
 	u := newIngestable(t, 4, IngestConfig{MinSegmentDocs: 8, MergeFanIn: 2})
 	u.testBuild = func(docs []store.Document) (*segment, error) {
-		return buildSegment(u.name, docs, u.analyzer, u.skip, nil) // trains a foreign model
+		foreign, err := huffman.NewTextModel([]string{docs[0].Text})
+		if err != nil {
+			return nil, err
+		}
+		return buildSegment(u.name, docs, u.analyzer, u.skip, foreign)
 	}
 	ctx := context.Background()
 	if err := u.Ingest(ctx, []store.Document{{Title: "z0", Text: "zeppelin mooring"}, {Title: "z1", Text: "zeppelin hangar"}}); err != nil {

@@ -141,11 +141,13 @@ type BuildOptions struct {
 	SkipInterval int
 }
 
-// Build constructs a librarian from raw documents: analyse, index, compress.
-// The text model is trained here, on docs, and kept for the librarian's life
-// — documents ingested later are coded under it, novel words through its
-// escape codes — so build from a representative sample: a librarian built
-// from no documents stores everything it ingests at near raw size.
+// Build constructs a librarian from raw documents in MG's two passes: the
+// first trains the text model on docs, the second analyses, indexes and
+// compresses them exactly as an ingested batch is. The model is kept for the
+// librarian's life — documents ingested later are coded under it, novel
+// words through its escape codes — so build from a representative sample: a
+// librarian built from no documents stores everything it ingests at near raw
+// size.
 func Build(name string, docs []store.Document, opts BuildOptions) (*Librarian, error) {
 	analyzer := opts.Analyzer
 	if analyzer == nil {
@@ -158,7 +160,11 @@ func Build(name string, docs []store.Document, opts BuildOptions) (*Librarian, e
 	case opts.SkipInterval < 0:
 		skip = 0
 	}
-	sg, err := buildSegment(name, docs, analyzer, skip, nil)
+	model, err := store.TrainModel(docs)
+	if err != nil {
+		return nil, fmt.Errorf("librarian %q: %w", name, err)
+	}
+	sg, err := buildSegment(name, docs, analyzer, skip, model)
 	if err != nil {
 		return nil, err
 	}

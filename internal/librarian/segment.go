@@ -35,25 +35,49 @@ type segment struct {
 	docs   uint32
 }
 
-// buildSegment analyses, indexes and compresses docs into a segment, the text
-// under model — or, for Build, which passes nil, under one trained on docs.
+// buildSegment indexes docs and compresses them under model into a segment —
+// MG's second pass, for Build and for every ingested batch — in one scan per
+// document: AppendWords splits it once, the index builder counts the spans'
+// term ids and the coder encodes the same spans. Each distinct raw word is
+// analysed, interned and looked up in the model once per call, in a memo that
+// dies with the call.
 func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyzer, skip uint32, model *huffman.TextModel) (*segment, error) {
+	type word struct {
+		term, sym uint32
+		indexed   bool // false for a word with no term, such as a stopword
+	}
 	ib := index.NewBuilder(index.WithSkipInterval(skip))
-	for _, d := range docs {
-		ib.Add(analyzer.Terms(nil, d.Text))
+	memo := make(map[string]word)
+	var spans []textproc.WordSpan
+	var ids, syms []uint32
+	st, err := store.Assemble(model, docs, func(i int) ([]byte, error) {
+		var tail string
+		spans, tail = textproc.AppendWords(spans[:0], docs[i].Text)
+		ids, syms = ids[:0], syms[:0]
+		for _, s := range spans {
+			w, ok := memo[s.Word]
+			if !ok {
+				var term string
+				if term, w.indexed = analyzer.Term(s.Word); w.indexed {
+					w.term = ib.TermID(term)
+				}
+				w.sym = model.WordSymbol(s.Word)
+				memo[s.Word] = w
+			}
+			if w.indexed {
+				ids = append(ids, w.term)
+			}
+			syms = append(syms, w.sym)
+		}
+		ib.AddIDs(ids)
+		return model.CompressSpans(spans, syms, tail)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("librarian %q: build store: %w", name, err)
 	}
 	ix, err := ib.Build()
 	if err != nil {
 		return nil, fmt.Errorf("librarian %q: build index: %w", name, err)
-	}
-	var st *store.Store
-	if model == nil {
-		st, err = store.Build(docs)
-	} else {
-		st, err = store.BuildWith(model, docs)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("librarian %q: build store: %w", name, err)
 	}
 	return &segment{engine: search.NewEngine(ix, analyzer), store: st, docs: st.NumDocs()}, nil
 }

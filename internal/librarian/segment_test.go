@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"teraphim/internal/huffman"
@@ -224,18 +223,8 @@ func BenchmarkMergeSegments(b *testing.B) {
 	}
 	lib := servedAs(b, corpus.Subcollections[0].Docs, 4)
 	segs := lib.man.Load().segs
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocs := ms.Mallocs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lib.newManifest(segs).merged(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms)
-	n := float64(b.N) * float64(lib.man.Load().total)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/doc")
-	b.ReportMetric(float64(ms.Mallocs-mallocs)/n, "allocs/doc")
+	perDoc(b, int(lib.man.Load().total), func() error {
+		_, err := lib.newManifest(segs).merged()
+		return err
+	})
 }

@@ -51,6 +51,15 @@ var ErrModelMismatch = errors.New("store: stores do not share one text model")
 // mechanism, and a model trained on no documents stores text near raw size —
 // so train on a representative sample.
 func Build(docs []Document) (*Store, error) {
+	model, err := TrainModel(docs)
+	if err != nil {
+		return nil, err
+	}
+	return BuildWith(model, docs)
+}
+
+// TrainModel trains a text model over the text of docs: MG's first pass.
+func TrainModel(docs []Document) (*huffman.TextModel, error) {
 	texts := make([]string, len(docs))
 	for i, d := range docs {
 		texts[i] = d.Text
@@ -59,16 +68,24 @@ func Build(docs []Document) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: train model: %w", err)
 	}
-	return BuildWith(model, docs)
+	return model, nil
 }
 
 // BuildWith compresses docs under an existing model into a Store. Documents
 // are assigned ids 0..n-1 in order; each Document.ID field is ignored on
 // input.
 func BuildWith(model *huffman.TextModel, docs []Document) (*Store, error) {
+	return Assemble(model, docs, func(i int) ([]byte, error) { return model.CompressDoc(docs[i].Text) })
+}
+
+// Assemble is BuildWith with compress(i) supplying document i's blob, which
+// must be its text compressed under model: the store takes each document's
+// title and raw size from docs and its blob from compress, in order, so a
+// writer can compress a document in the same scan that indexes it.
+func Assemble(model *huffman.TextModel, docs []Document, compress func(i int) ([]byte, error)) (*Store, error) {
 	s := &Store{model: model, blobs: make([][]byte, len(docs)), titles: make([]string, len(docs))}
 	for i, d := range docs {
-		blob, err := model.CompressDoc(d.Text)
+		blob, err := compress(i)
 		if err != nil {
 			return nil, fmt.Errorf("store: compress doc %d: %w", i, err)
 		}

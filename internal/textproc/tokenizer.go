@@ -8,10 +8,13 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-// MaxTermLength bounds the length (in runes) of an indexed term; longer
-// tokens are truncated, mirroring MG's fixed-size term buffer.
+// MaxTermLength bounds the length in bytes, not runes, of an indexed term:
+// longer tokens are cut to it after lowercasing, mirroring MG's fixed-size
+// term buffer. A cut can split a multibyte UTF-8 sequence; that stays, because
+// every stored index was built with it.
 const MaxTermLength = 32
 
 // Tokenize splits text into lowercase word tokens. A word is a maximal run
@@ -58,36 +61,59 @@ type WordSpan struct {
 // result is allocated once: growing it span by span was a tenth of the CPU of
 // building a document store.
 func SplitWords(text string) (spans []WordSpan, tail string) {
-	n, inWord := 0, false
-	for _, r := range text {
-		isWord := unicode.IsLetter(r) || unicode.IsDigit(r)
-		if isWord && !inWord {
-			n++
-		}
-		inWord = isWord
+	n := 0
+	for i := runEnd(text, 0, false); i < len(text); i = runEnd(text, runEnd(text, i, true), false) {
+		n++
 	}
 	if n == 0 {
 		return nil, text
 	}
-	spans = make([]WordSpan, 0, n)
-	sepStart := 0
-	wordStart := -1
-	for i, r := range text {
-		isWord := unicode.IsLetter(r) || unicode.IsDigit(r)
-		switch {
-		case isWord && wordStart < 0:
-			wordStart = i
-		case !isWord && wordStart >= 0:
-			spans = append(spans, WordSpan{Sep: text[sepStart:wordStart], Word: text[wordStart:i]})
-			sepStart = i
-			wordStart = -1
+	return AppendWords(make([]WordSpan, 0, n), text)
+}
+
+// AppendWords is SplitWords appending the spans to dst, so that a caller
+// splitting many documents reuses one buffer.
+func AppendWords(dst []WordSpan, text string) (spans []WordSpan, tail string) {
+	sep := 0
+	for {
+		start := runEnd(text, sep, false)
+		if start == len(text) {
+			return dst, text[sep:]
 		}
+		end := runEnd(text, start, true)
+		dst = append(dst, WordSpan{Sep: text[sep:start], Word: text[start:end]})
+		sep = end
 	}
-	if wordStart >= 0 {
-		spans = append(spans, WordSpan{Sep: text[sepStart:wordStart], Word: text[wordStart:]})
-		return spans, ""
+}
+
+// asciiWord marks the bytes below utf8.RuneSelf that are letters or digits.
+var asciiWord = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 	}
-	return spans, text[sepStart:]
+	return t
+}()
+
+// runEnd returns where the run of word runes (inWord) or of separator runes
+// (!inWord) that starts at text[i] ends. A word rune is a letter or digit;
+// invalid UTF-8 decodes, as a range loop decodes it, to utf8.RuneError one byte
+// at a time, which separates. ASCII is classified by table.
+func runEnd(text string, i int, inWord bool) int {
+	for i < len(text) {
+		if c := text[i]; c < utf8.RuneSelf {
+			if asciiWord[c] != inWord {
+				return i
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(text[i:])
+		if (unicode.IsLetter(r) || unicode.IsDigit(r)) != inWord {
+			return i
+		}
+		i += n
+	}
+	return i
 }
 
 // Analyzer converts raw text into index terms: tokenize, drop stopwords,
@@ -145,18 +171,35 @@ func (a *Analyzer) Terms(dst []string, text string) []string {
 func (a *Analyzer) TermsScratch(dst, raw []string, text string) (terms, rawOut []string) {
 	raw = Tokenize(raw[:0], text)
 	for _, tok := range raw {
-		if a.stopwords != nil && a.stopwords[tok] {
-			continue
+		if term, ok := a.token(tok); ok {
+			dst = append(dst, term)
 		}
-		if a.stem {
-			tok = Stem(tok)
-		}
-		if tok == "" {
-			continue
-		}
-		dst = append(dst, tok)
 	}
 	return dst, raw
+}
+
+// Term analyses one word as Terms analyses each token: lowercase, cut to
+// MaxTermLength bytes (which can split a multibyte UTF-8 sequence), dropped
+// if a stopword, stemmed. ok is false when the word yields no term. For a
+// word SplitWords yields, Term(w) is the one term Terms(nil, w) returns, or
+// none — which lets a document's writer analyse each distinct word once.
+func (a *Analyzer) Term(word string) (term string, ok bool) {
+	tok := strings.ToLower(word)
+	if len(tok) > MaxTermLength {
+		tok = tok[:MaxTermLength]
+	}
+	return a.token(tok)
+}
+
+// token analyses one lowercased, cut token: Terms' and Term's one step.
+func (a *Analyzer) token(tok string) (string, bool) {
+	if a.stopwords[tok] {
+		return "", false
+	}
+	if a.stem {
+		tok = Stem(tok)
+	}
+	return tok, tok != ""
 }
 
 // IsStopword reports whether the analyzer would discard term.
