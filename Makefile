@@ -20,22 +20,28 @@ vet:
 	$(GO) vet ./...
 
 # ROADMAP aim 2 in one number per package: non-test Go lines, benchmark/
-# excluded. internal/core may not grow past CORE_LOC_MAX nor
-# internal/librarian past LIBRARIAN_LOC_MAX, nor the packages the write path
-# runs through below the librarian — internal/{textproc,index,huffman,store},
-# counted together — past WRITE_LOC_MAX; a change that collapses another of
-# their parallel paths lowers the ceiling to what it reached.
+# excluded. internal/core may not grow past CORE_LOC_MAX,
+# internal/librarian past LIBRARIAN_LOC_MAX nor internal/search past
+# SEARCH_LOC_MAX, nor the packages the write path runs through below the
+# librarian — internal/{textproc,index,huffman,store}, counted together —
+# past WRITE_LOC_MAX; a change that collapses another of their parallel
+# paths lowers the ceiling to what it reached.
 # LIBRARIAN_LOC_MAX rose 1756 -> 1786 once, on purpose: Build became MG's two
 # passes over the one segment build ingest runs, and that build became one
 # scan per document with a per-call word memo (see DESIGN §14).
+# WRITE_LOC_MAX rose 2901 -> 2909 once, on purpose: Index.OpenCursor, the
+# lookup that reports a missing term without allocating an error, so a
+# query over small segments that lack most of its terms allocates nothing
+# per missing list.
 CORE_LOC_MAX = 4762
-LIBRARIAN_LOC_MAX = 1786
-WRITE_LOC_MAX = 2901
+LIBRARIAN_LOC_MAX = 1694
+SEARCH_LOC_MAX = 1698
+WRITE_LOC_MAX = 2909
 loc:
 	@write=0; for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%7d .%s\n' $$n $${d#$(CURDIR)}; \
-		case $$d in */internal/core) core=$$n;; */internal/librarian) librarian=$$n;; \
+		case $$d in */internal/core) core=$$n;; */internal/librarian) librarian=$$n;; */internal/search) search=$$n;; \
 			*/internal/textproc|*/internal/index|*/internal/huffman|*/internal/store) write=$$((write + n));; esac; \
 	done; \
 	if [ $$core -gt $(CORE_LOC_MAX) ]; then \
@@ -43,6 +49,9 @@ loc:
 	fi; \
 	if [ $$librarian -gt $(LIBRARIAN_LOC_MAX) ]; then \
 		echo "loc: internal/librarian has $$librarian non-test lines, the ceiling is $(LIBRARIAN_LOC_MAX)"; exit 1; \
+	fi; \
+	if [ $$search -gt $(SEARCH_LOC_MAX) ]; then \
+		echo "loc: internal/search has $$search non-test lines, the ceiling is $(SEARCH_LOC_MAX)"; exit 1; \
 	fi; \
 	if [ $$write -gt $(WRITE_LOC_MAX) ]; then \
 		echo "loc: internal/{textproc,index,huffman,store} have $$write non-test lines, the ceiling is $(WRITE_LOC_MAX)"; exit 1; \

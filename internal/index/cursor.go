@@ -57,15 +57,23 @@ func (ix *Index) Cursor(term string) (*TermCursor, error) {
 }
 
 // ResetCursor re-initialises c over the postings of term, retaining its
-// decode buffer. It is the allocation-free path the scoring kernel uses to
-// walk many lists with one pooled cursor.
+// decode buffer.
 func (ix *Index) ResetCursor(c *TermCursor, term string) error {
-	i, ok := ix.byTerm[term]
-	if !ok {
+	if !ix.OpenCursor(c, term) {
 		return fmt.Errorf("index: %w: %q", ErrTermNotFound, term)
 	}
-	ix.resetCursorEntry(c, &ix.entries[i])
 	return nil
+}
+
+// OpenCursor is ResetCursor reporting an absent term as false instead of an
+// error. It is the allocation-free path the scoring kernel uses to walk many
+// lists with one pooled cursor, where a small segment lacks most query terms.
+func (ix *Index) OpenCursor(c *TermCursor, term string) bool {
+	i, ok := ix.byTerm[term]
+	if ok {
+		ix.resetCursorEntry(c, &ix.entries[i])
+	}
+	return ok
 }
 
 // resetCursorEntry is ResetCursor given a resolved entry — the dictionary

@@ -2,7 +2,6 @@ package librarian
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -88,7 +87,8 @@ func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyze
 // manifest behind sync.Once.
 type manifest struct {
 	lib   *Librarian
-	segs  []*segment // ascending base, tiling [0, total)
+	segs  []*segment    // ascending base, tiling [0, total)
+	parts []search.Part // the segments' engines and bases, as search takes them
 	total uint32
 
 	statsOnce sync.Once
@@ -111,112 +111,22 @@ func (m *manifest) locate(id uint32) *segment {
 	return m.segs[i]
 }
 
-// localWeights computes the collection-wide w_{q,t} map for a query: f_t
-// summed over every segment, N the manifest total. Feeding these to each
-// segment engine as explicit weights (the CV mechanism) makes per-segment
-// scores — and therefore the fan-in's merged ranking — identical to a
-// single index built over the whole collection, because in the paper's
-// cosine measure all collection dependence lives in w_{q,t}. Returns ok
-// false when the query has no indexable terms (the ErrEmptyQuery case).
-func (m *manifest) localWeights(query string) (map[string]float64, bool) {
-	terms := m.lib.analyzer.Terms(nil, query)
-	if len(terms) == 0 {
-		return nil, false
-	}
-	freqs := make(map[string]uint32, len(terms))
-	for _, t := range terms {
-		freqs[t]++
-	}
-	weights := make(map[string]float64, len(freqs))
-	for t, fqt := range freqs {
-		var ft uint64
-		for _, sg := range m.segs {
-			ft += uint64(sg.engine.Index().TermFreq(t))
-		}
-		if ft == 0 {
-			continue
-		}
-		weights[t] = search.CollectionWeight(fqt, uint32(ft), m.total)
-	}
-	return weights, true
-}
-
+// rank and score evaluate over the segments as one collection: search
+// analyses and weights the query once — CN/MS weights from f_t summed over
+// every segment and N the manifest total, which in the paper's cosine
+// measure is all the collection dependence there is — and each segment
+// evaluates it into one result, so the ranking and every score equal those of
+// a single index built over the whole collection.
 func (m *manifest) rank(scratch *search.Scratch, q *protocol.RankQuery) protocol.Message {
 	eval := search.Evaluator(q.Evaluator)
 	if !eval.Valid() {
 		return &protocol.ErrorReply{Message: fmt.Sprintf("unknown evaluator %d", q.Evaluator)}
 	}
-	k := int(q.K)
-	if k <= 0 {
-		return &protocol.ErrorReply{Message: fmt.Sprintf("search: k must be positive, got %d", k)}
-	}
-	weights := q.Weights
-	if weights == nil {
-		var ok bool
-		if weights, ok = m.localWeights(q.Query); !ok {
-			return &protocol.RankReply{}
-		}
-	}
-	var all []search.Result
-	var stats search.Stats
-	for _, sg := range m.segs {
-		res, st, err := sg.engine.RankWithEval(scratch, q.Query, k, weights, eval)
-		if err != nil {
-			if errors.Is(err, search.ErrEmptyQuery) {
-				return &protocol.RankReply{Stats: stats}
-			}
-			return &protocol.ErrorReply{Message: err.Error()}
-		}
-		stats.Add(st)
-		for i := range res {
-			res[i].Doc += sg.base
-		}
-		if all == nil {
-			all = res
-		} else {
-			all = append(all, res...)
-		}
-	}
-	// Each segment returned its exact local top k; the global top k is the
-	// best k of the union. SortResults orders best-first with ties broken
-	// by ascending global doc id — the same order topK extraction produces
-	// on a single index.
-	search.SortResults(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return rankReply(all, stats)
+	return evalReply(search.RankParts(nil, scratch, m.parts, q.Query, int(q.K), q.Weights, eval))
 }
 
 func (m *manifest) score(scratch *search.Scratch, q *protocol.ScoreDocs) protocol.Message {
-	weights := q.Weights
-	if weights == nil {
-		var ok bool
-		if weights, ok = m.localWeights(q.Query); !ok {
-			return &protocol.RankReply{}
-		}
-	}
-	// Each segment scores the nominated docs it holds into their slots.
-	results := make([]search.Result, len(q.Docs))
-	var stats search.Stats
-	for _, sg := range m.segs {
-		st, err := sg.engine.ScoreDocsAt(scratch, q.Query, q.Docs, sg.base, weights, results)
-		if errors.Is(err, search.ErrEmptyQuery) {
-			return &protocol.RankReply{}
-		} else if err != nil {
-			return &protocol.ErrorReply{Message: err.Error()}
-		}
-		stats.Add(st)
-	}
-	// Like the engine, report a nominated doc no segment holds only after an
-	// unindexable query had its chance to answer with an empty ranking.
-	for _, d := range q.Docs {
-		if d >= m.total {
-			return &protocol.ErrorReply{Message: fmt.Sprintf(
-				"search: score doc %d: index: doc %d outside collection of %d", d, d, m.total)}
-		}
-	}
-	return scoreReply(results, stats, q.K)
+	return evalReply(search.ScoreParts(scratch, m.parts, q.Query, q.Docs, q.Weights, int(q.K)))
 }
 
 func (m *manifest) boolean(q *protocol.BooleanQuery) protocol.Message {

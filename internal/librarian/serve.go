@@ -86,26 +86,19 @@ func (m *manifest) fetchReply(q *protocol.FetchDocs) protocol.Message {
 	return reply
 }
 
-// rankReply and scoreReply shape evaluation results for the wire.
-func rankReply(results []search.Result, stats search.Stats) *protocol.RankReply {
+// evalReply shapes a rank or score evaluation for the wire: a query with no
+// indexable terms is an empty ranking, any other failure an ErrorReply.
+func evalReply(results []search.Result, stats search.Stats, err error) protocol.Message {
+	if errors.Is(err, search.ErrEmptyQuery) {
+		return &protocol.RankReply{}
+	} else if err != nil {
+		return &protocol.ErrorReply{Message: err.Error()}
+	}
 	reply := &protocol.RankReply{Results: make([]protocol.ScoredDoc, len(results)), Stats: stats}
 	for i, r := range results {
 		reply.Results[i] = protocol.ScoredDoc{Doc: r.Doc, Score: r.Score}
 	}
 	return reply
-}
-
-// scoreReply builds a ScoreDocs reply: every nominated score in request
-// order when k is zero (the seed behaviour), otherwise the k best,
-// best-first.
-func scoreReply(results []search.Result, stats search.Stats, k uint32) *protocol.RankReply {
-	if k > 0 {
-		search.SortResults(results)
-		if uint64(len(results)) > uint64(k) {
-			results = results[:k]
-		}
-	}
-	return rankReply(results, stats)
 }
 
 // dispatch answers one request against the manifest current when it arrives

@@ -1,6 +1,9 @@
 package librarian
 
-import "teraphim/internal/store"
+import (
+	"teraphim/internal/search"
+	"teraphim/internal/store"
+)
 
 // The paper's §4 lists "faster update" among distribution's management
 // benefits: a subcollection can be re-indexed at its own site without
@@ -26,12 +29,14 @@ func (l *Librarian) newManifest(segs []*segment) *manifest {
 		kept = segs[:1]
 	}
 	out := make([]*segment, len(kept))
+	parts := make([]search.Part, len(kept))
 	var base uint32
 	for i, sg := range kept {
 		out[i] = &segment{engine: sg.engine, store: sg.store, docs: sg.docs, base: base}
+		parts[i] = search.Part{Engine: sg.engine, Base: base}
 		base += sg.docs
 	}
-	return &manifest{lib: l, segs: out, total: base}
+	return &manifest{lib: l, segs: out, parts: parts, total: base}
 }
 
 // Epoch returns the number of manifest publications since construction. Any

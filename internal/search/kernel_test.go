@@ -330,6 +330,31 @@ func TestScoreDocsSteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// TestRankAbsentTermsAllocateNothing: a CV rank whose weights name terms the
+// index lacks allocates no more than one whose weights name only present
+// terms, under every evaluator — a missing list is skipped, not reported
+// through an error that is built and thrown away.
+func TestRankAbsentTermsAllocateNothing(t *testing.T) {
+	e, _ := goldenCorpus(t)
+	weights := map[string]float64{"t1": 1.5, "t2": 1.2, "t3": 0.9, "t1000": 2, "t1001": 2, "t1002": 2, "t1003": 2}
+	for _, eval := range []Evaluator{EvalExact, EvalMaxScore, EvalWAND} {
+		s := NewScratch()
+		allocs := func(q string) float64 {
+			rank := func() {
+				if _, _, err := e.RankWithEval(s, q, 10, weights, eval); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rank()
+			return testing.AllocsPerRun(50, rank)
+		}
+		present, absent := allocs("t1 t2 t3"), allocs("t1 t1000 t2 t1001 t3 t1002 t1003")
+		if absent > present {
+			t.Fatalf("%v: %v allocs with absent terms weighted, %v without", eval, absent, present)
+		}
+	}
+}
+
 // TestConcurrentRankWithPooledScratch races many goroutines through the
 // shared scratch pool against one engine; every goroutine must see results
 // identical to a serial evaluation. Run under -race (make race / verify)

@@ -108,7 +108,7 @@ func (e *Engine) daatOpen(s *Scratch, stats *Stats) int {
 			continue
 		}
 		c := &s.curs[opened]
-		if err := e.ix.ResetCursor(c, qt.term); err != nil {
+		if !e.ix.OpenCursor(c, qt.term) {
 			continue // term in the weight map but not this collection
 		}
 		stats.ListsFetched++
@@ -143,8 +143,9 @@ func compactLive(live []liveTerm) []liveTerm {
 // scoreCandidate folds the contributions gathered in s.contrib into one
 // accumulator in query-appearance order — the exact kernel's summation
 // order, so the float64 is bit-identical — clears the buffer, and offers
-// the document. iw zero (W_d = 0) skips the offer exactly as topK does.
-func scoreCandidate(s *Scratch, sel *TopK[Result], d uint32, iw, wq float64) {
+// the document under its global id gd. iw zero (W_d = 0) skips the offer
+// exactly as the exact kernel does.
+func scoreCandidate(s *Scratch, sel *TopK[Result], gd uint32, iw, wq float64) {
 	var acc float64
 	for i := range s.contrib {
 		c := s.contrib[i]
@@ -157,7 +158,17 @@ func scoreCandidate(s *Scratch, sel *TopK[Result], d uint32, iw, wq float64) {
 	if iw == 0 {
 		return
 	}
-	sel.Offer(Result{Doc: d, Score: acc * iw / wq})
+	offer(sel, Result{Doc: gd, Score: acc * iw / wq})
+}
+
+// threshold is θ, the score a candidate must reach to enter sel: the root's
+// once sel is full — set by earlier parts too — and -∞ while it fills. The
+// root only ever improves, so re-reading it after an offer never lowers θ.
+func threshold(sel *TopK[Result]) float64 {
+	if len(sel.h) < sel.k {
+		return math.Inf(-1)
+	}
+	return sel.h[0].Score
 }
 
 // clearContrib zeroes the contribution buffer of an abandoned candidate.
@@ -167,29 +178,20 @@ func clearContrib(s *Scratch) {
 	}
 }
 
-// rankDynamic runs one of the dynamic-pruning evaluators and finishes
-// exactly like the exact kernel: postings accounting summed over every open
-// cursor, results copied out of the pooled heap backing.
-func (e *Engine) rankDynamic(ctx context.Context, s *Scratch, k int, wq float64, eval Evaluator, stats *Stats) ([]Result, error) {
+// rankDynamic is rankPrepared under one of the dynamic-pruning evaluators,
+// with postings accounting summed over every open cursor.
+func (e *Engine) rankDynamic(ctx context.Context, s *Scratch, base uint32, sel *TopK[Result], eval Evaluator, stats *Stats) error {
 	opened := e.daatOpen(s, stats)
-	sel := NewTopK(k, lessResult, s.heap)
 	var err error
 	if eval == EvalMaxScore {
-		err = e.runMaxScore(ctx, s, &sel, wq, stats)
+		err = e.runMaxScore(ctx, s, sel, base, stats)
 	} else {
-		err = e.runWAND(ctx, s, &sel, wq, stats)
+		err = e.runWAND(ctx, s, sel, base, stats)
 	}
 	for i := 0; i < opened; i++ {
 		stats.PostingsDecoded += s.curs[i].DecodedPostings
 	}
-	ranked := sel.Extract()
-	s.heap = ranked[:0] // recover (possibly grown) backing even on error
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(ranked))
-	copy(out, ranked)
-	return out, nil
+	return err
 }
 
 // runMaxScore is the MaxScore evaluator. Live terms are sorted by ascending
@@ -202,14 +204,14 @@ func (e *Engine) rankDynamic(ctx context.Context, s *Scratch, k int, wq float64,
 // probe, abandoning the candidate the moment it can no longer reach θ.
 // Probes use the cursors' skip structure (Advance), so a non-essential
 // list's postings between candidates are never decoded.
-func (e *Engine) runMaxScore(ctx context.Context, s *Scratch, sel *TopK[Result], wq float64, stats *Stats) error {
+func (e *Engine) runMaxScore(ctx context.Context, s *Scratch, sel *TopK[Result], base uint32, stats *Stats) error {
 	live := s.live
 	if len(live) == 0 {
 		return nil
 	}
 	slices.SortFunc(live, cmpLiveCap)
 
-	inv := e.ix.InvDocWeights()
+	inv, wq := e.ix.InvDocWeights(), s.wq
 	scaleMax := e.ix.MaxInvDocWeight() / wq
 	numDocs := e.ix.NumDocs()
 	s.contrib = ensureFloats(s.contrib, len(s.qterms))
@@ -224,7 +226,7 @@ func (e *Engine) runMaxScore(ctx context.Context, s *Scratch, sel *TopK[Result],
 		s.prefix[i] = sum
 	}
 
-	theta := math.Inf(-1)
+	theta := threshold(sel)
 	steps := 0
 	for {
 		if ctx != nil {
@@ -304,10 +306,8 @@ func (e *Engine) runMaxScore(ctx context.Context, s *Scratch, sel *TopK[Result],
 				if reachable {
 					stats.CandidateDocs++
 					evaluated = true
-					scoreCandidate(s, sel, d, iw, wq)
-					if r, full := sel.Threshold(); full && r.Score > theta {
-						theta = r.Score
-					}
+					scoreCandidate(s, sel, base+d, iw, wq)
+					theta = threshold(sel)
 				}
 			}
 		}

@@ -83,7 +83,6 @@ func (e *PrunedEngine) rankWith(ctx context.Context, s *Scratch, query string, k
 
 	// Global query weights from the frequency-sorted index's statistics;
 	// contribCap is the largest possible contribution of each term's list.
-	n := float64(e.fs.NumDocs())
 	var wq2 float64
 	matched := 0
 	for i := range s.qterms {
@@ -94,7 +93,7 @@ func (e *PrunedEngine) rankWith(ctx context.Context, s *Scratch, query string, k
 			continue
 		}
 		matched++
-		qt.wqt = logF1(qt.fqt) * math.Log(n/float64(ft)+1)
+		qt.wqt = CollectionWeight(qt.fqt, ft, e.fs.NumDocs())
 		wq2 += qt.wqt * qt.wqt
 		qt.contribCap = qt.wqt * logF1(e.fs.MaxFDT(qt.term))
 	}
@@ -167,22 +166,11 @@ func (e *PrunedEngine) rankWith(ctx context.Context, s *Scratch, query string, k
 	}
 	stats.CandidateDocs = len(s.touched)
 
-	wq := math.Sqrt(wq2)
-	if wq == 0 {
-		wq = 1
+	s.wq = math.Sqrt(wq2)
+	if s.wq == 0 {
+		s.wq = 1
 	}
-	inv := e.fs.InvDocWeights()
 	sel := NewTopK(k, lessResult, s.heap)
-	for _, d := range s.touched {
-		iw := inv[d]
-		if iw == 0 {
-			continue
-		}
-		sel.Offer(Result{Doc: d, Score: s.acc[d] * iw / wq})
-	}
-	ranked := sel.Extract()
-	out := make([]Result, len(ranked))
-	copy(out, ranked)
-	s.heap = ranked[:0]
-	return out, stats, nil
+	s.offerTouched(&sel, e.fs.InvDocWeights(), 0)
+	return s.extract(&sel), stats, nil
 }

@@ -41,8 +41,9 @@ type queryTerm struct {
 }
 
 // Scratch holds the reusable per-query state of the ranked-evaluation
-// kernel: flat epoch-stamped accumulators sized to the collection, decode
-// and tokenizer buffers, a pooled term cursor, and top-k heap backing. One
+// kernel: the prepared query, flat epoch-stamped accumulators sized to the
+// collection, decode and tokenizer buffers, a pooled term cursor, and top-k
+// heap backing. One
 // Scratch serves one query at a time; recycle it through GetScratch/Release
 // (a sync.Pool, safe under the connection Pool's concurrent sessions — each
 // Get hands out exclusive ownership) or own one per session.
@@ -59,6 +60,7 @@ type Scratch struct {
 	raw    []string // tokenizer buffer
 	terms  []string // analysed-terms buffer
 	qterms []queryTerm
+	wq     float64 // W_q of the prepared query (see prepare)
 
 	heap   []Result // top-k selector backing
 	docbuf []uint32 // ScoreDocs sorted-target buffer

@@ -18,6 +18,11 @@
 // a memoised log table, and normalisation reads the index's cached
 // reciprocal-weight array. Rank and ScoreDocs borrow a Scratch from the
 // shared pool; RankWith and ScoreDocsWith accept a caller-owned one.
+//
+// A collection may be several engines tiled over one document-id space (a
+// segmented librarian): RankParts and ScoreParts analyse and weight the query
+// once, then evaluate it over every part into one result. A single engine is
+// the one-part case.
 package search
 
 import (
@@ -87,6 +92,13 @@ func (e *Engine) Index() *index.Index { return e.ix }
 // receptionist, an evaluation harness) can analyse queries identically.
 func (e *Engine) Analyzer() *textproc.Analyzer { return e.analyzer }
 
+// Part is one engine of a collection tiled over a global document-id space:
+// Base is the global id of its local document 0. Parts share an analyser.
+type Part struct {
+	Engine *Engine
+	Base   uint32
+}
+
 // ParseQuery analyses raw query text into term frequencies f_{q,t}.
 func (e *Engine) ParseQuery(query string) map[string]uint32 {
 	terms := e.analyzer.Terms(nil, query)
@@ -119,12 +131,7 @@ outer:
 // frequency fqt: log(f_qt+1)·log(N/f_t+1). It returns 0 when the term is
 // absent from the collection.
 func (e *Engine) LocalWeight(term string, fqt uint32) float64 {
-	ft := e.ix.TermFreq(term)
-	if ft == 0 {
-		return 0
-	}
-	n := float64(e.ix.NumDocs())
-	return logF1(fqt) * math.Log(n/float64(ft)+1)
+	return CollectionWeight(fqt, e.ix.TermFreq(term), e.ix.NumDocs())
 }
 
 // CollectionWeight returns w_{q,t} = log(f_qt+1)·log(N/f_t+1) for explicit
@@ -132,8 +139,8 @@ func (e *Engine) LocalWeight(term string, fqt uint32) float64 {
 // form of LocalWeight and shares its memoized log table, so an evaluator
 // that sums per-segment f_t and total N and feeds the result here produces
 // bitwise-identical weights to a single index built over the whole
-// collection — the property the librarian's segmented manifest relies on
-// for rank parity.
+// collection — the property a segmented collection relies on for rank
+// parity.
 func CollectionWeight(fqt, ft, numDocs uint32) float64 {
 	if ft == 0 {
 		return 0
@@ -152,42 +159,42 @@ func (e *Engine) QueryWeights(freqs map[string]uint32) map[string]float64 {
 	return weights
 }
 
-// queryNorm computes W_q = sqrt(Σ w_{q,t}²). A zero norm (no term matched)
-// yields 1 to avoid dividing by zero; scores are all zero in that case.
-func queryNorm(weights map[string]float64) float64 {
-	var sum float64
-	for _, w := range weights {
-		sum += w * w
+// prepare analyses query once and resolves it in s for every part to
+// evaluate: s.qterms in first-appearance order with f_qt and w_qt, and s.wq =
+// W_q. With weights nil a term's weight comes from f_t summed over parts and
+// N their total (MS/CN; LocalWeight for one part); otherwise weights is
+// authoritative (CV) and terms absent from it weigh 0. W_q sums in query
+// order, never map order, so every evaluator of a query — the mono server and
+// each CV librarian — gets the bitwise-same norm; ULP wobble would reorder
+// tied documents across collections. A zero norm is taken as 1.
+func (s *Scratch) prepare(parts []Part, query string, weights map[string]float64) error {
+	parseQueryInto(s, parts[0].Engine.analyzer, query)
+	if len(s.qterms) == 0 {
+		return ErrEmptyQuery
 	}
-	if sum == 0 {
-		return 1
+	var numDocs uint32
+	for _, p := range parts {
+		numDocs += p.Engine.ix.NumDocs()
 	}
-	return math.Sqrt(sum)
-}
-
-// resolveWeights fills the wqt of every parsed query term and returns W_q.
-// With weights nil each term gets this collection's local weight (MS/CN);
-// otherwise weights is authoritative (CV) and terms absent from it stay at
-// weight 0. Either way W_q is summed in query-appearance order, never map
-// order: every evaluator of the same query — the mono server and each CV
-// librarian — must produce the bitwise-same norm, or ULP-level wobble
-// reorders tied documents across collections.
-func (e *Engine) resolveWeights(s *Scratch, weights map[string]float64) float64 {
 	var sum float64
 	for i := range s.qterms {
-		var w float64
+		qt := &s.qterms[i]
 		if weights != nil {
-			w = weights[s.qterms[i].term]
+			qt.wqt = weights[qt.term]
 		} else {
-			w = e.LocalWeight(s.qterms[i].term, s.qterms[i].fqt)
+			var ft uint32
+			for _, p := range parts {
+				ft += p.Engine.ix.TermFreq(qt.term)
+			}
+			qt.wqt = CollectionWeight(qt.fqt, ft, numDocs)
 		}
-		s.qterms[i].wqt = w
-		sum += w * w
+		sum += qt.wqt * qt.wqt
 	}
-	if sum == 0 {
-		return 1
+	s.wq = 1
+	if sum != 0 {
+		s.wq = math.Sqrt(sum)
 	}
-	return math.Sqrt(sum)
+	return nil
 }
 
 // Rank evaluates a ranked query and returns the top k documents in
@@ -218,25 +225,27 @@ func (e *Engine) RankContext(ctx context.Context, query string, k int, weights m
 func (e *Engine) RankContextEval(ctx context.Context, query string, k int, weights map[string]float64, eval Evaluator) (Ranking, error) {
 	s := GetScratch()
 	defer s.Release()
-	results, stats, err := e.rankWith(ctx, s, query, k, weights, eval)
+	results, stats, err := RankParts(ctx, s, []Part{{Engine: e}}, query, k, weights, eval)
 	return Ranking{Results: results, Stats: stats}, err
 }
 
 // RankWith is Rank running on a caller-owned Scratch. In steady state the
 // only allocation left is the returned result slice.
 func (e *Engine) RankWith(s *Scratch, query string, k int, weights map[string]float64) ([]Result, Stats, error) {
-	return e.rankWith(nil, s, query, k, weights, EvalExact)
+	return RankParts(nil, s, []Part{{Engine: e}}, query, k, weights, EvalExact)
 }
 
 // RankWithEval is RankWith under an explicit evaluator.
 func (e *Engine) RankWithEval(s *Scratch, query string, k int, weights map[string]float64, eval Evaluator) ([]Result, Stats, error) {
-	return e.rankWith(nil, s, query, k, weights, eval)
+	return RankParts(nil, s, []Part{{Engine: e}}, query, k, weights, eval)
 }
 
-// rankWith is the shared kernel behind Rank/RankContext/RankWith and their
-// Eval variants. A nil ctx skips the cancellation checks entirely, keeping
-// the hot kernel path free of even the ctx.Err() loads.
-func (e *Engine) rankWith(ctx context.Context, s *Scratch, query string, k int, weights map[string]float64, eval Evaluator) ([]Result, Stats, error) {
+// RankParts ranks query over parts as one collection: prepared once, every
+// part offering its candidates (ids offset by its base) to one top-k
+// selector, so a later part starts from the threshold earlier parts set and
+// ties break by ascending global id as on a single index. Stats sum every
+// part's work. A nil ctx skips the cancellation checks entirely.
+func RankParts(ctx context.Context, s *Scratch, parts []Part, query string, k int, weights map[string]float64, eval Evaluator) ([]Result, Stats, error) {
 	var stats Stats
 	if k <= 0 {
 		return nil, stats, fmt.Errorf("search: k must be positive, got %d", k)
@@ -244,33 +253,43 @@ func (e *Engine) rankWith(ctx context.Context, s *Scratch, query string, k int, 
 	if !eval.Valid() {
 		return nil, stats, fmt.Errorf("%w: %d", ErrUnknownEvaluator, uint8(eval))
 	}
-	parseQueryInto(s, e.analyzer, query)
-	if len(s.qterms) == 0 {
-		return nil, stats, ErrEmptyQuery
+	if err := s.prepare(parts, query, weights); err != nil {
+		return nil, stats, err
 	}
-	wq := e.resolveWeights(s, weights)
-	stats.TermsLooked = len(s.qterms)
+	sel := NewTopK(k, lessResult, s.heap)
+	var err error
+	for _, p := range parts {
+		if err = p.Engine.rankPrepared(ctx, s, p.Base, eval, &sel, &stats); err != nil {
+			break
+		}
+	}
+	out := s.extract(&sel)
+	if err != nil {
+		return nil, stats, err
+	}
+	return out, stats, nil
+}
 
+// rankPrepared is the one ranking kernel: it evaluates the query prepared in
+// s over this engine under eval, offers every scored document to sel with
+// its id offset by base, and adds its work to stats. The dynamic evaluators
+// prune against the threshold sel already holds.
+func (e *Engine) rankPrepared(ctx context.Context, s *Scratch, base uint32, eval Evaluator, sel *TopK[Result], stats *Stats) error {
+	stats.TermsLooked += len(s.qterms)
 	if eval != EvalExact {
-		results, err := e.rankDynamic(ctx, s, k, wq, eval, &stats)
-		return results, stats, err
+		return e.rankDynamic(ctx, s, base, sel, eval, stats)
 	}
-
 	numDocs := e.ix.NumDocs()
 	s.reset(numDocs)
 	for i := range s.qterms {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, stats, err
+				return err
 			}
 		}
 		qt := &s.qterms[i]
-		if qt.wqt <= 0 {
-			continue
-		}
-		if err := e.ix.ResetCursor(&s.cur, qt.term); err != nil {
-			// Term in the weight map but not this collection: skip.
-			continue
+		if qt.wqt <= 0 || !e.ix.OpenCursor(&s.cur, qt.term) {
+			continue // zero weight, or in the weight map but not this collection
 		}
 		stats.ListsFetched++
 		stats.IndexBytesRead += s.cur.ListBytes()
@@ -288,10 +307,38 @@ func (e *Engine) rankWith(ctx context.Context, s *Scratch, query string, k int, 
 		}
 		stats.PostingsDecoded += s.cur.DecodedPostings
 	}
-	stats.CandidateDocs = len(s.touched)
+	stats.CandidateDocs += len(s.touched)
+	s.offerTouched(sel, e.ix.InvDocWeights(), base)
+	return nil
+}
 
-	results := e.topK(s, k, wq)
-	return results, stats, nil
+// offerTouched normalises the touched accumulators by W_q·W_d into sel, ids
+// offset by base; a document with W_d = 0 cannot score and is skipped.
+func (s *Scratch) offerTouched(sel *TopK[Result], inv []float64, base uint32) {
+	for _, d := range s.touched {
+		if iw := inv[d]; iw != 0 {
+			offer(sel, Result{Doc: base + d, Score: s.acc[d] * iw / s.wq})
+		}
+	}
+}
+
+// offer is sel.Offer behind an inline test of the heap root, so the
+// candidates a full selector rejects — most of them, once earlier parts have
+// raised its threshold — never reach its indirect less call. sel.k > 0.
+func offer(sel *TopK[Result], r Result) {
+	if len(sel.h) < sel.k || lessResult(sel.h[0], r) {
+		sel.Offer(r)
+	}
+}
+
+// extract empties sel into a fresh slice, best first, handing its (possibly
+// grown) backing back to s.
+func (s *Scratch) extract(sel *TopK[Result]) []Result {
+	ranked := sel.Extract()
+	s.heap = ranked[:0]
+	out := make([]Result, len(ranked))
+	copy(out, ranked)
+	return out
 }
 
 // ScoreDocs computes exact similarity scores for the nominated documents
@@ -308,31 +355,49 @@ func (e *Engine) ScoreDocs(query string, docs []uint32, weights map[string]float
 
 // ScoreDocsWith is ScoreDocs running on a caller-owned Scratch.
 func (e *Engine) ScoreDocsWith(s *Scratch, query string, docs []uint32, weights map[string]float64) ([]Result, Stats, error) {
-	out := make([]Result, len(docs))
-	stats, err := e.ScoreDocsAt(s, query, docs, 0, weights, out)
-	if err != nil {
+	return ScoreParts(s, []Part{{Engine: e}}, query, docs, weights, 0)
+}
+
+// ScoreParts is ScoreDocs over parts as one collection, docs being ids in the
+// space the parts tile: the query is prepared once and each part scores the
+// nominated documents it holds. With k zero every nominated document is
+// returned in request order; otherwise the k best, best first, ties by
+// ascending id. A nominated document no part holds is an error, reported
+// only after an unindexable query had its chance to return ErrEmptyQuery.
+func ScoreParts(s *Scratch, parts []Part, query string, docs []uint32, weights map[string]float64, k int) ([]Result, Stats, error) {
+	var stats Stats
+	if err := s.prepare(parts, query, weights); err != nil {
 		return nil, stats, err
 	}
+	out := make([]Result, len(docs))
+	var total uint32
+	for _, p := range parts {
+		p.Engine.scorePrepared(s, docs, p.Base, out, &stats)
+		total += p.Engine.ix.NumDocs()
+	}
 	for _, d := range docs {
-		if d >= e.ix.NumDocs() {
-			_, err := e.ix.DocWeight(d) // canonical out-of-range error
-			return nil, stats, fmt.Errorf("search: score doc %d: %w", d, err)
+		if d >= total {
+			return nil, stats, fmt.Errorf("search: score doc %d: index: doc %d outside collection of %d", d, d, total)
 		}
+	}
+	if k > 0 {
+		sel := NewTopK(k, lessResult, s.heap)
+		for _, r := range out {
+			offer(&sel, r)
+		}
+		ranked := sel.Extract()
+		out = out[:copy(out, ranked)]
+		s.heap = ranked[:0]
 	}
 	return out, stats, nil
 }
 
-// ScoreDocsAt is the kernel of ScoreDocs for an engine holding one slice of
-// a larger collection: docs are ids in a space where this engine's document
-// 0 is base. It scores those that fall in the engine's range and writes
-// out[i] for docs[i]; slots of documents outside the range are left alone,
-// and with none inside it no list is touched.
-func (e *Engine) ScoreDocsAt(s *Scratch, query string, docs []uint32, base uint32, weights map[string]float64, out []Result) (Stats, error) {
-	var stats Stats
-	parseQueryInto(s, e.analyzer, query)
-	if len(s.qterms) == 0 {
-		return stats, ErrEmptyQuery
-	}
+// scorePrepared is the kernel of ScoreParts for one part: it scores, under
+// the query prepared in s, the docs that fall in this engine's range — ids in
+// a space where its document 0 is base — writing out[i] for docs[i] and
+// adding its work to stats. Slots of documents outside the range are left
+// alone, and with none inside it no list is touched.
+func (e *Engine) scorePrepared(s *Scratch, docs []uint32, base uint32, out []Result, stats *Stats) {
 	numDocs := e.ix.NumDocs()
 	s.docbuf = s.docbuf[:0]
 	for _, d := range docs {
@@ -341,19 +406,15 @@ func (e *Engine) ScoreDocsAt(s *Scratch, query string, docs []uint32, base uint3
 		}
 	}
 	if len(s.docbuf) == 0 {
-		return stats, nil
+		return
 	}
 	slices.Sort(s.docbuf)
-	wq := e.resolveWeights(s, weights)
-	stats.TermsLooked = len(s.qterms)
+	stats.TermsLooked += len(s.qterms)
 	s.reset(numDocs)
 
 	for i := range s.qterms {
 		qt := &s.qterms[i]
-		if qt.wqt <= 0 {
-			continue
-		}
-		if err := e.ix.ResetCursor(&s.cur, qt.term); err != nil {
+		if qt.wqt <= 0 || !e.ix.OpenCursor(&s.cur, qt.term) {
 			continue
 		}
 		stats.ListsFetched++
@@ -368,7 +429,7 @@ func (e *Engine) ScoreDocsAt(s *Scratch, query string, docs []uint32, base uint3
 		}
 		stats.PostingsDecoded += s.cur.DecodedPostings
 	}
-	stats.CandidateDocs = len(s.touched)
+	stats.CandidateDocs += len(s.touched)
 
 	inv := e.ix.InvDocWeights()
 	for i, d := range docs {
@@ -378,31 +439,10 @@ func (e *Engine) ScoreDocsAt(s *Scratch, query string, docs []uint32, base uint3
 		}
 		score := 0.0
 		if a := s.get(local); a > 0 && inv[local] > 0 {
-			score = a * inv[local] / wq
+			score = a * inv[local] / s.wq
 		}
 		out[i] = Result{Doc: d, Score: score}
 	}
-	return stats, nil
-}
-
-// topK normalises the touched accumulators by W_q·W_d and selects the k
-// highest scoring documents, ties broken by ascending doc id. The selector
-// runs on the scratch's heap backing; only the returned slice is allocated.
-func (e *Engine) topK(s *Scratch, k int, wq float64) []Result {
-	inv := e.ix.InvDocWeights()
-	sel := NewTopK(k, lessResult, s.heap)
-	for _, d := range s.touched {
-		iw := inv[d]
-		if iw == 0 {
-			continue
-		}
-		sel.Offer(Result{Doc: d, Score: s.acc[d] * iw / wq})
-	}
-	ranked := sel.Extract()
-	out := make([]Result, len(ranked))
-	copy(out, ranked)
-	s.heap = ranked[:0]
-	return out
 }
 
 // lessResult orders results worst-first for the min-heap: lower score is
@@ -412,19 +452,4 @@ func lessResult(a, b Result) bool {
 		return a.Score < b.Score
 	}
 	return a.Doc > b.Doc
-}
-
-// SortResults orders results by decreasing score, ties by ascending doc id.
-// Exposed for receptionist-side merging.
-func SortResults(rs []Result) {
-	slices.SortFunc(rs, func(a, b Result) int {
-		switch {
-		case lessResult(b, a):
-			return -1
-		case lessResult(a, b):
-			return 1
-		default:
-			return 0
-		}
-	})
 }

@@ -255,12 +255,25 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-func TestSortResults(t *testing.T) {
-	rs := []Result{{Doc: 3, Score: 0.5}, {Doc: 1, Score: 0.9}, {Doc: 2, Score: 0.5}}
-	SortResults(rs)
-	want := []Result{{Doc: 1, Score: 0.9}, {Doc: 2, Score: 0.5}, {Doc: 3, Score: 0.5}}
-	if !reflect.DeepEqual(rs, want) {
-		t.Fatalf("SortResults = %v, want %v", rs, want)
+// TestScorePartsTopKOrder: with k > 0 the nominated scores come back best
+// first, equal scores by ascending doc id, cut to k.
+func TestScorePartsTopKOrder(t *testing.T) {
+	e := buildEngine(t, []string{"cat dog", "cat", "cat dog", "fish"})
+	all, err := e.ScoreDocs("dog", []uint32{3, 2, 1, 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := all.Results[1].Score
+	if x <= 0 || all.Results[3].Score != x {
+		t.Fatalf("docs 0 and 2 should tie above zero: %v", all.Results)
+	}
+	got, _, err := ScoreParts(NewScratch(), []Part{{Engine: e}}, "dog", []uint32{3, 2, 1, 0}, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{{Doc: 0, Score: x}, {Doc: 2, Score: x}, {Doc: 1, Score: 0}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ScoreParts k=3 = %v, want %v", got, want)
 	}
 }
 

@@ -41,18 +41,6 @@ func (t *TopK[T]) Offer(x T) {
 // Len reports how many items are currently retained.
 func (t *TopK[T]) Len() int { return len(t.h) }
 
-// Threshold returns the weakest retained item — the heap root — and whether
-// the selector already holds its full k items. While it is still filling
-// there is no pruning bar yet and ok is false: any candidate would be
-// admitted, so dynamic pruning must not drop anything.
-func (t *TopK[T]) Threshold() (weakest T, ok bool) {
-	if t.k <= 0 || len(t.h) < t.k {
-		var zero T
-		return zero, false
-	}
-	return t.h[0], true
-}
-
 // Extract heap-sorts the retained items in place and returns them best
 // first (exactly the order the old heap-extraction loops produced). The
 // selector is left empty; the returned slice aliases its storage and is

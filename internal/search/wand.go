@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"math"
 	"slices"
 )
 
@@ -16,18 +15,18 @@ import (
 // cursors all sit on the pivot is a document fully scored. Pruning, scoring
 // order, and slack discipline match runMaxScore, so the output is
 // bit-identical to exhaustive evaluation.
-func (e *Engine) runWAND(ctx context.Context, s *Scratch, sel *TopK[Result], wq float64, stats *Stats) error {
+func (e *Engine) runWAND(ctx context.Context, s *Scratch, sel *TopK[Result], base uint32, stats *Stats) error {
 	live := s.live
 	if len(live) == 0 {
 		return nil
 	}
-	inv := e.ix.InvDocWeights()
+	inv, wq := e.ix.InvDocWeights(), s.wq
 	scaleMax := e.ix.MaxInvDocWeight() / wq
 	numDocs := e.ix.NumDocs()
 	s.contrib = ensureFloats(s.contrib, len(s.qterms))
 
 	slices.SortFunc(live, cmpLiveDoc)
-	theta := math.Inf(-1)
+	theta := threshold(sel)
 	steps := 0
 	for len(live) > 0 {
 		if ctx != nil {
@@ -64,10 +63,8 @@ func (e *Engine) runWAND(ctx context.Context, s *Scratch, sel *TopK[Result], wq 
 					lt := &live[i]
 					s.contrib[lt.qi] = s.qterms[lt.qi].wqt * logF1(lt.fdt)
 				}
-				scoreCandidate(s, sel, pivot, inv[pivot], wq)
-				if r, full := sel.Threshold(); full && r.Score > theta {
-					theta = r.Score
-				}
+				scoreCandidate(s, sel, base+pivot, inv[pivot], wq)
+				theta = threshold(sel)
 			}
 			compact := false
 			for i := 0; i <= p; i++ {
