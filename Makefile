@@ -21,11 +21,12 @@ vet:
 
 # ROADMAP aim 2 in one number per package: non-test Go lines, benchmark/
 # excluded. internal/core may not grow past CORE_LOC_MAX,
-# internal/librarian past LIBRARIAN_LOC_MAX nor internal/search past
-# SEARCH_LOC_MAX, nor the packages the write path runs through below the
-# librarian — internal/{textproc,index,huffman,store}, counted together —
-# past WRITE_LOC_MAX; a change that collapses another of their parallel
-# paths lowers the ceiling to what it reached.
+# internal/librarian past LIBRARIAN_LOC_MAX, internal/search past
+# SEARCH_LOC_MAX nor internal/protocol past PROTOCOL_LOC_MAX, nor the
+# packages the write path runs through below the librarian —
+# internal/{textproc,index,huffman,store}, counted together — past
+# WRITE_LOC_MAX; a change that collapses another of their parallel paths
+# lowers the ceiling to what it reached.
 # LIBRARIAN_LOC_MAX rose 1756 -> 1786 once, on purpose: Build became MG's two
 # passes over the one segment build ingest runs, and that build became one
 # scan per document with a per-call word memo (see DESIGN §14).
@@ -33,15 +34,22 @@ vet:
 # lookup that reports a missing term without allocating an error, so a
 # query over small segments that lack most of its terms allocates nothing
 # per missing list.
-CORE_LOC_MAX = 4762
-LIBRARIAN_LOC_MAX = 1694
+# WRITE_LOC_MAX rose 2909 -> 3001 once, on purpose: index/group.go, the one
+# grouping path of the Central Index (Index.Groups, FoldGroups,
+# BuildFromGroups), which librarians run to ship grouped postings instead of
+# their whole index and the receptionist runs to fold them, replacing
+# RawBuilder; and EachTerm, the k-way vocabulary pass over a librarian's
+# segments.
+CORE_LOC_MAX = 4731
+LIBRARIAN_LOC_MAX = 1660
 SEARCH_LOC_MAX = 1698
-WRITE_LOC_MAX = 2909
+PROTOCOL_LOC_MAX = 1710
+WRITE_LOC_MAX = 3001
 loc:
 	@write=0; for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%7d .%s\n' $$n $${d#$(CURDIR)}; \
-		case $$d in */internal/core) core=$$n;; */internal/librarian) librarian=$$n;; */internal/search) search=$$n;; \
+		case $$d in */internal/core) core=$$n;; */internal/librarian) librarian=$$n;; */internal/search) search=$$n;; */internal/protocol) protocol=$$n;; \
 			*/internal/textproc|*/internal/index|*/internal/huffman|*/internal/store) write=$$((write + n));; esac; \
 	done; \
 	if [ $$core -gt $(CORE_LOC_MAX) ]; then \
@@ -53,12 +61,16 @@ loc:
 	if [ $$search -gt $(SEARCH_LOC_MAX) ]; then \
 		echo "loc: internal/search has $$search non-test lines, the ceiling is $(SEARCH_LOC_MAX)"; exit 1; \
 	fi; \
+	if [ $$protocol -gt $(PROTOCOL_LOC_MAX) ]; then \
+		echo "loc: internal/protocol has $$protocol non-test lines, the ceiling is $(PROTOCOL_LOC_MAX)"; exit 1; \
+	fi; \
 	if [ $$write -gt $(WRITE_LOC_MAX) ]; then \
 		echo "loc: internal/{textproc,index,huffman,store} have $$write non-test lines, the ceiling is $(WRITE_LOC_MAX)"; exit 1; \
 	fi
 
-# Short fuzz runs: long enough to catch regressions in the decoder and
-# codec invariants (two compare the windowed bit reader and the block postings
+# Short fuzz runs: long enough to catch regressions in the decoders and
+# codec invariants (the wire decoders, the CI set-up's grouped-postings
+# reader among them; two compare the windowed bit reader and the block postings
 # decoder against bit-at-a-time references; one holds a text model frozen at
 # training to restoring any later string; the last compares the write path's
 # word scanner with the rune loop it replaced), short enough for every verify
@@ -68,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadTaggedMessage -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzMessageRoundTrip -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzBatchRoundTrip -fuzztime=$(FUZZTIME) ./internal/protocol
+	$(GO) test -run='^$$' -fuzz=FuzzGroupedIndexReply -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzPostingsRoundTrip -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzPostingsDecodeCorrupt -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlockMatchesReference -fuzztime=$(FUZZTIME) ./internal/codec

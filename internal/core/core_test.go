@@ -591,53 +591,49 @@ func TestDistributedBooleanParseError(t *testing.T) {
 }
 
 // TestRemoteCentralIndexEquivalence verifies that the grouped central index
-// built over the wire (SetupCentralIndexRemote, merging the librarians' own
-// inverted files) behaves identically to the one built from the original
-// documents (BuildGrouped).
+// built over the wire (SetupCentralIndexRemote: grouped at the librarians,
+// folded at the receptionist) is byte for byte the one built from the
+// original documents (BuildGrouped), whether each librarian holds its
+// collection as one segment or several, and that CI queries run against it.
 func TestRemoteCentralIndexEquivalence(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	f := newFixture(t, corpus, order)
-	if _, err := f.recep.SetupVocabulary(); err != nil {
-		t.Fatal(err)
+	// Groups straddle both librarian boundaries.
+	if n := len(corpus[order[0]]); n%10 == 0 || (n+len(corpus[order[1]]))%10 == 0 {
+		t.Fatalf("librarian boundaries fall on group boundaries")
 	}
 	local, err := BuildGrouped(f.termsOf, 10, testAnalyzer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := f.recep.SetupCentralIndexRemote(10)
-	if err != nil {
+	want := sha256Of(t, local)
+	for _, n := range []int{1, 2, 5} {
+		dialer, _ := newSegmentedDialer(t, corpus, order, n)
+		pool, err := NewPool(dialer, order, Config{Analyzer: testAnalyzer()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			pool.Close()
+			dialer.Wait()
+		})
+		trace, err := pool.SetupCentralIndexRemote(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trace.BytesTransferred(PhaseSetup) == 0 {
+			t.Fatal("index transfer cost not recorded")
+		}
+		if got := sha256Of(t, pool.Federation().CentralIndex()); got != want {
+			t.Fatalf("%d segments: remote grouped index hashes to %s, BuildGrouped's to %s", n, got, want)
+		}
+	}
+	if _, err := f.recep.SetupVocabulary(); err != nil {
 		t.Fatal(err)
 	}
-	if trace.BytesTransferred(PhaseSetup) == 0 {
-		t.Fatal("index transfer cost not recorded")
+	if _, err := f.recep.SetupCentralIndexRemote(10); err != nil {
+		t.Fatal(err)
 	}
-	remote := f.recep.Federation().CentralIndex()
-	if remote.NumGroups() != local.NumGroups() {
-		t.Fatalf("remote %d groups, local %d", remote.NumGroups(), local.NumGroups())
-	}
-	if remote.SizeBytes() != local.SizeBytes() {
-		t.Fatalf("remote index %d bytes, local %d: merged postings differ",
-			remote.SizeBytes(), local.SizeBytes())
-	}
-	for _, q := range []string{"alpha federal", "w1 w2 w3 w4", "wallstreet widget"} {
-		lg, _, err := local.RankGroups(q, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rg, _, err := remote.RankGroups(q, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(lg) != len(rg) {
-			t.Fatalf("query %q: local %d groups, remote %d", q, len(lg), len(rg))
-		}
-		for i := range lg {
-			if lg[i] != rg[i] {
-				t.Fatalf("query %q group %d: local %d, remote %d", q, i, lg[i], rg[i])
-			}
-		}
-	}
-	// And CI queries run against the remotely built index.
 	res, err := f.recep.Query(ModeCI, "alpha federal", 5, Options{KPrime: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -656,6 +652,17 @@ func TestBuildGroupedFromIndexesValidation(t *testing.T) {
 	}
 	if _, err := BuildGroupedFromIndexes(nil, nil, 10, 0, testAnalyzer()); err == nil {
 		t.Fatal("zero group size: want error")
+	}
+	b := index.NewBuilder()
+	b.Add([]string{"x"})
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, offsets := range [][]uint32{{0, 0}, {0, 2}, {1, 0}} {
+		if _, err := BuildGroupedFromIndexes([]*index.Index{ix, ix}, offsets, 2, 5, testAnalyzer()); err == nil {
+			t.Fatalf("offsets %v do not tile 2 docs: want error", offsets)
+		}
 	}
 }
 

@@ -162,6 +162,45 @@ func TestSetupVocabularyAgainstCrashedLibrarian(t *testing.T) {
 	}
 }
 
+// TestCentralIndexRejectsMisplacedGroups: a librarian that ships groups
+// other than those its place in the global numbering implies fails CI set-up
+// with protocol.ErrBadIndexReply.
+func TestCentralIndexRejectsMisplacedGroups(t *testing.T) {
+	good, bad := buildFailureLibs(t)
+	goodDialer := librarian.NewInProcessDialer([]*librarian.Librarian{good}, simnet.LinkConfig{})
+	dialer := simnet.MapDialer{
+		"good": func() (net.Conn, error) { return goodDialer.Dial("good") },
+		// The bad librarian groups as if it sat one group further on.
+		"bad": func() (net.Conn, error) {
+			client, server := net.Pipe()
+			go func() {
+				defer server.Close()
+				for {
+					msg, _, err := protocol.ReadMessage(server)
+					if err != nil {
+						return
+					}
+					if ir, ok := msg.(*protocol.IndexRequest); ok {
+						ir.Base += ir.G
+					}
+					if _, err := protocol.WriteMessage(server, librarianHandle(bad, msg)); err != nil {
+						return
+					}
+				}
+			}()
+			return client, nil
+		},
+	}
+	recep, err := NewPool(dialer, []string{"good", "bad"}, Config{Analyzer: testAnalyzer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recep.Close()
+	if _, err := recep.SetupCentralIndexRemote(1); !errors.Is(err, protocol.ErrBadIndexReply) {
+		t.Fatalf("misplaced groups: error %v, want ErrBadIndexReply", err)
+	}
+}
+
 // fourLibCorpus builds a deterministic four-librarian corpus where every
 // document carries one common term, so every librarian answers every query.
 func fourLibCorpus() (map[string][]store.Document, []string) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"teraphim/internal/index"
 	"teraphim/internal/search"
@@ -55,79 +56,47 @@ func BuildGrouped(docTerms [][]string, groupSize int, analyzer *textproc.Analyze
 	}, nil
 }
 
-// BuildGroupedFromIndexes builds the grouped central index by merging the
-// subcollections' own inverted indexes — the paper's actual CI
-// preprocessing ("the preprocessing involves merging the subcollection
-// vocabularies and indexes"). offsets[i] is the global document number of
-// subIndexes[i]'s local document 0; totalDocs the collection size. The
-// sub-indexes are taken in increasing offset order (out of order, a group
-// that straddles two of them is rejected as a duplicate posting). The result
-// is identical to BuildGrouped over the original documents.
+// BuildGroupedFromIndexes builds the grouped central index from the
+// subcollections' own inverted indexes — the paper's actual CI preprocessing
+// ("the preprocessing involves merging the subcollection vocabularies and
+// indexes"). offsets[i] is the global document number of subIndexes[i]'s
+// local document 0; the sub-indexes must tile [0, totalDocs) in increasing
+// offset order. Each is grouped and the groups folded, as CI set-up does over
+// the wire, and the result is identical to BuildGrouped over the original
+// documents.
 func BuildGroupedFromIndexes(subIndexes []*index.Index, offsets []uint32, totalDocs uint32, groupSize int, analyzer *textproc.Analyzer) (*GroupedIndex, error) {
-	if groupSize < 1 {
-		return nil, fmt.Errorf("core: group size %d must be >= 1", groupSize)
+	if groupSize < 1 || uint64(groupSize) > math.MaxUint32 {
+		return nil, fmt.Errorf("core: group size %d must be in [1, 2^32)", groupSize)
 	}
 	if len(subIndexes) != len(offsets) {
 		return nil, fmt.Errorf("core: %d indexes but %d offsets", len(subIndexes), len(offsets))
 	}
+	srcs := make([]index.GroupSource, len(subIndexes))
+	var covered uint64
+	for i, ix := range subIndexes {
+		if uint64(offsets[i]) != covered {
+			return nil, fmt.Errorf("core: index %d starts at doc %d, the indexes before it end at %d", i, offsets[i], covered)
+		}
+		covered += uint64(ix.NumDocs())
+		srcs[i] = ix.Groups(offsets[i], uint32(groupSize))
+	}
+	if covered != uint64(totalDocs) {
+		return nil, fmt.Errorf("core: indexes cover %d docs, collection has %d", covered, totalDocs)
+	}
+	return foldGrouped(srcs, totalDocs, uint32(groupSize), analyzer)
+}
+
+// foldGrouped builds the grouped index of totalDocs documents, g to a group,
+// from the grouped lists of its parts in document order.
+func foldGrouped(srcs []index.GroupSource, totalDocs, g uint32, analyzer *textproc.Analyzer) (*GroupedIndex, error) {
 	if totalDocs == 0 {
 		return nil, fmt.Errorf("core: empty collection")
 	}
-	g := uint32(groupSize)
-	numGroups := (totalDocs + g - 1) / g
-	rb := index.NewRawBuilder(numGroups)
-
-	// Accumulate f_{group,term} across subcollections. Postings are
-	// document-sorted and the sub-indexes come in offset order, so a term's
-	// groups arrive in increasing order: a posting either opens a new group
-	// or adds to the term's last one, which the previous subcollection may
-	// have opened when a group straddles the boundary.
-	acc := make(map[string][]index.Posting, 4096)
-	var cur index.TermCursor
-	for i, ix := range subIndexes {
-		offset := offsets[i]
-		var walkErr error
-		ix.Terms(func(term string, ft uint32) bool {
-			if walkErr = ix.ResetCursor(&cur, term); walkErr != nil {
-				return false
-			}
-			groups := acc[term]
-			for blk := cur.NextBlock(); blk != nil; blk = cur.NextBlock() {
-				for _, p := range blk {
-					global := offset + p.Doc
-					if global >= totalDocs {
-						walkErr = fmt.Errorf("core: doc %d of %q exceeds collection size %d", p.Doc, term, totalDocs)
-						return false
-					}
-					grp := global / g
-					if n := len(groups); n > 0 && groups[n-1].Doc == grp {
-						groups[n-1].FDT += p.FDT
-					} else {
-						groups = append(groups, index.Posting{Doc: grp, FDT: p.FDT})
-					}
-				}
-			}
-			acc[term] = groups
-			return true
-		})
-		if walkErr != nil {
-			return nil, walkErr
-		}
-	}
-	for term, groups := range acc {
-		if err := rb.AddPostings(term, groups); err != nil {
-			return nil, fmt.Errorf("core: term %q: %w", term, err)
-		}
-	}
-	ix, err := rb.Build()
+	ix, err := index.BuildFromGroups(srcs, (totalDocs-1)/g+1)
 	if err != nil {
 		return nil, fmt.Errorf("core: build grouped index: %w", err)
 	}
-	return &GroupedIndex{
-		groupSize: g,
-		totalDocs: totalDocs,
-		engine:    search.NewEngine(ix, analyzer),
-	}, nil
+	return &GroupedIndex{groupSize: g, totalDocs: totalDocs, engine: search.NewEngine(ix, analyzer)}, nil
 }
 
 // Grouped-index file format: magic "TPGI" | version u32 | groupSize u32 |

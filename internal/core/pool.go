@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -559,40 +559,40 @@ func (p *Pool) SetupModels() (Trace, error) {
 }
 
 // SetupCentralIndexRemote performs the CI preprocessing entirely over the
-// wire: fetch every librarian's inverted index, merge them into a grouped
-// central index with groups of groupSize adjacent documents, and install
-// it atomically. The returned trace records the (large) one-time transfer
-// cost the paper's §4 discusses for the CI receptionist.
+// wire: every librarian groups its own postings groupSize adjacent documents
+// to a group, in the receptionist's global group space, and ships only those;
+// the receptionist checks each reply against the librarian's place in the
+// global numbering, folds the replies term by term in that order, summing the
+// group two neighbours share, and installs the grouped central index
+// atomically. The returned trace records the one-time transfer cost the
+// paper's §4 discusses for the CI receptionist.
 func (p *Pool) SetupCentralIndexRemote(groupSize int) (Trace, error) {
-	e := &exec{ctx: context.Background(), fed: p.fed, pool: p}
 	var trace Trace
 	trace.Mode = ModeCI
-	names := p.fed.Librarians()
-	replies, err := e.callParallel(&trace, PhaseSetup, names, func(string) protocol.Message {
-		return &protocol.IndexRequest{}
+	if groupSize < 1 || uint64(groupSize) > math.MaxUint32 {
+		return trace, fmt.Errorf("core: group size %d must be in [1, 2^32)", groupSize)
+	}
+	g := uint32(groupSize)
+	e := &exec{ctx: context.Background(), fed: p.fed, pool: p}
+	replies, err := e.callParallel(&trace, PhaseSetup, p.fed.Librarians(), func(name string) protocol.Message {
+		return &protocol.IndexRequest{G: g, Base: p.fed.byName[name].offset}
 	})
 	if err != nil {
 		return trace, err
 	}
-	subIndexes := make([]*index.Index, len(p.fed.libs))
-	offsets := make([]uint32, len(p.fed.libs))
+	srcs := make([]index.GroupSource, len(p.fed.libs))
 	for i, li := range p.fed.libs {
 		ir, ok := replies[li.name].(*protocol.IndexReply)
 		if !ok {
 			return trace, fmt.Errorf("core: librarian %q answered IndexRequest with %v", li.name, replies[li.name].Type())
 		}
-		ix, err := index.ReadFrom(bytes.NewReader(ir.Data))
-		if err != nil {
-			return trace, fmt.Errorf("core: librarian %q index: %w", li.name, err)
+		if lo, hi := protocol.GroupRange(li.offset, li.numDocs, g); ir.Lo != lo || ir.Hi != hi {
+			return trace, fmt.Errorf("core: librarian %q shipped groups [%d, %d), expected [%d, %d): %w",
+				li.name, ir.Lo, ir.Hi, lo, hi, protocol.ErrBadIndexReply)
 		}
-		if ix.NumDocs() != li.numDocs {
-			return trace, fmt.Errorf("core: librarian %q shipped index of %d docs, expected %d",
-				li.name, ix.NumDocs(), li.numDocs)
-		}
-		subIndexes[i] = ix
-		offsets[i] = li.offset
+		srcs[i] = protocol.NewListReader(ir)
 	}
-	grouped, err := BuildGroupedFromIndexes(subIndexes, offsets, p.fed.totalDocs, groupSize, p.fed.analyzer)
+	grouped, err := foldGrouped(srcs, p.fed.totalDocs, g, p.fed.analyzer)
 	if err != nil {
 		return trace, err
 	}

@@ -121,7 +121,7 @@ func TestRankFetchParity(t *testing.T) {
 			if backend == "static" {
 				dialer = staticDialer(t, corpus, order)
 			} else {
-				dialer, _ = newSegmentedDialer(t, corpus, order)
+				dialer, _ = newSegmentedDialer(t, corpus, order, 3)
 			}
 			t.Cleanup(dialer.Wait) // after every pool on it has closed
 			ref := connectAll(t, dialer, order, Config{WireFeatures: twoRound})

@@ -14,10 +14,10 @@ import (
 )
 
 // newSegmentedDialer serves the same corpus as newFixture, but every
-// subcollection is a Librarian fed through the streaming Ingest
-// API in three chunks (background merging off, so each ends up with three
-// live segments).
-func newSegmentedDialer(t testing.TB, corpus map[string][]store.Document, order []string) (*librarian.InProcessDialer, map[string]*librarian.Librarian) {
+// subcollection is a Librarian built from its first n-th and fed the rest
+// through the streaming Ingest API, one chunk per Flush (background merging
+// off, so each ends up with n live segments).
+func newSegmentedDialer(t testing.TB, corpus map[string][]store.Document, order []string, n int) (*librarian.InProcessDialer, map[string]*librarian.Librarian) {
 	t.Helper()
 	a := testAnalyzer()
 	ctx := context.Background()
@@ -25,8 +25,7 @@ func newSegmentedDialer(t testing.TB, corpus map[string][]store.Document, order 
 	ups := make(map[string]*librarian.Librarian, len(order))
 	for _, name := range order {
 		docs := corpus[name]
-		cut1, cut2 := len(docs)/3, 2*len(docs)/3
-		up, err := librarian.Build(name, docs[:cut1], librarian.BuildOptions{Analyzer: a})
+		up, err := librarian.Build(name, docs[:len(docs)/n], librarian.BuildOptions{Analyzer: a})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,16 +33,16 @@ func newSegmentedDialer(t testing.TB, corpus map[string][]store.Document, order 
 		if err := up.ConfigureIngest(librarian.IngestConfig{MergeFanIn: -1}); err != nil {
 			t.Fatal(err)
 		}
-		for _, chunk := range [][]store.Document{docs[cut1:cut2], docs[cut2:]} {
-			if err := up.Ingest(ctx, chunk); err != nil {
+		for i := 1; i < n; i++ {
+			if err := up.Ingest(ctx, docs[i*len(docs)/n:(i+1)*len(docs)/n]); err != nil {
+				t.Fatal(err)
+			}
+			if err := up.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := up.Flush(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if got := len(up.SegmentStats().Segments); got != 3 {
-			t.Fatalf("%s: %d segments, want 3", name, got)
+		if got := len(up.SegmentStats().Segments); got != n {
+			t.Fatalf("%s: %d segments, want %d", name, got, n)
 		}
 		ups[name] = up
 		dialer.AddEndpoint(name, up, simnet.LinkConfig{})
@@ -55,7 +54,7 @@ func newSegmentedDialer(t testing.TB, corpus map[string][]store.Document, order 
 // fleet, returning the librarians for the concurrency tests to poke.
 func newSegmentedFleet(t testing.TB, corpus map[string][]store.Document, order []string) (*Pool, map[string]*librarian.Librarian) {
 	t.Helper()
-	dialer, ups := newSegmentedDialer(t, corpus, order)
+	dialer, ups := newSegmentedDialer(t, corpus, order, 3)
 	recep, err := NewPool(dialer, order, Config{Analyzer: testAnalyzer()})
 	if err != nil {
 		t.Fatal(err)

@@ -101,6 +101,16 @@ func WithSkipInterval(interval uint32) BuilderOption {
 	return func(b *Builder) { b.skipIvl = interval }
 }
 
+// skipIntervalOf resolves the skip interval that Builder options select, for
+// the index producers that are not a Builder (Merge, BuildFromGroups).
+func skipIntervalOf(opts []BuilderOption) uint32 {
+	cfg := Builder{skipIvl: DefaultSkipInterval}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg.skipIvl
+}
+
 // NewBuilder returns an empty Builder.
 func NewBuilder(opts ...BuilderOption) *Builder {
 	b := &Builder{ids: make(map[string]uint32, 1024), skipIvl: DefaultSkipInterval}

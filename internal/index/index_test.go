@@ -502,98 +502,6 @@ func BenchmarkCursorScan(b *testing.B) {
 	}
 }
 
-// TestRawBuilderMatchesBuilder verifies that building from postings lists
-// produces the same index as building from document term lists.
-func TestRawBuilderMatchesBuilder(t *testing.T) {
-	ix, truth := synthesizeIndex(t, 1500, DefaultSkipInterval)
-
-	rb := NewRawBuilder(ix.NumDocs())
-	for term, postings := range truth {
-		if err := rb.AddPostings(term, postings); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := rb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.NumDocs() != ix.NumDocs() || raw.NumTerms() != ix.NumTerms() ||
-		raw.NumPostings() != ix.NumPostings() || raw.SizeBytes() != ix.SizeBytes() {
-		t.Fatalf("raw index shape differs: docs %d/%d terms %d/%d postings %d/%d bytes %d/%d",
-			raw.NumDocs(), ix.NumDocs(), raw.NumTerms(), ix.NumTerms(),
-			raw.NumPostings(), ix.NumPostings(), raw.SizeBytes(), ix.SizeBytes())
-	}
-	for d := uint32(0); d < ix.NumDocs(); d++ {
-		w1, _ := ix.DocWeight(d)
-		w2, _ := raw.DocWeight(d)
-		if math.Abs(w1-w2) > 1e-5 {
-			t.Fatalf("doc %d weight %f != %f", d, w1, w2)
-		}
-	}
-	for term, want := range truth {
-		c, err := raw.Cursor(term)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Decode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("term %q postings differ", term)
-		}
-	}
-}
-
-// TestRawBuilderMergesSplitLists checks that a term's postings supplied in
-// several AddPostings calls (as when merging subcollection indexes) fuse
-// into one correct list.
-func TestRawBuilderMergesSplitLists(t *testing.T) {
-	rb := NewRawBuilder(100)
-	if err := rb.AddPostings("t", []Posting{{Doc: 50, FDT: 2}, {Doc: 70, FDT: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rb.AddPostings("t", []Posting{{Doc: 5, FDT: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := rb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := ix.Cursor("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Decode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Posting{{Doc: 5, FDT: 3}, {Doc: 50, FDT: 2}, {Doc: 70, FDT: 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged list = %v, want %v", got, want)
-	}
-}
-
-func TestRawBuilderRejectsBadPostings(t *testing.T) {
-	rb := NewRawBuilder(10)
-	if err := rb.AddPostings("t", []Posting{{Doc: 10, FDT: 1}}); err == nil {
-		t.Fatal("doc outside collection: want error")
-	}
-	if err := rb.AddPostings("t", []Posting{{Doc: 1, FDT: 0}}); err == nil {
-		t.Fatal("zero f_dt: want error")
-	}
-	rb2 := NewRawBuilder(10)
-	if err := rb2.AddPostings("t", []Posting{{Doc: 3, FDT: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rb2.AddPostings("t", []Posting{{Doc: 3, FDT: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rb2.Build(); err == nil {
-		t.Fatal("duplicate doc across calls: want error at Build")
-	}
-}
-
 // TestMergeEquivalentToDirectBuild splits a corpus, builds per-part
 // indexes, merges them, and requires bit-identical equality with the index
 // of the whole corpus.

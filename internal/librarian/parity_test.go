@@ -15,6 +15,7 @@ import (
 	"teraphim/internal/protocol"
 	"teraphim/internal/search"
 	"teraphim/internal/store"
+	"teraphim/internal/textproc"
 	"teraphim/internal/trecsynth"
 )
 
@@ -138,7 +139,8 @@ func comparable(t testing.TB, lib *Librarian, msg protocol.Message) protocol.Mes
 }
 
 // parityPins are the SHA-256 of the one-segment reply frames, recorded at
-// 8b063f6 from the static Librarian that the one-segment manifest replaced.
+// 8b063f6 from the static Librarian that the one-segment manifest replaced;
+// "index" was re-recorded when IndexReply became grouped postings.
 var parityPins = map[string]string{
 	"batch":                     "f7c45e13c714ea6e9a4eb7b1abaf267b62be212ba822bb4b3f685f5a10763532",
 	"boolean":                   "fef355a8040c9732f9e20507fb0dd172bd4e4dfc220e337057afc0933e8c216b",
@@ -148,7 +150,7 @@ var parityPins = map[string]string{
 	"fetch out of range":        "acbb20b04ec28a55eda52e8d6929cfcd7f83e2729e93ea03f3c5b911a3da1f48",
 	"fetch plain":               "4141d25ba10eebc425901ee0b1ecbda1c48137cb6a10b2cbc42fd3b806074f27",
 	"hello":                     "edd5c3b8067c0ac439c141a0cd271254a87c78acdc6301ae84d0591fc8c57a16",
-	"index":                     "07156ff71d691ac3e4f79f742261aafa94852b037a3f782f764dea4bb907886b",
+	"index":                     "f9371e3f91040de00f44d8ca176379a4a55a25c071e17b1d1c10b5d9e1cb8139",
 	"model":                     "c16bb5526350d7f091e747d569a7dc7ff80f741bf1817399f552f69dcfe8a998",
 	"rank bad evaluator":        "8712b33c0f5430e90d444c2b6fab3a6319d3a263fb6ef08fa8cafeddb031b0c1",
 	"rank exact":                "52923997fb2f6abeb3138e3b18501303a8f707d9530ef4c2d571dc123a1c02e9",
@@ -193,7 +195,8 @@ func TestSegmentCountParity(t *testing.T) {
 		{"hello", &protocol.Hello{Features: protocol.FeatureBatching | protocol.FeatureRankFetch}, false},
 		{"vocab", &protocol.VocabRequest{}, true},
 		{"model", &protocol.ModelRequest{}, false},
-		{"index", &protocol.IndexRequest{}, true},
+		// Base 1237 puts segment boundaries inside groups.
+		{"index", &protocol.IndexRequest{G: 10, Base: 1237}, true},
 		{"boolean", &protocol.BooleanQuery{Expr: fmt.Sprintf("%s or (%s and not %s)", terms[0], terms[1], terms[2])}, false},
 		{"score k=0", &protocol.ScoreDocs{Query: short, Docs: nominated}, false},
 		{"score k=5 weights", &protocol.ScoreDocs{Query: long, Docs: nominated, Weights: weights(long), K: 5}, false},
@@ -242,6 +245,31 @@ func TestSegmentCountParity(t *testing.T) {
 					t.Fatalf("replies differ beyond their segmentation:\n%+v\n%+v", got, want)
 				}
 			})
+		}
+	}
+}
+
+// TestHelloCountsDistinctTerms pins HelloReply's vocabulary statistics
+// against a brute-force count over the documents, however many segments
+// hold them.
+func TestHelloCountsDistinctTerms(t *testing.T) {
+	docs, _ := parityCorpus(t)
+	analyzer := textproc.NewAnalyzer()
+	distinct := map[string]bool{}
+	for _, d := range docs {
+		for _, term := range analyzer.Terms(nil, d.Text) {
+			distinct[term] = true
+		}
+	}
+	var vocabBytes uint64
+	for term := range distinct {
+		vocabBytes += uint64(len(term)) + 8
+	}
+	for _, n := range []int{1, 2, 5} {
+		reply, _ := exchange(t, servedAs(t, docs, n), &protocol.Hello{})
+		hr := reply.(*protocol.HelloReply)
+		if hr.NumTerms != uint32(len(distinct)) || hr.VocabBytes != vocabBytes {
+			t.Errorf("%d segments: %d terms in %d bytes, want %d in %d", n, hr.NumTerms, hr.VocabBytes, len(distinct), vocabBytes)
 		}
 	}
 }

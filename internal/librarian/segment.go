@@ -1,8 +1,8 @@
 package librarian
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -82,9 +82,9 @@ func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyze
 }
 
 // manifest is one published snapshot of the collection. It is immutable
-// after publication; the lazily-materialised merged views (whole-collection
-// index, whole-collection segment, vocabulary totals) are memoised per
-// manifest behind sync.Once.
+// after publication; the lazily-materialised merged view (whole-collection
+// segment) and the vocabulary totals are memoised per manifest behind
+// sync.Once.
 type manifest struct {
 	lib   *Librarian
 	segs  []*segment    // ascending base, tiling [0, total)
@@ -94,10 +94,6 @@ type manifest struct {
 	statsOnce sync.Once
 	numTerms  uint32
 	dictBytes uint64
-
-	ixOnce sync.Once
-	ix     *index.Index
-	ixErr  error
 
 	viewOnce sync.Once
 	view     *segment
@@ -154,53 +150,32 @@ func (m *manifest) boolean(q *protocol.BooleanQuery) protocol.Message {
 	return &protocol.BooleanReply{Docs: docs, Stats: stats}
 }
 
+// indexes returns the segments' indexes in base order.
+func (m *manifest) indexes() []*index.Index {
+	ixs := make([]*index.Index, len(m.segs))
+	for i, sg := range m.segs {
+		ixs[i] = sg.engine.Index()
+	}
+	return ixs
+}
+
 // vocab merges the segments' lexicographic term lists, summing f_t.
 func (m *manifest) vocab() protocol.Message {
-	var terms []protocol.TermStat
-	for _, sg := range m.segs {
-		ix := sg.engine.Index()
-		seg := make([]protocol.TermStat, 0, ix.NumTerms())
-		ix.Terms(func(term string, ft uint32) bool {
-			seg = append(seg, protocol.TermStat{Term: term, FT: ft})
-			return true
-		})
-		if terms == nil {
-			terms = seg
-			continue
-		}
-		merged := make([]protocol.TermStat, 0, len(terms)+len(seg))
-		for len(terms) > 0 && len(seg) > 0 {
-			switch a, b := terms[0], seg[0]; {
-			case a.Term < b.Term:
-				merged, terms = append(merged, a), terms[1:]
-			case a.Term > b.Term:
-				merged, seg = append(merged, b), seg[1:]
-			default:
-				merged = append(merged, protocol.TermStat{Term: a.Term, FT: a.FT + b.FT})
-				terms, seg = terms[1:], seg[1:]
-			}
-		}
-		terms = append(append(merged, terms...), seg...)
-	}
+	ixs := m.indexes()
+	terms := make([]protocol.TermStat, 0, ixs[0].NumTerms())
+	index.EachTerm(ixs, func(term string, ft uint32) {
+		terms = append(terms, protocol.TermStat{Term: term, FT: ft})
+	})
 	return &protocol.VocabReply{Terms: terms}
 }
 
-// initStats counts the distinct terms and their dictionary bytes: a term is
-// charged to the first segment that holds it.
+// initStats counts the distinct terms and their dictionary bytes.
 func (m *manifest) initStats() {
 	m.statsOnce.Do(func() {
-		for i, sg := range m.segs {
-			sg.engine.Index().Terms(func(term string, _ uint32) bool {
-				for _, earlier := range m.segs[:i] {
-					if earlier.engine.Index().TermFreq(term) > 0 {
-						return true
-					}
-				}
-				m.numTerms++
-				m.dictBytes += uint64(len(term)) + 8 // as index.DictSizeBytes
-				return true
-			})
-		}
+		index.EachTerm(m.indexes(), func(term string, _ uint32) {
+			m.numTerms++
+			m.dictBytes += uint64(len(term)) + 8 // as index.DictSizeBytes
+		})
 	})
 }
 
@@ -244,35 +219,25 @@ func (m *manifest) fetchOne(id uint32, compressed bool) (protocol.DocBlob, error
 	return protocol.DocBlob{Doc: id, Title: doc.Title, Data: []byte(doc.Text)}, err
 }
 
-// mergedIndex materialises (once per manifest) the whole-collection index:
-// index.Merge is exact, so it is the index of the segments' concatenated
-// documents. One segment's index is already that.
-func (m *manifest) mergedIndex() (*index.Index, error) {
-	m.ixOnce.Do(func() {
-		if len(m.segs) == 1 {
-			m.ix = m.segs[0].engine.Index()
-			return
-		}
-		subs := make([]*index.Index, len(m.segs))
-		offs := make([]uint32, len(m.segs))
-		for i, sg := range m.segs {
-			subs[i], offs[i] = sg.engine.Index(), sg.base
-		}
-		m.ix, m.ixErr = index.Merge(subs, offs, m.total, index.WithSkipInterval(m.lib.skip))
-	})
-	return m.ix, m.ixErr
-}
-
-func (m *manifest) shipIndex() protocol.Message {
-	ix, err := m.mergedIndex()
-	if err != nil {
-		return &protocol.ErrorReply{Message: fmt.Sprintf("serialise index: %v", err)}
+// shipIndex answers CI set-up's IndexRequest: each segment's lists grouped
+// into the requested groups and folded segment by segment, summing a group two
+// segments share, so no merged index is built and nothing outlives the reply.
+// The reply's groups are numbered from Lo = Base/G, so local document d is in
+// its group (Base mod G + d)/G.
+func (m *manifest) shipIndex(q *protocol.IndexRequest) protocol.Message {
+	if q.G == 0 || uint64(q.Base)+uint64(m.total) > math.MaxUint32 {
+		return &protocol.ErrorReply{Message: fmt.Sprintf("index request: group size %d, base %d for %d documents", q.G, q.Base, m.total)}
 	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		return &protocol.ErrorReply{Message: fmt.Sprintf("serialise index: %v", err)}
+	reply := &protocol.IndexReply{}
+	reply.Lo, reply.Hi = protocol.GroupRange(q.Base, m.total, q.G)
+	srcs := make([]index.GroupSource, len(m.segs))
+	for i, sg := range m.segs {
+		srcs[i] = sg.engine.Index().Groups(q.Base%q.G+sg.base, q.G)
 	}
-	return &protocol.IndexReply{Data: buf.Bytes()}
+	if err := index.FoldGroups(srcs, protocol.NewListWriter(reply).Append); err != nil {
+		return &protocol.ErrorReply{Message: fmt.Sprintf("group index: %v", err)}
+	}
+	return reply
 }
 
 // merged collapses the manifest into one segment (once per manifest): the
@@ -287,13 +252,14 @@ func (m *manifest) merged() (*segment, error) {
 			m.view = m.segs[0]
 			return
 		}
-		var ix *index.Index
-		if ix, m.viewErr = m.mergedIndex(); m.viewErr != nil {
-			return
-		}
 		stores := make([]*store.Store, len(m.segs))
+		offs := make([]uint32, len(m.segs))
 		for i, sg := range m.segs {
-			stores[i] = sg.store
+			stores[i], offs[i] = sg.store, sg.base
+		}
+		var ix *index.Index
+		if ix, m.viewErr = index.Merge(m.indexes(), offs, m.total, index.WithSkipInterval(m.lib.skip)); m.viewErr != nil {
+			return
 		}
 		var st *store.Store
 		if st, m.viewErr = store.Concat(stores); m.viewErr == nil {

@@ -132,7 +132,7 @@ func (l *Librarian) dispatch(scratch *search.Scratch, msg protocol.Message, conn
 	case *protocol.BooleanQuery:
 		return m.boolean(req)
 	case *protocol.IndexRequest:
-		return m.shipIndex()
+		return m.shipIndex(req)
 	default:
 		return &protocol.ErrorReply{Message: fmt.Sprintf("unexpected message %v", msg.Type())}
 	}

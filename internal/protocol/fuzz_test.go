@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"teraphim/internal/codec"
 	"teraphim/internal/search"
 )
 
@@ -31,9 +32,30 @@ func fuzzSeedMessages() []Message {
 		&ModelReply{Model: []byte{1, 2, 3}},
 		&BooleanQuery{Expr: "alpha AND beta"},
 		&BooleanReply{Docs: []uint32{2, 9}, Stats: stats},
-		&IndexRequest{},
-		&IndexReply{Data: []byte{0xDE, 0xAD}},
+		&IndexRequest{G: 10, Base: 433},
+		seedIndexReply(),
 	}
+}
+
+// seedIndexReply is the reply of a librarian holding global documents
+// [433, 720) asked for groups of 10: its first and last groups are shared
+// with its neighbours.
+func seedIndexReply() *IndexReply {
+	reply := &IndexReply{Lo: 43, Hi: 72}
+	w := NewListWriter(reply)
+	for _, l := range []struct {
+		term   string
+		groups []codec.Posting
+	}{
+		{"aardvark", []codec.Posting{{Doc: 0, FDT: 2}, {Doc: 7, FDT: 1}, {Doc: 28, FDT: 4}}},
+		{"aardwolf", []codec.Posting{{Doc: 3, FDT: 1}}},
+		{"zebra", []codec.Posting{{Doc: 0, FDT: 1}, {Doc: 1, FDT: 9}, {Doc: 2, FDT: 1}}},
+	} {
+		if err := w.Append(l.term, l.groups); err != nil {
+			panic(err)
+		}
+	}
+	return reply
 }
 
 // FuzzReadMessage throws arbitrary bytes at the framing layer. The
@@ -125,8 +147,8 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			&ModelReply{Model: b},
 			&BooleanQuery{Expr: s},
 			&BooleanReply{Docs: docs, Stats: stats},
-			&IndexRequest{},
-			&IndexReply{Data: b},
+			&IndexRequest{G: u32, Base: u32 / 3},
+			&IndexReply{Lo: u32 / 2, Hi: u32, Lists: b},
 		}
 		for _, msg := range msgs {
 			var buf bytes.Buffer
@@ -157,8 +179,10 @@ func equalMessage(a, b Message) bool {
 		return false
 	}
 	switch x := a.(type) {
-	case *Hello, *VocabRequest, *ModelRequest, *IndexRequest:
+	case *Hello, *VocabRequest, *ModelRequest:
 		return true
+	case *IndexRequest:
+		return *x == *b.(*IndexRequest)
 	case *HelloReply:
 		y := b.(*HelloReply)
 		return *x == *y
@@ -212,7 +236,7 @@ func equalMessage(a, b Message) bool {
 		return x.Stats == y.Stats && equalU32s(x.Docs, y.Docs)
 	case *IndexReply:
 		y := b.(*IndexReply)
-		return bytes.Equal(x.Data, y.Data)
+		return x.Lo == y.Lo && x.Hi == y.Hi && bytes.Equal(x.Lists, y.Lists)
 	}
 	return false
 }

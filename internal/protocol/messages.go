@@ -557,21 +557,39 @@ func (m *BooleanReply) decode(b []byte) error {
 // Type implements Message.
 func (*IndexRequest) Type() MsgType { return TypeIndexRequest }
 
-func (*IndexRequest) encode(b []byte) []byte { return b }
+func (m *IndexRequest) encode(b []byte) []byte {
+	return putUint(putUint(b, uint64(m.G)), uint64(m.Base))
+}
 
-func (*IndexRequest) decode(b []byte) error { return expectEmpty(b, TypeIndexRequest) }
+func (m *IndexRequest) decode(b []byte) error {
+	var err error
+	if m.G, b, err = getUint32(b); err != nil {
+		return err
+	}
+	if m.Base, b, err = getUint32(b); err != nil {
+		return err
+	}
+	return expectEmpty(b, TypeIndexRequest)
+}
 
 // Type implements Message.
 func (*IndexReply) Type() MsgType { return TypeIndexReply }
 
-func (m *IndexReply) encode(b []byte) []byte { return putBytes(b, m.Data) }
+// The lists run to the end of the payload, so they carry no length.
+func (m *IndexReply) encode(b []byte) []byte {
+	return append(putUint(putUint(b, uint64(m.Lo)), uint64(m.Hi)), m.Lists...)
+}
 
 func (m *IndexReply) decode(b []byte) error {
 	var err error
-	if m.Data, b, err = getBytes(b); err != nil {
+	if m.Lo, b, err = getUint32(b); err != nil {
 		return err
 	}
-	return expectEmpty(b, TypeIndexReply)
+	if m.Hi, b, err = getUint32(b); err != nil {
+		return err
+	}
+	m.Lists = append([]byte(nil), b...)
+	return nil
 }
 
 // Type implements Message.

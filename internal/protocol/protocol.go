@@ -264,16 +264,27 @@ type BooleanReply struct {
 	Stats search.Stats
 }
 
-// IndexRequest asks a librarian for its complete inverted index — the
-// transfer behind the Central Index methodology's offline preprocessing,
-// in which "the receptionist has full access to the indexes of the
-// subcollections".
-type IndexRequest struct{}
+// IndexRequest asks a librarian for its postings grouped G adjacent documents
+// to a group — the transfer behind the Central Index methodology's offline
+// preprocessing, in which "the receptionist has full access to the indexes
+// of the subcollections". Base is the global id of the librarian's local
+// document 0, so its groups line up with the receptionist's: global document
+// d is in group d/G. G must be at least 1.
+type IndexRequest struct {
+	G    uint32
+	Base uint32
+}
 
-// IndexReply carries the index in its on-disk serialised form
-// (index.WriteTo); the receptionist decodes it with index.ReadFrom.
+// IndexReply carries a librarian's grouped postings: the global groups
+// [Lo, Hi) its documents fall in, and Lists, written by a ListWriter and read
+// back by a ListReader — per term, in lexicographic order, the term
+// front-coded against the previous one, its group count, and its groups
+// relative to Lo coded by codec.EncodePostings over Hi−Lo groups, padded to a
+// byte. A group the librarian shares with a neighbour holds only its own
+// documents' frequencies; the receptionist sums the two.
 type IndexReply struct {
-	Data []byte
+	Lo, Hi uint32
+	Lists  []byte
 }
 
 // RemoteError is the receptionist-side error produced when a librarian
@@ -588,6 +599,15 @@ func getUint(b []byte) (uint64, []byte, error) {
 		return 0, b, ErrShortPayload
 	}
 	return v, b[n:], nil
+}
+
+// getUint32 is getUint for a field written from a uint32.
+func getUint32(b []byte) (uint32, []byte, error) {
+	v, rest, err := getUint(b)
+	if err == nil && v > math.MaxUint32 {
+		err = fmt.Errorf("protocol: %d overflows a 32-bit field", v)
+	}
+	return uint32(v), rest, err
 }
 
 func putString(b []byte, s string) []byte {
