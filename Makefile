@@ -42,7 +42,7 @@ vet:
 # segments.
 CORE_LOC_MAX = 4731
 LIBRARIAN_LOC_MAX = 1660
-SEARCH_LOC_MAX = 1698
+SEARCH_LOC_MAX = 1696
 PROTOCOL_LOC_MAX = 1710
 WRITE_LOC_MAX = 3001
 loc:

@@ -3,6 +3,7 @@ package librarian
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -91,6 +92,26 @@ func TestRankOverWire(t *testing.T) {
 	}
 	if rr.Stats.PostingsDecoded == 0 {
 		t.Fatal("stats not propagated")
+	}
+}
+
+// TestNaNWeightOverWire: a CV request whose weights hold a NaN is answered
+// with an ErrorReply, never a ranking whose order the NaN left undefined.
+func TestNaNWeightOverWire(t *testing.T) {
+	lib := buildTestLibrarian(t)
+	weights := map[string]float64{"cats": math.NaN(), "sunlight": 1}
+	for _, msg := range []protocol.Message{
+		&protocol.RankQuery{Query: "cats sunlight", K: 10, Weights: weights},
+		&protocol.ScoreDocs{Query: "cats sunlight", Docs: []uint32{0, 2}, Weights: weights},
+	} {
+		reply := callServer(t, lib, msg)
+		er, ok := reply.(*protocol.ErrorReply)
+		if !ok {
+			t.Fatalf("%T with a NaN weight answered with %T (%+v), want ErrorReply", msg, reply, reply)
+		}
+		if !strings.Contains(er.Message, search.ErrInvalidWeight.Error()) {
+			t.Fatalf("%T: error %q does not name the invalid weight", msg, er.Message)
+		}
 	}
 }
 

@@ -7,11 +7,15 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"teraphim/internal/index"
 	"teraphim/internal/protocol"
 	"teraphim/internal/search"
 	"teraphim/internal/store"
+	"teraphim/internal/textproc"
 	"teraphim/internal/trecsynth"
 )
 
@@ -271,4 +275,92 @@ func BenchmarkRankSegments(b *testing.B) {
 			}
 		})
 	}
+}
+
+// fleet is a set of built librarians and the queries sent to them.
+type fleet struct {
+	libs    []*Librarian
+	queries []string
+}
+
+// longFleet is the cv-long-inproc deployment without its transport:
+// trecsynth at twice its default size with a 20,000-word vocabulary, built
+// as four librarians, and its 90-term queries. Built once per test binary.
+// Each text model is trained on a 256-document sample rather than the whole
+// collection: the model shapes only the stored text, never the index, and
+// the sample halves the build.
+var longFleet = sync.OnceValues(func() (fleet, error) {
+	cfg := trecsynth.DefaultConfig()
+	cfg.VocabSize = 20000
+	cfg.NumShortQueries, cfg.NumLongQueries = 0, 256
+	for i := range cfg.Subs {
+		cfg.Subs[i].NumDocs *= 2
+	}
+	c, err := trecsynth.Generate(cfg)
+	if err != nil {
+		return fleet{}, err
+	}
+	libs := make([]*Librarian, len(c.Subcollections))
+	errs := make([]error, len(libs))
+	var wg sync.WaitGroup
+	for i, sub := range c.Subcollections {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			model, err := store.TrainModel(sub.Docs[:256])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			sg, err := buildSegment(sub.Name, sub.Docs, textproc.NewAnalyzer(), index.DefaultSkipInterval, model)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			libs[i], errs[i] = New(sub.Name, sg.engine, sg.store)
+		}()
+	}
+	wg.Wait()
+	var queries []string
+	for _, q := range c.QueriesOf(trecsynth.LongQuery) {
+		queries = append(queries, q.Text)
+	}
+	return fleet{libs, queries}, errors.Join(errs...)
+})
+
+// BenchmarkRankLongQueries prices the exhaustive kernel where it is most of
+// a query: each iteration sends one 90-term query, k = 20, to each of the
+// four long-fleet librarians on one Scratch. Most postings of such a query
+// are a document's first touch, which the short-query benchmarks above
+// rarely exercise. It reports the time per posting decoded and the
+// accumulators created per query beside the allocations.
+func BenchmarkRankLongQueries(b *testing.B) {
+	start := time.Now()
+	f, err := longFleet()
+	if err != nil {
+		b.Fatal(err)
+	}
+	libs, queries := f.libs, f.queries
+	b.Logf("fleet of %d librarians and %d queries ready in %v", len(libs), len(queries), time.Since(start).Round(time.Millisecond))
+	reqs := make([]*protocol.RankQuery, len(queries))
+	for i, q := range queries {
+		reqs[i] = &protocol.RankQuery{Query: q, K: 20}
+	}
+	scratch := search.NewScratch()
+	var postings uint64
+	var candidates int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, lib := range libs {
+			rr, ok := lib.dispatch(scratch, reqs[i%len(reqs)], 0).(*protocol.RankReply)
+			if !ok {
+				b.Fatal("rank request not answered with a ranking")
+			}
+			postings += rr.Stats.PostingsDecoded
+			candidates += rr.Stats.CandidateDocs
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(postings), "ns/posting")
+	b.ReportMetric(float64(candidates)/float64(b.N), "candidates/query")
 }

@@ -62,7 +62,7 @@ func (e *PrunedEngine) RankContext(ctx context.Context, query string, k int, th 
 }
 
 // RankWith is Rank running on a caller-owned Scratch: the same flat
-// epoch-stamped accumulators, memoised log weights, and non-boxing top-k
+// accumulators, memoised log weights, and non-boxing top-k
 // selector as the document-sorted kernel, driving the run-decoded cursor.
 func (e *PrunedEngine) RankWith(s *Scratch, query string, k int, th Thresholds) ([]Result, Stats, error) {
 	return e.rankWith(nil, s, query, k, th)
@@ -104,7 +104,7 @@ func (e *PrunedEngine) rankWith(ctx context.Context, s *Scratch, query string, k
 	// prescribe, so accumulators are created by the most promising lists.
 	// The order must be a deterministic total order: with Insert > 0, which
 	// list runs first decides which accumulators exist when later lists may
-	// only update (addExisting), so any tie-order wobble between equal-cap
+	// only update existing ones, so any tie-order wobble between equal-cap
 	// terms changes the ranking itself. Stable sort plus a term-string
 	// tie-break pins it.
 	slices.SortStableFunc(s.qterms, func(a, b queryTerm) int {
@@ -122,10 +122,8 @@ func (e *PrunedEngine) rankWith(ctx context.Context, s *Scratch, query string, k
 	numDocs := e.fs.NumDocs()
 	s.reset(numDocs)
 	for i := range s.qterms {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
+		if ctx != nil && ctx.Err() != nil {
+			return nil, stats, ctx.Err()
 		}
 		qt := &s.qterms[i]
 		if qt.wqt <= 0 {
@@ -146,19 +144,11 @@ func (e *PrunedEngine) rankWith(ctx context.Context, s *Scratch, query string, k
 				// Runs only get smaller from here: abandon the list.
 				break
 			}
-			if contrib >= th.Insert*cMax {
-				for _, d := range docs {
-					if d >= numDocs {
-						continue
-					}
+			// Below the insert threshold only live accumulators grow.
+			insert := contrib >= th.Insert*cMax
+			for _, d := range docs {
+				if d < numDocs && (insert || s.acc[d] != 0) {
 					s.add(d, contrib)
-				}
-			} else {
-				for _, d := range docs {
-					if d >= numDocs {
-						continue
-					}
-					s.addExisting(d, contrib)
 				}
 			}
 		}

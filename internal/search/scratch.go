@@ -41,21 +41,19 @@ type queryTerm struct {
 }
 
 // Scratch holds the reusable per-query state of the ranked-evaluation
-// kernel: the prepared query, flat epoch-stamped accumulators sized to the
-// collection, decode and tokenizer buffers, a pooled term cursor, and top-k
-// heap backing. One
-// Scratch serves one query at a time; recycle it through GetScratch/Release
-// (a sync.Pool, safe under the connection Pool's concurrent sessions — each
-// Get hands out exclusive ownership) or own one per session.
+// kernel: the prepared query, flat accumulators sized to the collection,
+// decode and tokenizer buffers, a pooled term cursor, and top-k heap
+// backing. One Scratch serves one query at a time; recycle it through
+// GetScratch/Release (a sync.Pool, safe under the connection Pool's
+// concurrent sessions — each Get hands out exclusive ownership) or own one
+// per session.
 //
-// The accumulator array replaces the per-query map the seed evaluator
-// allocated: clearing between queries is a single epoch increment, and the
-// touched list recovers the candidate set without scanning the collection.
+// An accumulator is live iff non-zero: each contribution w_qt·log(f_dt+1)
+// is positive, as w_qt ≤ 0 is skipped, prepare refuses NaN and infinities,
+// and f_dt ≥ 1 (a positive weight times log 2 > ½ cannot round to zero).
 type Scratch struct {
-	acc     []float64 // accumulator per document; live iff stamp matches
-	stamp   []uint32  // epoch stamp per document
-	epoch   uint32
-	touched []uint32 // documents with a live accumulator, first-touch order
+	acc     []float64 // accumulator per document; live iff non-zero
+	touched []uint32  // live documents in first-touch order; capacity len(acc)+1
 
 	raw    []string // tokenizer buffer
 	terms  []string // analysed-terms buffer
@@ -112,48 +110,31 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // ScoreDocs copy results out for exactly that reason).
 func (s *Scratch) Release() { scratchPool.Put(s) }
 
-// reset prepares the accumulators for a query over numDocs documents:
-// ensure capacity, invalidate every entry by bumping the epoch, and clear
-// the touched list.
+// reset prepares the accumulators for a query over numDocs documents,
+// zeroing what the last evaluation touched (one clear past an eighth of
+// them). touched has room for one slot past any live length.
 func (s *Scratch) reset(numDocs uint32) {
 	if uint32(len(s.acc)) < numDocs {
 		s.acc = make([]float64, numDocs)
-		s.stamp = make([]uint32, numDocs)
-		s.epoch = 0
+		s.touched = make([]uint32, 0, numDocs+1)
+		return
 	}
-	s.epoch++
-	if s.epoch == 0 { // epoch wrapped: stamps from 2^32 queries ago collide
-		clear(s.stamp)
-		s.epoch = 1
+	if len(s.touched) > len(s.acc)/8 {
+		clear(s.acc)
+	} else {
+		for _, d := range s.touched {
+			s.acc[d] = 0
+		}
 	}
 	s.touched = s.touched[:0]
 }
 
 // add accumulates w into doc's accumulator, creating it if this is the
-// first contribution of the query.
+// first contribution of the query. w must be positive.
 func (s *Scratch) add(doc uint32, w float64) {
-	if s.stamp[doc] == s.epoch {
-		s.acc[doc] += w
-		return
+	a := s.acc[doc]
+	if a == 0 {
+		s.touched = append(s.touched, doc)
 	}
-	s.stamp[doc] = s.epoch
-	s.acc[doc] = w
-	s.touched = append(s.touched, doc)
-}
-
-// addExisting accumulates w only into an accumulator some earlier
-// contribution created — the insert-thresholded mode of the pruned
-// evaluator.
-func (s *Scratch) addExisting(doc uint32, w float64) {
-	if s.stamp[doc] == s.epoch {
-		s.acc[doc] += w
-	}
-}
-
-// get returns doc's accumulated value, or 0 when untouched this query.
-func (s *Scratch) get(doc uint32) float64 {
-	if s.stamp[doc] == s.epoch {
-		return s.acc[doc]
-	}
-	return 0
+	s.acc[doc] = a + w
 }

@@ -1,0 +1,375 @@
+package search
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"teraphim/internal/index"
+)
+
+// This file pins the accumulator contract of Scratch — live iff non-zero,
+// zeroed by the next reset whatever the previous evaluation was — against
+// map-accumulator references, and the weight validation that contract
+// relies on.
+
+// cancelAfter is a context whose Err reports cancellation from its n+1th
+// call on, so an evaluation checking between lists stops part-way through.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// hygieneDocs returns n documents: common words c0..c3 in most of them,
+// rare words r0..r199 a few each, a filler-only document every tenth, and
+// every seventh a repeat of an earlier one, so equal scores occur.
+func hygieneDocs(rng *rand.Rand, n int) []string {
+	docs := make([]string, n)
+	for i := range docs {
+		switch {
+		case i%10 == 9:
+			docs[i] = "filler plain"
+			continue
+		case i%7 == 6:
+			docs[i] = docs[rng.Intn(i)]
+			continue
+		}
+		var w []string
+		for c := 0; c < 4; c++ {
+			for rng.Float64() < 0.6 {
+				w = append(w, "c"+strconv.Itoa(c))
+			}
+		}
+		for r := 3 + rng.Intn(6); r > 0; r-- {
+			w = append(w, "r"+strconv.Itoa(rng.Intn(200)))
+		}
+		docs[i] = strings.Join(w, " ")
+	}
+	return docs
+}
+
+// cutParts indexes docs as np engines tiling one id space.
+func cutParts(t *testing.T, docs []string, np int) []Part {
+	t.Helper()
+	parts := make([]Part, np)
+	for i := range parts {
+		lo, hi := len(docs)*i/np, len(docs)*(i+1)/np
+		parts[i] = Part{Engine: buildEngine(t, docs[lo:hi]), Base: uint32(lo)}
+	}
+	return parts
+}
+
+// mapAccumulate is the map-accumulator reference for the exact kernel: the
+// query's terms in first-appearance order, weighted as prepare weights them,
+// each list of every part summed into a map keyed by global id. It returns
+// the accumulators, W_q, and 1/W_d by global id.
+func mapAccumulate(parts []Part, query string, weights map[string]float64) (map[uint32]float64, float64, func(uint32) float64) {
+	terms, fqts := goldenTerms(parts[0].Engine, query)
+	var n uint32
+	for _, p := range parts {
+		n += p.Engine.Index().NumDocs()
+	}
+	wqts := make([]float64, len(terms))
+	var sum float64
+	for i, term := range terms {
+		if weights != nil {
+			wqts[i] = weights[term]
+		} else {
+			var ft uint32
+			for _, p := range parts {
+				ft += p.Engine.Index().TermFreq(term)
+			}
+			wqts[i] = CollectionWeight(fqts[term], ft, n)
+		}
+		sum += wqts[i] * wqts[i]
+	}
+	wq := 1.0
+	if sum != 0 {
+		wq = math.Sqrt(sum)
+	}
+	acc := make(map[uint32]float64)
+	for i, term := range terms {
+		if wqts[i] <= 0 {
+			continue
+		}
+		for _, p := range parts {
+			cur, err := p.Engine.Index().Cursor(term)
+			if err != nil {
+				continue
+			}
+			for cur.Next() {
+				post := cur.Posting()
+				acc[p.Base+post.Doc] += wqts[i] * math.Log(float64(post.FDT)+1)
+			}
+		}
+	}
+	inv := func(d uint32) float64 {
+		for _, p := range parts {
+			if d-p.Base < p.Engine.Index().NumDocs() {
+				return p.Engine.Index().InvDocWeights()[d-p.Base]
+			}
+		}
+		panic("doc outside the parts")
+	}
+	return acc, wq, inv
+}
+
+// mapTopK ranks acc the way the kernel scores it — (acc·(1/W_d))/W_q,
+// documents with W_d = 0 skipped — best first, ties by ascending id, cut to k.
+func mapTopK(acc map[uint32]float64, wq float64, inv func(uint32) float64, k int) []Result {
+	var out []Result
+	for d, a := range acc {
+		if iw := inv(d); iw != 0 {
+			out = append(out, Result{Doc: d, Score: a * iw / wq})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return lessResult(out[j], out[i]) })
+	return out[:min(k, len(out))]
+}
+
+// mapPruned is the map-accumulator reference for PrunedEngine at zero
+// thresholds: its weights, its W_q, and its list order (decreasing
+// contribution cap, ties by term).
+func mapPruned(pe *PrunedEngine, ix *index.Index, query string, k int) ([]Result, int) {
+	terms, fqts := goldenTerms(NewEngine(ix, pe.analyzer), query)
+	type term struct {
+		name    string
+		wqt, cp float64
+	}
+	var order []term
+	var wq2 float64
+	for _, t := range terms {
+		ft := pe.fs.TermFreq(t)
+		if ft == 0 {
+			continue
+		}
+		w := CollectionWeight(fqts[t], ft, pe.fs.NumDocs())
+		wq2 += w * w
+		order = append(order, term{t, w, w * math.Log(float64(pe.fs.MaxFDT(t))+1)})
+	}
+	if len(order) == 0 {
+		return nil, 0
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].cp != order[j].cp {
+			return order[i].cp > order[j].cp
+		}
+		return order[i].name < order[j].name
+	})
+	wq := math.Sqrt(wq2)
+	if wq == 0 {
+		wq = 1
+	}
+	acc := make(map[uint32]float64)
+	for _, t := range order {
+		cur, err := ix.Cursor(t.name)
+		if err != nil {
+			continue
+		}
+		for cur.Next() {
+			post := cur.Posting()
+			acc[post.Doc] += t.wqt * math.Log(float64(post.FDT)+1)
+		}
+	}
+	inv := pe.fs.InvDocWeights()
+	return mapTopK(acc, wq, func(d uint32) float64 { return inv[d] }, k), len(acc)
+}
+
+// TestScratchHygiene reuses one Scratch across everything that can leave
+// accumulators behind — collections growing then shrinking, evaluations
+// cancelled between lists, RankParts / ScoreParts / PrunedEngine
+// interleaved, 1, 2 and 5 parts, queries touching more and fewer than an
+// eighth of the accumulators — and requires every result and its
+// CandidateDocs to == both a fresh Scratch's and a map-accumulator
+// reference's.
+func TestScratchHygiene(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	queries := []string{
+		"c0 c1 r5",           // most documents
+		"r3 r77",             // a handful
+		"c2 c2 r10 r11 r12",  // repeated term
+		"c0 c1 c2 c3 filler", // nearly every document
+		"r150 nowhere",       // one term absent
+	}
+	shared := NewScratch()
+	var sawClear, sawSparse bool
+	for _, n := range []int{40, 900, 300, 25} { // grow, then shrink
+		docs := hygieneDocs(rng, n)
+		pe, ix := buildFreqSorted(t, docs)
+		for _, np := range []int{1, 2, 5} {
+			parts := cutParts(t, docs, np)
+			for qi, q := range queries {
+				k := []int{1, 10, 1000}[qi%3]
+				terms, _ := goldenTerms(parts[0].Engine, q)
+				label := "n=" + strconv.Itoa(n) + " parts=" + strconv.Itoa(np) + " " + q
+				explicit := make(map[string]float64)
+				for _, term := range strings.Fields(q) {
+					explicit[term] = 0.25 + 2*rng.Float64()
+				}
+				explicit["r77"] = 0 // weighs nothing: its list is skipped
+				for _, weights := range []map[string]float64{nil, explicit} {
+					// Cancelled before the first part's last list: half-built
+					// accumulators are left behind.
+					if _, _, err := RankParts(&cancelAfter{context.Background(), len(terms) - 1}, shared, parts, q, k, weights, EvalExact); !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s: cancelled rank err = %v", label, err)
+					}
+					acc, wq, inv := mapAccumulate(parts, q, weights)
+
+					got, st, err := RankParts(nil, shared, parts, q, k, weights, EvalExact)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if len(shared.touched) > len(shared.acc)/8 {
+						sawClear = true
+					} else {
+						sawSparse = true
+					}
+					fresh, fst, _ := RankParts(nil, NewScratch(), parts, q, k, weights, EvalExact)
+					if want := mapTopK(acc, wq, inv, k); !slices.Equal(got, want) || !slices.Equal(fresh, want) {
+						t.Fatalf("%s rank k=%d:\nreused %v\nfresh  %v\nmap    %v", label, k, got, fresh, want)
+					}
+					if st.CandidateDocs != len(acc) || fst.CandidateDocs != len(acc) {
+						t.Fatalf("%s rank: candidates reused %d fresh %d, map %d", label, st.CandidateDocs, fst.CandidateDocs, len(acc))
+					}
+
+					// A dynamic evaluator between exact ones: it leaves the
+					// accumulators as the exact rank before it did.
+					if _, _, err := RankParts(nil, shared, parts, q, k, weights, EvalMaxScore); err != nil {
+						t.Fatalf("%s maxscore: %v", label, err)
+					}
+
+					nominated := rng.Perm(n)[:1+n/3]
+					docsIn := make([]uint32, len(nominated))
+					var want []Result
+					matched := 0
+					for i, d := range nominated {
+						docsIn[i] = uint32(d)
+						score := 0.0
+						if a := acc[uint32(d)]; a > 0 {
+							matched++
+							if iw := inv(uint32(d)); iw > 0 {
+								score = a * iw / wq
+							}
+						}
+						want = append(want, Result{Doc: uint32(d), Score: score})
+					}
+					got, st, err = ScoreParts(shared, parts, q, docsIn, weights, 0)
+					if err != nil {
+						t.Fatalf("%s score: %v", label, err)
+					}
+					fresh, fst, _ = ScoreParts(NewScratch(), parts, q, docsIn, weights, 0)
+					if !slices.Equal(got, want) || !slices.Equal(fresh, want) {
+						t.Fatalf("%s score:\nreused %v\nfresh  %v\nmap    %v", label, got, fresh, want)
+					}
+					if st.CandidateDocs != matched || fst.CandidateDocs != matched {
+						t.Fatalf("%s score: candidates reused %d fresh %d, map %d", label, st.CandidateDocs, fst.CandidateDocs, matched)
+					}
+				}
+
+				if _, _, err := pe.rankWith(&cancelAfter{context.Background(), 1}, shared, q, k, Thresholds{}); err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: cancelled pruned rank err = %v", label, err)
+				}
+				got, st, err := pe.RankWith(shared, q, k, Thresholds{})
+				if err != nil {
+					t.Fatalf("%s pruned: %v", label, err)
+				}
+				fresh, fst, _ := pe.RankWith(NewScratch(), q, k, Thresholds{})
+				want, cands := mapPruned(pe, ix.Index(), q, k)
+				if !slices.Equal(got, want) || !slices.Equal(fresh, want) {
+					t.Fatalf("%s pruned:\nreused %v\nfresh  %v\nmap    %v", label, got, fresh, want)
+				}
+				if st.CandidateDocs != cands || fst.CandidateDocs != cands {
+					t.Fatalf("%s pruned: candidates reused %d fresh %d, map %d", label, st.CandidateDocs, fst.CandidateDocs, cands)
+				}
+				// Insert-thresholded: only existing accumulators grow.
+				th := Thresholds{Insert: 0.6}
+				got, st, _ = pe.RankWith(shared, q, k, th)
+				fresh, fst, _ = pe.RankWith(NewScratch(), q, k, th)
+				if !slices.Equal(got, fresh) || st != fst {
+					t.Fatalf("%s pruned %+v:\nreused %v %+v\nfresh  %v %+v", label, th, got, st, fresh, fst)
+				}
+			}
+		}
+	}
+	if !sawClear || !sawSparse {
+		t.Fatalf("reset paths exercised: clear %v, per-document %v; want both", sawClear, sawSparse)
+	}
+}
+
+// TestInvalidWeightsRejected: a weight map holding a NaN, an infinity or a
+// negative value fails RankParts (every evaluator) and ScoreParts with
+// ErrInvalidWeight, even for a term the query does not use; zero weights
+// are valid and simply skip their lists.
+func TestInvalidWeightsRejected(t *testing.T) {
+	e := buildEngine(t, tinyDocs)
+	parts := []Part{{Engine: e}}
+	s := NewScratch()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
+		for _, weights := range []map[string]float64{
+			{"cat": bad, "fish": 1},
+			{"cat": 1, "fish": 1, "whale": bad}, // not a query term
+		} {
+			for _, eval := range []Evaluator{EvalExact, EvalMaxScore, EvalWAND} {
+				if _, _, err := RankParts(nil, s, parts, "cat fish", 3, weights, eval); !errors.Is(err, ErrInvalidWeight) {
+					t.Fatalf("RankParts %v weights %v: err = %v, want ErrInvalidWeight", eval, weights, err)
+				}
+			}
+			if _, _, err := ScoreParts(s, parts, "cat fish", []uint32{0, 2}, weights, 0); !errors.Is(err, ErrInvalidWeight) {
+				t.Fatalf("ScoreParts weights %v: err = %v, want ErrInvalidWeight", weights, err)
+			}
+		}
+	}
+	got, _, err := RankParts(nil, s, parts, "cat fish", 3, map[string]float64{"cat": 0, "fish": 1}, EvalExact)
+	if err != nil || len(got) == 0 {
+		t.Fatalf("zero weight: %v, %v", got, err)
+	}
+	for _, r := range got {
+		if r.Doc == 0 {
+			t.Fatalf("doc 0 holds only the zero-weighted term but ranked: %v", got)
+		}
+	}
+}
+
+// TestRejectBelowIsExact: every x under rejectBelow's bound divides to a
+// score strictly below the root, so the filter rejects only what the heap
+// would; outside the normal range the bound is off.
+func TestRejectBelowIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200000; i++ {
+		wq := math.Exp(rng.Float64()*60 - 30)
+		root := math.Exp(rng.Float64()*40 - 35)
+		if i%4 == 0 {
+			root = float64(rng.Intn(1000)+1) / 1000
+		}
+		cut := rejectBelow(root, wq)
+		if cut == 0 {
+			t.Fatalf("root %g wq %g: bound off in the normal range", root, wq)
+		}
+		for _, x := range []float64{math.Nextafter(cut, 0), cut * (1 - 1e-12), root * wq * (1 - 2e-9)} {
+			if x < cut && x/wq >= root {
+				t.Fatalf("root %g wq %g: x %g under bound %g divides to %g", root, wq, x, cut, x/wq)
+			}
+		}
+	}
+	for _, c := range []struct{ root, wq float64 }{
+		{math.NaN(), 1}, {math.Inf(1), 1}, {0, 1}, {-1, 1}, {0x1p-1010, 1},
+		{1, math.Inf(1)}, {1e300, 1e300}, {1e-300, 1e-300},
+	} {
+		if cut := rejectBelow(c.root, c.wq); cut != 0 {
+			t.Fatalf("rejectBelow(%g, %g) = %g, want 0 (off)", c.root, c.wq, cut)
+		}
+	}
+}

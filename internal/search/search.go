@@ -13,7 +13,7 @@
 // (the Central Vocabulary methodology) without touching document weights.
 //
 // Evaluation runs on a zero-steady-state-allocation kernel: a pooled Scratch
-// holds flat epoch-stamped accumulators sized to the collection, postings
+// holds flat accumulators sized to the collection (live iff non-zero), postings
 // arrive a decode block at a time through a reusable cursor, w_dt comes from
 // a memoised log table, and normalisation reads the index's cached
 // reciprocal-weight array. Rank and ScoreDocs borrow a Scratch from the
@@ -38,6 +38,10 @@ import (
 
 // ErrEmptyQuery is returned when a query contains no indexable terms.
 var ErrEmptyQuery = errors.New("search: query has no indexable terms")
+
+// ErrInvalidWeight is returned when supplied weights hold a NaN (which would
+// make every score NaN and the order undefined), an infinity or a negative.
+var ErrInvalidWeight = errors.New("search: query weight is not a finite non-negative number")
 
 // Result is one ranked answer.
 type Result struct {
@@ -168,6 +172,11 @@ func (e *Engine) QueryWeights(freqs map[string]uint32) map[string]float64 {
 // each CV librarian — gets the bitwise-same norm; ULP wobble would reorder
 // tied documents across collections. A zero norm is taken as 1.
 func (s *Scratch) prepare(parts []Part, query string, weights map[string]float64) error {
+	for term, w := range weights {
+		if !(w >= 0 && w <= math.MaxFloat64) {
+			return fmt.Errorf("%w: %q weighs %v", ErrInvalidWeight, term, w)
+		}
+	}
 	parseQueryInto(s, parts[0].Engine.analyzer, query)
 	if len(s.qterms) == 0 {
 		return ErrEmptyQuery
@@ -279,13 +288,11 @@ func (e *Engine) rankPrepared(ctx context.Context, s *Scratch, base uint32, eval
 	if eval != EvalExact {
 		return e.rankDynamic(ctx, s, base, sel, eval, stats)
 	}
-	numDocs := e.ix.NumDocs()
-	s.reset(numDocs)
+	s.reset(e.ix.NumDocs())
+	acc, touched, n := s.acc[:e.ix.NumDocs()], s.touched[:cap(s.touched)], 0
 	for i := range s.qterms {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
 		}
 		qt := &s.qterms[i]
 		if qt.wqt <= 0 || !e.ix.OpenCursor(&s.cur, qt.term) {
@@ -293,18 +300,23 @@ func (e *Engine) rankPrepared(ctx context.Context, s *Scratch, base uint32, eval
 		}
 		stats.ListsFetched++
 		stats.IndexBytesRead += s.cur.ListBytes()
-		for {
-			blk := s.cur.NextBlock()
-			if blk == nil {
-				break
-			}
+		// First touch by conditional move, not a coin-toss branch: d always
+		// takes the next touched slot, kept only if its accumulator was zero.
+		for blk := s.cur.NextBlock(); blk != nil; blk = s.cur.NextBlock() {
 			for _, p := range blk {
-				if p.Doc >= numDocs {
+				d := p.Doc
+				if int(d) >= len(acc) {
 					continue // corrupt list; flat accumulators cannot hold it
 				}
-				s.add(p.Doc, qt.wqt*logF1(p.FDT))
+				a := acc[d]
+				touched[n] = d
+				if a == 0 {
+					n++
+				}
+				acc[d] = a + qt.wqt*logF1(p.FDT)
 			}
 		}
+		s.touched = touched[:n]
 		stats.PostingsDecoded += s.cur.DecodedPostings
 	}
 	stats.CandidateDocs += len(s.touched)
@@ -312,14 +324,29 @@ func (e *Engine) rankPrepared(ctx context.Context, s *Scratch, base uint32, eval
 	return nil
 }
 
-// offerTouched normalises the touched accumulators by W_q·W_d into sel, ids
-// offset by base; a document with W_d = 0 cannot score and is skipped.
+// offerTouched normalises the touched accumulators by W_q·W_d into sel, in
+// first-touch order, ids offset by base; a document with W_d = 0 cannot
+// score and is skipped. Only a candidate that can enter sel is divided.
 func (s *Scratch) offerTouched(sel *TopK[Result], inv []float64, base uint32) {
+	cut := 0.0 // rejects nothing while sel fills
 	for _, d := range s.touched {
-		if iw := inv[d]; iw != 0 {
-			offer(sel, Result{Doc: base + d, Score: s.acc[d] * iw / s.wq})
+		if x := s.acc[d] * inv[d]; x >= cut && inv[d] != 0 {
+			offer(sel, Result{Doc: base + d, Score: x / s.wq})
+			cut = rejectBelow(threshold(sel), s.wq)
 		}
 	}
+}
+
+// rejectBelow is a bound under which every x divides, x/wq, to strictly
+// below root: root·wq·(1−1e−9), whose few roundings of 2⁻⁵³ the margin
+// covers while root and the bound are normal numbers. Otherwise — a filling
+// heap's −∞ included — it is 0, which rejects nothing.
+func rejectBelow(root, wq float64) float64 {
+	cut := root * wq * (1 - 1e-9)
+	if root >= 0x1p-1000 && root <= math.MaxFloat64 && cut >= 0x1p-1022 && cut <= math.MaxFloat64 {
+		return cut
+	}
+	return 0
 }
 
 // offer is sel.Offer behind an inline test of the heap root, so the
@@ -438,7 +465,7 @@ func (e *Engine) scorePrepared(s *Scratch, docs []uint32, base uint32, out []Res
 			continue
 		}
 		score := 0.0
-		if a := s.get(local); a > 0 && inv[local] > 0 {
+		if a := s.acc[local]; a > 0 && inv[local] > 0 {
 			score = a * inv[local] / s.wq
 		}
 		out[i] = Result{Doc: d, Score: score}
