@@ -687,11 +687,11 @@ func TestGroupedIndexPersistRoundTrip(t *testing.T) {
 		t.Fatalf("shape differs after reload")
 	}
 	for _, q := range []string{"alpha federal", "w1 w2"} {
-		g1, _, err := g.RankGroups(q, 5)
+		g1, _, err := g.RankGroupsEval(search.NewScratch(), q, 5, search.EvalExact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, _, err := loaded.RankGroups(q, 5)
+		g2, _, err := loaded.RankGroupsEval(search.NewScratch(), q, 5, search.EvalExact)
 		if err != nil {
 			t.Fatal(err)
 		}

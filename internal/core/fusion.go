@@ -3,7 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+
+	"teraphim/internal/search"
 )
 
 // MergeStrategy selects how the receptionist collates per-librarian
@@ -42,53 +43,54 @@ func (s MergeStrategy) String() string {
 }
 
 // ErrUnknownMergeStrategy is returned for an Options.Merge value that names
-// no defined strategy. Rejecting it up front — rather than letting fuse's
-// default arm treat it as face value — keeps the result cache from
+// no defined strategy. Rejecting it up front — rather than letting fuse
+// treat it as face value — keeps the result cache from
 // fragmenting across spellings of identical behaviour (MergeStrategy(42)
 // would otherwise evaluate like MergeFaceValue but cache under its own key).
 var ErrUnknownMergeStrategy = errors.New("core: unknown merge strategy")
 
-// fuse collates per-librarian answer lists (each already sorted by
-// decreasing local score) into a global top-k under the given strategy.
-// lists is keyed by librarian name; order supplies deterministic librarian
-// sequencing. The returned slice is freshly allocated at exactly its
-// length: it never shares a backing array with the per-librarian lists or
-// retains dropped candidates in hidden capacity, so callers (and the result
-// cache) may mutate or hold it freely.
-func fuse(strategy MergeStrategy, lists map[string][]Answer, order []string, k int) []Answer {
+// fuse collates per-librarian answer lists, indexed in global numbering
+// order, into the global top k under the given strategy. Face value is one
+// top-k selection over every answer with the ranking kernel's selector and
+// tie rule (search.TopK under search.LessResult on global ids), so a merged
+// ranking orders exactly as one index would, whatever order the lists arrive
+// in; round robin reads each list by rank, best first. The returned slice is
+// freshly allocated at exactly its length: it never shares a backing array
+// with the per-librarian lists or retains dropped candidates in hidden
+// capacity, so callers (and the result cache) may mutate or hold it freely.
+func fuse(strategy MergeStrategy, lists [][]Answer, k int) []Answer {
 	switch strategy {
 	case MergeRoundRobin:
-		return fuseRoundRobin(lists, order, k)
+		return fuseRoundRobin(lists, k)
 	case MergeNormalized:
-		return fuseFaceValue(normalizeLists(lists), k)
-	default:
-		return fuseFaceValue(lists, k)
+		lists = normalizeLists(lists)
 	}
-}
-
-func fuseFaceValue(lists map[string][]Answer, k int) []Answer {
-	var merged []Answer
+	n := 0
 	for _, answers := range lists {
-		merged = append(merged, answers...)
+		n += len(answers)
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Score != merged[j].Score {
-			return merged[i].Score > merged[j].Score
+	if n == 0 {
+		return nil
+	}
+	sel := search.NewTopK(k, worseAnswer, make([]Answer, 0, min(k, n)))
+	for _, answers := range lists {
+		for _, a := range answers {
+			sel.Offer(a)
 		}
-		return merged[i].GlobalDoc < merged[j].GlobalDoc
-	})
-	if len(merged) > k {
-		merged = merged[:k]
 	}
-	return clipAnswers(merged)
+	return sel.Extract()
 }
 
-func fuseRoundRobin(lists map[string][]Answer, order []string, k int) []Answer {
+// worseAnswer is search.LessResult on the answers' global ids.
+func worseAnswer(a, b Answer) bool {
+	return search.LessResult(search.Result{Doc: a.GlobalDoc, Score: a.Score}, search.Result{Doc: b.GlobalDoc, Score: b.Score})
+}
+
+func fuseRoundRobin(lists [][]Answer, k int) []Answer {
 	var merged []Answer
 	for rank := 0; len(merged) < k; rank++ {
 		took := false
-		for _, name := range order {
-			answers := lists[name]
+		for _, answers := range lists {
 			if rank < len(answers) {
 				merged = append(merged, answers[rank])
 				took = true
@@ -119,11 +121,10 @@ func clipAnswers(answers []Answer) []Answer {
 
 // normalizeLists rescales each librarian's scores to [0,1] by min–max; a
 // single-answer list maps to 1.
-func normalizeLists(lists map[string][]Answer) map[string][]Answer {
-	out := make(map[string][]Answer, len(lists))
-	for name, answers := range lists {
+func normalizeLists(lists [][]Answer) [][]Answer {
+	out := make([][]Answer, len(lists))
+	for i, answers := range lists {
 		if len(answers) == 0 {
-			out[name] = nil
 			continue
 		}
 		lo, hi := answers[0].Score, answers[0].Score
@@ -136,15 +137,15 @@ func normalizeLists(lists map[string][]Answer) map[string][]Answer {
 			}
 		}
 		scaled := make([]Answer, len(answers))
-		for i, a := range answers {
+		for j, a := range answers {
 			if hi > lo {
 				a.Score = (a.Score - lo) / (hi - lo)
 			} else {
 				a.Score = 1
 			}
-			scaled[i] = a
+			scaled[j] = a
 		}
-		out[name] = scaled
+		out[i] = scaled
 	}
 	return out
 }

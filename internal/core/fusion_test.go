@@ -23,11 +23,11 @@ func keysOf(answers []Answer) []string {
 }
 
 func TestFuseFaceValue(t *testing.T) {
-	lists := map[string][]Answer{
-		"A": answerList("A", 0, 0.9, 0.3),
-		"B": answerList("B", 100, 0.7, 0.5),
+	lists := [][]Answer{
+		answerList("A", 0, 0.9, 0.3),
+		answerList("B", 100, 0.7, 0.5),
 	}
-	got := fuse(MergeFaceValue, lists, []string{"A", "B"}, 3)
+	got := fuse(MergeFaceValue, lists, 3)
 	want := []string{"A:0", "B:0", "B:1"}
 	if !reflect.DeepEqual(keysOf(got), want) {
 		t.Fatalf("face value = %v, want %v", keysOf(got), want)
@@ -35,11 +35,11 @@ func TestFuseFaceValue(t *testing.T) {
 }
 
 func TestFuseFaceValueTieBreak(t *testing.T) {
-	lists := map[string][]Answer{
-		"A": answerList("A", 100, 0.5),
-		"B": answerList("B", 0, 0.5),
+	lists := [][]Answer{
+		answerList("A", 100, 0.5),
+		answerList("B", 0, 0.5),
 	}
-	got := fuse(MergeFaceValue, lists, []string{"A", "B"}, 2)
+	got := fuse(MergeFaceValue, lists, 2)
 	// Equal scores break toward the lower global doc (B at offset 0).
 	if got[0].Librarian != "B" {
 		t.Fatalf("tie break wrong: %v", keysOf(got))
@@ -47,11 +47,11 @@ func TestFuseFaceValueTieBreak(t *testing.T) {
 }
 
 func TestFuseRoundRobin(t *testing.T) {
-	lists := map[string][]Answer{
-		"A": answerList("A", 0, 0.2, 0.1), // low scores...
-		"B": answerList("B", 100, 0.9),
+	lists := [][]Answer{
+		answerList("A", 0, 0.2, 0.1), // low scores...
+		answerList("B", 100, 0.9),
 	}
-	got := fuse(MergeRoundRobin, lists, []string{"A", "B"}, 3)
+	got := fuse(MergeRoundRobin, lists, 3)
 	// Round robin ignores scores: A's first, B's first, A's second.
 	want := []string{"A:0", "B:0", "A:1"}
 	if !reflect.DeepEqual(keysOf(got), want) {
@@ -60,11 +60,11 @@ func TestFuseRoundRobin(t *testing.T) {
 }
 
 func TestFuseRoundRobinExhaustsShortLists(t *testing.T) {
-	lists := map[string][]Answer{
-		"A": answerList("A", 0, 0.9),
-		"B": answerList("B", 100, 0.8, 0.7, 0.6),
+	lists := [][]Answer{
+		answerList("A", 0, 0.9),
+		answerList("B", 100, 0.8, 0.7, 0.6),
 	}
-	got := fuse(MergeRoundRobin, lists, []string{"A", "B"}, 10)
+	got := fuse(MergeRoundRobin, lists, 10)
 	want := []string{"A:0", "B:0", "B:1", "B:2"}
 	if !reflect.DeepEqual(keysOf(got), want) {
 		t.Fatalf("round robin = %v, want %v", keysOf(got), want)
@@ -74,11 +74,11 @@ func TestFuseRoundRobinExhaustsShortLists(t *testing.T) {
 func TestFuseNormalized(t *testing.T) {
 	// Librarian A's scores are inflated 10x; min-max normalisation should
 	// put both on the same scale, so B's best beats A's second.
-	lists := map[string][]Answer{
-		"A": answerList("A", 0, 10.0, 5.0, 2.0),
-		"B": answerList("B", 100, 1.0, 0.5, 0.2),
+	lists := [][]Answer{
+		answerList("A", 0, 10.0, 5.0, 2.0),
+		answerList("B", 100, 1.0, 0.5, 0.2),
 	}
-	got := fuse(MergeNormalized, lists, []string{"A", "B"}, 4)
+	got := fuse(MergeNormalized, lists, 4)
 	// Normalised: A = 1.0, 0.375, 0.0; B = 1.0, 0.375, 0.0.
 	// Ties break by global doc: A:0, B:0, A:1, B:1.
 	want := []string{"A:0", "B:0", "A:1", "B:1"}
@@ -88,14 +88,14 @@ func TestFuseNormalized(t *testing.T) {
 }
 
 func TestNormalizeSingleAnswer(t *testing.T) {
-	lists := normalizeLists(map[string][]Answer{
-		"A": answerList("A", 0, 42.0),
-		"B": nil,
+	lists := normalizeLists([][]Answer{
+		answerList("A", 0, 42.0),
+		nil,
 	})
-	if lists["A"][0].Score != 1 {
-		t.Fatalf("single answer normalised to %f, want 1", lists["A"][0].Score)
+	if lists[0][0].Score != 1 {
+		t.Fatalf("single answer normalised to %f, want 1", lists[0][0].Score)
 	}
-	if lists["B"] != nil {
+	if lists[1] != nil {
 		t.Fatal("empty list must stay empty")
 	}
 }
@@ -113,24 +113,24 @@ func TestMergeStrategyString(t *testing.T) {
 }
 
 func TestFuseAllEmptyLists(t *testing.T) {
-	empty := map[string][]Answer{"A": nil, "B": {}, "C": nil}
+	empty := [][]Answer{nil, {}, nil}
 	for _, strategy := range []MergeStrategy{MergeFaceValue, MergeRoundRobin, MergeNormalized} {
-		if got := fuse(strategy, empty, []string{"A", "B", "C"}, 10); len(got) != 0 {
+		if got := fuse(strategy, empty, 10); len(got) != 0 {
 			t.Fatalf("%v over empty lists returned %v", strategy, keysOf(got))
 		}
-		if got := fuse(strategy, map[string][]Answer{}, nil, 10); len(got) != 0 {
+		if got := fuse(strategy, nil, 10); len(got) != 0 {
 			t.Fatalf("%v over no lists returned %v", strategy, keysOf(got))
 		}
 	}
 }
 
 func TestFuseKLargerThanTotal(t *testing.T) {
-	lists := map[string][]Answer{
-		"A": answerList("A", 0, 0.9, 0.3),
-		"B": answerList("B", 100, 0.7),
+	lists := [][]Answer{
+		answerList("A", 0, 0.9, 0.3),
+		answerList("B", 100, 0.7),
 	}
 	for _, strategy := range []MergeStrategy{MergeFaceValue, MergeRoundRobin, MergeNormalized} {
-		got := fuse(strategy, lists, []string{"A", "B"}, 50)
+		got := fuse(strategy, lists, 50)
 		if len(got) != 3 {
 			t.Fatalf("%v with k=50 over 3 candidates returned %d", strategy, len(got))
 		}
@@ -142,12 +142,12 @@ func TestFuseKLargerThanTotal(t *testing.T) {
 // append would resurrect (or a cache-sharing caller's append would corrupt)
 // them.
 func TestFuseNoHiddenCapacity(t *testing.T) {
-	lists := map[string][]Answer{
-		"A": answerList("A", 0, 0.9, 0.8, 0.7, 0.6, 0.5),
-		"B": answerList("B", 100, 0.95, 0.85, 0.75),
+	lists := [][]Answer{
+		answerList("A", 0, 0.9, 0.8, 0.7, 0.6, 0.5),
+		answerList("B", 100, 0.95, 0.85, 0.75),
 	}
 	for _, strategy := range []MergeStrategy{MergeFaceValue, MergeRoundRobin, MergeNormalized} {
-		got := fuse(strategy, lists, []string{"A", "B"}, 3)
+		got := fuse(strategy, lists, 3)
 		if len(got) != 3 {
 			t.Fatalf("%v returned %d answers, want 3", strategy, len(got))
 		}
@@ -159,23 +159,23 @@ func TestFuseNoHiddenCapacity(t *testing.T) {
 }
 
 // TestFuseConstantScoresDeterministic: when every candidate scores the same,
-// the winner set must not depend on Go's randomized map iteration order. 50
-// freshly built maps over 8 librarians must fuse identically.
+// the winner set is decided by the tie rule alone: 50 freshly built sets of
+// lists over 8 librarians must fuse identically.
 func TestFuseConstantScoresDeterministic(t *testing.T) {
 	names := []string{"L0", "L1", "L2", "L3", "L4", "L5", "L6", "L7"}
-	build := func() map[string][]Answer {
-		lists := make(map[string][]Answer, len(names))
+	build := func() [][]Answer {
+		lists := make([][]Answer, len(names))
 		for i, name := range names {
-			lists[name] = answerList(name, uint32(i*100), 0.5, 0.5, 0.5)
+			lists[i] = answerList(name, uint32(i*100), 0.5, 0.5, 0.5)
 		}
 		return lists
 	}
 	for _, strategy := range []MergeStrategy{MergeFaceValue, MergeRoundRobin, MergeNormalized} {
-		want := keysOf(fuse(strategy, build(), names, 5))
+		want := keysOf(fuse(strategy, build(), 5))
 		for round := 0; round < 50; round++ {
-			got := keysOf(fuse(strategy, build(), names, 5))
+			got := keysOf(fuse(strategy, build(), 5))
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v round %d: %v, want %v (map-order dependent)", strategy, round, got, want)
+				t.Fatalf("%v round %d: %v, want %v (order dependent)", strategy, round, got, want)
 			}
 		}
 	}
@@ -184,10 +184,10 @@ func TestFuseConstantScoresDeterministic(t *testing.T) {
 // TestNormalizeConstantScores: a list where min == max maps every score to
 // 1 rather than dividing by zero.
 func TestNormalizeConstantScores(t *testing.T) {
-	lists := normalizeLists(map[string][]Answer{
-		"A": answerList("A", 0, 3.0, 3.0, 3.0),
+	lists := normalizeLists([][]Answer{
+		answerList("A", 0, 3.0, 3.0, 3.0),
 	})
-	for i, a := range lists["A"] {
+	for i, a := range lists[0] {
 		if a.Score != 1 {
 			t.Fatalf("constant-score answer %d normalised to %f, want 1", i, a.Score)
 		}

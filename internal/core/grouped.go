@@ -166,25 +166,13 @@ func (g *GroupedIndex) NumGroups() uint32 { return g.engine.Index().NumDocs() }
 // central index.
 func (g *GroupedIndex) SizeBytes() uint64 { return g.engine.Index().SizeBytes() }
 
-// RankGroups returns the k' best groups for the query, using the grouped
-// index's own statistics, together with the index work performed.
-func (g *GroupedIndex) RankGroups(query string, kPrime int) ([]uint32, search.Stats, error) {
-	s := search.GetScratch()
-	defer s.Release()
-	return g.RankGroupsWith(s, query, kPrime)
-}
-
-// RankGroupsWith is RankGroups on a caller-owned search.Scratch, letting the
-// CI query path reuse one set of kernel accumulators across queries.
-func (g *GroupedIndex) RankGroupsWith(s *search.Scratch, query string, kPrime int) ([]uint32, search.Stats, error) {
-	return g.RankGroupsEval(s, query, kPrime, search.EvalExact)
-}
-
-// RankGroupsEval is RankGroupsWith under an explicit evaluation strategy, so
-// CI's central ranking benefits from the same rank-safe dynamic pruning as
-// the librarians' rank phase.
+// RankGroupsEval returns the k' best groups for the query under eval, with
+// the grouped index's own statistics, on a caller-owned search.Scratch,
+// together with the index work performed. It is search.RankParts over the
+// grouped index as one part, so CI's central ranking runs the librarians'
+// kernel and its rank-safe pruning.
 func (g *GroupedIndex) RankGroupsEval(s *search.Scratch, query string, kPrime int, eval search.Evaluator) ([]uint32, search.Stats, error) {
-	results, stats, err := g.engine.RankWithEval(s, query, kPrime, nil, eval)
+	results, stats, err := search.RankParts(nil, s, []search.Part{{Engine: g.engine}}, query, kPrime, nil, eval)
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: rank groups: %w", err)
 	}

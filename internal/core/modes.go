@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"teraphim/internal/protocol"
@@ -177,7 +176,7 @@ func (e *exec) queryCI(res *Result, query string) error {
 func (e *exec) collate(res *Result, replies map[string]protocol.Message) error {
 	mergeStart := time.Now()
 	defer func() { res.Trace.Stages.Merge += time.Since(mergeStart) }()
-	lists := make(map[string][]Answer, len(replies))
+	lists := make([][]Answer, len(e.fed.libs))
 	total := 0
 	for name, reply := range replies {
 		rr, ok := reply.(*protocol.RankReply)
@@ -197,10 +196,7 @@ func (e *exec) collate(res *Result, replies map[string]protocol.Message) error {
 				Score:     sd.Score,
 			})
 		}
-		// Librarians return rankings best-first; ScoreDocs replies (CI)
-		// arrive in document order, so restore score order here.
-		sort.SliceStable(answers, func(i, j int) bool { return answers[i].Score > answers[j].Score })
-		lists[name] = answers
+		lists[li.idx] = answers
 		if e.blobs != nil {
 			for _, blob := range rr.Docs {
 				e.blobs[docKey{li.idx, blob.Doc}] = blob
@@ -209,6 +205,6 @@ func (e *exec) collate(res *Result, replies map[string]protocol.Message) error {
 		total += len(answers)
 	}
 	res.Trace.MergeCandidates = total
-	res.Answers = fuse(e.merge, lists, e.fed.Librarians(), e.k)
+	res.Answers = fuse(e.merge, lists, e.k)
 	return nil
 }

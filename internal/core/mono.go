@@ -46,14 +46,15 @@ func (m *MonoServer) Query(query string, k int, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranking, err := m.engine.RankEval(query, pl.k, nil, pl.eval)
+	s := search.GetScratch()
+	results, stats, err := search.RankParts(nil, s, []search.Part{{Engine: m.engine}}, query, pl.k, nil, pl.eval)
+	s.Release()
 	if err != nil {
 		return nil, fmt.Errorf("core: mono-server rank: %w", err)
 	}
-	results := ranking.Results
 	res := &Result{}
 	res.Trace.Mode = ModeMS
-	res.Trace.CentralStats = ranking.Stats
+	res.Trace.CentralStats = stats
 	res.Trace.MergeCandidates = len(results)
 	res.Answers = make([]Answer, 0, len(results))
 	for _, sr := range results {

@@ -34,6 +34,7 @@ func (r *Runner) Skipping(w io.Writer) error {
 		return err
 	}
 	cpu := costmodel.Era1995CPU()
+	scratch := search.NewScratch()
 
 	shortQueries := r.Corpus.QueriesOf(trecsynth.ShortQuery)
 	headQuery := headTermQuery(withSkips, 8)
@@ -52,7 +53,7 @@ func (r *Runner) Skipping(w io.Writer) error {
 			var withD, withoutD uint64
 			queriesScored := 0
 			for _, qText := range mix.queries {
-				groups, _, err := gi.RankGroups(qText, kPrime)
+				groups, _, err := gi.RankGroupsEval(scratch, qText, kPrime, search.EvalExact)
 				if err != nil {
 					return err
 				}

@@ -1,7 +1,6 @@
-package search
+package experiments
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,11 +9,15 @@ import (
 	"testing"
 
 	"teraphim/internal/index"
+	"teraphim/internal/search"
+	"teraphim/internal/textproc"
 )
 
-func buildFreqSorted(t testing.TB, docs []string) (*PrunedEngine, *Engine) {
+// persinFixture indexes docs (whitespace-separated terms, no stopping or
+// stemming) document-sorted and frequency-sorted.
+func persinFixture(t testing.TB, docs []string) (*freqSorted, *search.Engine) {
 	t.Helper()
-	a := plainAnalyzer()
+	a := textproc.NewAnalyzer(textproc.WithoutStopwords(), textproc.WithoutStemming())
 	b := index.NewBuilder()
 	for _, d := range docs {
 		b.Add(a.Terms(nil, d))
@@ -23,11 +26,11 @@ func buildFreqSorted(t testing.TB, docs []string) (*PrunedEngine, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := index.BuildFreqSorted(ix)
+	fs, err := buildFreqSorted(ix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPrunedEngine(fs, a), NewEngine(ix, a)
+	return fs, search.NewEngine(ix, a)
 }
 
 // TestPrunedZeroThresholdExact pins the key correctness property: with zero
@@ -43,18 +46,18 @@ func TestPrunedZeroThresholdExact(t *testing.T) {
 		}
 		docs[i] = sb.String()
 	}
-	pruned, exact := buildFreqSorted(t, docs)
+	fs, exact := persinFixture(t, docs)
 	for _, q := range []string{"w1 w2 w3", "w10 w200 w299 w4 w4", "w7"} {
 		ranking, err := exact.Rank(q, 25, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := ranking.Results
+		ranking, err = fs.rank(exact.Analyzer(), q, 25, thresholds{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranking, err = pruned.Rank(q, 25, Thresholds{})
 		got := ranking.Results
-		if err != nil {
-			t.Fatal(err)
-		}
 		if len(got) != len(want) {
 			t.Fatalf("query %q: pruned %d results, exact %d", q, len(got), len(want))
 		}
@@ -92,19 +95,19 @@ func TestPrunedThresholdSavesWork(t *testing.T) {
 		}
 		docs[i] = sb.String()
 	}
-	pruned, _ := buildFreqSorted(t, docs)
+	fs, exact := persinFixture(t, docs)
 	query := "w1 w2 w3 w4 w5"
 
-	ranking, err := pruned.Rank(query, 20, Thresholds{})
+	ranking, err := fs.rank(exact.Analyzer(), query, 20, thresholds{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	full, fullStats := ranking.Results, ranking.Stats
+	ranking, err = fs.rank(exact.Analyzer(), query, 20, thresholds{Insert: 0.55, Add: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranking, err = pruned.Rank(query, 20, Thresholds{Insert: 0.55, Add: 0.4})
 	cut, cutStats := ranking.Results, ranking.Stats
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cutStats.PostingsDecoded >= fullStats.PostingsDecoded {
 		t.Fatalf("thresholding decoded %d postings vs full %d: no saving",
 			cutStats.PostingsDecoded, fullStats.PostingsDecoded)
@@ -129,17 +132,17 @@ func TestPrunedThresholdSavesWork(t *testing.T) {
 }
 
 func TestPrunedValidation(t *testing.T) {
-	pruned, _ := buildFreqSorted(t, []string{"a b c", "b c d"})
-	if _, err := pruned.Rank("a", 0, Thresholds{}); err == nil {
+	fs, exact := persinFixture(t, []string{"a b c", "b c d"})
+	a := exact.Analyzer()
+	if _, err := fs.rank(a, "a", 0, thresholds{}); err == nil {
 		t.Fatal("k=0: want error")
 	}
-	if _, err := pruned.Rank("!!!", 5, Thresholds{}); err != ErrEmptyQuery {
+	if _, err := fs.rank(a, "!!!", 5, thresholds{}); !errors.Is(err, search.ErrEmptyQuery) {
 		t.Fatalf("want ErrEmptyQuery, got %v", err)
 	}
-	ranking, err := pruned.Rank("zzz", 5, Thresholds{})
-	results := ranking.Results
-	if err != nil || len(results) != 0 {
-		t.Fatalf("unknown term: %v, %v", results, err)
+	ranking, err := fs.rank(a, "zzz", 5, thresholds{})
+	if err != nil || len(ranking.Results) != 0 {
+		t.Fatalf("unknown term: %v, %v", ranking.Results, err)
 	}
 }
 
@@ -160,14 +163,14 @@ func TestPrunedTiedCapDeterministicOrder(t *testing.T) {
 		"aa aa aa aa bb", // d2: aa f=4, bb f=1
 		"aa bb bb bb bb", // d3: aa f=1, bb f=4
 	}
-	pruned, _ := buildFreqSorted(t, docs)
-	th := Thresholds{Insert: 0.9}
-	var first []Result
+	fs, exact := persinFixture(t, docs)
+	th := thresholds{Insert: 0.9}
+	var first []search.Result
 	for run := 0; run < 25; run++ {
 		// Query order "bb aa": without the tie-break the sort leaves the
 		// tied terms in appearance order and bb runs first, flipping the
 		// d2/d3 outcome — which is exactly what this test pins against.
-		ranking, err := pruned.Rank("bb aa", 4, th)
+		ranking, err := fs.rank(exact.Analyzer(), "bb aa", 4, th)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,25 +206,10 @@ func TestPrunedTiedCapDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestPrunedContextCancellation: PrunedEngine now follows the context-first
-// convention — a cancelled context stops the evaluation with its error.
-func TestPrunedContextCancellation(t *testing.T) {
-	pruned, _ := buildFreqSorted(t, []string{"a b c", "b c d"})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := pruned.RankContext(ctx, "a b", 5, Thresholds{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, err := pruned.RankContext(context.Background(), "a b", 5, Thresholds{}); err != nil {
-		t.Fatalf("live context: %v", err)
-	}
-}
-
 // TestPrunedMetricsAccounting pins the pruned path's Stats against the
 // exact engine's on the same collection: with zero thresholds every counter
-// the two organisations share must agree, and IndexBytesRead — which the
-// pruned path previously never set — must equal the frequency-sorted sizes
-// of the matched lists.
+// the two organisations share must agree, and IndexBytesRead must equal the
+// frequency-sorted sizes of the matched lists.
 func TestPrunedMetricsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	docs := make([]string, 400)
@@ -232,13 +220,13 @@ func TestPrunedMetricsAccounting(t *testing.T) {
 		}
 		docs[i] = sb.String()
 	}
-	pruned, exact := buildFreqSorted(t, docs)
+	fs, exact := persinFixture(t, docs)
 	query := "w1 w2 w3 w999" // w999 absent
 	exactRanking, err := exact.Rank(query, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prunedRanking, err := pruned.Rank(query, 10, Thresholds{})
+	prunedRanking, err := fs.rank(exact.Analyzer(), query, 10, thresholds{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,44 +237,40 @@ func TestPrunedMetricsAccounting(t *testing.T) {
 	}
 	var wantBytes uint64
 	for _, term := range []string{"w1", "w2", "w3"} {
-		lb := pruned.fs.ListBytes(term)
+		lb := uint64(len(fs.lists[term].data))
 		if lb == 0 {
-			t.Fatalf("ListBytes(%q) = 0", term)
+			t.Fatalf("list bytes of %q = 0", term)
 		}
 		wantBytes += lb
 	}
-	if pruned.fs.ListBytes("w999") != 0 {
-		t.Fatal("ListBytes of absent term != 0")
+	if _, ok := fs.lists["w999"]; ok {
+		t.Fatal("absent term has a list")
 	}
 	if ps.IndexBytesRead != wantBytes {
-		t.Fatalf("IndexBytesRead = %d, want sum of matched ListBytes %d", ps.IndexBytesRead, wantBytes)
+		t.Fatalf("IndexBytesRead = %d, want sum of matched list bytes %d", ps.IndexBytesRead, wantBytes)
 	}
 }
 
 func TestFreqSortedIndexProperties(t *testing.T) {
-	_, exact := buildFreqSorted(t, []string{
+	fs, _ := persinFixture(t, []string{
 		"x x x y", // x f=3
 		"x y y",   // x f=1, y f=2
 		"x x z",   // x f=2
 	})
-	fs, err := index.BuildFreqSorted(exact.Index())
-	if err != nil {
-		t.Fatal(err)
+	if fs.lists["x"].ft != 3 || fs.lists["absent"].ft != 0 {
+		t.Fatalf("f_t wrong")
 	}
-	if fs.TermFreq("x") != 3 || fs.TermFreq("absent") != 0 {
-		t.Fatalf("TermFreq wrong")
+	if fs.lists["x"].maxFDT != 3 {
+		t.Fatalf("max f_dt of x = %d, want 3", fs.lists["x"].maxFDT)
 	}
-	if fs.MaxFDT("x") != 3 {
-		t.Fatalf("MaxFDT(x) = %d, want 3", fs.MaxFDT("x"))
-	}
-	cur, err := fs.Cursor("x")
-	if err != nil {
-		t.Fatal(err)
+	var c freqCursor
+	if !c.open(fs.lists["x"], fs.numDocs) {
+		t.Fatal("open x: false")
 	}
 	var fdts []uint32
 	var total int
 	for {
-		fdt, docs, ok := cur.NextRun()
+		fdt, docs, ok := c.nextRun()
 		if !ok {
 			break
 		}
@@ -301,14 +285,52 @@ func TestFreqSortedIndexProperties(t *testing.T) {
 			t.Fatalf("runs not in decreasing f_dt order: %v", fdts)
 		}
 	}
-	if _, err := fs.Cursor("absent"); err == nil {
-		t.Fatal("absent term cursor: want error")
+	if fs.bytes == 0 || fs.numDocs != 3 {
+		t.Fatal("size/docs wrong")
 	}
-	if _, err := fs.DocWeight(99); err == nil {
-		t.Fatal("out-of-range DocWeight: want error")
+}
+
+// TestFreqCursorReset checks the frequency-sorted cursor's reuse path
+// against fresh cursors, run for run.
+func TestFreqCursorReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	docs := make([]string, 400)
+	for d := range docs {
+		terms := []string{"common"} // full-length list: one posting per doc
+		for i := 0; i < 8; i++ {
+			terms = append(terms, "t"+strconv.Itoa(rng.Intn(50)))
+		}
+		for i := 0; i < rng.Intn(3); i++ {
+			terms = append(terms, "rare"+strconv.Itoa(rng.Intn(500)))
+		}
+		docs[d] = strings.Join(terms, " ")
 	}
-	if fs.SizeBytes() == 0 || fs.NumDocs() != 3 {
-		t.Fatal("size/docs accessors wrong")
+	fs, _ := persinFixture(t, docs)
+	var reused freqCursor
+	for term, l := range fs.lists {
+		var fresh freqCursor
+		if !fresh.open(l, fs.numDocs) || !reused.open(l, fs.numDocs) {
+			t.Fatalf("term %q: open failed", term)
+		}
+		for {
+			f1, d1, ok1 := fresh.nextRun()
+			f2, d2, ok2 := reused.nextRun()
+			if ok1 != ok2 || f1 != f2 || len(d1) != len(d2) {
+				t.Fatalf("term %q: run diverged (ok %v/%v, fdt %d/%d, len %d/%d)",
+					term, ok1, ok2, f1, f2, len(d1), len(d2))
+			}
+			if !ok1 {
+				break
+			}
+			for i := range d1 {
+				if d1[i] != d2[i] {
+					t.Fatalf("term %q fdt %d doc %d: %d vs %d", term, f1, i, d1[i], d2[i])
+				}
+			}
+		}
+		if fresh.decoded != reused.decoded {
+			t.Fatalf("term %q: decoded %d vs %d", term, fresh.decoded, reused.decoded)
+		}
 	}
 }
 
@@ -322,11 +344,11 @@ func BenchmarkPrunedRank(b *testing.B) {
 		}
 		docs[i] = sb.String()
 	}
-	pruned, _ := buildFreqSorted(b, docs)
+	fs, exact := persinFixture(b, docs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pruned.Rank("w1 w2 w3 w4 w5 w6", 20, Thresholds{Insert: 0.1, Add: 0.02}); err != nil {
+		if _, err := fs.rank(exact.Analyzer(), "w1 w2 w3 w4 w5 w6", 20, thresholds{Insert: 0.1, Add: 0.02}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"teraphim/internal/eval"
-	"teraphim/internal/index"
 	"teraphim/internal/search"
 	"teraphim/internal/trecsynth"
 )
@@ -18,16 +17,15 @@ import (
 // pruning; effectiveness and decoded postings are reported for the short
 // query set against the MS collection.
 func (r *Runner) FreqSorted(w io.Writer) error {
-	fs, err := index.BuildFreqSorted(r.mono.Engine().Index())
+	fs, err := buildFreqSorted(r.mono.Engine().Index())
 	if err != nil {
-		return fmt.Errorf("experiments: build frequency-sorted index: %w", err)
+		return err
 	}
-	engine := search.NewPrunedEngine(fs, r.analyzer)
 	queries := r.Corpus.QueriesOf(trecsynth.ShortQuery)
 
 	line(w, "Frequency-sorted index with per-query thresholding (short queries, MS ranking)\n")
 	line(w, "%-24s %18s %14s %16s\n", "Thresholds", "postings/query", "11-pt avg (%)", "Rel. in top 20")
-	for _, th := range []search.Thresholds{
+	for _, th := range []thresholds{
 		{},
 		{Insert: 0.30, Add: 0.20},
 		{Insert: 0.45, Add: 0.35},
@@ -36,7 +34,7 @@ func (r *Runner) FreqSorted(w io.Writer) error {
 		runs := make(map[string]eval.Run, len(queries))
 		var decoded uint64
 		for _, q := range queries {
-			ranking, err := engine.Rank(q.Text, evalDepth, th)
+			ranking, err := fs.rank(r.analyzer, q.Text, evalDepth, th)
 			results, stats := ranking.Results, ranking.Stats
 			if err != nil {
 				return err
@@ -57,7 +55,7 @@ func (r *Runner) FreqSorted(w io.Writer) error {
 			label, decoded/uint64(len(queries)), s.ElevenPtAvg, s.MeanRelevantTop)
 	}
 	line(w, "(frequency-sorted index: %d B vs document-sorted %d B)\n",
-		fs.SizeBytes(), r.mono.Engine().Index().SizeBytes())
+		fs.bytes, r.mono.Engine().Index().SizeBytes())
 	return nil
 }
 

@@ -301,8 +301,8 @@ func (ix *Index) MaxInvDocWeight() float64 {
 // yields the exact per-list contribution cap w_qt·log(MaxFDT+1) that the
 // rank-safe evaluators prune against. The whole table is computed on first
 // use — one sequential decode of every list, amortised across all
-// subsequent queries — because, unlike FreqSorted, the document-sorted
-// format does not carry the maximum in its dictionary. A corrupt list
+// subsequent queries — because the document-sorted format does not carry
+// the maximum in its dictionary. A corrupt list
 // yields the maximum of its decodable prefix, which still bounds every
 // posting any evaluator can reach.
 func (ix *Index) MaxFDT(term string) uint32 {

@@ -161,46 +161,6 @@ func TestListBytesExact(t *testing.T) {
 	}
 }
 
-// TestFreqCursorReset checks the frequency-sorted cursor's reuse path
-// against fresh cursors, run for run.
-func TestFreqCursorReset(t *testing.T) {
-	ix := buildRandom(t, 400)
-	fs, err := BuildFreqSorted(ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reused FreqCursor
-	ix.Terms(func(term string, ft uint32) bool {
-		fresh, err := fs.Cursor(term)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.ResetCursor(&reused, term); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			f1, d1, ok1 := fresh.NextRun()
-			f2, d2, ok2 := reused.NextRun()
-			if ok1 != ok2 || f1 != f2 || len(d1) != len(d2) {
-				t.Fatalf("term %q: run diverged (ok %v/%v, fdt %d/%d, len %d/%d)",
-					term, ok1, ok2, f1, f2, len(d1), len(d2))
-			}
-			if !ok1 {
-				break
-			}
-			for i := range d1 {
-				if d1[i] != d2[i] {
-					t.Fatalf("term %q fdt %d doc %d: %d vs %d", term, f1, i, d1[i], d2[i])
-				}
-			}
-		}
-		if fresh.Decoded() != reused.Decoded() {
-			t.Fatalf("term %q: decoded %d vs %d", term, fresh.Decoded(), reused.Decoded())
-		}
-		return true
-	})
-}
-
 // TestInvDocWeights checks the reciprocal table against DocWeight, including
 // the zero-weight convention.
 func TestInvDocWeights(t *testing.T) {

@@ -125,28 +125,14 @@ func (m *manifest) score(scratch *search.Scratch, q *protocol.ScoreDocs) protoco
 	return evalReply(search.ScoreParts(scratch, m.parts, q.Query, q.Docs, q.Weights, int(q.K)))
 }
 
+// boolean parses the expression once, with the librarian's one analyser,
+// and evaluates it over the segments as one collection.
 func (m *manifest) boolean(q *protocol.BooleanQuery) protocol.Message {
-	var docs []uint32
-	var stats search.Stats
-	for _, sg := range m.segs {
-		bq, err := sg.engine.ParseBoolean(q.Expr)
-		if err != nil {
-			return &protocol.ErrorReply{Message: err.Error()}
-		}
-		res, st := sg.engine.EvaluateBoolean(bq)
-		stats.Add(st)
-		// Per-segment evaluation composes exactly: NOT complements within
-		// each segment's range, and concatenation in base order restores the
-		// global ascending-id order a single index returns.
-		for i := range res {
-			res[i] += sg.base
-		}
-		if docs == nil {
-			docs = res
-		} else {
-			docs = append(docs, res...)
-		}
+	bq, err := m.segs[0].engine.ParseBoolean(q.Expr)
+	if err != nil {
+		return &protocol.ErrorReply{Message: err.Error()}
 	}
+	docs, stats := search.BooleanParts(m.parts, bq)
 	return &protocol.BooleanReply{Docs: docs, Stats: stats}
 }
 

@@ -224,27 +224,34 @@ func TestRankAcrossSegmentsMatchesPerSegmentSort(t *testing.T) {
 	}
 }
 
-// TestRankAllocationsFlatInSegments: a rank request dispatched to the parity
-// corpus allocates the same served as 1, 2 or 5 segments, under every
-// evaluator — nothing of a query's evaluation is per segment.
+// TestRankAllocationsFlatInSegments: a rank request under every evaluator,
+// and a Boolean request, dispatched to the parity corpus allocate the same
+// served as 1, 2 or 5 segments — nothing of a query's evaluation is per
+// segment.
 func TestRankAllocationsFlatInSegments(t *testing.T) {
 	docs, queries := parityCorpus(t)
 	libs := []*Librarian{servedAs(t, docs, 1), servedAs(t, docs, 2), servedAs(t, docs, 5)}
+	terms := strings.Fields(queries[0].Text)
+	reqs := map[string]protocol.Message{
+		"boolean": &protocol.BooleanQuery{Expr: fmt.Sprintf("%s or (%s and not %s)", terms[0], terms[1], terms[2])},
+	}
 	for _, eval := range []search.Evaluator{search.EvalExact, search.EvalMaxScore, search.EvalWAND} {
-		req := &protocol.RankQuery{Query: queries[0].Text, K: 20, Evaluator: uint8(eval)}
+		reqs["rank "+eval.String()] = &protocol.RankQuery{Query: queries[0].Text, K: 20, Evaluator: uint8(eval)}
+	}
+	for label, req := range reqs {
 		var counts []float64
 		for _, lib := range libs {
 			scratch := search.NewScratch()
 			dispatch := func() {
-				if _, ok := lib.dispatch(scratch, req, 0).(*protocol.RankReply); !ok {
-					t.Fatal("rank request not answered with a ranking")
+				if er, ok := lib.dispatch(scratch, req, 0).(*protocol.ErrorReply); ok {
+					t.Fatalf("%s: %s", label, er.Message)
 				}
 			}
 			dispatch()
 			counts = append(counts, testing.AllocsPerRun(50, dispatch))
 		}
 		if counts[1] != counts[0] || counts[2] != counts[0] {
-			t.Fatalf("%v: allocations per rank over 1, 2, 5 segments = %v, want equal", eval, counts)
+			t.Fatalf("%s: allocations per request over 1, 2, 5 segments = %v, want equal", label, counts)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package search
 import (
 	"fmt"
 	"strings"
+
+	"teraphim/internal/index"
 )
 
 // The paper contrasts ranked queries with Boolean queries, whose distributed
@@ -19,13 +21,23 @@ import (
 // Terms pass through the engine's analyzer; a term that analyses to nothing
 // (for example a stopword) matches no documents.
 
-// BooleanQuery is a parsed Boolean expression ready for evaluation.
+// BooleanQuery is a parsed Boolean expression: a tree of analysed terms that
+// names no engine, so one parse evaluates over every part of a collection.
 type BooleanQuery struct {
 	root boolNode
 }
 
 type boolNode interface {
-	eval(e *Engine, stats *Stats) []uint32
+	eval(b *boolEval) []uint32
+}
+
+// boolEval is one evaluation over parts tiling [0, total): each term's lists
+// are read part by part, through one reused cursor, into one list of ids.
+type boolEval struct {
+	parts []Part
+	total uint32
+	cur   index.TermCursor
+	stats Stats
 }
 
 type andNode struct{ left, right boolNode }
@@ -47,13 +59,25 @@ func (e *Engine) ParseBoolean(expr string) (*BooleanQuery, error) {
 	return &BooleanQuery{root: root}, nil
 }
 
-// EvaluateBoolean returns the sorted document ids matching the expression.
+// EvaluateBoolean is BooleanParts over this engine alone.
 func (e *Engine) EvaluateBoolean(q *BooleanQuery) ([]uint32, Stats) {
-	var stats Stats
+	return BooleanParts([]Part{{Engine: e}}, q)
+}
+
+// BooleanParts returns, ascending, the ids in the space parts tile of the
+// documents matching q. NOT complements over the whole space, and a term is
+// one list of ids however many parts hold it, so an evaluation allocates the
+// same whatever the number of parts.
+func BooleanParts(parts []Part, q *BooleanQuery) ([]uint32, Stats) {
 	if q == nil || q.root == nil {
-		return nil, stats
+		return nil, Stats{}
 	}
-	return q.root.eval(e, &stats), stats
+	b := &boolEval{parts: parts}
+	for _, p := range parts {
+		b.total += p.Engine.ix.NumDocs()
+	}
+	docs := q.root.eval(b)
+	return docs, b.stats
 }
 
 func tokenizeBoolean(expr string) []string {
@@ -166,33 +190,34 @@ func (p *boolParser) parseNot() (boolNode, error) {
 	}
 }
 
-func (n *termNode) eval(e *Engine, stats *Stats) []uint32 {
-	stats.TermsLooked++
-	if n.term == "" {
+func (n *termNode) eval(b *boolEval) []uint32 {
+	b.stats.TermsLooked++
+	var ft int
+	for _, p := range b.parts {
+		ft += int(p.Engine.ix.TermFreq(n.term))
+	}
+	if ft == 0 {
 		return nil
 	}
-	cur, err := e.ix.Cursor(n.term)
-	if err != nil {
-		return nil
-	}
-	stats.ListsFetched++
-	docs := make([]uint32, 0, cur.FT())
-	for {
-		blk := cur.NextBlock()
-		if blk == nil {
-			break
+	docs := make([]uint32, 0, ft)
+	for _, p := range b.parts {
+		if !p.Engine.ix.OpenCursor(&b.cur, n.term) {
+			continue
 		}
-		for _, p := range blk {
-			docs = append(docs, p.Doc)
+		b.stats.ListsFetched++
+		for blk := b.cur.NextBlock(); blk != nil; blk = b.cur.NextBlock() {
+			for _, post := range blk {
+				docs = append(docs, p.Base+post.Doc)
+			}
 		}
+		b.stats.PostingsDecoded += b.cur.DecodedPostings
 	}
-	stats.PostingsDecoded += cur.DecodedPostings
 	return docs
 }
 
-func (n *andNode) eval(e *Engine, stats *Stats) []uint32 {
-	a := n.left.eval(e, stats)
-	b := n.right.eval(e, stats)
+func (n *andNode) eval(ev *boolEval) []uint32 {
+	a := n.left.eval(ev)
+	b := n.right.eval(ev)
 	out := a[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -210,9 +235,9 @@ func (n *andNode) eval(e *Engine, stats *Stats) []uint32 {
 	return out
 }
 
-func (n *orNode) eval(e *Engine, stats *Stats) []uint32 {
-	a := n.left.eval(e, stats)
-	b := n.right.eval(e, stats)
+func (n *orNode) eval(ev *boolEval) []uint32 {
+	a := n.left.eval(ev)
+	b := n.right.eval(ev)
 	out := make([]uint32, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
@@ -232,11 +257,11 @@ func (n *orNode) eval(e *Engine, stats *Stats) []uint32 {
 	return out
 }
 
-func (n *notNode) eval(e *Engine, stats *Stats) []uint32 {
-	excluded := n.child.eval(e, stats)
-	out := make([]uint32, 0, int(e.ix.NumDocs())-len(excluded))
+func (n *notNode) eval(b *boolEval) []uint32 {
+	excluded := n.child.eval(b)
+	out := make([]uint32, 0, int(b.total)-len(excluded))
 	j := 0
-	for d := uint32(0); d < e.ix.NumDocs(); d++ {
+	for d := uint32(0); d < b.total; d++ {
 		if j < len(excluded) && excluded[j] == d {
 			j++
 			continue

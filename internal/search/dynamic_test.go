@@ -30,7 +30,7 @@ func TestDynamicPruningGoldenRankSafety(t *testing.T) {
 					if err != nil {
 						t.Fatalf("exact k=%d query %q (%s): %v", k, q, mode, err)
 					}
-					got, err := e.RankEval(q, k, weights, eval)
+					got, err := rankEval(e, q, k, weights, eval)
 					if err != nil {
 						t.Fatalf("%v k=%d query %q (%s): %v", eval, k, q, mode, err)
 					}
@@ -40,6 +40,12 @@ func TestDynamicPruningGoldenRankSafety(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rankEval is RankParts over e alone under eval, on a fresh Scratch.
+func rankEval(e *Engine, q string, k int, weights map[string]float64, eval Evaluator) (Ranking, error) {
+	results, stats, err := RankParts(nil, NewScratch(), []Part{{Engine: e}}, q, k, weights, eval)
+	return Ranking{Results: results, Stats: stats}, err
 }
 
 func assertSameRanking(t *testing.T, label string, got, want []Result) {
@@ -85,7 +91,7 @@ func TestDynamicPruningRandomizedParity(t *testing.T) {
 			k := 1 + rng.Intn(nDocs+10)
 			exact, exactErr := e.Rank(q, k, nil)
 			for _, eval := range dynamicEvaluators {
-				got, err := e.RankEval(q, k, nil, eval)
+				got, err := rankEval(e, q, k, nil, eval)
 				if (err == nil) != (exactErr == nil) || (err != nil && !errors.Is(err, exactErr) && err.Error() != exactErr.Error()) {
 					t.Fatalf("seed %d %v query %q k=%d: err %v, exact err %v", seed, eval, q, k, err, exactErr)
 				}
@@ -114,7 +120,7 @@ func TestDynamicPruningStatsUnpruned(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eval := range dynamicEvaluators {
-			got, err := e.RankEval(q, k, nil, eval)
+			got, err := rankEval(e, q, k, nil, eval)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +144,7 @@ func TestDynamicPruningSavesWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.RankEval(q, 10, nil, eval)
+			got, err := rankEval(e, q, 10, nil, eval)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,14 +190,14 @@ func TestDynamicPruningAllocations(t *testing.T) {
 	}
 }
 
-// TestRankContextEvalCancellation: a pre-cancelled context stops every
-// evaluator before (or promptly after) it starts.
+// TestRankContextEvalCancellation: a pre-cancelled context stops RankParts
+// under every evaluator before (or promptly after) it starts.
 func TestRankContextEvalCancellation(t *testing.T) {
 	e, queries := goldenCorpus(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, eval := range []Evaluator{EvalExact, EvalMaxScore, EvalWAND} {
-		_, err := e.RankContextEval(ctx, queries[0], 10, nil, eval)
+		_, _, err := RankParts(ctx, NewScratch(), []Part{{Engine: e}}, queries[0], 10, nil, eval)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want context.Canceled", eval, err)
 		}
@@ -202,7 +208,7 @@ func TestRankContextEvalCancellation(t *testing.T) {
 // with the typed error, and the parse/String round trip holds.
 func TestEvaluatorValidation(t *testing.T) {
 	e, queries := goldenCorpus(t)
-	if _, err := e.RankEval(queries[0], 10, nil, Evaluator(9)); !errors.Is(err, ErrUnknownEvaluator) {
+	if _, err := rankEval(e, queries[0], 10, nil, Evaluator(9)); !errors.Is(err, ErrUnknownEvaluator) {
 		t.Fatalf("err = %v, want ErrUnknownEvaluator", err)
 	}
 	for _, eval := range []Evaluator{EvalExact, EvalMaxScore, EvalWAND} {

@@ -17,7 +17,8 @@ var ErrUnknownEvaluator = errors.New("search: unknown evaluator")
 // far fewer postings and scoring far fewer candidates. That safety is what
 // lets dynamic pruning run everywhere the exact kernel does — including
 // CI-mode nomination, where k'·G candidates must be found cheaply — unlike
-// PrunedEngine's Persin-style thresholds, which trade effectiveness.
+// the Persin-style thresholds of the frequency-sorted experiment, which
+// trade effectiveness.
 //
 // The zero value is EvalExact, so every pre-existing call site and wire
 // frame keeps its behaviour; the numeric values are also the wire encoding

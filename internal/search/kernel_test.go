@@ -21,7 +21,7 @@ import (
 type goldenHeap []Result
 
 func (h goldenHeap) Len() int            { return len(h) }
-func (h goldenHeap) Less(i, j int) bool  { return lessResult(h[i], h[j]) }
+func (h goldenHeap) Less(i, j int) bool  { return LessResult(h[i], h[j]) }
 func (h goldenHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *goldenHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
 func (h *goldenHeap) Pop() interface{} {
@@ -105,7 +105,7 @@ func goldenRank(t *testing.T, e *Engine, query string, k int, weights map[string
 			heap.Push(&h, r)
 			continue
 		}
-		if lessResult(h[0], r) {
+		if LessResult(h[0], r) {
 			h[0] = r
 			heap.Fix(&h, 0)
 		}
@@ -284,23 +284,24 @@ func TestGoldenScoreDocsMatchesSeedEvaluator(t *testing.T) {
 	}
 }
 
-// TestRankSteadyStateAllocations pins the tentpole's headline property: with
-// a caller-owned Scratch, a warmed-up Rank performs at most 2 allocations
+// TestRankSteadyStateAllocations pins the kernel's headline property: with
+// a caller-owned Scratch, a warmed-up RankParts performs at most 2 allocations
 // (the returned result slice; one spare for incidental growth).
 func TestRankSteadyStateAllocations(t *testing.T) {
 	e, queries := goldenCorpus(t)
 	s := NewScratch()
+	parts := []Part{{Engine: e}}
 	// Warm up: size the accumulators, cursor buffer, heap backing, and the
 	// index's reciprocal-weight cache.
 	for _, q := range queries {
-		if _, _, err := e.RankWith(s, q, 100, nil); err != nil {
+		if _, _, err := RankParts(nil, s, parts, q, 100, nil, EvalExact); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, q := range queries {
 		q := q
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, _, err := e.RankWith(s, q, 10, nil); err != nil {
+			if _, _, err := RankParts(nil, s, parts, q, 10, nil, EvalExact); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -382,7 +383,7 @@ func TestConcurrentRankWithPooledScratch(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				qi := (g + round) % len(queries)
 				s := GetScratch()
-				got, _, err := e.RankWith(s, queries[qi], 20, nil)
+				got, _, err := RankParts(nil, s, []Part{{Engine: e}}, queries[qi], 20, nil, EvalExact)
 				s.Release()
 				if err != nil {
 					errc <- err

@@ -31,13 +31,10 @@ func logF1(f uint32) float64 {
 }
 
 // queryTerm is one unique query term with its frequency and resolved weight.
-// contribCap (pruned evaluation only) is the largest contribution any
-// posting of the term's list can make.
 type queryTerm struct {
-	term       string
-	fqt        uint32
-	wqt        float64
-	contribCap float64
+	term string
+	fqt  uint32
+	wqt  float64
 }
 
 // Scratch holds the reusable per-query state of the ranked-evaluation
@@ -63,8 +60,7 @@ type Scratch struct {
 	heap   []Result // top-k selector backing
 	docbuf []uint32 // ScoreDocs sorted-target buffer
 
-	cur  index.TermCursor // reusable block-decoding cursor
-	fcur index.FreqCursor // reusable frequency-sorted cursor (pruned engine)
+	cur index.TermCursor // reusable block-decoding cursor
 
 	// Document-at-a-time state for the dynamic-pruning evaluators
 	// (MaxScore/WAND), which hold one open cursor per matched term instead
@@ -106,8 +102,8 @@ var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // Release returns the Scratch to the shared pool. The Scratch must not be
-// used afterwards, and no slice written into it may escape (Rank and
-// ScoreDocs copy results out for exactly that reason).
+// used afterwards, and no slice written into it may escape (RankParts and
+// ScoreParts copy results out for exactly that reason).
 func (s *Scratch) Release() { scratchPool.Put(s) }
 
 // reset prepares the accumulators for a query over numDocs documents,

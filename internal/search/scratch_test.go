@@ -10,8 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"teraphim/internal/index"
 )
 
 // This file pins the accumulator contract of Scratch — live iff non-zero,
@@ -136,65 +134,16 @@ func mapTopK(acc map[uint32]float64, wq float64, inv func(uint32) float64, k int
 			out = append(out, Result{Doc: d, Score: a * iw / wq})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return lessResult(out[j], out[i]) })
+	sort.Slice(out, func(i, j int) bool { return LessResult(out[j], out[i]) })
 	return out[:min(k, len(out))]
-}
-
-// mapPruned is the map-accumulator reference for PrunedEngine at zero
-// thresholds: its weights, its W_q, and its list order (decreasing
-// contribution cap, ties by term).
-func mapPruned(pe *PrunedEngine, ix *index.Index, query string, k int) ([]Result, int) {
-	terms, fqts := goldenTerms(NewEngine(ix, pe.analyzer), query)
-	type term struct {
-		name    string
-		wqt, cp float64
-	}
-	var order []term
-	var wq2 float64
-	for _, t := range terms {
-		ft := pe.fs.TermFreq(t)
-		if ft == 0 {
-			continue
-		}
-		w := CollectionWeight(fqts[t], ft, pe.fs.NumDocs())
-		wq2 += w * w
-		order = append(order, term{t, w, w * math.Log(float64(pe.fs.MaxFDT(t))+1)})
-	}
-	if len(order) == 0 {
-		return nil, 0
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].cp != order[j].cp {
-			return order[i].cp > order[j].cp
-		}
-		return order[i].name < order[j].name
-	})
-	wq := math.Sqrt(wq2)
-	if wq == 0 {
-		wq = 1
-	}
-	acc := make(map[uint32]float64)
-	for _, t := range order {
-		cur, err := ix.Cursor(t.name)
-		if err != nil {
-			continue
-		}
-		for cur.Next() {
-			post := cur.Posting()
-			acc[post.Doc] += t.wqt * math.Log(float64(post.FDT)+1)
-		}
-	}
-	inv := pe.fs.InvDocWeights()
-	return mapTopK(acc, wq, func(d uint32) float64 { return inv[d] }, k), len(acc)
 }
 
 // TestScratchHygiene reuses one Scratch across everything that can leave
 // accumulators behind — collections growing then shrinking, evaluations
-// cancelled between lists, RankParts / ScoreParts / PrunedEngine
-// interleaved, 1, 2 and 5 parts, queries touching more and fewer than an
-// eighth of the accumulators — and requires every result and its
-// CandidateDocs to == both a fresh Scratch's and a map-accumulator
-// reference's.
+// cancelled between lists, RankParts and ScoreParts interleaved, 1, 2 and 5
+// parts, queries touching more and fewer than an eighth of the accumulators
+// — and requires every result and its CandidateDocs to == both a fresh
+// Scratch's and a map-accumulator reference's.
 func TestScratchHygiene(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	queries := []string{
@@ -208,7 +157,6 @@ func TestScratchHygiene(t *testing.T) {
 	var sawClear, sawSparse bool
 	for _, n := range []int{40, 900, 300, 25} { // grow, then shrink
 		docs := hygieneDocs(rng, n)
-		pe, ix := buildFreqSorted(t, docs)
 		for _, np := range []int{1, 2, 5} {
 			parts := cutParts(t, docs, np)
 			for qi, q := range queries {
@@ -277,29 +225,6 @@ func TestScratchHygiene(t *testing.T) {
 					if st.CandidateDocs != matched || fst.CandidateDocs != matched {
 						t.Fatalf("%s score: candidates reused %d fresh %d, map %d", label, st.CandidateDocs, fst.CandidateDocs, matched)
 					}
-				}
-
-				if _, _, err := pe.rankWith(&cancelAfter{context.Background(), 1}, shared, q, k, Thresholds{}); err != nil && !errors.Is(err, context.Canceled) {
-					t.Fatalf("%s: cancelled pruned rank err = %v", label, err)
-				}
-				got, st, err := pe.RankWith(shared, q, k, Thresholds{})
-				if err != nil {
-					t.Fatalf("%s pruned: %v", label, err)
-				}
-				fresh, fst, _ := pe.RankWith(NewScratch(), q, k, Thresholds{})
-				want, cands := mapPruned(pe, ix.Index(), q, k)
-				if !slices.Equal(got, want) || !slices.Equal(fresh, want) {
-					t.Fatalf("%s pruned:\nreused %v\nfresh  %v\nmap    %v", label, got, fresh, want)
-				}
-				if st.CandidateDocs != cands || fst.CandidateDocs != cands {
-					t.Fatalf("%s pruned: candidates reused %d fresh %d, map %d", label, st.CandidateDocs, fst.CandidateDocs, cands)
-				}
-				// Insert-thresholded: only existing accumulators grow.
-				th := Thresholds{Insert: 0.6}
-				got, st, _ = pe.RankWith(shared, q, k, th)
-				fresh, fst, _ = pe.RankWith(NewScratch(), q, k, th)
-				if !slices.Equal(got, fresh) || st != fst {
-					t.Fatalf("%s pruned %+v:\nreused %v %+v\nfresh  %v %+v", label, th, got, st, fresh, fst)
 				}
 			}
 		}

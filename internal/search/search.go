@@ -16,13 +16,13 @@
 // holds flat accumulators sized to the collection (live iff non-zero), postings
 // arrive a decode block at a time through a reusable cursor, w_dt comes from
 // a memoised log table, and normalisation reads the index's cached
-// reciprocal-weight array. Rank and ScoreDocs borrow a Scratch from the
-// shared pool; RankWith and ScoreDocsWith accept a caller-owned one.
+// reciprocal-weight array.
 //
 // A collection may be several engines tiled over one document-id space (a
-// segmented librarian): RankParts and ScoreParts analyse and weight the query
-// once, then evaluate it over every part into one result. A single engine is
-// the one-part case.
+// segmented librarian): RankParts, ScoreParts and BooleanParts analyse the
+// query once, then evaluate it over every part into one result. They are the
+// only evaluation entry points; a single engine is the one-part case, and
+// Rank and ScoreDocs are that case on a pooled Scratch.
 package search
 
 import (
@@ -50,10 +50,9 @@ type Result struct {
 }
 
 // Ranking is a completed query evaluation: the answers in decreasing score
-// order plus the work the evaluation performed. The convenience entry points
-// (Rank, ScoreDocs, PrunedEngine.Rank) return it instead of positional
-// (results, stats, err) triples; the caller-owned-Scratch kernel methods
-// (RankWith, ScoreDocsWith) keep the flat form for zero-allocation use.
+// order plus the work the evaluation performed. The one-engine conveniences
+// (Rank, ScoreDocs) return it; RankParts and ScoreParts keep the flat form
+// for zero-allocation use.
 type Ranking struct {
 	Results []Result
 	Stats   Stats
@@ -206,45 +205,21 @@ func (s *Scratch) prepare(parts []Part, query string, weights map[string]float64
 	return nil
 }
 
-// Rank evaluates a ranked query and returns the top k documents in
-// decreasing score order. If weights is nil the engine derives local
-// weights (MS and CN behaviour); otherwise the supplied global weights are
-// used verbatim (CV behaviour) and terms absent from weights are skipped.
-// Scratch state comes from the shared pool; use RankWith to supply your own.
+// Rank is RankParts over this engine alone on a pooled Scratch, under the
+// exact evaluator: the top k documents in decreasing score order. If weights
+// is nil the engine derives local weights (MS and CN behaviour); otherwise
+// the supplied global weights are used verbatim (CV behaviour) and terms
+// absent from weights are skipped.
 func (e *Engine) Rank(query string, k int, weights map[string]float64) (Ranking, error) {
-	return e.RankContext(context.Background(), query, k, weights)
-}
-
-// RankEval is Rank under an explicit evaluator (see Evaluator); EvalExact
-// reproduces Rank.
-func (e *Engine) RankEval(query string, k int, weights map[string]float64, eval Evaluator) (Ranking, error) {
-	return e.RankContextEval(context.Background(), query, k, weights, eval)
-}
-
-// RankContext is Rank honouring a context: cancellation is checked between
-// inverted lists, so a long multi-term evaluation stops promptly when the
-// caller gives up.
-func (e *Engine) RankContext(ctx context.Context, query string, k int, weights map[string]float64) (Ranking, error) {
-	return e.RankContextEval(ctx, query, k, weights, EvalExact)
-}
-
-// RankContextEval is RankContext under an explicit evaluator. The dynamic
-// pruners check cancellation between candidate batches rather than between
-// lists (they hold all lists open at once), with the same promptness.
-func (e *Engine) RankContextEval(ctx context.Context, query string, k int, weights map[string]float64, eval Evaluator) (Ranking, error) {
 	s := GetScratch()
 	defer s.Release()
-	results, stats, err := RankParts(ctx, s, []Part{{Engine: e}}, query, k, weights, eval)
+	results, stats, err := RankParts(nil, s, []Part{{Engine: e}}, query, k, weights, EvalExact)
 	return Ranking{Results: results, Stats: stats}, err
 }
 
-// RankWith is Rank running on a caller-owned Scratch. In steady state the
-// only allocation left is the returned result slice.
-func (e *Engine) RankWith(s *Scratch, query string, k int, weights map[string]float64) ([]Result, Stats, error) {
-	return RankParts(nil, s, []Part{{Engine: e}}, query, k, weights, EvalExact)
-}
-
-// RankWithEval is RankWith under an explicit evaluator.
+// RankWithEval is RankParts over this engine alone on a caller-owned
+// Scratch. It is kept for the benchmark's kernel probe, which predates
+// RankParts; everything else calls RankParts.
 func (e *Engine) RankWithEval(s *Scratch, query string, k int, weights map[string]float64, eval Evaluator) ([]Result, Stats, error) {
 	return RankParts(nil, s, []Part{{Engine: e}}, query, k, weights, eval)
 }
@@ -265,7 +240,7 @@ func RankParts(ctx context.Context, s *Scratch, parts []Part, query string, k in
 	if err := s.prepare(parts, query, weights); err != nil {
 		return nil, stats, err
 	}
-	sel := NewTopK(k, lessResult, s.heap)
+	sel := NewTopK(k, LessResult, s.heap)
 	var err error
 	for _, p := range parts {
 		if err = p.Engine.rankPrepared(ctx, s, p.Base, eval, &sel, &stats); err != nil {
@@ -353,7 +328,7 @@ func rejectBelow(root, wq float64) float64 {
 // candidates a full selector rejects — most of them, once earlier parts have
 // raised its threshold — never reach its indirect less call. sel.k > 0.
 func offer(sel *TopK[Result], r Result) {
-	if len(sel.h) < sel.k || lessResult(sel.h[0], r) {
+	if len(sel.h) < sel.k || LessResult(sel.h[0], r) {
 		sel.Offer(r)
 	}
 }
@@ -368,11 +343,10 @@ func (s *Scratch) extract(sel *TopK[Result]) []Result {
 	return out
 }
 
-// ScoreDocs computes exact similarity scores for the nominated documents
-// only, using skip-based cursor advancement. This is the librarian-side fast
-// path of the Central Index methodology: only a fraction of each inverted
-// list is decoded. Results are returned for every requested doc (score 0 if
-// no query term matches), in the order requested.
+// ScoreDocs is ScoreParts over this engine alone on a pooled Scratch, every
+// nominated document returned in the order requested (score 0 if no query
+// term matches). Skip-based cursor advancement decodes only a fraction of
+// each list: the librarian-side fast path of the Central Index methodology.
 func (e *Engine) ScoreDocs(query string, docs []uint32, weights map[string]float64) (Ranking, error) {
 	s := GetScratch()
 	defer s.Release()
@@ -380,7 +354,8 @@ func (e *Engine) ScoreDocs(query string, docs []uint32, weights map[string]float
 	return Ranking{Results: results, Stats: stats}, err
 }
 
-// ScoreDocsWith is ScoreDocs running on a caller-owned Scratch.
+// ScoreDocsWith is ScoreDocs on a caller-owned Scratch, kept for the
+// benchmark's kernel probe; everything else calls ScoreParts.
 func (e *Engine) ScoreDocsWith(s *Scratch, query string, docs []uint32, weights map[string]float64) ([]Result, Stats, error) {
 	return ScoreParts(s, []Part{{Engine: e}}, query, docs, weights, 0)
 }
@@ -408,7 +383,7 @@ func ScoreParts(s *Scratch, parts []Part, query string, docs []uint32, weights m
 		}
 	}
 	if k > 0 {
-		sel := NewTopK(k, lessResult, s.heap)
+		sel := NewTopK(k, LessResult, s.heap)
 		for _, r := range out {
 			offer(&sel, r)
 		}
@@ -472,9 +447,11 @@ func (e *Engine) scorePrepared(s *Scratch, docs []uint32, base uint32, out []Res
 	}
 }
 
-// lessResult orders results worst-first for the min-heap: lower score is
-// less; equal scores break toward higher doc id being less-preferred.
-func lessResult(a, b Result) bool {
+// LessResult is the ranking's order, worst first: a lower score is less, and
+// of equal scores the higher document id is less. It is the tie rule of every
+// top-k selection in the system — the kernel's, and the receptionist's merge
+// of librarian rankings — so a federation breaks ties as one index does.
+func LessResult(a, b Result) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
 	}

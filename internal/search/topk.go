@@ -2,13 +2,13 @@ package search
 
 // TopK is a bounded top-k selector: a size-k min-heap ordered worst-first,
 // so the root is always the weakest retained item and a stream of n
-// candidates is reduced to the best k in O(n log k). It replaces the
-// container/heap implementations previously duplicated between Engine.Rank
-// and PrunedEngine.Rank; being generic over the item type, it never boxes
-// items in interface values the way heap.Push/heap.Pop do.
+// candidates is reduced to the best k in O(n log k). Being generic over the
+// item type, it never boxes items in interface values the way
+// heap.Push/heap.Pop do. The kernel selects Results with it, and the
+// receptionist merges librarian answers with it under the same tie rule.
 //
 // less must order a strictly worse item before a better one, including any
-// tie-breaking (for Result, lessResult: lower score first, ties broken
+// tie-breaking (for Result, LessResult: lower score first, ties broken
 // toward higher doc id being less-preferred).
 type TopK[T any] struct {
 	less func(a, b T) bool
@@ -37,9 +37,6 @@ func (t *TopK[T]) Offer(x T) {
 		t.siftDown(0, len(t.h))
 	}
 }
-
-// Len reports how many items are currently retained.
-func (t *TopK[T]) Len() int { return len(t.h) }
 
 // Extract heap-sorts the retained items in place and returns them best
 // first (exactly the order the old heap-extraction loops produced). The

@@ -15,7 +15,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 		n := rng.Intn(60)
 		k := 1 + rng.Intn(20)
 		var all []Result
-		sel := NewTopK(k, lessResult, nil)
+		sel := NewTopK(k, LessResult, nil)
 		for i := 0; i < n; i++ {
 			// Coarse scores force plenty of ties.
 			r := Result{Doc: uint32(rng.Intn(40)), Score: float64(rng.Intn(5))}
@@ -23,7 +23,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 			sel.Offer(r)
 		}
 		want := append([]Result(nil), all...)
-		sort.Slice(want, func(i, j int) bool { return lessResult(want[j], want[i]) })
+		sort.Slice(want, func(i, j int) bool { return LessResult(want[j], want[i]) })
 		if len(want) > k {
 			want = want[:k]
 		}
@@ -34,7 +34,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 		for i := range want {
 			// Doc ids may differ among equal-score duplicates produced by the
 			// random stream; the (score, position) contract is what matters —
-			// and with distinct docs lessResult is a strict total order, so
+			// and with distinct docs LessResult is a strict total order, so
 			// equal results are required exactly.
 			if got[i].Score != want[i].Score {
 				t.Fatalf("trial %d rank %d: score %v, want %v", trial, i, got[i].Score, want[i].Score)
@@ -44,7 +44,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestTopKDistinctDocsExact uses unique doc ids so lessResult is a strict
+// TestTopKDistinctDocsExact uses unique doc ids so LessResult is a strict
 // total order: the selector must equal the fully sorted prefix exactly.
 func TestTopKDistinctDocsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -53,14 +53,14 @@ func TestTopKDistinctDocsExact(t *testing.T) {
 		k := 1 + rng.Intn(25)
 		perm := rng.Perm(1000)
 		var all []Result
-		sel := NewTopK(k, lessResult, nil)
+		sel := NewTopK(k, LessResult, nil)
 		for i := 0; i < n; i++ {
 			r := Result{Doc: uint32(perm[i]), Score: float64(rng.Intn(6))}
 			all = append(all, r)
 			sel.Offer(r)
 		}
 		want := append([]Result(nil), all...)
-		sort.Slice(want, func(i, j int) bool { return lessResult(want[j], want[i]) })
+		sort.Slice(want, func(i, j int) bool { return LessResult(want[j], want[i]) })
 		if len(want) > k {
 			want = want[:k]
 		}
@@ -79,18 +79,18 @@ func TestTopKDistinctDocsExact(t *testing.T) {
 // TestTopKReusesBacking verifies the pooled-backing contract: Extract leaves
 // the selector empty and the returned slice's storage can seed a new one.
 func TestTopKReusesBacking(t *testing.T) {
-	sel := NewTopK(3, lessResult, nil)
+	sel := NewTopK(3, LessResult, nil)
 	for i := 0; i < 10; i++ {
 		sel.Offer(Result{Doc: uint32(i), Score: float64(i)})
 	}
 	first := sel.Extract()
-	if len(first) != 3 || sel.Len() != 0 {
-		t.Fatalf("extract: len %d, selector len %d", len(first), sel.Len())
+	if len(first) != 3 || len(sel.h) != 0 {
+		t.Fatalf("extract: len %d, selector len %d", len(first), len(sel.h))
 	}
 	if first[0].Score != 9 || first[1].Score != 8 || first[2].Score != 7 {
 		t.Fatalf("best-first order broken: %+v", first)
 	}
-	sel2 := NewTopK(2, lessResult, first[:0])
+	sel2 := NewTopK(2, LessResult, first[:0])
 	sel2.Offer(Result{Doc: 1, Score: 5})
 	sel2.Offer(Result{Doc: 2, Score: 6})
 	sel2.Offer(Result{Doc: 3, Score: 4})
@@ -105,7 +105,7 @@ func TestTopKReusesBacking(t *testing.T) {
 
 // TestTopKZeroK confirms a non-positive k yields no results.
 func TestTopKZeroK(t *testing.T) {
-	sel := NewTopK(0, lessResult, nil)
+	sel := NewTopK(0, LessResult, nil)
 	sel.Offer(Result{Doc: 1, Score: 1})
 	if got := sel.Extract(); len(got) != 0 {
 		t.Fatalf("k=0 returned %+v", got)

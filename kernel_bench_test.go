@@ -124,6 +124,8 @@ func BenchmarkSearchKernel(b *testing.B) {
 	}
 
 	e := kernelBenchEngine(b)
+	scratch := search.NewScratch()
+	parts := []search.Part{{Engine: e}}
 	const rankQuery = "w1 w2 w3 w4 w5 w6 w7 w8"
 	for _, k := range []int{10, 100} {
 		k := k
@@ -141,16 +143,16 @@ func BenchmarkSearchKernel(b *testing.B) {
 			k := k
 			name := "Engine/RankEval/" + eval.String() + "/k=" + strconv.Itoa(k)
 			measure(name, func(int) error {
-				_, err := e.RankEval(rankQuery, k, nil, eval)
+				_, _, err := search.RankParts(nil, scratch, parts, rankQuery, k, nil, eval)
 				return err
 			})
 			if row, ok := rows[name]; ok {
-				ranking, err := e.RankEval(rankQuery, k, nil, eval)
+				_, stats, err := search.RankParts(nil, scratch, parts, rankQuery, k, nil, eval)
 				if err != nil {
 					b.Fatal(err)
 				}
-				row.CandidatesScored = ranking.Stats.CandidateDocs
-				row.PostingsDecoded = ranking.Stats.PostingsDecoded
+				row.CandidatesScored = stats.CandidateDocs
+				row.PostingsDecoded = stats.PostingsDecoded
 				rows[name] = row
 			}
 		}

@@ -100,7 +100,6 @@ import (
 
 	"teraphim/internal/core"
 	"teraphim/internal/eval"
-	"teraphim/internal/index"
 	"teraphim/internal/librarian"
 	"teraphim/internal/obs"
 	"teraphim/internal/protocol"
@@ -285,29 +284,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // Close the returned server to stop.
 func ServeMetrics(addr string, regs ...*MetricsRegistry) (*MetricsServer, error) {
 	return obs.ListenAndServe(addr, regs...)
-}
-
-// Frequency-sorted retrieval (Persin-style per-query thresholding, the
-// paper's §5 future work).
-type (
-	// FreqSortedIndex is an inverted file ordered by decreasing f_dt.
-	FreqSortedIndex = index.FreqSorted
-	// PrunedEngine evaluates thresholded ranked queries over a
-	// FreqSortedIndex.
-	PrunedEngine = search.PrunedEngine
-	// Thresholds tunes pruning aggressiveness.
-	Thresholds = search.Thresholds
-)
-
-// BuildFreqSorted converts an engine's index into its frequency-sorted
-// equivalent.
-func BuildFreqSorted(e *Engine) (*FreqSortedIndex, error) {
-	return index.BuildFreqSorted(e.Index())
-}
-
-// NewPrunedEngine wraps a frequency-sorted index for thresholded ranking.
-func NewPrunedEngine(fs *FreqSortedIndex, analyzer *Analyzer) *PrunedEngine {
-	return search.NewPrunedEngine(fs, analyzer)
 }
 
 // NewAnalyzer returns the standard analysis pipeline (lowercase
