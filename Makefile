@@ -40,10 +40,10 @@ vet:
 # their whole index and the receptionist runs to fold them, replacing
 # RawBuilder; and EachTerm, the k-way vocabulary pass over a librarian's
 # segments.
-CORE_LOC_MAX = 4717
-LIBRARIAN_LOC_MAX = 1646
+CORE_LOC_MAX = 4589
+LIBRARIAN_LOC_MAX = 1624
 SEARCH_LOC_MAX = 1526
-PROTOCOL_LOC_MAX = 1710
+PROTOCOL_LOC_MAX = 1579
 WRITE_LOC_MAX = 2740
 loc:
 	@write=0; for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
@@ -126,15 +126,15 @@ bench-replica:
 bench-replica-smoke:
 	$(GO) test -run='^$$' -bench=ReplicaThroughput -benchtime=30x .
 
-# Regenerate BENCH_wire.json: seed vs pipelined vs batched framing on a
-# shaped WAN link, reporting queries/sec, round-trips/query, bytes/query
-# and overlap@10 against the seed wire (the writer is gated on
+# Regenerate BENCH_wire.json: pipelined vs batched framing on a shaped WAN
+# link, reporting queries/sec, round-trips/query, bytes/query and
+# overlap@10 against the pipelined cell (the writer is gated on
 # WIRE_BENCH_RECORD).
 bench-wire:
 	WIRE_BENCH_RECORD=1 $(GO) test -run='^$$' -bench=WireThroughput .
 
-# Short form for verify: exercises every wire cell — negotiation, demux,
-# batching — without touching the recorded BENCH_wire.json numbers.
+# Short form for verify: exercises every wire cell — demux, batching —
+# without touching the recorded BENCH_wire.json numbers.
 bench-wire-smoke:
 	$(GO) test -run='^$$' -bench=WireThroughput -benchtime=20x .
 

@@ -5,19 +5,17 @@ package teraphim
 // direction) with a deliberately tight pool (MaxConnsPerLibrarian = 2) and
 // 16 concurrent clients.
 //
-//   - wire=seed: the pre-feature framing — one exclusive connection per
-//     in-flight exchange, so 16 clients contend for 2 connections.
-//   - wire=pipelined: tagged frames multiplex the same 2 connections;
-//     round trips per query are unchanged but they overlap, so throughput
-//     rises without any new connections.
+//   - wire=pipelined: tagged frames multiplex the 2 connections, so the
+//     16 clients' round trips overlap without any new connections.
 //   - wire=batched: rank queries from concurrent clients additionally
 //     coalesce into one frame per librarian inside Options.BatchWindow,
 //     cutting round trips per query itself.
 //
 // Each cell reports queries/sec, wire round-trips/query and bytes/query
 // (from the pool's teraphim_wire_* counters), plus overlap@10 against the
-// seed wire's answers for a fixed probe set — the speedups must not move a
-// single result.
+// pipelined cell's answers for a fixed probe set — batching must not move a
+// single result. (BENCH_wire.json also keeps a wire=seed row recorded while
+// the pre-version framing still existed.)
 //
 // Run
 //
@@ -53,7 +51,7 @@ type wireBenchFleet struct {
 	queries []string
 }
 
-func newWireBenchFleet(b *testing.B, features WireFeatures) *wireBenchFleet {
+func newWireBenchFleet(b *testing.B) *wireBenchFleet {
 	b.Helper()
 	corpus, err := trecsynth.Generate(trecsynth.SkewedConfig(4, 150))
 	if err != nil {
@@ -70,10 +68,7 @@ func newWireBenchFleet(b *testing.B, features WireFeatures) *wireBenchFleet {
 		dialer.AddEndpoint(sub.Name, lib, link)
 		f.names = append(f.names, sub.Name)
 	}
-	pool, err := ConnectPool(dialer, f.names, ReceptionistConfig{
-		MaxConnsPerLibrarian: wireBenchConns,
-		WireFeatures:         features,
-	})
+	pool, err := ConnectPool(dialer, f.names, ReceptionistConfig{MaxConnsPerLibrarian: wireBenchConns})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,7 +92,7 @@ type wireBenchRow struct {
 	QueriesSec    float64 `json:"queries_per_sec"`
 	RTPerQuery    float64 `json:"round_trips_per_query"`
 	BytesPerQuery float64 `json:"bytes_per_query"`
-	OverlapAt10   float64 `json:"overlap_at_10_vs_seed"`
+	OverlapAt10   float64 `json:"overlap_at_10_vs_pipelined"`
 }
 
 // wireBenchProbe runs the fixed probe set untimed and returns each query's
@@ -149,22 +144,20 @@ func overlapAt10(ref, got [][]string) float64 {
 
 func BenchmarkWireThroughput(b *testing.B) {
 	rows := make(map[string]wireBenchRow)
-	var seedTops [][]string
+	var refTops [][]string
 
 	scenarios := []struct {
-		name     string
-		features WireFeatures
-		window   time.Duration
+		name   string
+		window time.Duration
 	}{
-		{name: "wire=seed", features: FeatureNone},
 		{name: "wire=pipelined"},
 		{name: "wire=batched", window: wireBenchWindow},
 	}
 	for _, sc := range scenarios {
 		b.Run(sc.name, func(b *testing.B) {
-			f := newWireBenchFleet(b, sc.features)
+			f := newWireBenchFleet(b)
 			opts := Options{BatchWindow: sc.window}
-			// Untimed warmup establishes and negotiates the connections.
+			// Untimed warmup establishes the connections.
 			for _, q := range f.queries[:4] {
 				if _, err := f.pool.Query(ModeCN, q, 10, Options{}); err != nil {
 					b.Fatal(err)
@@ -210,10 +203,10 @@ func BenchmarkWireThroughput(b *testing.B) {
 			rtPerQ := float64(m.WireRoundTrips()-rt0) / float64(b.N)
 			bytesPerQ := float64(m.WireBytesIn()-in0+m.WireBytesOut()-out0) / float64(b.N)
 			tops := wireBenchProbe(b, f, opts)
-			if sc.name == "wire=seed" {
-				seedTops = tops
+			if sc.window == 0 {
+				refTops = tops
 			}
-			overlap := overlapAt10(seedTops, tops)
+			overlap := overlapAt10(refTops, tops)
 			b.ReportMetric(qps, "queries/sec")
 			b.ReportMetric(rtPerQ, "rt/query")
 			b.ReportMetric(bytesPerQ, "bytes/query")

@@ -80,7 +80,8 @@ func TestInteractiveBooleanSession(t *testing.T) {
 }
 
 // stallingLibrarian answers the Hello handshake like a one-document librarian
-// speaking the seed protocol, then reads every request and answers none.
+// at the current wire version, then reads every request and answers none: a
+// stuck librarian, not an old one.
 func stallingLibrarian(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -99,7 +100,7 @@ func stallingLibrarian(t *testing.T) string {
 				if _, _, err := protocol.ReadMessage(conn); err != nil {
 					return
 				}
-				if _, err := protocol.WriteMessage(conn, &protocol.HelloReply{Name: "stall", NumDocs: 1}); err != nil {
+				if _, err := protocol.WriteMessage(conn, &protocol.HelloReply{Name: "stall", NumDocs: 1, Version: protocol.Version}); err != nil {
 					return
 				}
 				io.Copy(io.Discard, conn)

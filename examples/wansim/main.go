@@ -62,7 +62,7 @@ func run() error {
 		return err
 	}
 	// The same librarians behind a default receptionist: rank replies carry
-	// the documents (FeatureRankFetch), so a query is one exchange.
+	// the documents, so a query is one exchange.
 	var libs []*teraphim.Librarian
 	analyzer := teraphim.NewAnalyzer(teraphim.WithoutStopwords(), teraphim.WithoutStemming())
 	var names []string
@@ -136,23 +136,21 @@ func run() error {
 	fmt.Println("\nAs the paper found: wide-area response time is dominated by link latency,")
 	fmt.Println("not by computation — handshaking must be kept to an absolute minimum.")
 
-	// That remedy is a wire-level lever here: tagged-frame pipelining is
-	// negotiated by default, and Options.BatchWindow coalesces concurrent
-	// clients' queries to the same librarian into one round trip. Same
-	// fleet and links, eight concurrent clients, seed framing vs batched.
+	// That remedy is a wire-level lever here: every connection is
+	// pipelined, and Options.BatchWindow coalesces concurrent clients'
+	// queries to the same librarian into one round trip. Same fleet and
+	// links, eight concurrent clients, no window vs a 5 ms window.
 	fmt.Println("\nWire efficiency: 8 concurrent clients over the same WAN links:")
 	for _, wire := range []struct {
-		label    string
-		features teraphim.WireFeatures
-		window   time.Duration
+		label  string
+		window time.Duration
 	}{
-		{label: "seed framing", features: teraphim.FeatureNone},
+		{label: "pipelined, no window"},
 		{label: "pipelined + 5ms batch window", window: 5 * time.Millisecond},
 	} {
 		pool, err := teraphim.ConnectPool(dialer, names, teraphim.ReceptionistConfig{
 			Analyzer:             analyzer,
 			MaxConnsPerLibrarian: 2,
-			WireFeatures:         wire.features,
 		})
 		if err != nil {
 			return err
@@ -224,8 +222,8 @@ func run() error {
 	return nil
 }
 
-// fetchTraces runs the queries with document fetch through a receptionist
-// with the default wire features, over unshaped links (the cost model, not
+// fetchTraces runs the queries with document fetch through a default
+// receptionist, over unshaped links (the cost model, not
 // the clock, prices the traces).
 func fetchTraces(libs []*teraphim.Librarian, names []string, analyzer *teraphim.Analyzer, queries []trecsynth.Query, opts core.Options) ([]*core.Trace, error) {
 	dialer := teraphim.NewInProcessDialer(libs, teraphim.LinkConfig{})

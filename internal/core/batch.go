@@ -27,8 +27,8 @@ import (
 const maxBatchItems = 64
 
 // batcher coalesces concurrent rank-phase requests per librarian. One lives
-// on the Pool when batching is requested; its groups form and dissolve per
-// window, leaving no state between idle periods.
+// on every Pool; its groups form and dissolve per window, leaving no state
+// between idle periods.
 type batcher struct {
 	pool *Pool
 
@@ -60,21 +60,19 @@ type batchGroup struct {
 	full  chan struct{} // closed when the group hits maxBatchItems
 }
 
-// batchable reports whether this exchange should go through the batcher:
-// batching requested and granted by the librarian, a window configured, and
-// a rank-phase query type worth coalescing (setup and fetch traffic is
-// per-connection or bulky; only the per-query fan-out messages batch).
-func (e *exec) batchable(name string, phase Phase, req protocol.Message) bool {
-	if e.pool.batch == nil || e.policy.batchWindow <= 0 || phase != PhaseRank {
+// batchable reports whether this exchange should go through the batcher: a
+// window configured, and a rank-phase query type worth coalescing (setup and
+// fetch traffic is per-connection or bulky; only the per-query fan-out
+// messages batch).
+func (e *exec) batchable(phase Phase, req protocol.Message) bool {
+	if e.policy.batchWindow <= 0 || phase != PhaseRank {
 		return false
 	}
 	switch req.(type) {
 	case *protocol.RankQuery, *protocol.ScoreDocs:
-	default:
-		return false
+		return true
 	}
-	li, ok := e.fed.byName[name]
-	return ok && li.hello != nil && li.hello.Features.Has(protocol.FeatureBatching)
+	return false
 }
 
 // do runs one request through the batcher: join (or found) the librarian's

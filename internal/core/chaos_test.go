@@ -127,7 +127,7 @@ func TestChaosKillReviveReadmits(t *testing.T) {
 	f := newReplicaFixture(t, corpus, order, 2, Config{ReplicaProbeAfter: 10 * time.Millisecond})
 	victim := order[0] + "#1"
 	// Eject: kill the endpoint, then drive enough traffic that AP's router
-	// sees ReplicaEjectAfter consecutive failures (retries keep the queries
+	// sees replicaEjectAfter consecutive failures (retries keep the queries
 	// themselves green).
 	f.chaos.Kill(victim)
 	opts := Options{Retries: 2, Backoff: time.Millisecond}

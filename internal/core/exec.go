@@ -52,8 +52,9 @@ var overFetch = 4
 // own the whole answer — and ceil(overFetch*k/asked) on wider fleets. The
 // per-librarian links run in parallel, so over-fetching costs bytes and
 // librarian store work, not latency; fetchAnswers requests what is missing.
+// A two-round pool attaches none.
 func (e *exec) fetchTop(asked int) uint32 {
-	if e.blobs == nil || asked == 0 {
+	if e.blobs == nil || asked == 0 || e.pool.twoRound {
 		return 0
 	}
 	return uint32(min(e.k, (overFetch*e.k+asked-1)/asked))
@@ -171,7 +172,7 @@ func (e *exec) callLibrarian(name string, phase Phase, req protocol.Message) ([]
 	// Batch-eligible exchanges go through the batcher instead of hedging:
 	// a batched frame carries other clients' queries, so racing it against a
 	// second replica would duplicate their work, not just ours.
-	batch := e.batchable(name, phase, req)
+	batch := e.batchable(phase, req)
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
 			if !sleepCtx(e.ctx, backoffDelay(e.policy.backoff, attempt-1)) {
@@ -239,17 +240,16 @@ func (e *exec) attempt(ctx context.Context, name string, phase Phase, req protoc
 		if rep == nil {
 			return nil, nil, "", fmt.Errorf("core: librarian %q has no replicas", name)
 		}
-		tags := *rep.tags.Load()
 		if tryOnly {
 			select {
-			case tags <- struct{}{}:
+			case rep.tags <- struct{}{}:
 			default:
 				return nil, nil, "", errNoFreeSlot
 			}
 		} else {
 			waitStart := time.Now()
 			select {
-			case tags <- struct{}{}:
+			case rep.tags <- struct{}{}:
 			case <-p.done:
 				return nil, nil, "", ErrPoolClosed
 			case <-ctx.Done():
@@ -269,9 +269,9 @@ func (e *exec) attempt(ctx context.Context, name string, phase Phase, req protoc
 		var reply protocol.Message
 		pc, pend, hs, err := p.pipeFor(ctx, rep, e.policy.timeout)
 		if _, isHello := req.(*protocol.Hello); err == nil && isHello && hs != nil {
-			// The connection is new and its negotiation Hello asked what req
-			// asks: use that reply, so setup costs one round trip per
-			// connection, exactly like the seed.
+			// The connection is new and its Hello asked what req asks: use
+			// that reply, so setup costs one round trip per connection,
+			// exactly like the seed.
 			pc.forget(pend)
 			reply = hs.reply
 			calls = []Call{{
@@ -283,7 +283,7 @@ func (e *exec) attempt(ctx context.Context, name string, phase Phase, req protoc
 			calls[0], reply, err = pc.exchange(ctx, e.policy.timeout, name, phase, req, pend)
 		}
 		rep.inflight.Add(-1)
-		<-tags
+		<-rep.tags
 
 		if err == nil {
 			rt.reportSuccess(rep, calls[0].Ship+calls[0].Wait)
@@ -441,8 +441,8 @@ func (c *Call) countDocs(docs []protocol.DocBlob) {
 
 // fetchAnswers fills Title and Text of res.Answers in place: from the
 // documents the rank replies carried, and through one FetchDocs round for
-// exactly the answers still without one (a peer lacking FeatureRankFetch, a
-// document over the librarian's byte budget, a fleet too wide for fetchTop).
+// exactly the answers still without one (a two-round pool, a document over
+// the librarian's byte budget, a fleet too wide for fetchTop).
 func (e *exec) fetchAnswers(res *Result) error {
 	// Requests are sent in one block per librarian, per the paper's
 	// "documents should be bundled into blocks" finding.

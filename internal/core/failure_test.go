@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,26 +22,31 @@ func haltAfter(lib *librarian.Librarian, n int) func() (net.Conn, error) {
 		client, server := net.Pipe()
 		go func() {
 			defer server.Close()
-			for i := 0; i < n; i++ {
-				msg, _, err := protocol.ReadMessage(server)
-				if err != nil {
-					return
-				}
-				reply := librarianHandle(lib, msg)
-				if _, err := protocol.WriteMessage(server, reply); err != nil {
-					return
-				}
-			}
+			relay(server, n, func(msg protocol.Message) protocol.Message { return librarianHandle(lib, msg) })
 		}()
 		return client, nil
 	}
 }
 
+// relay answers up to n frames on conn through handle (n < 0: until the
+// conn fails) in a pool connection's framing: the Hello untagged, every
+// later frame tagged.
+func relay(conn net.Conn, n int, handle func(protocol.Message) protocol.Message) {
+	rd, wr := &protocol.Reader{R: conn}, &protocol.Writer{W: conn}
+	for i := 0; i != n; i++ {
+		msg, tag, _, err := rd.Read()
+		if err != nil {
+			return
+		}
+		if _, err := wr.Write(tag, handle(msg)); err != nil {
+			return
+		}
+		rd.Tagged, wr.Tagged = true, true
+	}
+}
+
 // librarianHandle proxies one message through a real librarian via an
-// internal pipe session. The proxy itself speaks only the seed framing, so —
-// like any protocol-translating middlebox — it must mask the pipelining
-// grant out of a relayed HelloReply: the client would otherwise switch to
-// tagged frames the proxy cannot parse.
+// internal pipe session.
 func librarianHandle(lib *librarian.Librarian, msg protocol.Message) protocol.Message {
 	c1, c2 := net.Pipe()
 	done := make(chan protocol.Message, 1)
@@ -55,11 +61,7 @@ func librarianHandle(lib *librarian.Librarian, msg protocol.Message) protocol.Me
 	}()
 	_ = lib.ServeConn(c2)
 	c2.Close()
-	reply := <-done
-	if hr, ok := reply.(*protocol.HelloReply); ok {
-		hr.Features &^= protocol.FeaturePipelining
-	}
-	return reply
+	return <-done
 }
 
 func buildFailureLibs(t *testing.T) (*librarian.Librarian, *librarian.Librarian) {
@@ -133,6 +135,68 @@ func TestConnectFailsOnGarbageHello(t *testing.T) {
 	}
 }
 
+// TestConnectFailsOnOtherVersion: a librarian answering the Hello at another
+// wire version fails NewPool with protocol.ErrProtocolVersion after exactly
+// one dial per endpoint, and a query whose redial meets such a peer fails
+// with it at once: the mismatch is permanent, so nothing retries it.
+func TestConnectFailsOnOtherVersion(t *testing.T) {
+	lib, _ := buildFailureLibs(t)
+	other := func() (net.Conn, error) {
+		client, server := net.Pipe()
+		go func() {
+			defer server.Close()
+			relay(server, 1, func(msg protocol.Message) protocol.Message {
+				hr := librarianHandle(lib, msg).(*protocol.HelloReply)
+				hr.Version++
+				return hr
+			})
+		}()
+		return client, nil
+	}
+	var mu sync.Mutex
+	dials := map[string]int{}
+	counted := func(name string, dial func() (net.Conn, error)) func() (net.Conn, error) {
+		return func() (net.Conn, error) {
+			mu.Lock()
+			dials[name]++
+			n := dials[name]
+			mu.Unlock()
+			if name == "live" && n == 1 {
+				return haltAfter(lib, 2)() // the Hello and one query
+			}
+			return dial()
+		}
+	}
+	dialer := simnet.MapDialer{"AP": counted("AP", other), "FR": counted("FR", other), "live": counted("live", other)}
+	_, err := NewPool(dialer, []string{"AP", "FR"}, Config{})
+	if !errors.Is(err, protocol.ErrProtocolVersion) {
+		t.Fatalf("NewPool against librarians at another version: %v, want ErrProtocolVersion", err)
+	}
+	mu.Lock()
+	if dials["AP"] != 1 || dials["FR"] != 1 {
+		t.Errorf("dials per endpoint %v, want exactly one each", dials)
+	}
+	mu.Unlock()
+
+	pool, err := NewPool(dialer, []string{"live"}, Config{Analyzer: testAnalyzer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	opts := Options{Retries: 3, Backoff: time.Millisecond}
+	if _, err := pool.Query(ModeCN, "librarian", 5, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Query(ModeCN, "librarian", 5, opts); !errors.Is(err, protocol.ErrProtocolVersion) {
+		t.Fatalf("query redialling into another version: %v, want ErrProtocolVersion", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if dials["live"] != 2 {
+		t.Errorf("%d dials to a librarian that changed version, want 2: the redial is not retried", dials["live"])
+	}
+}
+
 func TestQueryAfterCloseFails(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	f := newFixture(t, corpus, order)
@@ -175,18 +239,12 @@ func TestCentralIndexRejectsMisplacedGroups(t *testing.T) {
 			client, server := net.Pipe()
 			go func() {
 				defer server.Close()
-				for {
-					msg, _, err := protocol.ReadMessage(server)
-					if err != nil {
-						return
-					}
+				relay(server, -1, func(msg protocol.Message) protocol.Message {
 					if ir, ok := msg.(*protocol.IndexRequest); ok {
 						ir.Base += ir.G
 					}
-					if _, err := protocol.WriteMessage(server, librarianHandle(bad, msg)); err != nil {
-						return
-					}
-				}
+					return librarianHandle(bad, msg)
+				})
 			}()
 			return client, nil
 		},
@@ -245,11 +303,7 @@ func timeoutOnceDialer(lib *librarian.Librarian) func() (net.Conn, error) {
 		client, server := net.Pipe()
 		if dials == 1 {
 			go func() {
-				msg, _, err := protocol.ReadMessage(server)
-				if err != nil {
-					return
-				}
-				_, _ = protocol.WriteMessage(server, librarianHandle(lib, msg))
+				relay(server, 1, func(msg protocol.Message) protocol.Message { return librarianHandle(lib, msg) })
 				// Hold the connection open but read nothing more: the
 				// receptionist's next write blocks until its deadline.
 			}()

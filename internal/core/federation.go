@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"teraphim/internal/huffman"
-	"teraphim/internal/protocol"
 	"teraphim/internal/selection"
 	"teraphim/internal/textproc"
 )
@@ -21,7 +20,6 @@ type libMeta struct {
 	idx     int // position in Federation.libs (global numbering order)
 	numDocs uint32
 	offset  uint32 // global id of this librarian's local doc 0
-	hello   *protocol.HelloReply
 }
 
 // vocabState is the outcome of one SetupVocabulary exchange: the merged

@@ -159,10 +159,16 @@ func (e *exec) queryCI(res *Result, query string) error {
 		return nil
 	}
 	top := e.fetchTop(len(names))
+	// K: the global top k lies within the librarians' own top k. A two-round
+	// pool asks for every nominated score instead, as the paper's protocol
+	// does.
+	k := uint32(e.k)
+	if e.pool.twoRound {
+		k = 0
+	}
 	replies, err := e.callParallel(&res.Trace, PhaseRank, names, func(name string) protocol.Message {
-		// K: the global top k lies within the librarians' own top k.
 		return &protocol.ScoreDocs{Query: query, Docs: byLib[e.fed.byName[name].idx], Weights: weights,
-			K: uint32(e.k), FetchTop: top, Compressed: e.compressed}
+			K: k, FetchTop: top, Compressed: e.compressed}
 	})
 	if err != nil {
 		return err

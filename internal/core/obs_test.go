@@ -10,7 +10,6 @@ import (
 
 	"teraphim/internal/librarian"
 	"teraphim/internal/obs"
-	"teraphim/internal/protocol"
 	"teraphim/internal/simnet"
 )
 
@@ -239,10 +238,10 @@ func slowFixture(t *testing.T, latency time.Duration, cfg Config) *Pool {
 
 // TestQueryContextCancelsMidFlight cancels a query while its exchanges are
 // blocked on slow links and checks it returns promptly with
-// context.Canceled, without leaking pooled connections. The discard
-// accounting differs by wire: the pipelined framing abandons just the
-// cancelled exchange's tag and keeps the connection (no dirty discards),
-// while the seed framing must throw the whole interrupted stream away.
+// context.Canceled, without leaking pooled connections: the cancelled
+// exchange's tag is abandoned and the connection kept (no dirty discards),
+// on the default pool and on the paper's two-round protocol ("legacy")
+// alike.
 func TestQueryContextCancelsMidFlight(t *testing.T) {
 	const latency = 250 * time.Millisecond
 	for _, tc := range []struct {
@@ -253,7 +252,7 @@ func TestQueryContextCancelsMidFlight(t *testing.T) {
 		minDirty, maxDirty float64
 	}{
 		{"pipelined", Config{}, 0, 0},
-		{"legacy", Config{WireFeatures: protocol.FeatureNone}, 1, 1 << 20},
+		{"legacy", Config{TwoRoundFetch: true}, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			recep := slowFixture(t, latency, tc.cfg)

@@ -16,45 +16,21 @@ import (
 //
 // Every exchange with a librarian runs on a pipeConn: a connection with a
 // write loop that serializes frames and a read loop that hands each reply to
-// the exchange waiting for it. What the connection's Hello negotiated decides
-// how many exchanges it carries at once. When both sides agree on
-// FeaturePipelining, frames carry a u32 exchange tag and one connection
-// multiplexes up to PipelineDepth concurrent exchanges, so a replica's
-// capacity is MaxConnsPerLibrarian × PipelineDepth without more sockets — the
-// paper's cost model charges per network contact, and pipelining keeps
-// contacts flat while concurrency grows. Otherwise (an old peer, or a pool
-// pinned to FeatureNone, which sends no negotiation Hello at all) frames are
-// the seed's untagged ones and the connection carries one exchange at a time:
-// depth 1.
+// the exchange waiting for it. Every connection opens with a Hello at
+// protocol.Version, and every frame after it carries a u32 exchange tag, so
+// one connection multiplexes up to pipelineDepth concurrent exchanges and a
+// replica's capacity is MaxConnsPerLibrarian × pipelineDepth without more
+// sockets — the paper's cost model charges per network contact, and
+// pipelining keeps contacts flat while concurrency grows.
 //
 // Any deadline expiry — the per-call policy timer or a context deadline —
 // kills the whole connection (the peer is presumed stuck; every pending
 // exchange errors out and retries redial). A plain cancellation before the
-// request was written skips the frame. After the write, a tagged connection
-// abandons the tag and discards the late reply; an untagged stream cannot tell
-// a late reply from the next one, so the connection is discarded as dirty.
+// request was written skips the frame; after the write, the exchange abandons
+// its tag and the read loop discards the late reply.
 
-// Wire feature constants re-exported so callers configuring a Pool
-// don't need to import internal/protocol.
-const (
-	// FeaturePipelining negotiates tagged frames and connection multiplexing.
-	FeaturePipelining = protocol.FeaturePipelining
-	// FeatureBatching negotiates cross-client query batching (BatchQuery).
-	FeatureBatching = protocol.FeatureBatching
-	// FeatureRankFetch lets rank replies carry the answers' documents.
-	FeatureRankFetch = protocol.FeatureRankFetch
-	// FeatureNone requests the seed wire protocol: untagged frames, one
-	// exchange per connection, no batching. Use it to pin a receptionist to
-	// pre-negotiation behaviour.
-	FeatureNone = protocol.FeatureNone
-)
-
-// DefaultWireFeatures is requested when Config.WireFeatures is zero.
-const DefaultWireFeatures = protocol.FeaturePipelining | protocol.FeatureBatching | protocol.FeatureRankFetch
-
-// DefaultPipelineDepth bounds concurrent exchanges per pipelined connection
-// when Config.PipelineDepth is zero.
-const DefaultPipelineDepth = 8
+// pipelineDepth bounds concurrent exchanges per connection.
+const pipelineDepth = 8
 
 // errConnDraining reports a connection that stopped accepting new exchanges
 // because its replica is being removed.
@@ -66,7 +42,7 @@ var errConnDraining = errors.New("core: connection draining")
 // any of which may race with a timed-out exchanger absent the lock.
 type pipePending struct {
 	done chan struct{} // closed exactly once when reply/err is set
-	tag  uint32        // set once by register; 0 on an untagged connection
+	tag  uint32        // set once by register
 
 	start     time.Time     // enqueue time; Ship measures from here
 	writtenAt time.Time     // zero until the write loop commits to writing the frame
@@ -87,18 +63,12 @@ type pipeWrite struct {
 
 // pipeConn is one connection to one replica. A dedicated write loop
 // serializes frames and a dedicated read loop hands each reply to its pending
-// exchange: by tag on a tagged connection, where replies for unknown tags
-// (abandoned exchanges) are discarded without disturbing the framing; to the
-// sole pending exchange on an untagged one.
+// exchange by tag; replies for unknown tags (abandoned exchanges) are
+// discarded without disturbing the framing.
 type pipeConn struct {
 	pool *Pool
 	rep  *replica
 	conn net.Conn
-
-	// granted is what the peer granted in this connection's Hello (nothing
-	// when no negotiation Hello was sent); tagged is its FeaturePipelining bit.
-	granted protocol.Features
-	tagged  bool
 
 	writeCh chan pipeWrite
 	dead    chan struct{} // closed by fail(); loops treat it as shutdown
@@ -111,14 +81,12 @@ type pipeConn struct {
 	draining bool  // no new exchanges; close when pending drains to zero
 }
 
-func newPipeConn(p *Pool, rep *replica, conn net.Conn, granted protocol.Features) *pipeConn {
+func newPipeConn(p *Pool, rep *replica, conn net.Conn) *pipeConn {
 	pc := &pipeConn{
 		pool:    p,
 		rep:     rep,
 		conn:    conn,
-		granted: granted,
-		tagged:  granted.Has(protocol.FeaturePipelining),
-		writeCh: make(chan pipeWrite, p.depth),
+		writeCh: make(chan pipeWrite, pipelineDepth),
 		dead:    make(chan struct{}),
 		pending: make(map[uint32]*pipePending),
 	}
@@ -153,27 +121,22 @@ func (pc *pipeConn) syncBusyLocked() {
 }
 
 // room reports how many more exchanges the connection should take; zero or
-// less means full. ok is false when it can take none whatever the overload: it
-// has failed, or it is untagged and carrying its one exchange.
+// less means full. ok is false when it has failed and can take none.
 func (pc *pipeConn) room() (n int, ok bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	n = pc.pool.connDepth(pc.tagged) - len(pc.pending)
-	return n, pc.err == nil && (pc.tagged || n > 0)
+	return pipelineDepth - len(pc.pending), pc.err == nil
 }
 
 // register adds pend as a new pending exchange and gives it its tag. It
-// reports false when the connection cannot take it: failed, draining, or
-// untagged and already carrying an exchange.
+// reports false when the connection cannot take it: failed or draining.
 func (pc *pipeConn) register(pend *pipePending) bool {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.err != nil || pc.draining || !pc.tagged && len(pc.pending) > 0 {
+	if pc.err != nil || pc.draining {
 		return false
 	}
-	if pc.tagged {
-		pc.nextTag++
-	}
+	pc.nextTag++
 	pend.tag = pc.nextTag
 	pc.pending[pend.tag] = pend
 	pc.syncBusyLocked()
@@ -181,20 +144,14 @@ func (pc *pipeConn) register(pend *pipePending) bool {
 }
 
 // forget abandons an exchange after a plain cancellation. If its request has
-// not been written the write loop skips the frame and the connection stays
-// up. If it has, a tagged connection stays up too — the read loop discards
-// the late reply by its tag, so the stream never desynchronizes and nothing
-// counts against the dirty-connection metric — but an untagged one would hand
-// that reply to its next exchange, so it fails as dirty.
+// not been written the write loop skips the frame; if it has, the read loop
+// discards the late reply by its tag. Either way the stream never
+// desynchronizes, the connection stays up, and nothing counts against the
+// dirty-connection metric.
 func (pc *pipeConn) forget(pend *pipePending) {
 	pc.mu.Lock()
 	if pc.pending[pend.tag] != pend {
 		pc.mu.Unlock()
-		return
-	}
-	if !pc.tagged && !pend.writtenAt.IsZero() {
-		pc.mu.Unlock()
-		pc.fail(context.Canceled, true)
 		return
 	}
 	pend.abandoned = true
@@ -204,8 +161,6 @@ func (pc *pipeConn) forget(pend *pipePending) {
 	pc.mu.Unlock()
 	if drained {
 		pc.fail(errConnDraining, false)
-	} else if !pc.tagged {
-		pc.rep.pipes.wake()
 	}
 }
 
@@ -242,7 +197,7 @@ func (pc *pipeConn) fail(err error, dirty bool) {
 }
 
 func (pc *pipeConn) writeLoop() {
-	wr := &protocol.Writer{Tagged: pc.tagged} // frames only; the loop writes them
+	wr := &protocol.Writer{Tagged: true} // frames only; the loop writes them
 	for {
 		select {
 		case w := <-pc.writeCh:
@@ -283,7 +238,7 @@ func (pc *pipeConn) writeLoop() {
 }
 
 func (pc *pipeConn) readLoop() {
-	rd := &protocol.Reader{R: pc.conn, Tagged: pc.tagged}
+	rd := &protocol.Reader{R: pc.conn, Tagged: true}
 	for {
 		msg, tag, n, err := rd.Read()
 		if err != nil {
@@ -321,9 +276,6 @@ func (pc *pipeConn) readLoop() {
 			pc.fail(errConnDraining, false)
 			return
 		}
-		if !pc.tagged {
-			pc.rep.pipes.wake()
-		}
 	}
 }
 
@@ -333,9 +285,6 @@ func (pc *pipeConn) readLoop() {
 // stuck and retries must redial), while a plain cancellation abandons only
 // this exchange (see forget).
 func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name string, phase Phase, req protocol.Message, pend *pipePending) (Call, protocol.Message, error) {
-	if !pc.granted.Has(protocol.FeatureRankFetch) {
-		req = protocol.WithoutRankFetch(req)
-	}
 	call := Call{Librarian: name, Replica: pc.rep.endpoint, Phase: phase, ReqType: req.Type()}
 	pend.start = time.Now() // the write loop reads it only after the send below
 
@@ -453,10 +402,9 @@ func (s *pipeSet) drain() {
 // pipeFor registers a new pending exchange on one of rep's connections and
 // returns both: on the live connection with the most room if any has some, on
 // a fresh dial while the replica is under its connection cap (hs is then what
-// the dial's negotiation Hello produced, if it sent one), otherwise on the
-// least-loaded tagged connection, shared beyond its depth — total concurrency
-// is already bounded by the caller's tag lease, so sharing at overload cannot
-// run away. An untagged connection is never shared.
+// the dial's Hello produced), otherwise on the least-loaded connection,
+// shared beyond its depth — total concurrency is already bounded by the
+// caller's tag lease, so sharing at overload cannot run away.
 func (p *Pool) pipeFor(ctx context.Context, rep *replica, timeout time.Duration) (pc *pipeConn, pend *pipePending, hs *pipeHandshake, err error) {
 	pend = &pipePending{done: make(chan struct{})}
 	s := &rep.pipes
@@ -496,11 +444,9 @@ func (p *Pool) pipeFor(ctx context.Context, rep *replica, timeout time.Duration)
 			return pc, pend, hs, err
 		}
 		// Nothing can take the exchange and the cap is accounted for: by dead
-		// connections not yet forgotten, by dials in flight (bounded by the
-		// exchange deadline their handshake carries), or by untagged
-		// connections each carrying its one exchange — possible only while
-		// leases taken before a dial narrowed rep.tags are still out. Each of
-		// those ends in a wake; so does the caller giving up.
+		// connections not yet forgotten, or by dials in flight (bounded by the
+		// exchange deadline their handshake carries). Each of those ends in a
+		// wake; so does the caller giving up.
 		if err := ctx.Err(); err != nil {
 			s.mu.Unlock()
 			return nil, nil, nil, err
@@ -511,9 +457,9 @@ func (p *Pool) pipeFor(ctx context.Context, rep *replica, timeout time.Duration)
 	}
 }
 
-// pipeHandshake reports what the negotiation Hello on a freshly dialled
-// connection produced, so a caller whose own request was the Hello can use
-// the handshake's reply directly instead of paying a second round trip.
+// pipeHandshake reports what the Hello on a freshly dialled connection
+// produced, so a caller whose own request was the Hello can use the
+// handshake's reply directly instead of paying a second round trip.
 type pipeHandshake struct {
 	reply *protocol.HelloReply
 	wrote int
@@ -522,27 +468,19 @@ type pipeHandshake struct {
 	wait  time.Duration
 }
 
-// dialPipe dials rep, registers pend on the new connection and adds it to the
-// replica's set. A pool that requests pipelining first negotiates features
-// with a Hello in seed framing, and the connection is tagged if the peer
-// grants it; any other pool sends nothing of its own, so its byte stream is
-// the seed's. rep.tags is resized for the framing the dial ended up with.
+// dialPipe dials rep, runs the Hello in untagged framing, registers pend on
+// the new, tagged connection and adds it to the replica's set.
 func (p *Pool) dialPipe(ctx context.Context, rep *replica, timeout time.Duration, pend *pipePending) (*pipeConn, *pipeHandshake, error) {
 	conn, err := p.dialer.Dial(rep.endpoint)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: dial %s: %w", rep.endpoint, err)
 	}
-	var hs *pipeHandshake
-	var granted protocol.Features
-	if p.features.Has(protocol.FeaturePipelining) {
-		if hs, err = p.negotiate(ctx, conn, timeout); err != nil {
-			conn.Close()
-			return nil, nil, fmt.Errorf("core: handshake %s: %w", rep.endpoint, err)
-		}
-		granted = hs.reply.Features
+	hs, err := p.hello(ctx, conn, timeout)
+	if err != nil {
+		conn.Close()
+		return nil, nil, fmt.Errorf("core: handshake %s: %w", rep.endpoint, err)
 	}
-	pc := newPipeConn(p, rep, conn, granted)
-	rep.sizeTags(p.max * p.connDepth(pc.tagged))
+	pc := newPipeConn(p, rep, conn)
 	pc.register(pend) // before anyone else can see the connection
 	s := &rep.pipes
 	s.mu.Lock()
@@ -565,9 +503,10 @@ func (p *Pool) dialPipe(ctx context.Context, rep *replica, timeout time.Duration
 	return pc, hs, nil
 }
 
-// negotiate runs the Hello feature negotiation, in seed framing, on a freshly
-// dialled connection.
-func (p *Pool) negotiate(ctx context.Context, conn net.Conn, timeout time.Duration) (*pipeHandshake, error) {
+// hello runs the Hello, in untagged framing, on a freshly dialled connection
+// and fails with protocol.ErrProtocolVersion when the peer answers at another
+// version.
+func (p *Pool) hello(ctx context.Context, conn net.Conn, timeout time.Duration) (*pipeHandshake, error) {
 	// The handshake honours the same effective deadline an exchange would:
 	// the earlier of the per-call timeout and the context's own deadline,
 	// with cancellation snapping the deadline into the past.
@@ -590,8 +529,8 @@ func (p *Pool) negotiate(ctx context.Context, conn net.Conn, timeout time.Durati
 		defer func() {
 			if !stop() {
 				// The snap ran (or is running) while the handshake completed:
-				// wait for it and undo it, or the freshly negotiated
-				// connection would start life with a poisoned deadline.
+				// wait for it and undo it, or the fresh connection would
+				// start life with a poisoned deadline.
 				<-snapped
 				_ = conn.SetDeadline(time.Time{})
 			}
@@ -599,7 +538,7 @@ func (p *Pool) negotiate(ctx context.Context, conn net.Conn, timeout time.Durati
 	}
 
 	start := time.Now()
-	wrote, err := protocol.WriteMessage(conn, &protocol.Hello{Features: p.features})
+	wrote, err := protocol.WriteMessage(conn, &protocol.Hello{Version: protocol.Version})
 	if err != nil {
 		return nil, err
 	}
@@ -616,8 +555,8 @@ func (p *Pool) negotiate(ctx context.Context, conn net.Conn, timeout time.Durati
 	if !ok {
 		return nil, fmt.Errorf("unexpected %v reply", reply.Type())
 	}
-	if extra := hr.Features &^ p.features; extra != 0 {
-		return nil, &protocol.FeatureMismatchError{Requested: p.features, Granted: hr.Features}
+	if hr.Version != protocol.Version {
+		return nil, fmt.Errorf("%w: peer at %d, this build at %d", protocol.ErrProtocolVersion, hr.Version, protocol.Version)
 	}
 	return &pipeHandshake{
 		reply: hr,

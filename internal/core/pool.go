@@ -36,7 +36,7 @@ var ErrPoolClosed = errors.New("core: pool is closed")
 // It owns every connection the federation holds to its librarians and
 // bounds them at MaxConnsPerLibrarian per replica endpoint. An exchange
 // leases one of the endpoint's tags, is placed on a connection with room for
-// it (pipeFor: reuse, dial under the cap, or share a tagged one) and runs
+// it (pipeFor: reuse, dial under the cap, or share one) and runs
 // there; see pipeline.go. A connection whose stream was interrupted
 // mid-message (dirty) is closed, never reused — the next frame on it would
 // decode garbage — and the fault-tolerance layer's retry redials.
@@ -54,13 +54,10 @@ type Pool struct {
 	fed    *Federation
 	dialer simnet.Dialer
 	max    int
-	// features is the wire feature set requested in every Hello (already
-	// sentinel-masked: zero means the seed protocol, no negotiation bytes).
-	features protocol.Features
-	// depth bounds concurrent exchanges per tagged connection.
-	depth int
+	// twoRound is Config.TwoRoundFetch.
+	twoRound bool
 	// batch coalesces concurrent rank-phase queries to the same librarian
-	// into BatchQuery frames; nil unless batching is requested.
+	// into BatchQuery frames.
 	batch *batcher
 
 	// routers[name] picks the replica endpoint serving each exchange. The
@@ -116,38 +113,22 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 		analyzer: analyzer,
 		byName:   make(map[string]*libMeta, len(names)),
 	}
-	ejectAfter := cfg.ReplicaEjectAfter
-	if ejectAfter <= 0 {
-		ejectAfter = DefaultReplicaEjectAfter
-	}
 	probeAfter := cfg.ReplicaProbeAfter
 	if probeAfter <= 0 {
 		probeAfter = DefaultReplicaProbeAfter
-	}
-	features := cfg.WireFeatures
-	if features == 0 {
-		features = DefaultWireFeatures
-	}
-	// Wire() strips the FeatureNone sentinel: a caller pinning the seed
-	// protocol ends up with zero bits, which encodes as a seed-identical
-	// Hello and never upgrades a connection.
-	features = features.Wire()
-	depth := cfg.PipelineDepth
-	if depth <= 0 {
-		depth = DefaultPipelineDepth
 	}
 	p := &Pool{
 		fed:           fed,
 		dialer:        dialer,
 		max:           max,
-		features:      features,
-		depth:         depth,
+		twoRound:      cfg.TwoRoundFetch,
 		routers:       make(map[string]*router, len(names)),
 		done:          make(chan struct{}),
 		metrics:       newMetrics(reg),
 		slowThreshold: cfg.SlowQueryThreshold,
 		slowLog:       slowLog,
 	}
+	p.batch = newBatcher(p)
 	if cfg.Cache != nil {
 		p.cache = newResultCache(*cfg.Cache, p.metrics)
 	}
@@ -182,7 +163,7 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 		// The router PRNG seed is derived from the librarian's position, so
 		// replica selection is deterministic given a fixed query schedule —
 		// the property tests rely on it, production does not care.
-		p.routers[name] = newRouter(name, endpoints, max, p.connDepth(features.Has(protocol.FeaturePipelining)), ejectAfter, probeAfter, p.metrics, int64(i)+1)
+		p.routers[name] = newRouter(name, endpoints, max, probeAfter, p.metrics, int64(i)+1)
 	}
 	for name := range cfg.Replicas {
 		if _, ok := fed.byName[name]; !ok {
@@ -193,13 +174,10 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 	// Hello exchange: one call per librarian, zero policy (setup is never
 	// partial — see DESIGN.md). The libMeta writes below happen before the
 	// Pool escapes to any other goroutine.
-	if features.Has(protocol.FeatureBatching) {
-		p.batch = newBatcher(p)
-	}
 	e := &exec{ctx: context.Background(), fed: fed, pool: p}
 	var trace Trace
 	replies, err := e.callParallel(&trace, PhaseSetup, names, func(string) protocol.Message {
-		return &protocol.Hello{Features: features}
+		return &protocol.Hello{Version: protocol.Version}
 	})
 	if err != nil {
 		p.Close()
@@ -212,7 +190,6 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 			p.Close()
 			return nil, fmt.Errorf("core: librarian %q answered Hello with %v", li.name, replies[li.name].Type())
 		}
-		li.hello = hello
 		li.numDocs = hello.NumDocs
 		li.offset = offset
 		offset += hello.NumDocs
@@ -364,16 +341,6 @@ func (p *Pool) CacheStats() (stats CacheStats, ok bool) {
 	return p.cache.stats(), true
 }
 
-// connDepth is how many exchanges one connection carries at once:
-// PipelineDepth when its frames are tagged, one when they are not. A replica's
-// lease semaphore starts out sized for what the pool will ask its peers for.
-func (p *Pool) connDepth(tagged bool) int {
-	if tagged {
-		return p.depth
-	}
-	return 1
-}
-
 // isClosed reports whether Close has been called.
 func (p *Pool) isClosed() bool {
 	select {
@@ -432,7 +399,7 @@ func (p *Pool) AddReplica(lib, endpoint string) error {
 			}
 		}
 	}
-	rt.add(newReplica(endpoint, p.max, p.connDepth(p.features.Has(protocol.FeaturePipelining))))
+	rt.add(newReplica(endpoint, p.max))
 	p.fed.bumpEpoch()
 	return nil
 }

@@ -33,9 +33,8 @@ func sameRanking(got, want []Answer) bool {
 // countingDialer wraps a dialer and records, per endpoint, what the pool put
 // on the wire from the outside: how many dials happened, how many of the
 // dialled connections are open right now and were ever open at once (the
-// MaxConnsPerLibrarian bound), how many were closed, which frames were written
-// (tagged, untagged, Hello) and whether an untagged request was ever written
-// while the previous one on the same connection was still unanswered.
+// MaxConnsPerLibrarian bound), how many were closed, and which frames were
+// written (tagged, untagged, Hello).
 type countingDialer struct {
 	inner simnet.Dialer
 
@@ -44,9 +43,8 @@ type countingDialer struct {
 	open    map[string]int
 	maxOpen map[string]int
 	closed  map[string]int
-	// Frames written, by kind; overlaps counts untagged requests written on
-	// a connection that still owed the reply to an earlier one.
-	hellos, taggedFrames, untaggedFrames, overlaps map[string]int
+	// Frames written, by kind.
+	hellos, taggedFrames, untaggedFrames map[string]int
 	// drop, when set for an endpoint, swallows the next frame written to it
 	// (the librarian never sees it, so no reply comes) and is closed then.
 	drop map[string]chan struct{}
@@ -62,7 +60,6 @@ func newCountingDialer(inner simnet.Dialer) *countingDialer {
 		hellos:         make(map[string]int),
 		taggedFrames:   make(map[string]int),
 		untaggedFrames: make(map[string]int),
-		overlaps:       make(map[string]int),
 		drop:           make(map[string]chan struct{}),
 	}
 }
@@ -99,32 +96,17 @@ func (d *countingDialer) dropNext(name string) <-chan struct{} {
 }
 
 // countedConn is one dialled connection. The pool writes each frame with one
-// Write, so Write sees whole request frames; Read follows the reply stream
-// frame by frame to know when an untagged request has been answered.
+// Write, so Write sees whole request frames.
 type countedConn struct {
 	net.Conn
 	dialer *countingDialer
 	name   string
 	once   sync.Once
-
-	mu     sync.Mutex
-	tagged bool   // a tagged frame has been written: replies are tagged too
-	owed   int    // untagged requests written and not yet answered
-	hdr    []byte // reply header bytes seen so far
-	body   int    // reply payload bytes still to come
 }
 
 func (c *countedConn) Write(p []byte) (int, error) {
 	payload := int(binary.LittleEndian.Uint32(p[:4]))
 	tagged := len(p) == payload+9
-	c.mu.Lock()
-	overlap := !tagged && c.owed > 0
-	if tagged {
-		c.tagged = true
-	} else {
-		c.owed++
-	}
-	c.mu.Unlock()
 	d := c.dialer
 	d.mu.Lock()
 	if tagged {
@@ -135,9 +117,6 @@ func (c *countedConn) Write(p []byte) (int, error) {
 	if protocol.MsgType(p[4]) == protocol.TypeHello {
 		d.hellos[c.name]++
 	}
-	if overlap {
-		d.overlaps[c.name]++
-	}
 	dropped := d.drop[c.name]
 	delete(d.drop, c.name)
 	d.mu.Unlock()
@@ -146,35 +125,6 @@ func (c *countedConn) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	return c.Conn.Write(p)
-}
-
-func (c *countedConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.mu.Lock()
-	for b := p[:n]; len(b) > 0; {
-		if c.body == 0 {
-			hl := 5
-			if c.tagged {
-				hl = 9
-			}
-			take := min(hl-len(c.hdr), len(b))
-			c.hdr = append(c.hdr, b[:take]...)
-			b = b[take:]
-			if len(c.hdr) < hl {
-				break
-			}
-			c.body = int(binary.LittleEndian.Uint32(c.hdr[:4]))
-			c.hdr = c.hdr[:0]
-		}
-		take := min(c.body, len(b))
-		c.body -= take
-		b = b[take:]
-		if c.body == 0 && !c.tagged {
-			c.owed--
-		}
-	}
-	c.mu.Unlock()
-	return n, err
 }
 
 func (c *countedConn) Close() error {
@@ -198,10 +148,6 @@ type poolFixture struct {
 }
 
 func newPoolFixture(t testing.TB, maxConns int) *poolFixture {
-	return newPoolFixtureWire(t, maxConns, 0)
-}
-
-func newPoolFixtureWire(t testing.TB, maxConns int, features protocol.Features) *poolFixture {
 	t.Helper()
 	corpus, order := smallCorpus(t)
 	f := newFixture(t, corpus, order)
@@ -209,7 +155,7 @@ func newPoolFixtureWire(t testing.TB, maxConns int, features protocol.Features) 
 	// second pool with a counting dialer for the pool assertions.
 	counter := newCountingDialer(f.dialer)
 	goroutines := runtime.NumGoroutine()
-	pool, err := NewPool(counter, order, Config{Analyzer: testAnalyzer(), MaxConnsPerLibrarian: maxConns, WireFeatures: features})
+	pool, err := NewPool(counter, order, Config{Analyzer: testAnalyzer(), MaxConnsPerLibrarian: maxConns})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,90 +291,82 @@ func TestConcurrentSessionsAcrossModes(t *testing.T) {
 	}
 }
 
-// TestPoolCloseDuringQueries hammers Close against in-flight queries, on
-// tagged and on seed framing: 10 goroutines query in a loop while the main
+// TestPoolCloseDuringQueries hammers Close against in-flight queries on
+// tagged connections: 10 goroutines query in a loop while the main
 // goroutine closes the pool (and three more goroutines race duplicate
 // Closes). Nothing may panic, queries must cleanly either succeed or fail,
 // and when the dust settles nothing may be left behind: every connection the
 // pool dialled is closed, and the goroutines it started — a read and a write
 // loop per connection — are gone.
 func TestPoolCloseDuringQueries(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		features protocol.Features
-	}{
-		{"tagged", 0},
-		{"seed framing", protocol.FeatureNone},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			pf := newPoolFixtureWire(t, 3, tc.features)
-			if _, err := pf.pool.SetupVocabulary(); err != nil {
-				t.Fatal(err)
-			}
-			const goroutines = 10
-			var started sync.WaitGroup
-			var wg sync.WaitGroup
-			var failures atomic.Int64
-			started.Add(goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					started.Done()
-					for {
-						// Retries keep redialling into the shutdown.
-						_, err := pf.pool.Query(ModeCV, "alpha federal wallstreet", 10, Options{Retries: 2})
-						if err != nil {
-							failures.Add(1)
-							return
-						}
+	t.Run("tagged", func(t *testing.T) {
+		pf := newPoolFixture(t, 3)
+		if _, err := pf.pool.SetupVocabulary(); err != nil {
+			t.Fatal(err)
+		}
+		const goroutines = 10
+		var started sync.WaitGroup
+		var wg sync.WaitGroup
+		var failures atomic.Int64
+		started.Add(goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				started.Done()
+				for {
+					// Retries keep redialling into the shutdown.
+					_, err := pf.pool.Query(ModeCV, "alpha federal wallstreet", 10, Options{Retries: 2})
+					if err != nil {
+						failures.Add(1)
+						return
 					}
-				}()
-			}
-			started.Wait()
-			time.Sleep(5 * time.Millisecond) // let some queries land mid-flight
-			var closers sync.WaitGroup
-			for c := 0; c < 3; c++ {
-				closers.Add(1)
-				go func() {
-					defer closers.Done()
-					if err := pf.pool.Close(); err != nil {
-						t.Errorf("Close: %v", err)
-					}
-				}()
-			}
-			closers.Wait()
-			wg.Wait()
-			if failures.Load() != goroutines {
-				t.Fatalf("expected every goroutine to observe shutdown, got %d failures", failures.Load())
-			}
-			for _, name := range pf.order {
-				dials, open, _ := pf.counter.stats(name)
-				if dials == 0 || open != 0 {
-					t.Fatalf("librarian %s: %d of %d dialled connections still open after Close", name, open, dials)
 				}
-			}
-			// The loops (and the in-process librarians serving the closed
-			// connections) unwind on their own schedule; two seconds is far
-			// beyond what a closed pipe needs to wake its reader.
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > pf.goroutines {
-				if time.Now().After(deadline) {
-					buf := make([]byte, 1<<16)
-					t.Fatalf("%d goroutines after Close, %d before the pool was built\n%s",
-						runtime.NumGoroutine(), pf.goroutines, buf[:runtime.Stack(buf, true)])
+			}()
+		}
+		started.Wait()
+		time.Sleep(5 * time.Millisecond) // let some queries land mid-flight
+		var closers sync.WaitGroup
+		for c := 0; c < 3; c++ {
+			closers.Add(1)
+			go func() {
+				defer closers.Done()
+				if err := pf.pool.Close(); err != nil {
+					t.Errorf("Close: %v", err)
 				}
-				time.Sleep(time.Millisecond)
+			}()
+		}
+		closers.Wait()
+		wg.Wait()
+		if failures.Load() != goroutines {
+			t.Fatalf("expected every goroutine to observe shutdown, got %d failures", failures.Load())
+		}
+		for _, name := range pf.order {
+			dials, open, _ := pf.counter.stats(name)
+			if dials == 0 || open != 0 {
+				t.Fatalf("librarian %s: %d of %d dialled connections still open after Close", name, open, dials)
 			}
-			// Fresh queries fail fast with ErrPoolClosed.
-			if _, err := pf.pool.Query(ModeCV, "alpha", 5, Options{}); !errors.Is(err, ErrPoolClosed) {
-				t.Fatalf("query after Close: got %v, want ErrPoolClosed", err)
+		}
+		// The loops (and the in-process librarians serving the closed
+		// connections) unwind on their own schedule; two seconds is far
+		// beyond what a closed pipe needs to wake its reader.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > pf.goroutines {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Close, %d before the pool was built\n%s",
+					runtime.NumGoroutine(), pf.goroutines, buf[:runtime.Stack(buf, true)])
 			}
-			if err := pf.pool.Close(); err != nil {
-				t.Fatalf("second Close: %v", err)
-			}
-		})
-	}
+			time.Sleep(time.Millisecond)
+		}
+		// Fresh queries fail fast with ErrPoolClosed.
+		if _, err := pf.pool.Query(ModeCV, "alpha", 5, Options{}); !errors.Is(err, ErrPoolClosed) {
+			t.Fatalf("query after Close: got %v, want ErrPoolClosed", err)
+		}
+		if err := pf.pool.Close(); err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+	})
 }
 
 // TestSetupSharedAcrossSessions verifies the amortization claim behind the

@@ -13,19 +13,15 @@ import (
 	"time"
 
 	"teraphim/internal/librarian"
-	"teraphim/internal/protocol"
 	"teraphim/internal/simnet"
 	"teraphim/internal/store"
 )
 
 // The one-exchange wall: with Options.Fetch on, documents ride the rank
-// replies (FeatureRankFetch) and fetchAnswers only fills the gaps. Every
-// test compares against the two-round path — the same fleet through a pool
-// that does not request the feature — with == on scores, and reads the
-// saving off Trace.PiggybackedDocs / Trace.FallbackFetches.
-
-// twoRound is the wire every default pool spoke before FeatureRankFetch.
-const twoRound = protocol.FeaturePipelining | protocol.FeatureBatching
+// replies and fetchAnswers only fills the gaps. Every test compares against
+// the two-round path — the same fleet through a TwoRoundFetch pool — with ==
+// on scores, and reads the saving off Trace.PiggybackedDocs /
+// Trace.FallbackFetches.
 
 // staticDialer builds one frozen librarian per subcollection.
 func staticDialer(t testing.TB, corpus map[string][]store.Document, order []string) *librarian.InProcessDialer {
@@ -124,7 +120,7 @@ func TestRankFetchParity(t *testing.T) {
 				dialer, _ = newSegmentedDialer(t, corpus, order, 3)
 			}
 			t.Cleanup(dialer.Wait) // after every pool on it has closed
-			ref := connectAll(t, dialer, order, Config{WireFeatures: twoRound})
+			ref := connectAll(t, dialer, order, Config{TwoRoundFetch: true})
 			want := make([]*Result, len(cases))
 			for i, c := range cases {
 				res, err := ref.Query(c.mode, c.query, k, c.opts)
@@ -146,18 +142,6 @@ func TestRankFetchParity(t *testing.T) {
 				label := wire + " " + c.mode.String() + " " + c.query
 				assertSameFetched(t, label, corpus, res.Answers, want[i].Answers)
 				tr := &res.Trace
-				if wire == "seed" {
-					// Nothing negotiated: the old frames, the old two rounds.
-					if tr.PiggybackedDocs != 0 || tr.FallbackFetches != want[i].Trace.FallbackFetches {
-						t.Fatalf("%s: %d piggy-backed, %d fallback fetches; two-round path had %d",
-							label, tr.PiggybackedDocs, tr.FallbackFetches, want[i].Trace.FallbackFetches)
-					}
-					if tr.BytesTransferred(PhaseRank) != want[i].Trace.BytesTransferred(PhaseRank)-4*2*tr.RoundTrips(PhaseRank) {
-						t.Fatalf("%s: rank phase moved %d bytes, two-round tagged path %d over %d exchanges",
-							label, tr.BytesTransferred(PhaseRank), want[i].Trace.BytesTransferred(PhaseRank), tr.RoundTrips(PhaseRank))
-					}
-					return
-				}
 				if tr.PiggybackedDocs != len(res.Answers) || tr.FallbackFetches != 0 || tr.RoundTrips(PhaseFetch) != 0 {
 					t.Fatalf("%s: %d of %d answers piggy-backed, %d fallback fetches, %d fetch round trips",
 						label, tr.PiggybackedDocs, len(res.Answers), tr.FallbackFetches, tr.RoundTrips(PhaseFetch))
@@ -181,25 +165,19 @@ func TestRankFetchParity(t *testing.T) {
 				}
 			}
 
-			for _, wire := range []struct {
-				name     string
-				features protocol.Features
-			}{{"seed", protocol.FeatureNone}, {"pipelined", 0}} {
-				pool := connectAll(t, dialer, order, Config{WireFeatures: wire.features})
-				for i, c := range cases {
-					res, err := pool.Query(c.mode, c.query, k, c.opts)
-					if err != nil {
-						t.Fatalf("%s %v %q: %v", wire.name, c.mode, c.query, err)
-					}
-					checkOne(t, wire.name, i, res)
+			pool := connectAll(t, dialer, order, Config{})
+			for i, c := range cases {
+				res, err := pool.Query(c.mode, c.query, k, c.opts)
+				if err != nil {
+					t.Fatalf("pipelined %v %q: %v", c.mode, c.query, err)
 				}
-				assertNoLeakedConns(t, pool)
+				checkOne(t, "pipelined", i, res)
 			}
+			assertNoLeakedConns(t, pool)
 
 			// Batched: every case at once behind a start barrier, so rank
 			// requests with FetchTop (RankQuery and ScoreDocs alike) share
 			// BatchQuery frames.
-			pool := connectAll(t, dialer, order, Config{})
 			results := make([]*Result, len(cases))
 			errs := make([]error, len(cases))
 			start := make(chan struct{})
@@ -234,57 +212,6 @@ func TestRankFetchParity(t *testing.T) {
 	}
 }
 
-// A mixed fleet: one librarian withholds the bit, so its frames stay
-// pre-feature and its answers — only its answers — cost a FetchDocs.
-func TestRankFetchMixedFleetFallsBackPerLibrarian(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	mixed := buildRecep(t, corpus, order, Config{}, func(libs []*librarian.Librarian) {
-		libs[1].SupportFeatures(protocol.SupportedFeatures &^ protocol.FeatureRankFetch)
-	})
-	ref := buildRecep(t, corpus, order, Config{WireFeatures: twoRound}, nil)
-	for _, r := range []*Pool{mixed, ref} {
-		setupAll(t, r)
-	}
-	old := order[1]
-	for _, mode := range []Mode{ModeCN, ModeCV, ModeCI} {
-		opts := Options{Fetch: true, CompressedTransfer: mode != ModeCN, KPrime: 8}
-		want, err := ref.Query(mode, "alpha federal wallstreet", 12, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := mixed.Query(mode, "alpha federal wallstreet", 12, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameFetched(t, mode.String(), corpus, got.Answers, want.Answers)
-		fromOld := 0
-		for _, a := range got.Answers {
-			if a.Librarian == old {
-				fromOld++
-			}
-		}
-		if fromOld == 0 || fromOld == len(got.Answers) {
-			t.Fatalf("%v: %d of %d answers from %s; the query must draw on old and new librarians", mode, fromOld, len(got.Answers), old)
-		}
-		tr := &got.Trace
-		if tr.FallbackFetches != 1 || tr.PiggybackedDocs != len(got.Answers)-fromOld {
-			t.Fatalf("%v: %d fallback fetches, %d piggy-backed docs; want 1 and %d",
-				mode, tr.FallbackFetches, tr.PiggybackedDocs, len(got.Answers)-fromOld)
-		}
-		for _, c := range tr.Calls {
-			switch {
-			case c.Phase == PhaseFetch && (c.Librarian != old || c.DocsFetched != fromOld):
-				t.Fatalf("%v: fetch call to %s for %d docs; want one to %s for %d", mode, c.Librarian, c.DocsFetched, old, fromOld)
-			case c.Phase == PhaseRank && c.Librarian == old && c.DocsFetched != 0:
-				t.Fatalf("%v: %s attached %d documents without having granted the feature", mode, old, c.DocsFetched)
-			}
-		}
-		if n := tr.RoundTrips(PhaseFetch); n != 1 {
-			t.Fatalf("%v: %d fetch round trips, want exactly 1", mode, n)
-		}
-	}
-}
-
 // A document larger than the librarian's per-reply byte budget is left off
 // the rank reply and delivered by the fallback — it alone, even as the best
 // hit: the documents ranked below it still ride the reply.
@@ -293,7 +220,7 @@ func TestRankFetchOversizeDocumentUsesFallback(t *testing.T) {
 	huge := strings.TrimSpace(strings.Repeat("alpha ", 8000)) // 48 KB, cosine 1 for "alpha"
 	corpus["AP"] = append([]store.Document(nil), corpus["AP"]...)
 	corpus["AP"][3] = store.Document{ID: 3, Title: "AP-huge", Text: huge}
-	r := buildRecep(t, corpus, order, Config{}, nil)
+	r := buildRecep(t, corpus, order, Config{})
 	res, err := r.Query(ModeCN, "alpha", 5, Options{Fetch: true})
 	if err != nil {
 		t.Fatal(err)
@@ -356,8 +283,8 @@ func wideCorpus(n int) (map[string][]store.Document, []string) {
 func TestRankFetchWideFleet(t *testing.T) {
 	corpus, order := wideCorpus(8)
 	const k = 8
-	wide := buildRecep(t, corpus, order, Config{}, nil)
-	ref := buildRecep(t, corpus, order, Config{WireFeatures: twoRound}, nil)
+	wide := buildRecep(t, corpus, order, Config{})
+	ref := buildRecep(t, corpus, order, Config{TwoRoundFetch: true})
 	for _, r := range []*Pool{wide, ref} {
 		setupAll(t, r)
 	}
@@ -441,7 +368,7 @@ func BenchmarkWideFleetOverFetch(b *testing.B) {
 			cfg := Config{}
 			if factor == 0 {
 				name = fmt.Sprintf("librarians=%d/two-round", width)
-				cfg.WireFeatures = twoRound
+				cfg.TwoRoundFetch = true
 			} else {
 				overFetch = factor
 			}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"teraphim/internal/obs"
-	"teraphim/internal/protocol"
 	"teraphim/internal/search"
 	"teraphim/internal/textproc"
 )
@@ -109,9 +108,9 @@ type Options struct {
 	// concurrency (the paper's cost model charges per network contact).
 	// Batching cannot change results — the librarian evaluates the batched
 	// queries exactly as it would separately — and failure stays per-query.
-	// Requires the librarian to have granted FeatureBatching; zero (the
-	// default) sends every query in its own frame. A query that finds
-	// batch-mates waits at most one window, so set this well below Timeout.
+	// Zero (the default) sends every query in its own frame. A query that
+	// finds batch-mates waits at most one window, so set this well below
+	// Timeout.
 	BatchWindow time.Duration
 }
 
@@ -125,8 +124,7 @@ type Config struct {
 	Analyzer *textproc.Analyzer
 	// MaxConnsPerLibrarian bounds how many connections the pool keeps open
 	// to each librarian endpoint, and therefore how many exchanges can run
-	// against it concurrently: PipelineDepth per connection on tagged
-	// frames, one per connection otherwise. Zero selects
+	// against it concurrently: eight per connection. Zero selects
 	// DefaultMaxConnsPerLibrarian.
 	MaxConnsPerLibrarian int
 	// Metrics is the registry the pool registers its instruments on, letting
@@ -160,30 +158,16 @@ type Config struct {
 	// after them, the pre-replication behaviour. Replica sets can be grown
 	// and shrunk live via Pool.AddReplica / Pool.RemoveReplica.
 	Replicas map[string][]string
-	// ReplicaEjectAfter is the number of consecutive exchange failures
-	// after which a replica is ejected from routing (new exchanges go to
-	// its siblings). Zero selects DefaultReplicaEjectAfter.
-	ReplicaEjectAfter int
 	// ReplicaProbeAfter is how long an ejected replica sits out before a
 	// single probe exchange is routed to it; success readmits it, failure
 	// ejects it for another window. Zero selects DefaultReplicaProbeAfter.
 	ReplicaProbeAfter time.Duration
-	// WireFeatures is the wire-protocol feature set requested in every
-	// Hello: FeaturePipelining multiplexes exchanges over tagged frames,
-	// FeatureBatching enables cross-client query batching, FeatureRankFetch
-	// lets rank replies carry the answers' documents. Zero requests
-	// DefaultWireFeatures; FeatureNone pins the seed protocol (untagged
-	// frames, one exchange per connection at a time, no negotiation bytes).
-	// Each librarian grants the subset it supports, so in a mixed-version
-	// fleet a connection to an old librarian carries seed frames at depth
-	// one instead of failing.
-	WireFeatures protocol.Features
-	// PipelineDepth bounds concurrent exchanges multiplexed on one
-	// tagged connection; per-replica concurrency becomes
-	// MaxConnsPerLibrarian × PipelineDepth. Zero selects
-	// DefaultPipelineDepth. A connection that did not negotiate pipelining
-	// has depth one whatever this says.
-	PipelineDepth int
+	// TwoRoundFetch runs the paper's protocol: every rank request asks for
+	// every nominated score back (ScoreDocs.K = 0) and no documents
+	// (FetchTop = 0), so a Fetch query fetches its text in a second round.
+	// False (the default) lets rank replies carry only each librarian's best
+	// results and their documents, so a Fetch query is one exchange.
+	TwoRoundFetch bool
 }
 
 // ErrInvalidK is returned by the query path for a k outside [1, 2³²−1]: k

@@ -8,15 +8,13 @@ import (
 	"time"
 )
 
-// Defaults for the router's passive health tracking.
-const (
-	// DefaultReplicaEjectAfter is the number of consecutive exchange
-	// failures after which a replica is ejected from routing.
-	DefaultReplicaEjectAfter = 3
-	// DefaultReplicaProbeAfter is how long an ejected replica sits out
-	// before one probe exchange is allowed to test it for readmission.
-	DefaultReplicaProbeAfter = 500 * time.Millisecond
-)
+// replicaEjectAfter is the number of consecutive exchange failures after
+// which a replica is ejected from routing.
+const replicaEjectAfter = 3
+
+// DefaultReplicaProbeAfter is how long an ejected replica sits out before one
+// probe exchange is allowed to test it for readmission.
+const DefaultReplicaProbeAfter = 500 * time.Millisecond
 
 // hedgeMinSamples gates hedging until the latency tracker has seen enough
 // exchanges to estimate a quantile; before that a "p99" would just be the
@@ -30,12 +28,10 @@ type replica struct {
 	endpoint string
 	// tags is the lease semaphore, one token per exchange in flight: its
 	// capacity is what the endpoint's MaxConnsPerLibrarian connections carry
-	// at once at the depth their Hello negotiated (PipelineDepth each on
-	// tagged frames, one each on untagged). Hedges take a tag only if one is
-	// free right now, which is what keeps them from queue-jumping regular
-	// exchanges. sizeTags replaces the channel; a lease returns its token to
-	// the channel it took it from.
-	tags atomic.Pointer[chan struct{}]
+	// at once, pipelineDepth each. Hedges take a tag only if one is free
+	// right now, which is what keeps them from queue-jumping regular
+	// exchanges.
+	tags chan struct{}
 	// pipes is the set of connections to this endpoint.
 	pipes pipeSet
 	// inflight counts leases currently out — the load signal the
@@ -49,22 +45,10 @@ type replica struct {
 	removed      bool      // RemoveReplica was called; never selectable again
 }
 
-func newReplica(endpoint string, maxConns, depth int) *replica {
-	r := &replica{endpoint: endpoint}
-	r.sizeTags(maxConns * depth)
+func newReplica(endpoint string, maxConns int) *replica {
+	r := &replica{endpoint: endpoint, tags: make(chan struct{}, maxConns*pipelineDepth)}
 	r.pipes.init()
 	return r
-}
-
-// sizeTags makes n the capacity of the lease semaphore. Leases taken from the
-// channel it replaces stay valid, so for as long as they are out more than n
-// exchanges may be leased; pipeFor holds back what the connections cannot
-// carry.
-func (r *replica) sizeTags(n int) {
-	if old := r.tags.Load(); old == nil || cap(*old) != n {
-		tags := make(chan struct{}, n)
-		r.tags.Store(&tags)
-	}
 }
 
 // selectableAt reports whether the router may route a new exchange here:
@@ -146,7 +130,6 @@ func (r *replica) status(now time.Time) ReplicaStatus {
 // block the pick path.
 type router struct {
 	lib        string
-	ejectAfter int
 	probeAfter time.Duration
 	metrics    *Metrics
 
@@ -168,10 +151,9 @@ type router struct {
 	latency latencyTracker
 }
 
-func newRouter(lib string, endpoints []string, maxConns, depth, ejectAfter int, probeAfter time.Duration, m *Metrics, seed int64) *router {
+func newRouter(lib string, endpoints []string, maxConns int, probeAfter time.Duration, m *Metrics, seed int64) *router {
 	rt := &router{
 		lib:        lib,
-		ejectAfter: ejectAfter,
 		probeAfter: probeAfter,
 		metrics:    m,
 		now:        time.Now,
@@ -179,7 +161,7 @@ func newRouter(lib string, endpoints []string, maxConns, depth, ejectAfter int, 
 	}
 	set := make([]*replica, len(endpoints))
 	for i, ep := range endpoints {
-		set[i] = newReplica(ep, maxConns, depth)
+		set[i] = newReplica(ep, maxConns)
 	}
 	rt.set.Store(&set)
 	return rt
@@ -344,9 +326,9 @@ func (rt *router) reportSuccess(r *replica, d time.Duration) {
 }
 
 // reportFailure counts a failed exchange against the replica's health:
-// ejectAfter consecutive failures eject it until a probe, probeAfter later,
-// succeeds. Cancelled exchanges must not come through here — a hedge loser
-// or an abandoned query says nothing about the replica's health.
+// replicaEjectAfter consecutive failures eject it until a probe, probeAfter
+// later, succeeds. Cancelled exchanges must not come through here — a hedge
+// loser or an abandoned query says nothing about the replica's health.
 func (rt *router) reportFailure(r *replica) {
 	now := rt.now()
 	r.mu.Lock()
@@ -354,7 +336,7 @@ func (rt *router) reportFailure(r *replica) {
 	wasOut := !r.ejectedUntil.IsZero()
 	wasProbe := r.probing
 	r.probing = false
-	eject := r.consecFails >= rt.ejectAfter
+	eject := r.consecFails >= replicaEjectAfter
 	if eject {
 		r.ejectedUntil = now.Add(rt.probeAfter)
 	}

@@ -311,7 +311,7 @@ func TestAddReplicaServesTraffic(t *testing.T) {
 
 func newTestRouter(t *testing.T, clock *time.Time, endpoints ...string) *router {
 	t.Helper()
-	rt := newRouter("lib", endpoints, 4, DefaultPipelineDepth, 3, 500*time.Millisecond, newMetrics(obs.NewRegistry()), 7)
+	rt := newRouter("lib", endpoints, 4, 500*time.Millisecond, newMetrics(obs.NewRegistry()), 7)
 	rt.now = func() time.Time { return *clock }
 	return rt
 }

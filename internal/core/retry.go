@@ -87,8 +87,6 @@ func retryableError(err error) bool {
 	if errors.As(err, &remote) {
 		return remote.Retryable
 	}
-	// A feature-negotiation mismatch is a protocol violation by the peer;
-	// re-sending the same Hello would only reproduce it.
-	var mismatch *protocol.FeatureMismatchError
-	return !errors.As(err, &mismatch)
+	// A peer at another wire version answers every Hello the same way.
+	return !errors.Is(err, protocol.ErrProtocolVersion)
 }

@@ -164,9 +164,9 @@ type Trace struct {
 	HedgeWins int
 
 	// PiggybackedDocs counts answers of a Fetch query whose document arrived
-	// attached to a rank reply (FeatureRankFetch); FallbackFetches counts the
-	// librarians that had to be sent a FetchDocs for the rest. A query
-	// answered in one exchange per librarian has FallbackFetches == 0.
+	// attached to a rank reply; FallbackFetches counts the librarians that
+	// had to be sent a FetchDocs for the rest. A query answered in one
+	// exchange per librarian has FallbackFetches == 0.
 	PiggybackedDocs int
 	FallbackFetches int
 

@@ -13,28 +13,6 @@ import (
 	"teraphim/internal/simnet"
 )
 
-// transportFleet is one column of the transport conformance table: what the
-// pool requests and which librarians stand in for a pre-feature build. The
-// pool must behave the same on all of them; only how many exchanges one
-// connection carries may differ.
-type transportFleet struct {
-	name     string
-	features protocol.Features
-	old      string // the librarian that grants nothing, if any
-}
-
-var transportFleets = []transportFleet{
-	{name: "pipelined"},
-	{name: "seed", features: protocol.FeatureNone},
-	{name: "mixed", old: "FR"},
-}
-
-// untagged reports whether the pool's connections to lib speak the seed
-// framing.
-func (fl transportFleet) untagged(lib string) bool {
-	return fl.features == protocol.FeatureNone || lib == fl.old
-}
-
 // transportFixture is a fleet with nreplicas endpoints "<name>#<i>" per
 // librarian behind a Chaos wrapper (to slow endpoints) and a countingDialer
 // (to watch the wire from outside the pool).
@@ -45,7 +23,7 @@ type transportFixture struct {
 	counter *countingDialer
 }
 
-func newTransportFixture(t *testing.T, fl transportFleet, nreplicas, maxConns int) *transportFixture {
+func newTransportFixture(t *testing.T, nreplicas, maxConns int, cfg Config) *transportFixture {
 	t.Helper()
 	corpus, order := smallCorpus(t)
 	a := testAnalyzer()
@@ -56,9 +34,6 @@ func newTransportFixture(t *testing.T, fl transportFleet, nreplicas, maxConns in
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == fl.old {
-			lib.SupportFeatures(protocol.FeatureNone)
-		}
 		for i := 0; i < nreplicas; i++ {
 			ep := fmt.Sprintf("%s#%d", name, i)
 			dialer.AddEndpoint(ep, lib, simnet.LinkConfig{})
@@ -67,9 +42,8 @@ func newTransportFixture(t *testing.T, fl transportFleet, nreplicas, maxConns in
 	}
 	chaos := simnet.NewChaos(dialer)
 	counter := newCountingDialer(chaos)
-	pool, err := NewPool(counter, order, Config{
-		Analyzer: a, Replicas: replicas, MaxConnsPerLibrarian: maxConns, WireFeatures: fl.features,
-	})
+	cfg.Analyzer, cfg.Replicas, cfg.MaxConnsPerLibrarian = a, replicas, maxConns
+	pool, err := NewPool(counter, order, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,73 +84,54 @@ var transportModes = []struct {
 
 var transportQueries = []string{"alpha federal wallstreet", "federal fiscal", "widget", "alpha w1 w2 w3"}
 
-// TestTransportConformance is the wall around the one transport: every fleet
-// in transportFleets must give the same answers in every mode and keep the
-// same promises about connections, whatever framing its connections ended up
-// with. Everything is observed from outside the pool — answers, the dialer's
-// view of the wire, the public gauges.
+// TestTransportConformance is the wall around the one transport: the pool
+// must give the two-round pool's answers in every mode, batched or not, and
+// keep its promises about connections. Everything is observed from outside
+// the pool — answers, the dialer's view of the wire, the public gauges. The
+// promises sit under "pipelined", the one framing every connection speaks.
 func TestTransportConformance(t *testing.T) {
 	t.Run("answers", func(t *testing.T) {
-		// == across the three fleets, mode by mode. A batch window must change
-		// nothing, and a librarian that granted no batching is never batched.
-		var want map[string][]Answer
-		for _, fl := range transportFleets {
-			f := newTransportFixture(t, fl, 1, 2)
-			got := make(map[string][]Answer)
-			for _, tc := range transportModes {
-				for _, q := range transportQueries {
-					for _, window := range []time.Duration{0, 2 * time.Millisecond} {
-						opts := tc.opts
-						opts.BatchWindow = window
-						res, err := f.pool.Query(tc.mode, q, 10, opts)
-						if err != nil {
-							t.Fatalf("%s %v %q: %v", fl.name, tc.mode, q, err)
-						}
-						key := fmt.Sprintf("%v %q", tc.mode, q)
-						if prev, ok := got[key]; ok && !answersEqual(prev, res.Answers) {
-							t.Fatalf("%s %s: batch window %v changed the answers", fl.name, key, window)
-						}
-						got[key] = res.Answers
-						for _, c := range res.Trace.Calls {
-							if fl.untagged(c.Librarian) && c.BatchSize != 0 {
-								t.Fatalf("%s %s: batched call to %s, which granted no batching: %+v", fl.name, key, c.Librarian, c)
-							}
-						}
-					}
+		// == against the two-round pool, mode by mode. A batch window must
+		// change nothing.
+		ref := newTransportFixture(t, 1, 2, Config{TwoRoundFetch: true})
+		f := newTransportFixture(t, 1, 2, Config{})
+		for _, tc := range transportModes {
+			for _, q := range transportQueries {
+				want, err := ref.pool.Query(tc.mode, q, 10, tc.opts)
+				if err != nil {
+					t.Fatalf("two-round %v %q: %v", tc.mode, q, err)
 				}
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			for key, answers := range want {
-				if !answersEqual(answers, got[key]) {
-					t.Fatalf("%s %s diverged from %s\nwant %+v\ngot  %+v", fl.name, key, transportFleets[0].name, answers, got[key])
+				for _, window := range []time.Duration{0, 2 * time.Millisecond} {
+					opts := tc.opts
+					opts.BatchWindow = window
+					res, err := f.pool.Query(tc.mode, q, 10, opts)
+					if err != nil {
+						t.Fatalf("%v %q: %v", tc.mode, q, err)
+					}
+					if !answersEqual(want.Answers, res.Answers) {
+						t.Fatalf("%v %q, batch window %v: diverged from the two-round pool\nwant %+v\ngot  %+v",
+							tc.mode, q, window, want.Answers, res.Answers)
+					}
 				}
 			}
 		}
 	})
 
-	for _, fl := range transportFleets {
-		fl := fl
-		t.Run(fl.name, func(t *testing.T) {
-			t.Run("reuse and framing", func(t *testing.T) { testTransportReuse(t, fl) })
-			t.Run("connection bound", func(t *testing.T) { testTransportBound(t, fl) })
-			t.Run("timeout", func(t *testing.T) { testTransportTimeout(t, fl) })
-			t.Run("cancel", func(t *testing.T) { testTransportCancel(t, fl) })
-			t.Run("remove replica", func(t *testing.T) { testTransportDrain(t, fl) })
-			t.Run("lease errors", func(t *testing.T) { testTransportLeaseErrors(t, fl) })
-		})
-	}
+	t.Run("pipelined", func(t *testing.T) {
+		t.Run("reuse and framing", testTransportReuse)
+		t.Run("connection bound", testTransportBound)
+		t.Run("timeout", testTransportTimeout)
+		t.Run("cancel", testTransportCancel)
+		t.Run("remove replica", testTransportDrain)
+		t.Run("lease errors", testTransportLeaseErrors)
+	})
 }
 
 // A long sequential run never redials — the connection setup opened serves
-// every exchange — and the frames on it are what the fleet negotiated: a pool
-// pinned to the seed protocol writes no tagged frame and no Hello beyond
-// NewPool's own; a negotiating pool opens every connection with one untagged
-// Hello and tags everything after it exactly where the peer granted that.
-func testTransportReuse(t *testing.T, fl transportFleet) {
-	f := newTransportFixture(t, fl, 1, 4)
+// every exchange — and every connection opens with one untagged Hello and
+// tags everything after it.
+func testTransportReuse(t *testing.T) {
+	f := newTransportFixture(t, 1, 4, Config{})
 	for i := 0; i < 25; i++ {
 		for _, tc := range transportModes {
 			if _, err := f.pool.Query(tc.mode, "alpha federal", 5, tc.opts); err != nil {
@@ -195,10 +150,7 @@ func testTransportReuse(t *testing.T, fl transportFleet) {
 		if c.hellos[ep] != 1 {
 			t.Errorf("%s was sent %d Hellos on one connection, want 1", ep, c.hellos[ep])
 		}
-		switch {
-		case fl.untagged(lib) && c.taggedFrames[ep] != 0:
-			t.Errorf("%s got %d tagged frames on seed framing", ep, c.taggedFrames[ep])
-		case !fl.untagged(lib) && (c.untaggedFrames[ep] != 1 || c.taggedFrames[ep] == 0):
+		if c.untaggedFrames[ep] != 1 || c.taggedFrames[ep] == 0 {
 			t.Errorf("%s got %d untagged and %d tagged frames, want the Hello alone untagged",
 				ep, c.untaggedFrames[ep], c.taggedFrames[ep])
 		}
@@ -206,12 +158,10 @@ func testTransportReuse(t *testing.T, fl transportFleet) {
 }
 
 // MaxConnsPerLibrarian bounds the open connections per endpoint under a query
-// storm, every query completes, and an untagged connection never carries two
-// exchanges at once — not even on a replica whose framing the pool learns
-// mid-storm, from the first dial to it, with wide leases already out.
-func testTransportBound(t *testing.T, fl transportFleet) {
+// storm, and every query completes.
+func testTransportBound(t *testing.T) {
 	const maxConns = 2
-	f := newTransportFixture(t, fl, 2, maxConns)
+	f := newTransportFixture(t, 2, maxConns, Config{})
 	const goroutines = 12
 	var wg sync.WaitGroup
 	errc := make(chan error, goroutines)
@@ -240,9 +190,6 @@ func testTransportBound(t *testing.T, fl transportFleet) {
 		if c.maxOpen[ep] > maxConns {
 			t.Errorf("%s had %d connections open at once, bound is %d", ep, c.maxOpen[ep], maxConns)
 		}
-		if c.overlaps[ep] != 0 {
-			t.Errorf("%s: %d untagged requests written before the previous reply", ep, c.overlaps[ep])
-		}
 		if dials > maxConns {
 			t.Errorf("%s dialled %d times with nothing failing, bound is %d", ep, dials, maxConns)
 		}
@@ -253,10 +200,10 @@ func testTransportBound(t *testing.T, fl transportFleet) {
 	assertNoLeakedConns(t, f.pool)
 }
 
-// A per-call timeout closes the connection whatever its framing, the retry
-// redials, and the discard is counted once.
-func testTransportTimeout(t *testing.T, fl transportFleet) {
-	f := newTransportFixture(t, fl, 1, 2)
+// A per-call timeout closes the connection, the retry redials, and the
+// discard is counted once.
+func testTransportTimeout(t *testing.T) {
+	f := newTransportFixture(t, 1, 2, Config{})
 	for _, lib := range f.order {
 		ep := lib + "#0"
 		dials, _, _ := f.counter.stats(ep)
@@ -279,11 +226,10 @@ func testTransportTimeout(t *testing.T, fl transportFleet) {
 	assertNoLeakedConns(t, f.pool)
 }
 
-// A plain cancellation after the request was written: an untagged stream
-// cannot discard the late reply, so the connection goes, counted as dirty; a
-// tagged connection abandons the tag, stays, and serves the next query.
-func testTransportCancel(t *testing.T, fl transportFleet) {
-	f := newTransportFixture(t, fl, 1, 2)
+// A plain cancellation after the request was written abandons the tag; the
+// connection stays, uncounted as dirty, and serves the next query.
+func testTransportCancel(t *testing.T) {
+	f := newTransportFixture(t, 1, 2, Config{})
 	for _, lib := range f.order {
 		ep := lib + "#0"
 		dials, _, _ := f.counter.stats(ep)
@@ -302,21 +248,14 @@ func testTransportCancel(t *testing.T, fl transportFleet) {
 			t.Fatalf("%s: cancelled query: %v", ep, err)
 		}
 		assertNoLeakedConns(t, f.pool)
-		wantDials, wantDirty := dials, uint64(0)
-		if fl.untagged(lib) {
-			if _, open, _ := f.counter.stats(ep); open != 0 {
-				t.Errorf("%s: untagged connection still open after a mid-exchange cancel", ep)
-			}
-			wantDials, wantDirty = dials+1, 1
-		}
 		if _, err := f.pool.Query(ModeCN, "alpha federal wallstreet", 10, Options{}); err != nil {
 			t.Fatalf("%s: query after cancel: %v", ep, err)
 		}
-		if d, open, _ := f.counter.stats(ep); d != wantDials || open != 1 {
-			t.Errorf("%s: %d dials and %d open connections after the next query, want %d and 1", ep, d, open, wantDials)
+		if d, open, _ := f.counter.stats(ep); d != dials || open != 1 {
+			t.Errorf("%s: %d dials and %d open connections after the next query, want %d and 1", ep, d, open, dials)
 		}
-		if got := f.pool.metrics.dirtyDiscards.Value() - dirty; got != wantDirty {
-			t.Errorf("%s: dirty_discards rose by %d, want %d", ep, got, wantDirty)
+		if got := f.pool.metrics.dirtyDiscards.Value() - dirty; got != 0 {
+			t.Errorf("%s: dirty_discards rose by %d, want 0", ep, got)
 		}
 	}
 }
@@ -324,8 +263,8 @@ func testTransportCancel(t *testing.T, fl transportFleet) {
 // RemoveReplica while an exchange is in flight on the removed endpoint: the
 // exchange completes and counts, the endpoint's connections all close, and
 // nothing is sent there again.
-func testTransportDrain(t *testing.T, fl transportFleet) {
-	f := newTransportFixture(t, fl, 2, 2)
+func testTransportDrain(t *testing.T) {
+	f := newTransportFixture(t, 2, 2, Config{})
 	const q = "alpha federal wallstreet"
 	want, err := f.pool.Query(ModeCN, q, 10, Options{})
 	if err != nil {
@@ -395,8 +334,8 @@ func testTransportDrain(t *testing.T, fl transportFleet) {
 
 // What a lease refuses: a librarian the pool does not know, and anything
 // after Close.
-func testTransportLeaseErrors(t *testing.T, fl transportFleet) {
-	f := newTransportFixture(t, fl, 2, 2)
+func testTransportLeaseErrors(t *testing.T) {
+	f := newTransportFixture(t, 2, 2, Config{})
 	e := &exec{ctx: context.Background(), fed: f.pool.fed, pool: f.pool}
 	attempt := func(name string) error {
 		_, _, _, err := e.attempt(e.ctx, name, PhaseSetup, &protocol.VocabRequest{}, "", false, nil)

@@ -15,10 +15,8 @@ import (
 	"teraphim/internal/store"
 )
 
-// buildRecep wires a receptionist over corpus with the given config. mutate,
-// when non-nil, adjusts the librarians before the pool's setup Hello runs —
-// mixed-fleet tests use it to withdraw feature support.
-func buildRecep(t *testing.T, corpus map[string][]store.Document, order []string, cfg Config, mutate func([]*librarian.Librarian)) *Pool {
+// buildRecep wires a receptionist over corpus with the given config.
+func buildRecep(t *testing.T, corpus map[string][]store.Document, order []string, cfg Config) *Pool {
 	t.Helper()
 	a := testAnalyzer()
 	var libs []*librarian.Librarian
@@ -28,9 +26,6 @@ func buildRecep(t *testing.T, corpus map[string][]store.Document, order []string
 			t.Fatal(err)
 		}
 		libs = append(libs, lib)
-	}
-	if mutate != nil {
-		mutate(libs)
 	}
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{})
 	cfg.Analyzer = a
@@ -54,15 +49,15 @@ func eachReplica(p *Pool, visit func(lib string, rep *replica)) {
 	}
 }
 
-// TestWireGoldenParity pins the tentpole's safety property: the pipelined
-// and batched wires are transports, not semantics — every mode must return
-// bit-identical answers whether frames are tagged, coalesced, or the seed's
-// one-exchange-per-connection framing.
+// TestWireGoldenParity pins the wire's safety property: batching and
+// trimmed rank replies are transports, not semantics — every mode must
+// return bit-identical answers whether or not frames are coalesced, and
+// whatever the paper's two-round protocol returns.
 func TestWireGoldenParity(t *testing.T) {
 	corpus, order := smallCorpus(t)
-	seed := buildRecep(t, corpus, order, Config{WireFeatures: protocol.FeatureNone}, nil)
-	piped := buildRecep(t, corpus, order, Config{}, nil)
-	for _, r := range []*Pool{seed, piped} {
+	ref := buildRecep(t, corpus, order, Config{TwoRoundFetch: true})
+	piped := buildRecep(t, corpus, order, Config{})
+	for _, r := range []*Pool{ref, piped} {
 		if _, err := r.SetupVocabulary(); err != nil {
 			t.Fatal(err)
 		}
@@ -82,20 +77,20 @@ func TestWireGoldenParity(t *testing.T) {
 		{ModeCI, Options{KPrime: 2}},
 	} {
 		for _, q := range queries {
-			want, err := seed.Query(tc.mode, q, 10, Options{KPrime: tc.opts.KPrime})
+			want, err := ref.Query(tc.mode, q, 10, Options{KPrime: tc.opts.KPrime})
 			if err != nil {
-				t.Fatalf("%v %q seed wire: %v", tc.mode, q, err)
+				t.Fatalf("%v %q two-round: %v", tc.mode, q, err)
 			}
 			got, err := piped.Query(tc.mode, q, 10, tc.opts)
 			if err != nil {
 				t.Fatalf("%v %q piped wire: %v", tc.mode, q, err)
 			}
 			if !answersEqual(want.Answers, got.Answers) {
-				t.Fatalf("%v %q (batch window %v): pipelined wire diverged from seed\nseed %+v\npiped %+v",
+				t.Fatalf("%v %q (batch window %v): pipelined wire diverged from two-round\nref %+v\npiped %+v",
 					tc.mode, q, tc.opts.BatchWindow, want.Answers, got.Answers)
 			}
 			piped.InvalidateCache()
-			seed.InvalidateCache()
+			ref.InvalidateCache()
 		}
 	}
 	if rt := piped.Metrics().WireRoundTrips(); rt == 0 {
@@ -108,13 +103,13 @@ func TestWireGoldenParity(t *testing.T) {
 
 // TestWireGoldenParityUnderFaults re-checks parity when the exchanges take
 // the ugly paths: a killed replica forcing retries, and hedges racing the
-// survivors. The answers must still match the seed wire exactly.
+// survivors. The answers must still match the two-round pool's exactly.
 func TestWireGoldenParityUnderFaults(t *testing.T) {
 	corpus, order := smallCorpus(t)
-	seed := newReplicaFixture(t, corpus, order, 2, Config{WireFeatures: protocol.FeatureNone})
+	ref := newReplicaFixture(t, corpus, order, 2, Config{TwoRoundFetch: true})
 	piped := newReplicaFixture(t, corpus, order, 2, Config{})
 	for _, name := range order {
-		seed.chaos.Kill(name + "#0")
+		ref.chaos.Kill(name + "#0")
 		piped.chaos.Kill(name + "#0")
 	}
 	for i, q := range []string{"alpha federal wallstreet", "fiscal widget", "alpha avalanche"} {
@@ -122,25 +117,24 @@ func TestWireGoldenParityUnderFaults(t *testing.T) {
 		if i%2 == 1 {
 			opts.HedgeAfter = 0.5
 		}
-		want, err := seed.pool.Query(ModeCN, q, 10, opts)
+		want, err := ref.pool.Query(ModeCN, q, 10, opts)
 		if err != nil {
-			t.Fatalf("%q seed wire: %v", q, err)
+			t.Fatalf("%q two-round: %v", q, err)
 		}
 		got, err := piped.pool.Query(ModeCN, q, 10, opts)
 		if err != nil {
 			t.Fatalf("%q piped wire: %v", q, err)
 		}
 		if !answersEqual(want.Answers, got.Answers) {
-			t.Fatalf("%q: pipelined wire diverged from seed under faults", q)
+			t.Fatalf("%q: pipelined wire diverged from two-round under faults", q)
 		}
 	}
 	assertNoLeakedConns(t, piped.pool)
 }
 
 // TestPipelineSharesOneConnection is the capacity-multiplication pin: with
-// one connection per librarian and the default depth, 16 concurrent queries
-// all complete over that single connection per replica — the seed wire
-// would need 16.
+// one connection per librarian, 16 concurrent queries all complete over that
+// single connection per replica — an untagged wire would need 16.
 func TestPipelineSharesOneConnection(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	f := newReplicaFixture(t, corpus, order, 1, Config{MaxConnsPerLibrarian: 1})
@@ -179,10 +173,10 @@ func TestPipelineSharesOneConnection(t *testing.T) {
 func TestPipeDemuxMisbehavingPeer(t *testing.T) {
 	newPipe := func(t *testing.T) (*pipeConn, net.Conn) {
 		t.Helper()
-		pool := &Pool{metrics: newMetrics(obs.NewRegistry()), done: make(chan struct{}), depth: 8}
-		rep := newReplica("X#0", 1, 8)
+		pool := &Pool{metrics: newMetrics(obs.NewRegistry()), done: make(chan struct{})}
+		rep := newReplica("X#0", 1)
 		client, server := net.Pipe()
-		pc := newPipeConn(pool, rep, client, protocol.FeaturePipelining)
+		pc := newPipeConn(pool, rep, client)
 		rep.pipes.mu.Lock()
 		rep.pipes.conns = append(rep.pipes.conns, pc)
 		rep.pipes.mu.Unlock()
@@ -265,12 +259,12 @@ func TestPipeDemuxMisbehavingPeer(t *testing.T) {
 
 // TestCrossClientBatching checks the receptionist-level coalescing: queries
 // from concurrent clients inside one window share frames (visible as
-// BatchSize in their traces) and return exactly what they would have
-// unbatched.
+// BatchSize in their traces) and return exactly what the two-round pool
+// returns unbatched.
 func TestCrossClientBatching(t *testing.T) {
 	corpus, order := smallCorpus(t)
-	batched := buildRecep(t, corpus, order, Config{}, nil)
-	plain := buildRecep(t, corpus, order, Config{WireFeatures: protocol.FeatureNone}, nil)
+	batched := buildRecep(t, corpus, order, Config{})
+	plain := buildRecep(t, corpus, order, Config{TwoRoundFetch: true})
 
 	queries := []string{
 		"alpha federal", "wallstreet widget", "fiscal finance", "aurora avalanche",
@@ -312,7 +306,7 @@ func TestCrossClientBatching(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !answersEqual(want.Answers, out.res.Answers) {
-			t.Fatalf("%q: batched answers diverged from seed wire", out.q)
+			t.Fatalf("%q: batched answers diverged from the two-round pool", out.q)
 		}
 	}
 	if maxBatch < 2 {
@@ -330,7 +324,7 @@ func TestPipelinedRequestBytesExact(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	queries := []string{"alpha federal wallstreet", "federal fiscal", "widget", "alpha w1 w2 w3", "aurora finance wholesale"}
 	run := func() (bytes int) {
-		r := buildRecep(t, corpus, order, Config{}, nil)
+		r := buildRecep(t, corpus, order, Config{})
 		for exchanges := 0; exchanges < 2000; {
 			for _, q := range queries {
 				res, err := r.Query(ModeCN, q, 10, Options{})

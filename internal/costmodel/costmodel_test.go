@@ -245,7 +245,7 @@ func TestRetriedCallsSerialisePerLibrarian(t *testing.T) {
 }
 
 // TestOneExchangeTrace: a query whose rank replies carried the documents
-// (core's FeatureRankFetch) moves the same bytes and reads the same disk
+// (core's default, one-exchange fetch) moves the same bytes and reads the same disk
 // blocks as the two-round query, so its documents must be charged — to the
 // rank phase, there being no other — and the estimate must come out exactly
 // one network contact cheaper.

@@ -79,12 +79,11 @@ func newRunnerFromCorpus(corpus *trecsynth.Corpus) (*Runner, error) {
 		}
 	}
 	r.dialer = librarian.NewInProcessDialer(r.libs, simnet.LinkConfig{})
-	// The tables reproduce the paper's protocol — every nominated score
-	// returned, documents fetched in a second round — so the one-exchange
-	// FeatureRankFetch extension is not requested.
+	// The tables reproduce the paper's protocol: every nominated score
+	// returned, documents fetched in a second round.
 	pool, err := core.NewPool(r.dialer, names, core.Config{
-		Analyzer:     r.analyzer,
-		WireFeatures: core.FeaturePipelining | core.FeatureBatching,
+		Analyzer:      r.analyzer,
+		TwoRoundFetch: true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: connect receptionist: %w", err)

@@ -23,7 +23,6 @@ import (
 
 	"teraphim/internal/huffman"
 	"teraphim/internal/index"
-	"teraphim/internal/protocol"
 	"teraphim/internal/search"
 	"teraphim/internal/simnet"
 	"teraphim/internal/store"
@@ -42,11 +41,6 @@ type Librarian struct {
 	// life: every segment's store is coded under it, so a merge concatenates
 	// stores and a compressed fetch ships the stored blob as it is.
 	model *huffman.TextModel
-
-	// supported is the feature set this librarian will grant on Hello
-	// exchanges (stored as the raw bitmask). Defaults to
-	// protocol.SupportedFeatures; see SupportFeatures.
-	supported atomic.Uint32
 
 	// epoch counts manifest publications (ingested batches, merges);
 	// receptionist-side caches compare it (or subscribe via OnUpdate) to
@@ -117,18 +111,8 @@ func New(name string, engine *search.Engine, docs *store.Store) (*Librarian, err
 		closing:  make(chan struct{}),
 		notify:   make(chan struct{}),
 	}
-	l.supported.Store(uint32(protocol.SupportedFeatures))
 	l.man.Store(l.newManifest([]*segment{{engine: engine, store: docs, docs: docs.NumDocs()}}))
 	return l, nil
-}
-
-// SupportFeatures restricts which protocol extensions this librarian grants
-// on Hello exchanges (default: protocol.SupportedFeatures). Pass
-// protocol.FeatureNone to serve exactly the seed wire format — the way to
-// stand in for an older build in a mixed-version fleet. Takes effect for
-// connections negotiated after the call.
-func (l *Librarian) SupportFeatures(f protocol.Features) {
-	l.supported.Store(uint32(f.Wire()))
 }
 
 // BuildOptions configures Build.

@@ -288,7 +288,7 @@ func TestBuildStemsConsistently(t *testing.T) {
 func TestNeverIngestedStartsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	lib := buildTestLibrarian(t)
-	for _, features := range []protocol.Features{0, protocol.FeaturePipelining} {
+	for _, version := range []uint32{0, protocol.Version} {
 		client, server := net.Pipe()
 		done := make(chan struct{})
 		go func() {
@@ -304,8 +304,8 @@ func TestNeverIngestedStartsNoGoroutine(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ask(0, &protocol.Hello{Features: features})
-		wr.Tagged, rd.Tagged = features != 0, features != 0
+		ask(0, &protocol.Hello{Version: version})
+		wr.Tagged, rd.Tagged = version != 0, version != 0
 		for i := 0; i < 25; i++ {
 			ask(uint32(i), &protocol.RankQuery{Query: "cats dogs", K: 3})
 		}

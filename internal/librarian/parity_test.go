@@ -149,7 +149,7 @@ var parityPins = map[string]string{
 	"fetch compressed":          "05d51a9d4aaed39e1de25dd4b257de499319157b430afa81cd46bfa7b0ce97e5",
 	"fetch out of range":        "acbb20b04ec28a55eda52e8d6929cfcd7f83e2729e93ea03f3c5b911a3da1f48",
 	"fetch plain":               "4141d25ba10eebc425901ee0b1ecbda1c48137cb6a10b2cbc42fd3b806074f27",
-	"hello":                     "edd5c3b8067c0ac439c141a0cd271254a87c78acdc6301ae84d0591fc8c57a16",
+	"hello":                     "7984659ffc8a8c0716849ccdda4501a1e2153517dbb0404a24c8c05cde49703b",
 	"index":                     "f9371e3f91040de00f44d8ca176379a4a55a25c071e17b1d1c10b5d9e1cb8139",
 	"model":                     "c16bb5526350d7f091e747d569a7dc7ff80f741bf1817399f552f69dcfe8a998",
 	"rank bad evaluator":        "8712b33c0f5430e90d444c2b6fab3a6319d3a263fb6ef08fa8cafeddb031b0c1",
@@ -192,7 +192,7 @@ func TestSegmentCountParity(t *testing.T) {
 		exact bool
 	}
 	rows := []row{
-		{"hello", &protocol.Hello{Features: protocol.FeatureBatching | protocol.FeatureRankFetch}, false},
+		{"hello", &protocol.Hello{Version: protocol.Version}, false},
 		{"vocab", &protocol.VocabRequest{}, true},
 		{"model", &protocol.ModelRequest{}, false},
 		// Base 1237 puts segment boundaries inside groups.

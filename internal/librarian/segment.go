@@ -165,7 +165,7 @@ func (m *manifest) initStats() {
 	})
 }
 
-func (m *manifest) hello(granted protocol.Features) protocol.Message {
+func (m *manifest) hello() protocol.Message {
 	m.initStats()
 	var ixBytes, storeBytes uint64
 	for _, sg := range m.segs {
@@ -179,7 +179,7 @@ func (m *manifest) hello(granted protocol.Features) protocol.Message {
 		IndexBytes: ixBytes,
 		VocabBytes: m.dictBytes,
 		StoreBytes: storeBytes,
-		Features:   granted,
+		Version:    protocol.Version,
 	}
 }
 

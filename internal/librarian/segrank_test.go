@@ -243,7 +243,7 @@ func TestRankAllocationsFlatInSegments(t *testing.T) {
 		for _, lib := range libs {
 			scratch := search.NewScratch()
 			dispatch := func() {
-				if er, ok := lib.dispatch(scratch, req, 0).(*protocol.ErrorReply); ok {
+				if er, ok := lib.dispatch(scratch, req).(*protocol.ErrorReply); ok {
 					t.Fatalf("%s: %s", label, er.Message)
 				}
 			}
@@ -278,7 +278,7 @@ func BenchmarkRankSegments(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				lib.dispatch(scratch, reqs[i%len(reqs)], 0)
+				lib.dispatch(scratch, reqs[i%len(reqs)])
 			}
 		})
 	}
@@ -360,7 +360,7 @@ func BenchmarkRankLongQueries(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, lib := range libs {
-			rr, ok := lib.dispatch(scratch, reqs[i%len(reqs)], 0).(*protocol.RankReply)
+			rr, ok := lib.dispatch(scratch, reqs[i%len(reqs)]).(*protocol.RankReply)
 			if !ok {
 				b.Fatal("rank request not answered with a ranking")
 			}

@@ -105,20 +105,13 @@ func evalReply(results []search.Result, stats search.Stats, err error) protocol.
 // — the per-frame snapshot that lets tagged frames be evaluated concurrently
 // while segments land and merge: a session straddling a publication sees
 // some answers from the old snapshot and some from the new, never a mixture
-// within one answer. scratch is the caller's reusable evaluation state; conn
-// is the feature set active on the connection, which bounds what a Hello may
-// be granted.
-func (l *Librarian) dispatch(scratch *search.Scratch, msg protocol.Message, conn protocol.Features) protocol.Message {
+// within one answer. scratch is the caller's reusable evaluation state. A
+// Hello at any version is answered with this build's.
+func (l *Librarian) dispatch(scratch *search.Scratch, msg protocol.Message) protocol.Message {
 	m := l.man.Load()
 	switch req := msg.(type) {
 	case *protocol.Hello:
-		granted := req.Features.Wire() & protocol.Features(l.supported.Load())
-		if !conn.Has(protocol.FeaturePipelining) {
-			// Only a connection whose framing is still open, or already
-			// tagged, may report pipelining as active.
-			granted &^= protocol.FeaturePipelining
-		}
-		return m.hello(granted)
+		return m.hello()
 	case *protocol.VocabRequest:
 		return m.vocab()
 	case *protocol.RankQuery, *protocol.ScoreDocs:
@@ -144,11 +137,12 @@ func (l *Librarian) dispatch(scratch *search.Scratch, msg protocol.Message, conn
 // kernel's accumulators instead of reallocating them. Protocol-level errors
 // are reported to the peer as ErrorReply messages and the session continues.
 //
-// When the connection's first frame is a Hello granted FeaturePipelining,
-// the session switches to tagged framing after the HelloReply and serves
-// requests concurrently (see serveTagged). A Hello on any later frame can
-// never change the framing — the peer may already have frames in flight —
-// so mid-stream Hellos are granted everything requested except pipelining.
+// When the connection's first frame is a Hello at protocol.Version, the
+// session switches to tagged framing after the HelloReply and serves
+// requests concurrently (see serveTagged). A connection that opens with
+// anything else — another message, or a Hello at another version — keeps
+// the untagged framing for its life: a Hello on any later frame can never
+// change the framing, since the peer may already have frames in flight.
 func (l *Librarian) ServeConn(conn io.ReadWriter) error {
 	m := l.metrics.Load()
 	if m != nil {
@@ -160,8 +154,7 @@ func (l *Librarian) ServeConn(conn io.ReadWriter) error {
 	rd := &protocol.Reader{R: conn}
 	wr := &protocol.Writer{W: conn}
 	// The framing is open for exactly the first frame.
-	open := protocol.FeaturePipelining
-	for {
+	for first := true; ; first = false {
 		msg, _, read, err := rd.ReadReuse()
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
@@ -170,16 +163,17 @@ func (l *Librarian) ServeConn(conn io.ReadWriter) error {
 			return fmt.Errorf("librarian %q: %w", l.name, err)
 		}
 		start := time.Now()
-		reply := l.dispatch(scratch, msg, open)
+		hello, isHello := msg.(*protocol.Hello)
+		tag := first && isHello && hello.Version == protocol.Version
+		reply := l.dispatch(scratch, msg)
 		wrote, err := wr.Write(0, reply)
 		m.observe(read, wrote, start, reply)
 		if err != nil {
 			return fmt.Errorf("librarian %q: %w", l.name, err)
 		}
-		if hr, ok := reply.(*protocol.HelloReply); ok && hr.Features.Has(protocol.FeaturePipelining) {
-			return l.serveTagged(conn, rd, m, hr.Features)
+		if tag {
+			return l.serveTagged(conn, rd, m)
 		}
-		open = 0
 	}
 }
 
@@ -187,7 +181,7 @@ func (l *Librarian) ServeConn(conn io.ReadWriter) error {
 // requests are evaluated concurrently (each on its own pooled scratch), and
 // replies are written under a mutex with the request's tag — in completion
 // order, not arrival order.
-func (l *Librarian) serveTagged(conn io.ReadWriter, rd *protocol.Reader, m *libMetrics, features protocol.Features) error {
+func (l *Librarian) serveTagged(conn io.ReadWriter, rd *protocol.Reader, m *libMetrics) error {
 	rd.Tagged = true
 	wr := &protocol.Writer{W: conn, Tagged: true}
 	var wmu sync.Mutex
@@ -208,7 +202,7 @@ func (l *Librarian) serveTagged(conn io.ReadWriter, rd *protocol.Reader, m *libM
 			defer wg.Done()
 			start := time.Now()
 			scratch := search.GetScratch()
-			reply := l.dispatch(scratch, msg, features)
+			reply := l.dispatch(scratch, msg)
 			scratch.Release()
 			wmu.Lock()
 			wrote, werr := wr.Write(tag, reply)

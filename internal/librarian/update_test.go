@@ -60,7 +60,7 @@ func TestEpochAndOnUpdate(t *testing.T) {
 func TestServeAcrossIngest(t *testing.T) {
 	u := newUpdatable(t)
 	before := u.Engine()
-	client, _ := taggedSession(t, u)
+	client := taggedSession(t, u)
 	wr := &protocol.Writer{W: client, Tagged: true}
 	rd := &protocol.Reader{R: client, Tagged: true}
 	ask := func(query string) []protocol.ScoredDoc {

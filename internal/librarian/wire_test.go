@@ -11,10 +11,10 @@ import (
 	"teraphim/internal/store"
 )
 
-// taggedSession negotiates a pipelined session with lib and returns the
-// client conn plus the granted features. Callers speak tagged frames on the
-// returned conn; closing it ends the session.
-func taggedSession(t *testing.T, lib *Librarian) (net.Conn, protocol.Features) {
+// helloSession opens a session with lib whose first frame is a Hello at
+// version and returns the client conn plus the HelloReply. Closing the conn
+// ends the session.
+func helloSession(t *testing.T, lib *Librarian, version uint32) (net.Conn, *protocol.HelloReply) {
 	t.Helper()
 	client, server := net.Pipe()
 	done := make(chan struct{})
@@ -27,9 +27,7 @@ func taggedSession(t *testing.T, lib *Librarian) (net.Conn, protocol.Features) {
 		server.Close()
 		<-done
 	})
-	if _, err := protocol.WriteMessage(client, &protocol.Hello{
-		Features: protocol.FeaturePipelining | protocol.FeatureBatching,
-	}); err != nil {
+	if _, err := protocol.WriteMessage(client, &protocol.Hello{Version: version}); err != nil {
 		t.Fatal(err)
 	}
 	reply, _, err := protocol.ReadMessage(client)
@@ -40,19 +38,26 @@ func taggedSession(t *testing.T, lib *Librarian) (net.Conn, protocol.Features) {
 	if !ok {
 		t.Fatalf("Hello answered with %T", reply)
 	}
-	return client, hr.Features
+	if hr.Version != protocol.Version {
+		t.Fatalf("Hello at version %d answered at %d, want this build's %d", version, hr.Version, protocol.Version)
+	}
+	return client, hr
 }
 
-// TestNegotiateTaggedSession checks the feature handshake and that a
-// negotiated session demultiplexes by tag: two requests written back to
-// back each get a reply carrying their own tag, whatever the completion
-// order.
+// taggedSession opens a session at protocol.Version with lib. Callers speak
+// tagged frames on the returned conn.
+func taggedSession(t *testing.T, lib *Librarian) net.Conn {
+	t.Helper()
+	client, _ := helloSession(t, lib, protocol.Version)
+	return client
+}
+
+// TestNegotiateTaggedSession checks the version handshake and that a tagged
+// session demultiplexes by tag: two requests written back to back each get
+// a reply carrying their own tag, whatever the completion order.
 func TestNegotiateTaggedSession(t *testing.T) {
 	lib := buildTestLibrarian(t)
-	client, granted := taggedSession(t, lib)
-	if !granted.Has(protocol.FeaturePipelining) || !granted.Has(protocol.FeatureBatching) {
-		t.Fatalf("granted features = %v, want pipelining|batching", granted)
-	}
+	client := taggedSession(t, lib)
 
 	wr := &protocol.Writer{W: client, Tagged: true}
 	rd := &protocol.Reader{R: client, Tagged: true}
@@ -82,33 +87,31 @@ func TestNegotiateTaggedSession(t *testing.T) {
 	}
 }
 
-// TestSupportFeaturesMasksGrant pins the mixed-fleet escape hatch: a
-// librarian configured to support nothing answers a feature-laden Hello
-// with zero grants and keeps the session in the seed framing.
-func TestSupportFeaturesMasksGrant(t *testing.T) {
+// TestHelloAtOtherVersionStaysUntagged: a first-frame Hello at any version
+// but this build's — the seed's empty one included — is answered with this
+// build's version, and the session keeps the untagged framing.
+func TestHelloAtOtherVersionStaysUntagged(t *testing.T) {
 	lib := buildTestLibrarian(t)
-	lib.SupportFeatures(0)
-	client, granted := taggedSession(t, lib)
-	if granted != 0 {
-		t.Fatalf("granted features = %v, want none", granted)
-	}
-	// The session must still speak the seed framing.
-	if _, err := protocol.WriteMessage(client, &protocol.VocabRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	reply, _, err := protocol.ReadMessage(client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := reply.(*protocol.VocabReply); !ok {
-		t.Fatalf("VocabRequest answered with %T", reply)
+	for _, version := range []uint32{0, protocol.Version + 1} {
+		client, _ := helloSession(t, lib, version)
+		if _, err := protocol.WriteMessage(client, &protocol.VocabRequest{}); err != nil {
+			t.Fatal(err)
+		}
+		reply, _, err := protocol.ReadMessage(client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := reply.(*protocol.VocabReply); !ok {
+			t.Fatalf("version %d: VocabRequest answered with %T", version, reply)
+		}
+		client.Close()
 	}
 }
 
 // TestHelloMidSessionNeverUpgrades checks that only a FIRST-frame Hello can
-// switch the framing: a Hello arriving later in a seed session is answered
-// in place with the pipelining bit masked, so the framing cannot change
-// under an exchange already in flight.
+// switch the framing: a Hello at this build's version arriving later in an
+// untagged session is answered in place, and the framing cannot change under
+// an exchange already in flight.
 func TestHelloMidSessionNeverUpgrades(t *testing.T) {
 	lib := buildTestLibrarian(t)
 	client, server := net.Pipe()
@@ -128,23 +131,17 @@ func TestHelloMidSessionNeverUpgrades(t *testing.T) {
 	if _, _, err := protocol.ReadMessage(client); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := protocol.WriteMessage(client, &protocol.Hello{
-		Features: protocol.FeaturePipelining | protocol.FeatureBatching,
-	}); err != nil {
+	if _, err := protocol.WriteMessage(client, &protocol.Hello{Version: protocol.Version}); err != nil {
 		t.Fatal(err)
 	}
 	reply, _, err := protocol.ReadMessage(client)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr, ok := reply.(*protocol.HelloReply)
-	if !ok {
-		t.Fatalf("mid-session Hello answered with %T", reply)
+	if hr, ok := reply.(*protocol.HelloReply); !ok || hr.Version != protocol.Version {
+		t.Fatalf("mid-session Hello answered with %+v", reply)
 	}
-	if hr.Features.Has(protocol.FeaturePipelining) {
-		t.Fatalf("mid-session Hello granted pipelining: %v", hr.Features)
-	}
-	// Still the seed framing afterwards.
+	// Still the untagged framing afterwards.
 	if _, err := protocol.WriteMessage(client, &protocol.RankQuery{Query: "cats", K: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +167,7 @@ func TestPipeliningUnderIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client, granted := taggedSession(t, u)
-	if !granted.Has(protocol.FeaturePipelining) {
-		t.Fatalf("granted %v, want pipelining", granted)
-	}
+	client := taggedSession(t, u)
 	wr := &protocol.Writer{W: client, Tagged: true}
 	rd := &protocol.Reader{R: client, Tagged: true}
 

@@ -14,8 +14,8 @@ import (
 func fuzzSeedMessages() []Message {
 	stats := search.Stats{TermsLooked: 2, ListsFetched: 2, PostingsDecoded: 99, IndexBytesRead: 1024, CandidateDocs: 7}
 	return []Message{
-		&Hello{},
-		&HelloReply{Name: "AP", NumDocs: 2600, NumTerms: 45000, IndexBytes: 1 << 20, VocabBytes: 9999, StoreBytes: 1 << 22},
+		&Hello{Version: Version},
+		&HelloReply{Name: "AP", NumDocs: 2600, NumTerms: 45000, IndexBytes: 1 << 20, VocabBytes: 9999, StoreBytes: 1 << 22, Version: Version},
 		&VocabRequest{},
 		&VocabReply{Terms: []TermStat{{Term: "aardvark", FT: 3}, {Term: "aardwolf", FT: 1}}},
 		&RankQuery{Query: "distributed retrieval", K: 20, Weights: map[string]float64{"a": 1.5}},
@@ -74,11 +74,13 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	// Adversarial frames: oversize length, unknown type, truncated payload,
-	// count larger than payload.
+	// count larger than payload, a Hello whose version overflows 32 bits.
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x63})
 	f.Add([]byte{0x05, 0x00, 0x00, 0x00, 0x06, 0x01})
 	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x04, 0xff})
+	wide := putUint(nil, 1<<32+7)
+	f.Add(append([]byte{byte(len(wide)), 0x00, 0x00, 0x00, byte(TypeHello)}, wide...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, n, err := ReadMessage(bytes.NewReader(data))
 		if n > len(data) {
@@ -127,8 +129,8 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		weights := map[string]float64{s: fl, "fixed": fl * 2}
 		docs := []uint32{u32 % 1000, u32%1000 + 1, u32%1000 + 500}
 		msgs := []Message{
-			&Hello{},
-			&HelloReply{Name: s, NumDocs: u32, NumTerms: u32 / 2, IndexBytes: u64, VocabBytes: u64 / 7, StoreBytes: u64 / 3},
+			&Hello{Version: u32},
+			&HelloReply{Name: s, NumDocs: u32, NumTerms: u32 / 2, IndexBytes: u64, VocabBytes: u64 / 7, StoreBytes: u64 / 3, Version: u32},
 			&VocabRequest{},
 			&VocabReply{Terms: []TermStat{{Term: s, FT: u32}, {Term: s + "x", FT: u32 / 2}}},
 			&RankQuery{Query: s, K: u32, Weights: weights, Evaluator: uint8(u64)},
@@ -179,8 +181,10 @@ func equalMessage(a, b Message) bool {
 		return false
 	}
 	switch x := a.(type) {
-	case *Hello, *VocabRequest, *ModelRequest:
+	case *VocabRequest, *ModelRequest:
 		return true
+	case *Hello:
+		return *x == *b.(*Hello)
 	case *IndexRequest:
 		return *x == *b.(*IndexRequest)
 	case *HelloReply:

@@ -22,24 +22,22 @@ func capHint(n uint64, remaining, perItem int) int {
 func (*Hello) Type() MsgType { return TypeHello }
 
 func (m *Hello) encode(b []byte) []byte {
-	// A zero feature request encodes to the seed's empty payload so old
-	// librarians (which reject trailing bytes) still accept it.
-	if f := m.Features.Wire(); f != 0 {
-		b = putUint(b, uint64(f))
+	// Version 0 encodes to an empty payload, the seed's Hello.
+	if m.Version != 0 {
+		b = putUint(b, uint64(m.Version))
 	}
 	return b
 }
 
 func (m *Hello) decode(b []byte) error {
+	m.Version = 0
 	if len(b) == 0 {
-		m.Features = 0
 		return nil
 	}
-	f, b, err := getUint(b)
-	if err != nil {
+	var err error
+	if m.Version, b, err = getUint32(b); err != nil {
 		return err
 	}
-	m.Features = Features(f).Wire()
 	return expectEmpty(b, TypeHello)
 }
 
@@ -53,10 +51,9 @@ func (m *HelloReply) encode(b []byte) []byte {
 	b = putUint(b, m.IndexBytes)
 	b = putUint(b, m.VocabBytes)
 	b = putUint(b, m.StoreBytes)
-	// Granted features trail the seed fields and are encoded only when
-	// non-zero, so an un-negotiated reply stays bit-identical to the seed.
-	if f := m.Features.Wire(); f != 0 {
-		b = putUint(b, uint64(f))
+	// The version trails the seed fields, under Hello's rule.
+	if m.Version != 0 {
+		b = putUint(b, uint64(m.Version))
 	}
 	return b
 }
@@ -84,13 +81,11 @@ func (m *HelloReply) decode(b []byte) error {
 	if m.StoreBytes, b, err = getUint(b); err != nil {
 		return err
 	}
-	m.Features = 0
+	m.Version = 0
 	if len(b) > 0 {
-		var f uint64
-		if f, b, err = getUint(b); err != nil {
+		if m.Version, b, err = getUint32(b); err != nil {
 			return err
 		}
-		m.Features = Features(f).Wire()
 	}
 	return expectEmpty(b, TypeHelloReply)
 }
@@ -171,9 +166,8 @@ func (m *RankQuery) encode(b []byte) []byte {
 	b = putUint(b, uint64(m.K))
 	b = putWeights(b, m.Weights)
 	// Evaluator is an optional trailing field, same convention as
-	// Hello/HelloReply Features: encoded only when non-zero, so an
-	// exact-evaluator query is byte-identical to the seed frame and old
-	// librarians never see the field.
+	// Hello/HelloReply Version: encoded only when non-zero, so an
+	// exact-evaluator query is byte-identical to the seed frame.
 	// FetchTop follows it under the same rule, so a fetch request spells
 	// out even a zero Evaluator to keep the field positions fixed.
 	if m.Evaluator != 0 || m.FetchTop != 0 {
@@ -451,36 +445,6 @@ func getFetchTop(b []byte) (uint32, bool, []byte, error) {
 		return 0, false, b, err
 	}
 	return uint32(v >> 1), v&1 == 1 && v>>1 != 0, b, nil
-}
-
-// WithoutRankFetch returns msg as it must be sent on a connection that did
-// not grant FeatureRankFetch: K, FetchTop and Compressed cleared on a
-// RankQuery or ScoreDocs, so the frame is byte-identical to the pre-feature
-// wire. The request is copied, never modified — a retry or a hedge may be
-// sending the same one on a connection that did grant the bit — and a
-// message carrying none of the fields is returned as is. A BatchQuery is
-// the exception: its Items are replaced in place, because the sender reads
-// the Sizes its own BatchQuery collects while encoding.
-func WithoutRankFetch(msg Message) Message {
-	switch m := msg.(type) {
-	case *RankQuery:
-		if m.FetchTop != 0 {
-			c := *m
-			c.FetchTop, c.Compressed = 0, false
-			return &c
-		}
-	case *ScoreDocs:
-		if m.K != 0 || m.FetchTop != 0 {
-			c := *m
-			c.K, c.FetchTop, c.Compressed = 0, 0, false
-			return &c
-		}
-	case *BatchQuery:
-		for i, it := range m.Items {
-			m.Items[i] = WithoutRankFetch(it)
-		}
-	}
-	return msg
 }
 
 // Type implements Message.

@@ -9,10 +9,10 @@
 //	type   u8
 //	payload
 //
-// When FeaturePipelining has been negotiated on a connection (see
-// Features), every frame after the HelloReply instead carries a tagged
-// header — a u32 exchange id between the type and the payload — so replies
-// can arrive out of order:
+// When a connection's first frame is a Hello at this build's Version, every
+// frame after the HelloReply instead carries a tagged header — a u32
+// exchange id between the type and the payload — so replies can arrive out
+// of order:
 //
 //	length u32 (payload bytes, excluding the 9-byte header)
 //	type   u8
@@ -119,18 +119,28 @@ type Message interface {
 // ErrShortPayload is returned when a payload ends before its message does.
 var ErrShortPayload = errors.New("protocol: truncated payload")
 
-// Hello requests librarian identification and collection statistics.
-// Features carries the protocol extensions the client wants to enable on
-// this connection; zero requests nothing and encodes to the seed wire bytes
-// (an empty payload), so old librarians never see the field at all.
+// Version is the one wire version this build speaks: tagged framing after the
+// Hello, BatchQuery, and the rank requests' K and FetchTop fields. A
+// receptionist sends it in every Hello; a librarian answers every Hello with
+// it, and switches a connection to tagged framing only when that connection's
+// first frame is a Hello at this version.
+const Version uint32 = 1
+
+// ErrProtocolVersion reports a peer that answered the Hello at another
+// version. Both sides would frame every later byte differently, so the
+// connection is abandoned; redialling cannot help. Test with errors.Is.
+var ErrProtocolVersion = errors.New("protocol: peer speaks another wire version")
+
+// Hello requests librarian identification and collection statistics, and
+// carries the sender's Version. Version 0 encodes to the seed wire bytes (an
+// empty payload).
 type Hello struct {
-	Features Features
+	Version uint32
 }
 
-// HelloReply describes a librarian's collection. Features is the granted
-// extension set — always a subset of the request (see Features); it is
-// encoded only when non-zero, keeping the reply bit-identical to the seed
-// format whenever nothing was negotiated.
+// HelloReply describes a librarian's collection. Version is the librarian's
+// own, whatever the Hello asked; like Hello's it is encoded only when
+// non-zero.
 type HelloReply struct {
 	Name       string
 	NumDocs    uint32
@@ -138,7 +148,7 @@ type HelloReply struct {
 	IndexBytes uint64
 	VocabBytes uint64
 	StoreBytes uint64
-	Features   Features
+	Version    uint32
 }
 
 // TermStat is one vocabulary entry: a term and its document frequency.
@@ -165,14 +175,13 @@ type RankQuery struct {
 	Weights map[string]float64
 	// Evaluator is the wire form of search.Evaluator — 0 exact, 1 MaxScore,
 	// 2 WAND. It is encoded only when non-zero, so exact queries remain
-	// byte-identical to the original frame format (the Hello Features
-	// convention); old peers simply never send it and decode it as absent.
+	// byte-identical to the original frame format (the Hello Version
+	// convention).
 	Evaluator uint8
 	// FetchTop asks the librarian to attach the documents of its best
 	// FetchTop results to the RankReply (RankReply.Docs), in the wire form
 	// Compressed selects (as FetchDocs.Compressed). Optional trailing
-	// fields, encoded only when FetchTop is non-zero and sent only on
-	// connections that granted FeatureRankFetch.
+	// fields, encoded only when FetchTop is non-zero.
 	FetchTop   uint32
 	Compressed bool
 }
@@ -208,7 +217,7 @@ type ScoreDocs struct {
 	// best-first (score descending, ties by ascending document id); zero
 	// returns every nominated score in request order. FetchTop and
 	// Compressed are as on RankQuery. All three are optional trailing
-	// fields gated by FeatureRankFetch.
+	// fields.
 	K          uint32
 	FetchTop   uint32
 	Compressed bool

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -40,7 +41,9 @@ func TestAllMessagesRoundTrip(t *testing.T) {
 	stats := search.Stats{TermsLooked: 3, ListsFetched: 2, PostingsDecoded: 456, IndexBytesRead: 789, CandidateDocs: 55}
 	msgs := []Message{
 		&Hello{},
+		&Hello{Version: Version},
 		&HelloReply{Name: "AP", NumDocs: 2600, NumTerms: 45000, IndexBytes: 1 << 20, VocabBytes: 9999, StoreBytes: 1 << 22},
+		&HelloReply{Name: "AP", NumDocs: 2600, Version: math.MaxUint32},
 		&VocabRequest{},
 		&VocabReply{Terms: []TermStat{{Term: "aardvark", FT: 3}, {Term: "aardwolf", FT: 1}, {Term: "zebra", FT: 7}}},
 		&RankQuery{Query: "distributed retrieval", K: 20},
@@ -198,6 +201,28 @@ func TestRankQueryEvaluatorCompat(t *testing.T) {
 		if !ok || rq.Evaluator != ev {
 			t.Fatalf("Evaluator %d arrived as %#v", ev, got)
 		}
+	}
+}
+
+// A version that does not fit in 32 bits is rejected, not truncated: 2³²+7
+// must not decode as version 7.
+func TestHelloVersionDecodeStrict(t *testing.T) {
+	const wide = 1<<32 + 7
+	reply := (&HelloReply{Name: "AP", NumDocs: 3}).encode(nil)
+	for _, tc := range []struct {
+		msg     Message
+		payload []byte
+	}{
+		{&Hello{}, putUint(nil, wide)},
+		{&HelloReply{}, putUint(reply, wide)},
+	} {
+		if err := tc.msg.decode(tc.payload); err == nil {
+			t.Errorf("%v with version 2^32+7 decoded as %+v", tc.msg.Type(), tc.msg)
+		}
+	}
+	var h Hello
+	if err := h.decode(putUint(nil, math.MaxUint32)); err != nil || h.Version != math.MaxUint32 {
+		t.Errorf("Hello at the widest version: %+v, %v", h, err)
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 	"teraphim/internal/search"
 )
 
-// The payload bytes below were printed by the commit before FeatureRankFetch
-// existed. Requests and replies that use none of the new fields must still
-// encode to exactly these bytes; with the fields, the old bytes are a strict
-// prefix and the rest is what a pre-feature decoder — which ends every
-// decode with expectEmpty — rejects. That rejection is why the fields are
-// sent only on connections that granted the bit.
+// The payload bytes below were printed by the commit before the rank
+// requests' K and FetchTop fields and RankReply.Docs existed. Requests and
+// replies that use none of these fields must still encode to exactly these
+// bytes; with them, the old bytes are a strict prefix and the rest is what a
+// decoder without the fields — which ends every decode with expectEmpty —
+// rejects.
 func TestRankFetchFieldsWireCompat(t *testing.T) {
 	stats := search.Stats{TermsLooked: 2, ListsFetched: 2, PostingsDecoded: 99, IndexBytesRead: 1024, CandidateDocs: 7}
 	blob := DocBlob{Doc: 5, Title: "AP-5", Data: []byte("hello"), Compressed: true}
@@ -91,37 +91,6 @@ func TestRankFetchFieldsWireCompat(t *testing.T) {
 		if err := back.decode(got); err != nil || !equalMessage(tc.extended, back) {
 			t.Errorf("%s: round trip gave %#v (%v), want %#v", tc.name, back, err, tc.extended)
 		}
-		// On a connection that did not grant the bit the request goes out as
-		// the old bytes, and the caller's message is left alone.
-		if _, isReply := tc.extended.(*RankReply); isReply {
-			continue
-		}
-		if sent := WithoutRankFetch(tc.extended); sent == tc.extended || !bytes.Equal(sent.encode(nil), golden) {
-			t.Errorf("%s: stripped request encodes to %x, want %x", tc.name, sent.encode(nil), golden)
-		}
-		if !bytes.Equal(tc.extended.encode(nil), got) {
-			t.Errorf("%s: WithoutRankFetch modified the caller's request", tc.name)
-		}
-		if WithoutRankFetch(tc.old) != tc.old {
-			t.Errorf("%s: a request without the fields was copied", tc.name)
-		}
-	}
-}
-
-func TestWithoutRankFetchRewritesBatchItems(t *testing.T) {
-	cv := &RankQuery{Query: "q", K: 7, FetchTop: 7}
-	ci := &ScoreDocs{Query: "q", Docs: []uint32{1, 2}, K: 7, FetchTop: 7, Compressed: true}
-	cn := &RankQuery{Query: "q", K: 7}
-	bq := &BatchQuery{Items: []Message{cv, ci, cn}}
-	if WithoutRankFetch(bq) != Message(bq) {
-		t.Fatal("a BatchQuery must be rewritten in place: its sender reads its Sizes")
-	}
-	want := &BatchQuery{Items: []Message{&RankQuery{Query: "q", K: 7}, &ScoreDocs{Query: "q", Docs: []uint32{1, 2}}, cn}}
-	if !bytes.Equal(bq.encode(nil), want.encode(nil)) {
-		t.Fatalf("stripped batch encodes to %x, want %x", bq.encode(nil), want.encode(nil))
-	}
-	if bq.Items[2] != Message(cn) || cv.FetchTop != 7 || ci.K != 7 || !ci.Compressed {
-		t.Fatal("the members' own requests must not be modified: their retries may reach a peer with the feature")
 	}
 }
 

@@ -73,8 +73,8 @@
 // endpoints serving the same subcollection. Each exchange is routed by a
 // per-librarian router: power-of-two-choices over the healthy replicas
 // (fewer in-flight exchanges wins), with passive health tracking — an
-// endpoint failing ReplicaEjectAfter consecutive exchanges is ejected from
-// routing and probed back in after ReplicaProbeAfter. Replica sets grow and
+// endpoint failing three consecutive exchanges is ejected from routing and
+// probed back in after ReplicaProbeAfter. Replica sets grow and
 // shrink live via AddReplica/RemoveReplica (versioned through the
 // federation epoch like every setup change). Options.HedgeAfter additionally
 // races a second replica when an exchange outlives a latency quantile of
@@ -82,6 +82,19 @@
 // cancelled, and because replicas are interchangeable the result is
 // bit-identical — hedging only cuts the tail. Trace.Hedges and the
 // teraphim_hedge_*/teraphim_replica_* metric families account for all of it.
+//
+// # Wire
+//
+// Receptionist and librarian speak one wire version. Every connection opens
+// with a Hello carrying it; after the reply, frames carry exchange tags, so
+// one connection multiplexes many exchanges and replies arrive out of order.
+// A librarian at another version fails ConnectPool, without a retry.
+// Options.BatchWindow coalesces concurrent clients' rank-phase queries into
+// one frame per librarian, and a rank reply carries only each librarian's
+// best results plus, for Options.Fetch queries, their text, so such a query
+// is one exchange per librarian. ReceptionistConfig.TwoRoundFetch restores
+// the paper's protocol instead: every nominated score comes back and text is
+// fetched in a second round.
 //
 // # Collection selection
 //
@@ -102,7 +115,6 @@ import (
 	"teraphim/internal/eval"
 	"teraphim/internal/librarian"
 	"teraphim/internal/obs"
-	"teraphim/internal/protocol"
 	"teraphim/internal/search"
 	"teraphim/internal/simnet"
 	"teraphim/internal/store"
@@ -193,29 +205,6 @@ const (
 	ModeCN = core.ModeCN
 	ModeCV = core.ModeCV
 	ModeCI = core.ModeCI
-)
-
-// WireFeatures is the bitmask of optional wire-protocol capabilities a pool
-// requests in its Hello handshake (ReceptionistConfig.WireFeatures); each
-// librarian grants the subset it supports, and a connection whose peer does
-// not grant pipelining speaks the seed framing, one exchange at a time.
-type WireFeatures = protocol.Features
-
-// Wire-protocol feature bits.
-const (
-	// FeaturePipelining tags frames with exchange ids so one connection
-	// carries many concurrent exchanges with out-of-order replies.
-	FeaturePipelining = core.FeaturePipelining
-	// FeatureBatching lets rank-phase queries from concurrent clients
-	// coalesce into one frame per librarian (Options.BatchWindow).
-	FeatureBatching = core.FeatureBatching
-	// FeatureRankFetch lets rank replies carry only each librarian's top k
-	// and, for Options.Fetch queries, the text of its best documents, so
-	// the query completes in one exchange per librarian.
-	FeatureRankFetch = core.FeatureRankFetch
-	// FeatureNone pins the seed framing: no negotiation, byte-identical
-	// wire traffic to a pre-feature deployment.
-	FeatureNone = core.FeatureNone
 )
 
 // MergeStrategy selects how CN rankings are collated (see Options.Merge).
