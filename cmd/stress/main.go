@@ -75,7 +75,7 @@ func run(w io.Writer, args []string) error {
 	queueWait := fs.Duration("queuewait", 0, "with -inflight, max time a query waits for admission (0 = until deadline)")
 	topR := fs.Int("topr", 0, "collection selection: contact only the R librarians ranked most promising per query (0 = full fan-out)")
 	hedge := fs.Float64("hedge", 0, "race a second replica when an exchange outlives this latency quantile, e.g. 0.95 (0 = off; needs replicated -libs)")
-	batchWindow := fs.Duration("batchwindow", 0, "coalesce concurrent rank queries to the same librarian within this window into one frame (0 = off; needs librarians that grant batching)")
+	batchWindow := fs.Duration("batchwindow", 0, "coalesce concurrent rank queries to the same librarian within this window into one frame (0 = off)")
 	evalName := fs.String("eval", "exact", "rank evaluation strategy: exact, maxscore or wand (rank-safe dynamic pruning)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -31,11 +31,6 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
-// WriteBit appends a single bit (0 or 1).
-func (w *Writer) WriteBit(bit uint) {
-	w.WriteBits(uint64(bit), 1)
-}
-
 // WriteBits appends the low n bits of v, most significant first.
 // n must be in [0, 64].
 func (w *Writer) WriteBits(v uint64, n uint) {

@@ -10,7 +10,7 @@ func TestWriteReadBit(t *testing.T) {
 	w := NewWriter(4)
 	bits := []uint{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1}
 	for _, b := range bits {
-		w.WriteBit(b)
+		w.WriteBits(uint64(b), 1)
 	}
 	r := NewReader(w.Bytes())
 	for i, want := range bits {

@@ -210,7 +210,7 @@ func TestWriterMatchesBitAtATime(t *testing.T) {
 				put(0)
 			case 2:
 				bit := uint(rng.Intn(2))
-				w.WriteBit(bit)
+				w.WriteBits(uint64(bit), 1)
 				put(uint64(bit))
 			}
 			if w.BitLen() != nbits {

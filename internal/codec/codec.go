@@ -48,36 +48,6 @@ func Gamma(r *bitio.Reader) (uint64, error) {
 	return 1<<n | rest, nil
 }
 
-// PutDelta appends the Elias delta code for v (v ≥ 1): the bit length is
-// itself gamma coded. Preferable to gamma for large values.
-func PutDelta(w *bitio.Writer, v uint64) error {
-	if v == 0 {
-		return ErrNonPositive
-	}
-	n := uint(bits.Len64(v))
-	if err := PutGamma(w, uint64(n)); err != nil {
-		return err
-	}
-	w.WriteBits(v&(1<<(n-1)-1), n-1)
-	return nil
-}
-
-// Delta reads one Elias delta code.
-func Delta(r *bitio.Reader) (uint64, error) {
-	n, err := Gamma(r)
-	if err != nil {
-		return 0, err
-	}
-	if n == 0 || n > 64 {
-		return 0, fmt.Errorf("codec: delta length %d out of range", n)
-	}
-	rest, err := r.ReadBits(uint(n - 1))
-	if err != nil {
-		return 0, err
-	}
-	return 1<<(n-1) | rest, nil
-}
-
 // GolombParameter returns the Golomb divisor b tuned for a list of n gaps
 // drawn from a universe of size u (documents in the collection), following
 // Witten, Moffat & Bell: b = ceil(0.69 * u / n) (≈ log(2)·mean gap).

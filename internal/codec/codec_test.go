@@ -39,9 +39,6 @@ func TestGammaZeroRejected(t *testing.T) {
 	if err := PutGamma(w, 0); err != ErrNonPositive {
 		t.Fatalf("want ErrNonPositive, got %v", err)
 	}
-	if err := PutDelta(w, 0); err != ErrNonPositive {
-		t.Fatalf("delta: want ErrNonPositive, got %v", err)
-	}
 	if err := PutGolomb(w, 0, 3); err != ErrNonPositive {
 		t.Fatalf("golomb: want ErrNonPositive, got %v", err)
 	}
@@ -57,23 +54,6 @@ func TestGammaRoundTrip(t *testing.T) {
 			return false
 		}
 		got, err := Gamma(bitio.NewReader(w.Bytes()))
-		return err == nil && got == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeltaRoundTrip(t *testing.T) {
-	f := func(v uint64) bool {
-		if v == 0 {
-			v = 1
-		}
-		w := bitio.NewWriter(16)
-		if err := PutDelta(w, v); err != nil {
-			return false
-		}
-		got, err := Delta(bitio.NewReader(w.Bytes()))
 		return err == nil && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -312,7 +312,7 @@ func TestCacheInvalidateOnLibrarianUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"UP": func() (net.Conn, error) {
 			client, server := simnet.Pipe(simnet.LinkConfig{})
 			go func() {
@@ -482,7 +482,7 @@ func TestCacheSkipsDegradedResults(t *testing.T) {
 	}
 	goodDialer := librarian.NewInProcessDialer(
 		[]*librarian.Librarian{libs["AP"], libs["FR"], libs["WSJ"]}, simnet.LinkConfig{})
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"AP":   func() (net.Conn, error) { return goodDialer.Dial("AP") },
 		"FR":   func() (net.Conn, error) { return goodDialer.Dial("FR") },
 		"WSJ":  func() (net.Conn, error) { return goodDialer.Dial("WSJ") },

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -11,6 +10,7 @@ import (
 
 	"teraphim/internal/index"
 	"teraphim/internal/librarian"
+	"teraphim/internal/obs"
 	"teraphim/internal/search"
 	"teraphim/internal/simnet"
 	"teraphim/internal/store"
@@ -25,6 +25,7 @@ func testAnalyzer() *textproc.Analyzer {
 // fixture bundles a small distributed deployment plus its MS equivalent.
 type fixture struct {
 	recep   *Pool
+	reg     *obs.Registry // the pool's metrics
 	mono    *MonoServer
 	dialer  *librarian.InProcessDialer
 	corpus  map[string][]store.Document
@@ -52,7 +53,8 @@ func newFixture(t testing.TB, corpus map[string][]store.Document, order []string
 		}
 	}
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{})
-	recep, err := NewPool(dialer, order, Config{Analyzer: a})
+	reg := obs.NewRegistry()
+	recep, err := NewPool(dialer, order, Config{Analyzer: a, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func newFixture(t testing.TB, corpus map[string][]store.Document, order []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{recep: recep, mono: mono, dialer: dialer, corpus: corpus, order: order, termsOf: termsOf}
+	return &fixture{recep: recep, reg: reg, mono: mono, dialer: dialer, corpus: corpus, order: order, termsOf: termsOf}
 }
 
 // smallCorpus builds a deterministic corpus with topical skew across three
@@ -136,12 +138,9 @@ func TestConnectAndGlobalNumbering(t *testing.T) {
 		t.Fatalf("TotalDocs = %d, want %d", r.TotalDocs(), want)
 	}
 	// Round-trip every (librarian, local) through global numbering.
+	var g uint32
 	for _, name := range order {
 		for i := range corpus[name] {
-			g, err := r.GlobalDoc(name, uint32(i))
-			if err != nil {
-				t.Fatal(err)
-			}
 			name2, local2, err := r.ResolveGlobal(g)
 			if err != nil {
 				t.Fatal(err)
@@ -149,13 +148,8 @@ func TestConnectAndGlobalNumbering(t *testing.T) {
 			if name2 != name || local2 != uint32(i) {
 				t.Fatalf("global %d resolved to %s:%d, want %s:%d", g, name2, local2, name, i)
 			}
+			g++
 		}
-	}
-	if _, err := r.GlobalDoc("AP", 1<<30); err == nil {
-		t.Fatal("out-of-range local doc: want error")
-	}
-	if _, err := r.GlobalDoc("nope", 0); err == nil {
-		t.Fatal("unknown librarian: want error")
 	}
 	if _, _, err := r.ResolveGlobal(want); err == nil {
 		t.Fatal("out-of-range global doc: want error")
@@ -276,7 +270,7 @@ func TestCIMatchesCVOrderingWithFullExpansion(t *testing.T) {
 	}
 	// k' = every group: expansion covers the whole collection, so CI
 	// scores must equal CV scores exactly.
-	kPrime := int(g.NumGroups())
+	kPrime := int(g.engine.Index().NumDocs())
 	for _, q := range []string{"alpha federal wallstreet", "w5 w6 w7"} {
 		cv, err := f.recep.Query(ModeCV, q, 10, Options{})
 		if err != nil {
@@ -326,7 +320,7 @@ func TestCISmallKPrimeLimitsCandidates(t *testing.T) {
 	}
 	// However many groups are expanded, each librarian returns only its
 	// top k (ScoreDocs.K), so at most asked x k scores reach the merge.
-	res, err = f.recep.Query(ModeCI, "alpha federal wallstreet", 3, Options{KPrime: int(g.NumGroups())})
+	res, err = f.recep.Query(ModeCI, "alpha federal wallstreet", 3, Options{KPrime: int(g.engine.Index().NumDocs())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,19 +485,19 @@ func TestGroupedIndexProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g1.NumGroups() != uint32(len(f.termsOf)) {
-		t.Fatalf("G=1 groups = %d, want %d", g1.NumGroups(), len(f.termsOf))
+	if g1.engine.Index().NumDocs() != uint32(len(f.termsOf)) {
+		t.Fatalf("G=1 groups = %d, want %d", g1.engine.Index().NumDocs(), len(f.termsOf))
 	}
 	wantGroups := (len(f.termsOf) + 9) / 10
-	if g10.NumGroups() != uint32(wantGroups) {
-		t.Fatalf("G=10 groups = %d, want %d", g10.NumGroups(), wantGroups)
+	if g10.engine.Index().NumDocs() != uint32(wantGroups) {
+		t.Fatalf("G=10 groups = %d, want %d", g10.engine.Index().NumDocs(), wantGroups)
 	}
 	// Grouping must shrink the index (the paper: G=10 halves it).
 	if g10.SizeBytes() >= g1.SizeBytes() {
 		t.Fatalf("G=10 index %d bytes >= G=1 index %d bytes", g10.SizeBytes(), g1.SizeBytes())
 	}
 	// Expand clips at the collection end.
-	lastGroup := g10.NumGroups() - 1
+	lastGroup := g10.engine.Index().NumDocs() - 1
 	docs := g10.Expand([]uint32{lastGroup})
 	for _, d := range docs {
 		if d >= uint32(len(f.termsOf)) {
@@ -663,63 +657,5 @@ func TestBuildGroupedFromIndexesValidation(t *testing.T) {
 		if _, err := BuildGroupedFromIndexes([]*index.Index{ix, ix}, offsets, 2, 5, testAnalyzer()); err == nil {
 			t.Fatalf("offsets %v do not tile 2 docs: want error", offsets)
 		}
-	}
-}
-
-func TestGroupedIndexPersistRoundTrip(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	f := newFixture(t, corpus, order)
-	g, err := BuildGrouped(f.termsOf, 10, testAnalyzer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	loaded, err := ReadGrouped(bytes.NewReader(raw), testAnalyzer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.GroupSize() != g.GroupSize() || loaded.NumGroups() != g.NumGroups() ||
-		loaded.SizeBytes() != g.SizeBytes() {
-		t.Fatalf("shape differs after reload")
-	}
-	for _, q := range []string{"alpha federal", "w1 w2"} {
-		g1, _, err := g.RankGroupsEval(search.NewScratch(), q, 5, search.EvalExact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2, _, err := loaded.RankGroupsEval(search.NewScratch(), q, 5, search.EvalExact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(g1) != len(g2) {
-			t.Fatalf("query %q: %d vs %d groups", q, len(g1), len(g2))
-		}
-		for i := range g1 {
-			if g1[i] != g2[i] {
-				t.Fatalf("query %q group %d differs", q, i)
-			}
-		}
-	}
-	// A reloaded grouped index installs and serves CI queries.
-	if _, err := f.recep.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.recep.Federation().SetupCentralIndex(loaded); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.recep.Query(ModeCI, "alpha federal", 5, Options{KPrime: 3}); err != nil {
-		t.Fatal(err)
-	}
-	// Corruption is rejected.
-	if _, err := ReadGrouped(bytes.NewReader(raw[:8]), testAnalyzer()); err == nil {
-		t.Fatal("truncated grouped index: want error")
-	}
-	bad := append([]byte("XXXX"), raw[4:]...)
-	if _, err := ReadGrouped(bytes.NewReader(bad), testAnalyzer()); err == nil {
-		t.Fatal("bad magic: want error")
 	}
 }

@@ -235,84 +235,66 @@ func (e *exec) attempt(ctx context.Context, name string, phase Phase, req protoc
 	if !ok {
 		return nil, nil, "", fmt.Errorf("core: unknown librarian %q", name)
 	}
-	for {
-		rep := rt.pick(avoid)
-		if rep == nil {
-			return nil, nil, "", fmt.Errorf("core: librarian %q has no replicas", name)
+	rep := rt.pick(avoid)
+	if tryOnly {
+		select {
+		case rep.tags <- struct{}{}:
+		default:
+			return nil, nil, "", errNoFreeSlot
 		}
-		if tryOnly {
-			select {
-			case rep.tags <- struct{}{}:
-			default:
-				return nil, nil, "", errNoFreeSlot
-			}
-		} else {
-			waitStart := time.Now()
-			select {
-			case rep.tags <- struct{}{}:
-			case <-p.done:
-				return nil, nil, "", ErrPoolClosed
-			case <-ctx.Done():
-				return nil, nil, "", ctx.Err()
-			}
-			p.metrics.acquireWait.ObserveDuration(time.Since(waitStart))
+	} else {
+		waitStart := time.Now()
+		select {
+		case rep.tags <- struct{}{}:
+		case <-p.done:
+			return nil, nil, "", ErrPoolClosed
+		case <-ctx.Done():
+			return nil, nil, "", ctx.Err()
 		}
-		rep.inflight.Add(1)
-		if onLease != nil {
-			// Once per logical attempt: the hedge path counts a launched
-			// hedge in it, and a drain re-pick is still the same attempt.
-			onLease(rep.endpoint)
-			onLease = nil
-		}
-
-		var calls []Call
-		var reply protocol.Message
-		pc, pend, hs, err := p.pipeFor(ctx, rep, e.policy.timeout)
-		if _, isHello := req.(*protocol.Hello); err == nil && isHello && hs != nil {
-			// The connection is new and its Hello asked what req asks: use
-			// that reply, so setup costs one round trip per connection,
-			// exactly like the seed.
-			pc.forget(pend)
-			reply = hs.reply
-			calls = []Call{{
-				Librarian: name, Replica: rep.endpoint, Phase: phase, ReqType: req.Type(),
-				ReqBytes: hs.wrote, RespBytes: hs.read, Ship: hs.ship, Wait: hs.wait,
-			}}
-		} else if err == nil {
-			calls = make([]Call, 1)
-			calls[0], reply, err = pc.exchange(ctx, e.policy.timeout, name, phase, req, pend)
-		}
-		rep.inflight.Add(-1)
-		<-rep.tags
-
-		if err == nil {
-			rt.reportSuccess(rep, calls[0].Ship+calls[0].Wait)
-			return calls, reply, rep.endpoint, nil
-		}
-		var remote *protocol.RemoteError
-		switch {
-		case errors.As(err, &remote):
-			// The peer answered, so the exchange completed: the transport is
-			// healthy and its latency is a real observation.
-			rt.reportSuccess(rep, calls[0].Ship+calls[0].Wait)
-		case errors.Is(err, errConnDraining):
-			// A pick taken just before RemoveReplica swapped the set can land
-			// on a replica whose connections are draining. A drain is the
-			// pool's doing, neither a health signal nor an attempt: re-pick
-			// against the freshly installed set, which no longer contains the
-			// removed replica — for as long as it takes, since under
-			// sustained churn a re-pick's dial can outlast the next removal.
-			if ctx.Err() == nil {
-				continue
-			}
-		case ctx.Err() == nil && !errors.Is(err, ErrPoolClosed):
-			// Health accounting never counts a cancelled attempt against the
-			// replica: a hedge loser or an abandoned query says nothing about
-			// the endpoint. Pool shutdown says nothing either.
-			rt.reportFailure(rep)
-		}
-		return calls, reply, rep.endpoint, err
+		p.metrics.acquireWait.ObserveDuration(time.Since(waitStart))
 	}
+	rep.inflight.Add(1)
+	if onLease != nil {
+		onLease(rep.endpoint)
+	}
+
+	var calls []Call
+	var reply protocol.Message
+	pc, pend, hs, err := p.pipeFor(ctx, rep, e.policy.timeout)
+	if _, isHello := req.(*protocol.Hello); err == nil && isHello && hs != nil {
+		// The connection is new and its Hello asked what req asks: use
+		// that reply, so setup costs one round trip per connection,
+		// exactly like the seed.
+		pc.forget(pend)
+		reply = hs.reply
+		calls = []Call{{
+			Librarian: name, Replica: rep.endpoint, Phase: phase, ReqType: req.Type(),
+			ReqBytes: hs.wrote, RespBytes: hs.read, Ship: hs.ship, Wait: hs.wait,
+		}}
+	} else if err == nil {
+		calls = make([]Call, 1)
+		calls[0], reply, err = pc.exchange(ctx, e.policy.timeout, name, phase, req, pend)
+	}
+	rep.inflight.Add(-1)
+	<-rep.tags
+
+	if err == nil {
+		rt.reportSuccess(rep, calls[0].Ship+calls[0].Wait)
+		return calls, reply, rep.endpoint, nil
+	}
+	var remote *protocol.RemoteError
+	switch {
+	case errors.As(err, &remote):
+		// The peer answered, so the exchange completed: the transport is
+		// healthy and its latency is a real observation.
+		rt.reportSuccess(rep, calls[0].Ship+calls[0].Wait)
+	case ctx.Err() == nil && !errors.Is(err, ErrPoolClosed):
+		// Health accounting never counts a cancelled attempt against the
+		// replica: a hedge loser or an abandoned query says nothing about
+		// the endpoint. Pool shutdown says nothing either.
+		rt.reportFailure(rep)
+	}
+	return calls, reply, rep.endpoint, err
 }
 
 // attemptHedged is one policy attempt that may race two replicas: the
@@ -326,7 +308,7 @@ func (e *exec) attempt(ctx context.Context, name string, phase Phase, req protoc
 func (e *exec) attemptHedged(name string, phase Phase, req protocol.Message, avoid string) ([]Call, protocol.Message, string, error) {
 	rt := e.pool.routers[name]
 	var delay time.Duration
-	if q := e.policy.hedge; q > 0 && rt != nil && rt.replicaCount() > 1 {
+	if q := e.policy.hedge; q > 0 && rt != nil && len(rt.set) > 1 {
 		delay = rt.hedgeDelay(q)
 	}
 	if delay <= 0 {

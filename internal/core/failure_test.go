@@ -15,6 +15,18 @@ import (
 	"teraphim/internal/store"
 )
 
+// mapDialer dials each name through its own connect function, so a test can
+// hand the pool a scripted or failing peer.
+type mapDialer map[string]func() (net.Conn, error)
+
+func (d mapDialer) Dial(name string) (net.Conn, error) {
+	fn, ok := d[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown peer %q", name)
+	}
+	return fn()
+}
+
 // haltAfter serves a real librarian for n messages, then slams the
 // connection shut — simulating a mid-session librarian crash.
 func haltAfter(lib *librarian.Librarian, n int) func() (net.Conn, error) {
@@ -85,7 +97,7 @@ func buildFailureLibs(t *testing.T) (*librarian.Librarian, *librarian.Librarian)
 func TestLibrarianCrashMidSessionSurfacesError(t *testing.T) {
 	good, bad := buildFailureLibs(t)
 	goodDialer := librarian.NewInProcessDialer([]*librarian.Librarian{good}, simnet.LinkConfig{})
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"good": func() (net.Conn, error) { return goodDialer.Dial("good") },
 		// The bad librarian answers exactly one message (the Hello) and
 		// then dies.
@@ -107,7 +119,7 @@ func TestLibrarianCrashMidSessionSurfacesError(t *testing.T) {
 }
 
 func TestConnectFailsWhenLibrarianUnreachable(t *testing.T) {
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"gone": func() (net.Conn, error) { return nil, errors.New("connection refused") },
 	}
 	if _, err := NewPool(dialer, []string{"gone"}, Config{}); err == nil {
@@ -116,7 +128,7 @@ func TestConnectFailsWhenLibrarianUnreachable(t *testing.T) {
 }
 
 func TestConnectFailsOnGarbageHello(t *testing.T) {
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"garbage": func() (net.Conn, error) {
 			client, server := net.Pipe()
 			go func() {
@@ -167,7 +179,7 @@ func TestConnectFailsOnOtherVersion(t *testing.T) {
 			return dial()
 		}
 	}
-	dialer := simnet.MapDialer{"AP": counted("AP", other), "FR": counted("FR", other), "live": counted("live", other)}
+	dialer := mapDialer{"AP": counted("AP", other), "FR": counted("FR", other), "live": counted("live", other)}
 	_, err := NewPool(dialer, []string{"AP", "FR"}, Config{})
 	if !errors.Is(err, protocol.ErrProtocolVersion) {
 		t.Fatalf("NewPool against librarians at another version: %v, want ErrProtocolVersion", err)
@@ -215,7 +227,7 @@ func TestQueryAfterCloseFails(t *testing.T) {
 
 func TestSetupVocabularyAgainstCrashedLibrarian(t *testing.T) {
 	_, bad := buildFailureLibs(t)
-	dialer := simnet.MapDialer{"bad": haltAfter(bad, 1)}
+	dialer := mapDialer{"bad": haltAfter(bad, 1)}
 	recep, err := NewPool(dialer, []string{"bad"}, Config{Analyzer: testAnalyzer()})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +244,7 @@ func TestSetupVocabularyAgainstCrashedLibrarian(t *testing.T) {
 func TestCentralIndexRejectsMisplacedGroups(t *testing.T) {
 	good, bad := buildFailureLibs(t)
 	goodDialer := librarian.NewInProcessDialer([]*librarian.Librarian{good}, simnet.LinkConfig{})
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"good": func() (net.Conn, error) { return goodDialer.Dial("good") },
 		// The bad librarian groups as if it sat one group further on.
 		"bad": func() (net.Conn, error) {
@@ -337,7 +349,7 @@ func partialFixture(t *testing.T, setupMsgs int) (*Pool, [][]string) {
 	}
 	goodDialer := librarian.NewInProcessDialer(
 		[]*librarian.Librarian{libs["AP"], libs["FR"], libs["WSJ"]}, simnet.LinkConfig{})
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"AP":   func() (net.Conn, error) { return goodDialer.Dial("AP") },
 		"FR":   func() (net.Conn, error) { return goodDialer.Dial("FR") },
 		"WSJ":  func() (net.Conn, error) { return goodDialer.Dial("WSJ") },
@@ -386,7 +398,7 @@ func TestPartialResultAcrossModes(t *testing.T) {
 				}
 				// Expand every group so the dead librarian's documents are
 				// nominated and its failure exercised.
-				opts.KPrime = int(g.NumGroups())
+				opts.KPrime = int(g.engine.Index().NumDocs())
 			}
 			res, err := recep.Query(tc.mode, "shared", 30, opts)
 			if err != nil {
@@ -415,8 +427,8 @@ func TestPartialResultAcrossModes(t *testing.T) {
 			if len(survivors) != 3 {
 				t.Fatalf("answers from %d survivors, want 3", len(survivors))
 			}
-			if got := res.Trace.FailedLibrarians(PhaseRank); len(got) != 1 || got[0] != "ZIFF" {
-				t.Fatalf("FailedLibrarians = %v", got)
+			if got := res.Trace.Failures; len(got) != 1 || got[0].Librarian != "ZIFF" || got[0].Phase != PhaseRank {
+				t.Fatalf("Failures = %+v, want ZIFF's rank phase", got)
 			}
 		})
 	}
@@ -459,7 +471,7 @@ func TestRetryRecoversTimedOutLibrarian(t *testing.T) {
 	a := testAnalyzer()
 	good, flaky := buildFailureLibs(t)
 	goodDialer := librarian.NewInProcessDialer([]*librarian.Librarian{good}, simnet.LinkConfig{})
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"good": func() (net.Conn, error) { return goodDialer.Dial("good") },
 		"bad":  timeoutOnceDialer(flaky),
 	}
@@ -513,7 +525,7 @@ func TestDeadlineMarksConnDirtyAndResyncs(t *testing.T) {
 	a := testAnalyzer()
 	good, flaky := buildFailureLibs(t)
 	goodDialer := librarian.NewInProcessDialer([]*librarian.Librarian{good}, simnet.LinkConfig{})
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"good": func() (net.Conn, error) { return goodDialer.Dial("good") },
 		"bad":  timeoutOnceDialer(flaky),
 	}

@@ -82,18 +82,6 @@ func (f *Federation) Librarians() []string {
 // TotalDocs returns the number of documents across all librarians.
 func (f *Federation) TotalDocs() uint32 { return f.totalDocs }
 
-// GlobalDoc converts (librarian, local id) to the global document number.
-func (f *Federation) GlobalDoc(name string, local uint32) (uint32, error) {
-	li, ok := f.byName[name]
-	if !ok {
-		return 0, fmt.Errorf("core: unknown librarian %q", name)
-	}
-	if local >= li.numDocs {
-		return 0, fmt.Errorf("core: doc %d outside %q's %d documents", local, name, li.numDocs)
-	}
-	return li.offset + local, nil
-}
-
 // ResolveGlobal converts a global document number to (librarian, local id).
 // CI expansion calls this once per candidate document, so it binary-searches
 // the offset table (librarians are stored in global-numbering order) rather
@@ -213,11 +201,6 @@ func (f *Federation) installModels(ms *modelSet) {
 	f.models.Store(ms)
 	f.epoch.Add(1)
 }
-
-// bumpEpoch versions a shared-state change that has no dedicated install —
-// replica membership changes go through here, so AddReplica/RemoveReplica
-// ride the same epoch mechanism as the Setup* installs.
-func (f *Federation) bumpEpoch() { f.epoch.Add(1) }
 
 // CentralIndex returns the installed grouped central index, or nil before
 // SetupCentralIndex / SetupCentralIndexRemote has run.

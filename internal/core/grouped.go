@@ -106,8 +106,8 @@ const (
 	groupedVersion = 1
 )
 
-// WriteTo persists the grouped index so a CI receptionist can reopen it
-// without repeating the merge preprocessing.
+// WriteTo serialises the grouped index: the bytes the format digests in
+// TestFormatPinned are taken over.
 func (g *GroupedIndex) WriteTo(w io.Writer) (int64, error) {
 	var hdr [16]byte
 	copy(hdr[:4], groupedMagic)
@@ -121,45 +121,6 @@ func (g *GroupedIndex) WriteTo(w io.Writer) (int64, error) {
 	m, err := g.engine.Index().WriteTo(w)
 	return int64(n) + m, err
 }
-
-// ReadGrouped reopens a grouped index written by WriteTo. The analyzer must
-// match the one the index was built with.
-func ReadGrouped(r io.Reader, analyzer *textproc.Analyzer) (*GroupedIndex, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("core: grouped index header: %w", err)
-	}
-	if string(hdr[:4]) != groupedMagic {
-		return nil, fmt.Errorf("core: bad grouped index magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != groupedVersion {
-		return nil, fmt.Errorf("core: unsupported grouped index version %d", v)
-	}
-	groupSize := binary.LittleEndian.Uint32(hdr[8:])
-	totalDocs := binary.LittleEndian.Uint32(hdr[12:])
-	if groupSize == 0 || totalDocs == 0 {
-		return nil, fmt.Errorf("core: corrupt grouped index header (G=%d, docs=%d)", groupSize, totalDocs)
-	}
-	ix, err := index.ReadFrom(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: grouped index body: %w", err)
-	}
-	wantGroups := (totalDocs + groupSize - 1) / groupSize
-	if ix.NumDocs() != wantGroups {
-		return nil, fmt.Errorf("core: grouped index has %d groups, header implies %d", ix.NumDocs(), wantGroups)
-	}
-	return &GroupedIndex{
-		groupSize: groupSize,
-		totalDocs: totalDocs,
-		engine:    search.NewEngine(ix, analyzer),
-	}, nil
-}
-
-// GroupSize returns G.
-func (g *GroupedIndex) GroupSize() uint32 { return g.groupSize }
-
-// NumGroups returns the number of groups indexed.
-func (g *GroupedIndex) NumGroups() uint32 { return g.engine.Index().NumDocs() }
 
 // SizeBytes reports the compressed postings size of the grouped index — the
 // receptionist-side storage cost the paper compares against the full

@@ -26,8 +26,6 @@ type modeInstruments struct {
 // into fleet-wide counters a scrape can watch. Recording is lock-free
 // atomics; nothing here allocates after construction.
 type Metrics struct {
-	reg *obs.Registry
-
 	byMode map[Mode]*modeInstruments
 
 	stageAnalyze *obs.Histogram
@@ -84,7 +82,7 @@ type Metrics struct {
 
 // newMetrics registers the pool's instrument families on reg.
 func newMetrics(reg *obs.Registry) *Metrics {
-	m := &Metrics{reg: reg, byMode: make(map[Mode]*modeInstruments, 3)}
+	m := &Metrics{byMode: make(map[Mode]*modeInstruments, 3)}
 	for _, mode := range []Mode{ModeCN, ModeCV, ModeCI} {
 		labels := fmt.Sprintf("mode=%q", mode.String())
 		m.byMode[mode] = &modeInstruments{
@@ -167,10 +165,6 @@ func newMetrics(reg *obs.Registry) *Metrics {
 	m.central = search.NewMetrics(reg, `component="central"`)
 	return m
 }
-
-// Registry returns the registry the instruments live on — mount it with
-// obs.Handler / obs.ListenAndServe to expose /metrics.
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // HedgesLaunched returns the cumulative count of hedged exchanges launched
 // (teraphim_hedge_launched_total), for programmatic inspection alongside the

@@ -72,7 +72,7 @@ func TestMetricsMatchTraces(t *testing.T) {
 		}
 	}
 
-	vals := promValues(t, f.recep.Metrics().Registry())
+	vals := promValues(t, f.reg)
 	for mode, want := range perMode {
 		key := `teraphim_queries_total{mode="` + mode.String() + `"}`
 		if got := vals[key]; got != float64(want) {
@@ -255,6 +255,8 @@ func TestQueryContextCancelsMidFlight(t *testing.T) {
 		{"legacy", Config{TwoRoundFetch: true}, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tc.cfg.Metrics = reg
 			recep := slowFixture(t, latency, tc.cfg)
 
 			ctx, cancel := context.WithCancel(context.Background())
@@ -277,7 +279,7 @@ func TestQueryContextCancelsMidFlight(t *testing.T) {
 
 			// The interrupted exchanges were abandoned, not leaked: the pool
 			// still has every slot, and a fresh query succeeds.
-			vals := promValues(t, recep.Metrics().Registry())
+			vals := promValues(t, reg)
 			if got := vals["teraphim_pool_conns_in_use"]; got != 0 {
 				t.Errorf("conns_in_use = %v after cancelled query, want 0", got)
 			}
@@ -328,5 +330,40 @@ func TestQueryContextCancelsBackoffWait(t *testing.T) {
 	}
 	if d := time.Since(waited); d >= 500*time.Millisecond {
 		t.Fatalf("sleepCtx returned after %v, want prompt cancellation", d)
+	}
+}
+
+// TestSlowQueryLog: above the threshold every query writes exactly one
+// key=value line naming its mode, its fan-out and the quoted query text; a
+// zero threshold writes nothing.
+func TestSlowQueryLog(t *testing.T) {
+	corpus, order := smallCorpus(t)
+	for _, threshold := range []time.Duration{time.Nanosecond, 0} {
+		f := newReplicaFixture(t, corpus, order, 1, Config{SlowQueryThreshold: threshold})
+		var buf strings.Builder
+		f.pool.slowLog = &buf
+		queries := []string{"alpha federal", `wallstreet "widget"`}
+		for _, q := range queries {
+			if _, err := f.pool.Query(ModeCN, q, 5, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if threshold == 0 {
+			if buf.Len() != 0 {
+				t.Fatalf("threshold 0 wrote %q", buf.String())
+			}
+			continue
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		if len(lines) != len(queries) {
+			t.Fatalf("%d queries over the threshold wrote %d lines: %q", len(queries), len(lines), buf.String())
+		}
+		for i, line := range lines {
+			for _, want := range []string{"mode=CN ", "libs=3 ", "query=" + strconv.Quote(queries[i])} {
+				if !strings.Contains(line, want) {
+					t.Errorf("slow-query line %q lacks %q", line, want)
+				}
+			}
+		}
 	}
 }

@@ -32,10 +32,6 @@ import (
 // pipelineDepth bounds concurrent exchanges per connection.
 const pipelineDepth = 8
 
-// errConnDraining reports a connection that stopped accepting new exchanges
-// because its replica is being removed.
-var errConnDraining = errors.New("core: connection draining")
-
 // pipePending is one in-flight exchange on a pipeConn. All fields except done
 // and tag are guarded by the owning pipeConn's mu: the write loop stamps them,
 // the read loop settles them, and the exchanging goroutine copies them out —
@@ -73,12 +69,11 @@ type pipeConn struct {
 	writeCh chan pipeWrite
 	dead    chan struct{} // closed by fail(); loops treat it as shutdown
 
-	mu       sync.Mutex
-	pending  map[uint32]*pipePending
-	nextTag  uint32
-	err      error // first failure, set by fail()
-	busy     bool  // pending > 0; drives in-use/idle gauge accounting
-	draining bool  // no new exchanges; close when pending drains to zero
+	mu      sync.Mutex
+	pending map[uint32]*pipePending
+	nextTag uint32
+	err     error // first failure, set by fail()
+	busy    bool  // pending > 0; drives in-use/idle gauge accounting
 }
 
 func newPipeConn(p *Pool, rep *replica, conn net.Conn) *pipeConn {
@@ -129,11 +124,11 @@ func (pc *pipeConn) room() (n int, ok bool) {
 }
 
 // register adds pend as a new pending exchange and gives it its tag. It
-// reports false when the connection cannot take it: failed or draining.
+// reports false when the connection has failed and cannot take it.
 func (pc *pipeConn) register(pend *pipePending) bool {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.err != nil || pc.draining {
+	if pc.err != nil {
 		return false
 	}
 	pc.nextTag++
@@ -157,11 +152,7 @@ func (pc *pipeConn) forget(pend *pipePending) {
 	pend.abandoned = true
 	delete(pc.pending, pend.tag)
 	pc.syncBusyLocked()
-	drained := pc.draining && len(pc.pending) == 0
 	pc.mu.Unlock()
-	if drained {
-		pc.fail(errConnDraining, false)
-	}
 }
 
 // fail terminates the connection: every pending exchange is settled with err,
@@ -270,12 +261,7 @@ func (pc *pipeConn) readLoop() {
 		// Unknown or duplicate tags (late replies for abandoned exchanges)
 		// fall through: the frame was fully consumed, framing stays intact.
 		pc.syncBusyLocked()
-		drained := pc.draining && len(pc.pending) == 0
 		pc.mu.Unlock()
-		if drained {
-			pc.fail(errConnDraining, false)
-			return
-		}
 	}
 }
 
@@ -344,7 +330,6 @@ type pipeSet struct {
 	cond     *sync.Cond // signalled when a pipeFor waiter should look again
 	conns    []*pipeConn
 	creating int
-	draining bool
 }
 
 func (s *pipeSet) init() { s.cond = sync.NewCond(&s.mu) }
@@ -380,25 +365,6 @@ func (s *pipeSet) closeAll() {
 	}
 }
 
-// drain stops new exchanges and lets in-flight ones finish; idle connections
-// close immediately (replica removal).
-func (s *pipeSet) drain() {
-	s.mu.Lock()
-	s.draining = true
-	conns := append([]*pipeConn(nil), s.conns...)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	for _, pc := range conns {
-		pc.mu.Lock()
-		pc.draining = true
-		idle := len(pc.pending) == 0 && pc.err == nil
-		pc.mu.Unlock()
-		if idle {
-			pc.fail(errConnDraining, false)
-		}
-	}
-}
-
 // pipeFor registers a new pending exchange on one of rep's connections and
 // returns both: on the live connection with the most room if any has some, on
 // a fresh dial while the replica is under its connection cap (hs is then what
@@ -413,10 +379,6 @@ func (p *Pool) pipeFor(ctx context.Context, rep *replica, timeout time.Duration)
 		if p.isClosed() {
 			s.mu.Unlock()
 			return nil, nil, nil, ErrPoolClosed
-		}
-		if s.draining {
-			s.mu.Unlock()
-			return nil, nil, nil, errConnDraining
 		}
 		var best *pipeConn
 		bestRoom := 0
@@ -484,21 +446,17 @@ func (p *Pool) dialPipe(ctx context.Context, rep *replica, timeout time.Duration
 	pc.register(pend) // before anyone else can see the connection
 	s := &rep.pipes
 	s.mu.Lock()
-	// Close and RemoveReplica flag first and collect s.conns second, so a
-	// connection they did not collect sees the flag here.
-	switch {
-	case p.isClosed():
-		err = ErrPoolClosed
-	case s.draining:
-		err = errConnDraining
-	default:
+	// Close flags first and collects s.conns second, so a connection it did
+	// not collect sees the flag here.
+	closed := p.isClosed()
+	if !closed {
 		s.conns = append(s.conns, pc)
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
-	if err != nil {
-		pc.fail(err, false)
-		return nil, hs, err
+	if closed {
+		pc.fail(ErrPoolClosed, false)
+		return nil, hs, ErrPoolClosed
 	}
 	return pc, hs, nil
 }

@@ -30,8 +30,7 @@ var ErrPoolClosed = errors.New("core: pool is closed")
 // Pool is the receptionist: the one handle that brokers queries to a fixed
 // set of librarians (Query, QueryContext, Boolean), runs the setup exchanges
 // that build its shared Federation (SetupVocabulary, SetupModels,
-// SetupCentralIndexRemote), and manages replica membership. Federation state
-// is read through Federation().
+// SetupCentralIndexRemote). Federation state is read through Federation().
 //
 // It owns every connection the federation holds to its librarians and
 // bounds them at MaxConnsPerLibrarian per replica endpoint. An exchange
@@ -61,8 +60,7 @@ type Pool struct {
 	batch *batcher
 
 	// routers[name] picks the replica endpoint serving each exchange. The
-	// map's keys are immutable after NewPool; the replica sets behind them
-	// change via AddReplica/RemoveReplica (atomic copy-on-write installs).
+	// map and the replica sets behind it are fixed by NewPool.
 	routers map[string]*router
 	// done is closed by Close so blocked tag leases fail fast.
 	done chan struct{}
@@ -79,9 +77,8 @@ type Pool struct {
 	cache     *resultCache
 	admission *admission
 
-	// mu orders Close against AddReplica/RemoveReplica.
-	mu     sync.Mutex
-	closed bool
+	// closing makes Close idempotent.
+	closing sync.Once
 }
 
 // NewPool dials nothing eagerly beyond the Hello handshake: it contacts
@@ -105,17 +102,9 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	slowLog := cfg.SlowQueryLog
-	if slowLog == nil {
-		slowLog = os.Stderr
-	}
 	fed := &Federation{
 		analyzer: analyzer,
 		byName:   make(map[string]*libMeta, len(names)),
-	}
-	probeAfter := cfg.ReplicaProbeAfter
-	if probeAfter <= 0 {
-		probeAfter = DefaultReplicaProbeAfter
 	}
 	p := &Pool{
 		fed:           fed,
@@ -126,7 +115,7 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 		done:          make(chan struct{}),
 		metrics:       newMetrics(reg),
 		slowThreshold: cfg.SlowQueryThreshold,
-		slowLog:       slowLog,
+		slowLog:       os.Stderr,
 	}
 	p.batch = newBatcher(p)
 	if cfg.Cache != nil {
@@ -163,7 +152,7 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 		// The router PRNG seed is derived from the librarian's position, so
 		// replica selection is deterministic given a fixed query schedule —
 		// the property tests rely on it, production does not care.
-		p.routers[name] = newRouter(name, endpoints, max, probeAfter, p.metrics, int64(i)+1)
+		p.routers[name] = newRouter(name, endpoints, max, p.metrics, int64(i)+1)
 	}
 	for name := range cfg.Replicas {
 		if _, ok := fed.byName[name]; !ok {
@@ -317,7 +306,7 @@ func live(ctx context.Context) (context.Context, error) {
 
 // Metrics returns the pool's observability surface. It is always non-nil:
 // when Config.Metrics was not set the instruments live on a private
-// registry reachable through Metrics().Registry().
+// registry, read through Metrics' accessors.
 func (p *Pool) Metrics() *Metrics { return p.metrics }
 
 // InvalidateCache drops every cached result in O(1). Wire it to
@@ -356,101 +345,15 @@ func (p *Pool) isClosed() bool {
 // fails with ErrPoolClosed. Close is idempotent and safe to call while queries
 // are in flight: no panic, no leaked connections.
 func (p *Pool) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	close(p.done)
-	p.mu.Unlock()
-	for _, rt := range p.routers {
-		for _, r := range rt.snapshot() {
-			r.pipes.closeAll()
-		}
-	}
-	return nil
-}
-
-// AddReplica registers a new endpoint serving the named librarian's
-// subcollection. The grown set is installed atomically (copy-on-write) and
-// versioned through the federation epoch, like every other piece of shared
-// setup state; queries already in flight finish on the replicas they hold,
-// new exchanges see the new set immediately. The endpoint must be dialable
-// through the pool's dialer and must serve the same documents as the
-// librarian's other replicas — replicas are interchangeable by contract.
-// The epoch bump conservatively flushes the result cache (a rare admin
-// event; the cached answers were still valid, the flush just costs one
-// re-warm).
-func (p *Pool) AddReplica(lib, endpoint string) error {
-	rt, ok := p.routers[lib]
-	if !ok {
-		return fmt.Errorf("core: unknown librarian %q", lib)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrPoolClosed
-	}
-	for name, other := range p.routers {
-		for _, r := range other.snapshot() {
-			if r.endpoint == endpoint {
-				return fmt.Errorf("core: endpoint %q already serves librarian %q", endpoint, name)
+	p.closing.Do(func() {
+		close(p.done)
+		for _, rt := range p.routers {
+			for _, r := range rt.set {
+				r.pipes.closeAll()
 			}
 		}
-	}
-	rt.add(newReplica(endpoint, p.max))
-	p.fed.bumpEpoch()
+	})
 	return nil
-}
-
-// RemoveReplica takes an endpoint out of the named librarian's replica set.
-// The shrunk set is installed atomically: new exchanges never see the removed
-// replica again, its idle connections are closed now, and exchanges in flight
-// on it complete normally — their replies still count — before their
-// connections close. Removing the last replica is refused (it would leave the
-// subcollection unreachable; kill the pool instead if that is the intent).
-func (p *Pool) RemoveReplica(lib, endpoint string) error {
-	rt, ok := p.routers[lib]
-	if !ok {
-		return fmt.Errorf("core: unknown librarian %q", lib)
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrPoolClosed
-	}
-	if rt.replicaCount() <= 1 {
-		p.mu.Unlock()
-		return fmt.Errorf("core: cannot remove the last replica of librarian %q", lib)
-	}
-	removed, ok := rt.remove(endpoint)
-	if !ok {
-		p.mu.Unlock()
-		return fmt.Errorf("core: librarian %q has no replica %q", lib, endpoint)
-	}
-	p.fed.bumpEpoch()
-	p.mu.Unlock()
-	// Exchanges in flight complete (their replies still count), idle
-	// connections close now, and no new exchange starts.
-	removed.pipes.drain()
-	return nil
-}
-
-// Replicas reports the current replica set of the named librarian: one
-// status per endpoint, in the order the set was configured/grown.
-func (p *Pool) Replicas(lib string) ([]ReplicaStatus, error) {
-	rt, ok := p.routers[lib]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown librarian %q", lib)
-	}
-	set := rt.snapshot()
-	now := rt.now()
-	out := make([]ReplicaStatus, 0, len(set))
-	for _, r := range set {
-		out = append(out, r.status(now))
-	}
-	return out, nil
 }
 
 // SetupVocabulary fetches every librarian's vocabulary and installs the

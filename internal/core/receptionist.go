@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -129,16 +128,13 @@ type Config struct {
 	MaxConnsPerLibrarian int
 	// Metrics is the registry the pool registers its instruments on, letting
 	// several pools (or a pool plus a librarian) share one /metrics page.
-	// Nil gives the pool a private registry — metrics are always collected —
-	// reachable via Pool.Metrics().Registry().
+	// Nil gives the pool a private registry: metrics are always collected,
+	// and Pool.Metrics reads them.
 	Metrics *obs.Registry
 	// SlowQueryThreshold enables the slow-query log: a completed (or failed)
 	// query slower than this emits one key=value line with the per-stage
-	// breakdown to SlowQueryLog. Zero disables the log.
+	// breakdown to standard error. Zero disables the log.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLog receives slow-query lines; nil selects os.Stderr. The
-	// writer must be safe for concurrent use (os.Stderr and log writers are).
-	SlowQueryLog io.Writer
 	// Cache enables the receptionist result cache: repeated queries (same
 	// mode, normalized text, k and merge strategy) are answered from memory
 	// with zero librarian round trips. Nil disables caching. Entries are
@@ -155,13 +151,9 @@ type Config struct {
 	// the same documents as the librarian's other replicas (replicas are
 	// interchangeable by contract — routing between them cannot change
 	// results). Librarians absent from the map get a single endpoint named
-	// after them, the pre-replication behaviour. Replica sets can be grown
-	// and shrunk live via Pool.AddReplica / Pool.RemoveReplica.
+	// after them, the pre-replication behaviour. The replica sets are fixed
+	// for the pool's life.
 	Replicas map[string][]string
-	// ReplicaProbeAfter is how long an ejected replica sits out before a
-	// single probe exchange is routed to it; success readmits it, failure
-	// ejects it for another window. Zero selects DefaultReplicaProbeAfter.
-	ReplicaProbeAfter time.Duration
 	// TwoRoundFetch runs the paper's protocol: every rank request asks for
 	// every nominated score back (ScoreDocs.K = 0) and no documents
 	// (FetchTop = 0), so a Fetch query fetches its text in a second round.

@@ -42,7 +42,6 @@ type replica struct {
 	consecFails  int
 	ejectedUntil time.Time // zero while healthy
 	probing      bool      // one readmission probe is in flight
-	removed      bool      // RemoveReplica was called; never selectable again
 }
 
 func newReplica(endpoint string, maxConns int) *replica {
@@ -56,9 +55,6 @@ func newReplica(endpoint string, maxConns int) *replica {
 func (r *replica) selectableAt(now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.removed {
-		return false
-	}
 	if r.ejectedUntil.IsZero() {
 		return true
 	}
@@ -72,9 +68,6 @@ func (r *replica) selectableAt(now time.Time) bool {
 func (r *replica) claimProbe(now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.removed {
-		return false
-	}
 	if r.ejectedUntil.IsZero() {
 		return true
 	}
@@ -85,49 +78,11 @@ func (r *replica) claimProbe(now time.Time) bool {
 	return true
 }
 
-func (r *replica) isRemoved() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.removed
-}
-
-func (r *replica) markRemoved() {
-	r.mu.Lock()
-	r.removed = true
-	r.mu.Unlock()
-}
-
-// ReplicaStatus is a point-in-time view of one replica, for inspection via
-// Pool.Replicas and the cmd status output.
-type ReplicaStatus struct {
-	Endpoint string
-	// Healthy is false while the replica is ejected from routing.
-	Healthy bool
-	// InFlight is the number of exchanges currently leased to it.
-	InFlight int
-	// ConsecutiveFailures is the current failure streak (reset on success).
-	ConsecutiveFailures int
-}
-
-func (r *replica) status(now time.Time) ReplicaStatus {
-	inflight := int(r.inflight.Load())
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return ReplicaStatus{
-		Endpoint:            r.endpoint,
-		Healthy:             r.ejectedUntil.IsZero() || !now.Before(r.ejectedUntil),
-		InFlight:            inflight,
-		ConsecutiveFailures: r.consecFails,
-	}
-}
-
 // router picks which replica serves each exchange for one librarian:
 // power-of-two-choices over the healthy replicas, preferring the lower
 // in-flight count, with passive health tracking (consecutive-failure
-// ejection, timed probe readmission). The replica set itself is installed
-// atomically (copy-on-write behind an atomic pointer, the same discipline
-// the federation uses for setup state), so AddReplica/RemoveReplica never
-// block the pick path.
+// ejection, timed probe readmission). The replica set is fixed when the
+// pool is built.
 type router struct {
 	lib        string
 	probeAfter time.Duration
@@ -137,10 +92,10 @@ type router struct {
 	// and probe timing need no wall-clock sleeps.
 	now func() time.Time
 
-	set atomic.Pointer[[]*replica]
+	set []*replica
 
-	// rmu guards the PRNG (the only mutable pick-path state besides the
-	// replicas themselves) and serialises membership writes.
+	// rmu guards the PRNG, the only mutable pick-path state besides the
+	// replicas themselves.
 	rmu sync.Mutex
 	rng *rand.Rand
 
@@ -151,70 +106,37 @@ type router struct {
 	latency latencyTracker
 }
 
-func newRouter(lib string, endpoints []string, maxConns int, probeAfter time.Duration, m *Metrics, seed int64) *router {
+func newRouter(lib string, endpoints []string, maxConns int, m *Metrics, seed int64) *router {
 	rt := &router{
 		lib:        lib,
-		probeAfter: probeAfter,
+		probeAfter: DefaultReplicaProbeAfter,
 		metrics:    m,
 		now:        time.Now,
 		rng:        rand.New(rand.NewSource(seed)),
 	}
-	set := make([]*replica, len(endpoints))
+	rt.set = make([]*replica, len(endpoints))
 	for i, ep := range endpoints {
-		set[i] = newReplica(ep, maxConns)
+		rt.set[i] = newReplica(ep, maxConns)
 	}
-	rt.set.Store(&set)
 	return rt
-}
-
-func (rt *router) snapshot() []*replica { return *rt.set.Load() }
-
-// replicaCount is the size of the current set, removed replicas excluded.
-func (rt *router) replicaCount() int {
-	n := 0
-	for _, r := range rt.snapshot() {
-		if !r.isRemoved() {
-			n++
-		}
-	}
-	return n
 }
 
 // pick returns the replica to serve the next exchange. avoid names an
 // endpoint to route around when alternatives exist — retries avoid the
 // endpoint that just failed them, hedges avoid the primary they are racing.
-// When every replica is ejected the router fails open and routes to a
-// non-removed replica anyway: a wrong guess costs one retry, refusing would
-// cost the whole query. Returns nil only when every replica was removed
-// (which RemoveReplica refuses to let happen).
+// When every replica is ejected the router fails open and routes to one
+// anyway: a wrong guess costs one retry, refusing would cost the whole query.
 func (rt *router) pick(avoid string) *replica {
-	for {
-		ptr := rt.set.Load()
-		if r := rt.pickFrom(*ptr, avoid); r != nil {
-			return r
-		}
-		if rt.set.Load() == ptr {
-			// The set really is empty of live replicas (only possible when
-			// the pool is being torn down around us).
-			return nil
-		}
-		// The snapshot went stale under membership churn — every replica in
-		// it was removed after we loaded it, while the current set moved on.
-		// Retry against the fresh set.
-	}
-}
-
-func (rt *router) pickFrom(set []*replica, avoid string) *replica {
 	now := rt.now()
-	cands := make([]*replica, 0, len(set))
-	for _, r := range set {
+	cands := make([]*replica, 0, len(rt.set))
+	for _, r := range rt.set {
 		if r.endpoint != avoid && r.selectableAt(now) {
 			cands = append(cands, r)
 		}
 	}
 	if len(cands) == 0 && avoid != "" {
 		// The avoided endpoint is the only healthy one — use it.
-		for _, r := range set {
+		for _, r := range rt.set {
 			if r.endpoint == avoid && r.selectableAt(now) {
 				cands = append(cands, r)
 			}
@@ -235,20 +157,13 @@ func (rt *router) pickFrom(set []*replica, avoid string) *replica {
 		cands = live
 	}
 	// Everything is ejected (or probes are already claimed): fail open.
-	for _, r := range set {
-		if !r.isRemoved() && r.endpoint != avoid {
+	for _, r := range rt.set {
+		if r.endpoint != avoid {
 			cands = append(cands, r)
 		}
 	}
 	if len(cands) == 0 {
-		for _, r := range set {
-			if !r.isRemoved() {
-				cands = append(cands, r)
-			}
-		}
-	}
-	if len(cands) == 0 {
-		return nil
+		cands = rt.set
 	}
 	return rt.pickP2C(cands)
 }
@@ -272,41 +187,6 @@ func (rt *router) pickP2C(cands []*replica) *replica {
 		return b
 	}
 	return a
-}
-
-// add appends a replica to the set (copy-on-write atomic install).
-func (rt *router) add(r *replica) {
-	rt.rmu.Lock()
-	old := rt.snapshot()
-	set := make([]*replica, len(old), len(old)+1)
-	copy(set, old)
-	set = append(set, r)
-	rt.set.Store(&set)
-	rt.rmu.Unlock()
-}
-
-// remove drops the replica with the given endpoint from the set and marks
-// it removed, so no pick selects it again. Reports whether it was present.
-func (rt *router) remove(endpoint string) (*replica, bool) {
-	rt.rmu.Lock()
-	defer rt.rmu.Unlock()
-	old := rt.snapshot()
-	idx := -1
-	for i, r := range old {
-		if r.endpoint == endpoint {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, false
-	}
-	set := make([]*replica, 0, len(old)-1)
-	set = append(set, old[:idx]...)
-	set = append(set, old[idx+1:]...)
-	rt.set.Store(&set)
-	old[idx].markRemoved()
-	return old[idx], true
 }
 
 // reportSuccess records a completed exchange: the replica is healthy (a

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -235,75 +237,40 @@ func TestHedgeRacesSlowReplica(t *testing.T) {
 	assertNoLeakedConns(t, f.pool)
 }
 
-// --- Replica set management -------------------------------------------------
+// --- Replica set validation -------------------------------------------------
 
-func TestAddRemoveReplicaValidation(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	f := newReplicaFixture(t, corpus, order, 2, Config{})
+// dialRefused fails the test on any dial: NewPool must reject a bad
+// configuration before it contacts a librarian.
+type dialRefused struct{ t *testing.T }
 
-	if err := f.pool.AddReplica("nope", "x#0"); err == nil {
-		t.Fatal("AddReplica to unknown librarian: want error")
-	}
-	if err := f.pool.AddReplica("AP", "FR#0"); err == nil {
-		t.Fatal("AddReplica duplicating another librarian's endpoint: want error")
-	}
-	if err := f.pool.AddReplica("AP", "AP#0"); err == nil {
-		t.Fatal("AddReplica duplicating an existing endpoint: want error")
-	}
-	if err := f.pool.RemoveReplica("AP", "AP#9"); err == nil {
-		t.Fatal("RemoveReplica of unknown endpoint: want error")
-	}
-	if err := f.pool.RemoveReplica("AP", "AP#0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.pool.RemoveReplica("AP", "AP#1"); err == nil {
-		t.Fatal("RemoveReplica of the last replica: want error")
-	}
-	status, err := f.pool.Replicas("AP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(status) != 1 || status[0].Endpoint != "AP#1" {
-		t.Fatalf("Replicas after remove = %+v, want [AP#1]", status)
-	}
-	// Membership changes ride the federation epoch like setup installs do.
-	before := f.pool.Federation().Epoch()
-	f.dialer.AddEndpoint("AP#2", nil, simnet.LinkConfig{}) // placeholder link; never dialled here
-	if err := f.pool.AddReplica("AP", "AP#2"); err != nil {
-		t.Fatal(err)
-	}
-	if after := f.pool.Federation().Epoch(); after != before+1 {
-		t.Fatalf("AddReplica epoch %d -> %d, want bump by 1", before, after)
-	}
+func (d dialRefused) Dial(name string) (net.Conn, error) {
+	d.t.Errorf("NewPool dialled %q for a configuration it must reject", name)
+	return nil, errors.New("dial refused")
 }
 
-// A replica added at runtime must start serving traffic, and queries must
-// spread across the grown set.
-func TestAddReplicaServesTraffic(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	f := newReplicaFixture(t, corpus, order, 1, Config{})
-	lib, err := librarian.Build("AP", corpus["AP"], librarian.BuildOptions{Analyzer: testAnalyzer()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.dialer.AddEndpoint("AP#1", lib, simnet.LinkConfig{})
-	if err := f.pool.AddReplica("AP", "AP#1"); err != nil {
-		t.Fatal(err)
-	}
-	served := map[string]int{}
-	for i := 0; i < 200; i++ {
-		res, err := f.pool.Query(ModeCN, "alpha", 5, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range res.Trace.Calls {
-			if c.Librarian == "AP" {
-				served[c.Replica]++
+func TestNewPoolValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		libs     []string
+		replicas map[string][]string
+		want     string
+	}{
+		{"duplicate librarian", []string{"AP", "FR", "AP"}, nil, `duplicate librarian "AP"`},
+		{"endpoint serves two librarians", []string{"AP", "FR"},
+			map[string][]string{"AP": {"AP#0", "FR"}}, `endpoint "FR" serves both "AP" and "FR"`},
+		{"replicas name an unknown librarian", []string{"AP", "FR"},
+			map[string][]string{"WSJ": {"WSJ#0"}}, `unknown librarian "WSJ"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewPool(dialRefused{t}, tc.libs, Config{Replicas: tc.replicas})
+			if err == nil {
+				p.Close()
+				t.Fatal("NewPool accepted the configuration")
 			}
-		}
-	}
-	if served["AP#0"] == 0 || served["AP#1"] == 0 {
-		t.Fatalf("traffic did not spread across the grown replica set: %v", served)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewPool error %q, want it to contain %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -311,14 +278,14 @@ func TestAddReplicaServesTraffic(t *testing.T) {
 
 func newTestRouter(t *testing.T, clock *time.Time, endpoints ...string) *router {
 	t.Helper()
-	rt := newRouter("lib", endpoints, 4, 500*time.Millisecond, newMetrics(obs.NewRegistry()), 7)
+	rt := newRouter("lib", endpoints, 4, newMetrics(obs.NewRegistry()), 7)
 	rt.now = func() time.Time { return *clock }
 	return rt
 }
 
 func routerReplica(t *testing.T, rt *router, endpoint string) *replica {
 	t.Helper()
-	for _, r := range rt.snapshot() {
+	for _, r := range rt.set {
 		if r.endpoint == endpoint {
 			return r
 		}

@@ -107,7 +107,7 @@ func TestSegmentedFleetParityAcrossModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kPrime := int(g.NumGroups())
+	kPrime := int(g.engine.Index().NumDocs())
 	queries := []string{
 		"alpha federal wallstreet",
 		"w1 w2 w3",
@@ -204,7 +204,7 @@ func TestCacheInvalidationUnderRapidEpochs(t *testing.T) {
 	if err := up.ConfigureIngest(librarian.IngestConfig{MinSegmentDocs: 1, MergeFanIn: 2}); err != nil {
 		t.Fatal(err)
 	}
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"UP": func() (net.Conn, error) {
 			client, server := simnet.Pipe(simnet.LinkConfig{})
 			go func() {

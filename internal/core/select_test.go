@@ -204,7 +204,7 @@ func TestTopRComposesWithPartialResults(t *testing.T) {
 	// (redials refused): the rank phase of a TopR query that selected it
 	// must fail over per the policy.
 	apDials := 0
-	dialer := simnet.MapDialer{
+	dialer := mapDialer{
 		"AP": func() (net.Conn, error) {
 			apDials++
 			if apDials > 1 {
@@ -235,8 +235,8 @@ func TestTopRComposesWithPartialResults(t *testing.T) {
 	if res.Trace.LibrariansSelected != 2 {
 		t.Fatalf("LibrariansSelected = %d, want 2", res.Trace.LibrariansSelected)
 	}
-	if got := res.Trace.FailedLibrarians(PhaseRank); !reflect.DeepEqual(got, []string{"AP"}) {
-		t.Fatalf("failed librarians = %v, want [AP]", got)
+	if got := res.Trace.Failures; len(got) != 1 || got[0].Librarian != "AP" || got[0].Phase != PhaseRank {
+		t.Fatalf("failures = %+v, want AP's rank phase", got)
 	}
 	for _, ans := range res.Answers {
 		if ans.Librarian != "FR" {

@@ -208,21 +208,6 @@ func (t *Trace) BytesTransferred(phase Phase) int {
 	return n
 }
 
-// FailedLibrarians returns the names of librarians with a recorded Failure
-// in the given phase (all phases when phase is 0), without duplicates, in
-// trace order.
-func (t *Trace) FailedLibrarians(phase Phase) []string {
-	var names []string
-	seen := make(map[string]bool, len(t.Failures))
-	for _, f := range t.Failures {
-		if (phase == 0 || f.Phase == phase) && !seen[f.Librarian] {
-			seen[f.Librarian] = true
-			names = append(names, f.Librarian)
-		}
-	}
-	return names
-}
-
 // RetryAttempts counts exchanges beyond each librarian's first attempt in a
 // phase — the extra network work fault tolerance cost this query, whether
 // the retries eventually succeeded or not. Hedge exchanges are excluded:

@@ -122,7 +122,6 @@ func TestTransportConformance(t *testing.T) {
 		t.Run("connection bound", testTransportBound)
 		t.Run("timeout", testTransportTimeout)
 		t.Run("cancel", testTransportCancel)
-		t.Run("remove replica", testTransportDrain)
 		t.Run("lease errors", testTransportLeaseErrors)
 	})
 }
@@ -260,78 +259,6 @@ func testTransportCancel(t *testing.T) {
 	}
 }
 
-// RemoveReplica while an exchange is in flight on the removed endpoint: the
-// exchange completes and counts, the endpoint's connections all close, and
-// nothing is sent there again.
-func testTransportDrain(t *testing.T) {
-	f := newTransportFixture(t, 2, 2, Config{})
-	const q = "alpha federal wallstreet"
-	want, err := f.pool.Query(ModeCN, q, 10, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lib := range f.order {
-		// Slow writes hold the next exchange in flight long enough to pull
-		// its replica out from under it.
-		for i := 0; i < 2; i++ {
-			f.chaos.SetDelay(fmt.Sprintf("%s#%d", lib, i), 100*time.Millisecond)
-		}
-		type outcome struct {
-			res *Result
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			res, err := f.pool.Query(ModeCN, q, 10, Options{})
-			done <- outcome{res, err}
-		}()
-		var victim string
-		for deadline := time.Now().Add(5 * time.Second); victim == ""; {
-			status, err := f.pool.Replicas(lib)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, st := range status {
-				if st.InFlight > 0 {
-					victim = st.Endpoint
-				}
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: no exchange ever in flight", lib)
-			}
-		}
-		if err := f.pool.RemoveReplica(lib, victim); err != nil {
-			t.Fatalf("RemoveReplica(%s, %s): %v", lib, victim, err)
-		}
-		out := <-done
-		if out.err != nil {
-			t.Fatalf("%s: query in flight across RemoveReplica(%s): %v", lib, victim, out.err)
-		}
-		if !answersEqual(want.Answers, out.res.Answers) || out.res.Trace.RetryAttempts() != 0 {
-			t.Fatalf("%s: query in flight across RemoveReplica(%s) did not finish on the replica it held", lib, victim)
-		}
-		for i := 0; i < 2; i++ {
-			f.chaos.SetDelay(fmt.Sprintf("%s#%d", lib, i), 0)
-		}
-		dials, _, _ := f.counter.stats(victim)
-		for i := 0; i < 5; i++ {
-			if _, err := f.pool.Query(ModeCN, q, 10, Options{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// The held exchange's completion is signalled before its drained
-		// connection is closed, so the close may still be on its way.
-		deadline := time.Now().Add(5 * time.Second)
-		for _, open, _ := f.counter.stats(victim); open != 0 && time.Now().Before(deadline); _, open, _ = f.counter.stats(victim) {
-			time.Sleep(100 * time.Microsecond)
-		}
-		if d, open, _ := f.counter.stats(victim); d != dials || open != 0 {
-			t.Errorf("%s: removed endpoint has %d open connections and was dialled %d more times", victim, open, d-dials)
-		}
-	}
-	assertNoLeakedConns(t, f.pool)
-}
-
 // What a lease refuses: a librarian the pool does not know, and anything
 // after Close.
 func testTransportLeaseErrors(t *testing.T) {
@@ -355,9 +282,6 @@ func testTransportLeaseErrors(t *testing.T) {
 	}
 	if _, err := f.pool.Query(ModeCN, "alpha", 5, Options{}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("query after Close: got %v, want ErrPoolClosed", err)
-	}
-	if err := f.pool.RemoveReplica("AP", "AP#1"); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("RemoveReplica after Close: got %v, want ErrPoolClosed", err)
 	}
 	for _, lib := range f.order {
 		for i := 0; i < 2; i++ {

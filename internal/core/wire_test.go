@@ -43,7 +43,7 @@ func buildRecep(t *testing.T, corpus map[string][]store.Document, order []string
 // eachReplica visits every replica of every librarian in the pool.
 func eachReplica(p *Pool, visit func(lib string, rep *replica)) {
 	for name, rt := range p.routers {
-		for _, rep := range *rt.set.Load() {
+		for _, rep := range rt.set {
 			visit(name, rep)
 		}
 	}

@@ -34,16 +34,6 @@ func RPrecision(qrels *Qrels, query string, run Run) float64 {
 	return PrecisionAt(qrels, query, run, r)
 }
 
-// RecallAt returns the fraction of relevant documents found in the first k
-// results.
-func RecallAt(qrels *Qrels, query string, run Run, k int) float64 {
-	totalRel := qrels.NumRelevant(query)
-	if totalRel == 0 {
-		return 0
-	}
-	return float64(RelevantIn(qrels, query, run, k)) / float64(totalRel)
-}
-
 // FullSummary extends Summary with MAP and R-precision.
 type FullSummary struct {
 	Summary
@@ -72,36 +62,4 @@ func EvaluateFull(qrels *Qrels, runs map[string]Run, depth, topK int) FullSummar
 	full.MAP = 100 * sumAP / float64(full.Queries)
 	full.RPrecision = 100 * sumRP / float64(full.Queries)
 	return full
-}
-
-// InterpolatedCurve returns the 11 interpolated precision values at recall
-// 0.0, 0.1, ..., 1.0 — the raw series behind ElevenPointAverage, suitable
-// for plotting a recall-precision curve.
-func InterpolatedCurve(qrels *Qrels, query string, run Run) [11]float64 {
-	var curve [11]float64
-	totalRel := qrels.NumRelevant(query)
-	if totalRel == 0 {
-		return curve
-	}
-	type point struct{ recall, precision float64 }
-	var points []point
-	found := 0
-	for i, doc := range run {
-		if qrels.IsRelevant(query, doc) {
-			found++
-			points = append(points, point{
-				recall:    float64(found) / float64(totalRel),
-				precision: float64(found) / float64(i+1),
-			})
-		}
-	}
-	for i := 0; i <= 10; i++ {
-		r := float64(i) / 10
-		for _, p := range points {
-			if p.recall >= r-1e-12 && p.precision > curve[i] {
-				curve[i] = p.precision
-			}
-		}
-	}
-	return curve
 }

@@ -35,21 +35,6 @@ func TestRPrecision(t *testing.T) {
 	}
 }
 
-func TestRecallAt(t *testing.T) {
-	q := NewQrels()
-	judgeAll(q, "q", "a", "b", "c", "d")
-	run := Run{"a", "x", "b"}
-	if got := RecallAt(q, "q", run, 3); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("recall@3 = %f, want 0.5", got)
-	}
-	if got := RecallAt(q, "q", run, 1); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("recall@1 = %f, want 0.25", got)
-	}
-	if got := RecallAt(q, "none", run, 3); got != 0 {
-		t.Fatalf("unjudged recall = %f", got)
-	}
-}
-
 func TestEvaluateFull(t *testing.T) {
 	q := NewQrels()
 	judgeAll(q, "q1", "a")
@@ -71,38 +56,5 @@ func TestEvaluateFull(t *testing.T) {
 	empty := EvaluateFull(NewQrels(), map[string]Run{}, 1000, 20)
 	if empty.Queries != 0 || empty.MAP != 0 {
 		t.Fatalf("empty evaluation: %+v", empty)
-	}
-}
-
-func TestInterpolatedCurve(t *testing.T) {
-	q := NewQrels()
-	judgeAll(q, "q", "a", "b")
-	run := Run{"a", "x", "y", "b"}
-	curve := InterpolatedCurve(q, "q", run)
-	// Recall 0–0.5 levels see precision 1.0; 0.6–1.0 see 0.5.
-	for i := 0; i <= 5; i++ {
-		if math.Abs(curve[i]-1.0) > 1e-12 {
-			t.Fatalf("curve[%d] = %f, want 1.0", i, curve[i])
-		}
-	}
-	for i := 6; i <= 10; i++ {
-		if math.Abs(curve[i]-0.5) > 1e-12 {
-			t.Fatalf("curve[%d] = %f, want 0.5", i, curve[i])
-		}
-	}
-	// The curve's mean must equal ElevenPointAverage.
-	var mean float64
-	for _, p := range curve {
-		mean += p
-	}
-	mean /= 11
-	if math.Abs(mean-ElevenPointAverage(q, "q", run)) > 1e-12 {
-		t.Fatal("curve mean disagrees with ElevenPointAverage")
-	}
-	// Monotone non-increasing, as interpolation guarantees.
-	for i := 1; i < len(curve); i++ {
-		if curve[i] > curve[i-1]+1e-12 {
-			t.Fatalf("curve not non-increasing at %d: %v", i, curve)
-		}
 	}
 }

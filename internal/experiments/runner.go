@@ -127,9 +127,6 @@ func (r *Runner) Close() {
 // Pool exposes the deployment's receptionist.
 func (r *Runner) Pool() *core.Pool { return r.pool }
 
-// MonoServer exposes the MS baseline.
-func (r *Runner) MonoServer() *core.MonoServer { return r.mono }
-
 // GroupedIndex builds (or returns the cached) grouped central index for
 // group size G and installs it at the receptionist.
 func (r *Runner) GroupedIndex(g int) (*core.GroupedIndex, error) {

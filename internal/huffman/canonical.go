@@ -66,9 +66,6 @@ func (c *Code) Lengths() []uint8 {
 	return out
 }
 
-// NumSymbols returns the size of the symbol space (including unused symbols).
-func (c *Code) NumSymbols() int { return len(c.lengths) }
-
 // Encode appends the codeword for sym to w.
 func (c *Code) Encode(w *bitio.Writer, sym uint32) error {
 	if int(sym) >= len(c.lengths) || c.lengths[sym] == 0 {

@@ -309,19 +309,6 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	}
 }
 
-func TestModelSizePositive(t *testing.T) {
-	m, err := NewTextModel(sampleCorpus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ModelSize() <= 0 {
-		t.Fatal("ModelSize must be positive")
-	}
-	if m.ExpectedBitsPerToken() <= 0 {
-		t.Fatal("ExpectedBitsPerToken must be positive")
-	}
-}
-
 func BenchmarkCompressDoc(b *testing.B) {
 	m, err := NewTextModel(sampleCorpus())
 	if err != nil {

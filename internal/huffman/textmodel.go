@@ -211,36 +211,6 @@ func (m *TextModel) getToken(r *bitio.Reader, lx *lexicon, code *Code) (string, 
 	return string(buf), nil
 }
 
-// ModelSize reports the approximate in-memory size of the model in bytes:
-// the cost a receptionist or librarian pays to hold the lexicons.
-func (m *TextModel) ModelSize() int {
-	size := 0
-	for _, t := range m.words.tokens {
-		size += len(t) + 5 // token bytes + length byte + code length entry
-	}
-	for _, t := range m.seps.tokens {
-		size += len(t) + 5
-	}
-	return size
-}
-
-// ExpectedBitsPerToken returns the entropy-optimal average codeword length
-// implied by the trained word code; useful in tests as a sanity bound.
-func (m *TextModel) ExpectedBitsPerToken() float64 {
-	lengths := m.wordCode.Lengths()
-	var sum, n float64
-	for _, l := range lengths {
-		if l > 0 {
-			sum += float64(l)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / n
-}
-
 // Marshal serialises the model (lexicons + codeword lengths) so a collection
 // can be reopened without retraining. Layout: for each of the two lexicons,
 // a uint32 count, then per token a vbyte length + raw bytes + one length

@@ -168,9 +168,6 @@ func (b *Builder) AddIDs(ids []uint32) uint32 {
 	return doc
 }
 
-// NumDocs reports the number of documents added so far.
-func (b *Builder) NumDocs() int { return len(b.weights) }
-
 // Build freezes the builder into an immutable Index. The Builder must not be
 // used afterwards.
 func (b *Builder) Build() (*Index, error) {
@@ -258,14 +255,6 @@ func (ix *Index) SkipInterval() uint32 { return ix.skipIvl }
 // NumPostings returns the total number of (doc, f_dt) pairs stored.
 func (ix *Index) NumPostings() uint64 { return ix.numPtrs }
 
-// DocWeight returns W_d for a document.
-func (ix *Index) DocWeight(doc uint32) (float64, error) {
-	if doc >= ix.numDocs {
-		return 0, fmt.Errorf("index: doc %d outside collection of %d", doc, ix.numDocs)
-	}
-	return float64(ix.weights[doc]), nil
-}
-
 // InvDocWeights returns the cached reciprocal document-weight table:
 // entry d is 1/W_d, or 0 when W_d is 0 (a document that cannot score).
 // The slice is shared and must not be modified.
@@ -330,14 +319,6 @@ func (ix *Index) MaxFDT(term string) uint32 {
 		ix.maxFDT = table
 	})
 	return ix.maxFDT[i]
-}
-
-// DocLen returns the number of term occurrences indexed for a document.
-func (ix *Index) DocLen(doc uint32) (uint32, error) {
-	if doc >= ix.numDocs {
-		return 0, fmt.Errorf("index: doc %d outside collection of %d", doc, ix.numDocs)
-	}
-	return ix.lens[doc], nil
 }
 
 // TermFreq returns f_t, the number of documents containing term (0 when the

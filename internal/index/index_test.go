@@ -59,22 +59,11 @@ func TestDocWeights(t *testing.T) {
 	ix := buildTiny(t)
 	// Doc 0: cat f=2, dog f=1 -> sqrt(log(3)^2 + log(2)^2)
 	want := math.Sqrt(math.Pow(math.Log(3), 2) + math.Pow(math.Log(2), 2))
-	got, err := ix.DocWeight(0)
-	if err != nil {
-		t.Fatal(err)
+	if got := float64(ix.weights[0]); math.Abs(got-want) > 1e-5 {
+		t.Errorf("W_0 = %f, want %f", got, want)
 	}
-	if math.Abs(got-want) > 1e-5 {
-		t.Errorf("DocWeight(0) = %f, want %f", got, want)
-	}
-	if _, err := ix.DocWeight(99); err == nil {
-		t.Error("DocWeight out of range: want error")
-	}
-	l, err := ix.DocLen(2)
-	if err != nil || l != 4 {
-		t.Errorf("DocLen(2) = %d, %v; want 4", l, err)
-	}
-	if _, err := ix.DocLen(99); err == nil {
-		t.Error("DocLen out of range: want error")
+	if l := ix.lens[2]; l != 4 {
+		t.Errorf("length of doc 2 = %d, want 4", l)
 	}
 }
 
@@ -260,8 +249,8 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("header mismatch after round trip")
 	}
 	for d := uint32(0); d < ix.NumDocs(); d++ {
-		w1, _ := ix.DocWeight(d)
-		w2, _ := ix2.DocWeight(d)
+		w1 := float64(ix.weights[d])
+		w2 := float64(ix2.weights[d])
 		if w1 != w2 {
 			t.Fatalf("doc %d weight %f != %f", d, w1, w2)
 		}
@@ -551,13 +540,13 @@ func TestMergeEquivalentToDirectBuild(t *testing.T) {
 			got.NumPostings(), want.NumPostings(), got.SizeBytes(), want.SizeBytes())
 	}
 	for d := uint32(0); d < want.NumDocs(); d++ {
-		w1, _ := want.DocWeight(d)
-		w2, _ := got.DocWeight(d)
+		w1 := float64(want.weights[d])
+		w2 := float64(got.weights[d])
 		if w1 != w2 {
 			t.Fatalf("doc %d weight %f != %f", d, w1, w2)
 		}
-		l1, _ := want.DocLen(d)
-		l2, _ := got.DocLen(d)
+		l1 := want.lens[d]
+		l2 := got.lens[d]
 		if l1 != l2 {
 			t.Fatalf("doc %d len %d != %d", d, l1, l2)
 		}
@@ -608,8 +597,8 @@ func TestQuantizeWeights(t *testing.T) {
 	// over this range) of the exact values.
 	var maxRel float64
 	for d := uint32(0); d < ix.NumDocs(); d++ {
-		exact, _ := ix.DocWeight(d)
-		approx, _ := q.DocWeight(d)
+		exact := float64(ix.weights[d])
+		approx := float64(q.weights[d])
 		if exact == 0 {
 			if approx != 0 {
 				t.Fatalf("doc %d: zero weight became %f", d, approx)
@@ -659,7 +648,7 @@ func TestQuantizeEmptyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := q.DocWeight(0); w != 0 {
+	if w := q.weights[0]; w != 0 {
 		t.Fatalf("empty doc weight %f", w)
 	}
 }

@@ -161,7 +161,7 @@ func TestListBytesExact(t *testing.T) {
 	}
 }
 
-// TestInvDocWeights checks the reciprocal table against DocWeight, including
+// TestInvDocWeights checks the reciprocal table against the weights, including
 // the zero-weight convention.
 func TestInvDocWeights(t *testing.T) {
 	b := NewBuilder()
@@ -177,10 +177,7 @@ func TestInvDocWeights(t *testing.T) {
 		t.Fatalf("table length %d", len(inv))
 	}
 	for d := uint32(0); d < 3; d++ {
-		wd, err := ix.DocWeight(d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wd := float64(ix.weights[d])
 		if wd == 0 {
 			if inv[d] != 0 {
 				t.Fatalf("doc %d: W_d = 0 but 1/W_d = %g", d, inv[d])
@@ -197,7 +194,7 @@ func TestInvDocWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	qinv := q.InvDocWeights()
-	qwd, _ := q.DocWeight(0)
+	qwd := float64(q.weights[0])
 	if qwd == 0 || qinv[0] != 1/qwd {
 		t.Fatalf("quantized doc 0: inv %g, want %g", qinv[0], 1/qwd)
 	}

@@ -291,11 +291,11 @@ func TestEpochOnUpdateUnderMergeStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got, want := fired.Load(), u.Epoch(); got != want {
+	if got, want := fired.Load(), u.epoch.Load(); got != want {
 		t.Fatalf("OnUpdate fired %d times over %d epochs", got, want)
 	}
-	if u.Epoch() < 21 { // 20 batches + ≥1 compaction/merge
-		t.Fatalf("epoch %d implausibly low", u.Epoch())
+	if u.epoch.Load() < 21 { // 20 batches + ≥1 compaction/merge
+		t.Fatalf("epoch %d implausibly low", u.epoch.Load())
 	}
 	if got := u.SegmentStats().TotalDocs; got != 21 {
 		t.Fatalf("merges lost or duplicated documents: %d docs", got)

@@ -39,12 +39,6 @@ func (l *Librarian) newManifest(segs []*segment) *manifest {
 	return &manifest{lib: l, segs: out, parts: parts, total: base}
 }
 
-// Epoch returns the number of manifest publications since construction. Any
-// receptionist-side state derived from this librarian (cached results,
-// merged vocabularies) is stale once the epoch it was read under differs
-// from the current one.
-func (l *Librarian) Epoch() uint64 { return l.epoch.Load() }
-
 // OnUpdate registers fn to run after every manifest publication (each
 // ingested batch, each merge), in registration order, on the publishing
 // goroutine. This is the cache-invalidation hook: wire a receptionist's

@@ -27,8 +27,8 @@ func newUpdatable(t *testing.T) *Librarian {
 // order, after the new collection is already serving.
 func TestEpochAndOnUpdate(t *testing.T) {
 	u := newUpdatable(t)
-	if u.Epoch() != 0 {
-		t.Fatalf("fresh epoch = %d, want 0", u.Epoch())
+	if u.epoch.Load() != 0 {
+		t.Fatalf("fresh epoch = %d, want 0", u.epoch.Load())
 	}
 	var fired []string
 	u.OnUpdate(func() {
@@ -43,8 +43,8 @@ func TestEpochAndOnUpdate(t *testing.T) {
 	u.OnUpdate(func() { fired = append(fired, "second") })
 
 	ingestFlush(t, u, []store.Document{{Title: "n0", Text: "swapped collection"}})
-	if u.Epoch() != 1 {
-		t.Fatalf("epoch after ingest = %d, want 1", u.Epoch())
+	if u.epoch.Load() != 1 {
+		t.Fatalf("epoch after ingest = %d, want 1", u.epoch.Load())
 	}
 	if len(fired) != 2 || fired[0] != "first" || fired[1] != "second" {
 		t.Fatalf("callbacks fired = %v, want [first second] in order", fired)

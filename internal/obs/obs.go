@@ -50,9 +50,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 

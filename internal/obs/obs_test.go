@@ -22,7 +22,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := reg.Gauge("t_gauge", "help", "")
 	g.Set(7)
 	g.Dec()
-	g.Add(-2)
+	g.Dec()
+	g.Dec()
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
 	}

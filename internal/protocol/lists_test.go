@@ -91,12 +91,12 @@ func TestListReaderRejects(t *testing.T) {
 // bounded by the payload — every group costs at least two bits — and
 // re-encodes to lists that read back the same.
 func FuzzGroupedIndexReply(f *testing.F) {
-	f.Add(AppendEncode(nil, seedIndexReply()))
-	f.Add(AppendEncode(nil, &IndexReply{Lo: 5, Hi: 5}))
-	f.Add(AppendEncode(nil, &IndexReply{Lo: 7, Hi: 3, Lists: seedIndexReply().Lists}))
+	f.Add(seedIndexReply().encode(nil))
+	f.Add((&IndexReply{Lo: 5, Hi: 5}).encode(nil))
+	f.Add((&IndexReply{Lo: 7, Hi: 3, Lists: seedIndexReply().Lists}).encode(nil))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var m IndexReply
-		if err := DecodeInto(&m, payload); err != nil {
+		if err := m.decode(payload); err != nil {
 			return
 		}
 		lists, err := readLists(t, &m)

@@ -336,16 +336,6 @@ func putBuf(bp *[]byte) {
 	}
 }
 
-// AppendEncode appends msg's payload encoding to dst and returns the grown
-// slice — the allocation-free encode path; pair it with DecodeInto for a
-// zero-copy round trip over caller-owned scratch.
-func AppendEncode(dst []byte, msg Message) []byte { return msg.encode(dst) }
-
-// DecodeInto decodes a payload (no frame header) into msg, reusing msg's
-// slice capacity where possible. The payload must match msg's type and is
-// fully copied out — msg never aliases it.
-func DecodeInto(msg Message, payload []byte) error { return msg.decode(payload) }
-
 // AppendFrame appends one complete frame (header + payload) for msg to dst.
 // Tagged selects the pipelined framing and stamps tag into the header; the
 // seed framing ignores tag. The frame is contiguous, so a single Write of

@@ -62,7 +62,7 @@ func goldenRank(t *testing.T, e *Engine, query string, k int, weights map[string
 			if weights != nil {
 				w = weights[term]
 			} else {
-				w = e.LocalWeight(term, fqts[term])
+				w = CollectionWeight(fqts[term], e.Index().TermFreq(term), e.Index().NumDocs())
 			}
 			sum += w * w
 		}
@@ -77,7 +77,7 @@ func goldenRank(t *testing.T, e *Engine, query string, k int, weights map[string
 		if weights != nil {
 			wqt = weights[term]
 		} else {
-			wqt = e.LocalWeight(term, fqts[term])
+			wqt = CollectionWeight(fqts[term], e.Index().TermFreq(term), e.Index().NumDocs())
 		}
 		if wqt <= 0 {
 			continue
@@ -92,15 +92,12 @@ func goldenRank(t *testing.T, e *Engine, query string, k int, weights map[string
 		}
 	}
 	h := make(goldenHeap, 0, k)
+	inv := e.Index().InvDocWeights() // 1/W_d, 0 where W_d is
 	for doc, s := range acc {
-		wd, err := e.Index().DocWeight(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wd == 0 {
+		if inv[doc] == 0 {
 			continue
 		}
-		r := Result{Doc: doc, Score: s / (wq * wd)}
+		r := Result{Doc: doc, Score: s * inv[doc] / wq}
 		if len(h) < k {
 			heap.Push(&h, r)
 			continue
@@ -130,7 +127,7 @@ func goldenScoreDocs(t *testing.T, e *Engine, query string, docs []uint32, weigh
 			if weights != nil {
 				w = weights[term]
 			} else {
-				w = e.LocalWeight(term, fqts[term])
+				w = CollectionWeight(fqts[term], e.Index().TermFreq(term), e.Index().NumDocs())
 			}
 			sum += w * w
 		}
@@ -147,7 +144,7 @@ func goldenScoreDocs(t *testing.T, e *Engine, query string, docs []uint32, weigh
 		if weights != nil {
 			wqt = weights[term]
 		} else {
-			wqt = e.LocalWeight(term, fqts[term])
+			wqt = CollectionWeight(fqts[term], e.Index().TermFreq(term), e.Index().NumDocs())
 		}
 		if wqt <= 0 {
 			continue
@@ -166,14 +163,11 @@ func goldenScoreDocs(t *testing.T, e *Engine, query string, docs []uint32, weigh
 		}
 	}
 	out := make([]Result, len(docs))
+	inv := e.Index().InvDocWeights()
 	for i, d := range docs {
-		wd, err := e.Index().DocWeight(d)
-		if err != nil {
-			t.Fatal(err)
-		}
 		score := 0.0
-		if s := acc[d]; s > 0 && wd > 0 {
-			score = s / (wq * wd)
+		if s := acc[d]; s > 0 && inv[d] > 0 {
+			score = s * inv[d] / wq
 		}
 		out[i] = Result{Doc: d, Score: score}
 	}

@@ -64,8 +64,8 @@ type Scratch struct {
 
 	// Document-at-a-time state for the dynamic-pruning evaluators
 	// (MaxScore/WAND), which hold one open cursor per matched term instead
-	// of draining lists one at a time. All grow-only, so steady state stays
-	// allocation-free.
+	// of reading lists to the end one at a time. All grow-only, so steady
+	// state stays allocation-free.
 	curs    []index.TermCursor // one cursor per matched term
 	live    []liveTerm         // per-matched-term pruning state
 	contrib []float64          // per-qterm contributions of one candidate, appearance order

@@ -130,20 +130,12 @@ outer:
 	}
 }
 
-// LocalWeight returns this collection's w_{q,t} for a term with query
-// frequency fqt: log(f_qt+1)·log(N/f_t+1). It returns 0 when the term is
-// absent from the collection.
-func (e *Engine) LocalWeight(term string, fqt uint32) float64 {
-	return CollectionWeight(fqt, e.ix.TermFreq(term), e.ix.NumDocs())
-}
-
 // CollectionWeight returns w_{q,t} = log(f_qt+1)·log(N/f_t+1) for explicit
-// collection-wide statistics, 0 when ft is 0. It is the statistics-supplied
-// form of LocalWeight and shares its memoized log table, so an evaluator
-// that sums per-segment f_t and total N and feeds the result here produces
-// bitwise-identical weights to a single index built over the whole
-// collection — the property a segmented collection relies on for rank
-// parity.
+// collection-wide statistics, 0 when ft is 0. It shares the kernel's memoized
+// log table, so an evaluator that sums per-segment f_t and total N and feeds
+// the result here produces bitwise-identical weights to a single index built
+// over the whole collection — the property a segmented collection relies on
+// for rank parity.
 func CollectionWeight(fqt, ft, numDocs uint32) float64 {
 	if ft == 0 {
 		return 0
@@ -155,7 +147,7 @@ func CollectionWeight(fqt, ft, numDocs uint32) float64 {
 func (e *Engine) QueryWeights(freqs map[string]uint32) map[string]float64 {
 	weights := make(map[string]float64, len(freqs))
 	for t, fqt := range freqs {
-		if w := e.LocalWeight(t, fqt); w > 0 {
+		if w := CollectionWeight(fqt, e.ix.TermFreq(t), e.ix.NumDocs()); w > 0 {
 			weights[t] = w
 		}
 	}
@@ -165,11 +157,11 @@ func (e *Engine) QueryWeights(freqs map[string]uint32) map[string]float64 {
 // prepare analyses query once and resolves it in s for every part to
 // evaluate: s.qterms in first-appearance order with f_qt and w_qt, and s.wq =
 // W_q. With weights nil a term's weight comes from f_t summed over parts and
-// N their total (MS/CN; LocalWeight for one part); otherwise weights is
-// authoritative (CV) and terms absent from it weigh 0. W_q sums in query
-// order, never map order, so every evaluator of a query — the mono server and
-// each CV librarian — gets the bitwise-same norm; ULP wobble would reorder
-// tied documents across collections. A zero norm is taken as 1.
+// N their total (MS/CN); otherwise weights is authoritative (CV) and terms
+// absent from it weigh 0. W_q sums in query order, never map order, so every
+// evaluator of a query — the mono server and each CV librarian — gets the
+// bitwise-same norm; ULP wobble would reorder tied documents across
+// collections. A zero norm is taken as 1.
 func (s *Scratch) prepare(parts []Part, query string, weights map[string]float64) error {
 	for term, w := range weights {
 		if !(w >= 0 && w <= math.MaxFloat64) {

@@ -68,11 +68,7 @@ func refScore(t *testing.T, e *Engine, query string, doc uint32) float64 {
 	if dot == 0 {
 		return 0
 	}
-	wd, err := e.Index().DocWeight(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dot / (math.Sqrt(wq2) * wd)
+	return dot * e.Index().InvDocWeights()[doc] / math.Sqrt(wq2)
 }
 
 func TestRankAgainstReference(t *testing.T) {

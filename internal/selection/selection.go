@@ -86,12 +86,6 @@ func New(cols []Collection) *Index {
 	return ix
 }
 
-// Len returns the number of collections in the index.
-func (ix *Index) Len() int { return len(ix.names) }
-
-// Name returns the name of collection i.
-func (ix *Index) Name(i int) string { return ix.names[i] }
-
 // Score computes the CORI belief score of every collection for the given
 // query terms: score_i = mean_t p(t|c_i) with
 //

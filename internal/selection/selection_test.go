@@ -106,7 +106,7 @@ func TestEmptyIndex(t *testing.T) {
 	if got := ix.Top([]string{"alpha"}, nil, 3); got != nil {
 		t.Fatalf("empty index selected %v", got)
 	}
-	if n := ix.Len(); n != 0 {
+	if n := len(ix.names); n != 0 {
 		t.Fatalf("empty index Len = %d", n)
 	}
 }

@@ -176,18 +176,6 @@ type Dialer interface {
 	Dial(name string) (net.Conn, error)
 }
 
-// MapDialer dials from a static map of connect functions.
-type MapDialer map[string]func() (net.Conn, error)
-
-// Dial implements Dialer.
-func (d MapDialer) Dial(name string) (net.Conn, error) {
-	fn, ok := d[name]
-	if !ok {
-		return nil, fmt.Errorf("simnet: unknown peer %q", name)
-	}
-	return fn()
-}
-
 // TCPDialer dials real TCP addresses: name -> host:port.
 type TCPDialer map[string]string
 

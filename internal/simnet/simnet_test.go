@@ -181,15 +181,3 @@ func TestCloseInterruptsDelay(t *testing.T) {
 		t.Fatal("Close did not interrupt the delayed write")
 	}
 }
-
-func TestMapDialer(t *testing.T) {
-	c1, _ := net.Pipe()
-	d := MapDialer{"a": func() (net.Conn, error) { return c1, nil }}
-	conn, err := d.Dial("a")
-	if err != nil || conn != c1 {
-		t.Fatalf("Dial = %v, %v", conn, err)
-	}
-	if _, err := d.Dial("b"); err == nil {
-		t.Fatal("unknown peer: want error")
-	}
-}

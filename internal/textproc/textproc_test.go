@@ -2,6 +2,7 @@ package textproc
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -181,12 +182,9 @@ func TestAnalyzerOptions(t *testing.T) {
 }
 
 func TestIsStopword(t *testing.T) {
-	a := NewAnalyzer()
-	if !a.IsStopword("The") {
-		t.Error("The should be a stopword (case-insensitive)")
-	}
-	if a.IsStopword("retrieval") {
-		t.Error("retrieval should not be a stopword")
+	a := NewAnalyzer(WithoutStemming())
+	if got := a.Terms(nil, "The retrieval"); !slices.Equal(got, []string{"retrieval"}) {
+		t.Errorf("Terms(%q) = %q: The is a stopword (case-insensitive), retrieval is not", "The retrieval", got)
 	}
 }
 

@@ -201,8 +201,3 @@ func (a *Analyzer) token(tok string) (string, bool) {
 	}
 	return tok, tok != ""
 }
-
-// IsStopword reports whether the analyzer would discard term.
-func (a *Analyzer) IsStopword(term string) bool {
-	return a.stopwords != nil && a.stopwords[strings.ToLower(term)]
-}

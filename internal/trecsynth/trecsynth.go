@@ -66,8 +66,6 @@ type Corpus struct {
 	Subcollections []Subcollection
 	Queries        []Query
 	Qrels          *eval.Qrels
-
-	vocab []string
 }
 
 // SubSpec describes one subcollection to generate.
@@ -177,7 +175,7 @@ func Generate(cfg Config) (*Corpus, error) {
 	zipf := rand.NewZipf(rng, 1.15, 2.0, uint64(cfg.VocabSize-1))
 	topics := makeTopics(rng, cfg)
 
-	c := &Corpus{Qrels: eval.NewQrels(), vocab: vocab}
+	c := &Corpus{Qrels: eval.NewQrels()}
 
 	// Queries are generated before documents so that relevance judgements
 	// can be recorded while documents are produced.
@@ -239,9 +237,6 @@ func DocKey(subcollection string, docID uint32) string {
 	return fmt.Sprintf("%s:%d", subcollection, docID)
 }
 
-// Vocab exposes the generated vocabulary (term index -> surface form).
-func (c *Corpus) Vocab() []string { return c.vocab }
-
 // AllDocs returns every document in subcollection order together with the
 // global key of each — the layout a mono-server (MS) build uses.
 func (c *Corpus) AllDocs() (docs []store.Document, keys []string) {
@@ -273,7 +268,7 @@ func (c *Corpus) Split(n int) (*Corpus, error) {
 	if n < 1 || n > len(docs) {
 		return nil, fmt.Errorf("trecsynth: cannot split %d docs into %d parts", len(docs), n)
 	}
-	out := &Corpus{Queries: c.Queries, Qrels: eval.NewQrels(), vocab: c.vocab}
+	out := &Corpus{Queries: c.Queries, Qrels: eval.NewQrels()}
 	keyMap := make(map[string]string, len(docs))
 	per := (len(docs) + n - 1) / n
 	for i := 0; i < n; i++ {

@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"teraphim/internal/core"
+	"teraphim/internal/experiments"
 	"teraphim/internal/index"
 	"teraphim/internal/search"
 	"teraphim/internal/textproc"
@@ -184,13 +185,12 @@ func BenchmarkSearchKernel(b *testing.B) {
 		for _, k := range []int{10, 100} {
 			k := k
 			measure(mode.label+"/k="+strconv.Itoa(k), func(i int) error {
-				q := queries[i%len(queries)].Text
-				var err error
+				q := queries[i%len(queries)]
 				if mode.mode == core.ModeMS {
-					_, err = r.MonoServer().Query(q, k, mode.opts)
-				} else {
-					_, err = r.Pool().Query(mode.mode, q, k, mode.opts)
+					_, _, err := r.Run(experiments.RunSpec{Label: mode.label, Mode: core.ModeMS}, []trecsynth.Query{q}, k, mode.opts)
+					return err
 				}
+				_, err := r.Pool().Query(mode.mode, q.Text, k, mode.opts)
 				return err
 			})
 		}

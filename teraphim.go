@@ -74,9 +74,8 @@
 // per-librarian router: power-of-two-choices over the healthy replicas
 // (fewer in-flight exchanges wins), with passive health tracking — an
 // endpoint failing three consecutive exchanges is ejected from routing and
-// probed back in after ReplicaProbeAfter. Replica sets grow and
-// shrink live via AddReplica/RemoveReplica (versioned through the
-// federation epoch like every setup change). Options.HedgeAfter additionally
+// probed back in after half a second. The replica sets are fixed when the
+// pool is built. Options.HedgeAfter additionally
 // races a second replica when an exchange outlives a latency quantile of
 // that librarian's recent history: the first reply wins, the loser is
 // cancelled, and because replicas are interchangeable the result is
@@ -175,9 +174,6 @@ type (
 	Analyzer = textproc.Analyzer
 	// AnalyzerOption configures NewAnalyzer.
 	AnalyzerOption = textproc.Option
-	// ReplicaStatus is a point-in-time view of one replica endpoint: health,
-	// in-flight exchanges and failure streak (Pool.Replicas).
-	ReplicaStatus = core.ReplicaStatus
 	// Dialer connects a receptionist to named librarians.
 	Dialer = simnet.Dialer
 	// ChaosDialer wraps a Dialer with per-endpoint fault and latency

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -175,8 +176,9 @@ func TestGroupedIndexOverPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gi.NumGroups() != 2 {
-		t.Fatalf("NumGroups = %d, want 2", gi.NumGroups())
+	// Four documents in groups of two: group 1 is the last and covers 2 and 3.
+	if got := gi.Expand([]uint32{1}); !slices.Equal(got, []uint32{2, 3}) {
+		t.Fatalf("Expand(1) = %v, want [2 3]", got)
 	}
 }
 
