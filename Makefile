@@ -40,11 +40,18 @@ vet:
 # their whole index and the receptionist runs to fold them, replacing
 # RawBuilder; and EachTerm, the k-way vocabulary pass over a librarian's
 # segments.
-CORE_LOC_MAX = 4227
-LIBRARIAN_LOC_MAX = 1618
+# CORE_LOC_MAX rose 4227 -> 4324, LIBRARIAN_LOC_MAX 1618 -> 1650,
+# PROTOCOL_LOC_MAX 1569 -> 1594 and WRITE_LOC_MAX 2683 -> 2714 once, on
+# purpose: CI set-up ships the grouped index in parts (IndexRequest's Part
+# and Parts, the librarian's split of its dictionary by cumulative f_t,
+# Index.Groups' term bounds, and the receptionist's windowed fetch and the
+# GroupSource that folds each part as it lands), and the text model's
+# lexicon looks one-byte tokens up in a table instead of hashing them.
+CORE_LOC_MAX = 4324
+LIBRARIAN_LOC_MAX = 1650
 SEARCH_LOC_MAX = 1518
-PROTOCOL_LOC_MAX = 1569
-WRITE_LOC_MAX = 2683
+PROTOCOL_LOC_MAX = 1594
+WRITE_LOC_MAX = 2714
 loc:
 	@write=0; for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \

@@ -4,7 +4,9 @@
 // query response time. All clients share one federation: the vocabulary,
 // model and central-index setup exchanges run exactly once regardless of
 // -clients, and the clients fan out over a bounded per-librarian
-// connection pool.
+// connection pool. The report's setup line counts those exchanges: one Hello
+// and one vocabulary exchange per librarian, and under CI eight more, since
+// each librarian ships its grouped index in eight parts.
 //
 // Usage:
 //

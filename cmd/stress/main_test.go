@@ -122,6 +122,11 @@ func TestStressCIMode(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
+	// Per librarian: the Hello, the vocabulary and the central index's
+	// eight parts.
+	if line := setupLine(t, out); !strings.Contains(line, " 20 round trips") {
+		t.Errorf("two librarians' CI set-up: %q, want 20 round trips", line)
+	}
 }
 
 func TestStressCNMode(t *testing.T) {

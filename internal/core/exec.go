@@ -76,12 +76,16 @@ func (e *exec) callParallel(trace *Trace, phase Phase, names []string, makeReq f
 		reply protocol.Message
 		fail  *Failure
 	}
-	results := make(chan outcome, len(names))
-	var wg sync.WaitGroup
+	// Every name is checked before any exchange starts: an error return
+	// leaves no exchange running unobserved.
 	for _, name := range names {
 		if _, ok := e.fed.byName[name]; !ok {
 			return nil, fmt.Errorf("core: unknown librarian %q", name)
 		}
+	}
+	results := make(chan outcome, len(names))
+	var wg sync.WaitGroup
+	for _, name := range names {
 		req := makeReq(name)
 		wg.Add(1)
 		go func(name string, req protocol.Message) {

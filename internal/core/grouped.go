@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
 	"teraphim/internal/index"
+	"teraphim/internal/protocol"
 	"teraphim/internal/search"
 	"teraphim/internal/textproc"
 )
@@ -78,7 +80,7 @@ func BuildGroupedFromIndexes(subIndexes []*index.Index, offsets []uint32, totalD
 			return nil, fmt.Errorf("core: index %d starts at doc %d, the indexes before it end at %d", i, offsets[i], covered)
 		}
 		covered += uint64(ix.NumDocs())
-		srcs[i] = ix.Groups(offsets[i], uint32(groupSize))
+		srcs[i] = ix.Groups(offsets[i], uint32(groupSize), "", "")
 	}
 	if covered != uint64(totalDocs) {
 		return nil, fmt.Errorf("core: indexes cover %d docs, collection has %d", covered, totalDocs)
@@ -97,6 +99,56 @@ func foldGrouped(srcs []index.GroupSource, totalDocs, g uint32, analyzer *textpr
 		return nil, fmt.Errorf("core: build grouped index: %w", err)
 	}
 	return &GroupedIndex{groupSize: g, totalDocs: totalDocs, engine: search.NewEngine(ix, analyzer)}, nil
+}
+
+// partSource is one librarian's grouped lists as SetupCentralIndexRemote
+// receives them: its parts' ListReaders in part order, each waited for only
+// when the fold reaches it. It checks what no one ListReader can — that a
+// part's first term follows the previous part's last — and, once the call is
+// cancelled, returns the failure that cancelled it.
+type partSource struct {
+	ctx   context.Context // cancelled with the call's first failure
+	name  string
+	parts []chan *protocol.ListReader // one buffered slot per part
+	next  int                         // the part after cur
+	cur   *protocol.ListReader
+	last  string
+}
+
+func (s *partSource) NextTerm() (string, error) {
+	for {
+		if s.cur == nil {
+			if s.next == len(s.parts) {
+				return "", nil
+			}
+			select {
+			case s.cur = <-s.parts[s.next]:
+				s.next++
+			case <-s.ctx.Done():
+				return "", context.Cause(s.ctx)
+			}
+		}
+		term, err := s.cur.NextTerm()
+		switch {
+		case err != nil:
+			return "", fmt.Errorf("core: librarian %q part %d: %w", s.name, s.next-1, err)
+		case term == "":
+			s.cur = nil
+			continue
+		case term <= s.last:
+			return "", fmt.Errorf("core: librarian %q part %d: term %q after %q: %w", s.name, s.next-1, term, s.last, protocol.ErrBadIndexReply)
+		}
+		s.last = term
+		return term, nil
+	}
+}
+
+func (s *partSource) AppendGroups(dst []index.Posting) ([]index.Posting, error) {
+	dst, err := s.cur.AppendGroups(dst)
+	if err != nil {
+		return dst, fmt.Errorf("core: librarian %q part %d: %w", s.name, s.next-1, err)
+	}
+	return dst, nil
 }
 
 // Grouped-index file format: magic "TPGI" | version u32 | groupSize u32 |

@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"teraphim/internal/huffman"
@@ -428,14 +429,27 @@ func (p *Pool) SetupModels() (Trace, error) {
 	return trace, nil
 }
 
+// centralParts is how many parts SetupCentralIndexRemote asks each librarian
+// for, and centralWindow how many of one librarian's parts it keeps
+// outstanding. A librarian evaluates a connection's frames concurrently and
+// answers in completion order, so a wider window can make part 0 land last;
+// with two, one part is grouped while the one before it is on the wire.
+const (
+	centralParts  = 8
+	centralWindow = 2
+)
+
 // SetupCentralIndexRemote performs the CI preprocessing entirely over the
 // wire: every librarian groups its own postings groupSize adjacent documents
-// to a group, in the receptionist's global group space, and ships only those;
-// the receptionist checks each reply against the librarian's place in the
-// global numbering, folds the replies term by term in that order, summing the
-// group two neighbours share, and installs the grouped central index
-// atomically. The returned trace records the one-time transfer cost the
-// paper's §4 discusses for the CI receptionist.
+// to a group, in the receptionist's global group space, and ships only those,
+// in centralParts parts split by term; the receptionist checks each part
+// against the librarian's place in the global numbering and folds the parts
+// term by term as they land — part r while part r+1 is grouped and part r+2
+// is on the wire — summing the group two neighbours share, and installs the
+// grouped central index atomically. The returned trace records the one-time
+// transfer cost the paper's §4 discusses for the CI receptionist: one Call
+// per part, in (librarian, part) order. A failure cancels the exchanges
+// still outstanding and waits for them.
 func (p *Pool) SetupCentralIndexRemote(groupSize int) (Trace, error) {
 	var trace Trace
 	trace.Mode = ModeCI
@@ -443,31 +457,58 @@ func (p *Pool) SetupCentralIndexRemote(groupSize int) (Trace, error) {
 		return trace, fmt.Errorf("core: group size %d must be in [1, 2^32)", groupSize)
 	}
 	g := uint32(groupSize)
-	e := &exec{ctx: context.Background(), fed: p.fed, pool: p}
-	replies, err := e.callParallel(&trace, PhaseSetup, p.fed.Librarians(), func(name string) protocol.Message {
-		return &protocol.IndexRequest{G: g, Base: p.fed.byName[name].offset}
-	})
-	if err != nil {
-		return trace, err
-	}
+	// The first failure cancels the call and is its cause.
+	ctx, fail := context.WithCancelCause(context.Background())
+	defer fail(nil)
+	e := &exec{ctx: ctx, fed: p.fed, pool: p}
+	calls := make([][]Call, len(p.fed.libs)*centralParts)
 	srcs := make([]index.GroupSource, len(p.fed.libs))
+	var wg sync.WaitGroup
 	for i, li := range p.fed.libs {
-		ir, ok := replies[li.name].(*protocol.IndexReply)
-		if !ok {
-			return trace, fmt.Errorf("core: librarian %q answered IndexRequest with %v", li.name, replies[li.name].Type())
+		src := &partSource{ctx: ctx, name: li.name, parts: make([]chan *protocol.ListReader, centralParts)}
+		for r := range src.parts {
+			src.parts[r] = make(chan *protocol.ListReader, 1)
 		}
-		if lo, hi := protocol.GroupRange(li.offset, li.numDocs, g); ir.Lo != lo || ir.Hi != hi {
-			return trace, fmt.Errorf("core: librarian %q shipped groups [%d, %d), expected [%d, %d): %w",
-				li.name, ir.Lo, ir.Hi, lo, hi, protocol.ErrBadIndexReply)
+		srcs[i] = src
+		lo, hi := protocol.GroupRange(li.offset, li.numDocs, g)
+		var next atomic.Uint32
+		for range centralWindow {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := next.Add(1) - 1; r < centralParts && ctx.Err() == nil; r = next.Add(1) - 1 {
+					req := &protocol.IndexRequest{G: g, Base: li.offset, Part: r, Parts: centralParts}
+					var reply protocol.Message
+					var f *Failure
+					calls[i*centralParts+int(r)], reply, f = e.callLibrarian(li.name, PhaseSetup, req)
+					ir, ok := reply.(*protocol.IndexReply)
+					switch {
+					case f != nil:
+						fail(fmt.Errorf("core: librarian %q: %w", li.name, f.Err))
+					case !ok:
+						fail(fmt.Errorf("core: librarian %q answered IndexRequest with %v", li.name, reply.Type()))
+					case ir.Lo != lo || ir.Hi != hi:
+						fail(fmt.Errorf("core: librarian %q shipped part %d's groups as [%d, %d), expected [%d, %d): %w",
+							li.name, r, ir.Lo, ir.Hi, lo, hi, protocol.ErrBadIndexReply))
+					default:
+						src.parts[r] <- protocol.NewListReader(ir)
+						continue
+					}
+					return
+				}
+			}()
 		}
-		srcs[i] = protocol.NewListReader(ir)
 	}
 	grouped, err := foldGrouped(srcs, p.fed.totalDocs, g, p.fed.analyzer)
 	if err != nil {
+		fail(err)
+	}
+	wg.Wait()
+	for _, c := range calls {
+		trace.Calls = append(trace.Calls, c...)
+	}
+	if err := context.Cause(ctx); err != nil {
 		return trace, err
 	}
-	if err := p.fed.SetupCentralIndex(grouped); err != nil {
-		return trace, err
-	}
-	return trace, nil
+	return trace, p.fed.SetupCentralIndex(grouped)
 }

@@ -1,6 +1,8 @@
 package huffman
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -342,3 +344,61 @@ func BenchmarkDecompressDoc(b *testing.B) {
 }
 
 func mathLog(x float64) float64 { return math.Log(x) }
+
+// TestOneByteTokens trains on text whose separators are one byte (" ",
+// "\n") and longer (", ", ". "), with one-letter words beside longer ones —
+// the tokens the lexicon's byte table holds. The marshalled model and the
+// compressed documents are pinned to the digests the map-only lexicon
+// produced, before and after an Unmarshal, and a one-byte separator the model
+// never saw still escapes.
+func TestOneByteTokens(t *testing.T) {
+	docs := []string{
+		"a cat, a dog. I saw a b c\nx y z",
+		"I am a man; a plan, a canal. Panama\n",
+		"q, r. s t u v w\nx y z a",
+	}
+	m, err := NewTextModel(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tok := range []string{" ", "\n"} {
+		if m.seps.symbol(tok) == escapeSym {
+			t.Fatalf("trained separator %q escapes", tok)
+		}
+	}
+	for _, tok := range []string{"a", "I", "z"} {
+		if m.WordSymbol(tok) == escapeSym {
+			t.Fatalf("trained word %q escapes", tok)
+		}
+	}
+	if m.seps.symbol("\t") != escapeSym || m.WordSymbol("k") != escapeSym {
+		t.Fatal("an unseen one-byte token has a symbol")
+	}
+	texts := append(docs, "a\tcat\tI\tk") // "\t" and "k" escape
+	digest := func(m *TextModel) string {
+		h := sha256.New()
+		h.Write(m.Marshal())
+		for _, text := range texts {
+			data, err := m.CompressDoc(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := m.DecompressDoc(data); err != nil || got != text {
+				t.Fatalf("%q round-trips to %q, %v", text, got, err)
+			}
+			h.Write(data)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	const want = "506cdbdbd6bb96869d2e76f8775473e2079b9f8608ab1df3bce4937549f20178"
+	if got := digest(m); got != want {
+		t.Fatalf("trained model and its documents hash to %s, want %s", got, want)
+	}
+	back, err := UnmarshalTextModel(m.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := digest(back); got != want {
+		t.Fatalf("unmarshalled model and its documents hash to %s, want %s", got, want)
+	}
+}

@@ -30,7 +30,12 @@ type TextModel struct {
 // escape symbols occupy index 0 in each lexicon.
 const escapeSym = 0
 
+// A lexicon maps each token to its symbol through one of two tables: a
+// one-byte token — the single space that is nine separators in ten, a
+// one-letter word — indexes byByte, and any other sits in byToken, so the
+// commonest lookups hash nothing. An absent token reads as the escape symbol.
 type lexicon struct {
+	byByte  [256]uint32
 	byToken map[string]uint32
 	tokens  []string // tokens[0] is the escape pseudo-token ""
 }
@@ -39,13 +44,30 @@ func newLexicon() *lexicon {
 	return &lexicon{byToken: map[string]uint32{}, tokens: []string{""}}
 }
 
+// symbol returns tok's symbol, or the escape symbol if tok is not in lx.
+func (lx *lexicon) symbol(tok string) uint32 {
+	if len(tok) == 1 {
+		return lx.byByte[tok[0]]
+	}
+	return lx.byToken[tok]
+}
+
+// set makes id the symbol of tok.
+func (lx *lexicon) set(tok string, id uint32) {
+	if len(tok) == 1 {
+		lx.byByte[tok[0]] = id
+	} else {
+		lx.byToken[tok] = id
+	}
+}
+
 func (lx *lexicon) intern(tok string) uint32 {
-	if id, ok := lx.byToken[tok]; ok {
+	if id := lx.symbol(tok); id != escapeSym {
 		return id
 	}
 	id := uint32(len(lx.tokens))
 	lx.tokens = append(lx.tokens, tok)
-	lx.byToken[tok] = id
+	lx.set(tok, id)
 	return id
 }
 
@@ -108,7 +130,7 @@ func (m *TextModel) CompressDoc(text string) ([]byte, error) {
 // WordSymbol returns word's symbol in the model's word lexicon, or the escape
 // symbol for a word the model was not trained on.
 func (m *TextModel) WordSymbol(word string) uint32 {
-	return m.words.byToken[word] // the escape symbol is 0 and never a key
+	return m.words.symbol(word)
 }
 
 // CompressSpans compresses a document that SplitWords or AppendWords has split
@@ -121,14 +143,14 @@ func (m *TextModel) CompressSpans(spans []textproc.WordSpan, syms []uint32, tail
 		return nil, err
 	}
 	for i, s := range spans {
-		if err := putToken(w, m.sepCode, m.seps.byToken[s.Sep], s.Sep); err != nil {
+		if err := putToken(w, m.sepCode, m.seps.symbol(s.Sep), s.Sep); err != nil {
 			return nil, err
 		}
 		if err := putToken(w, m.wordCode, syms[i], s.Word); err != nil {
 			return nil, err
 		}
 	}
-	if err := putToken(w, m.sepCode, m.seps.byToken[tail], tail); err != nil {
+	if err := putToken(w, m.sepCode, m.seps.symbol(tail), tail); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), w.Bytes()...), nil
@@ -265,7 +287,7 @@ func UnmarshalTextModel(data []byte) (*TextModel, error) {
 			data = data[tl:]
 			lx.tokens = append(lx.tokens, tok)
 			if i != escapeSym {
-				lx.byToken[tok] = i
+				lx.set(tok, i)
 			}
 			lengths = append(lengths, data[0])
 			data = data[1:]

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"teraphim/internal/bitio"
 )
@@ -18,21 +19,29 @@ type GroupSource interface {
 	AppendGroups(dst []Posting) ([]Posting, error)
 }
 
-// Groups returns ix's lists as a GroupSource in which local document d falls
+// Groups returns the lists of ix whose terms fall in [from, to) — to == ""
+// meaning no upper bound — as a GroupSource in which local document d falls
 // in group (base+d)/g. base+NumDocs must not exceed 2³², and g must be ≥ 1.
-func (ix *Index) Groups(base, g uint32) GroupSource {
-	return &indexGroups{ix: ix, base: base, g: g, i: -1}
+func (ix *Index) Groups(base, g uint32, from, to string) GroupSource {
+	seek := func(t string) int {
+		return sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].term >= t })
+	}
+	first, end := seek(from), len(ix.entries)
+	if to != "" {
+		end = seek(to)
+	}
+	return &indexGroups{ix: ix, base: base, g: g, i: first - 1, end: end}
 }
 
 type indexGroups struct {
 	ix      *Index
 	base, g uint32
-	i       int // current entry
+	i, end  int // current entry; the entry the source stops before
 	cur     TermCursor
 }
 
 func (s *indexGroups) NextTerm() (string, error) {
-	if s.i++; s.i >= len(s.ix.entries) {
+	if s.i++; s.i >= s.end {
 		return "", nil
 	}
 	return s.ix.entries[s.i].term, nil

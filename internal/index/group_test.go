@@ -15,7 +15,7 @@ func groupCut(t testing.TB, docs [][]string, cuts []int, g uint32, opts ...Build
 	t.Helper()
 	var srcs []GroupSource
 	for i := 0; i+1 < len(cuts); i++ {
-		srcs = append(srcs, buildOver(t, docs[cuts[i]:cuts[i+1]], opts...).Groups(uint32(cuts[i]), g))
+		srcs = append(srcs, buildOver(t, docs[cuts[i]:cuts[i+1]], opts...).Groups(uint32(cuts[i]), g, "", ""))
 	}
 	return BuildFromGroups(srcs, (uint32(len(docs))+g-1)/g, opts...)
 }
@@ -73,6 +73,46 @@ func TestBuildFromGroupsMatchesBuilder(t *testing.T) {
 				t.Fatalf("round %d, %d docs cut at %v, G=%d, skip %d: grouped index differs from the direct build",
 					round, len(docs), cuts, g, skip)
 			}
+		}
+	}
+}
+
+// TestGroupsTermBounds: Groups over [from, to) yields exactly the terms in
+// that range, bounds that are not terms included, so ranges cut at any terms
+// tile the index, and an empty range yields nothing.
+func TestGroupsTermBounds(t *testing.T) {
+	ix := buildOver(t, [][]string{{"b", "d", "f"}, {"d", "h"}, {"b", "j"}})
+	terms := func(src GroupSource) []string {
+		var out []string
+		for {
+			term, err := src.NextTerm()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if term == "" {
+				return out
+			}
+			if _, err := src.AppendGroups(nil); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, term)
+		}
+	}
+	for _, tc := range []struct {
+		from, to string
+		want     []string
+	}{
+		{"", "", []string{"b", "d", "f", "h", "j"}},
+		{"", "d", []string{"b"}},
+		{"c", "h", []string{"d", "f"}},
+		{"d", "g", []string{"d", "f"}},
+		{"h", "", []string{"h", "j"}},
+		{"f", "f", nil},
+		{"g", "c", nil},
+		{"k", "", nil},
+	} {
+		if got := terms(ix.Groups(0, 1, tc.from, tc.to)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("[%q, %q): got %q, want %q", tc.from, tc.to, got, tc.want)
 		}
 	}
 }

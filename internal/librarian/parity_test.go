@@ -140,7 +140,8 @@ func comparable(t testing.TB, lib *Librarian, msg protocol.Message) protocol.Mes
 
 // parityPins are the SHA-256 of the one-segment reply frames, recorded at
 // 8b063f6 from the static Librarian that the one-segment manifest replaced;
-// "index" was re-recorded when IndexReply became grouped postings.
+// "index" was re-recorded when IndexReply became grouped postings, and
+// "hello" when the wire version in its trailing byte went to 2.
 var parityPins = map[string]string{
 	"batch":                     "f7c45e13c714ea6e9a4eb7b1abaf267b62be212ba822bb4b3f685f5a10763532",
 	"boolean":                   "fef355a8040c9732f9e20507fb0dd172bd4e4dfc220e337057afc0933e8c216b",
@@ -149,7 +150,7 @@ var parityPins = map[string]string{
 	"fetch compressed":          "05d51a9d4aaed39e1de25dd4b257de499319157b430afa81cd46bfa7b0ce97e5",
 	"fetch out of range":        "acbb20b04ec28a55eda52e8d6929cfcd7f83e2729e93ea03f3c5b911a3da1f48",
 	"fetch plain":               "4141d25ba10eebc425901ee0b1ecbda1c48137cb6a10b2cbc42fd3b806074f27",
-	"hello":                     "7984659ffc8a8c0716849ccdda4501a1e2153517dbb0404a24c8c05cde49703b",
+	"hello":                     "7111e3d894047bd39115f36df220b073b704e675db205e1e5981f74fae9213c4",
 	"index":                     "f9371e3f91040de00f44d8ca176379a4a55a25c071e17b1d1c10b5d9e1cb8139",
 	"model":                     "c16bb5526350d7f091e747d569a7dc7ff80f741bf1817399f552f69dcfe8a998",
 	"rank bad evaluator":        "8712b33c0f5430e90d444c2b6fab3a6319d3a263fb6ef08fa8cafeddb031b0c1",

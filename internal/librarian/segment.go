@@ -205,25 +205,57 @@ func (m *manifest) fetchOne(id uint32, compressed bool) (protocol.DocBlob, error
 	return protocol.DocBlob{Doc: id, Title: doc.Title, Data: []byte(doc.Text)}, err
 }
 
-// shipIndex answers CI set-up's IndexRequest: each segment's lists grouped
-// into the requested groups and folded segment by segment, summing a group two
-// segments share, so no merged index is built and nothing outlives the reply.
-// The reply's groups are numbered from Lo = Base/G, so local document d is in
-// its group (Base mod G + d)/G.
+// shipIndex answers CI set-up's IndexRequest: each segment's lists of the
+// requested part's terms grouped into the requested groups and folded segment
+// by segment, summing a group two segments share, so no merged index is built
+// and nothing outlives the reply. The reply's groups are numbered from
+// Lo = Base/G, so local document d is in its group (Base mod G + d)/G.
 func (m *manifest) shipIndex(q *protocol.IndexRequest) protocol.Message {
-	if q.G == 0 || uint64(q.Base)+uint64(m.total) > math.MaxUint32 {
-		return &protocol.ErrorReply{Message: fmt.Sprintf("index request: group size %d, base %d for %d documents", q.G, q.Base, m.total)}
+	if q.G == 0 || uint64(q.Base)+uint64(m.total) > math.MaxUint32 || (q.Parts > 1 && q.Part >= q.Parts) {
+		return &protocol.ErrorReply{Message: fmt.Sprintf("index request: group size %d, base %d for %d documents, part %d of %d",
+			q.G, q.Base, m.total, q.Part, q.Parts)}
 	}
 	reply := &protocol.IndexReply{}
 	reply.Lo, reply.Hi = protocol.GroupRange(q.Base, m.total, q.G)
+	from, to, ok := m.partTerms(q.Part, q.Parts)
+	if !ok {
+		return reply
+	}
 	srcs := make([]index.GroupSource, len(m.segs))
 	for i, sg := range m.segs {
-		srcs[i] = sg.engine.Index().Groups(q.Base%q.G+sg.base, q.G)
+		srcs[i] = sg.engine.Index().Groups(q.Base%q.G+sg.base, q.G, from, to)
 	}
 	if err := index.FoldGroups(srcs, protocol.NewListWriter(reply).Append); err != nil {
 		return &protocol.ErrorReply{Message: fmt.Sprintf("group index: %v", err)}
 	}
 	return reply
+}
+
+// partTerms returns the terms [from, to) of part p of n (to == "": no upper
+// bound): those whose preceding cumulative f_t, over the k-way-merged
+// dictionary of the segments, falls in [p·T/n, (p+1)·T/n), T being the
+// segments' postings, which is the sum of every f_t. ok is false when no
+// term's does. n ≤ 1 is the whole dictionary.
+func (m *manifest) partTerms(p, n uint32) (from, to string, ok bool) {
+	if n <= 1 {
+		return "", "", true
+	}
+	ixs := m.indexes()
+	var total, cum uint64
+	for _, ix := range ixs {
+		total += ix.NumPostings()
+	}
+	lo, hi := uint64(p)*total/uint64(n), uint64(p+1)*total/uint64(n)
+	index.EachTerm(ixs, func(term string, ft uint32) {
+		if !ok && cum >= lo {
+			from, ok = term, true
+		}
+		if to == "" && cum >= hi {
+			to = term // from too when [lo, hi) held no sum: Groups yields nothing
+		}
+		cum += uint64(ft)
+	})
+	return from, to, ok
 }
 
 // merged collapses the manifest into one segment (once per manifest): the

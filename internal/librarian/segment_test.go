@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"teraphim/internal/codec"
 	"teraphim/internal/huffman"
 	"teraphim/internal/protocol"
 	"teraphim/internal/store"
@@ -227,4 +229,83 @@ func BenchmarkMergeSegments(b *testing.B) {
 		_, err := lib.newManifest(segs).merged()
 		return err
 	})
+}
+
+// termGroups is one decoded list of an IndexReply.
+type termGroups struct {
+	term   string
+	groups []codec.Posting
+}
+
+// indexLists asks lib for part of parts of its grouped index (parts 0: the
+// whole reply) and decodes it, checking its groups are the whole collection's.
+func indexLists(t *testing.T, lib *Librarian, part, parts uint32) ([]termGroups, int) {
+	t.Helper()
+	const g, base = 10, 1237
+	reply, ok := callServer(t, lib, &protocol.IndexRequest{G: g, Base: base, Part: part, Parts: parts}).(*protocol.IndexReply)
+	if !ok {
+		t.Fatalf("part %d of %d: not an IndexReply", part, parts)
+	}
+	docs := callServer(t, lib, &protocol.Hello{}).(*protocol.HelloReply).NumDocs
+	if lo, hi := protocol.GroupRange(base, docs, g); reply.Lo != lo || reply.Hi != hi {
+		t.Fatalf("part %d of %d: groups [%d, %d), want [%d, %d)", part, parts, reply.Lo, reply.Hi, lo, hi)
+	}
+	var out []termGroups
+	r := protocol.NewListReader(reply)
+	for {
+		term, err := r.NextTerm()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if term == "" {
+			return out, len(reply.Lists)
+		}
+		groups, err := r.AppendGroups(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, termGroups{term, groups})
+	}
+}
+
+// TestShipIndexParts: the eight parts of a grouped-index reply, in part
+// order, are the whole reply's lists — at 1, 2 and 5 segments, and on a
+// librarian with fewer terms than parts, whose surplus parts are empty — and
+// their lists cost within 1 % of the whole reply's bytes. A part outside the
+// parts is refused.
+func TestShipIndexParts(t *testing.T) {
+	docs, _ := parityCorpus(t)
+	tiny := []store.Document{{Title: "t", Text: "whale reef whale"}, {Title: "u", Text: "storm"}}
+	for _, tc := range []struct {
+		name string
+		lib  *Librarian
+	}{
+		{"1 segment", servedAs(t, docs, 1)},
+		{"2 segments", servedAs(t, docs, 2)},
+		{"5 segments", servedAs(t, docs, 5)},
+		{"3 terms", servedAs(t, tiny, 2)},
+	} {
+		want, wantBytes := indexLists(t, tc.lib, 0, 0)
+		var got []termGroups
+		gotBytes, empty := 0, 0
+		for part := uint32(0); part < 8; part++ {
+			lists, n := indexLists(t, tc.lib, part, 8)
+			got, gotBytes = append(got, lists...), gotBytes+n
+			if len(lists) == 0 {
+				empty++
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the parts hold %d lists, not the whole reply's %d", tc.name, len(got), len(want))
+		}
+		if len(want) >= 8 && (empty > 0 || float64(gotBytes) > 1.01*float64(wantBytes)) {
+			t.Errorf("%s: %d empty parts, %d list bytes against the whole reply's %d", tc.name, empty, gotBytes, wantBytes)
+		}
+		if len(want) < 8 && empty != 8-len(want) {
+			t.Errorf("%s: %d empty parts for %d terms", tc.name, empty, len(want))
+		}
+	}
+	if _, ok := callServer(t, servedAs(t, docs, 1), &protocol.IndexRequest{G: 10, Part: 8, Parts: 8}).(*protocol.ErrorReply); !ok {
+		t.Fatal("part 8 of 8: want an ErrorReply")
+	}
 }

@@ -33,6 +33,7 @@ func fuzzSeedMessages() []Message {
 		&BooleanQuery{Expr: "alpha AND beta"},
 		&BooleanReply{Docs: []uint32{2, 9}, Stats: stats},
 		&IndexRequest{G: 10, Base: 433},
+		&IndexRequest{G: 10, Base: 433, Part: 3, Parts: 8},
 		seedIndexReply(),
 	}
 }
@@ -150,6 +151,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			&BooleanQuery{Expr: s},
 			&BooleanReply{Docs: docs, Stats: stats},
 			&IndexRequest{G: u32, Base: u32 / 3},
+			&IndexRequest{G: u32, Base: u32 / 3, Part: u32 % 8, Parts: u32 / 5},
 			&IndexReply{Lo: u32 / 2, Hi: u32, Lists: b},
 		}
 		for _, msg := range msgs {

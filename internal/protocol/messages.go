@@ -522,7 +522,13 @@ func (m *BooleanReply) decode(b []byte) error {
 func (*IndexRequest) Type() MsgType { return TypeIndexRequest }
 
 func (m *IndexRequest) encode(b []byte) []byte {
-	return putUint(putUint(b, uint64(m.G)), uint64(m.Base))
+	b = putUint(putUint(b, uint64(m.G)), uint64(m.Base))
+	// Part and Parts trail under Hello's rule: a whole-reply request is the
+	// seed frame.
+	if m.Part != 0 || m.Parts != 0 {
+		b = putUint(putUint(b, uint64(m.Part)), uint64(m.Parts))
+	}
+	return b
 }
 
 func (m *IndexRequest) decode(b []byte) error {
@@ -532,6 +538,15 @@ func (m *IndexRequest) decode(b []byte) error {
 	}
 	if m.Base, b, err = getUint32(b); err != nil {
 		return err
+	}
+	m.Part, m.Parts = 0, 0
+	if len(b) > 0 {
+		if m.Part, b, err = getUint32(b); err != nil {
+			return err
+		}
+		if m.Parts, b, err = getUint32(b); err != nil {
+			return err
+		}
 	}
 	return expectEmpty(b, TypeIndexRequest)
 }

@@ -120,11 +120,12 @@ type Message interface {
 var ErrShortPayload = errors.New("protocol: truncated payload")
 
 // Version is the one wire version this build speaks: tagged framing after the
-// Hello, BatchQuery, and the rank requests' K and FetchTop fields. A
+// Hello, BatchQuery, the rank requests' K and FetchTop fields, and
+// IndexRequest's Part and Parts. A
 // receptionist sends it in every Hello; a librarian answers every Hello with
 // it, and switches a connection to tagged framing only when that connection's
 // first frame is a Hello at this version.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // ErrProtocolVersion reports a peer that answered the Hello at another
 // version. Both sides would frame every later byte differently, so the
@@ -279,9 +280,18 @@ type BooleanReply struct {
 // of the subcollections". Base is the global id of the librarian's local
 // document 0, so its groups line up with the receptionist's: global document
 // d is in group d/G. G must be at least 1.
+//
+// Parts > 1 asks for part Part of Parts: the lists of the terms whose
+// preceding cumulative f_t, over the librarian's terms in lexicographic
+// order, falls in [Part·T/Parts, (Part+1)·T/Parts), T being the sum of every
+// f_t — so the parts tile the reply in term order with about equal postings,
+// and a receptionist can fold one part while the next is grouped and sent.
+// Parts ≤ 1 asks for the whole reply. Part and Parts trail the seed fields
+// and are encoded only when one is non-zero.
 type IndexRequest struct {
-	G    uint32
-	Base uint32
+	G           uint32
+	Base        uint32
+	Part, Parts uint32
 }
 
 // IndexReply carries a librarian's grouped postings: the global groups

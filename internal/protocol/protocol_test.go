@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -59,6 +60,9 @@ func TestAllMessagesRoundTrip(t *testing.T) {
 			{Doc: 77, Title: "AP-77", Data: []byte{0x1, 0x2, 0xff}, Compressed: true},
 		}},
 		&ErrorReply{Message: "no such document"},
+		&IndexRequest{G: 10, Base: 433},
+		&IndexRequest{G: 10, Base: 433, Part: 7, Parts: 8},
+		&IndexRequest{G: 1, Part: 1},
 	}
 	for _, msg := range msgs {
 		got := roundTrip(t, msg)
@@ -223,6 +227,24 @@ func TestHelloVersionDecodeStrict(t *testing.T) {
 	var h Hello
 	if err := h.decode(putUint(nil, math.MaxUint32)); err != nil || h.Version != math.MaxUint32 {
 		t.Errorf("Hello at the widest version: %+v, %v", h, err)
+	}
+}
+
+// A whole-reply IndexRequest is the seed payload, G and Base alone; a part
+// request trails Part and Parts, and one that carries Part without Parts is
+// truncated.
+func TestIndexRequestPartsEncoding(t *testing.T) {
+	seed := putUint(putUint(nil, 10), 433)
+	if got := (&IndexRequest{G: 10, Base: 433}).encode(nil); !bytes.Equal(got, seed) {
+		t.Fatalf("whole-reply IndexRequest encodes as %x, the seed payload is %x", got, seed)
+	}
+	part := (&IndexRequest{G: 10, Base: 433, Part: 2, Parts: 8}).encode(nil)
+	if want := putUint(putUint(seed, 2), 8); !bytes.Equal(part, want) {
+		t.Fatalf("part request encodes as %x, want %x", part, want)
+	}
+	var q IndexRequest
+	if err := q.decode(part[:len(part)-1]); !errors.Is(err, ErrShortPayload) {
+		t.Fatalf("part without parts: got %+v, %v; want ErrShortPayload", q, err)
 	}
 }
 
