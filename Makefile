@@ -1,11 +1,12 @@
 # Development targets. `make verify` is the pre-merge wall: static checks,
 # the internal/core line ceiling, the full test suite under the race
-# detector, and short fuzz smokes of the wire protocol and postings codec.
+# detector, the ranking oracles three more times under it, and short fuzz
+# smokes of the wire protocol and postings codec.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet loc fuzz-smoke benchmark-smoke bench bench-smoke bench-cache bench-cache-smoke bench-select bench-select-smoke bench-replica bench-replica-smoke bench-wire bench-wire-smoke bench-ingest bench-ingest-smoke verify
+.PHONY: build test race oracle vet loc fuzz-smoke benchmark-smoke bench bench-smoke bench-cache bench-cache-smoke bench-select bench-select-smoke bench-replica bench-replica-smoke bench-wire bench-wire-smoke bench-ingest bench-ingest-smoke verify
 
 build:
 	$(GO) build ./...
@@ -15,6 +16,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The ranking oracles (TestOracle, TestEngineAgainstBruteForce,
+# TestScoreDocsAgainstBruteForce) draw their trials from
+# fixed seeds and run them concurrently; three more runs under the race
+# detector give the schedule-dependent paths (batching, hedging, retries
+# round a killed replica) more chances to misorder or race.
+oracle:
+	$(GO) test -race -count=3 -run 'Oracle|AgainstBruteForce' ./internal/core ./internal/search
 
 vet:
 	$(GO) vet ./...
@@ -168,5 +177,5 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=SearchKernel -benchmem -benchtime=0.05s .
 
-verify: vet build loc race fuzz-smoke benchmark-smoke bench-smoke bench-cache-smoke bench-select-smoke bench-replica-smoke bench-wire-smoke bench-ingest-smoke
+verify: vet build loc race oracle fuzz-smoke benchmark-smoke bench-smoke bench-cache-smoke bench-select-smoke bench-replica-smoke bench-wire-smoke bench-ingest-smoke
 	@echo "verify: OK"

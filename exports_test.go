@@ -29,8 +29,9 @@ var testOnlyExports = map[string]string{
 	"core.BuildGroupedFromIndexes": "a source TestFormatPinned hashes: the CI index regrouped from sub-indexes",
 	"core.GroupedIndex.WriteTo":    "the bytes TestFormatPinned hashes for the grouped index",
 	"codec.DecodePostings":         "reference decoder the postings fuzzers and DecodePostingsInto's tests compare against",
-	"search.Engine.ParseQuery":     "reference f_qt for the explicit-weight rows of TestSegmentCountParity and the kernel goldens",
-	"search.Engine.QueryWeights":   "reference w_qt for the explicit-weight rows of TestSegmentCountParity and the kernel goldens",
+	"search.Engine.ParseQuery":     "f_qt for the supplied weights of TestSegmentCountParity's explicit-weight rows and TestEngineAgainstBruteForce's CV pass",
+	"search.Engine.QueryWeights":   "w_qt for the supplied weights of TestSegmentCountParity's explicit-weight rows and TestEngineAgainstBruteForce's CV pass",
+	"oracle.Scores":                "the reference every ranking differential test compares against",
 	"store.Store.Fetches":          "read counter the no-re-read tests pin (TestIngestDoesNotRereadStore, the merge and Concat tests)",
 }
 

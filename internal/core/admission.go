@@ -58,28 +58,17 @@ type admission struct {
 	waitHist   *obs.Histogram
 }
 
-func newAdmission(cfg AdmissionConfig, done <-chan struct{}, m *Metrics) (*admission, error) {
-	if cfg.MaxInFlight <= 0 {
-		return nil, fmt.Errorf("core: admission MaxInFlight must be positive, got %d", cfg.MaxInFlight)
-	}
-	maxQueue := cfg.MaxQueue
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
-	maxWait := cfg.MaxWait
-	if maxWait < 0 {
-		maxWait = 0
-	}
+func newAdmission(cfg AdmissionConfig, done <-chan struct{}, m *Metrics) *admission {
 	return &admission{
 		sem:        make(chan struct{}, cfg.MaxInFlight),
-		maxQueue:   int64(maxQueue),
-		maxWait:    maxWait,
+		maxQueue:   int64(cfg.MaxQueue),
+		maxWait:    cfg.MaxWait,
 		done:       done,
 		inFlight:   m.admissionInFlight,
 		queueDepth: m.admissionQueueDepth,
 		shed:       m.admissionShed,
 		waitHist:   m.admissionWait,
-	}, nil
+	}
 }
 
 // acquire admits one query or sheds it. On success the caller owns an

@@ -16,11 +16,7 @@ import (
 func testAdmission(t *testing.T, cfg AdmissionConfig) (*admission, chan struct{}) {
 	t.Helper()
 	done := make(chan struct{})
-	adm, err := newAdmission(cfg, done, newMetrics(obs.NewRegistry()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return adm, done
+	return newAdmission(cfg, done, newMetrics(obs.NewRegistry())), done
 }
 
 func TestAdmissionConfigRejected(t *testing.T) {

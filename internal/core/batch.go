@@ -56,8 +56,9 @@ type batchItem struct {
 // arrival is the leader: it waits out the window (or the group filling up),
 // seals the group, and dispatches it.
 type batchGroup struct {
-	items []*batchItem
-	full  chan struct{} // closed when the group hits maxBatchItems
+	items    []*batchItem
+	full     chan struct{} // closed when the group hits maxBatchItems
+	endpoint string        // the replica the frame went to, set before done closes
 }
 
 // batchable reports whether this exchange should go through the batcher: a
@@ -77,9 +78,9 @@ func (e *exec) batchable(phase Phase, req protocol.Message) bool {
 
 // do runs one request through the batcher: join (or found) the librarian's
 // open group, let the leader collect peers for up to one window, and wait for
-// the dispatched frame's outcome. The caller's retry policy wraps this call —
-// a retryable failure re-enters the batcher and may land in a fresh batch.
-func (b *batcher) do(e *exec, name string, req protocol.Message) ([]Call, protocol.Message, error) {
+// the dispatched frame's outcome and the endpoint it went to. The caller's
+// retry policy wraps this call.
+func (b *batcher) do(e *exec, name string, req protocol.Message) ([]Call, protocol.Message, string, error) {
 	item := &batchItem{req: req, timeout: e.policy.timeout, done: make(chan struct{})}
 	b.mu.Lock()
 	g := b.open[name]
@@ -115,22 +116,22 @@ func (b *batcher) do(e *exec, name string, req protocol.Message) ([]Call, protoc
 		b.mu.Unlock()
 		// Dispatch detached: no single member's context may cancel the
 		// frame its batch-mates are riding.
-		go b.dispatch(e, name, items)
+		go b.dispatch(e, name, g, items)
 	}
 
 	select {
 	case <-item.done:
 	case <-e.ctx.Done():
-		return nil, nil, e.ctx.Err()
+		return nil, nil, "", e.ctx.Err()
 	}
-	return item.calls, item.reply, item.err
+	return item.calls, item.reply, g.endpoint, item.err
 }
 
 // dispatch ships one sealed group and distributes the outcome. It runs under
 // context.Background with the members' largest timeout: the exchange itself
 // reuses attempt(), so replica routing, pipelining and health reporting all
 // behave exactly as for an unbatched exchange.
-func (b *batcher) dispatch(e *exec, name string, items []*batchItem) {
+func (b *batcher) dispatch(e *exec, name string, g *batchGroup, items []*batchItem) {
 	var timeout time.Duration
 	for _, it := range items {
 		if it.timeout > timeout {
@@ -143,7 +144,7 @@ func (b *batcher) dispatch(e *exec, name string, items []*batchItem) {
 		// A batch of one ships the original message: bit-identical to the
 		// unbatched wire, so an idle receptionist pays zero overhead.
 		it := items[0]
-		it.calls, it.reply, _, it.err = de.attempt(de.ctx, name, PhaseRank, it.req, "", false, nil)
+		it.calls, it.reply, g.endpoint, it.err = de.attempt(de.ctx, name, PhaseRank, it.req, "", false, nil)
 		close(it.done)
 		return
 	}
@@ -152,7 +153,8 @@ func (b *batcher) dispatch(e *exec, name string, items []*batchItem) {
 	for i, it := range items {
 		bq.Items[i] = it.req
 	}
-	calls, reply, _, err := de.attempt(de.ctx, name, PhaseRank, bq, "", false, nil)
+	calls, reply, endpoint, err := de.attempt(de.ctx, name, PhaseRank, bq, "", false, nil)
+	g.endpoint = endpoint
 	var frame Call
 	if len(calls) > 0 {
 		frame = calls[len(calls)-1]

@@ -133,17 +133,9 @@ type resultCache struct {
 }
 
 func newResultCache(cfg CacheConfig, m *Metrics) *resultCache {
-	maxEntries := cfg.MaxEntries
-	if maxEntries <= 0 {
-		maxEntries = DefaultCacheEntries
-	}
-	maxBytes := cfg.MaxBytes
-	if maxBytes <= 0 {
-		maxBytes = DefaultCacheBytes
-	}
 	return &resultCache{
-		maxEntries:    maxEntries,
-		maxBytes:      maxBytes,
+		maxEntries:    cfg.MaxEntries,
+		maxBytes:      cfg.MaxBytes,
 		lru:           list.New(),
 		byKey:         make(map[cacheKey]*list.Element),
 		hits:          m.cacheHits,

@@ -532,8 +532,9 @@ func TestCacheStatsWithoutCache(t *testing.T) {
 // tests on accounting paths that end-to-end traffic masks (a stale get on
 // the query path is immediately followed by a put that refreshes gauges).
 func unitCache(cfg CacheConfig) (*resultCache, *Metrics) {
+	resolved, _ := resolveConfig([]string{"L"}, Config{Cache: &cfg})
 	m := newMetrics(obs.NewRegistry())
-	return newResultCache(cfg, m), m
+	return newResultCache(*resolved.Cache, m), m
 }
 
 // fakeResult builds a small result for direct put/get exercises.

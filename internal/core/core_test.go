@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -37,20 +36,12 @@ func newFixture(t testing.TB, corpus map[string][]store.Document, order []string
 	t.Helper()
 	a := testAnalyzer()
 	var libs []*librarian.Librarian
-	var allDocs []store.Document
-	var keys []string
-	var termsOf [][]string
 	for _, name := range order {
 		lib, err := librarian.Build(name, corpus[name], librarian.BuildOptions{Analyzer: a})
 		if err != nil {
 			t.Fatal(err)
 		}
 		libs = append(libs, lib)
-		for i, d := range corpus[name] {
-			allDocs = append(allDocs, d)
-			keys = append(keys, name+":"+strconv.Itoa(i))
-			termsOf = append(termsOf, a.Terms(nil, d.Text))
-		}
 	}
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{})
 	reg := obs.NewRegistry()
@@ -62,11 +53,27 @@ func newFixture(t testing.TB, corpus map[string][]store.Document, order []string
 		recep.Close()
 		dialer.Wait()
 	})
+	mono, termsOf := newMono(t, corpus, order)
+	return &fixture{recep: recep, reg: reg, mono: mono, dialer: dialer, corpus: corpus, order: order, termsOf: termsOf}
+}
 
-	// MS baseline over the concatenated collection.
+// newMono builds the MS baseline over the librarians' documents concatenated
+// in order, and returns it with every document's analysed terms in that
+// global order.
+func newMono(t testing.TB, corpus map[string][]store.Document, order []string) (*MonoServer, [][]string) {
+	t.Helper()
+	a := testAnalyzer()
+	var allDocs []store.Document
+	var keys []string
+	var termsOf [][]string
 	b := index.NewBuilder()
-	for _, terms := range termsOf {
-		b.Add(terms)
+	for _, name := range order {
+		for i, d := range corpus[name] {
+			allDocs = append(allDocs, d)
+			keys = append(keys, name+":"+strconv.Itoa(i))
+			termsOf = append(termsOf, a.Terms(nil, d.Text))
+			b.Add(termsOf[len(termsOf)-1])
+		}
 	}
 	ix, err := b.Build()
 	if err != nil {
@@ -80,7 +87,7 @@ func newFixture(t testing.TB, corpus map[string][]store.Document, order []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{recep: recep, reg: reg, mono: mono, dialer: dialer, corpus: corpus, order: order, termsOf: termsOf}
+	return mono, termsOf
 }
 
 // smallCorpus builds a deterministic corpus with topical skew across three
@@ -156,44 +163,6 @@ func TestConnectAndGlobalNumbering(t *testing.T) {
 	}
 }
 
-// TestCVIdenticalToMS pins the paper's central effectiveness claim: "with
-// vocabularies held at the receptionist, effectiveness is identical to that
-// of a MS system" — CV scores equal MS scores document for document.
-func TestCVIdenticalToMS(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	f := newFixture(t, corpus, order)
-	if _, err := f.recep.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{
-		"alpha federal wallstreet",
-		"w1 w2 w3",
-		"avalanche aurora",
-		"widget wholesale w100",
-	}
-	for _, q := range queries {
-		ms, err := f.mono.Query(q, 15, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cv, err := f.recep.Query(ModeCV, q, 15, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ms.Answers) != len(cv.Answers) {
-			t.Fatalf("query %q: MS %d answers, CV %d", q, len(ms.Answers), len(cv.Answers))
-		}
-		for i := range ms.Answers {
-			if ms.Answers[i].Key() != cv.Answers[i].Key() {
-				t.Fatalf("query %q rank %d: MS %s, CV %s", q, i, ms.Answers[i].Key(), cv.Answers[i].Key())
-			}
-			if math.Abs(ms.Answers[i].Score-cv.Answers[i].Score) > 1e-9 {
-				t.Fatalf("query %q rank %d: MS score %g, CV %g", q, i, ms.Answers[i].Score, cv.Answers[i].Score)
-			}
-		}
-	}
-}
-
 func TestCNReturnsAnswersWithLocalStats(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	f := newFixture(t, corpus, order)
@@ -252,45 +221,6 @@ func TestCVRequiresSetup(t *testing.T) {
 	f := newFixture(t, corpus, order)
 	if _, err := f.recep.Query(ModeCV, "alpha", 5, Options{}); err == nil {
 		t.Fatal("CV without SetupVocabulary: want error")
-	}
-}
-
-func TestCIMatchesCVOrderingWithFullExpansion(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	f := newFixture(t, corpus, order)
-	if _, err := f.recep.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := BuildGrouped(f.termsOf, 5, testAnalyzer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.recep.Federation().SetupCentralIndex(g); err != nil {
-		t.Fatal(err)
-	}
-	// k' = every group: expansion covers the whole collection, so CI
-	// scores must equal CV scores exactly.
-	kPrime := int(g.engine.Index().NumDocs())
-	for _, q := range []string{"alpha federal wallstreet", "w5 w6 w7"} {
-		cv, err := f.recep.Query(ModeCV, q, 10, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ci, err := f.recep.Query(ModeCI, q, 10, Options{KPrime: kPrime})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cv.Answers) != len(ci.Answers) {
-			t.Fatalf("query %q: CV %d answers, CI %d", q, len(cv.Answers), len(ci.Answers))
-		}
-		for i := range cv.Answers {
-			if cv.Answers[i].Key() != ci.Answers[i].Key() {
-				t.Fatalf("query %q rank %d: CV %s, CI %s", q, i, cv.Answers[i].Key(), ci.Answers[i].Key())
-			}
-			if math.Abs(cv.Answers[i].Score-ci.Answers[i].Score) > 1e-9 {
-				t.Fatalf("query %q rank %d: CV %g, CI %g", q, i, cv.Answers[i].Score, ci.Answers[i].Score)
-			}
-		}
 	}
 }
 

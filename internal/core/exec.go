@@ -173,9 +173,9 @@ func (e *exec) callLibrarian(name string, phase Phase, req protocol.Message) ([]
 	var calls []Call
 	var lastErr error
 	avoid := ""
-	// Batch-eligible exchanges go through the batcher instead of hedging:
-	// a batched frame carries other clients' queries, so racing it against a
-	// second replica would duplicate their work, not just ours.
+	// Batch-eligible exchanges go through the batcher instead of hedging (a
+	// batched frame carries other clients' queries, whose work a hedge would
+	// duplicate); a retry goes alone, steering round the endpoint that failed.
 	batch := e.batchable(phase, req)
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
@@ -187,8 +187,8 @@ func (e *exec) callLibrarian(name string, phase Phase, req protocol.Message) ([]
 		var reply protocol.Message
 		var endpoint string
 		var err error
-		if batch {
-			got, reply, err = e.pool.batch.do(e, name, req)
+		if batch && avoid == "" {
+			got, reply, endpoint, err = e.pool.batch.do(e, name, req)
 		} else {
 			got, reply, endpoint, err = e.attemptHedged(name, phase, req, avoid)
 		}

@@ -3,11 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 
 	"teraphim/internal/huffman"
+	"teraphim/internal/search"
 	"teraphim/internal/selection"
 	"teraphim/internal/textproc"
 )
@@ -107,8 +107,9 @@ func (f *Federation) owner(global uint32) (*libMeta, error) {
 }
 
 // GlobalWeights computes the merged-vocabulary query weights
-// w_{q,t} = log(f_{q,t}+1)·log(N/f_t+1) with N and f_t global. Requires
-// SetupVocabulary.
+// w_{q,t} = log(f_{q,t}+1)·log(N/f_t+1) with N and f_t global — the
+// search.CollectionWeight every librarian and the MS baseline weigh with, so
+// CV scores are theirs bit for bit. Requires SetupVocabulary.
 func (f *Federation) GlobalWeights(query string) (map[string]float64, error) {
 	vs := f.vocab.Load()
 	if vs == nil {
@@ -120,13 +121,10 @@ func (f *Federation) GlobalWeights(query string) (map[string]float64, error) {
 		freqs[t]++
 	}
 	weights := make(map[string]float64, len(freqs))
-	n := float64(f.totalDocs)
 	for t, fqt := range freqs {
-		ft := vs.globalFT[t]
-		if ft == 0 {
-			continue
+		if w := search.CollectionWeight(fqt, vs.globalFT[t], f.totalDocs); w > 0 {
+			weights[t] = w
 		}
-		weights[t] = math.Log(float64(fqt)+1) * math.Log(n/float64(ft)+1)
 	}
 	return weights, nil
 }

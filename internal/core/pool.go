@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -88,33 +89,19 @@ type Pool struct {
 // whose Federation is ready for CN queries. CV/CI/compressed-fetch need the
 // corresponding Setup* call first.
 func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
-	if len(names) == 0 {
-		return nil, errors.New("core: no librarians")
+	cfg, err := resolveConfig(names, cfg)
+	if err != nil {
+		return nil, err
 	}
-	analyzer := cfg.Analyzer
-	if analyzer == nil {
-		analyzer = textproc.NewAnalyzer()
-	}
-	max := cfg.MaxConnsPerLibrarian
-	if max <= 0 {
-		max = DefaultMaxConnsPerLibrarian
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	fed := &Federation{
-		analyzer: analyzer,
-		byName:   make(map[string]*libMeta, len(names)),
-	}
+	fed := &Federation{analyzer: cfg.Analyzer, byName: make(map[string]*libMeta, len(names))}
 	p := &Pool{
 		fed:           fed,
 		dialer:        dialer,
-		max:           max,
+		max:           cfg.MaxConnsPerLibrarian,
 		twoRound:      cfg.TwoRoundFetch,
 		routers:       make(map[string]*router, len(names)),
 		done:          make(chan struct{}),
-		metrics:       newMetrics(reg),
+		metrics:       newMetrics(cfg.Metrics),
 		slowThreshold: cfg.SlowQueryThreshold,
 		slowLog:       os.Stderr,
 	}
@@ -123,42 +110,16 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 		p.cache = newResultCache(*cfg.Cache, p.metrics)
 	}
 	if cfg.Admission != nil {
-		adm, err := newAdmission(*cfg.Admission, p.done, p.metrics)
-		if err != nil {
-			return nil, err
-		}
-		p.admission = adm
+		p.admission = newAdmission(*cfg.Admission, p.done, p.metrics)
 	}
-	// endpointOwner enforces that no endpoint serves two librarians: a
-	// replica answers for exactly one subcollection, or global numbering
-	// (and every merge) breaks.
-	endpointOwner := make(map[string]string)
 	for i, name := range names {
-		if _, dup := fed.byName[name]; dup {
-			return nil, fmt.Errorf("core: duplicate librarian %q", name)
-		}
 		li := &libMeta{name: name, idx: i}
 		fed.libs = append(fed.libs, li)
 		fed.byName[name] = li
-		endpoints := cfg.Replicas[name]
-		if len(endpoints) == 0 {
-			endpoints = []string{name}
-		}
-		for _, ep := range endpoints {
-			if owner, dup := endpointOwner[ep]; dup {
-				return nil, fmt.Errorf("core: endpoint %q serves both %q and %q", ep, owner, name)
-			}
-			endpointOwner[ep] = name
-		}
 		// The router PRNG seed is derived from the librarian's position, so
 		// replica selection is deterministic given a fixed query schedule —
 		// the property tests rely on it, production does not care.
-		p.routers[name] = newRouter(name, endpoints, max, p.metrics, int64(i)+1)
-	}
-	for name := range cfg.Replicas {
-		if _, ok := fed.byName[name]; !ok {
-			return nil, fmt.Errorf("core: Replicas names unknown librarian %q", name)
-		}
+		p.routers[name] = newRouter(name, cfg.Replicas[name], p.max, p.metrics, int64(i)+1)
 	}
 
 	// Hello exchange: one call per librarian, zero policy (setup is never
@@ -186,6 +147,60 @@ func NewPool(dialer simnet.Dialer, names []string, cfg Config) (*Pool, error) {
 	}
 	fed.totalDocs = offset
 	return p, nil
+}
+
+// resolveConfig is the one reader of a Pool's Config: it validates cfg against
+// names before NewPool allocates, registers or dials anything, and returns a
+// copy with every default applied, Replicas naming every librarian's endpoints.
+func resolveConfig(names []string, cfg Config) (Config, error) {
+	if len(names) == 0 {
+		return cfg, errors.New("core: no librarians")
+	}
+	// No endpoint may serve two librarians: a replica answers for exactly
+	// one subcollection, or global numbering (and every merge) breaks.
+	replicas := make(map[string][]string, len(names))
+	owner := make(map[string]string)
+	for _, name := range names {
+		if _, dup := replicas[name]; dup {
+			return cfg, fmt.Errorf("core: duplicate librarian %q", name)
+		}
+		replicas[name] = cfg.Replicas[name]
+		if len(replicas[name]) == 0 {
+			replicas[name] = []string{name}
+		}
+		for _, ep := range replicas[name] {
+			if other, dup := owner[ep]; dup {
+				return cfg, fmt.Errorf("core: endpoint %q serves both %q and %q", ep, other, name)
+			}
+			owner[ep] = name
+		}
+	}
+	for name := range cfg.Replicas {
+		if _, ok := replicas[name]; !ok {
+			return cfg, fmt.Errorf("core: Replicas names unknown librarian %q", name)
+		}
+	}
+	cfg.Replicas = replicas
+	if adm := cfg.Admission; adm != nil {
+		if adm.MaxInFlight <= 0 {
+			return cfg, fmt.Errorf("core: admission MaxInFlight must be positive, got %d", adm.MaxInFlight)
+		}
+		cfg.Admission = &AdmissionConfig{MaxInFlight: adm.MaxInFlight, MaxQueue: max(adm.MaxQueue, 0), MaxWait: max(adm.MaxWait, 0)}
+	}
+	if c := cfg.Cache; c != nil {
+		cfg.Cache = &CacheConfig{
+			MaxEntries: cmp.Or(max(c.MaxEntries, 0), DefaultCacheEntries),
+			MaxBytes:   cmp.Or(max(c.MaxBytes, 0), DefaultCacheBytes),
+		}
+	}
+	if cfg.Analyzer == nil {
+		cfg.Analyzer = textproc.NewAnalyzer()
+	}
+	cfg.MaxConnsPerLibrarian = cmp.Or(max(cfg.MaxConnsPerLibrarian, 0), DefaultMaxConnsPerLibrarian)
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
+	}
+	return cfg, nil
 }
 
 // Federation returns the shared federation state served by this pool.

@@ -163,68 +163,6 @@ func newPoolFixture(t testing.TB, maxConns int) *poolFixture {
 	return &poolFixture{fixture: f, pool: pool, counter: counter, goroutines: goroutines}
 }
 
-// TestCVIdenticalToMSConcurrent drives the paper's headline invariant — CV
-// rankings identical to MS, score for score — through 8 goroutines sharing
-// one Federation via the pool. Run under -race this is the proof that the
-// shared Federation holds no mutable per-query state.
-func TestCVIdenticalToMSConcurrent(t *testing.T) {
-	pf := newPoolFixture(t, 4)
-	if _, err := pf.pool.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{
-		"alpha federal wallstreet",
-		"w1 w2 w3",
-		"avalanche aurora",
-		"widget wholesale w100",
-		"fiscal finance w7",
-	}
-	want := make([]*Result, len(queries))
-	for i, q := range queries {
-		ms, err := pf.mono.Query(q, 15, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = ms
-	}
-
-	const goroutines = 8
-	const rounds = 5
-	var wg sync.WaitGroup
-	errc := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for round := 0; round < rounds; round++ {
-				qi := (g + round) % len(queries)
-				cv, err := pf.pool.Query(ModeCV, queries[qi], 15, Options{})
-				if err != nil {
-					errc <- err
-					return
-				}
-				ms := want[qi]
-				if len(cv.Answers) != len(ms.Answers) {
-					errc <- errConst("CV answer count diverged from MS under concurrency")
-					return
-				}
-				for i := range ms.Answers {
-					if cv.Answers[i].Key() != ms.Answers[i].Key() ||
-						math.Abs(cv.Answers[i].Score-ms.Answers[i].Score) > 1e-9 {
-						errc <- errConst("CV ranking diverged from MS under concurrency")
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-}
-
 // TestConcurrentSessionsAcrossModes runs 9 concurrent clients over one
 // shared Federation, three per mode (CN, CV, CI), and checks every result
 // against a single-threaded reference answer for that (mode, query) pair.

@@ -18,10 +18,9 @@ import (
 )
 
 // The one-exchange wall: with Options.Fetch on, documents ride the rank
-// replies and fetchAnswers only fills the gaps. Every test compares against
-// the two-round path — the same fleet through a TwoRoundFetch pool — with ==
-// on scores, and reads the saving off Trace.PiggybackedDocs /
-// Trace.FallbackFetches.
+// replies and fetchAnswers only fills the gaps. The tests read the saving off
+// Trace.PiggybackedDocs / Trace.FallbackFetches and hold answers to the
+// oracle.
 
 // staticDialer builds one frozen librarian per subcollection.
 func staticDialer(t testing.TB, corpus map[string][]store.Document, order []string) *librarian.InProcessDialer {
@@ -64,28 +63,6 @@ func setupAll(t testing.TB, pool *Pool) {
 	}
 }
 
-// assertSameFetched requires identical documents, scores (==), titles and
-// text, in order, and text equal to what was indexed.
-func assertSameFetched(t *testing.T, label string, corpus map[string][]store.Document, got, want []Answer) {
-	t.Helper()
-	if len(got) != len(want) || len(got) == 0 {
-		t.Fatalf("%s: %d answers, two-round path %d", label, len(got), len(want))
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.Librarian != w.Librarian || g.LocalDoc != w.LocalDoc || g.GlobalDoc != w.GlobalDoc || g.Score != w.Score {
-			t.Fatalf("%s rank %d: %s %v, two-round path %s %v", label, i, g.Key(), g.Score, w.Key(), w.Score)
-		}
-		if g.Title != w.Title || g.Text != w.Text {
-			t.Fatalf("%s rank %d (%s): title %q / %d bytes of text, two-round path %q / %d",
-				label, i, g.Key(), g.Title, len(g.Text), w.Title, len(w.Text))
-		}
-		if doc := corpus[g.Librarian][g.LocalDoc]; g.Text != doc.Text || g.Title != doc.Title {
-			t.Fatalf("%s rank %d (%s): fetched text differs from the indexed document", label, i, g.Key())
-		}
-	}
-}
-
 // answerLibrarians counts the distinct librarians owning the answers.
 func answerLibrarians(answers []Answer) int {
 	seen := make(map[string]bool)
@@ -111,6 +88,7 @@ func TestRankFetchParity(t *testing.T) {
 			}
 		}
 	}
+	fed := newOracleFederation(t, corpus, order, 5) // setupAll's G
 	for _, backend := range []string{"static", "segmented"} {
 		t.Run(backend, func(t *testing.T) {
 			var dialer *librarian.InProcessDialer
@@ -120,27 +98,20 @@ func TestRankFetchParity(t *testing.T) {
 				dialer, _ = newSegmentedDialer(t, corpus, order, 3)
 			}
 			t.Cleanup(dialer.Wait) // after every pool on it has closed
-			ref := connectAll(t, dialer, order, Config{TwoRoundFetch: true})
-			want := make([]*Result, len(cases))
-			for i, c := range cases {
-				res, err := ref.Query(c.mode, c.query, k, c.opts)
-				if err != nil {
-					t.Fatalf("two-round %v %q: %v", c.mode, c.query, err)
-				}
-				tr := &res.Trace
-				if tr.PiggybackedDocs != 0 || tr.FallbackFetches != answerLibrarians(res.Answers) ||
-					tr.RoundTrips(PhaseFetch) != tr.FallbackFetches {
-					t.Fatalf("two-round %v %q: %d piggy-backed, %d fallback fetches, %d fetch round trips for answers at %d librarians",
-						c.mode, c.query, tr.PiggybackedDocs, tr.FallbackFetches, tr.RoundTrips(PhaseFetch), answerLibrarians(res.Answers))
-				}
-				want[i] = res
-			}
-
-			// checkOne holds a one-exchange result against its reference.
+			// checkOne holds a one-exchange result against the oracle.
 			checkOne := func(t *testing.T, wire string, i int, res *Result) {
 				c := cases[i]
 				label := wire + " " + c.mode.String() + " " + c.query
-				assertSameFetched(t, label, corpus, res.Answers, want[i].Answers)
+				want, ambiguous := fed.want(c.mode, c.opts.KPrime, c.query)
+				if ambiguous {
+					t.Fatalf("%s: the CI group cut is too close for the oracle to call", label)
+				}
+				if msg := fed.check(res.Answers, want, k); msg != "" {
+					t.Fatalf("%s: %s", label, msg)
+				}
+				if msg := fed.fetched(res.Answers, true); msg != "" {
+					t.Fatalf("%s: %s", label, msg)
+				}
 				tr := &res.Trace
 				if tr.PiggybackedDocs != len(res.Answers) || tr.FallbackFetches != 0 || tr.RoundTrips(PhaseFetch) != 0 {
 					t.Fatalf("%s: %d of %d answers piggy-backed, %d fallback fetches, %d fetch round trips",
@@ -279,26 +250,23 @@ func wideCorpus(n int) (map[string][]store.Document, []string) {
 // A fleet wider than overFetch: each librarian attaches only its share,
 // ceil(overFetch*k/asked) < k, so a librarian that owns more of the answer
 // than its share — and only such a librarian — is sent one FetchDocs for
-// the rest. The answers are still the two-round path's.
+// the rest. The answers still hold the oracle's ranking.
 func TestRankFetchWideFleet(t *testing.T) {
 	corpus, order := wideCorpus(8)
 	const k = 8
 	wide := buildRecep(t, corpus, order, Config{})
-	ref := buildRecep(t, corpus, order, Config{TwoRoundFetch: true})
-	for _, r := range []*Pool{wide, ref} {
-		setupAll(t, r)
-	}
+	setupAll(t, wide)
+	fed := newOracleFederation(t, corpus, order, 5) // setupAll's G
 	for _, mode := range []Mode{ModeCN, ModeCV, ModeCI} {
 		opts := Options{Fetch: true, CompressedTransfer: mode != ModeCN, KPrime: 40}
-		want, err := ref.Query(mode, "alpha federal wallstreet", k, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := wide.Query(mode, "alpha federal wallstreet", k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameFetched(t, mode.String(), corpus, got.Answers, want.Answers)
+		want, ambiguous := fed.want(mode, opts.KPrime, "alpha federal wallstreet")
+		if msg := fed.check(got.Answers, want, k) + fed.fetched(got.Answers, true); ambiguous || msg != "" {
+			t.Fatalf("%v: %s (CI cut too close to call: %v)", mode, msg, ambiguous)
+		}
 		tr := &got.Trace
 		if tr.LibrariansAsked <= overFetch {
 			t.Fatalf("%v: only %d librarians asked; the fleet must be wider than %d", mode, tr.LibrariansAsked, overFetch)

@@ -81,100 +81,6 @@ func answersEqual(a, b []Answer) bool {
 	return true
 }
 
-// --- Golden equivalence -----------------------------------------------------
-
-// A 1-replica-per-subcollection pool (with renamed endpoints) must be
-// result-identical to the seed single-librarian path in every mode: the
-// router is a pass-through when there is nothing to choose between.
-func TestSingleReplicaGoldenEquivalence(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	seed := newFixture(t, corpus, order)
-	repl := newReplicaFixture(t, corpus, order, 1, Config{})
-
-	for _, f := range []func() (Trace, error){seed.recep.SetupVocabulary, repl.pool.SetupVocabulary} {
-		if _, err := f(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := seed.recep.SetupCentralIndexRemote(10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repl.pool.SetupCentralIndexRemote(10); err != nil {
-		t.Fatal(err)
-	}
-
-	queries := []string{"alpha", "federal finance", "wallstreet widget", "alpha wallstreet", "aurora fiscal wholesale"}
-	for _, mode := range []Mode{ModeCN, ModeCV, ModeCI} {
-		for _, q := range queries {
-			want, err := seed.recep.Query(mode, q, 10, Options{})
-			if err != nil {
-				t.Fatalf("%v %q seed: %v", mode, q, err)
-			}
-			got, err := repl.pool.Query(mode, q, 10, Options{})
-			if err != nil {
-				t.Fatalf("%v %q replicated: %v", mode, q, err)
-			}
-			if !answersEqual(want.Answers, got.Answers) {
-				t.Fatalf("%v %q: replicated pool diverged from seed path", mode, q)
-			}
-			// The single replica's endpoint is recorded on every call.
-			for _, c := range got.Trace.Calls {
-				if c.Phase == PhaseRank && c.Replica != c.Librarian+"#0" {
-					t.Fatalf("%v %q: call to %q served by replica %q, want %q#0", mode, q, c.Librarian, c.Replica, c.Librarian)
-				}
-			}
-		}
-	}
-}
-
-// Hedging must be invisible in results: on a fault-free fleet, hedging
-// enabled and disabled return bit-identical answers — the only difference
-// is Trace.Hedges accounting.
-func TestHedgingGoldenOnFaultFreeFleet(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	f := newReplicaFixture(t, corpus, order, 2, Config{})
-	if _, err := f.pool.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{"alpha", "federal finance", "wallstreet widget", "alpha wallstreet"}
-	// Warm the latency trackers past the min-sample gate so HedgeAfter is
-	// live for the comparison runs.
-	for i := 0; i < 10; i++ {
-		for _, q := range queries {
-			if _, err := f.pool.Query(ModeCV, q, 10, Options{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, mode := range []Mode{ModeCN, ModeCV} {
-		for _, q := range queries {
-			plain, err := f.pool.Query(mode, q, 10, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plain.Trace.Hedges != 0 {
-				t.Fatalf("hedging disabled but Trace.Hedges = %d", plain.Trace.Hedges)
-			}
-			// HedgeAfter 0.5 hedges roughly half of all exchanges — plenty
-			// of races — and must change nothing about the answers.
-			hedged, err := f.pool.Query(mode, q, 10, Options{HedgeAfter: 0.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hedged.Trace.Hedges < 0 || hedged.Trace.HedgeWins > hedged.Trace.Hedges {
-				t.Fatalf("implausible hedge accounting: %d launched, %d won", hedged.Trace.Hedges, hedged.Trace.HedgeWins)
-			}
-			if len(hedged.Trace.Failures) != 0 {
-				t.Fatalf("hedge losers must not be recorded as failures: %+v", hedged.Trace.Failures)
-			}
-			if !answersEqual(plain.Answers, hedged.Answers) {
-				t.Fatalf("%v %q: hedged result diverged from unhedged", mode, q)
-			}
-		}
-	}
-	assertNoLeakedConns(t, f.pool)
-}
-
 // --- Hedge behaviour --------------------------------------------------------
 
 // With one replica shaped slow, hedged queries must route around the slow
@@ -248,27 +154,41 @@ func (d dialRefused) Dial(name string) (net.Conn, error) {
 	return nil, errors.New("dial refused")
 }
 
+// TestNewPoolValidation: every invalid Config fails NewPool before it dials
+// a librarian or registers a metric family on the caller's registry.
 func TestNewPoolValidation(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		libs     []string
-		replicas map[string][]string
-		want     string
+		name string
+		libs []string
+		cfg  Config
+		want string
 	}{
-		{"duplicate librarian", []string{"AP", "FR", "AP"}, nil, `duplicate librarian "AP"`},
+		{"no librarians", nil, Config{}, "no librarians"},
+		{"duplicate librarian", []string{"AP", "FR", "AP"}, Config{}, `duplicate librarian "AP"`},
 		{"endpoint serves two librarians", []string{"AP", "FR"},
-			map[string][]string{"AP": {"AP#0", "FR"}}, `endpoint "FR" serves both "AP" and "FR"`},
+			Config{Replicas: map[string][]string{"AP": {"AP#0", "FR"}}}, `endpoint "FR" serves both "AP" and "FR"`},
 		{"replicas name an unknown librarian", []string{"AP", "FR"},
-			map[string][]string{"WSJ": {"WSJ#0"}}, `unknown librarian "WSJ"`},
+			Config{Replicas: map[string][]string{"WSJ": {"WSJ#0"}}}, `unknown librarian "WSJ"`},
+		{"admission admits nothing", []string{"AP"}, Config{Admission: &AdmissionConfig{}}, "MaxInFlight must be positive"},
+		{"admission admits less than nothing", []string{"AP"}, Config{Admission: &AdmissionConfig{MaxInFlight: -2}}, "MaxInFlight must be positive"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewPool(dialRefused{t}, tc.libs, Config{Replicas: tc.replicas})
+			reg := obs.NewRegistry()
+			tc.cfg.Metrics = reg
+			p, err := NewPool(dialRefused{t}, tc.libs, tc.cfg)
 			if err == nil {
 				p.Close()
 				t.Fatal("NewPool accepted the configuration")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("NewPool error %q, want it to contain %q", err, tc.want)
+			}
+			var page strings.Builder
+			if err := reg.WritePrometheus(&page); err != nil {
+				t.Fatal(err)
+			}
+			if page.Len() != 0 {
+				t.Fatalf("a rejected NewPool registered metrics:\n%s", page.String())
 			}
 		})
 	}

@@ -81,61 +81,6 @@ func assertSameAnswers(t *testing.T, label string, got, want []Answer) {
 	}
 }
 
-// TestSegmentedFleetParityAcrossModes pins the federation-level golden
-// property: a fleet of multi-segment librarians answers CN, CV and CI
-// queries identically (doc keys exact, scores to 1e-9) to the same corpus
-// served as frozen single-segment librarians.
-func TestSegmentedFleetParityAcrossModes(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	f := newFixture(t, corpus, order)
-	if _, err := f.recep.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := BuildGrouped(f.termsOf, 5, testAnalyzer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.recep.Federation().SetupCentralIndex(g); err != nil {
-		t.Fatal(err)
-	}
-
-	seg, _ := newSegmentedFleet(t, corpus, order)
-	if _, err := seg.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Federation().SetupCentralIndex(g); err != nil {
-		t.Fatal(err)
-	}
-
-	kPrime := int(g.engine.Index().NumDocs())
-	queries := []string{
-		"alpha federal wallstreet",
-		"w1 w2 w3",
-		"avalanche aurora",
-		"widget wholesale w100",
-	}
-	for _, q := range queries {
-		for _, tc := range []struct {
-			mode Mode
-			opts Options
-		}{
-			{ModeCN, Options{}},
-			{ModeCV, Options{}},
-			{ModeCI, Options{KPrime: kPrime}},
-		} {
-			want, err := f.recep.Query(tc.mode, q, 15, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := seg.Query(tc.mode, q, 15, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameAnswers(t, fmt.Sprintf("%v %q", tc.mode, q), got.Answers, want.Answers)
-		}
-	}
-}
-
 // TestSegmentedFleetParityDuringCompaction keeps querying while every
 // librarian compacts its segments concurrently. Compaction changes the
 // manifest shape, never its contents, so each answer — whichever snapshot

@@ -22,46 +22,6 @@ func setupAllModes(t *testing.T, f *fixture) {
 	}
 }
 
-// TestTopRAllEqualsFullFanout is the golden test: TopR = the whole fleet
-// must be answer-identical to full fan-out in every mode — selection with
-// R = all ranks every librarian, selects every librarian, and therefore
-// changes nothing about the result, only the trace.
-func TestTopRAllEqualsFullFanout(t *testing.T) {
-	corpus, order := smallCorpus(t)
-	f := newFixture(t, corpus, order)
-	setupAllModes(t, f)
-	queries := []string{
-		"alpha federal wallstreet",
-		"avalanche fiscal",
-		"w1 w2 w3",
-		"widget",
-	}
-	for _, mode := range []Mode{ModeCN, ModeCV, ModeCI} {
-		for _, q := range queries {
-			full, err := f.recep.Query(mode, q, 10, Options{})
-			if err != nil {
-				t.Fatalf("%v %q full fan-out: %v", mode, q, err)
-			}
-			sel, err := f.recep.Query(mode, q, 10, Options{TopR: len(order)})
-			if err != nil {
-				t.Fatalf("%v %q TopR=all: %v", mode, q, err)
-			}
-			if !sameResult(sel.Answers, full.Answers) {
-				t.Errorf("%v %q: TopR=%d answers differ from full fan-out:\n  full: %v\n  topR: %v",
-					mode, q, len(order), keysOf(full.Answers), keysOf(sel.Answers))
-			}
-			if full.Trace.LibrariansSelected != 0 {
-				t.Errorf("%v %q: full fan-out recorded LibrariansSelected=%d, want 0",
-					mode, q, full.Trace.LibrariansSelected)
-			}
-			if sel.Trace.LibrariansSelected != sel.Trace.LibrariansAsked {
-				t.Errorf("%v %q: selected %d but asked %d",
-					mode, q, sel.Trace.LibrariansSelected, sel.Trace.LibrariansAsked)
-			}
-		}
-	}
-}
-
 // TestTopROneRoutesToTopicalHome: a query made of one librarian's topical
 // terms with TopR=1 contacts exactly that librarian, in CN and CV alike.
 func TestTopROneRoutesToTopicalHome(t *testing.T) {

@@ -82,39 +82,15 @@ var transportModes = []struct {
 	{ModeCI, Options{KPrime: 2}},
 }
 
-var transportQueries = []string{"alpha federal wallstreet", "federal fiscal", "widget", "alpha w1 w2 w3"}
-
 // TestTransportConformance is the wall around the one transport: the pool
-// must give the two-round pool's answers in every mode, batched or not, and
-// keep its promises about connections. Everything is observed from outside
-// the pool — answers, the dialer's view of the wire, the public gauges. The
-// promises sit under "pipelined", the one framing every connection speaks.
+// must give the oracle's answers in every mode, batched or not, pipelined or
+// two-round, fetching or not, and keep its promises about connections.
+// Everything is observed from outside the pool — answers, the dialer's view
+// of the wire, the public gauges. The promises sit under "pipelined", the
+// one framing every connection speaks.
 func TestTransportConformance(t *testing.T) {
 	t.Run("answers", func(t *testing.T) {
-		// == against the two-round pool, mode by mode. A batch window must
-		// change nothing.
-		ref := newTransportFixture(t, 1, 2, Config{TwoRoundFetch: true})
-		f := newTransportFixture(t, 1, 2, Config{})
-		for _, tc := range transportModes {
-			for _, q := range transportQueries {
-				want, err := ref.pool.Query(tc.mode, q, 10, tc.opts)
-				if err != nil {
-					t.Fatalf("two-round %v %q: %v", tc.mode, q, err)
-				}
-				for _, window := range []time.Duration{0, 2 * time.Millisecond} {
-					opts := tc.opts
-					opts.BatchWindow = window
-					res, err := f.pool.Query(tc.mode, q, 10, opts)
-					if err != nil {
-						t.Fatalf("%v %q: %v", tc.mode, q, err)
-					}
-					if !answersEqual(want.Answers, res.Answers) {
-						t.Fatalf("%v %q, batch window %v: diverged from the two-round pool\nwant %+v\ngot  %+v",
-							tc.mode, q, window, want.Answers, res.Answers)
-					}
-				}
-			}
-		}
+		runSlice(t, 1, crossTrials(map[int][]int{axMode: allModes, axFetch: {0, 1, 2}, axBatch: {0, 1}, axTwoRound: {0, 1}}))
 	})
 
 	t.Run("pipelined", func(t *testing.T) {

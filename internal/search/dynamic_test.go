@@ -5,42 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+
+	"teraphim/internal/oracle"
 )
 
 // dynamicEvaluators are the two rank-safe pruning evaluators under test.
 var dynamicEvaluators = []Evaluator{EvalMaxScore, EvalWAND}
-
-// TestDynamicPruningGoldenRankSafety is the rank-safety wall: MaxScore and
-// WAND must return exactly the documents the exact evaluator returns, with
-// bit-identical scores (asserted exactly — the evaluators reproduce the
-// exact kernel's summation order — with the ISSUE's 1e-9 bound implied), at
-// every tested k, with both local (MS/CN) and explicit (CV) weights.
-func TestDynamicPruningGoldenRankSafety(t *testing.T) {
-	e, queries := goldenCorpus(t)
-	for _, eval := range dynamicEvaluators {
-		for _, k := range []int{1, 10, 100} {
-			for _, q := range queries {
-				for _, mode := range []string{"local", "explicit"} {
-					var weights map[string]float64
-					if mode == "explicit" {
-						weights = e.QueryWeights(e.ParseQuery(q))
-					}
-					exact, err := e.Rank(q, k, weights)
-					if err != nil {
-						t.Fatalf("exact k=%d query %q (%s): %v", k, q, mode, err)
-					}
-					got, err := rankEval(e, q, k, weights, eval)
-					if err != nil {
-						t.Fatalf("%v k=%d query %q (%s): %v", eval, k, q, mode, err)
-					}
-					assertSameRanking(t, fmt.Sprintf("%v k=%d query %q (%s)", eval, k, q, mode),
-						got.Results, exact.Results)
-				}
-			}
-		}
-	}
-}
 
 // rankEval is RankParts over e alone under eval, on a fresh Scratch.
 func rankEval(e *Engine, q string, k int, weights map[string]float64, eval Evaluator) (Ranking, error) {
@@ -48,58 +22,80 @@ func rankEval(e *Engine, q string, k int, weights map[string]float64, eval Evalu
 	return Ranking{Results: results, Stats: stats}, err
 }
 
-func assertSameRanking(t *testing.T, label string, got, want []Result) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d results, exact has %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Doc != want[i].Doc {
-			t.Fatalf("%s rank %d: doc %d, exact doc %d", label, i, got[i].Doc, want[i].Doc)
-		}
-		if got[i].Score != want[i].Score {
-			t.Fatalf("%s rank %d doc %d: score %.17g, exact %.17g",
-				label, i, got[i].Doc, got[i].Score, want[i].Score)
+// TestDynamicPruningGoldenRankSafety is the rank-safety wall: on the golden
+// corpus, whose common lists span many skip blocks, MaxScore and WAND must
+// return exactly the ranking the exact evaluator returns — == documents and
+// scores, as they reproduce its summation order — at k = 1, 10 and 100,
+// with both derived (MS/CN) and supplied (CV) weights, and that ranking must
+// hold the oracle's.
+func TestDynamicPruningGoldenRankSafety(t *testing.T) {
+	e, want := goldenOracle(t)
+	for _, k := range []int{1, 10, 100} {
+		for qi, q := range goldenQueries {
+			for _, weights := range []map[string]float64{nil, e.QueryWeights(e.ParseQuery(q))} {
+				label := fmt.Sprintf("k=%d query %q explicit=%v", k, q, weights != nil)
+				exact, err := rankEval(e, q, k, weights, EvalExact)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if msg := checkRanking(exact.Results, want[qi], k); msg != "" {
+					t.Fatalf("%s: %s", label, msg)
+				}
+				for _, eval := range dynamicEvaluators {
+					got, err := rankEval(e, q, k, weights, eval)
+					if err != nil {
+						t.Fatalf("%s %v: %v", label, eval, err)
+					}
+					if !slices.Equal(got.Results, exact.Results) {
+						t.Fatalf("%s %v: %v, exact %v", label, eval, got.Results, exact.Results)
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestDynamicPruningRandomizedParity hammers the evaluators with random
-// corpora and random queries across several seeds — small collections where
-// lists are shorter than a skip block, single-term queries, absent terms,
-// high-k requests exceeding the candidate set.
+// corpora and queries — collections where lists are shorter than a skip
+// block and longer, single-term queries, absent terms, k beyond the
+// candidate set: every evaluator's ranking must == the exact one, which must
+// hold the oracle's.
 func TestDynamicPruningRandomizedParity(t *testing.T) {
+	a := plainAnalyzer()
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nDocs := 50 + rng.Intn(400)
 		vocab := 5 + rng.Intn(60)
-		var docs []string
-		for d := 0; d < nDocs; d++ {
-			var sb []string
+		docs := make([]string, nDocs)
+		terms := make([][]string, nDocs)
+		for d := range docs {
+			var w []string
 			for i, n := 0, 1+rng.Intn(30); i < n; i++ {
-				sb = append(sb, "w"+itoa(rng.Intn(vocab)))
+				w = append(w, "t"+strconv.Itoa(rng.Intn(vocab)))
 			}
-			docs = append(docs, join(sb))
+			docs[d] = strings.Join(w, " ")
+			terms[d] = a.Terms(nil, docs[d])
 		}
 		e := buildEngine(t, docs)
 		for trial := 0; trial < 25; trial++ {
-			var qt []string
-			for i, n := 0, 1+rng.Intn(6); i < n; i++ {
-				qt = append(qt, "w"+itoa(rng.Intn(vocab+3))) // +3: sometimes absent
-			}
-			q := join(qt)
+			q := oracleQuery(rng, vocab)
 			k := 1 + rng.Intn(nDocs+10)
-			exact, exactErr := e.Rank(q, k, nil)
+			label := fmt.Sprintf("seed %d query %q k=%d", seed, q, k)
+			exact, err := rankEval(e, q, k, nil, EvalExact)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if msg := checkRanking(exact.Results, oracle.Scores(terms, a.Terms(nil, q)), k); msg != "" {
+				t.Fatalf("%s: %s", label, msg)
+			}
 			for _, eval := range dynamicEvaluators {
 				got, err := rankEval(e, q, k, nil, eval)
-				if (err == nil) != (exactErr == nil) || (err != nil && !errors.Is(err, exactErr) && err.Error() != exactErr.Error()) {
-					t.Fatalf("seed %d %v query %q k=%d: err %v, exact err %v", seed, eval, q, k, err, exactErr)
-				}
 				if err != nil {
-					continue
+					t.Fatalf("%s %v: %v", label, eval, err)
 				}
-				assertSameRanking(t, fmt.Sprintf("seed %d %v query %q k=%d", seed, eval, q, k),
-					got.Results, exact.Results)
+				if !slices.Equal(got.Results, exact.Results) {
+					t.Fatalf("%s %v: %v, exact %v", label, eval, got.Results, exact.Results)
+				}
 			}
 		}
 	}

@@ -1,183 +1,21 @@
 package search
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+
+	"teraphim/internal/oracle"
 )
 
-// This file pins the zero-allocation kernel to the seed evaluator it
-// replaced. goldenRank and goldenScoreDocs below are faithful copies of the
-// pre-kernel implementation — map accumulators, math.Log per posting,
-// container/heap selection, score = s/(W_q·W_d) — kept as executable
-// specification: the kernel must reproduce their doc-id order exactly and
-// their scores to 1e-9.
-
-// goldenHeap is the seed's container/heap selector.
-type goldenHeap []Result
-
-func (h goldenHeap) Len() int            { return len(h) }
-func (h goldenHeap) Less(i, j int) bool  { return LessResult(h[i], h[j]) }
-func (h goldenHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *goldenHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *goldenHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// goldenTerms analyses the query into (term, f_qt) pairs in appearance
-// order — the deterministic order both evaluators must share so that score
-// rounding is comparable at the ULP level.
-func goldenTerms(e *Engine, query string) (terms []string, fqts map[string]uint32) {
-	fqts = make(map[string]uint32)
-	for _, t := range e.Analyzer().Terms(nil, query) {
-		if fqts[t] == 0 {
-			terms = append(terms, t)
-		}
-		fqts[t]++
-	}
-	return terms, fqts
-}
-
-// goldenRank is the seed Engine.Rank: map accumulators over full-list Next
-// iteration, heap top-k, s/(wq·wd) normalisation.
-func goldenRank(t *testing.T, e *Engine, query string, k int, weights map[string]float64) []Result {
-	t.Helper()
-	terms, fqts := goldenTerms(e, query)
-	if len(terms) == 0 {
-		t.Fatalf("golden: empty query %q", query)
-	}
-	var wq float64
-	{
-		var sum float64
-		for _, term := range terms {
-			var w float64
-			if weights != nil {
-				w = weights[term]
-			} else {
-				w = CollectionWeight(fqts[term], e.Index().TermFreq(term), e.Index().NumDocs())
-			}
-			sum += w * w
-		}
-		if sum == 0 {
-			sum = 1
-		}
-		wq = math.Sqrt(sum)
-	}
-	acc := make(map[uint32]float64, 256)
-	for _, term := range terms {
-		var wqt float64
-		if weights != nil {
-			wqt = weights[term]
-		} else {
-			wqt = CollectionWeight(fqts[term], e.Index().TermFreq(term), e.Index().NumDocs())
-		}
-		if wqt <= 0 {
-			continue
-		}
-		cur, err := e.Index().Cursor(term)
-		if err != nil {
-			continue
-		}
-		for cur.Next() {
-			p := cur.Posting()
-			acc[p.Doc] += wqt * math.Log(float64(p.FDT)+1)
-		}
-	}
-	h := make(goldenHeap, 0, k)
-	inv := e.Index().InvDocWeights() // 1/W_d, 0 where W_d is
-	for doc, s := range acc {
-		if inv[doc] == 0 {
-			continue
-		}
-		r := Result{Doc: doc, Score: s * inv[doc] / wq}
-		if len(h) < k {
-			heap.Push(&h, r)
-			continue
-		}
-		if LessResult(h[0], r) {
-			h[0] = r
-			heap.Fix(&h, 0)
-		}
-	}
-	out := make([]Result, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Result)
-	}
-	return out
-}
-
-// goldenScoreDocs is the seed Engine.ScoreDocs: sorted targets, skip-based
-// Advance, map accumulators, s/(wq·wd).
-func goldenScoreDocs(t *testing.T, e *Engine, query string, docs []uint32, weights map[string]float64) []Result {
-	t.Helper()
-	terms, fqts := goldenTerms(e, query)
-	var wq float64
-	{
-		var sum float64
-		for _, term := range terms {
-			var w float64
-			if weights != nil {
-				w = weights[term]
-			} else {
-				w = CollectionWeight(fqts[term], e.Index().TermFreq(term), e.Index().NumDocs())
-			}
-			sum += w * w
-		}
-		if sum == 0 {
-			sum = 1
-		}
-		wq = math.Sqrt(sum)
-	}
-	sorted := append([]uint32(nil), docs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	acc := make(map[uint32]float64, len(docs))
-	for _, term := range terms {
-		var wqt float64
-		if weights != nil {
-			wqt = weights[term]
-		} else {
-			wqt = CollectionWeight(fqts[term], e.Index().TermFreq(term), e.Index().NumDocs())
-		}
-		if wqt <= 0 {
-			continue
-		}
-		cur, err := e.Index().Cursor(term)
-		if err != nil {
-			continue
-		}
-		for _, d := range sorted {
-			if !cur.Advance(d) {
-				break
-			}
-			if p := cur.Posting(); p.Doc == d {
-				acc[d] += wqt * math.Log(float64(p.FDT)+1)
-			}
-		}
-	}
-	out := make([]Result, len(docs))
-	inv := e.Index().InvDocWeights()
-	for i, d := range docs {
-		score := 0.0
-		if s := acc[d]; s > 0 && inv[d] > 0 {
-			score = s * inv[d] / wq
-		}
-		out[i] = Result{Doc: d, Score: score}
-	}
-	return out
-}
-
-// goldenCorpus builds a synthetic corpus big enough to exercise skip blocks
-// (long lists), multi-block decode, and rare terms.
-func goldenCorpus(t testing.TB) (*Engine, []string) {
-	t.Helper()
+// goldenDocs is a synthetic corpus big enough to exercise skip blocks (long
+// lists), multi-block decode, and rare terms, and goldenQueries the queries
+// run over it.
+func goldenDocs() []string {
 	rng := rand.New(rand.NewSource(83))
 	var docs []string
 	for d := 0; d < 1200; d++ {
@@ -187,92 +25,87 @@ func goldenCorpus(t testing.TB) (*Engine, []string) {
 			// Zipf-ish skew: low term ids are common, so their lists span
 			// many skip blocks.
 			id := int(math.Floor(math.Pow(rng.Float64(), 2.2) * 400))
-			sb = append(sb, "t"+itoa(id))
+			sb = append(sb, "t"+strconv.Itoa(id))
 		}
-		docs = append(docs, join(sb))
+		docs = append(docs, strings.Join(sb, " "))
 	}
-	queries := []string{
-		"t1 t2 t3",
-		"t0 t0 t17 t321",         // repeated term: f_qt = 2
-		"t5 t80 t200 t399 t1000", // t1000 absent from the collection
-		"t9",
-		"t2 t4 t8 t16 t32 t64 t128 t256",
-	}
-	return buildEngine(t, docs), queries
+	return docs
 }
 
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
-
-func join(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
-		}
-		out += p
-	}
-	return out
+var goldenQueries = []string{
+	"t1 t2 t3",
+	"t0 t0 t17 t321",         // repeated term: f_qt = 2
+	"t5 t80 t200 t399 t1000", // t1000 absent from the collection
+	"t9",
+	"t2 t4 t8 t16 t32 t64 t128 t256",
 }
 
-// TestGoldenRankMatchesSeedEvaluator pins Rank (pooled scratch) to the seed
-// evaluator: identical doc ids, scores within 1e-9, at k=10 and k=100, with
-// both nil (MS/CN) and explicit (CV) weights.
+// goldenCorpus indexes goldenDocs.
+func goldenCorpus(t testing.TB) (*Engine, []string) {
+	t.Helper()
+	return buildEngine(t, goldenDocs()), goldenQueries
+}
+
+// goldenOracle indexes goldenDocs and returns, for each of goldenQueries,
+// the oracle's score of every document.
+func goldenOracle(t testing.TB) (*Engine, [][]float64) {
+	t.Helper()
+	a := plainAnalyzer()
+	docs := goldenDocs()
+	terms := make([][]string, len(docs))
+	for d, text := range docs {
+		terms[d] = a.Terms(nil, text)
+	}
+	want := make([][]float64, len(goldenQueries))
+	for i, q := range goldenQueries {
+		want[i] = oracle.Scores(terms, a.Terms(nil, q))
+	}
+	return buildEngine(t, docs), want
+}
+
+// TestGoldenRankMatchesSeedEvaluator pins Rank (pooled scratch) to the
+// cosine measure on the golden corpus: it must hold the oracle's ranking at
+// k=10 and k=100, with both nil (MS/CN) and explicit (CV) weights.
 func TestGoldenRankMatchesSeedEvaluator(t *testing.T) {
-	e, queries := goldenCorpus(t)
+	e, want := goldenOracle(t)
 	for _, k := range []int{10, 100} {
-		for _, q := range queries {
-			for _, mode := range []string{"local", "explicit"} {
-				var weights map[string]float64
-				if mode == "explicit" {
-					weights = e.QueryWeights(e.ParseQuery(q))
-				}
-				want := goldenRank(t, e, q, k, weights)
+		for qi, q := range goldenQueries {
+			for _, weights := range []map[string]float64{nil, e.QueryWeights(e.ParseQuery(q))} {
 				ranking, err := e.Rank(q, k, weights)
-				got := ranking.Results
 				if err != nil {
-					t.Fatalf("k=%d query %q (%s): %v", k, q, mode, err)
+					t.Fatalf("k=%d query %q explicit=%v: %v", k, q, weights != nil, err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("k=%d query %q (%s): kernel %d results, seed %d", k, q, mode, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Doc != want[i].Doc {
-						t.Fatalf("k=%d query %q (%s) rank %d: kernel doc %d, seed doc %d",
-							k, q, mode, i, got[i].Doc, want[i].Doc)
-					}
-					if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-						t.Fatalf("k=%d query %q (%s) rank %d: kernel score %.17g, seed %.17g",
-							k, q, mode, i, got[i].Score, want[i].Score)
-					}
+				if msg := checkRanking(ranking.Results, want[qi], k); msg != "" {
+					t.Fatalf("k=%d query %q explicit=%v: %s", k, q, weights != nil, msg)
 				}
 			}
 		}
 	}
 }
 
-// TestGoldenScoreDocsMatchesSeedEvaluator pins ScoreDocs the same way.
+// TestGoldenScoreDocsMatchesSeedEvaluator pins ScoreDocs the same way: each
+// of 40 random targets, repeats included, gets the oracle's score, in the
+// order asked.
 func TestGoldenScoreDocsMatchesSeedEvaluator(t *testing.T) {
-	e, queries := goldenCorpus(t)
+	e, want := goldenOracle(t)
 	rng := rand.New(rand.NewSource(21))
 	n := e.Index().NumDocs()
-	for _, q := range queries {
+	for qi, q := range goldenQueries {
 		var targets []uint32
 		for i := 0; i < 40; i++ {
 			targets = append(targets, uint32(rng.Intn(int(n))))
 		}
-		want := goldenScoreDocs(t, e, q, targets, nil)
 		ranking, err := e.ScoreDocs(q, targets, nil)
-		got := ranking.Results
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
 		}
-		for i := range want {
-			if got[i].Doc != want[i].Doc {
-				t.Fatalf("query %q target %d: kernel doc %d, seed doc %d", q, i, got[i].Doc, want[i].Doc)
-			}
-			if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-				t.Fatalf("query %q doc %d: kernel score %.17g, seed %.17g",
-					q, got[i].Doc, got[i].Score, want[i].Score)
+		if len(ranking.Results) != len(targets) {
+			t.Fatalf("query %q: %d results for %d targets", q, len(ranking.Results), len(targets))
+		}
+		for i, r := range ranking.Results {
+			if r.Doc != targets[i] || math.Abs(r.Score-want[qi][r.Doc]) > 1e-9 {
+				t.Fatalf("query %q target %d: kernel %+v, oracle doc %d at %.17g",
+					q, i, r, targets[i], want[qi][targets[i]])
 			}
 		}
 	}

@@ -1,212 +1,164 @@
 package search
 
-// A brute-force reference implementation of the cosine measure, evaluated
-// against the real engine on randomly generated corpora — the strongest
-// correctness net in the package: any disagreement in scores, ordering or
-// tie-breaking between the compressed-index evaluator and a naive
-// map-based one fails the property.
-
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
-	"testing/quick"
+
+	"teraphim/internal/oracle"
 )
 
-// refEngine evaluates the cosine measure with plain maps.
-type refEngine struct {
-	docs  []map[string]uint32 // per-doc term frequencies
-	df    map[string]int
-	wd    []float64
-	terms func(string) []string
+// checkRanking holds a top-k ranking against the oracle's scores, indexed
+// by document. Documents whose scores are mathematically tied (w·ln2·ln3
+// against w·ln3·ln2) come out an ULP apart, in the kernel and in the oracle
+// independently, so documents are not compared rank by rank. Instead: the
+// ranking holds min(k, matching) results, rank i holds the oracle's i-th
+// best score, that score is the oracle's score for the document holding it,
+// and the order is score-descending with exact ties by ascending document,
+// so the tie-break also decides who makes the cut. It returns "" when the
+// ranking holds.
+func checkRanking(got []Result, want []float64, k int) string {
+	var best []float64
+	for _, s := range want {
+		if s > 0 {
+			best = append(best, s)
+		}
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(best)))
+	if len(got) != min(k, len(best)) {
+		return fmt.Sprintf("%d results, the oracle has %d of %d matching", len(got), min(k, len(best)), len(best))
+	}
+	for i, r := range got {
+		if int(r.Doc) >= len(want) || math.Abs(r.Score-want[r.Doc]) > 1e-9 || math.Abs(r.Score-best[i]) > 1e-9 {
+			return fmt.Sprintf("rank %d is %+v; the oracle's rank %d scores %.17g", i, r, i, best[i])
+		}
+		if i > 0 && (got[i-1].Score < r.Score || got[i-1].Score == r.Score && got[i-1].Doc >= r.Doc) {
+			return fmt.Sprintf("ranks %d and %d out of order: %+v, %+v", i-1, i, got[i-1], r)
+		}
+	}
+	return ""
 }
 
-func newRefEngine(docs []string, analyze func(string) []string) *refEngine {
-	e := &refEngine{df: map[string]int{}, terms: analyze}
-	for _, text := range docs {
-		counts := map[string]uint32{}
-		for _, t := range analyze(text) {
-			counts[t]++
-		}
-		var sum float64
-		for t, f := range counts {
-			e.df[t]++
-			w := math.Log(float64(f) + 1)
-			sum += w * w
-		}
-		e.docs = append(e.docs, counts)
-		// The real index stores document weights as float32 (MG keeps
-		// approximate weights); quantize identically so scores agree to
-		// full float64 precision.
-		e.wd = append(e.wd, float64(float32(math.Sqrt(sum))))
+// oracleCorpus draws seed's corpus for the oracle properties: from a
+// handful of documents to, every fourth seed, lists spanning many skip
+// blocks, over a skewed vocabulary, with repeated documents so exact ties
+// occur. It returns the generator for the seed's queries, the documents,
+// their analysed terms and the vocabulary size.
+func oracleCorpus(seed int64) (*rand.Rand, []string, [][]string, int) {
+	a := plainAnalyzer()
+	rng := rand.New(rand.NewSource(seed))
+	ndocs := 5 + rng.Intn(80)
+	if seed%4 == 0 {
+		ndocs = 300 + rng.Intn(600)
 	}
-	return e
-}
-
-func (e *refEngine) rank(query string, k int) []Result {
-	qf := map[string]uint32{}
-	for _, t := range e.terms(query) {
-		qf[t]++
-	}
-	n := float64(len(e.docs))
-	weights := map[string]float64{}
-	var wq2 float64
-	for t, f := range qf {
-		if e.df[t] == 0 {
-			continue
-		}
-		w := math.Log(float64(f)+1) * math.Log(n/float64(e.df[t])+1)
-		weights[t] = w
-		wq2 += w * w
-	}
-	if wq2 == 0 {
-		wq2 = 1
-	}
-	wq := math.Sqrt(wq2)
-	// Sum in one fixed term order: ranging over the weights map would add the
-	// same contributions in a different order per document, so the reference
-	// itself would score identical documents an ULP apart, differently per run.
-	terms := make([]string, 0, len(weights))
-	for t := range weights {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	var results []Result
-	for d, counts := range e.docs {
-		var dot float64
-		for _, t := range terms {
-			if f, ok := counts[t]; ok {
-				dot += weights[t] * math.Log(float64(f)+1)
+	vocab := 5 + rng.Intn(60)
+	docs := make([]string, ndocs)
+	terms := make([][]string, ndocs)
+	for d := range docs {
+		if d > 0 && rng.Intn(8) == 0 {
+			docs[d] = docs[rng.Intn(d)]
+		} else {
+			var w []string
+			for i, n := 0, 1+rng.Intn(30); i < n; i++ {
+				// Skewed, so low term ids are common.
+				w = append(w, "t"+strconv.Itoa(int(math.Pow(rng.Float64(), 2)*float64(vocab))))
 			}
+			docs[d] = strings.Join(w, " ")
 		}
-		if dot > 0 && e.wd[d] > 0 {
-			results = append(results, Result{Doc: uint32(d), Score: dot / (wq * e.wd[d])})
-		}
+		terms[d] = a.Terms(nil, docs[d])
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].Doc < results[j].Doc
-	})
-	if len(results) > k {
-		results = results[:k]
-	}
-	return results
+	return rng, docs, terms, vocab
 }
 
+// oracleQuery draws a query of 1–6 terms over vocab, some of them sometimes
+// absent from the collection.
+func oracleQuery(rng *rand.Rand, vocab int) string {
+	var qt []string
+	for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+		qt = append(qt, "t"+strconv.Itoa(rng.Intn(vocab+3))) // +3: sometimes absent
+	}
+	return strings.Join(qt, " ")
+}
+
+// TestEngineAgainstBruteForce is the kernel's oracle property. On random
+// corpora cut into 1, 2 and 5 parts, every evaluator's RankParts, with
+// collection weights derived (nil) and supplied (CV), must hold the oracle's
+// ranking and be == to every other combination's.
 func TestEngineAgainstBruteForce(t *testing.T) {
-	analyzer := plainAnalyzer()
-	analyze := func(text string) []string { return analyzer.Terms(nil, text) }
-	property := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ndocs := rng.Intn(80) + 5
-		vocab := rng.Intn(40) + 5
-		docs := make([]string, ndocs)
-		for d := range docs {
-			var sb strings.Builder
-			for j := 0; j < rng.Intn(30)+1; j++ {
-				sb.WriteString("t" + strconv.Itoa(rng.Intn(vocab)) + " ")
-			}
-			docs[d] = sb.String()
-		}
-		engine := buildEngine(t, docs)
-		ref := newRefEngine(docs, analyze)
-		for trial := 0; trial < 5; trial++ {
-			var qb strings.Builder
-			for j := 0; j < rng.Intn(6)+1; j++ {
-				qb.WriteString("t" + strconv.Itoa(rng.Intn(vocab+3)) + " ") // may include absent terms
-			}
-			k := rng.Intn(15) + 1
-			query := qb.String()
-			ranking, err := engine.Rank(query, k, nil)
-			if err != nil {
-				return false
-			}
-			got := ranking.Results
-			// Every matching document, best first, from both sides.
-			ranking, err = engine.Rank(query, ndocs, nil)
-			if err != nil {
-				return false
-			}
-			all := ranking.Results
-			want := ref.rank(query, ndocs)
-			if len(all) != len(want) || len(got) != min(k, len(all)) {
-				t.Logf("seed %d query %q k %d: engine %d of %d results, reference %d", seed, query, k, len(got), len(all), len(want))
-				return false
-			}
-			refScore := make(map[uint32]float64, len(want))
-			for _, r := range want {
-				refScore[r.Doc] = r.Score
-			}
-			// Documents whose scores are mathematically tied (w·ln2·ln3 against
-			// w·ln3·ln2) come out an ULP apart, in the engine and in the
-			// reference independently, so Doc is not compared rank by rank.
-			// Instead: rank i holds the reference's i-th best score, that score
-			// is the reference's score for the document holding it, the order
-			// is score-descending with exact ties by ascending Doc, and the
-			// top k is a prefix of the whole ranking, so the tie-break also
-			// decides who makes the cut.
-			for i, r := range all {
-				rs, ok := refScore[r.Doc]
-				if !ok || math.Abs(r.Score-rs) > 1e-9 || math.Abs(r.Score-want[i].Score) > 1e-9 {
-					t.Logf("seed %d query %q rank %d: engine %+v, reference %+v, reference score of doc %v",
-						seed, query, i, r, want[i], rs)
-					return false
-				}
-				if i > 0 && (all[i-1].Score < r.Score || all[i-1].Score == r.Score && all[i-1].Doc >= r.Doc) {
-					t.Logf("seed %d query %q: ranks %d and %d out of order: %+v, %+v", seed, query, i-1, i, all[i-1], r)
-					return false
-				}
-				if i < len(got) && got[i] != r {
-					t.Logf("seed %d query %q rank %d: top-%d has %+v, the whole ranking %+v", seed, query, i, k, got[i], r)
-					return false
+	a := plainAnalyzer()
+	for seed := int64(1); seed <= 24; seed++ {
+		rng, docs, terms, vocab := oracleCorpus(seed)
+		whole := buildEngine(t, docs)
+		partings := [][]Part{{{Engine: whole}}, cutParts(t, docs, 2), cutParts(t, docs, 5)}
+		for trial := 0; trial < 6; trial++ {
+			q := oracleQuery(rng, vocab)
+			k := 1 + rng.Intn(len(docs)+5)
+			want := oracle.Scores(terms, a.Terms(nil, q))
+			var first []Result
+			ran := false
+			for _, weights := range []map[string]float64{nil, whole.QueryWeights(whole.ParseQuery(q))} {
+				for _, parts := range partings {
+					label := fmt.Sprintf("seed %d query %q k=%d parts=%d explicit=%v", seed, q, k, len(parts), weights != nil)
+					for _, eval := range []Evaluator{EvalExact, EvalMaxScore, EvalWAND} {
+						got, _, err := RankParts(nil, NewScratch(), parts, q, k, weights, eval)
+						if err != nil {
+							t.Fatalf("%s %v: %v", label, eval, err)
+						}
+						if msg := checkRanking(got, want, k); msg != "" {
+							t.Fatalf("%s %v: %s", label, eval, msg)
+						}
+						if !ran {
+							first, ran = got, true
+						} else if !slices.Equal(got, first) {
+							t.Fatalf("%s %v: %v, the one-part exact ranking %v", label, eval, got, first)
+						}
+					}
 				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestScoreDocsAgainstBruteForce extends the property to the CI fast path.
+// TestScoreDocsAgainstBruteForce extends the property to the CI path: on the
+// same random corpora and partings, ScoreParts must give each nominated
+// document the oracle's score, in the nominated order, with collection
+// weights derived and supplied.
 func TestScoreDocsAgainstBruteForce(t *testing.T) {
-	analyzer := plainAnalyzer()
-	analyze := func(text string) []string { return analyzer.Terms(nil, text) }
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		ndocs := rng.Intn(200) + 10
-		docs := make([]string, ndocs)
-		for d := range docs {
-			var sb strings.Builder
-			for j := 0; j < rng.Intn(25)+1; j++ {
-				sb.WriteString("t" + strconv.Itoa(rng.Intn(30)) + " ")
+	a := plainAnalyzer()
+	for seed := int64(1); seed <= 24; seed++ {
+		rng, docs, terms, vocab := oracleCorpus(seed)
+		whole := buildEngine(t, docs)
+		partings := [][]Part{{{Engine: whole}}, cutParts(t, docs, 2), cutParts(t, docs, 5)}
+		for trial := 0; trial < 6; trial++ {
+			q := oracleQuery(rng, vocab)
+			want := oracle.Scores(terms, a.Terms(nil, q))
+			targets := rng.Perm(len(docs))[:1+rng.Intn(len(docs))]
+			nominated := make([]uint32, len(targets))
+			for i, d := range targets {
+				nominated[i] = uint32(d)
 			}
-			docs[d] = sb.String()
-		}
-		engine := buildEngine(t, docs)
-		ref := newRefEngine(docs, analyze)
-		query := "t1 t2 t3"
-		all := ref.rank(query, ndocs)
-		refScores := map[uint32]float64{}
-		for _, r := range all {
-			refScores[r.Doc] = r.Score
-		}
-		targets := []uint32{0, uint32(ndocs / 2), uint32(ndocs - 1)}
-		ranking, err := engine.ScoreDocs(query, targets, nil)
-		got := ranking.Results
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range got {
-			if math.Abs(r.Score-refScores[targets[i]]) > 1e-9 {
-				t.Fatalf("trial %d doc %d: engine %g, reference %g",
-					trial, targets[i], r.Score, refScores[targets[i]])
+			for _, weights := range []map[string]float64{nil, whole.QueryWeights(whole.ParseQuery(q))} {
+				for _, parts := range partings {
+					label := fmt.Sprintf("seed %d query %q parts=%d explicit=%v", seed, q, len(parts), weights != nil)
+					scored, _, err := ScoreParts(NewScratch(), parts, q, nominated, weights, 0)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if len(scored) != len(nominated) {
+						t.Fatalf("%s: %d results for %d nominated", label, len(scored), len(nominated))
+					}
+					for i, r := range scored {
+						if r.Doc != nominated[i] || math.Abs(r.Score-want[r.Doc]) > 1e-9 {
+							t.Fatalf("%s: result %d is %+v, nominated %d with oracle score %.17g",
+								label, i, r, nominated[i], want[nominated[i]])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -6,15 +6,16 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"teraphim/internal/oracle"
 )
 
 // This file pins the accumulator contract of Scratch — live iff non-zero,
-// zeroed by the next reset whatever the previous evaluation was — against
-// map-accumulator references, and the weight validation that contract
+// zeroed by the next reset whatever the previous evaluation was — against a
+// fresh Scratch and the oracle, and the weight validation that contract
 // relies on.
 
 // cancelAfter is a context whose Err reports cancellation from its n+1th
@@ -70,80 +71,12 @@ func cutParts(t *testing.T, docs []string, np int) []Part {
 	return parts
 }
 
-// mapAccumulate is the map-accumulator reference for the exact kernel: the
-// query's terms in first-appearance order, weighted as prepare weights them,
-// each list of every part summed into a map keyed by global id. It returns
-// the accumulators, W_q, and 1/W_d by global id.
-func mapAccumulate(parts []Part, query string, weights map[string]float64) (map[uint32]float64, float64, func(uint32) float64) {
-	terms, fqts := goldenTerms(parts[0].Engine, query)
-	var n uint32
-	for _, p := range parts {
-		n += p.Engine.Index().NumDocs()
-	}
-	wqts := make([]float64, len(terms))
-	var sum float64
-	for i, term := range terms {
-		if weights != nil {
-			wqts[i] = weights[term]
-		} else {
-			var ft uint32
-			for _, p := range parts {
-				ft += p.Engine.Index().TermFreq(term)
-			}
-			wqts[i] = CollectionWeight(fqts[term], ft, n)
-		}
-		sum += wqts[i] * wqts[i]
-	}
-	wq := 1.0
-	if sum != 0 {
-		wq = math.Sqrt(sum)
-	}
-	acc := make(map[uint32]float64)
-	for i, term := range terms {
-		if wqts[i] <= 0 {
-			continue
-		}
-		for _, p := range parts {
-			cur, err := p.Engine.Index().Cursor(term)
-			if err != nil {
-				continue
-			}
-			for cur.Next() {
-				post := cur.Posting()
-				acc[p.Base+post.Doc] += wqts[i] * math.Log(float64(post.FDT)+1)
-			}
-		}
-	}
-	inv := func(d uint32) float64 {
-		for _, p := range parts {
-			if d-p.Base < p.Engine.Index().NumDocs() {
-				return p.Engine.Index().InvDocWeights()[d-p.Base]
-			}
-		}
-		panic("doc outside the parts")
-	}
-	return acc, wq, inv
-}
-
-// mapTopK ranks acc the way the kernel scores it — (acc·(1/W_d))/W_q,
-// documents with W_d = 0 skipped — best first, ties by ascending id, cut to k.
-func mapTopK(acc map[uint32]float64, wq float64, inv func(uint32) float64, k int) []Result {
-	var out []Result
-	for d, a := range acc {
-		if iw := inv(d); iw != 0 {
-			out = append(out, Result{Doc: d, Score: a * iw / wq})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return LessResult(out[j], out[i]) })
-	return out[:min(k, len(out))]
-}
-
 // TestScratchHygiene reuses one Scratch across everything that can leave
 // accumulators behind — collections growing then shrinking, evaluations
 // cancelled between lists, RankParts and ScoreParts interleaved, 1, 2 and 5
 // parts, queries touching more and fewer than an eighth of the accumulators
-// — and requires every result and its CandidateDocs to == both a fresh
-// Scratch's and a map-accumulator reference's.
+// — and requires every result and its CandidateDocs to == a fresh Scratch's,
+// and, under collection weights, to hold the oracle's scores.
 func TestScratchHygiene(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	queries := []string{
@@ -153,15 +86,30 @@ func TestScratchHygiene(t *testing.T) {
 		"c0 c1 c2 c3 filler", // nearly every document
 		"r150 nowhere",       // one term absent
 	}
+	a := plainAnalyzer()
 	shared := NewScratch()
 	var sawClear, sawSparse bool
 	for _, n := range []int{40, 900, 300, 25} { // grow, then shrink
 		docs := hygieneDocs(rng, n)
+		terms := make([][]string, n)
+		for d, text := range docs {
+			terms[d] = a.Terms(nil, text)
+		}
 		for _, np := range []int{1, 2, 5} {
 			parts := cutParts(t, docs, np)
 			for qi, q := range queries {
 				k := []int{1, 10, 1000}[qi%3]
-				terms, _ := goldenTerms(parts[0].Engine, q)
+				qterms := a.Terms(nil, q)
+				sorted := slices.Clone(qterms)
+				slices.Sort(sorted)
+				unique := len(slices.Compact(sorted))
+				want := oracle.Scores(terms, qterms)
+				matching := 0
+				for _, s := range want {
+					if s > 0 {
+						matching++
+					}
+				}
 				label := "n=" + strconv.Itoa(n) + " parts=" + strconv.Itoa(np) + " " + q
 				explicit := make(map[string]float64)
 				for _, term := range strings.Fields(q) {
@@ -171,10 +119,9 @@ func TestScratchHygiene(t *testing.T) {
 				for _, weights := range []map[string]float64{nil, explicit} {
 					// Cancelled before the first part's last list: half-built
 					// accumulators are left behind.
-					if _, _, err := RankParts(&cancelAfter{context.Background(), len(terms) - 1}, shared, parts, q, k, weights, EvalExact); !errors.Is(err, context.Canceled) {
+					if _, _, err := RankParts(&cancelAfter{context.Background(), unique - 1}, shared, parts, q, k, weights, EvalExact); !errors.Is(err, context.Canceled) {
 						t.Fatalf("%s: cancelled rank err = %v", label, err)
 					}
-					acc, wq, inv := mapAccumulate(parts, q, weights)
 
 					got, st, err := RankParts(nil, shared, parts, q, k, weights, EvalExact)
 					if err != nil {
@@ -186,11 +133,16 @@ func TestScratchHygiene(t *testing.T) {
 						sawSparse = true
 					}
 					fresh, fst, _ := RankParts(nil, NewScratch(), parts, q, k, weights, EvalExact)
-					if want := mapTopK(acc, wq, inv, k); !slices.Equal(got, want) || !slices.Equal(fresh, want) {
-						t.Fatalf("%s rank k=%d:\nreused %v\nfresh  %v\nmap    %v", label, k, got, fresh, want)
+					if !slices.Equal(got, fresh) || st.CandidateDocs != fst.CandidateDocs {
+						t.Fatalf("%s rank k=%d:\nreused %v, %d candidates\nfresh  %v, %d candidates", label, k, got, st.CandidateDocs, fresh, fst.CandidateDocs)
 					}
-					if st.CandidateDocs != len(acc) || fst.CandidateDocs != len(acc) {
-						t.Fatalf("%s rank: candidates reused %d fresh %d, map %d", label, st.CandidateDocs, fst.CandidateDocs, len(acc))
+					if weights == nil {
+						if msg := checkRanking(got, want, k); msg != "" {
+							t.Fatalf("%s rank k=%d: %s", label, k, msg)
+						}
+						if st.CandidateDocs != matching {
+							t.Fatalf("%s rank: %d candidates, the oracle has %d matching", label, st.CandidateDocs, matching)
+						}
 					}
 
 					// A dynamic evaluator between exact ones: it leaves the
@@ -201,29 +153,30 @@ func TestScratchHygiene(t *testing.T) {
 
 					nominated := rng.Perm(n)[:1+n/3]
 					docsIn := make([]uint32, len(nominated))
-					var want []Result
 					matched := 0
 					for i, d := range nominated {
 						docsIn[i] = uint32(d)
-						score := 0.0
-						if a := acc[uint32(d)]; a > 0 {
+						if want[d] > 0 {
 							matched++
-							if iw := inv(uint32(d)); iw > 0 {
-								score = a * iw / wq
-							}
 						}
-						want = append(want, Result{Doc: uint32(d), Score: score})
 					}
 					got, st, err = ScoreParts(shared, parts, q, docsIn, weights, 0)
 					if err != nil {
 						t.Fatalf("%s score: %v", label, err)
 					}
 					fresh, fst, _ = ScoreParts(NewScratch(), parts, q, docsIn, weights, 0)
-					if !slices.Equal(got, want) || !slices.Equal(fresh, want) {
-						t.Fatalf("%s score:\nreused %v\nfresh  %v\nmap    %v", label, got, fresh, want)
+					if !slices.Equal(got, fresh) || st.CandidateDocs != fst.CandidateDocs {
+						t.Fatalf("%s score:\nreused %v, %d candidates\nfresh  %v, %d candidates", label, got, st.CandidateDocs, fresh, fst.CandidateDocs)
 					}
-					if st.CandidateDocs != matched || fst.CandidateDocs != matched {
-						t.Fatalf("%s score: candidates reused %d fresh %d, map %d", label, st.CandidateDocs, fst.CandidateDocs, matched)
+					if weights == nil {
+						for i, r := range got {
+							if r.Doc != docsIn[i] || math.Abs(r.Score-want[r.Doc]) > 1e-9 {
+								t.Fatalf("%s score: result %d is %+v, nominated %d with oracle score %.17g", label, i, r, docsIn[i], want[docsIn[i]])
+							}
+						}
+						if st.CandidateDocs != matched {
+							t.Fatalf("%s score: %d candidates, the oracle has %d matching", label, st.CandidateDocs, matched)
+						}
 					}
 				}
 			}

@@ -399,10 +399,10 @@ func (e *Engine) scorePrepared(s *Scratch, docs []uint32, base uint32, out []Res
 			s.docbuf = append(s.docbuf, d-base)
 		}
 	}
-	if len(s.docbuf) == 0 {
-		return
-	}
 	slices.Sort(s.docbuf)
+	if s.docbuf = slices.Compact(s.docbuf); len(s.docbuf) == 0 {
+		return // a repeated document is scored once, or its list would be added twice
+	}
 	stats.TermsLooked += len(s.qterms)
 	s.reset(numDocs)
 
