@@ -1,12 +1,13 @@
 # Development targets. `make verify` is the pre-merge wall: static checks,
 # the internal/core line ceiling, the full test suite under the race
-# detector, the ranking oracles three more times under it, and short fuzz
-# smokes of the wire protocol and postings codec.
+# detector, the ranking oracles three more times under it, the ingest
+# pipeline's schedule-dependent tests twenty more times under it, and short
+# fuzz smokes of the wire protocol and postings codec.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race oracle vet loc fuzz-smoke benchmark-smoke bench bench-smoke bench-cache bench-cache-smoke bench-select bench-select-smoke bench-replica bench-replica-smoke bench-wire bench-wire-smoke bench-ingest bench-ingest-smoke verify
+.PHONY: build test race oracle ingest vet loc fuzz-smoke benchmark-smoke bench bench-smoke bench-cache bench-cache-smoke bench-select bench-select-smoke bench-replica bench-replica-smoke bench-wire bench-wire-smoke bench-ingest bench-ingest-smoke verify
 
 build:
 	$(GO) build ./...
@@ -24,6 +25,13 @@ race:
 # round a killed replica) more chances to misorder or race.
 oracle:
 	$(GO) test -race -count=3 -run 'Oracle|AgainstBruteForce' ./internal/core ./internal/search
+
+# The ingest pipeline's schedule-dependent tests — group commit, Flush as a
+# watermark, publications racing merges, snapshot isolation, Close's drain,
+# backpressure — twenty more runs under the race detector, so that a grouping
+# or a wake-up that misorders under a rare interleaving shows.
+ingest:
+	$(GO) test -race -count=20 -run 'GroupCommit|FlushWaits|MergeStorm|SnapshotNeverMixture|CloseDrains|Backpressure' ./internal/librarian
 
 vet:
 	$(GO) vet ./...
@@ -177,5 +185,5 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=SearchKernel -benchmem -benchtime=0.05s .
 
-verify: vet build loc race oracle fuzz-smoke benchmark-smoke bench-smoke bench-cache-smoke bench-select-smoke bench-replica-smoke bench-wire-smoke bench-ingest-smoke
+verify: vet build loc race oracle ingest fuzz-smoke benchmark-smoke bench-smoke bench-cache-smoke bench-select-smoke bench-replica-smoke bench-wire-smoke bench-ingest-smoke
 	@echo "verify: OK"

@@ -8,9 +8,10 @@ package teraphim
 //     Update over the whole collection (re-tokenize, re-index, re-compress
 //     ~2000 docs), the only way the pre-segment API could grow a live
 //     collection without renumbering.
-//   - update=ingest: the same arrivals through Ingest/Flush — each batch is
-//     built into its own segment in O(batch) work, with the size-tiered
-//     policy merging in the background.
+//   - update=ingest: the same arrivals through Ingest/Flush — built into
+//     segments in O(batch) work (batches that queue behind a build are
+//     sealed with it as one segment), with the size-tiered policy merging
+//     in the background.
 //   - queries=idle: CN query throughput against the final collection (seed
 //     plus everything streamed) with no ingestion running — the reference
 //     for interference.

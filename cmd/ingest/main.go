@@ -1,7 +1,7 @@
 // Command ingest demonstrates streaming ingestion under live query load: an
 // in-process librarian keeps answering a fleet of query clients
-// while document batches stream in through the bounded ingest queue,
-// background builders seal them into segments and the size-tiered policy
+// while document batches stream in through the bounded ingest queue, a
+// background builder seals them into segments and the size-tiered policy
 // merges them down. The report shows both sides of the trade — ingest
 // throughput (docs/sec) and query throughput (queries/sec) measured while
 // the collection was growing — plus the segment bookkeeping: segments live,
@@ -10,7 +10,7 @@
 // Usage:
 //
 //	ingest [-seed 500] [-docs 2000] [-batch 50] [-clients 4] [-k 10]
-//	       [-queue 16] [-workers 1] [-fanin 4] [-minseg 256] [-compact]
+//	       [-queue 16] [-fanin 4] [-minseg 256] [-compact]
 package main
 
 import (
@@ -62,7 +62,6 @@ func run(w io.Writer, args []string) error {
 	clients := fs.Int("clients", 4, "concurrent query clients during ingestion")
 	k := fs.Int("k", 10, "answers per query")
 	queue := fs.Int("queue", 16, "ingest queue depth in batches")
-	workers := fs.Int("workers", 1, "background segment builders")
 	fanIn := fs.Int("fanin", 4, "size-tier merge fan-in (K adjacent same-tier segments merge)")
 	minSeg := fs.Int("minseg", 256, "tier-0 segment width in documents")
 	compact := fs.Bool("compact", false, "compact to a single segment after ingestion and report the cost")
@@ -85,7 +84,7 @@ func run(w io.Writer, args []string) error {
 	}
 	defer up.Close()
 	if err := up.ConfigureIngest(librarian.IngestConfig{
-		QueueDepth: *queue, Workers: *workers, MergeFanIn: *fanIn, MinSegmentDocs: *minSeg,
+		QueueDepth: *queue, MergeFanIn: *fanIn, MinSegmentDocs: *minSeg,
 	}); err != nil {
 		return err
 	}

@@ -4,15 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"teraphim/internal/store"
 )
 
 // Streaming ingestion: Ingest enqueues document batches onto a bounded
-// queue; background workers tokenize/compress/build each batch into an
-// immutable segment off the serving path and publish it by appending to the
-// manifest. The queue gives backpressure a shape — a full queue makes
+// queue; one background builder tokenizes/compresses/builds them into
+// immutable segments off the serving path and publishes each by appending to
+// the manifest. The queue gives backpressure a shape — a full queue makes
 // Ingest wait (context-aware) instead of letting indexing debt grow
 // unboundedly — and the size-tiered merge policy keeps the segment count
 // logarithmic in collection size so query fan-in stays cheap.
@@ -44,11 +45,6 @@ type IngestConfig struct {
 	// Ingest blocks — honouring its context — once this many batches are
 	// waiting to be built. Zero selects 16.
 	QueueDepth int
-	// Workers is the number of background segment builders. Zero selects 1,
-	// which also makes segment order (and therefore doc-id assignment)
-	// deterministic: batches are sealed in arrival order. More workers
-	// parallelise builds at the cost of that determinism.
-	Workers int
 	// MergeFanIn is the size-tier compaction trigger K: a run of at least K
 	// adjacent same-tier segments is merged into one. Zero selects 4;
 	// negative disables background merging (Compact still works).
@@ -64,13 +60,6 @@ func (l *Librarian) queueDepth() int {
 		return l.cfg.QueueDepth
 	}
 	return defaultQueueDepth
-}
-
-func (l *Librarian) numWorkers() int {
-	if l.cfg.Workers > 0 {
-		return l.cfg.Workers
-	}
-	return 1
 }
 
 func (l *Librarian) fanIn() int {
@@ -101,7 +90,7 @@ func (l *Librarian) tierOf(docs uint32) int {
 }
 
 // ConfigureIngest installs cfg. It must be called before the first Ingest
-// (the pipeline's queue and workers are sized lazily on first use).
+// (the pipeline's queue and builder start lazily on first use).
 func (l *Librarian) ConfigureIngest(cfg IngestConfig) error {
 	l.qmu.Lock()
 	defer l.qmu.Unlock()
@@ -115,19 +104,16 @@ func (l *Librarian) ConfigureIngest(cfg IngestConfig) error {
 	return nil
 }
 
-// ensureStartedLocked lazily creates the queue and spawns the workers.
+// ensureStartedLocked lazily creates the queue and starts the builder.
 // Caller holds l.qmu.
 func (l *Librarian) ensureStartedLocked() {
 	if l.started {
 		return
 	}
 	l.queue = make(chan []store.Document, l.queueDepth())
-	l.stop = make(chan struct{})
 	l.started = true
-	for i := 0; i < l.numWorkers(); i++ {
-		l.workers.Add(1)
-		go l.worker()
-	}
+	l.builder.Add(1)
+	go l.worker()
 }
 
 // Ingest enqueues docs for background indexing and returns once the batch
@@ -135,7 +121,7 @@ func (l *Librarian) ensureStartedLocked() {
 // copied, so the caller may reuse docs. When the bounded queue is full,
 // Ingest waits for room until ctx is done, then fails with an error
 // matching ErrIngestQueueFull — the backpressure signal: the caller is
-// producing documents faster than the builders retire them.
+// producing documents faster than the builder retires them.
 func (l *Librarian) Ingest(ctx context.Context, docs []store.Document) error {
 	if len(docs) == 0 {
 		return nil
@@ -179,10 +165,11 @@ func (l *Librarian) Ingest(ctx context.Context, docs []store.Document) error {
 }
 
 // Flush blocks until every batch accepted by Ingest before the call has
-// been built and published (or failed), honouring ctx. It returns the first
-// asynchronous build or background-merge error since the previous Flush,
-// clearing it — the redesigned API's error channel for work that failed off
-// the caller's goroutine.
+// been built and published (or failed), honouring ctx: the one builder
+// retires batches in queue order, so the count it has retired is a
+// watermark. It returns the first asynchronous build or background-merge
+// error since the previous Flush, clearing it — the redesigned API's error
+// channel for work that failed off the caller's goroutine.
 func (l *Librarian) Flush(ctx context.Context) error {
 	l.fmu.Lock()
 	target := l.enqSeq
@@ -216,38 +203,43 @@ func (l *Librarian) fail(err error) {
 	l.fmu.Unlock()
 }
 
-// batchDone advances the publication sequence and wakes Flush waiters.
-func (l *Librarian) batchDone() {
+// batchesRetired advances the publication sequence by n batches and wakes
+// Flush waiters.
+func (l *Librarian) batchesRetired(n int) {
 	l.fmu.Lock()
-	l.pubSeq++
+	l.pubSeq += uint64(n)
 	close(l.notify)
 	l.notify = make(chan struct{})
 	l.fmu.Unlock()
 }
 
+// worker is the one builder, and it commits in groups: with each batch it
+// takes every batch already queued behind it, in arrival order, until the
+// group holds the tier-0 width, and seals them as one segment. It never
+// waits for a batch to arrive, so a writer that flushes after each batch
+// gets a segment per batch, while a backlog is built and merged once rather
+// than batch by batch. Close closes the queue once no enqueuer is left,
+// which ends the loop after the last batch.
 func (l *Librarian) worker() {
-	defer l.workers.Done()
-	for {
-		select {
-		case batch := <-l.queue:
-			l.buildBatch(batch)
-		case <-l.stop:
-			// Drain what Close let in, then exit.
-			for {
-				select {
-				case batch := <-l.queue:
-					l.buildBatch(batch)
-				default:
-					return
-				}
-			}
+	defer l.builder.Done()
+	width := l.minSegDocs() * l.fanIn()
+	for batch := range l.queue {
+		group, n := [][]store.Document{batch}, len(batch)
+		// The builder is the queue's only reader, so a batch counted here is
+		// still there to take.
+		for n < width && len(l.queue) > 0 {
+			next := <-l.queue
+			group, n = append(group, next), n+len(next)
 		}
+		l.buildGroup(group)
 	}
 }
 
-// buildBatch seals one batch into a segment under the librarian's model and
-// publishes it. Failures are recorded for the next Flush; the pipeline goes on.
-func (l *Librarian) buildBatch(docs []store.Document) {
+// buildGroup seals a group of batches, in order, into one segment under the
+// librarian's model and publishes it. When a group of several fails, its
+// batches are rebuilt one at a time, so only the batch at fault is lost.
+// Failures are recorded for the next Flush; the pipeline goes on.
+func (l *Librarian) buildGroup(group [][]store.Document) {
 	if gate := l.testBuildGate; gate != nil {
 		gate()
 	}
@@ -258,27 +250,33 @@ func (l *Librarian) buildBatch(docs []store.Document) {
 			return buildSegment(l.name, docs, l.analyzer, l.skip, l.model)
 		}
 	}
+	docs := slices.Concat(group...)
 	sg, err := build(docs)
-	if err != nil {
-		l.fail(fmt.Errorf("librarian: ingest into %q: %w", l.name, err))
-		l.batchDone()
+	switch {
+	case err != nil && len(group) > 1:
+		for i := range group {
+			l.buildGroup(group[i : i+1])
+		}
 		return
+	case err != nil:
+		l.fail(fmt.Errorf("librarian: ingest into %q: %w", l.name, err))
+	default:
+		l.appendSegment(sg)
+		l.docsIndexed.Add(uint64(len(docs)))
+		l.batchesDone.Add(uint64(len(group)))
+		if m := l.metrics.Load(); m != nil {
+			m.docsIndexed.Add(uint64(len(docs)))
+			m.batches.Add(uint64(len(group)))
+			m.buildSeconds.ObserveDuration(time.Since(start))
+			m.queueLen.Set(int64(len(l.queue)))
+		}
 	}
-	l.appendSegment(sg)
-	l.docsIndexed.Add(uint64(len(docs)))
-	l.batchesDone.Add(1)
-	if m := l.metrics.Load(); m != nil {
-		m.docsIndexed.Add(uint64(len(docs)))
-		m.batches.Inc()
-		m.buildSeconds.ObserveDuration(time.Since(start))
-		m.queueLen.Set(int64(len(l.queue)))
-	}
-	l.batchDone()
+	l.batchesRetired(len(group))
 }
 
 // Close stops the ingest pipeline: no new Ingest is accepted, queued
-// batches are still built and published, and Close returns once workers and
-// background merges have drained. Queries (ServeConn, Engine, Store) keep
+// batches are still built and published, and Close returns once the builder
+// and background merges have drained. Queries (ServeConn, Engine, Store) keep
 // working against the final manifest; further Ingest calls fail with
 // ErrLibrarianClosed. Close is idempotent, and on a librarian that never
 // ingested there is nothing to stop.
@@ -293,11 +291,11 @@ func (l *Librarian) Close() error {
 	l.qmu.Unlock()
 	close(l.closing)
 	// Wait for in-flight enqueuers (closing unblocked any stuck on a full
-	// queue); only then may the workers treat an empty queue as final.
+	// queue); only then is the queue closed behind its last batch.
 	l.enqueuers.Wait()
 	if started {
-		close(l.stop)
-		l.workers.Wait()
+		close(l.queue)
+		l.builder.Wait()
 	}
 	l.mergeWG.Wait()
 	return nil

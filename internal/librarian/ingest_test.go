@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"teraphim/internal/huffman"
 	"teraphim/internal/protocol"
@@ -155,6 +157,175 @@ func TestFlushReturnsAsyncBuildError(t *testing.T) {
 	}
 }
 
+// gatedBuilds holds the first build at its start until release is called
+// (or the test ends), and counts the builds: wait returns once the first has
+// started.
+func gatedBuilds(t *testing.T, u *Librarian) (builds *atomic.Int32, wait, release func()) {
+	builds = new(atomic.Int32)
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	u.testBuildGate = func() {
+		if builds.Add(1) == 1 {
+			entered <- struct{}{}
+			<-gate
+		}
+	}
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before newIngestable's Close, which waits for the build
+	return builds, func() { <-entered }, release
+}
+
+// titledBatch is n documents titled prefix-0 .. prefix-(n-1).
+func titledBatch(prefix string, n int) []store.Document {
+	docs := make([]store.Document, n)
+	for j := range docs {
+		docs[j] = store.Document{Title: fmt.Sprintf("%s-%d", prefix, j), Text: "cormorant estuary"}
+	}
+	return docs
+}
+
+// assertTitles checks that the documents at global ids from, from+1, ...
+// carry titles, in that order.
+func assertTitles(t *testing.T, u *Librarian, from uint32, titles []string) {
+	t.Helper()
+	ids := make([]uint32, len(titles))
+	for i := range ids {
+		ids[i] = from + uint32(i)
+	}
+	fr := callServer(t, u, &protocol.FetchDocs{Docs: ids}).(*protocol.FetchReply)
+	if len(fr.Docs) != len(titles) {
+		t.Fatalf("fetched %d documents, want %d", len(fr.Docs), len(titles))
+	}
+	for i, d := range fr.Docs {
+		if d.Title != titles[i] {
+			t.Fatalf("doc %d is %q, want %q", ids[i], d.Title, titles[i])
+		}
+	}
+}
+
+// TestGroupCommit: batches that queue behind a busy build are sealed as one
+// segment with one publication, split at the tier-0 width
+// (MinSegmentDocs·fan-in), and keep their arrival order in the doc ids.
+func TestGroupCommit(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cfg       IngestConfig
+		batchDocs int
+		groups    int // builds after the gate opens, for batches 1..4
+	}{
+		{"backlog", IngestConfig{MergeFanIn: -1}, 2, 1},
+		// Tier 0 is 2·4 = 8 documents wide: batches 1-3 fill it, 4 is alone.
+		{"width", IngestConfig{MergeFanIn: -1, MinSegmentDocs: 2}, 3, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := newIngestable(t, 2, tc.cfg)
+			builds, wait, release := gatedBuilds(t, u)
+			ctx := context.Background()
+			var titles []string
+			for i := 0; i < 5; i++ {
+				batch := titledBatch(fmt.Sprintf("gc%d", i), tc.batchDocs)
+				if err := u.Ingest(ctx, batch); err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range batch {
+					titles = append(titles, d.Title)
+				}
+				if i == 0 {
+					wait() // batch 0 is in its build; 1..4 queue behind it
+				}
+			}
+			epoch := u.epoch.Load()
+			release()
+			if err := u.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := builds.Load(); got != int32(1+tc.groups) {
+				t.Fatalf("%d builds, want %d", got, 1+tc.groups)
+			}
+			if got := u.epoch.Load() - epoch; got != uint64(1+tc.groups) {
+				t.Fatalf("%d publications after the gate opened, want %d", got, 1+tc.groups)
+			}
+			st := u.SegmentStats()
+			if st.BatchesBuilt != 5 || st.DocsIndexed != uint64(5*tc.batchDocs) || len(st.Segments) != 2+tc.groups {
+				t.Fatalf("after the backlog: %+v", st)
+			}
+			assertTitles(t, u, 2, titles)
+		})
+	}
+}
+
+// TestGroupCommitFailureIsolation: a group whose build fails is rebuilt
+// batch by batch, so only the batch at fault is lost, its error reaches
+// Flush once, and its neighbours publish in order.
+func TestGroupCommitFailureIsolation(t *testing.T) {
+	u := newIngestable(t, 2, IngestConfig{MergeFanIn: -1})
+	boom := errors.New("poisoned batch")
+	u.testBuild = func(docs []store.Document) (*segment, error) {
+		for _, d := range docs {
+			if d.Title == "poison-0" {
+				return nil, boom
+			}
+		}
+		return buildSegment(u.name, docs, u.analyzer, u.skip, u.model)
+	}
+	builds, wait, release := gatedBuilds(t, u)
+	ctx := context.Background()
+	for i, prefix := range []string{"head", "before", "poison", "after"} {
+		if err := u.Ingest(ctx, titledBatch(prefix, []int{1, 2, 1, 1}[i])); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			wait() // the other three queue as one group
+		}
+	}
+	release()
+	if err := u.Flush(ctx); !errors.Is(err, boom) {
+		t.Fatalf("Flush error = %v, want the poisoned batch's", err)
+	}
+	if err := u.Flush(ctx); err != nil {
+		t.Fatalf("second Flush should be clean, got %v", err)
+	}
+	// head, the group of three, then each of its batches alone.
+	if got := builds.Load(); got != 5 {
+		t.Fatalf("%d builds, want 5", got)
+	}
+	st := u.SegmentStats()
+	if st.IngestFailures != 1 || st.BatchesBuilt != 3 || st.DocsIndexed != 4 || st.TotalDocs != 6 {
+		t.Fatalf("after the poisoned group: %+v", st)
+	}
+	assertTitles(t, u, 2, []string{"head-0", "before-0", "before-1", "after-0"})
+}
+
+// TestFlushWaitsForEarlierBatch: a Flush that starts while batch 1 is
+// still building returns only once batch 1 is searchable, though batch 2 is
+// ingested after the call. The count of retired batches Flush waits on is a
+// watermark only because one builder retires batches in queue order.
+func TestFlushWaitsForEarlierBatch(t *testing.T) {
+	u := newIngestable(t, 2, IngestConfig{MergeFanIn: -1})
+	_, wait, release := gatedBuilds(t, u)
+	ctx := context.Background()
+	if err := u.Ingest(ctx, titledBatch("first", 1)); err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	flushed := make(chan error, 1)
+	go func() { flushed <- u.Flush(ctx) }()
+	time.Sleep(10 * time.Millisecond) // let Flush read its target
+	if err := u.Ingest(ctx, titledBatch("second", 1)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-flushed:
+		t.Fatalf("Flush returned %v while batch 1 was still building", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	assertTitles(t, u, 2, []string{"first-0"})
+}
+
 // TestCloseDrainsAndRejects: Close stops intake, still builds what was
 // queued, and is idempotent; post-Close Ingest/ConfigureIngest fail typed.
 func TestCloseDrainsAndRejects(t *testing.T) {
@@ -221,6 +392,11 @@ func TestMergePolicySizeTiered(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		// One segment per batch: without the Flush, batches queued behind a
+		// build would be sealed together.
+		if err := u.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := u.Flush(ctx); err != nil {
 		t.Fatal(err)
@@ -270,6 +446,11 @@ func TestEpochOnUpdateUnderMergeStorm(t *testing.T) {
 			if err := u.Ingest(ctx, []store.Document{
 				{Title: fmt.Sprintf("s-%02d", i), Text: "storm surge barometer"},
 			}); err != nil {
+				ingestDone <- err
+				return
+			}
+			// One publication per batch, as the epoch floor below counts.
+			if err := u.Flush(ctx); err != nil {
 				ingestDone <- err
 				return
 			}

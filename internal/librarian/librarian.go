@@ -42,7 +42,7 @@ type Librarian struct {
 	// stores and a compressed fetch ships the stored blob as it is.
 	model *huffman.TextModel
 
-	// epoch counts manifest publications (ingested batches, merges);
+	// epoch counts manifest publications (segments built, merges);
 	// receptionist-side caches compare it (or subscribe via OnUpdate) to
 	// drop answers computed over an older snapshot.
 	epoch atomic.Uint64
@@ -54,13 +54,12 @@ type Librarian struct {
 	// Ingest pipeline state — see ingest.go.
 	cfg       IngestConfig
 	qmu       sync.Mutex
-	queue     chan []store.Document
-	stop      chan struct{} // closed by Close after enqueuers drain: workers finish the queue and exit
-	closing   chan struct{} // closed by Close first: unblocks enqueuers waiting for queue space
+	queue     chan []store.Document // closed by Close after enqueuers drain: the builder finishes it and exits
+	closing   chan struct{}         // closed by Close first: unblocks enqueuers waiting for queue space
 	started   bool
 	closed    bool
 	enqueuers sync.WaitGroup
-	workers   sync.WaitGroup
+	builder   sync.WaitGroup
 
 	fmu       sync.Mutex
 	enqSeq    uint64
@@ -83,8 +82,8 @@ type Librarian struct {
 	metrics atomic.Pointer[libMetrics]
 
 	// testBuildGate and testBuild, when set (before the first Ingest), hook
-	// the background builders: the gate is invoked at the start of every
-	// batch build (deterministic backpressure tests block on it), and
+	// the background builder: the gate is invoked at the start of every
+	// segment build (deterministic backpressure tests block on it), and
 	// testBuild replaces the segment build (failure-path tests inject
 	// errors with it).
 	testBuildGate func()

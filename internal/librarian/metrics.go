@@ -65,7 +65,7 @@ func (m *libMetrics) observe(read, wrote int, start time.Time, reply protocol.Me
 // recording: active sessions, request count, wire bytes in/out, per-request
 // service time (read-to-write-complete), the evaluation work behind
 // rank/score/boolean replies (postings decoded, candidates scored), the
-// ingest queue and builders, and the segment count and merges. All series
+// ingest queue and builder, and the segment count and merges. All series
 // carry a librarian label, so several librarians can share one registry —
 // the deployment the paper's receptionist federates over.
 func (l *Librarian) Instrument(reg *obs.Registry) {
@@ -96,7 +96,7 @@ func (l *Librarian) Instrument(reg *obs.Registry) {
 		queueLen: reg.Gauge("teraphim_ingest_queue_depth",
 			"Batches currently waiting on the ingest queue.", labels),
 		buildSeconds: reg.Histogram("teraphim_ingest_build_seconds",
-			"Per-batch segment build time (tokenize, index, compress).", labels, nil),
+			"Per-segment build time (tokenize, index, compress).", labels, nil),
 
 		segmentsLive: reg.Gauge("teraphim_segment_live",
 			"Segments in the current manifest.", labels),

@@ -10,7 +10,7 @@ import (
 // touching the rest of the federation. A Librarian realizes it with an
 // LSM-style segmented collection: immutable per-segment indexes+stores, an
 // atomically-published copy-on-write manifest, streaming Ingest through a
-// bounded queue onto background builders, and size-tiered background merges
+// bounded queue onto a background builder, and size-tiered background merges
 // — so tokenize/compress/build happens off the serving path and queries
 // always see a consistent snapshot (see segment.go and ingest.go). This file
 // is the publication step they share.
@@ -40,7 +40,7 @@ func (l *Librarian) newManifest(segs []*segment) *manifest {
 }
 
 // OnUpdate registers fn to run after every manifest publication (each
-// ingested batch, each merge), in registration order, on the publishing
+// segment built, each merge), in registration order, on the publishing
 // goroutine. This is the cache-invalidation hook: wire a receptionist's
 // InvalidateCache here so cached answers never outlive the snapshot they
 // were computed from. fn must not block for long and must be safe to call

@@ -117,10 +117,10 @@ func TestBuildSegmentMatchesStringPath(t *testing.T) {
 	}
 }
 
-// TestBuildSegmentConcurrent: ingest workers (IngestConfig.Workers > 1) run
-// buildSegment at once over one analyser and one frozen model, which they
-// only read; each call's memo and builder are its own, so concurrent builds
-// write what serial ones do. Run under -race.
+// TestBuildSegmentConcurrent: buildSegment only reads its analyser and
+// frozen model (librarians built with one BuildOptions.Analyzer share it
+// across their builders), and each call's memo and builder are its own, so
+// concurrent builds write what serial ones do. Run under -race.
 func TestBuildSegmentConcurrent(t *testing.T) {
 	analyzer := textproc.NewAnalyzer()
 	rng := rand.New(rand.NewSource(99))

@@ -59,9 +59,10 @@
 // # Streaming ingestion
 //
 // A Librarian grows its subcollection while serving. Ingest enqueues document batches onto a bounded queue (context-aware, failing
-// with ErrIngestQueueFull under sustained backpressure); background builders
-// seal each batch into an immutable segment; a size-tiered policy merges
-// segments so query fan-in stays logarithmic; Flush waits for visibility and
+// with ErrIngestQueueFull under sustained backpressure); a background builder
+// seals the batches into immutable segments, a backlog of them into one
+// (group commit); a size-tiered policy merges segments so query fan-in
+// stays logarithmic; Flush waits for visibility and
 // surfaces asynchronous build errors; Compact folds everything to one
 // segment on demand. Rankings over a segmented collection are exactly those
 // of the equivalent single-segment collection. A librarian that never
@@ -300,15 +301,15 @@ func BuildLibrarianWith(name string, docs []Document, opts BuildOptions) (*Libra
 
 // Streaming ingestion: a Librarian grows its collection while serving,
 // LSM-style — documents stream through Ingest onto a bounded queue,
-// background builders seal them into immutable segments, and a size-tiered
+// a background builder seals them into immutable segments, and a size-tiered
 // policy merges segments behind the scenes. Queries always see one
 // consistent snapshot; every publication bumps the epoch and fires OnUpdate
 // (wire it to Pool.InvalidateCache). This is the per-subcollection update
 // story that §4 of the paper counts among distribution's management
 // benefits, taken from rebuild-and-swap to incremental.
 type (
-	// IngestConfig tunes a librarian's ingest pipeline: queue depth,
-	// builder concurrency and the size-tiered merge policy. Install with
+	// IngestConfig tunes a librarian's ingest pipeline: queue depth and
+	// the size-tiered merge policy. Install with
 	// Librarian.ConfigureIngest before the first Ingest.
 	IngestConfig = librarian.IngestConfig
 	// SegmentStats is a point-in-time snapshot of a librarian's segments
@@ -320,7 +321,7 @@ type (
 
 // ErrIngestQueueFull is returned by Librarian.Ingest when the bounded ingest
 // queue stays full until the call's context expires — the backpressure
-// signal that documents arrive faster than the background builders retire
+// signal that documents arrive faster than the background builder retires
 // them. Test with errors.Is.
 var ErrIngestQueueFull = librarian.ErrIngestQueueFull
 
