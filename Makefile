@@ -64,11 +64,17 @@ vet:
 # Index.Groups' term bounds, and the receptionist's windowed fetch and the
 # GroupSource that folds each part as it lands), and the text model's
 # lexicon looks one-byte tokens up in a table instead of hashing them.
+# LIBRARIAN_LOC_MAX rose 1650 -> 1675 and WRITE_LOC_MAX 2714 -> 2750 once, on
+# purpose: Build became one scan with a lexicon that learns (huffman.Trainer,
+# the counts NewTextModel now loops over), the scan records each document's
+# symbols and codes them once the model is known (CompressSymbols), a word's
+# term is found by its symbol, and Ingest sends and counts a batch under one
+# send slot so Flush is a watermark under concurrent writers.
 CORE_LOC_MAX = 4324
-LIBRARIAN_LOC_MAX = 1650
+LIBRARIAN_LOC_MAX = 1675
 SEARCH_LOC_MAX = 1518
 PROTOCOL_LOC_MAX = 1594
-WRITE_LOC_MAX = 2714
+WRITE_LOC_MAX = 2750
 loc:
 	@write=0; for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
@@ -96,9 +102,9 @@ loc:
 # codec invariants (the wire decoders, the CI set-up's grouped-postings
 # reader among them; two compare the windowed bit reader and the block postings
 # decoder against bit-at-a-time references; one holds a text model frozen at
-# training to restoring any later string; the last compares the write path's
-# word scanner with the rune loop it replaced), short enough for every verify
-# run. -run='^$$' skips the unit tests, which `race` already covered.
+# training to restoring any later string; one compares the write path's
+# word scanner with the rune loop it replaced; the last holds Build's one scan
+# to the two passes it replaced), short enough for every verify run. -run='^$$' skips the unit tests, which `race` already covered.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzReadTaggedMessage -fuzztime=$(FUZZTIME) ./internal/protocol
@@ -111,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=$(FUZZTIME) ./internal/bitio
 	$(GO) test -run='^$$' -fuzz=FuzzFrozenModelRoundTrip -fuzztime=$(FUZZTIME) ./internal/huffman
 	$(GO) test -run='^$$' -fuzz=FuzzSplitWordsMatchesReference -fuzztime=$(FUZZTIME) ./internal/textproc
+	$(GO) test -run='^$$' -fuzz=FuzzBuildMatchesTwoPass -fuzztime=$(FUZZTIME) ./internal/librarian
 
 # The one benchmark (BENCHMARK.json, ./benchmark) on a 2k-document corpus
 # with 1 s windows: all four workloads, correctness gate included, tracing

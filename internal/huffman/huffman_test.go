@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -362,16 +363,16 @@ func TestOneByteTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tok := range []string{" ", "\n"} {
-		if m.seps.symbol(tok) == escapeSym {
+		if m.seps.symbol(tok) == Escape {
 			t.Fatalf("trained separator %q escapes", tok)
 		}
 	}
 	for _, tok := range []string{"a", "I", "z"} {
-		if m.WordSymbol(tok) == escapeSym {
+		if m.WordSymbol(tok) == Escape {
 			t.Fatalf("trained word %q escapes", tok)
 		}
 	}
-	if m.seps.symbol("\t") != escapeSym || m.WordSymbol("k") != escapeSym {
+	if m.seps.symbol("\t") != Escape || m.WordSymbol("k") != Escape {
 		t.Fatal("an unseen one-byte token has a symbol")
 	}
 	texts := append(docs, "a\tcat\tI\tk") // "\t" and "k" escape
@@ -401,4 +402,11 @@ func TestOneByteTokens(t *testing.T) {
 	if got := digest(back); got != want {
 		t.Fatalf("unmarshalled model and its documents hash to %s, want %s", got, want)
 	}
+}
+
+// sortedTokens is a test helper exposing lexicon contents deterministically.
+func (m *TextModel) sortedTokens() []string {
+	out := append([]string(nil), m.words.tokens[1:]...)
+	sort.Strings(out)
+	return out
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"teraphim/internal/bitio"
@@ -27,8 +26,8 @@ type TextModel struct {
 	sepCode  *Code
 }
 
-// escape symbols occupy index 0 in each lexicon.
-const escapeSym = 0
+// Escape is the symbol, in each lexicon, of every token outside it.
+const Escape = 0
 
 // A lexicon maps each token to its symbol through one of two tables: a
 // one-byte token — the single space that is nine separators in ten, a
@@ -61,70 +60,87 @@ func (lx *lexicon) set(tok string, id uint32) {
 	}
 }
 
-func (lx *lexicon) intern(tok string) uint32 {
-	if id := lx.symbol(tok); id != escapeSym {
-		return id
+// Trainer is MG's first pass one token at a time: it interns every word and
+// separator it is shown, counting each occurrence, and Model trains the text
+// model on the counts. Shown a collection's tokens in NewTextModel's order —
+// per span its separator then its word, then the tail — it trains
+// NewTextModel's model, under the same symbols.
+type Trainer struct {
+	words, seps       *lexicon
+	wordFreq, sepFreq []uint64
+}
+
+// NewTrainer returns a trainer that has counted nothing.
+func NewTrainer() *Trainer {
+	return &Trainer{words: newLexicon(), seps: newLexicon(), wordFreq: []uint64{0}, sepFreq: []uint64{0}}
+}
+
+// WordSymbol interns and counts word and returns its symbol.
+func (t *Trainer) WordSymbol(word string) uint32 { return count(t.words, &t.wordFreq, word) }
+
+// SepSymbol interns and counts sep and returns its symbol.
+func (t *Trainer) SepSymbol(sep string) uint32 { return count(t.seps, &t.sepFreq, sep) }
+
+// count interns tok in lx, counts it in freqs and returns its symbol.
+func count(lx *lexicon, freqs *[]uint64, tok string) uint32 {
+	id := lx.symbol(tok)
+	if id == Escape {
+		id = uint32(len(lx.tokens))
+		lx.tokens = append(lx.tokens, tok)
+		lx.set(tok, id)
+		*freqs = append(*freqs, 0)
 	}
-	id := uint32(len(lx.tokens))
-	lx.tokens = append(lx.tokens, tok)
-	lx.set(tok, id)
+	(*freqs)[id]++
 	return id
 }
 
-// NewTextModel trains a model over the given documents — MG's first pass,
-// which only counts tokens. Every distinct word and separator seen becomes a
-// lexicon entry; the escape codeword is weighted at roughly the count of
-// singletons so that novel tokens in future documents stay cheap.
-func NewTextModel(docs []string) (*TextModel, error) {
-	words := newLexicon()
-	seps := newLexicon()
-	wordFreq := []uint64{0}
-	sepFreq := []uint64{0}
-	count := func(lx *lexicon, freqs *[]uint64, tok string) {
-		id := lx.intern(tok)
-		for int(id) >= len(*freqs) {
-			*freqs = append(*freqs, 0)
-		}
-		(*freqs)[id]++
+// Model trains the text model on the counts: every token counted is a
+// lexicon entry, and the escape codeword weighs one per thousand word
+// tokens, minimum 1, so that novel tokens in later documents are
+// representable at near-maximal length. The model shares the trainer's
+// lexicons: call Model once, after the last token.
+func (t *Trainer) Model() (*TextModel, error) {
+	var total uint64
+	for _, f := range t.wordFreq {
+		total += f
 	}
+	t.wordFreq[Escape], t.sepFreq[Escape] = total/1000+1, total/1000+1
+	wordCode, err := New(t.wordFreq)
+	if err != nil {
+		return nil, fmt.Errorf("huffman: word code: %w", err)
+	}
+	sepCode, err := New(t.sepFreq)
+	if err != nil {
+		return nil, fmt.Errorf("huffman: separator code: %w", err)
+	}
+	return &TextModel{words: t.words, seps: t.seps, wordCode: wordCode, sepCode: sepCode}, nil
+}
+
+// NewTextModel trains a model over the given documents — MG's first pass,
+// which only counts tokens.
+func NewTextModel(docs []string) (*TextModel, error) {
+	t := NewTrainer()
 	var spans []textproc.WordSpan
 	for _, doc := range docs {
 		var tail string
 		spans, tail = textproc.AppendWords(spans[:0], doc)
 		for _, s := range spans {
-			count(seps, &sepFreq, s.Sep)
-			count(words, &wordFreq, s.Word)
+			t.SepSymbol(s.Sep)
+			t.WordSymbol(s.Word)
 		}
-		count(seps, &sepFreq, tail)
+		t.SepSymbol(tail)
 	}
-	// Escape weight: one per thousand tokens, minimum 1, so escapes are
-	// representable but near-maximal length.
-	var total uint64
-	for _, f := range wordFreq {
-		total += f
-	}
-	wordFreq[escapeSym] = total/1000 + 1
-	sepFreq[escapeSym] = total/1000 + 1
-
-	wordCode, err := New(wordFreq)
-	if err != nil {
-		return nil, fmt.Errorf("huffman: word code: %w", err)
-	}
-	sepCode, err := New(sepFreq)
-	if err != nil {
-		return nil, fmt.Errorf("huffman: separator code: %w", err)
-	}
-	return &TextModel{words: words, seps: seps, wordCode: wordCode, sepCode: sepCode}, nil
+	return t.Model()
 }
+
+// Model returns m: a frozen model numbers a writer's tokens as a Trainer
+// does, without learning from them.
+func (m *TextModel) Model() (*TextModel, error) { return m, nil }
 
 // CompressDoc returns the compressed byte representation of text.
 func (m *TextModel) CompressDoc(text string) ([]byte, error) {
 	spans, tail := textproc.SplitWords(text)
-	syms := make([]uint32, len(spans))
-	for i, s := range spans {
-		syms[i] = m.WordSymbol(s.Word)
-	}
-	return m.CompressSpans(spans, syms, tail)
+	return m.CompressSpans(spans, tail)
 }
 
 // WordSymbol returns word's symbol in the model's word lexicon, or the escape
@@ -133,20 +149,24 @@ func (m *TextModel) WordSymbol(word string) uint32 {
 	return m.words.symbol(word)
 }
 
+// SepSymbol returns sep's symbol in the model's separator lexicon, or Escape.
+func (m *TextModel) SepSymbol(sep string) uint32 {
+	return m.seps.symbol(sep)
+}
+
 // CompressSpans compresses a document that SplitWords or AppendWords has split
-// into spans and tail, syms[i] being WordSymbol(spans[i].Word): a writer that
-// meets a word many times looks its symbol up once.
-func (m *TextModel) CompressSpans(spans []textproc.WordSpan, syms []uint32, tail string) ([]byte, error) {
+// into spans and tail, looking every token up as it goes.
+func (m *TextModel) CompressSpans(spans []textproc.WordSpan, tail string) ([]byte, error) {
 	w := bitio.NewWriter(2*len(spans) + 16)
 	// Span count first so the decoder knows the structure.
 	if err := codec.PutGamma(w, uint64(len(spans))+1); err != nil {
 		return nil, err
 	}
-	for i, s := range spans {
+	for _, s := range spans {
 		if err := putToken(w, m.sepCode, m.seps.symbol(s.Sep), s.Sep); err != nil {
 			return nil, err
 		}
-		if err := putToken(w, m.wordCode, syms[i], s.Word); err != nil {
+		if err := putToken(w, m.wordCode, m.words.symbol(s.Word), s.Word); err != nil {
 			return nil, err
 		}
 	}
@@ -154,6 +174,29 @@ func (m *TextModel) CompressSpans(spans []textproc.WordSpan, syms []uint32, tail
 		return nil, err
 	}
 	return append([]byte(nil), w.Bytes()...), nil
+}
+
+// CompressSymbols codes one document from its symbols: per span its
+// separator's and its word's, then the tail's, as SepSymbol and WordSymbol
+// number them. esc holds, in order, the tokens whose symbol is Escape;
+// CompressSymbols codes those it meets and returns the rest. Its bytes are
+// CompressDoc's for the same text.
+func (m *TextModel) CompressSymbols(syms []uint32, esc []string) ([]byte, []string, error) {
+	w := bitio.NewWriter(len(syms) + 16)
+	if err := codec.PutGamma(w, uint64(len(syms)/2)+1); err != nil {
+		return nil, esc, err
+	}
+	codes := [2]*Code{m.sepCode, m.wordCode}
+	for i, sym := range syms {
+		var tok string
+		if sym == Escape {
+			tok, esc = esc[0], esc[1:]
+		}
+		if err := putToken(w, codes[i%2], sym, tok); err != nil {
+			return nil, esc, err
+		}
+	}
+	return append([]byte(nil), w.Bytes()...), esc, nil
 }
 
 // DecompressDoc reconstructs the exact original text.
@@ -187,11 +230,11 @@ func (m *TextModel) DecompressDoc(data []byte) (string, error) {
 
 // putToken writes tok, whose symbol in code's lexicon is sym.
 func putToken(w *bitio.Writer, code *Code, sym uint32, tok string) error {
-	if sym != escapeSym {
+	if sym != Escape {
 		return code.Encode(w, sym)
 	}
 	// Escape: codeword 0 then gamma length+1 then raw bytes.
-	if err := code.Encode(w, escapeSym); err != nil {
+	if err := code.Encode(w, Escape); err != nil {
 		return err
 	}
 	if err := codec.PutGamma(w, uint64(len(tok))+1); err != nil {
@@ -208,7 +251,7 @@ func (m *TextModel) getToken(r *bitio.Reader, lx *lexicon, code *Code) (string, 
 	if err != nil {
 		return "", err
 	}
-	if sym != escapeSym {
+	if sym != Escape {
 		if int(sym) >= len(lx.tokens) {
 			return "", fmt.Errorf("huffman: symbol %d outside lexicon", sym)
 		}
@@ -286,7 +329,7 @@ func UnmarshalTextModel(data []byte) (*TextModel, error) {
 			tok := string(data[:tl])
 			data = data[tl:]
 			lx.tokens = append(lx.tokens, tok)
-			if i != escapeSym {
+			if i != Escape {
 				lx.set(tok, i)
 			}
 			lengths = append(lengths, data[0])
@@ -310,11 +353,4 @@ func UnmarshalTextModel(data []byte) (*TextModel, error) {
 		return nil, fmt.Errorf("huffman: %d trailing bytes after model", len(data))
 	}
 	return &TextModel{words: words, seps: seps, wordCode: wordCode, sepCode: sepCode}, nil
-}
-
-// sortedTokens is a test helper exposing lexicon contents deterministically.
-func (m *TextModel) sortedTokens() []string {
-	out := append([]string(nil), m.words.tokens[1:]...)
-	sort.Strings(out)
-	return out
 }

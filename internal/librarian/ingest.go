@@ -55,25 +55,16 @@ type IngestConfig struct {
 	MinSegmentDocs int
 }
 
-func (l *Librarian) queueDepth() int {
-	if l.cfg.QueueDepth > 0 {
-		return l.cfg.QueueDepth
-	}
-	return defaultQueueDepth
-}
+func (l *Librarian) queueDepth() int { return setting(l.cfg.QueueDepth, 1, defaultQueueDepth) }
+func (l *Librarian) fanIn() int      { return setting(l.cfg.MergeFanIn, 2, defaultMergeFanIn) }
+func (l *Librarian) minSegDocs() int { return setting(l.cfg.MinSegmentDocs, 1, defaultMinSegDocs) }
 
-func (l *Librarian) fanIn() int {
-	if l.cfg.MergeFanIn > 1 {
-		return l.cfg.MergeFanIn
+// setting returns v if it is at least lo, else the default def.
+func setting(v, lo, def int) int {
+	if v >= lo {
+		return v
 	}
-	return defaultMergeFanIn
-}
-
-func (l *Librarian) minSegDocs() int {
-	if l.cfg.MinSegmentDocs > 0 {
-		return l.cfg.MinSegmentDocs
-	}
-	return defaultMinSegDocs
+	return def
 }
 
 // tierOf buckets a segment size geometrically: tier t holds segments of
@@ -104,18 +95,6 @@ func (l *Librarian) ConfigureIngest(cfg IngestConfig) error {
 	return nil
 }
 
-// ensureStartedLocked lazily creates the queue and starts the builder.
-// Caller holds l.qmu.
-func (l *Librarian) ensureStartedLocked() {
-	if l.started {
-		return
-	}
-	l.queue = make(chan []store.Document, l.queueDepth())
-	l.started = true
-	l.builder.Add(1)
-	go l.worker()
-}
-
 // Ingest enqueues docs for background indexing and returns once the batch
 // is accepted (not once it is visible — use Flush for that). The batch is
 // copied, so the caller may reuse docs. When the bounded queue is full,
@@ -131,37 +110,60 @@ func (l *Librarian) Ingest(ctx context.Context, docs []store.Document) error {
 		l.qmu.Unlock()
 		return fmt.Errorf("librarian: ingest into %q: %w", l.name, ErrLibrarianClosed)
 	}
-	l.ensureStartedLocked()
+	if !l.started { // the queue and its builder start on first use
+		l.queue = make(chan []store.Document, l.queueDepth())
+		l.started = true
+		l.builder.Add(1)
+		go l.worker()
+	}
 	queue := l.queue
-	l.enqueuers.Add(1)
 	l.qmu.Unlock()
-	defer l.enqueuers.Done()
 
 	batch := append([]store.Document(nil), docs...)
-	select {
-	case queue <- batch:
-	default:
-		l.queueFullWaits.Add(1)
-		if m := l.metrics.Load(); m != nil {
-			m.queueFull.Inc()
-		}
-		select {
-		case queue <- batch:
-		case <-ctx.Done():
-			return fmt.Errorf("librarian: ingest into %q: %w: %w", l.name, ErrIngestQueueFull, context.Cause(ctx))
-		case <-l.closing:
-			return fmt.Errorf("librarian: ingest into %q: %w", l.name, ErrLibrarianClosed)
-		}
+	// The send and its count are one step, under the send slot: a batch is
+	// counted before any batch queued behind it, so the count Flush reads is
+	// a watermark of queue order. DocsQueued counts it before the builder can.
+	if err := put(l, ctx, l.sendSlot, struct{}{}, false); err != nil {
+		return err
 	}
-	l.fmu.Lock()
-	l.enqSeq++
-	l.fmu.Unlock()
+	defer func() { <-l.sendSlot }()
 	l.docsQueued.Add(uint64(len(docs)))
+	if err := put(l, ctx, queue, batch, true); err != nil {
+		l.docsQueued.Add(-uint64(len(docs)))
+		return err
+	}
+	if l.testAfterSend != nil {
+		l.testAfterSend()
+	}
+	l.enqSeq.Add(1)
 	if m := l.metrics.Load(); m != nil {
 		m.docsQueued.Add(uint64(len(docs)))
 		m.queueLen.Set(int64(len(queue)))
 	}
 	return nil
+}
+
+// put sends v on ch, waiting for room until ctx is done or Close begins.
+func put[T any](l *Librarian, ctx context.Context, ch chan<- T, v T, queue bool) error {
+	select {
+	case ch <- v:
+		return nil
+	default:
+	}
+	if queue { // the wait is for the queue: count it
+		l.queueFullWaits.Add(1)
+		if m := l.metrics.Load(); m != nil {
+			m.queueFull.Inc()
+		}
+	}
+	select {
+	case ch <- v:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("librarian: ingest into %q: %w: %w", l.name, ErrIngestQueueFull, context.Cause(ctx))
+	case <-l.closing:
+		return fmt.Errorf("librarian: ingest into %q: %w", l.name, ErrLibrarianClosed)
+	}
 }
 
 // Flush blocks until every batch accepted by Ingest before the call has
@@ -171,8 +173,8 @@ func (l *Librarian) Ingest(ctx context.Context, docs []store.Document) error {
 // error since the previous Flush, clearing it — the redesigned API's error
 // channel for work that failed off the caller's goroutine.
 func (l *Librarian) Flush(ctx context.Context) error {
+	target := l.enqSeq.Load()
 	l.fmu.Lock()
-	target := l.enqSeq
 	for l.pubSeq < target {
 		wake := l.notify
 		l.fmu.Unlock()
@@ -289,11 +291,9 @@ func (l *Librarian) Close() error {
 	l.closed = true
 	started := l.started
 	l.qmu.Unlock()
-	close(l.closing)
-	// Wait for in-flight enqueuers (closing unblocked any stuck on a full
-	// queue); only then is the queue closed behind its last batch.
-	l.enqueuers.Wait()
+	close(l.closing) // an Ingest waiting for the slot or for room gives up
 	if started {
+		l.sendSlot <- struct{}{} // no Ingest sends after this
 		close(l.queue)
 		l.builder.Wait()
 	}
@@ -439,8 +439,8 @@ func (l *Librarian) SegmentStats() SegmentStats {
 		TotalDocs:      m.total,
 		Epoch:          l.epoch.Load(),
 		QueueCap:       l.queueDepth(),
+		DocsIndexed:    l.docsIndexed.Load(), // first: DocsQueued never trails it
 		DocsQueued:     l.docsQueued.Load(),
-		DocsIndexed:    l.docsIndexed.Load(),
 		BatchesBuilt:   l.batchesDone.Load(),
 		Merges:         l.mergesDone.Load(),
 		IngestFailures: l.ingestFailures.Load(),

@@ -326,6 +326,78 @@ func TestFlushWaitsForEarlierBatch(t *testing.T) {
 	assertTitles(t, u, 2, []string{"first-0"})
 }
 
+// TestFlushWaitsForConcurrentIngest: with two goroutines ingesting at once,
+// a caller's Flush returns only once its own batch is searchable, though the
+// other caller's batch, queued ahead of it and already built, is still
+// between its send and its count. Ingest sends and counts a batch as one
+// step, so no batch is counted ahead of one queued before it, and DocsQueued
+// never trails DocsIndexed.
+func TestFlushWaitsForConcurrentIngest(t *testing.T) {
+	u := newIngestable(t, 2, IngestConfig{MergeFanIn: -1})
+	entered, proceed, abort := make(chan struct{}, 4), make(chan struct{}), make(chan struct{})
+	u.testBuildGate = func() {
+		entered <- struct{}{}
+		select {
+		case <-proceed:
+		case <-abort:
+		}
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var sends atomic.Int32
+	u.testAfterSend = func() {
+		if sends.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+	}
+	releaseSend := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(func() { close(abort); releaseSend() }) // before newIngestable's Close
+	ctx := context.Background()
+
+	aDone := make(chan error, 1)
+	go func() { aDone <- u.Ingest(ctx, titledBatch("a", 1)) }()
+	<-held                // a is sent, not yet counted
+	<-entered             // and its build has begun
+	proceed <- struct{}{} // a's build completes
+	for deadline := time.Now().Add(2 * time.Second); u.SegmentStats().BatchesBuilt < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("a was never built")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := u.SegmentStats(); st.DocsIndexed > st.DocsQueued {
+		t.Errorf("DocsIndexed %d > DocsQueued %d", st.DocsIndexed, st.DocsQueued)
+	}
+	bFlushed := make(chan error, 1)
+	go func() {
+		if err := u.Ingest(ctx, titledBatch("b", 1)); err != nil {
+			bFlushed <- err
+			return
+		}
+		bFlushed <- u.Flush(ctx)
+	}()
+	select {
+	case err := <-bFlushed:
+		t.Fatalf("Flush returned %v while b was still unbuilt", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	releaseSend()
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	<-entered // b's build has begun
+	select {
+	case err := <-bFlushed:
+		t.Fatalf("Flush returned %v while b was building", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	proceed <- struct{}{}
+	if err := <-bFlushed; err != nil {
+		t.Fatal(err)
+	}
+	assertTitles(t, u, 2, []string{"a-0", "b-0"})
+}
+
 // TestCloseDrainsAndRejects: Close stops intake, still builds what was
 // queued, and is idempotent; post-Close Ingest/ConfigureIngest fail typed.
 func TestCloseDrainsAndRejects(t *testing.T) {

@@ -13,6 +13,7 @@
 package librarian
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -52,17 +53,17 @@ type Librarian struct {
 	onUpdate []func()
 
 	// Ingest pipeline state — see ingest.go.
-	cfg       IngestConfig
-	qmu       sync.Mutex
-	queue     chan []store.Document // closed by Close after enqueuers drain: the builder finishes it and exits
-	closing   chan struct{}         // closed by Close first: unblocks enqueuers waiting for queue space
-	started   bool
-	closed    bool
-	enqueuers sync.WaitGroup
-	builder   sync.WaitGroup
+	cfg      IngestConfig
+	qmu      sync.Mutex
+	queue    chan []store.Document // closed by Close under the send slot: the builder finishes it and exits
+	sendSlot chan struct{}         // held by an Ingest from its send to its count, and by Close for good
+	closing  chan struct{}         // closed by Close first: unblocks Ingests waiting for the slot or for room
+	started  bool
+	closed   bool
+	builder  sync.WaitGroup
 
+	enqSeq    atomic.Uint64 // batches sent, counted under the send slot
 	fmu       sync.Mutex
-	enqSeq    uint64
 	pubSeq    uint64
 	notify    chan struct{}
 	ingestErr error
@@ -88,6 +89,7 @@ type Librarian struct {
 	// errors with it).
 	testBuildGate func()
 	testBuild     func(docs []store.Document) (*segment, error)
+	testAfterSend func() // between an Ingest's send and its count
 }
 
 // New assembles a librarian from its parts, as a one-segment collection.
@@ -108,6 +110,7 @@ func New(name string, engine *search.Engine, docs *store.Store) (*Librarian, err
 		skip:     engine.Index().SkipInterval(),
 		model:    docs.Model(),
 		closing:  make(chan struct{}),
+		sendSlot: make(chan struct{}, 1),
 		notify:   make(chan struct{}),
 	}
 	l.man.Store(l.newManifest([]*segment{{engine: engine, store: docs, docs: docs.NumDocs()}}))
@@ -124,30 +127,19 @@ type BuildOptions struct {
 	SkipInterval int
 }
 
-// Build constructs a librarian from raw documents in MG's two passes: the
-// first trains the text model on docs, the second analyses, indexes and
-// compresses them exactly as an ingested batch is. The model is kept for the
-// librarian's life — documents ingested later are coded under it, novel
-// words through its escape codes — so build from a representative sample: a
-// librarian built from no documents stores everything it ingests at near raw
-// size.
+// Build constructs a librarian from raw documents in the one scan an
+// ingested batch runs, under a lexicon that learns: MG's first pass counts
+// the text model's tokens as the scan indexes them. The model is kept for the
+// librarian's life — documents ingested later are coded under it, novel words
+// through its escape codes — so build from a representative sample: a
+// librarian built from no documents stores what it ingests at near raw size.
 func Build(name string, docs []store.Document, opts BuildOptions) (*Librarian, error) {
 	analyzer := opts.Analyzer
 	if analyzer == nil {
 		analyzer = textproc.NewAnalyzer()
 	}
-	skip := uint32(index.DefaultSkipInterval)
-	switch {
-	case opts.SkipInterval > 0:
-		skip = uint32(opts.SkipInterval)
-	case opts.SkipInterval < 0:
-		skip = 0
-	}
-	model, err := store.TrainModel(docs)
-	if err != nil {
-		return nil, fmt.Errorf("librarian %q: %w", name, err)
-	}
-	sg, err := buildSegment(name, docs, analyzer, skip, model)
+	skip := uint32(max(0, cmp.Or(opts.SkipInterval, index.DefaultSkipInterval))) // negative: none
+	sg, err := buildSegment(name, docs, analyzer, skip, huffman.NewTrainer())
 	if err != nil {
 		return nil, err
 	}

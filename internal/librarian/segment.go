@@ -34,42 +34,78 @@ type segment struct {
 	docs   uint32
 }
 
-// buildSegment indexes docs and compresses them under model into a segment —
-// MG's second pass, for Build and for every ingested batch — in one scan per
-// document: AppendWords splits it once, the index builder counts the spans'
-// term ids and the coder encodes the same spans. Each distinct raw word is
-// analysed, interned and looked up in the model once per call, in a memo that
-// dies with the call.
-func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyzer, skip uint32, model *huffman.TextModel) (*segment, error) {
-	type word struct {
-		term, sym uint32
-		indexed   bool // false for a word with no term, such as a stopword
-	}
+// A lexicon numbers a segment's tokens as its scan meets them, then yields
+// the model that codes them: a huffman.Trainer, which learns the model from
+// the counts (Build, MG's first pass), or the librarian's frozen model.
+type lexicon interface {
+	SepSymbol(sep string) uint32
+	WordSymbol(word string) uint32
+	Model() (*huffman.TextModel, error)
+}
+
+// buildSegment indexes docs and codes them under the model lex yields. One
+// scan per document splits it (AppendWords), has lex number each span's tokens
+// onto a symbol stream and records its words' term ids; then each document is
+// inverted and coded, apart from the scan so that lex's tables stay in cache.
+func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyzer, skip uint32, lex lexicon) (*segment, error) {
+	const stopped = math.MaxUint32 // the term of a word with none, such as a stopword
 	ib := index.NewBuilder(index.WithSkipInterval(skip))
-	memo := make(map[string]word)
 	var spans []textproc.WordSpan
-	var ids, syms []uint32
-	st, err := store.Assemble(model, docs, func(i int) ([]byte, error) {
-		var tail string
-		spans, tail = textproc.AppendWords(spans[:0], docs[i].Text)
-		ids, syms = ids[:0], syms[:0]
-		for _, s := range spans {
-			w, ok := memo[s.Word]
-			if !ok {
-				var term string
-				if term, w.indexed = analyzer.Term(s.Word); w.indexed {
-					w.term = ib.TermID(term)
-				}
-				w.sym = model.WordSymbol(s.Word)
-				memo[s.Word] = w
-			}
-			if w.indexed {
-				ids = append(ids, w.term)
-			}
-			syms = append(syms, w.sym)
+	var terms []uint32                   // by word symbol: 1 + term id, stopped, or 0 if not met yet
+	var esc []string                     // the escaped tokens, in stream order
+	escTerms := make(map[string]*uint32) // an escaped word has no symbol: its term is found by itself
+	text := 0
+	for _, d := range docs {
+		text += len(d.Text)
+	}
+	syms := make([]uint32, 0, text/4+len(docs)) // about a span's two symbols per eight bytes of text
+	ids := make([]uint32, 0, text/8)            // the indexed words' term ids
+	ends := make([][2]int, 1, len(docs)+1)      // where document i's symbols and term ids end
+	record := func(tok string, sym uint32) uint32 {
+		if sym == huffman.Escape {
+			esc = append(esc, tok)
 		}
-		ib.AddIDs(ids)
-		return model.CompressSpans(spans, syms, tail)
+		syms = append(syms, sym)
+		return sym
+	}
+	for _, d := range docs {
+		var tail string
+		spans, tail = textproc.AppendWords(spans[:0], d.Text)
+		for _, s := range spans {
+			record(s.Sep, lex.SepSymbol(s.Sep))
+			sym := record(s.Word, lex.WordSymbol(s.Word))
+			if int(sym) >= len(terms) {
+				terms = append(terms, make([]uint32, int(sym)+1-len(terms))...)
+			}
+			t := &terms[sym]
+			if sym == huffman.Escape {
+				if t = escTerms[s.Word]; t == nil {
+					t = new(uint32)
+					escTerms[s.Word] = t
+				}
+			}
+			if *t == 0 {
+				*t = stopped
+				if term, ok := analyzer.Term(s.Word); ok {
+					*t = 1 + ib.TermID(term)
+				}
+			}
+			if *t != stopped {
+				ids = append(ids, *t-1)
+			}
+		}
+		record(tail, lex.SepSymbol(tail))
+		ends = append(ends, [2]int{len(syms), len(ids)})
+	}
+	model, err := lex.Model()
+	if err != nil {
+		return nil, fmt.Errorf("librarian %q: train model: %w", name, err)
+	}
+	st, err := store.Assemble(model, docs, func(i int) (blob []byte, err error) {
+		from, to := ends[i], ends[i+1]
+		ib.AddIDs(ids[from[1]:to[1]])
+		blob, esc, err = model.CompressSymbols(syms[from[0]:to[0]], esc)
+		return blob, err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("librarian %q: build store: %w", name, err)

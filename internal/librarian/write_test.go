@@ -76,51 +76,97 @@ func serialised(t testing.TB, src io.WriterTo) []byte {
 	return buf.Bytes()
 }
 
+// assertStringPath holds sg, built from docs by the one scan, to the string
+// path it replaced: Builder.Add over the query analyser's Terms, and
+// store.BuildWith under model — the model's Marshal bytes, the index's
+// WriteTo bytes, and the store's, which hold every blob.
+func assertStringPath(t testing.TB, label string, sg *segment, docs []store.Document, analyzer *textproc.Analyzer, skip uint32, model *huffman.TextModel) {
+	t.Helper()
+	ib := index.NewBuilder(index.WithSkipInterval(skip))
+	for _, d := range docs {
+		ib.Add(analyzer.Terms(nil, d.Text))
+	}
+	ix, err := ib.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.BuildWith(model, docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sg.store.Model().Marshal(), model.Marshal()) {
+		t.Fatalf("%s: model bytes differ from the string path's", label)
+	}
+	if !bytes.Equal(serialised(t, sg.engine.Index()), serialised(t, ix)) {
+		t.Fatalf("%s: index bytes differ from the string path's", label)
+	}
+	if !bytes.Equal(serialised(t, sg.store), serialised(t, st)) {
+		t.Fatalf("%s: store bytes differ from the string path's", label)
+	}
+}
+
 // TestBuildSegmentMatchesStringPath holds the write path's one scan per
-// document — each distinct raw word analysed by Analyzer.Term, interned and
-// looked up in the model once — to the string path it replaced: Builder.Add
-// over the query analyser's Terms, and store.BuildWith. The query analyser is
-// the oracle because CV ≡ MS needs the write side and the query side to
-// analyse alike. Each seeded round builds under a model trained on its
-// documents and under one frozen on other text, so escapes are covered too.
+// document — each distinct raw word analysed by Analyzer.Term once, and each
+// document coded from the symbols its lexicon gave — to the string path it
+// replaced. The query analyser is the oracle because CV ≡ MS needs the write
+// side and the query side to analyse alike. Each seeded round builds under a
+// model trained on its documents, under one frozen on other text, so escapes
+// are covered too, and as Build does, with a trainer that learns the model in
+// the scan: that model must be store.TrainModel's, symbol for symbol and
+// count for count. The last rounds are no documents and separators alone.
 func TestBuildSegmentMatchesStringPath(t *testing.T) {
 	analyzer := textproc.NewAnalyzer()
-	for round := 0; round < 40; round++ {
+	for round := 0; round < 42; round++ {
 		rng := rand.New(rand.NewSource(int64(round)))
 		docs := hostileDocs(rng, 1+rng.Intn(60))
+		switch round {
+		case 40:
+			docs = nil
+		case 41:
+			docs = []store.Document{{Text: " "}, {Text: ""}, {Text: ", \xff\n"}, {Text: "①\u0301 — "}, {Text: " "}}
+		}
 		skip := uint32(4 * rng.Intn(3))
-		models := map[string]*huffman.TextModel{"trained": textModel(t, docs), "frozen": textModel(t, hostileDocs(rng, 5))}
-		for name, model := range models {
-			sg, err := buildSegment("H", docs, analyzer, skip, model)
+		frozen := textModel(t, hostileDocs(rng, 5))
+		for name, lex := range map[string]lexicon{"Build": huffman.NewTrainer(), "trained": textModel(t, docs), "frozen": frozen} {
+			sg, err := buildSegment("H", docs, analyzer, skip, lex)
 			if err != nil {
-				t.Fatalf("round %d, %s model: %v", round, name, err)
+				t.Fatalf("round %d, %s: %v", round, name, err)
 			}
-			ib := index.NewBuilder(index.WithSkipInterval(skip))
-			for _, d := range docs {
-				ib.Add(analyzer.Terms(nil, d.Text))
+			model, ok := lex.(*huffman.TextModel)
+			if !ok {
+				model = textModel(t, docs)
 			}
-			ix, err := ib.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := store.BuildWith(model, docs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serialised(t, sg.engine.Index()), serialised(t, ix)) {
-				t.Fatalf("round %d, %s model: index bytes differ from the string path's", round, name)
-			}
-			if !bytes.Equal(serialised(t, sg.store), serialised(t, st)) {
-				t.Fatalf("round %d, %s model: store bytes differ from the string path's", round, name)
-			}
+			assertStringPath(t, fmt.Sprintf("round %d, %s", round, name), sg, docs, analyzer, skip, model)
 		}
 	}
 }
 
+// FuzzBuildMatchesTwoPass splits the input into documents at every NUL and
+// holds Build's one scan to the two passes it replaced: store.TrainModel,
+// then the string path under its model.
+func FuzzBuildMatchesTwoPass(f *testing.F) {
+	f.Add("Distributed retrieval, café\x00 the librarians — ranking\x00\x00\xff\xc3 x1ing İstanbul ①")
+	f.Add("")
+	f.Add(" , \n\x00\t-")
+	analyzer := textproc.NewAnalyzer()
+	f.Fuzz(func(t *testing.T, text string) {
+		var docs []store.Document
+		for _, part := range strings.Split(text, "\x00") {
+			docs = append(docs, store.Document{Text: part})
+		}
+		sg, err := buildSegment("F", docs, analyzer, index.DefaultSkipInterval, huffman.NewTrainer())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertStringPath(t, fmt.Sprintf("%q", text), sg, docs, analyzer, index.DefaultSkipInterval, textModel(t, docs))
+	})
+}
+
 // TestBuildSegmentConcurrent: buildSegment only reads its analyser and
 // frozen model (librarians built with one BuildOptions.Analyzer share it
-// across their builders), and each call's memo and builder are its own, so
-// concurrent builds write what serial ones do. Run under -race.
+// across their builders), and each call's term table, symbol stream and
+// builder are its own, so concurrent builds write what serial ones do. Run
+// under -race.
 func TestBuildSegmentConcurrent(t *testing.T) {
 	analyzer := textproc.NewAnalyzer()
 	rng := rand.New(rand.NewSource(99))
@@ -157,9 +203,11 @@ func TestBuildSegmentConcurrent(t *testing.T) {
 
 // BenchmarkBuildSegment prices the write path per document, both ways a
 // librarian writes: build is a static Build of cv-long-inproc's AP
-// subcollection (20,800 documents of that workload's vocabulary; both
-// passes), batch one 100-document ingested batch under the model that Build
-// froze.
+// subcollection (20,800 documents of that workload's vocabulary; one scan
+// with a lexicon that learns, then each document inverted and coded from
+// what the scan recorded, so B/doc includes the transient symbol stream and
+// term ids), batch one 100-document ingested batch under the model that
+// Build froze.
 func BenchmarkBuildSegment(b *testing.B) {
 	cfg := trecsynth.DefaultConfig()
 	cfg.VocabSize = 20000
@@ -188,12 +236,13 @@ func BenchmarkBuildSegment(b *testing.B) {
 	})
 }
 
-// perDoc runs write b.N times and reports time, documents per second and
-// allocations per document, each run writing docs documents.
+// perDoc runs write b.N times and reports time, documents per second, and
+// allocations and bytes allocated per document, each run writing docs
+// documents.
 func perDoc(b *testing.B, docs int, write func() error) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	mallocs := ms.Mallocs
+	mallocs, allocated := ms.Mallocs, ms.TotalAlloc
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := write(); err != nil {
@@ -206,4 +255,5 @@ func perDoc(b *testing.B, docs int, write func() error) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/doc")
 	b.ReportMetric(n/b.Elapsed().Seconds(), "docs/s")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/n, "allocs/doc")
+	b.ReportMetric(float64(ms.TotalAlloc-allocated)/n, "B/doc")
 }

@@ -81,7 +81,7 @@ func BuildWith(model *huffman.TextModel, docs []Document) (*Store, error) {
 // Assemble is BuildWith with compress(i) supplying document i's blob, which
 // must be its text compressed under model: the store takes each document's
 // title and raw size from docs and its blob from compress, in order, so a
-// writer can compress a document in the same scan that indexes it.
+// writer can code each document from what its one scan recorded.
 func Assemble(model *huffman.TextModel, docs []Document, compress func(i int) ([]byte, error)) (*Store, error) {
 	s := &Store{model: model, blobs: make([][]byte, len(docs)), titles: make([]string, len(docs))}
 	for i, d := range docs {
