@@ -70,11 +70,17 @@ vet:
 # symbols and codes them once the model is known (CompressSymbols), a word's
 # term is found by its symbol, and Ingest sends and counts a batch under one
 # send slot so Flush is a watermark under concurrent writers.
-CORE_LOC_MAX = 4324
+# WRITE_LOC_MAX rose 2750 -> 2809 and PROTOCOL_LOC_MAX 1594 -> 1598 once, on
+# purpose: an index keeps its lists and skip tables in two arenas written by
+# one appender (appendList, seal), ReadFrom checks every list and skip table
+# it loads by coding it again, a text model that only decodes builds its
+# lookup tables on its first encode, and a frame reader keeps no buffer past
+# maxKeptBuf, so set-up state is what the paper counts.
+CORE_LOC_MAX = 4323
 LIBRARIAN_LOC_MAX = 1675
 SEARCH_LOC_MAX = 1518
-PROTOCOL_LOC_MAX = 1594
-WRITE_LOC_MAX = 2750
+PROTOCOL_LOC_MAX = 1598
+WRITE_LOC_MAX = 2809
 loc:
 	@write=0; for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
@@ -103,8 +109,9 @@ loc:
 # reader among them; two compare the windowed bit reader and the block postings
 # decoder against bit-at-a-time references; one holds a text model frozen at
 # training to restoring any later string; one compares the write path's
-# word scanner with the rune loop it replaced; the last holds Build's one scan
-# to the two passes it replaced), short enough for every verify run. -run='^$$' skips the unit tests, which `race` already covered.
+# word scanner with the rune loop it replaced; one holds Build's one scan
+# to the two passes it replaced; the last feeds the index file reader
+# arbitrary bytes), short enough for every verify run. -run='^$$' skips the unit tests, which `race` already covered.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzReadTaggedMessage -fuzztime=$(FUZZTIME) ./internal/protocol
@@ -118,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrozenModelRoundTrip -fuzztime=$(FUZZTIME) ./internal/huffman
 	$(GO) test -run='^$$' -fuzz=FuzzSplitWordsMatchesReference -fuzztime=$(FUZZTIME) ./internal/textproc
 	$(GO) test -run='^$$' -fuzz=FuzzBuildMatchesTwoPass -fuzztime=$(FUZZTIME) ./internal/librarian
+	$(GO) test -run='^$$' -fuzz=FuzzIndexReadFrom -fuzztime=$(FUZZTIME) ./internal/index
 
 # The one benchmark (BENCHMARK.json, ./benchmark) on a 2k-document corpus
 # with 1 s windows: all four workloads, correctness gate included, tracing

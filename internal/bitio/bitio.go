@@ -77,6 +77,14 @@ func (w *Writer) Reset() {
 	w.acc, w.nacc = 0, 0
 }
 
+// ResetTo discards all written bits and goes on writing after the bytes of
+// buf, which it keeps: an encoder appends byte-aligned runs onto one shared
+// buffer through it, taking the buffer back from Bytes.
+func (w *Writer) ResetTo(buf []byte) {
+	w.buf = buf
+	w.acc, w.nacc = 0, 0
+}
+
 // Reader consumes bits MSB-first from a byte slice through a 64-bit window,
 // so a fixed-width read is a shift and a unary read a leading-zero count.
 type Reader struct {

@@ -22,17 +22,17 @@ type libMeta struct {
 	offset  uint32 // global id of this librarian's local doc 0
 }
 
-// vocabState is the outcome of one SetupVocabulary exchange: the merged
-// global term statistics, each librarian's own vocabulary (indexed like
-// Federation.libs), and the collection-selection index derived from them.
-// A fresh state is built off to the side and installed atomically, so
-// concurrent queries always see either the previous complete vocabulary or
-// the new one — never a mix; selection scores and term weights therefore
-// always come from the same setup exchange.
+// vocabState is the outcome of one SetupVocabulary exchange: one table of
+// term statistics — per term its global f_t, its collection frequency and
+// each librarian's f_t, librarians numbered as in Federation.libs — and the
+// collection-selection index over it. A fresh state is built off to the
+// side and installed atomically, so concurrent queries always see either the
+// previous complete vocabulary or the new one — never a mix; selection
+// scores and term weights therefore always come from the same setup
+// exchange.
 type vocabState struct {
-	globalFT map[string]uint32
-	perLib   []map[string]uint32 // term -> local f_t, per librarian
-	sel      *selection.Index    // CORI scores over perLib, for top-R fan-out
+	vocab *selection.Vocabulary
+	sel   *selection.Index // CORI scores over vocab, for top-R fan-out
 }
 
 // modelSet maps librarian name to its document-decompression model.
@@ -111,7 +111,11 @@ func (f *Federation) owner(global uint32) (*libMeta, error) {
 // search.CollectionWeight every librarian and the MS baseline weigh with, so
 // CV scores are theirs bit for bit. Requires SetupVocabulary.
 func (f *Federation) GlobalWeights(query string) (map[string]float64, error) {
-	vs := f.vocab.Load()
+	return f.weigh(f.vocab.Load(), query)
+}
+
+// weigh is GlobalWeights under the vocabulary snapshot vs.
+func (f *Federation) weigh(vs *vocabState, query string) (map[string]float64, error) {
 	if vs == nil {
 		return nil, errors.New("core: SetupVocabulary has not run")
 	}
@@ -122,8 +126,10 @@ func (f *Federation) GlobalWeights(query string) (map[string]float64, error) {
 	}
 	weights := make(map[string]float64, len(freqs))
 	for t, fqt := range freqs {
-		if w := search.CollectionWeight(fqt, vs.globalFT[t], f.totalDocs); w > 0 {
-			weights[t] = w
+		if row := vs.vocab.Row(t); row != nil {
+			if w := search.CollectionWeight(fqt, row[0], f.totalDocs); w > 0 {
+				weights[t] = w
+			}
 		}
 	}
 	return weights, nil
@@ -162,10 +168,8 @@ func (f *Federation) VocabularySize() (terms int, bytes uint64) {
 	if vs == nil {
 		return 0, 0
 	}
-	for t := range vs.globalFT {
-		bytes += uint64(len(t)) + 8
-	}
-	return len(vs.globalFT), bytes
+	terms, bytes = vs.vocab.Len()
+	return terms, bytes + 8*uint64(terms)
 }
 
 // SetupCentralIndex installs the grouped central index for CI queries. The

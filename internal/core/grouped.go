@@ -75,26 +75,29 @@ func BuildGroupedFromIndexes(subIndexes []*index.Index, offsets []uint32, totalD
 	}
 	srcs := make([]index.GroupSource, len(subIndexes))
 	var covered uint64
+	var terms, postings int // at most what the indexes hold between them
 	for i, ix := range subIndexes {
 		if uint64(offsets[i]) != covered {
 			return nil, fmt.Errorf("core: index %d starts at doc %d, the indexes before it end at %d", i, offsets[i], covered)
 		}
 		covered += uint64(ix.NumDocs())
+		terms, postings = terms+ix.NumTerms(), postings+int(ix.NumPostings())
 		srcs[i] = ix.Groups(offsets[i], uint32(groupSize), "", "")
 	}
 	if covered != uint64(totalDocs) {
 		return nil, fmt.Errorf("core: indexes cover %d docs, collection has %d", covered, totalDocs)
 	}
-	return foldGrouped(srcs, totalDocs, uint32(groupSize), analyzer)
+	return foldGrouped(srcs, totalDocs, uint32(groupSize), terms, postings, analyzer)
 }
 
 // foldGrouped builds the grouped index of totalDocs documents, g to a group,
-// from the grouped lists of its parts in document order.
-func foldGrouped(srcs []index.GroupSource, totalDocs, g uint32, analyzer *textproc.Analyzer) (*GroupedIndex, error) {
+// from the grouped lists of its parts in document order; terms and postings
+// estimate its size, 0 where nothing does.
+func foldGrouped(srcs []index.GroupSource, totalDocs, g uint32, terms, postings int, analyzer *textproc.Analyzer) (*GroupedIndex, error) {
 	if totalDocs == 0 {
 		return nil, fmt.Errorf("core: empty collection")
 	}
-	ix, err := index.BuildFromGroups(srcs, (totalDocs-1)/g+1)
+	ix, err := index.BuildFromGroups(srcs, (totalDocs-1)/g+1, terms, postings)
 	if err != nil {
 		return nil, fmt.Errorf("core: build grouped index: %w", err)
 	}

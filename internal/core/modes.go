@@ -48,22 +48,26 @@ func (e *exec) queryCN(res *Result, query string) error {
 // are then exactly the mono-server scores.
 func (e *exec) queryCV(res *Result, query string) error {
 	analyzeStart := time.Now()
-	weights, err := e.fed.GlobalWeights(query)
+	// The vocab snapshot is loaded once so weighting, eligibility and top-R
+	// selection agree even if a re-setup lands mid-query.
+	vs := e.fed.vocab.Load()
+	weights, err := e.fed.weigh(vs, query)
 	if err != nil {
 		return err
 	}
 	// Eligibility: a librarian whose vocabulary contains none of the
-	// weighted terms cannot contribute and is not contacted. The vocab
-	// snapshot is loaded once so eligibility, weighting and top-R selection
-	// agree even if a re-setup lands mid-query.
-	vs := e.fed.vocab.Load()
-	var eligible []int
-	for i := range e.fed.libs {
-		for term := range weights {
-			if vs.perLib[i][term] > 0 {
-				eligible = append(eligible, i)
-				break
+	// weighted terms cannot contribute and is not contacted. A term's row
+	// holds every librarian's f_t, so one lookup per term serves them all,
+	// and the walk stops once every librarian is in.
+	var eligible []int // ascending
+	for term := range weights {
+		for i, ft := range vs.vocab.Row(term)[2:] {
+			if j, found := slices.BinarySearch(eligible, i); ft > 0 && !found {
+				eligible = slices.Insert(eligible, j, i)
 			}
+		}
+		if len(eligible) == len(e.fed.libs) {
+			break
 		}
 	}
 	res.Trace.Stages.Analyze += time.Since(analyzeStart)

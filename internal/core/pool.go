@@ -388,30 +388,20 @@ func (p *Pool) SetupVocabulary() (Trace, error) {
 	if err != nil {
 		return trace, err
 	}
-	vs := &vocabState{
-		globalFT: make(map[string]uint32, 1<<12),
-		perLib:   make([]map[string]uint32, len(p.fed.libs)),
-	}
+	vocab := selection.NewVocabulary(len(p.fed.libs))
 	for i, li := range p.fed.libs {
 		vr, ok := replies[li.name].(*protocol.VocabReply)
 		if !ok {
 			return trace, fmt.Errorf("core: librarian %q answered VocabRequest with %v", li.name, replies[li.name].Type())
 		}
-		local := make(map[string]uint32, len(vr.Terms))
 		for _, ts := range vr.Terms {
-			local[ts.Term] = ts.FT
-			vs.globalFT[ts.Term] += ts.FT
+			vocab.Add(i, ts.Term, ts.FT)
 		}
-		vs.perLib[i] = local
 	}
-	// Derive the collection-selection index from the same statistics, so the
-	// installed state answers both "how do terms weigh globally?" and "which
-	// librarians are worth asking?" from one atomic snapshot.
-	cols := make([]selection.Collection, len(p.fed.libs))
-	for i, li := range p.fed.libs {
-		cols[i] = selection.Collection{Name: li.name, Docs: li.numDocs, DF: vs.perLib[i]}
-	}
-	vs.sel = selection.New(cols)
+	// The selection index reads the same table, so the installed state
+	// answers both "how do terms weigh globally?" and "which librarians are
+	// worth asking?" from one atomic snapshot.
+	vs := &vocabState{vocab: vocab, sel: selection.NewIndex(names, vocab)}
 	p.fed.installVocab(vs)
 	return trace, nil
 }
@@ -514,7 +504,9 @@ func (p *Pool) SetupCentralIndexRemote(groupSize int) (Trace, error) {
 			}()
 		}
 	}
-	grouped, err := foldGrouped(srcs, p.fed.totalDocs, g, p.fed.analyzer)
+	// The merged vocabulary, once exchanged, holds the grouped index's terms.
+	terms, _ := p.fed.VocabularySize()
+	grouped, err := foldGrouped(srcs, p.fed.totalDocs, g, terms, 0, p.fed.analyzer)
 	if err != nil {
 		fail(err)
 	}

@@ -1,0 +1,71 @@
+package huffman
+
+import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// frozenSeeds returns the texts of FuzzFrozenModelRoundTrip's seed corpus.
+func frozenSeeds(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzFrozenModelRoundTrip", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no seeds: %v", err)
+	}
+	var texts []string
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		text, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "string("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		texts = append(texts, text)
+	}
+	return texts
+}
+
+// TestUnmarshalledModelDecodesWithoutLookup: a model rebuilt from Marshal —
+// the receptionist's — restores every seed byte for byte while its lexicons
+// hold no lookup table, and again once its first encode has built them,
+// when it also codes the seed as the trained model does.
+func TestUnmarshalledModelDecodesWithoutLookup(t *testing.T) {
+	trained, err := NewTextModel(sampleCorpus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := UnmarshalTextModel(trained.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := frozenSeeds(t)
+	for round, built := range []bool{false, true} {
+		for _, text := range seeds {
+			data, err := trained.CompressDoc(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (wire.words.byToken != nil) != built || (wire.seps.byToken != nil) != built {
+				t.Fatalf("round %d: lookup tables built = %v, want %v", round, wire.words.byToken != nil, built)
+			}
+			if got, err := wire.DecompressDoc(data); err != nil || got != text {
+				t.Fatalf("round %d: %q came back as %q (%v)", round, text, got, err)
+			}
+			if built {
+				again, err := wire.CompressDoc(text)
+				if err != nil || string(again) != string(data) {
+					t.Fatalf("%q: the rebuilt model codes %d bytes, the trained one %d (%v)", text, len(again), len(data), err)
+				}
+			}
+		}
+		if _, err := wire.CompressDoc("the first encode"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"teraphim/internal/bitio"
 	"teraphim/internal/codec"
@@ -33,22 +34,36 @@ const Escape = 0
 // one-byte token — the single space that is nine separators in ten, a
 // one-letter word — indexes byByte, and any other sits in byToken, so the
 // commonest lookups hash nothing. An absent token reads as the escape symbol.
+// The tables are built from tokens on the first lookup: a model that only
+// decodes — the receptionist's — never builds them.
 type lexicon struct {
+	index   sync.Once
 	byByte  [256]uint32
 	byToken map[string]uint32
 	tokens  []string // tokens[0] is the escape pseudo-token ""
 }
 
-func newLexicon() *lexicon {
-	return &lexicon{byToken: map[string]uint32{}, tokens: []string{""}}
-}
-
 // symbol returns tok's symbol, or the escape symbol if tok is not in lx.
 func (lx *lexicon) symbol(tok string) uint32 {
+	lx.index.Do(lx.build)
+	return lx.lookup(tok)
+}
+
+// lookup is symbol on built tables, as a Trainer's are from the start: its
+// count runs once per token of a collection, unguarded.
+func (lx *lexicon) lookup(tok string) uint32 {
 	if len(tok) == 1 {
 		return lx.byByte[tok[0]]
 	}
 	return lx.byToken[tok]
+}
+
+// build fills the lookup tables from tokens.
+func (lx *lexicon) build() {
+	lx.byToken = make(map[string]uint32, len(lx.tokens))
+	for i, tok := range lx.tokens[1:] {
+		lx.set(tok, uint32(i+1))
+	}
 }
 
 // set makes id the symbol of tok.
@@ -72,7 +87,10 @@ type Trainer struct {
 
 // NewTrainer returns a trainer that has counted nothing.
 func NewTrainer() *Trainer {
-	return &Trainer{words: newLexicon(), seps: newLexicon(), wordFreq: []uint64{0}, sepFreq: []uint64{0}}
+	t := &Trainer{words: &lexicon{tokens: []string{""}}, seps: &lexicon{tokens: []string{""}}, wordFreq: []uint64{0}, sepFreq: []uint64{0}}
+	t.words.index.Do(t.words.build)
+	t.seps.index.Do(t.seps.build)
+	return t
 }
 
 // WordSymbol interns and counts word and returns its symbol.
@@ -83,7 +101,7 @@ func (t *Trainer) SepSymbol(sep string) uint32 { return count(t.seps, &t.sepFreq
 
 // count interns tok in lx, counts it in freqs and returns its symbol.
 func count(lx *lexicon, freqs *[]uint64, tok string) uint32 {
-	id := lx.symbol(tok)
+	id := lx.lookup(tok)
 	if id == Escape {
 		id = uint32(len(lx.tokens))
 		lx.tokens = append(lx.tokens, tok)
@@ -298,8 +316,11 @@ func (m *TextModel) Marshal() []byte {
 	return out
 }
 
-// UnmarshalTextModel reconstructs a model serialised by Marshal.
+// UnmarshalTextModel reconstructs a model serialised by Marshal. Its tokens
+// are substrings of one copy of data, and its lexicons build their lookup
+// tables only when the model first encodes.
 func UnmarshalTextModel(data []byte) (*TextModel, error) {
+	all := string(data)
 	read := func() (*lexicon, *Code, error) {
 		if len(data) < 4 {
 			return nil, nil, fmt.Errorf("huffman: truncated model header")
@@ -315,7 +336,7 @@ func UnmarshalTextModel(data []byte) (*TextModel, error) {
 			// is corrupt, so do not pre-allocate for it.
 			hint = max
 		}
-		lx := &lexicon{byToken: make(map[string]uint32, hint), tokens: make([]string, 0, hint)}
+		lx := &lexicon{tokens: make([]string, 0, hint)}
 		lengths := make([]uint8, 0, hint)
 		for i := uint32(0); i < n; i++ {
 			tl, used, err := codec.VByte(data)
@@ -326,12 +347,9 @@ func UnmarshalTextModel(data []byte) (*TextModel, error) {
 			if uint64(len(data)) < tl+1 {
 				return nil, nil, fmt.Errorf("huffman: token %d truncated", i)
 			}
-			tok := string(data[:tl])
+			off := len(all) - len(data)
+			lx.tokens = append(lx.tokens, all[off:off+int(tl)])
 			data = data[tl:]
-			lx.tokens = append(lx.tokens, tok)
-			if i != Escape {
-				lx.set(tok, i)
-			}
 			lengths = append(lengths, data[0])
 			data = data[1:]
 		}

@@ -23,10 +23,13 @@ const fallbackBlock = 64
 // Index.ResetCursor) is reusable across terms and queries, which is what
 // keeps the scoring kernel allocation-free in steady state.
 type TermCursor struct {
-	entry   *termEntry
-	r       bitio.Reader
-	code    codec.GolombCode
-	skipIvl uint32
+	ft       uint32
+	list     []byte
+	skipDocs []uint32 // the list's skip table: see termEntry
+	skipBits []uint32
+	r        bitio.Reader
+	code     codec.GolombCode
+	skipIvl  uint32
 
 	pos   uint32 // postings consumed so far (next posting index to deliver)
 	cur   Posting
@@ -71,18 +74,19 @@ func (ix *Index) ResetCursor(c *TermCursor, term string) error {
 func (ix *Index) OpenCursor(c *TermCursor, term string) bool {
 	i, ok := ix.byTerm[term]
 	if ok {
-		ix.resetCursorEntry(c, &ix.entries[i])
+		ix.resetCursorEntry(c, int(i))
 	}
 	return ok
 }
 
 // resetCursorEntry is ResetCursor given a resolved entry — the dictionary
 // lookup factored out for internal whole-index walks (the MaxFDT table
-// build) that already hold the entry.
-func (ix *Index) resetCursorEntry(c *TermCursor, e *termEntry) {
-	c.entry = e
-	c.r.Reset(e.postings)
-	c.code = codec.NewGolombCode(codec.GolombParameter(uint64(ix.numDocs), uint64(e.ft)))
+// build) that already hold the entry's position.
+func (ix *Index) resetCursorEntry(c *TermCursor, i int) {
+	c.ft = ix.entries[i].ft
+	c.list, c.skipDocs, c.skipBits = ix.list(i)
+	c.r.Reset(c.list)
+	c.code = codec.NewGolombCode(codec.GolombParameter(uint64(ix.numDocs), uint64(c.ft)))
 	c.skipIvl = ix.skipIvl
 	c.pos = 0
 	c.cur = Posting{}
@@ -93,11 +97,11 @@ func (ix *Index) resetCursorEntry(c *TermCursor, e *termEntry) {
 }
 
 // FT returns f_t for the cursor's term.
-func (c *TermCursor) FT() uint32 { return c.entry.ft }
+func (c *TermCursor) FT() uint32 { return c.ft }
 
 // ListBytes reports the exact compressed size in bytes of the cursor's
 // postings list. It feeds Stats.IndexBytesRead.
-func (c *TermCursor) ListBytes() uint64 { return uint64(len(c.entry.postings)) }
+func (c *TermCursor) ListBytes() uint64 { return uint64(len(c.list)) }
 
 // blockSize is the number of postings decoded per fill: the skip interval,
 // so that seeks always land on buffer boundaries, or a fixed block when the
@@ -114,15 +118,16 @@ func (c *TermCursor) blockSize() uint32 {
 // terminates the list).
 func (c *TermCursor) fill() bool {
 	start := c.bufStart + c.bufLen
-	if start >= c.entry.ft {
+	if start >= c.ft {
 		return false
 	}
-	n := c.entry.ft - start
+	n := c.ft - start
 	if bs := c.blockSize(); n > bs {
 		n = bs
 	}
 	if uint32(cap(c.buf)) < n {
-		c.buf = make([]Posting, c.blockSize())
+		// No larger than the list, whatever skip interval the index claims.
+		c.buf = make([]Posting, min(c.blockSize(), max(c.ft, fallbackBlock)))
 	}
 	last, err := c.code.DecodePostingsInto(c.buf[:n], &c.r, c.streamPrev)
 	c.bufStart = start
@@ -148,7 +153,7 @@ func (c *TermCursor) Next() bool {
 		c.DecodedPostings++
 		return true
 	}
-	if c.pos >= c.entry.ft {
+	if c.pos >= c.ft {
 		c.valid = false
 		return false
 	}
@@ -199,10 +204,10 @@ func (c *TermCursor) Advance(target uint32) bool {
 	}
 	// Use the skip table to find the last block whose preceding doc is
 	// below the target, if it is ahead of our position.
-	if n := len(c.entry.skipDocs); n > 0 {
+	if n := len(c.skipDocs); n > 0 {
 		// block b covers postings [(b)*ivl, (b+1)*ivl); skipDocs[i] is the
 		// doc before block i+1 begins, and skip entry j points at block j+1.
-		i := sort.Search(n, func(i int) bool { return c.entry.skipDocs[i] >= target })
+		i := sort.Search(n, func(i int) bool { return c.skipDocs[i] >= target })
 		if i > 0 {
 			j := i - 1 // last skip entry with skipDocs[j] < target
 			blockFirstPos := uint32(j+1) * c.skipIvl
@@ -215,13 +220,13 @@ func (c *TermCursor) Advance(target uint32) bool {
 					c.pos = blockFirstPos
 					c.valid = false
 				} else {
-					if err := c.r.SeekBit(int(c.entry.skipBits[j])); err != nil {
+					if err := c.r.SeekBit(int(c.skipBits[j])); err != nil {
 						c.valid = false
 						return false
 					}
 					c.pos = blockFirstPos
 					c.bufStart, c.bufLen = blockFirstPos, 0
-					c.streamPrev = int64(c.entry.skipDocs[j])
+					c.streamPrev = int64(c.skipDocs[j])
 					c.valid = false
 				}
 			}
@@ -248,8 +253,8 @@ func (c *TermCursor) Decode(dst []Posting) ([]Posting, error) {
 		}
 		dst = append(dst, blk...)
 	}
-	if c.pos != c.entry.ft {
-		return dst, fmt.Errorf("index: decoded %d of %d postings", c.pos, c.entry.ft)
+	if c.pos != c.ft {
+		return dst, fmt.Errorf("index: decoded %d of %d postings", c.pos, c.ft)
 	}
 	return dst, nil
 }

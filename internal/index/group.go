@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"teraphim/internal/bitio"
 )
 
 // A GroupSource yields one part of a collection's postings lists in
@@ -48,8 +46,7 @@ func (s *indexGroups) NextTerm() (string, error) {
 }
 
 func (s *indexGroups) AppendGroups(dst []Posting) ([]Posting, error) {
-	e := &s.ix.entries[s.i]
-	s.ix.resetCursorEntry(&s.cur, e)
+	s.ix.resetCursorEntry(&s.cur, s.i)
 	start := len(dst)
 	for blk := s.cur.NextBlock(); blk != nil; blk = s.cur.NextBlock() {
 		for _, p := range blk {
@@ -61,8 +58,8 @@ func (s *indexGroups) AppendGroups(dst []Posting) ([]Posting, error) {
 			}
 		}
 	}
-	if s.cur.pos != e.ft || s.cur.cur.Doc >= s.ix.numDocs {
-		return dst, fmt.Errorf("index: term %q: corrupt list (%d of %d postings decoded)", e.term, s.cur.pos, e.ft)
+	if s.cur.pos != s.cur.ft || s.cur.cur.Doc >= s.ix.numDocs {
+		return dst, fmt.Errorf("index: term %q: corrupt list (%d of %d postings decoded)", s.ix.entries[s.i].term, s.cur.pos, s.cur.ft)
 	}
 	return dst, nil
 }
@@ -80,7 +77,7 @@ func FoldGroups(srcs []GroupSource, emit func(term string, groups []Posting) err
 			return fmt.Errorf("index: part %d: %w", i, err)
 		}
 	}
-	var list []Posting
+	list := make([]Posting, 0, 256)
 	for {
 		term := ""
 		for _, h := range heads {
@@ -118,22 +115,20 @@ func FoldGroups(srcs []GroupSource, emit func(term string, groups []Posting) err
 // BuildFromGroups builds the index of numDocs groups whose lists FoldGroups
 // folds from srcs. A group's weight and length come from its postings —
 // W_g = sqrt(Σ_t log(f_gt+1)²) and Σ_t f_gt — which is what Builder gives a
-// document made of the group's terms.
-func BuildFromGroups(srcs []GroupSource, numDocs uint32, opts ...BuilderOption) (*Index, error) {
-	ix := &Index{
-		byTerm:  make(map[string]int),
-		weights: make([]float32, numDocs),
-		lens:    make([]uint32, numDocs),
-		numDocs: numDocs,
-		skipIvl: skipIntervalOf(opts),
-	}
+// document made of the group's terms. terms and postings are the caller's
+// estimates of the folded index's size, 0 where it has none: they size the
+// arenas, which grow by doubling past them, and seal trims what they
+// overshoot.
+func BuildFromGroups(srcs []GroupSource, numDocs uint32, terms, postings int, opts ...BuilderOption) (*Index, error) {
+	// A posting takes about a byte, and a list at least one.
+	ix := newIndex(numDocs, skipIntervalOf(opts), terms, max(postings, terms), 0)
+	ix.weights, ix.lens = make([]float32, numDocs), make([]uint32, numDocs)
 	sumSq := make([]float64, numDocs)
-	w := bitio.NewWriter(4096)
 	err := FoldGroups(srcs, func(term string, groups []Posting) error {
+		if err := ix.appendList(term, groups); err != nil {
+			return fmt.Errorf("index: term %q: %w", term, err)
+		}
 		for _, p := range groups {
-			if p.Doc >= numDocs || p.FDT == 0 {
-				return fmt.Errorf("index: term %q: posting (%d, %d) outside collection of %d", term, p.Doc, p.FDT, numDocs)
-			}
 			if p.FDT < uint32(len(logSq)) {
 				sumSq[p.Doc] += logSq[p.FDT]
 			} else {
@@ -142,14 +137,6 @@ func BuildFromGroups(srcs []GroupSource, numDocs uint32, opts ...BuilderOption) 
 			}
 			ix.lens[p.Doc] += p.FDT
 		}
-		entry, err := compressList(w, term, groups, numDocs, ix.skipIvl)
-		if err != nil {
-			return fmt.Errorf("index: term %q: %w", term, err)
-		}
-		ix.byTerm[term] = len(ix.entries)
-		ix.entries = append(ix.entries, entry)
-		ix.numPtrs += uint64(len(groups))
-		ix.postings += uint64(len(entry.postings))
 		return nil
 	})
 	if err != nil {
@@ -158,7 +145,7 @@ func BuildFromGroups(srcs []GroupSource, numDocs uint32, opts ...BuilderOption) 
 	for d, s := range sumSq {
 		ix.weights[d] = float32(math.Sqrt(s))
 	}
-	return ix, nil
+	return ix.seal(), nil
 }
 
 // logSq[f] is log(f+1)², the weight term of a group frequency f: most

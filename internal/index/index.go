@@ -31,28 +31,31 @@ var ErrTermNotFound = errors.New("index: term not found")
 // Posting aliases codec.Posting: one (doc, f_dt) pair.
 type Posting = codec.Posting
 
-// termEntry holds the index data for one term.
+// termEntry is one dictionary entry: the term, f_t and where its list and
+// skip table start in the index's arenas. The list runs to the next entry's
+// offset (to the arena's end for the last entry); the skip table holds
+// numSkips(f_t) values — the last document of each block before a sync
+// point — then as many bit offsets, each where the block after it starts.
 type termEntry struct {
-	term     string
-	ft       uint32 // number of documents containing the term
-	postings []byte // compressed postings
-	// Skip structure: skipDocs[i] is the last doc id of block i,
-	// skipBits[i] the bit offset of block i+1 within postings. Present only
-	// for lists longer than the skip interval.
-	skipDocs []uint32
-	skipBits []uint32
+	term string
+	ft   uint32 // number of documents containing the term
+	off  uint32 // the list's first byte in Index.arena
+	skip uint32 // the skip table's first value in Index.skips
 }
 
-// Index is an immutable inverted file over one collection.
+// Index is an immutable inverted file over one collection. Its lists sit
+// end to end in one byte arena and their skip tables in one uint32 arena,
+// both in term order, so a dictionary entry is a term, f_t and two offsets.
 type Index struct {
-	entries  []termEntry    // sorted by term
-	byTerm   map[string]int // term -> entries index
-	weights  []float32      // W_d per document
-	lens     []uint32       // indexed-term count per document (for stats)
-	numDocs  uint32
-	numPtrs  uint64 // total postings count
-	skipIvl  uint32
-	postings uint64 // total compressed postings bytes
+	entries []termEntry       // sorted by term
+	byTerm  map[string]uint32 // term -> entries index
+	arena   []byte            // every compressed list
+	skips   []uint32          // every skip table
+	weights []float32         // W_d per document
+	lens    []uint32          // indexed-term count per document (for stats)
+	numDocs uint32
+	numPtrs uint64 // total postings count
+	skipIvl uint32
 
 	// invW caches 1/W_d (0 where W_d is 0), built lazily: the scoring
 	// kernel's normalisation pass is then a pure array scan with no
@@ -101,9 +104,12 @@ func WithSkipInterval(interval uint32) BuilderOption {
 	return func(b *Builder) { b.skipIvl = interval }
 }
 
-// skipIntervalOf resolves the skip interval that Builder options select, for
-// the index producers that are not a Builder (Merge, BuildFromGroups).
+// skipIntervalOf resolves the skip interval that Builder options select,
+// allocating nothing when there are none.
 func skipIntervalOf(opts []BuilderOption) uint32 {
+	if len(opts) == 0 {
+		return DefaultSkipInterval
+	}
 	cfg := Builder{skipIvl: DefaultSkipInterval}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -113,11 +119,7 @@ func skipIntervalOf(opts []BuilderOption) uint32 {
 
 // NewBuilder returns an empty Builder.
 func NewBuilder(opts ...BuilderOption) *Builder {
-	b := &Builder{ids: make(map[string]uint32, 1024), skipIvl: DefaultSkipInterval}
-	for _, opt := range opts {
-		opt(b)
-	}
-	return b
+	return &Builder{ids: make(map[string]uint32, 1024), skipIvl: skipIntervalOf(opts)}
 }
 
 // Add indexes one document given its analysed terms and returns the document
@@ -169,77 +171,157 @@ func (b *Builder) AddIDs(ids []uint32) uint32 {
 }
 
 // Build freezes the builder into an immutable Index. The Builder must not be
-// used afterwards.
+// used afterwards: its term map becomes the index's dictionary lookup.
 func (b *Builder) Build() (*Index, error) {
-	idx := &Index{
-		entries: make([]termEntry, 0, len(b.terms)),
-		byTerm:  make(map[string]int, len(b.terms)),
-		weights: b.weights,
-		lens:    b.lens,
-		numDocs: uint32(len(b.weights)),
-		skipIvl: b.skipIvl,
+	var postings, skips int
+	for _, l := range b.lists {
+		postings += len(l)
+		skips += 2 * numSkips(uint32(len(l)), b.skipIvl)
 	}
+	// A posting takes about a byte; seal trims what the estimate overshoots.
+	ix := newIndex(uint32(len(b.weights)), b.skipIvl, len(b.terms), postings, skips)
+	ix.byTerm, ix.weights, ix.lens = b.ids, b.weights, b.lens
 	order := make([]uint32, len(b.terms)) // ids in term order
 	for i := range order {
 		order[i] = uint32(i)
 	}
 	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(b.terms[x], b.terms[y]) })
-	w := bitio.NewWriter(4096)
 	for _, id := range order {
-		t, postings := b.terms[id], b.lists[id]
 		// Builder.Add appends docs in increasing order, so the list is
-		// already sorted; verify cheaply in case of misuse.
-		entry, err := compressList(w, t, postings, idx.numDocs, b.skipIvl)
-		if err != nil {
-			return nil, fmt.Errorf("index: term %q: %w", t, err)
+		// already sorted; appendList verifies it cheaply in case of misuse.
+		if err := ix.appendList(b.terms[id], b.lists[id]); err != nil {
+			return nil, fmt.Errorf("index: term %q: %w", b.terms[id], err)
 		}
-		idx.byTerm[t] = len(idx.entries)
-		idx.entries = append(idx.entries, entry)
-		idx.numPtrs += uint64(len(postings))
-		idx.postings += uint64(len(entry.postings))
 	}
 	b.ids, b.terms, b.lists = nil, nil, nil
-	return idx, nil
+	return ix.seal(), nil
 }
 
-// compressList encodes one postings list block by block so that each block
-// can be decoded independently after a skip.
-func compressList(w *bitio.Writer, term string, postings []Posting, numDocs, skipIvl uint32) (termEntry, error) {
-	entry := termEntry{term: term, ft: uint32(len(postings))}
-	if len(term) == 0 || len(term) > 255 {
-		return entry, fmt.Errorf("term length %d outside [1, 255]", len(term))
+// newIndex returns an index of numDocs documents with no lists yet, its
+// arenas sized for terms entries, listBytes bytes of lists and skips skip
+// values.
+func newIndex(numDocs, skipIvl uint32, terms, listBytes, skips int) *Index {
+	return &Index{
+		entries: make([]termEntry, 0, terms),
+		arena:   make([]byte, 0, listBytes),
+		skips:   make([]uint32, 0, skips),
+		numDocs: numDocs,
+		skipIvl: skipIvl,
 	}
-	w.Reset()
-	useSkips := skipIvl > 0 && uint32(len(postings)) > skipIvl
-	bGolomb := codec.GolombParameter(uint64(numDocs), uint64(len(postings)))
+}
+
+// numSkips is the number of sync points in a list of ft postings: one before
+// each block of skipIvl postings after the first.
+func numSkips(ft, skipIvl uint32) int {
+	if skipIvl == 0 || ft == 0 {
+		return 0
+	}
+	return int((ft - 1) / skipIvl)
+}
+
+// appendList codes term's postings — ascending, inside the collection — at
+// the ends of the arenas, and adds its entry: the one writer of an index's
+// lists, which Build, Merge, BuildFromGroups and ReadFrom all append
+// through. Gap coding runs on across blocks, so a cursor that seeks to a
+// sync point resumes from the block's preceding document.
+func (ix *Index) appendList(term string, postings []Posting) error {
+	ft := uint32(len(postings))
+	if len(term) == 0 || len(term) > 255 || ft == 0 {
+		return fmt.Errorf("%d-byte term with %d postings, want [1, 255] bytes and a posting", len(term), ft)
+	}
+	n := numSkips(ft, ix.skipIvl)
+	e := termEntry{term: term, ft: ft, off: uint32(len(ix.arena)), skip: uint32(len(ix.skips))}
+	ix.skips = grow(ix.skips, 2*n)
+	skips := ix.skips[len(ix.skips) : len(ix.skips)+2*n]
+	var w bitio.Writer
+	w.ResetTo(grow(ix.arena, len(postings)))
+	b := codec.GolombParameter(uint64(ix.numDocs), uint64(ft))
 	prev := int64(-1)
 	for i, p := range postings {
-		if int64(p.Doc) <= prev && i > 0 {
-			return entry, fmt.Errorf("postings not strictly increasing at %d", i)
+		if n > 0 && i > 0 && i%int(ix.skipIvl) == 0 {
+			k := i/int(ix.skipIvl) - 1
+			skips[k], skips[n+k] = uint32(prev), uint32(w.BitLen()-8*int(e.off))
 		}
-		blockStart := useSkips && i > 0 && uint32(i)%skipIvl == 0
-		if blockStart {
-			// Record a sync point: last doc of the previous block and the
-			// bit offset where this block starts. Gap coding is continuous
-			// across blocks, so a decoder seeking here resumes with
-			// prev = skipDocs[i].
-			entry.skipDocs = append(entry.skipDocs, uint32(prev))
-			entry.skipBits = append(entry.skipBits, uint32(w.BitLen()))
+		if int64(p.Doc) <= prev || p.Doc >= ix.numDocs || p.FDT == 0 {
+			return fmt.Errorf("posting %d (%d, %d) not ascending inside %d documents", i, p.Doc, p.FDT, ix.numDocs)
 		}
-		gap := int64(p.Doc) - prev
-		if gap <= 0 {
-			return entry, fmt.Errorf("non-positive gap at posting %d", i)
+		if err := codec.PutGolomb(&w, uint64(int64(p.Doc)-prev), b); err != nil {
+			return err
 		}
-		if err := codec.PutGolomb(w, uint64(gap), bGolomb); err != nil {
-			return entry, err
-		}
-		if err := codec.PutGamma(w, uint64(p.FDT)); err != nil {
-			return entry, err
+		if err := codec.PutGamma(&w, uint64(p.FDT)); err != nil {
+			return err
 		}
 		prev = int64(p.Doc)
 	}
-	entry.postings = append([]byte(nil), w.Bytes()...)
-	return entry, nil
+	if arena := w.Bytes(); uint64(len(arena)) <= math.MaxUint32 {
+		ix.arena = arena
+	} else {
+		return errors.New("postings exceed 4 GiB")
+	}
+	ix.skips = ix.skips[:len(ix.skips)+2*n]
+	ix.entries = append(grow(ix.entries, 1), e)
+	ix.numPtrs += uint64(ft)
+	return nil
+}
+
+// seal trims the slack the producer's estimates and doubling left in the
+// arenas, and points the term lookup — a map the producer handed over, or a
+// new one — at the entries.
+func (ix *Index) seal() *Index {
+	ix.entries, ix.arena, ix.skips = trim(ix.entries), trim(ix.arena), trim(ix.skips)
+	if ix.byTerm == nil {
+		ix.byTerm = make(map[string]uint32, len(ix.entries))
+	}
+	for i, e := range ix.entries {
+		ix.byTerm[e.term] = uint32(i)
+	}
+	return ix
+}
+
+// grow makes room for n more elements, at least doubling the capacity when
+// it must move, so an arena filled list by list moves a logarithmic number
+// of times.
+func grow[E any](s []E, n int) []E {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, max(n, cap(s)))
+	}
+	return s
+}
+
+// trim returns s in an allocation of its own length, or s itself when it
+// has no spare capacity.
+func trim[E any](s []E) []E {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]E, 0, len(s)), s...)
+}
+
+// list returns entry i's compressed postings and its skip table's last
+// documents and bit offsets.
+func (ix *Index) list(i int) (postings []byte, skipDocs, skipBits []uint32) {
+	e := &ix.entries[i]
+	end := uint32(len(ix.arena))
+	if i+1 < len(ix.entries) {
+		end = ix.entries[i+1].off
+	}
+	s, n := e.skip, uint32(numSkips(e.ft, ix.skipIvl))
+	return ix.arena[e.off:end:end], ix.skips[s : s+n : s+n], ix.skips[s+n : s+2*n : s+2*n]
+}
+
+// decodeList appends to dst the ft postings that data codes in a collection
+// of numDocs documents, failing unless they all lie inside it.
+func decodeList(dst []Posting, data []byte, ft, numDocs uint32) ([]Posting, error) {
+	start := len(dst)
+	dst = slices.Grow(dst, int(ft))[:start+int(ft)]
+	var r bitio.Reader
+	r.Reset(data)
+	code := codec.NewGolombCode(codec.GolombParameter(uint64(numDocs), uint64(ft)))
+	last, err := code.DecodePostingsInto(dst[start:], &r, -1)
+	if err == nil && last >= int64(numDocs) {
+		err = fmt.Errorf("document %d outside %d", last, numDocs)
+	}
+	return dst, err
 }
 
 // NumDocs returns the number of documents in the collection.
@@ -303,7 +385,7 @@ func (ix *Index) MaxFDT(term string) uint32 {
 		table := make([]uint32, len(ix.entries))
 		var c TermCursor
 		for j := range ix.entries {
-			ix.resetCursorEntry(&c, &ix.entries[j])
+			ix.resetCursorEntry(&c, j)
 			for {
 				blk := c.NextBlock()
 				if blk == nil {
@@ -343,7 +425,7 @@ func (ix *Index) Terms(fn func(term string, ft uint32) bool) {
 // SizeBytes reports the compressed size of the postings (the "index size"
 // quantity the paper reports for the CI methodology), excluding the
 // dictionary.
-func (ix *Index) SizeBytes() uint64 { return ix.postings }
+func (ix *Index) SizeBytes() uint64 { return uint64(len(ix.arena)) }
 
 // DictSizeBytes approximates the dictionary ("vocabulary") size: the
 // quantity a CV receptionist must store per collection.

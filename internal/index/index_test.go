@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
-
-	"teraphim/internal/bitio"
 )
 
 // buildTiny builds a small index over fixed documents.
@@ -396,32 +394,19 @@ func (b *mapBuilder) Add(terms []string) uint32 {
 }
 
 func (b *mapBuilder) Build() (*Index, error) {
-	idx := &Index{
-		entries: make([]termEntry, 0, len(b.terms)),
-		byTerm:  make(map[string]int, len(b.terms)),
-		weights: b.weights,
-		lens:    b.lens,
-		numDocs: uint32(len(b.weights)),
-		skipIvl: b.skipIvl,
-	}
+	idx := newIndex(uint32(len(b.weights)), b.skipIvl, 0, 0, 0)
+	idx.weights, idx.lens = b.weights, b.lens
 	terms := make([]string, 0, len(b.terms))
 	for t := range b.terms {
 		terms = append(terms, t)
 	}
 	sort.Strings(terms)
-	w := bitio.NewWriter(4096)
 	for _, t := range terms {
-		postings := b.terms[t]
-		entry, err := compressList(w, t, postings, idx.numDocs, b.skipIvl)
-		if err != nil {
+		if err := idx.appendList(t, b.terms[t]); err != nil {
 			return nil, err
 		}
-		idx.byTerm[t] = len(idx.entries)
-		idx.entries = append(idx.entries, entry)
-		idx.numPtrs += uint64(len(postings))
-		idx.postings += uint64(len(entry.postings))
 	}
-	return idx, nil
+	return idx.seal(), nil
 }
 
 // TestBuilderMatchesMapReference: the id-counting Builder writes the bytes

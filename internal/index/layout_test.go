@@ -1,0 +1,219 @@
+package index
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"runtime"
+	"strconv"
+	"testing"
+	"unsafe"
+)
+
+// TestTermEntrySize pins the dictionary entry at a term, f_t and two arena
+// offsets: 32 bytes, where a list averages about 56 compressed bytes.
+func TestTermEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(termEntry{}); n > 32 {
+		t.Fatalf("termEntry is %d bytes, want at most 32", n)
+	}
+}
+
+// arenaCorpus returns documents over exactly terms distinct terms: each
+// document holds four terms of its own and 36 drawn at random.
+func arenaCorpus(terms int) [][]string {
+	rng := rand.New(rand.NewSource(int64(terms)))
+	docs := make([][]string, terms/4)
+	for d := range docs {
+		for i := 0; i < 40; i++ {
+			id := 4*d + i
+			if i >= 4 {
+				id = rng.Intn(terms)
+			}
+			docs[d] = append(docs[d], "t"+strconv.Itoa(id))
+		}
+	}
+	return docs
+}
+
+// TestProducersAllocatePerArena pins what the arenas are for: Build, Merge,
+// BuildFromGroups and ReadFrom make at most one allocation per 100 terms —
+// lists, skip tables and entries land in arenas grown by doubling, not one
+// allocation or more per term. Each producer's inputs are made outside the
+// measured call.
+func TestProducersAllocatePerArena(t *testing.T) {
+	for _, terms := range []int{2000, 20000} {
+		docs := arenaCorpus(terms)
+		limit := float64(terms) / 100
+		const runs = 3
+		builders := make([]*Builder, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range builders {
+			builders[i] = NewBuilder()
+			for _, d := range docs {
+				builders[i].Add(d)
+			}
+		}
+		next := 0
+		measure := func(name string, f func() (*Index, error)) {
+			t.Helper()
+			allocs := testing.AllocsPerRun(runs, func() {
+				ix, err := f()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ix.NumTerms() != terms {
+					t.Fatalf("%s: %d terms, want %d", name, ix.NumTerms(), terms)
+				}
+			})
+			t.Logf("%d terms: %s makes %.0f allocations (limit %.0f)", terms, name, allocs, limit)
+			if allocs > limit {
+				t.Errorf("%d terms: %s makes %.0f allocations, want at most %.0f", terms, name, allocs, limit)
+			}
+		}
+		measure("Build", func() (*Index, error) {
+			next++
+			return builders[next-1].Build()
+		})
+
+		half := len(docs) / 2
+		a, b := buildOver(t, docs[:half]), buildOver(t, docs[half:])
+		measure("Merge", func() (*Index, error) {
+			return Merge([]*Index{a, b}, []uint32{0, uint32(half)}, uint32(len(docs)))
+		})
+
+		const g = 10
+		srcs := make([]GroupSource, 2)
+		parts := make([]listSource, 2)
+		for i, ix := range []*Index{a, b} {
+			src := ix.Groups(uint32(i*half), g, "", "")
+			for term, _ := src.NextTerm(); term != ""; term, _ = src.NextTerm() {
+				list, err := src.AppendGroups(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts[i].terms, parts[i].lists = append(parts[i].terms, term), append(parts[i].lists, list)
+			}
+			srcs[i] = &parts[i]
+		}
+		// What core passes: the merged vocabulary's term count, and here the
+		// parts' postings, which bound the folded lists'.
+		postings := 0
+		for _, p := range parts {
+			for _, l := range p.lists {
+				postings += len(l)
+			}
+		}
+		measure("BuildFromGroups", func() (*Index, error) {
+			parts[0].i, parts[1].i = 0, 0
+			return BuildFromGroups(srcs, uint32(len(docs)+g-1)/g, terms, postings)
+		})
+
+		file := serialised(t, buildOver(t, docs))
+		measure("ReadFrom", func() (*Index, error) { return ReadFrom(bytes.NewReader(file)) })
+	}
+}
+
+// reversedSkips returns an index file whose list for "t" — 334 postings,
+// every third of 1,000 documents, so five skip entries — has those entries
+// in reverse order, and the index it was written from.
+func reversedSkips(t testing.TB) ([]byte, *Index) {
+	t.Helper()
+	docs := make([][]string, 1000)
+	for d := range docs {
+		docs[d] = []string{"a"}
+		if d%3 == 0 {
+			docs[d] = append(docs[d], "t")
+		}
+	}
+	ix := buildOver(t, docs)
+	file := serialised(t, ix)
+	// "t" sorts last, so its skip table ends the file: five last documents,
+	// then five bit offsets, four bytes each.
+	table := file[len(file)-40:]
+	for _, half := range [][]byte{table[:20], table[20:]} {
+		for i, j := 0, 16; i < j; i, j = i+4, j-4 {
+			for k := 0; k < 4; k++ {
+				half[i+k], half[j+k] = half[j+k], half[i+k]
+			}
+		}
+	}
+	return file, ix
+}
+
+// TestReadFromRejectsReversedSkips: a skip table whose entries are out of
+// order is refused with errCorrupt. Loaded, it would make Advance(600) miss
+// document 600, which the list holds, and CI's librarian would score that
+// document 0.
+func TestReadFromRejectsReversedSkips(t *testing.T) {
+	file, truth := reversedSkips(t)
+	c, err := truth.Cursor("t")
+	if err != nil || !c.Advance(600) || c.Posting().Doc != 600 {
+		t.Fatalf("true index: Advance(600) does not reach document 600 (%v)", err)
+	}
+	ix, err := ReadFrom(bytes.NewReader(file))
+	if err == nil {
+		c, _ := ix.Cursor("t")
+		t.Fatalf("ReadFrom loaded a reversed skip table; there Advance(600) = %v", c.Advance(600))
+	}
+	if !errors.Is(err, errCorrupt) {
+		t.Fatalf("ReadFrom: %v, want an error wrapping errCorrupt", err)
+	}
+}
+
+// FuzzIndexReadFrom: whatever the bytes, ReadFrom returns an error wrapping
+// errCorrupt or an index that WriteTo writes back byte for byte, every list
+// of which decodes to its f_t ascending postings inside the collection, and
+// on which Advance finds what a linear scan finds. What it allocates stays
+// in proportion to its input: no header count sizes anything unchecked.
+func FuzzIndexReadFrom(f *testing.F) {
+	f.Add(serialised(f, buildOver(f, [][]string{{"cat", "dog", "cat"}, {"dog"}, {"emu", "cat"}})))
+	f.Add(serialised(f, buildOver(f, [][]string{{"a", "b"}, {"b"}, {"a"}, {"b", "c"}}, WithSkipInterval(1))))
+	corrupt, _ := reversedSkips(f)
+	f.Add(corrupt)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := ReadFrom(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("ReadFrom of %d bytes allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if got := serialised(t, ix); !bytes.Equal(got, data) {
+			t.Fatalf("WriteTo wrote %d bytes back for %d read", len(got), len(data))
+		}
+		var c TermCursor
+		ix.Terms(func(term string, ft uint32) bool {
+			ix.ResetCursor(&c, term)
+			list, err := c.Decode(nil)
+			if err != nil || uint32(len(list)) != ft {
+				t.Fatalf("term %q: %d of %d postings decoded: %v", term, len(list), ft, err)
+			}
+			for i, p := range list {
+				if p.Doc >= ix.NumDocs() || (i > 0 && p.Doc <= list[i-1].Doc) {
+					t.Fatalf("term %q: posting %d is document %d", term, i, p.Doc)
+				}
+			}
+			for k := range min(len(list), 64) { // up to 64 targets spread over the list
+				i := k * len(list) / min(len(list), 64)
+				p := list[i]
+				for _, target := range []uint32{p.Doc, p.Doc + 1} {
+					want := i // the first posting at or past target
+					if target > p.Doc {
+						want++
+					}
+					ix.ResetCursor(&c, term)
+					found := c.Advance(target)
+					if found != (want < len(list)) || (found && c.Posting() != list[want]) {
+						t.Fatalf("term %q: Advance(%d) = %v at %v, a scan finds posting %d", term, target, found, c.Posting(), want)
+					}
+				}
+			}
+			return true
+		})
+	})
+}

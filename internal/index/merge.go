@@ -1,10 +1,6 @@
 package index
 
-import (
-	"fmt"
-
-	"teraphim/internal/bitio"
-)
+import "fmt"
 
 // Merge combines several indexes into one, renumbering each input's
 // documents by its offset — the inverse of partitioning a collection across
@@ -30,7 +26,7 @@ func Merge(subIndexes []*Index, offsets []uint32, totalDocs uint32, opts ...Buil
 		return nil, fmt.Errorf("index: %d indexes but %d offsets", len(subIndexes), len(offsets))
 	}
 	var covered uint64
-	maxTerms := 0
+	listBytes := 0
 	for i, ix := range subIndexes {
 		if uint64(offsets[i])+uint64(ix.NumDocs()) > uint64(totalDocs) {
 			return nil, fmt.Errorf("index: input %d (offset %d, %d docs) exceeds collection of %d",
@@ -41,30 +37,28 @@ func Merge(subIndexes []*Index, offsets []uint32, totalDocs uint32, opts ...Buil
 				i, offsets[i], covered)
 		}
 		covered += uint64(ix.NumDocs())
-		maxTerms = max(maxTerms, len(ix.entries))
+		listBytes += len(ix.arena)
 	}
 	if covered != uint64(totalDocs) {
 		return nil, fmt.Errorf("index: inputs cover %d docs, collection has %d", covered, totalDocs)
 	}
 
+	// One pass over the dictionaries sizes the result: its entries, its skip
+	// tables and its longest list. Its lists take about what the inputs' do.
 	skipIvl := skipIntervalOf(opts)
-	merged := &Index{
-		entries: make([]termEntry, 0, maxTerms),
-		byTerm:  make(map[string]int, maxTerms),
-		weights: make([]float32, totalDocs),
-		lens:    make([]uint32, totalDocs),
-		numDocs: totalDocs,
-		skipIvl: skipIvl,
-	}
+	terms, skips, longest := 0, 0, uint32(0)
+	EachTerm(subIndexes, func(_ string, ft uint32) {
+		terms, skips, longest = terms+1, skips+2*numSkips(ft, skipIvl), max(longest, ft)
+	})
+	merged := newIndex(totalDocs, skipIvl, terms, listBytes, skips)
+	merged.weights, merged.lens = make([]float32, totalDocs), make([]uint32, totalDocs)
 	for i, ix := range subIndexes {
 		copy(merged.weights[offsets[i]:], ix.weights)
 		copy(merged.lens[offsets[i]:], ix.lens)
 	}
 
 	next := make([]int, len(subIndexes)) // each input's first unmerged entry
-	cursors := make([]TermCursor, len(subIndexes))
-	var list []Posting
-	w := bitio.NewWriter(4096)
+	list := make([]Posting, 0, longest)
 	for {
 		term, found := "", false
 		for i, ix := range subIndexes {
@@ -75,38 +69,28 @@ func Merge(subIndexes []*Index, offsets []uint32, totalDocs uint32, opts ...Buil
 			}
 		}
 		if !found {
-			return merged, nil
+			return merged.seal(), nil
 		}
 		list = list[:0]
 		for i, ix := range subIndexes {
 			if next[i] == len(ix.entries) || ix.entries[next[i]].term != term {
 				continue
 			}
-			e := &ix.entries[next[i]]
+			// Gaps decode positive, so a list whose last document lies inside
+			// its input stays inside the input's range once shifted.
+			data, _, _ := ix.list(next[i])
+			start := len(list)
+			var err error
+			if list, err = decodeList(list, data, ix.entries[next[i]].ft, ix.numDocs); err != nil {
+				return nil, fmt.Errorf("index: merge term %q: input %d: %w", term, i, err)
+			}
+			for j := start; j < len(list); j++ {
+				list[j].Doc += offsets[i]
+			}
 			next[i]++
-			c, start := &cursors[i], len(list)
-			ix.resetCursorEntry(c, e)
-			for blk := c.NextBlock(); blk != nil; blk = c.NextBlock() {
-				for _, p := range blk {
-					list = append(list, Posting{Doc: offsets[i] + p.Doc, FDT: p.FDT})
-				}
-			}
-			if got := len(list) - start; uint32(got) != e.ft {
-				return nil, fmt.Errorf("index: merge term %q: input %d decoded %d of %d postings", term, i, got, e.ft)
-			}
-			// compressList rejects a list that does not ascend, so an input's
-			// last posting inside its own range keeps the whole list inside.
-			if last := c.Posting().Doc; len(list) > start && last >= ix.numDocs {
-				return nil, fmt.Errorf("index: merge term %q: posting doc %d outside input %d of %d docs", term, last, i, ix.numDocs)
-			}
 		}
-		entry, err := compressList(w, term, list, totalDocs, skipIvl)
-		if err != nil {
+		if err := merged.appendList(term, list); err != nil {
 			return nil, fmt.Errorf("index: merge term %q: %w", term, err)
 		}
-		merged.byTerm[term] = len(merged.entries)
-		merged.entries = append(merged.entries, entry)
-		merged.numPtrs += uint64(len(list))
-		merged.postings += uint64(len(entry.postings))
 	}
 }

@@ -2,10 +2,14 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
+	"strings"
 )
 
 // File format (little endian):
@@ -20,223 +24,201 @@ const (
 	indexVersion = 1
 )
 
+// errCorrupt is wrapped by every error ReadFrom returns for bytes WriteTo
+// could not have written.
+var errCorrupt = errors.New("index: corrupt index file")
+
 // WriteTo serialises the index. It implements io.WriterTo.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: bufio.NewWriter(w)}
-	put32 := func(v uint32) error { return binary.Write(cw, binary.LittleEndian, v) }
-
-	if _, err := cw.Write([]byte(indexMagic)); err != nil {
-		return cw.n, err
+	cw := &countWriter{w: w}
+	bw := bufio.NewWriter(cw) // its first error sticks and Flush returns it
+	var b [4]byte
+	put := func(v uint32) {
+		binary.LittleEndian.PutUint32(b[:], v)
+		bw.Write(b[:])
 	}
+	bw.WriteString(indexMagic)
 	for _, v := range []uint32{indexVersion, ix.numDocs, ix.skipIvl, uint32(len(ix.entries))} {
-		if err := put32(v); err != nil {
-			return cw.n, err
-		}
+		put(v)
 	}
-	for d := uint32(0); d < ix.numDocs; d++ {
-		if err := put32(math.Float32bits(ix.weights[d])); err != nil {
-			return cw.n, err
-		}
-		if err := put32(ix.lens[d]); err != nil {
-			return cw.n, err
-		}
+	for d, wt := range ix.weights {
+		put(math.Float32bits(wt))
+		put(ix.lens[d])
 	}
 	prev := ""
-	for _, e := range ix.entries {
+	for i, e := range ix.entries {
 		shared := sharedPrefix(prev, e.term)
-		suffix := e.term[shared:]
-		if _, err := cw.Write([]byte{byte(shared), byte(len(suffix))}); err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write([]byte(suffix)); err != nil {
-			return cw.n, err
-		}
+		bw.WriteByte(byte(shared))
+		bw.WriteByte(byte(len(e.term) - shared))
+		bw.WriteString(e.term[shared:])
 		prev = e.term
-		if err := put32(e.ft); err != nil {
-			return cw.n, err
-		}
-		if err := put32(uint32(len(e.postings))); err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write(e.postings); err != nil {
-			return cw.n, err
-		}
-		if err := put32(uint32(len(e.skipDocs))); err != nil {
-			return cw.n, err
-		}
-		for _, v := range e.skipDocs {
-			if err := put32(v); err != nil {
-				return cw.n, err
-			}
-		}
-		for _, v := range e.skipBits {
-			if err := put32(v); err != nil {
-				return cw.n, err
-			}
+		list, skipDocs, _ := ix.list(i)
+		put(e.ft)
+		put(uint32(len(list)))
+		bw.Write(list)
+		put(uint32(len(skipDocs)))
+		for _, v := range ix.skips[e.skip:][:2*len(skipDocs)] { // last documents, then bit offsets
+			put(v)
 		}
 	}
-	if bw, ok := cw.w.(*bufio.Writer); ok {
-		if err := bw.Flush(); err != nil {
-			return cw.n, err
-		}
-	}
-	return cw.n, nil
+	err := bw.Flush()
+	return cw.n, err
 }
 
-// ReadFrom deserialises an index written by WriteTo.
+// ReadFrom deserialises an index written by WriteTo, reading r to its end.
+// It trusts nothing it reads: header counts are checked against the bytes
+// present before anything is sized by them, and every list is decoded and
+// coded again by the appender the builders use and must come out byte for
+// byte as read, its skip table with it — so the cursors' skips agree with
+// their lists, and WriteTo writes the input back. Bytes WriteTo could not
+// have written fail with an error wrapping errCorrupt.
 func ReadFrom(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	get32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("index: read magic: %w", err)
-	}
-	if string(magic) != indexMagic {
-		return nil, fmt.Errorf("index: bad magic %q", magic)
-	}
-	version, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if version != indexVersion {
-		return nil, fmt.Errorf("index: unsupported version %d", version)
-	}
-	ix := &Index{}
-	if ix.numDocs, err = get32(); err != nil {
-		return nil, err
-	}
-	if ix.skipIvl, err = get32(); err != nil {
-		return nil, err
-	}
-	numTerms, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	// Grow per-document and per-term tables incrementally with a bounded
-	// capacity hint: the header counts are untrusted (indexes also arrive
-	// over the wire in IndexReply messages), so a corrupt count must fail
-	// on short input rather than pre-allocate gigabytes.
-	ix.weights = make([]float32, 0, boundedHint(uint64(ix.numDocs)))
-	ix.lens = make([]uint32, 0, boundedHint(uint64(ix.numDocs)))
-	for d := uint32(0); d < ix.numDocs; d++ {
-		bits, err := get32()
-		if err != nil {
-			return nil, fmt.Errorf("index: doc %d weight: %w", d, err)
+	// Sized from what r can tell of its length, the read lands in one
+	// allocation; a bytes.Buffer would grow to it by doubling.
+	var buf bytes.Buffer
+	switch src := r.(type) {
+	case interface{ Len() int }: // a bytes.Reader or bytes.Buffer
+		buf.Grow(src.Len() + bytes.MinRead)
+	case interface{ Stat() (fs.FileInfo, error) }: // an *os.File
+		if st, err := src.Stat(); err == nil && st.Mode().IsRegular() {
+			buf.Grow(int(st.Size()) + bytes.MinRead)
 		}
-		ix.weights = append(ix.weights, math.Float32frombits(bits))
-		l, err := get32()
-		if err != nil {
-			return nil, fmt.Errorf("index: doc %d len: %w", d, err)
-		}
-		ix.lens = append(ix.lens, l)
 	}
-	ix.entries = make([]termEntry, 0, boundedHint(uint64(numTerms)))
-	ix.byTerm = make(map[string]int, boundedHint(uint64(numTerms)))
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("index: read: %w", err)
+	}
+	d := &fileReader{data: buf.Bytes()}
+	if string(d.bytes(4)) != indexMagic || d.u32() != indexVersion {
+		return nil, d.fail("not a version %d index", indexVersion)
+	}
+	numDocs, skipIvl, numTerms := d.u32(), d.u32(), d.u32()
+	docs := d.bytes(8 * uint64(numDocs))
+
+	// The first walk over the terms sizes the arenas and the longest list.
+	termSection := d.data
+	var termBytes, listBytes, skips, longest, prevLen int
+	for i := uint32(0); i < numTerms && d.err == nil; i++ {
+		rec := d.record()
+		if rec.shared > prevLen {
+			d.fail("term %d shares %d bytes with a %d-byte predecessor", i, rec.shared, prevLen)
+		}
+		prevLen = rec.shared + len(rec.suffix)
+		termBytes, listBytes = termBytes+prevLen, listBytes+len(rec.list)
+		skips, longest = skips+len(rec.skips)/4, max(longest, int(rec.ft))
+	}
+	if d.err == nil && len(d.data) != 0 {
+		d.fail("%d bytes after the last term", len(d.data))
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+
+	ix := newIndex(numDocs, skipIvl, int(numTerms), listBytes, skips)
+	ix.weights, ix.lens = make([]float32, numDocs), make([]uint32, numDocs)
+	for i := range ix.weights {
+		ix.weights[i] = math.Float32frombits(binary.LittleEndian.Uint32(docs[8*i:]))
+		ix.lens[i] = binary.LittleEndian.Uint32(docs[8*i+4:])
+	}
+	var terms strings.Builder
+	terms.Grow(termBytes) // every term is a substring of this one string
+	list := make([]Posting, 0, longest)
+	d.data = termSection
 	prev := ""
-	var hdr [2]byte
-	for i := uint32(0); i < numTerms; i++ {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, fmt.Errorf("index: term %d header: %w", i, err)
-		}
-		shared, suffixLen := int(hdr[0]), int(hdr[1])
-		if shared > len(prev) {
-			return nil, fmt.Errorf("index: term %d shares %d bytes with %d-byte predecessor", i, shared, len(prev))
-		}
-		suffix := make([]byte, suffixLen)
-		if _, err := io.ReadFull(br, suffix); err != nil {
-			return nil, fmt.Errorf("index: term %d suffix: %w", i, err)
-		}
-		term := prev[:shared] + string(suffix)
-		if term <= prev && i > 0 {
-			return nil, fmt.Errorf("index: terms out of order: %q after %q", term, prev)
+	for i := range int(numTerms) {
+		rec := d.record()
+		start := terms.Len()
+		terms.WriteString(prev[:rec.shared])
+		terms.Write(rec.suffix)
+		term := terms.String()[start:]
+		if (i > 0 && term <= prev) || rec.shared != sharedPrefix(prev, term) {
+			return nil, d.fail("term %q after %q, sharing %d bytes", term, prev, rec.shared)
 		}
 		prev = term
-		var e termEntry
-		e.term = term
-		if e.ft, err = get32(); err != nil {
-			return nil, err
+		if n := numSkips(rec.ft, skipIvl); len(rec.skips) != 8*n {
+			return nil, d.fail("term %q: %d skip bytes, want %d for %d postings", term, len(rec.skips), 8*n, rec.ft)
 		}
-		plen, err := get32()
+		var err error
+		if list, err = decodeList(list[:0], rec.list, rec.ft, numDocs); err == nil {
+			err = ix.appendList(term, list)
+		}
 		if err != nil {
-			return nil, err
+			return nil, d.fail("term %q: %v", term, err)
 		}
-		if e.postings, err = readChunked(br, uint64(plen)); err != nil {
-			return nil, fmt.Errorf("index: term %q postings: %w", term, err)
+		if got, _, _ := ix.list(i); !bytes.Equal(got, rec.list) {
+			return nil, d.fail("term %q: postings not as WriteTo codes them", term)
 		}
-		nskips, err := get32()
-		if err != nil {
-			return nil, err
-		}
-		if nskips > 0 {
-			e.skipDocs = make([]uint32, 0, boundedHint(uint64(nskips)))
-			e.skipBits = make([]uint32, 0, boundedHint(uint64(nskips)))
-			for j := uint32(0); j < nskips; j++ {
-				v, err := get32()
-				if err != nil {
-					return nil, err
-				}
-				e.skipDocs = append(e.skipDocs, v)
-			}
-			for j := uint32(0); j < nskips; j++ {
-				v, err := get32()
-				if err != nil {
-					return nil, err
-				}
-				e.skipBits = append(e.skipBits, v)
+		for j, v := range ix.skips[ix.entries[i].skip:] {
+			if binary.LittleEndian.Uint32(rec.skips[4*j:]) != v {
+				return nil, d.fail("term %q: skip table disagrees with its list", term)
 			}
 		}
-		ix.byTerm[term] = int(i)
-		ix.entries = append(ix.entries, e)
-		ix.numPtrs += uint64(e.ft)
-		ix.postings += uint64(len(e.postings))
 	}
-	return ix, nil
+	return ix.seal(), nil
 }
 
-// boundedHint caps an untrusted count used as an allocation capacity hint.
-func boundedHint(n uint64) int {
-	const maxHint = 1 << 16
-	if n > maxHint {
-		return maxHint
-	}
-	return int(n)
+// fileReader walks an index file held in memory. Its first failure sticks:
+// every later read returns nothing, so a walk checks once, at its end.
+type fileReader struct {
+	data []byte
+	err  error
 }
 
-// readChunked reads exactly n bytes, growing the buffer in bounded steps so
-// an inflated length in a corrupt header fails on short input instead of
-// pre-allocating the claimed size.
-func readChunked(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	out := make([]byte, 0, boundedHint(n))
-	for n > 0 {
-		step := n
-		if step > chunk {
-			step = chunk
-		}
-		buf := make([]byte, step)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		out = append(out, buf...)
-		n -= step
-	}
-	return out, nil
+// record is one term as the file holds it, its byte fields aliasing the file.
+type record struct {
+	shared int
+	suffix []byte
+	ft     uint32
+	list   []byte
+	skips  []byte // the skip table's last documents, then its bit offsets
 }
 
+func (d *fileReader) record() (rec record) {
+	if hdr := d.bytes(2); hdr != nil {
+		rec.shared, rec.suffix = int(hdr[0]), d.bytes(uint64(hdr[1]))
+	}
+	rec.ft = d.u32()
+	rec.list = d.bytes(uint64(d.u32()))
+	rec.skips = d.bytes(8 * uint64(d.u32()))
+	// Every posting takes at least two bits, so a larger f_t cannot be true:
+	// refused here, it never sizes the list a walk decodes into.
+	if uint64(rec.ft) > 4*uint64(len(rec.list)) {
+		d.fail("%d postings in %d bytes", rec.ft, len(rec.list))
+	}
+	return rec
+}
+
+// bytes returns the next n bytes, or nil once the file runs out.
+func (d *fileReader) bytes(n uint64) []byte {
+	if d.err == nil && n > uint64(len(d.data)) {
+		d.fail("%d bytes wanted, %d left", n, len(d.data))
+	}
+	if d.err != nil {
+		return nil
+	}
+	b := d.data[:n:n]
+	d.data = d.data[n:]
+	return b
+}
+
+func (d *fileReader) u32() uint32 {
+	if b := d.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (d *fileReader) fail(format string, args ...any) error {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", errCorrupt, fmt.Sprintf(format, args...))
+	}
+	return d.err
+}
+
+// sharedPrefix is the front coding's shared count: the common prefix of a
+// and b, up to the 255 bytes one byte can count.
 func sharedPrefix(a, b string) int {
-	n := 0
-	max := len(a)
-	if len(b) < max {
-		max = len(b)
-	}
-	if max > 255 {
-		max = 255
-	}
-	for n < max && a[n] == b[n] {
+	n, most := 0, min(len(a), len(b), 255)
+	for n < most && a[n] == b[n] {
 		n++
 	}
 	return n

@@ -39,13 +39,14 @@ func (ix *Index) QuantizeWeights() (*Index, error) {
 	// weight cache (and its sync.Once) must start fresh, since the quantized
 	// copy has different weights.
 	out := Index{
-		entries:  ix.entries,
-		byTerm:   ix.byTerm,
-		lens:     ix.lens,
-		numDocs:  ix.numDocs,
-		numPtrs:  ix.numPtrs,
-		skipIvl:  ix.skipIvl,
-		postings: ix.postings,
+		entries: ix.entries,
+		byTerm:  ix.byTerm,
+		arena:   ix.arena,
+		skips:   ix.skips,
+		lens:    ix.lens,
+		numDocs: ix.numDocs,
+		numPtrs: ix.numPtrs,
+		skipIvl: ix.skipIvl,
 	}
 	out.weights = make([]float32, len(ix.weights))
 	if math.IsInf(lo, 1) {

@@ -94,3 +94,27 @@ func TestRoundTripAllocsSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameBuffersDropSetupFrames: after a 200 KB frame — the size of a
+// vocabulary or model frame at set-up — and then a small one, neither a
+// Writer nor a Reader keeps more than maxKeptBuf, so a connection does not
+// pin its set-up frame for its lifetime.
+func TestFrameBuffersDropSetupFrames(t *testing.T) {
+	for _, tagged := range []bool{false, true} {
+		var wire bytes.Buffer
+		wr := &Writer{W: &wire, Tagged: tagged}
+		rd := &Reader{R: &wire, Tagged: tagged}
+		for _, msg := range []Message{&IndexReply{Lo: 1, Hi: 2, Lists: make([]byte, 200<<10)}, &RankQuery{Query: "alpha", K: 10}} {
+			if _, err := wr.Write(3, msg); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := rd.Read(); err != nil {
+				t.Fatal(err)
+			}
+			if cap(wr.buf) > maxKeptBuf || cap(rd.buf) > maxKeptBuf {
+				t.Fatalf("tagged=%v, after %v: Writer keeps %d bytes, Reader %d, want at most %d",
+					tagged, msg.Type(), cap(wr.buf), cap(rd.buf), maxKeptBuf)
+			}
+		}
+	}
+}

@@ -328,9 +328,9 @@ const (
 	taggedHdrLen = 9
 )
 
-// maxPooledBuf bounds what goes back on the frame-buffer pool; a monster
-// frame (an index ship, a corrupt length) must not pin megabytes forever.
-const maxPooledBuf = 1 << 20
+// maxKeptBuf bounds the frame buffer a Reader, a Writer or the pool keeps:
+// steady-state frames fit, and a set-up frame's buffer is dropped after it.
+const maxKeptBuf = 64 << 10
 
 var bufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
@@ -340,7 +340,7 @@ var bufPool = sync.Pool{New: func() any {
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
 
 func putBuf(bp *[]byte) {
-	if cap(*bp) <= maxPooledBuf {
+	if cap(*bp) <= maxKeptBuf {
 		*bp = (*bp)[:0]
 		bufPool.Put(bp)
 	}
@@ -462,10 +462,14 @@ func (rd *Reader) readPayload() (MsgType, uint32, []byte, int, error) {
 	if rd.Tagged {
 		tag = binary.LittleEndian.Uint32(hdr[5:9])
 	}
-	if cap(rd.buf) < int(length) {
-		rd.buf = make([]byte, length)
+	payload := rd.buf[:0]
+	if cap(payload) < int(length) {
+		payload = make([]byte, length)
 	}
-	payload := rd.buf[:length]
+	payload = payload[:length]
+	if length <= maxKeptBuf {
+		rd.buf = payload
+	}
 	if _, err := io.ReadFull(rd.R, payload); err != nil {
 		return t, tag, nil, hl, fmt.Errorf("protocol: read %v payload: %w", t, err)
 	}
@@ -534,7 +538,7 @@ func (wr *Writer) Frame(tag uint32, msg Message) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(b) <= maxPooledBuf {
+	if cap(b) <= maxKeptBuf {
 		wr.buf = b
 	} else {
 		wr.buf = nil

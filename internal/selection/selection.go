@@ -14,6 +14,7 @@ package selection
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -21,68 +22,96 @@ import (
 // term it does not hold at all.
 const belief = 0.4
 
-// Collection is one subcollection's term statistics as the receptionist
-// knows them: the librarian's name, its document count, and its document
-// frequency per term (the f_t map shipped during SetupVocabulary).
-type Collection struct {
-	Name string
-	Docs uint32
-	// DF maps term -> number of the collection's documents containing it.
-	// The map is read, never written; callers may share it with other
-	// holders (the federation's vocabState does).
-	DF map[string]uint32
+// Vocabulary is the receptionist's one table of term statistics, merged
+// from every collection's vocabulary: a row per term holding its global f_t
+// (summed over the collections), its collection frequency cf_t (CORI's count
+// of the collections holding it) and each collection's own f_t, all in one
+// flat slice. Global term weights, CV's eligibility test and CORI selection
+// read it; a vocabulary delta would update its rows. Fill it with Add, then
+// hand it to NewIndex, after which it is read-only and safe for concurrent
+// use.
+type Vocabulary struct {
+	rows      map[string]uint32 // term -> row
+	cells     []uint32          // row r is cells[r·width : (r+1)·width]
+	width     int               // 2 + the number of collections
+	termBytes uint64
 }
 
+// NewVocabulary returns an empty table over n collections.
+func NewVocabulary(n int) *Vocabulary {
+	return &Vocabulary{rows: make(map[string]uint32), width: n + 2}
+}
+
+// Add records that collection c holds term in ft of its documents.
+func (v *Vocabulary) Add(c int, term string, ft uint32) {
+	r, ok := v.rows[term]
+	if !ok {
+		r = uint32(len(v.cells) / v.width)
+		v.rows[term] = r
+		v.cells = append(v.cells, make([]uint32, v.width)...)
+		v.termBytes += uint64(len(term))
+	}
+	row := v.cells[int(r)*v.width:][:v.width]
+	if row[2+c] == 0 && ft > 0 {
+		row[1]++
+	}
+	row[0] += ft
+	row[2+c] = ft
+}
+
+// Row returns term's row — its global f_t, cf_t, then each collection's f_t,
+// in collection order — or nil when no collection listed it. The row is
+// shared and must not be modified.
+func (v *Vocabulary) Row(term string) []uint32 {
+	r, ok := v.rows[term]
+	if !ok {
+		return nil
+	}
+	return v.cells[int(r)*v.width:][:v.width:v.width]
+}
+
+// Len returns the number of terms in the table and the bytes of their text.
+func (v *Vocabulary) Len() (terms int, termBytes uint64) { return len(v.rows), v.termBytes }
+
 // Index is an immutable collection-selection index: per-collection df
-// normalisers and global collection frequencies, precomputed once so
-// per-query scoring is a handful of map lookups per (term, collection)
-// pair. Build one with New; it is safe for concurrent use.
+// normalisers over a Vocabulary, precomputed once so per-query scoring is
+// one table lookup per term. Build one with NewIndex; it is safe for
+// concurrent use.
 type Index struct {
 	names []string
-	df    []map[string]uint32
+	vocab *Vocabulary
 	// denom[i] = 50 + 150·cw_i/avg_cw is the CORI df normaliser, with the
 	// collection "word count" cw_i proxied by Σ_t df_i(t) — the only mass
 	// statistic the vocabulary exchange carries.
 	denom []float64
-	// cf[t] counts collections whose DF contains t (CORI's collection
-	// frequency).
-	cf map[string]uint32
 	// logC1 caches log(C+1.0), the denominator of the scaled idf term.
 	logC1 float64
 }
 
-// New builds a selection index over the given collections. The order of
-// cols fixes the index numbering (callers align it with the federation's
-// global librarian numbering). Nil or empty input yields an index that
-// selects nothing.
-func New(cols []Collection) *Index {
-	ix := &Index{
-		names: make([]string, len(cols)),
-		df:    make([]map[string]uint32, len(cols)),
-		denom: make([]float64, len(cols)),
-		cf:    make(map[string]uint32),
-	}
+// NewIndex builds the selection index of the collections named names over
+// their merged vocabulary v, whose collection numbering names follows, and
+// freezes v: it must not be added to afterwards.
+func NewIndex(names []string, v *Vocabulary) *Index {
+	v.cells = slices.Clone(v.cells) // without the slack Add's appends left
+	ix := &Index{names: names, vocab: v, denom: make([]float64, len(names))}
 	var totalCW float64
-	cw := make([]float64, len(cols))
-	for i, c := range cols {
-		ix.names[i] = c.Name
-		ix.df[i] = c.DF
-		for t, df := range c.DF {
-			if df > 0 {
-				ix.cf[t]++
-				cw[i] += float64(df)
-			}
+	cw := make([]float64, len(names))
+	for r := 0; r < len(v.cells); r += v.width {
+		for i, df := range v.cells[r+2 : r+v.width] {
+			cw[i] += float64(df)
 		}
-		totalCW += cw[i]
+	}
+	for _, w := range cw {
+		totalCW += w
 	}
 	avgCW := 1.0
-	if len(cols) > 0 && totalCW > 0 {
-		avgCW = totalCW / float64(len(cols))
+	if len(names) > 0 && totalCW > 0 {
+		avgCW = totalCW / float64(len(names))
 	}
-	for i := range cols {
+	for i := range names {
 		ix.denom[i] = 50 + 150*cw[i]/avgCW
 	}
-	ix.logC1 = math.Log(float64(len(cols)) + 1.0)
+	ix.logC1 = math.Log(float64(len(names)) + 1.0)
 	return ix
 }
 
@@ -100,42 +129,42 @@ func New(cols []Collection) *Index {
 // collection at the belief floor.
 func (ix *Index) Score(terms []string) []float64 {
 	scores := make([]float64, len(ix.names))
-	kept := ix.keepTerms(terms)
-	if len(kept) == 0 {
+	rows := ix.rows(terms)
+	if len(rows) == 0 {
 		for i := range scores {
 			scores[i] = belief
 		}
 		return scores
 	}
 	c := float64(len(ix.names))
-	for _, t := range kept {
-		idf := math.Log((c+0.5)/float64(ix.cf[t])) / ix.logC1
+	for _, row := range rows {
+		idf := math.Log((c+0.5)/float64(row[1])) / ix.logC1
 		for i := range scores {
-			df := float64(ix.df[i][t])
+			df := float64(row[2+i])
 			tf := df / (df + ix.denom[i])
 			scores[i] += belief + (1-belief)*tf*idf
 		}
 	}
-	n := float64(len(kept))
+	n := float64(len(rows))
 	for i := range scores {
 		scores[i] /= n
 	}
 	return scores
 }
 
-// keepTerms deduplicates terms, drops those no collection holds, and sorts
-// the survivors (deterministic summation order).
-func (ix *Index) keepTerms(terms []string) []string {
-	seen := make(map[string]bool, len(terms))
-	kept := terms[:0:0]
-	for _, t := range terms {
-		if !seen[t] && ix.cf[t] > 0 {
-			seen[t] = true
-			kept = append(kept, t)
+// rows deduplicates terms, drops those no collection holds, and returns the
+// survivors' rows in term order (a deterministic summation order).
+func (ix *Index) rows(terms []string) [][]uint32 {
+	sorted := slices.Clone(terms)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	rows := make([][]uint32, 0, len(sorted))
+	for _, t := range sorted {
+		if row := ix.vocab.Row(t); row != nil && row[1] > 0 {
+			rows = append(rows, row)
 		}
 	}
-	sort.Strings(kept)
-	return kept
+	return rows
 }
 
 // Top returns the indexes of the top-r collections for the query terms,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -208,4 +209,42 @@ func BenchmarkFetch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestReloadedModelEncodesConcurrently: a store read back from disk holds a
+// model whose lexicons build their lookup tables on the first encode; a
+// librarian ingesting on several goroutines makes that first encode from
+// all of them at once, and each must code what the model written out codes.
+// Run under -race.
+func TestReloadedModelEncodesConcurrently(t *testing.T) {
+	s1, err := Build(sampleDocs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := s1.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := ReadFrom(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := sampleDocs()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range docs {
+				d := docs[(i+g)%len(docs)]
+				want, err1 := s1.Model().CompressDoc(d.Text)
+				got, err2 := s2.Model().CompressDoc(d.Text)
+				if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d, doc %d: reloaded model codes %d bytes, the original %d (%v, %v)", g, d.ID, len(got), len(want), err1, err2)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
