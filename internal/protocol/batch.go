@@ -1,6 +1,9 @@
 package protocol
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // BatchQuery carries several rank-phase requests from different clients in
 // one frame, amortizing a librarian round trip across them (the paper's
@@ -35,88 +38,65 @@ func batchableReply(t MsgType) bool {
 	return t == TypeRankReply || t == TypeError
 }
 
-func encodeBatch(b []byte, items []Message, sizes *[]int) []byte {
-	b = putUint(b, uint64(len(items)))
-	*sizes = (*sizes)[:0]
-	for _, it := range items {
-		b = append(b, byte(it.Type()))
-		// Reserve a fixed-width spot for the item length, encode in place,
-		// then backfill: avoids encoding each item into a side buffer.
-		lenAt := len(b)
-		b = append(b, 0, 0, 0, 0)
-		b = it.encode(b)
-		sz := len(b) - lenAt - 4
-		b[lenAt] = byte(sz)
-		b[lenAt+1] = byte(sz >> 8)
-		b[lenAt+2] = byte(sz >> 16)
-		b[lenAt+3] = byte(sz >> 24)
-		*sizes = append(*sizes, sz)
+// batch codes a batch's items, each as its type byte, its payload length in
+// four little-endian bytes and its payload, and sets sizes to the payload
+// lengths. Decode admits only the item types ok accepts.
+func (c *coder) batch(t MsgType, items *[]Message, sizes *[]int, ok func(MsgType) bool) {
+	n := c.count(len(*items), 5)
+	if c.dec {
+		*items = make([]Message, n)
+		*sizes = make([]int, n)
+	} else {
+		*sizes = (*sizes)[:0]
 	}
-	return b
-}
-
-func decodeBatch(b []byte, t MsgType, ok func(MsgType) bool) ([]Message, []int, error) {
-	n, b, err := getUint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	hint := capHint(n, len(b), 5)
-	items := make([]Message, 0, hint)
-	sizes := make([]int, 0, hint)
-	for i := uint64(0); i < n; i++ {
-		if len(b) < 5 {
-			return nil, nil, ErrShortPayload
+	for i := 0; i < n; i++ {
+		if !c.dec {
+			it := (*items)[i]
+			c.b = append(c.b, byte(it.Type()), 0, 0, 0, 0)
+			// Encode in place, then backfill the length: no side buffer.
+			lenAt := len(c.b) - 4
+			c.b = encode(it, c.b)
+			sz := len(c.b) - lenAt - 4
+			binary.LittleEndian.PutUint32(c.b[lenAt:], uint32(sz))
+			*sizes = append(*sizes, sz)
+			continue
 		}
-		it := MsgType(b[0])
-		sz := uint32(b[1]) | uint32(b[2])<<8 | uint32(b[3])<<16 | uint32(b[4])<<24
-		b = b[5:]
+		if c.left() < 5 {
+			c.fail(ErrShortPayload)
+			return
+		}
+		it, sz := MsgType(c.b[c.r]), binary.LittleEndian.Uint32(c.b[c.r+1:])
+		c.r += 5
 		if !ok(it) {
-			return nil, nil, fmt.Errorf("protocol: %v item %d has type %v, not batchable", t, i, it)
+			c.fail(fmt.Errorf("protocol: %v item %d has type %v, not batchable", t, i, it))
+			return
 		}
-		if uint64(len(b)) < uint64(sz) {
-			return nil, nil, ErrShortPayload
+		if uint64(c.left()) < uint64(sz) {
+			c.fail(ErrShortPayload)
+			return
 		}
-		msg, err := newMessage(it)
-		if err != nil {
-			return nil, nil, err
+		msg := messages[it].new()
+		if err := decode(msg, c.b[c.r:c.r+int(sz)]); err != nil {
+			c.fail(fmt.Errorf("protocol: decode %v item %d (%v): %w", t, i, it, err))
+			return
 		}
-		if err := msg.decode(b[:sz]); err != nil {
-			return nil, nil, fmt.Errorf("protocol: decode %v item %d (%v): %w", t, i, it, err)
-		}
-		items = append(items, msg)
-		sizes = append(sizes, int(sz))
-		b = b[sz:]
+		(*items)[i], (*sizes)[i] = msg, int(sz)
+		c.r += int(sz)
 	}
-	if err := expectEmpty(b, t); err != nil {
-		return nil, nil, err
-	}
-	return items, sizes, nil
 }
 
 // Type implements Message.
 func (*BatchQuery) Type() MsgType { return TypeBatchQuery }
 
-func (m *BatchQuery) encode(b []byte) []byte { return encodeBatch(b, m.Items, &m.Sizes) }
-
-func (m *BatchQuery) decode(b []byte) error {
-	items, sizes, err := decodeBatch(b, TypeBatchQuery, batchableQuery)
-	if err != nil {
-		return err
-	}
-	m.Items, m.Sizes = items, sizes
-	return nil
+func (m *BatchQuery) code(c coder) coder {
+	c.batch(TypeBatchQuery, &m.Items, &m.Sizes, batchableQuery)
+	return c
 }
 
 // Type implements Message.
 func (*BatchReply) Type() MsgType { return TypeBatchReply }
 
-func (m *BatchReply) encode(b []byte) []byte { return encodeBatch(b, m.Items, &m.Sizes) }
-
-func (m *BatchReply) decode(b []byte) error {
-	items, sizes, err := decodeBatch(b, TypeBatchReply, batchableReply)
-	if err != nil {
-		return err
-	}
-	m.Items, m.Sizes = items, sizes
-	return nil
+func (m *BatchReply) code(c coder) coder {
+	c.batch(TypeBatchReply, &m.Items, &m.Sizes, batchableReply)
+	return c
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"teraphim/internal/bitio"
@@ -45,9 +46,10 @@ func (w *ListWriter) Append(term string, groups []codec.Posting) error {
 	if err := codec.EncodePostings(&w.bits, groups, w.reply.Hi-w.reply.Lo); err != nil {
 		return fmt.Errorf("protocol: list %q: %w", term, err)
 	}
-	shared := sharedPrefixLen(w.prev, term)
-	b := putString(putUint(w.reply.Lists, uint64(shared)), term[shared:])
-	w.reply.Lists = append(putUint(b, uint64(len(groups))), w.bits.Bytes()...)
+	c := coder{b: w.reply.Lists}
+	c.front(w.prev, &term)
+	c.put(uint64(len(groups)))
+	w.reply.Lists = append(c.b, w.bits.Bytes()...)
 	w.prev = term
 	return nil
 }
@@ -84,25 +86,22 @@ func (r *ListReader) NextTerm() (string, error) {
 	if len(r.data) == 0 {
 		return "", nil
 	}
-	shared, b, err := getUint(r.data)
-	if err != nil || shared > uint64(len(r.prev)) {
-		return "", r.fail("term after %q: bad shared prefix", r.prev)
+	c := coder{b: r.data, dec: true}
+	var term string
+	c.front(r.prev, &term)
+	count := c.uint(0, math.MaxUint64)
+	if c.err != nil {
+		return "", r.fail("term after %q: %v", r.prev, c.err)
 	}
-	suffix, b, err := getString(b)
-	if err != nil {
-		return "", r.fail("term after %q: truncated", r.prev)
-	}
-	term := r.prev[:shared] + suffix
 	if term <= r.prev {
 		return "", r.fail("term %q after %q", term, r.prev)
 	}
-	count, b, err := getUint(b)
 	// Every group costs at least two bits, so a count the remaining bytes
 	// cannot hold is rejected before anything is decoded.
-	if err != nil || count == 0 || count > uint64(r.n) || count > 4*uint64(len(b)) {
+	if count == 0 || count > uint64(r.n) || count > 4*uint64(c.left()) {
 		return "", r.fail("term %q: bad group count", term)
 	}
-	r.prev, r.count, r.data = term, count, b
+	r.prev, r.count, r.data = term, count, c.b[c.r:]
 	return term, nil
 }
 

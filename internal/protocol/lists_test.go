@@ -91,12 +91,12 @@ func TestListReaderRejects(t *testing.T) {
 // bounded by the payload — every group costs at least two bits — and
 // re-encodes to lists that read back the same.
 func FuzzGroupedIndexReply(f *testing.F) {
-	f.Add(seedIndexReply().encode(nil))
-	f.Add((&IndexReply{Lo: 5, Hi: 5}).encode(nil))
-	f.Add((&IndexReply{Lo: 7, Hi: 3, Lists: seedIndexReply().Lists}).encode(nil))
+	f.Add(encode(seedIndexReply(), nil))
+	f.Add(encode(&IndexReply{Lo: 5, Hi: 5}, nil))
+	f.Add(encode(&IndexReply{Lo: 7, Hi: 3, Lists: seedIndexReply().Lists}, nil))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var m IndexReply
-		if err := m.decode(payload); err != nil {
+		if err := decode(&m, payload); err != nil {
 			return
 		}
 		lists, err := readLists(t, &m)

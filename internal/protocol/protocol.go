@@ -19,10 +19,13 @@
 //	tag    u32
 //	payload
 //
-// Message payloads use a compact hand-rolled encoding: vbyte integers,
-// length-prefixed strings, IEEE-754 float64 bits. Every message reports its
-// encoded size back to the caller so the experiments can account for traffic
-// byte-for-byte.
+// Each message lists its fields once, in wire order, in one code method; a
+// coder runs that list to encode the message and to decode it. Fields are
+// vbyte integers, length-prefixed strings, IEEE-754 float64 bits and 0/1
+// flag bytes. Decoding checks everything it reads: an integer wider than its
+// field, a count the payload cannot hold and trailing bytes are errors.
+// Every message reports its encoded size back to the caller so the
+// experiments can account for traffic byte-for-byte.
 package protocol
 
 import (
@@ -30,10 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
-	"teraphim/internal/codec"
 	"teraphim/internal/search"
 )
 
@@ -66,54 +67,49 @@ const (
 	TypeBatchReply
 )
 
+// messages holds each message type's name and constructor, indexed by type.
+var messages = [...]struct {
+	name string
+	new  func() Message
+}{
+	TypeHello:        {"Hello", func() Message { return &Hello{} }},
+	TypeHelloReply:   {"HelloReply", func() Message { return &HelloReply{} }},
+	TypeVocabRequest: {"VocabRequest", func() Message { return &VocabRequest{} }},
+	TypeVocabReply:   {"VocabReply", func() Message { return &VocabReply{} }},
+	TypeRankQuery:    {"RankQuery", func() Message { return &RankQuery{} }},
+	TypeRankReply:    {"RankReply", func() Message { return &RankReply{} }},
+	TypeScoreDocs:    {"ScoreDocs", func() Message { return &ScoreDocs{} }},
+	TypeFetchDocs:    {"FetchDocs", func() Message { return &FetchDocs{} }},
+	TypeFetchReply:   {"FetchReply", func() Message { return &FetchReply{} }},
+	TypeError:        {"Error", func() Message { return &ErrorReply{} }},
+	TypeModelRequest: {"ModelRequest", func() Message { return &ModelRequest{} }},
+	TypeModelReply:   {"ModelReply", func() Message { return &ModelReply{} }},
+	TypeBooleanQuery: {"BooleanQuery", func() Message { return &BooleanQuery{} }},
+	TypeBooleanReply: {"BooleanReply", func() Message { return &BooleanReply{} }},
+	TypeIndexRequest: {"IndexRequest", func() Message { return &IndexRequest{} }},
+	TypeIndexReply:   {"IndexReply", func() Message { return &IndexReply{} }},
+	TypeBatchQuery:   {"BatchQuery", func() Message { return &BatchQuery{} }},
+	TypeBatchReply:   {"BatchReply", func() Message { return &BatchReply{} }},
+}
+
 func (t MsgType) String() string {
-	switch t {
-	case TypeHello:
-		return "Hello"
-	case TypeHelloReply:
-		return "HelloReply"
-	case TypeVocabRequest:
-		return "VocabRequest"
-	case TypeVocabReply:
-		return "VocabReply"
-	case TypeRankQuery:
-		return "RankQuery"
-	case TypeRankReply:
-		return "RankReply"
-	case TypeScoreDocs:
-		return "ScoreDocs"
-	case TypeFetchDocs:
-		return "FetchDocs"
-	case TypeFetchReply:
-		return "FetchReply"
-	case TypeError:
-		return "Error"
-	case TypeModelRequest:
-		return "ModelRequest"
-	case TypeModelReply:
-		return "ModelReply"
-	case TypeBooleanQuery:
-		return "BooleanQuery"
-	case TypeBooleanReply:
-		return "BooleanReply"
-	case TypeIndexRequest:
-		return "IndexRequest"
-	case TypeIndexReply:
-		return "IndexReply"
-	case TypeBatchQuery:
-		return "BatchQuery"
-	case TypeBatchReply:
-		return "BatchReply"
-	default:
-		return fmt.Sprintf("MsgType(%d)", uint8(t))
+	if int(t) < len(messages) && messages[t].new != nil {
+		return messages[t].name
 	}
+	return fmt.Sprintf("MsgType(%d)", uint8(t))
+}
+
+func newMessage(t MsgType) (Message, error) {
+	if int(t) < len(messages) && messages[t].new != nil {
+		return messages[t].new(), nil
+	}
+	return nil, fmt.Errorf("protocol: unknown message type %d", t)
 }
 
 // Message is any protocol message.
 type Message interface {
 	Type() MsgType
-	encode(b []byte) []byte
-	decode(b []byte) error
+	code(c coder) coder
 }
 
 // ErrShortPayload is returned when a payload ends before its message does.
@@ -328,23 +324,16 @@ const (
 	taggedHdrLen = 9
 )
 
-// maxKeptBuf bounds the frame buffer a Reader, a Writer or the pool keeps:
+// maxKeptBuf bounds the frame buffer a Reader or a Writer keeps:
 // steady-state frames fit, and a set-up frame's buffer is dropped after it.
 const maxKeptBuf = 64 << 10
 
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-func putBuf(bp *[]byte) {
-	if cap(*bp) <= maxKeptBuf {
-		*bp = (*bp)[:0]
-		bufPool.Put(bp)
-	}
-}
+// ReadMessage and WriteMessage borrow a pooled Reader or Writer, so their
+// frame buffers are reused as a connection's are.
+var (
+	readers = sync.Pool{New: func() any { return new(Reader) }}
+	writers = sync.Pool{New: func() any { return new(Writer) }}
+)
 
 // AppendFrame appends one complete frame (header + payload) for msg to dst.
 // Tagged selects the pipelined framing and stamps tag into the header; the
@@ -359,7 +348,7 @@ func AppendFrame(dst []byte, tag uint32, tagged bool, msg Message) ([]byte, erro
 	for i := 0; i < hl; i++ {
 		dst = append(dst, 0)
 	}
-	dst = msg.encode(dst)
+	dst = encode(msg, dst)
 	payload := len(dst) - start - hl
 	if payload > MaxFrameSize {
 		return dst[:start], fmt.Errorf("protocol: %v payload of %d bytes exceeds limit", msg.Type(), payload)
@@ -373,58 +362,27 @@ func AppendFrame(dst []byte, tag uint32, tagged bool, msg Message) ([]byte, erro
 }
 
 // WriteMessage frames and writes msg in the seed framing, returning the
-// total bytes written (header included). The frame buffer is pooled: the
+// total bytes written (header included): Writer.Write, one-shot. The
 // steady-state write path allocates nothing.
 func WriteMessage(w io.Writer, msg Message) (int, error) {
-	bp := getBuf()
-	b, err := AppendFrame((*bp)[:0], 0, false, msg)
-	if err != nil {
-		putBuf(bp)
-		return 0, err
-	}
-	*bp = b
-	n, err := w.Write(b)
-	putBuf(bp)
-	if err != nil {
-		return n, fmt.Errorf("protocol: write %v: %w", msg.Type(), err)
-	}
-	return n, nil
+	wr := writers.Get().(*Writer)
+	wr.W = w
+	n, err := wr.Write(0, msg)
+	wr.W = nil
+	writers.Put(wr)
+	return n, err
 }
 
 // ReadMessage reads one seed-framing frame and decodes it, returning the
-// message and the total bytes read. The payload buffer is pooled and never
-// escapes: every decoder copies what it keeps, so the buffer is returned to
-// the pool before ReadMessage returns.
+// message and the total bytes read: Reader.Read, one-shot. The payload
+// buffer never escapes, since every decoder copies what it keeps.
 func ReadMessage(r io.Reader) (Message, int, error) {
-	var hdr [hdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("protocol: read header: %w", err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[:4])
-	if length > MaxFrameSize {
-		return nil, hdrLen, fmt.Errorf("protocol: frame of %d bytes exceeds limit", length)
-	}
-	msgType := MsgType(hdr[4])
-	bp := getBuf()
-	if cap(*bp) < int(length) {
-		*bp = make([]byte, 0, length)
-	}
-	payload := (*bp)[:length]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		putBuf(bp)
-		return nil, hdrLen, fmt.Errorf("protocol: read %v payload: %w", msgType, err)
-	}
-	msg, err := newMessage(msgType)
-	if err != nil {
-		putBuf(bp)
-		return nil, hdrLen + int(length), err
-	}
-	err = msg.decode(payload)
-	putBuf(bp)
-	if err != nil {
-		return nil, hdrLen + int(length), fmt.Errorf("protocol: decode %v: %w", msgType, err)
-	}
-	return msg, hdrLen + int(length), nil
+	rd := readers.Get().(*Reader)
+	rd.R = r
+	msg, _, n, err := rd.Read()
+	rd.R = nil
+	readers.Put(rd)
+	return msg, n, err
 }
 
 // Reader reads frames from one stream. Its payload buffer is owned by the
@@ -439,7 +397,7 @@ type Reader struct {
 	// allocation per frame on the steady-state read path.
 	hdr   [taggedHdrLen]byte
 	buf   []byte
-	reuse map[MsgType]Message
+	reuse [len(messages)]Message
 }
 
 // readPayload reads one frame header and payload into the Reader's buffer.
@@ -487,7 +445,7 @@ func (rd *Reader) Read() (Message, uint32, int, error) {
 	if err != nil {
 		return nil, tag, n, err
 	}
-	if err := msg.decode(payload); err != nil {
+	if err := decode(msg, payload); err != nil {
 		return nil, tag, n, fmt.Errorf("protocol: decode %v: %w", t, err)
 	}
 	return msg, tag, n, nil
@@ -502,18 +460,15 @@ func (rd *Reader) ReadReuse() (Message, uint32, int, error) {
 	if err != nil {
 		return nil, tag, n, err
 	}
-	if rd.reuse == nil {
-		rd.reuse = make(map[MsgType]Message, 8)
-	}
-	msg, ok := rd.reuse[t]
-	if !ok {
-		msg, err = newMessage(t)
+	if int(t) >= len(rd.reuse) || rd.reuse[t] == nil {
+		msg, err := newMessage(t)
 		if err != nil {
 			return nil, tag, n, err
 		}
 		rd.reuse[t] = msg
 	}
-	if err := msg.decode(payload); err != nil {
+	msg := rd.reuse[t]
+	if err := decode(msg, payload); err != nil {
 		return nil, tag, n, fmt.Errorf("protocol: decode %v: %w", t, err)
 	}
 	return msg, tag, n, nil
@@ -557,203 +512,4 @@ func (wr *Writer) Write(tag uint32, msg Message) (int, error) {
 		return n, fmt.Errorf("protocol: write %v: %w", msg.Type(), err)
 	}
 	return n, nil
-}
-
-func newMessage(t MsgType) (Message, error) {
-	switch t {
-	case TypeHello:
-		return &Hello{}, nil
-	case TypeHelloReply:
-		return &HelloReply{}, nil
-	case TypeVocabRequest:
-		return &VocabRequest{}, nil
-	case TypeVocabReply:
-		return &VocabReply{}, nil
-	case TypeRankQuery:
-		return &RankQuery{}, nil
-	case TypeRankReply:
-		return &RankReply{}, nil
-	case TypeScoreDocs:
-		return &ScoreDocs{}, nil
-	case TypeFetchDocs:
-		return &FetchDocs{}, nil
-	case TypeFetchReply:
-		return &FetchReply{}, nil
-	case TypeError:
-		return &ErrorReply{}, nil
-	case TypeModelRequest:
-		return &ModelRequest{}, nil
-	case TypeModelReply:
-		return &ModelReply{}, nil
-	case TypeBooleanQuery:
-		return &BooleanQuery{}, nil
-	case TypeBooleanReply:
-		return &BooleanReply{}, nil
-	case TypeIndexRequest:
-		return &IndexRequest{}, nil
-	case TypeIndexReply:
-		return &IndexReply{}, nil
-	case TypeBatchQuery:
-		return &BatchQuery{}, nil
-	case TypeBatchReply:
-		return &BatchReply{}, nil
-	default:
-		return nil, fmt.Errorf("protocol: unknown message type %d", t)
-	}
-}
-
-// --- primitive encoders -------------------------------------------------
-
-func putUint(b []byte, v uint64) []byte { return codec.PutVByte(b, v) }
-
-func getUint(b []byte) (uint64, []byte, error) {
-	v, n, err := codec.VByte(b)
-	if err != nil {
-		return 0, b, ErrShortPayload
-	}
-	return v, b[n:], nil
-}
-
-// getUint32 is getUint for a field written from a uint32.
-func getUint32(b []byte) (uint32, []byte, error) {
-	v, rest, err := getUint(b)
-	if err == nil && v > math.MaxUint32 {
-		err = fmt.Errorf("protocol: %d overflows a 32-bit field", v)
-	}
-	return uint32(v), rest, err
-}
-
-func putString(b []byte, s string) []byte {
-	b = putUint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func getString(b []byte) (string, []byte, error) {
-	n, b, err := getUint(b)
-	if err != nil {
-		return "", b, err
-	}
-	if uint64(len(b)) < n {
-		return "", b, ErrShortPayload
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-func putBytes(b []byte, p []byte) []byte {
-	b = putUint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func getBytes(b []byte) ([]byte, []byte, error) {
-	n, b, err := getUint(b)
-	if err != nil {
-		return nil, b, err
-	}
-	if uint64(len(b)) < n {
-		return nil, b, ErrShortPayload
-	}
-	out := make([]byte, n)
-	copy(out, b[:n])
-	return out, b[n:], nil
-}
-
-func putFloat(b []byte, f float64) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-	return append(b, buf[:]...)
-}
-
-func getFloat(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, b, ErrShortPayload
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
-}
-
-func putWeights(b []byte, w map[string]float64) []byte {
-	if w == nil {
-		return putUint(b, 0)
-	}
-	// Length+1 so nil (use local stats) and empty (no weighted terms) are
-	// distinguishable on the wire.
-	b = putUint(b, uint64(len(w))+1)
-	for term, wt := range w {
-		b = putString(b, term)
-		b = putFloat(b, wt)
-	}
-	return b
-}
-
-func getWeights(b []byte) (map[string]float64, []byte, error) {
-	n, b, err := getUint(b)
-	if err != nil {
-		return nil, b, err
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	n--
-	// Bound the map size hint by what the payload could hold (each entry
-	// is at least 9 bytes): corrupt counts must not drive allocation.
-	hint := n
-	if max := uint64(len(b)/9) + 1; hint > max {
-		hint = max
-	}
-	w := make(map[string]float64, hint)
-	for i := uint64(0); i < n; i++ {
-		var term string
-		term, b, err = getString(b)
-		if err != nil {
-			return nil, b, err
-		}
-		var wt float64
-		wt, b, err = getFloat(b)
-		if err != nil {
-			return nil, b, err
-		}
-		w[term] = wt
-	}
-	return w, b, nil
-}
-
-func putStats(b []byte, s search.Stats) []byte {
-	b = putUint(b, uint64(s.TermsLooked))
-	b = putUint(b, uint64(s.ListsFetched))
-	b = putUint(b, s.PostingsDecoded)
-	b = putUint(b, s.IndexBytesRead)
-	b = putUint(b, uint64(s.CandidateDocs))
-	return b
-}
-
-func getStats(b []byte) (search.Stats, []byte, error) {
-	var s search.Stats
-	var v uint64
-	var err error
-	if v, b, err = getUint(b); err != nil {
-		return s, b, err
-	}
-	s.TermsLooked = int(v)
-	if v, b, err = getUint(b); err != nil {
-		return s, b, err
-	}
-	s.ListsFetched = int(v)
-	if s.PostingsDecoded, b, err = getUint(b); err != nil {
-		return s, b, err
-	}
-	if s.IndexBytesRead, b, err = getUint(b); err != nil {
-		return s, b, err
-	}
-	if v, b, err = getUint(b); err != nil {
-		return s, b, err
-	}
-	s.CandidateDocs = int(v)
-	return s, b, nil
-}
-
-// expectEmpty returns an error when a payload has trailing bytes.
-func expectEmpty(b []byte, t MsgType) error {
-	if len(b) != 0 {
-		return fmt.Errorf("protocol: %v has %d trailing bytes", t, len(b))
-	}
-	return nil
 }

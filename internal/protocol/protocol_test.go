@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -12,8 +13,27 @@ import (
 	"testing"
 	"testing/quick"
 
+	"teraphim/internal/codec"
 	"teraphim/internal/search"
 )
+
+// putUint and putString append one vbyte integer or one length-prefixed
+// string, for payloads built by hand.
+func putUint(b []byte, v uint64) []byte { return codec.PutVByte(b, v) }
+
+func putString(b []byte, s string) []byte {
+	c := coder{b: b}
+	c.str(&s)
+	return c.b
+}
+
+// expectEmpty returns an error when a payload has trailing bytes.
+func expectEmpty(b []byte, t MsgType) error {
+	if len(b) != 0 {
+		return fmt.Errorf("protocol: %v has %d trailing bytes", t, len(b))
+	}
+	return nil
+}
 
 func roundTrip(t *testing.T, msg Message) Message {
 	t.Helper()
@@ -114,7 +134,7 @@ func TestVocabFrontCoding(t *testing.T) {
 		terms = append(terms, TermStat{Term: "prefixsharedacross" + strconv.Itoa(i), FT: uint32(i + 1)})
 	}
 	msg := &VocabReply{Terms: terms}
-	payload := msg.encode(nil)
+	payload := encode(msg, nil)
 	naive := 0
 	for _, ts := range terms {
 		naive += len(ts.Term) + 4
@@ -123,7 +143,7 @@ func TestVocabFrontCoding(t *testing.T) {
 		t.Fatalf("front-coded vocab %d bytes >= naive %d", len(payload), naive)
 	}
 	var back VocabReply
-	if err := back.decode(payload); err != nil {
+	if err := decode(&back, payload); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back.Terms, terms) {
@@ -169,11 +189,11 @@ func TestTrailingBytesRejected(t *testing.T) {
 		{&ScoreDocs{Query: "q", Docs: []uint32{1, 4}, K: 1, FetchTop: 1}, &ScoreDocs{}},
 		{&RankReply{Results: []ScoredDoc{{Doc: 3, Score: 1}}, Docs: []DocBlob{blob}}, &RankReply{}},
 	} {
-		payload := c.full.encode(nil)
-		if err := c.back.decode(payload); err != nil {
+		payload := encode(c.full, nil)
+		if err := decode(c.back, payload); err != nil {
 			t.Fatalf("%v with every optional field: %v", c.full.Type(), err)
 		}
-		err := c.back.decode(append(payload, 0x01))
+		err := decode(c.back, append(payload, 0x01))
 		if err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
 			t.Fatalf("%v plus one byte: got %v, want the trailing-bytes rejection", c.full.Type(), err)
 		}
@@ -184,15 +204,15 @@ func TestRankQueryEvaluatorCompat(t *testing.T) {
 	// An exact-evaluator query must encode byte-identically to the
 	// pre-evaluator frame format, so old librarians keep understanding new
 	// receptionists and vice versa.
-	plain := (&RankQuery{Query: "q", K: 7, Weights: map[string]float64{"a": 1}}).encode(nil)
-	tagged := (&RankQuery{Query: "q", K: 7, Weights: map[string]float64{"a": 1}, Evaluator: 0}).encode(nil)
+	plain := encode(&RankQuery{Query: "q", K: 7, Weights: map[string]float64{"a": 1}}, nil)
+	tagged := encode(&RankQuery{Query: "q", K: 7, Weights: map[string]float64{"a": 1}, Evaluator: 0}, nil)
 	if !bytes.Equal(plain, tagged) {
 		t.Fatalf("exact-evaluator frame differs from legacy frame:\n%x\n%x", plain, tagged)
 	}
 	// A legacy frame (no trailing field) decodes with Evaluator 0.
 	var back RankQuery
 	back.Evaluator = 9 // ensure decode resets stale state
-	if err := back.decode(plain); err != nil {
+	if err := decode(&back, plain); err != nil {
 		t.Fatal(err)
 	}
 	if back.Evaluator != 0 {
@@ -212,7 +232,7 @@ func TestRankQueryEvaluatorCompat(t *testing.T) {
 // must not decode as version 7.
 func TestHelloVersionDecodeStrict(t *testing.T) {
 	const wide = 1<<32 + 7
-	reply := (&HelloReply{Name: "AP", NumDocs: 3}).encode(nil)
+	reply := encode(&HelloReply{Name: "AP", NumDocs: 3}, nil)
 	for _, tc := range []struct {
 		msg     Message
 		payload []byte
@@ -220,13 +240,66 @@ func TestHelloVersionDecodeStrict(t *testing.T) {
 		{&Hello{}, putUint(nil, wide)},
 		{&HelloReply{}, putUint(reply, wide)},
 	} {
-		if err := tc.msg.decode(tc.payload); err == nil {
+		if err := decode(tc.msg, tc.payload); err == nil {
 			t.Errorf("%v with version 2^32+7 decoded as %+v", tc.msg.Type(), tc.msg)
 		}
 	}
 	var h Hello
-	if err := h.decode(putUint(nil, math.MaxUint32)); err != nil || h.Version != math.MaxUint32 {
+	if err := decode(&h, putUint(nil, math.MaxUint32)); err != nil || h.Version != math.MaxUint32 {
 		t.Errorf("Hello at the widest version: %+v, %v", h, err)
+	}
+}
+
+// overflowFrames are payloads whose one bad field is wider than the field it
+// decodes into. Each is also a FuzzReadMessage seed under testdata/fuzz.
+func overflowFrames() []struct {
+	name string
+	msg  Message
+	bits int
+	body []byte
+} {
+	const wide = 1<<32 + 3
+	q := putString(nil, "q")
+	none := putUint(nil, 0) // nil weights, or a zero count
+	stats := func(terms, lists, cands uint64) []byte {
+		return putUint(putUint(putUint(putUint(putUint(nil, terms), lists), 0), 0), cands)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	return []struct {
+		name string
+		msg  Message
+		bits int
+		body []byte
+	}{
+		{"rankquery-k", &RankQuery{}, 32, cat(q, putUint(nil, wide), none)},
+		{"rankquery-evaluator", &RankQuery{}, 8, cat(q, putUint(nil, 7), none, putUint(nil, 257))},
+		{"rankquery-fetchtop", &RankQuery{}, 33, cat(q, putUint(nil, 7), none, none, putUint(nil, wide<<1))},
+		{"scoredocs-k", &ScoreDocs{}, 32, cat(q, none, none, putUint(nil, wide))},
+		{"scoredocs-fetchtop", &ScoreDocs{}, 33, cat(q, none, none, putUint(nil, 7), putUint(nil, wide<<1|1))},
+		{"scoredocs-doc-gaps", &ScoreDocs{}, 32, cat(q, putUint(nil, 2), putUint(nil, 1<<32-1), putUint(nil, 6), none)},
+		{"rankreply-doc", &RankReply{}, 32, cat(putUint(nil, 1), putUint(nil, 1<<32+5), make([]byte, 8), stats(0, 0, 0))},
+		{"rankreply-termslooked", &RankReply{}, 63, cat(none, stats(1<<63, 0, 0))},
+		{"rankreply-listsfetched", &RankReply{}, 63, cat(none, stats(0, 1<<63, 0))},
+		{"rankreply-candidatedocs", &RankReply{}, 63, cat(none, stats(0, 0, 1<<63))},
+		{"fetchreply-doc", &FetchReply{}, 32, cat(putUint(nil, 1), putUint(nil, 1<<32+5), putString(nil, "t"), none, []byte{0})},
+		{"fetchreply-compressed", &FetchReply{}, 1, cat(putUint(nil, 1), putUint(nil, 5), putString(nil, "t"), none, []byte{2})},
+		{"fetchdocs-compressed", &FetchDocs{}, 1, cat(putUint(nil, 1), putUint(nil, 5), []byte{2})},
+		{"helloreply-numdocs", &HelloReply{}, 32, cat(putString(nil, "AP"), putUint(nil, wide), none, none, none, none)},
+		{"helloreply-numterms", &HelloReply{}, 32, cat(putString(nil, "AP"), putUint(nil, 3), putUint(nil, wide), none, none, none)},
+		{"vocabreply-ft", &VocabReply{}, 32, cat(putUint(nil, 1), none, putString(nil, "a"), putUint(nil, wide))},
+	}
+}
+
+// A decoded field never truncates: a value wider than its field is a typed
+// error naming the width, not its low bits (K = 2³²+3 must not read as 3, a
+// flag byte of 2 must not read as false).
+func TestDecodeRejectsOverflowingFields(t *testing.T) {
+	for _, tc := range overflowFrames() {
+		err := decode(tc.msg, tc.body)
+		var oe *overflowError
+		if !errors.As(err, &oe) || oe.bits != tc.bits {
+			t.Errorf("%s: decoded as %+v, error %v; want a %d-bit overflow", tc.name, tc.msg, err, tc.bits)
+		}
 	}
 }
 
@@ -235,15 +308,15 @@ func TestHelloVersionDecodeStrict(t *testing.T) {
 // truncated.
 func TestIndexRequestPartsEncoding(t *testing.T) {
 	seed := putUint(putUint(nil, 10), 433)
-	if got := (&IndexRequest{G: 10, Base: 433}).encode(nil); !bytes.Equal(got, seed) {
+	if got := encode(&IndexRequest{G: 10, Base: 433}, nil); !bytes.Equal(got, seed) {
 		t.Fatalf("whole-reply IndexRequest encodes as %x, the seed payload is %x", got, seed)
 	}
-	part := (&IndexRequest{G: 10, Base: 433, Part: 2, Parts: 8}).encode(nil)
+	part := encode(&IndexRequest{G: 10, Base: 433, Part: 2, Parts: 8}, nil)
 	if want := putUint(putUint(seed, 2), 8); !bytes.Equal(part, want) {
 		t.Fatalf("part request encodes as %x, want %x", part, want)
 	}
 	var q IndexRequest
-	if err := q.decode(part[:len(part)-1]); !errors.Is(err, ErrShortPayload) {
+	if err := decode(&q, part[:len(part)-1]); !errors.Is(err, ErrShortPayload) {
 		t.Fatalf("part without parts: got %+v, %v; want ErrShortPayload", q, err)
 	}
 }
@@ -285,9 +358,9 @@ func TestQuickScoreDocsDeltas(t *testing.T) {
 			}
 		}
 		msg := &ScoreDocs{Query: "q", Docs: docs}
-		payload := msg.encode(nil)
+		payload := encode(msg, nil)
 		var back ScoreDocs
-		if err := back.decode(payload); err != nil {
+		if err := decode(&back, payload); err != nil {
 			return false
 		}
 		if len(docs) == 0 {
@@ -356,7 +429,7 @@ func TestDecodeRandomBytesNeverPanics(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Must not panic; error or success are both acceptable.
-			_ = fresh.decode(payload)
+			_ = decode(fresh, payload)
 		}
 	}
 }

@@ -72,10 +72,10 @@ func TestRankFetchFieldsWireCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := tc.old.encode(nil); !bytes.Equal(got, golden) {
+		if got := encode(tc.old, nil); !bytes.Equal(got, golden) {
 			t.Errorf("%s: without the new fields encodes to\n%x, before the feature\n%x", tc.name, got, golden)
 		}
-		got := tc.extended.encode(nil)
+		got := encode(tc.extended, nil)
 		if want := tc.golden + tc.tail; hex.EncodeToString(got) != want {
 			t.Errorf("%s: with the new fields encodes to\n%x, want\n%s", tc.name, got, want)
 			continue
@@ -88,7 +88,7 @@ func TestRankFetchFieldsWireCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := back.decode(got); err != nil || !equalMessage(tc.extended, back) {
+		if err := decode(back, got); err != nil || !equalMessage(tc.extended, back) {
 			t.Errorf("%s: round trip gave %#v (%v), want %#v", tc.name, back, err, tc.extended)
 		}
 	}
@@ -96,11 +96,11 @@ func TestRankFetchFieldsWireCompat(t *testing.T) {
 
 // A corrupt document count on a RankReply must not drive allocation.
 func TestRankReplyBlobCountBounded(t *testing.T) {
-	payload := (&RankReply{}).encode(nil)
+	payload := encode(&RankReply{}, nil)
 	payload = putUint(payload, 1<<40) // claims a trillion attached documents
 	payload = append(payload, 0x85, 0x80, 0x80, 0x00)
 	var rr RankReply
-	if err := rr.decode(payload); !errors.Is(err, ErrShortPayload) {
+	if err := decode(&rr, payload); !errors.Is(err, ErrShortPayload) {
 		t.Fatalf("decode of a truncated document list: %v, want ErrShortPayload", err)
 	}
 	if cap(rr.Docs) > len(payload) {
