@@ -78,11 +78,14 @@ vet:
 # maxKeptBuf, so set-up state is what the paper counts.
 # PROTOCOL_LOC_MAX fell 1598 -> 1314: each message lists its fields once, in
 # one code method that a symmetric coder runs to encode and to decode it.
+# PROTOCOL_LOC_MAX fell 1314 -> 1311 and WRITE_LOC_MAX 2809 -> 2779: one
+# encoder and one checked decoder in internal/codec serve the index, its
+# files and the wire lists, and Merge folds through FoldGroups.
 CORE_LOC_MAX = 4323
 LIBRARIAN_LOC_MAX = 1675
 SEARCH_LOC_MAX = 1518
-PROTOCOL_LOC_MAX = 1314
-WRITE_LOC_MAX = 2809
+PROTOCOL_LOC_MAX = 1311
+WRITE_LOC_MAX = 2779
 loc:
 	@write=0; for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \

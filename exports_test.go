@@ -28,7 +28,6 @@ var testOnlyExports = map[string]string{
 	"simnet.Chaos.SetDelay":        "chaos hook: the hedging and transport tests slow one endpoint",
 	"core.BuildGroupedFromIndexes": "a source TestFormatPinned hashes: the CI index regrouped from sub-indexes",
 	"core.GroupedIndex.WriteTo":    "the bytes TestFormatPinned hashes for the grouped index",
-	"codec.DecodePostings":         "reference decoder the postings fuzzers and DecodePostingsInto's tests compare against",
 	"search.Engine.ParseQuery":     "f_qt for the supplied weights of TestSegmentCountParity's explicit-weight rows and TestEngineAgainstBruteForce's CV pass",
 	"search.Engine.QueryWeights":   "w_qt for the supplied weights of TestSegmentCountParity's explicit-weight rows and TestEngineAgainstBruteForce's CV pass",
 	"oracle.Scores":                "the reference every ranking differential test compares against",

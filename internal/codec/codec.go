@@ -72,11 +72,8 @@ func PutGolomb(w *bitio.Writer, v, b uint64) error {
 	if b == 0 {
 		return errors.New("codec: golomb divisor must be >= 1")
 	}
-	x := v - 1
-	q := x / b
-	rem := x % b
-	w.WriteUnary(q)
-	writeTruncated(w, rem, b)
+	g := NewGolombCode(b)
+	g.put(w, v)
 	return nil
 }
 
@@ -102,6 +99,17 @@ func NewGolombCode(b uint64) GolombCode {
 	return GolombCode{b: b, short: nbits - 1, thresh: 1<<nbits - b}
 }
 
+// put appends the code of v ≥ 1.
+func (g *GolombCode) put(w *bitio.Writer, v uint64) {
+	q, rem := (v-1)/g.b, (v-1)%g.b
+	w.WriteUnary(q)
+	if rem < g.thresh {
+		w.WriteBits(rem, g.short)
+	} else {
+		w.WriteBits(rem+g.thresh, g.short+1)
+	}
+}
+
 // Read reads one Golomb code: quotient in unary, remainder in truncated
 // binary.
 func (g *GolombCode) Read(r *bitio.Reader) (uint64, error) {
@@ -123,30 +131,6 @@ func (g *GolombCode) Read(r *bitio.Reader) (uint64, error) {
 	return q*g.b + rem + 1, nil
 }
 
-// Golomb reads one Golomb code with divisor b.
-func Golomb(r *bitio.Reader, b uint64) (uint64, error) {
-	if b == 0 {
-		return 0, errors.New("codec: golomb divisor must be >= 1")
-	}
-	g := NewGolombCode(b)
-	return g.Read(r)
-}
-
-// writeTruncated emits rem ∈ [0, b) using the truncated binary code: values
-// below the threshold use floor(log2 b) bits, the rest use one more.
-func writeTruncated(w *bitio.Writer, rem, b uint64) {
-	if b == 1 {
-		return
-	}
-	nbits := uint(bits.Len64(b - 1)) // ceil(log2 b)
-	thresh := uint64(1)<<nbits - b   // number of short codewords
-	if rem < thresh {
-		w.WriteBits(rem, nbits-1)
-	} else {
-		w.WriteBits(rem+thresh, nbits)
-	}
-}
-
 // PutVByte appends v in the classic variable-byte code (7 data bits per
 // byte, high bit set on the final byte). Accepts v ≥ 0.
 func PutVByte(dst []byte, v uint64) []byte {
@@ -157,14 +141,19 @@ func PutVByte(dst []byte, v uint64) []byte {
 	return append(dst, byte(v)|0x80)
 }
 
+// errVByteOverflow is VByte's error for an integer wider than 64 bits.
+var errVByteOverflow = errors.New("codec: vbyte overflows 64 bits")
+
 // VByte decodes one variable-byte integer from src, returning the value and
-// the number of bytes consumed.
+// the number of bytes consumed. It fails with bitio.ErrUnexpectedEOF, bare,
+// when src ends inside the integer, and with another error when the integer
+// is wider than 64 bits.
 func VByte(src []byte) (uint64, int, error) {
 	var v uint64
 	var shift uint
 	for i, b := range src {
-		if shift > 63 {
-			return 0, 0, errors.New("codec: vbyte overflow")
+		if shift > 63 || shift == 63 && b&0x7f > 1 {
+			return 0, 0, errVByteOverflow
 		}
 		if b&0x80 != 0 {
 			v |= uint64(b&0x7f) << shift

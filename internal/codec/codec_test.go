@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -69,7 +70,8 @@ func TestGolombRoundTrip(t *testing.T) {
 		if err := PutGolomb(w, v, b); err != nil {
 			return false
 		}
-		got, err := Golomb(bitio.NewReader(w.Bytes()), b)
+		code := NewGolombCode(b)
+		got, err := code.Read(bitio.NewReader(w.Bytes()))
 		return err == nil && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -85,9 +87,9 @@ func TestGolombDivisorOne(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := bitio.NewReader(w.Bytes())
+	r, code := bitio.NewReader(w.Bytes()), NewGolombCode(1)
 	for v := uint64(1); v <= 5; v++ {
-		got, err := Golomb(r, 1)
+		got, err := code.Read(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,6 +144,15 @@ func TestVByteTruncated(t *testing.T) {
 	if _, _, err := VByte(nil); err == nil {
 		t.Fatal("empty vbyte: want error")
 	}
+	// Ten bytes carry 70 data bits; at 2⁶⁴+2⁶³+… the last byte holds more
+	// than the one bit a uint64 has left, and must not wrap.
+	wide := []byte{0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x83}
+	if v, _, err := VByte(wide); err != errVByteOverflow {
+		t.Fatalf("vbyte over 64 bits: got %d, %v; want errVByteOverflow", v, err)
+	}
+	if v, _, err := VByte(PutVByte(nil, math.MaxUint64)); err != nil || v != math.MaxUint64 {
+		t.Fatalf("vbyte 2⁶⁴−1: got %d, %v", v, err)
+	}
 }
 
 func TestPostingsRoundTrip(t *testing.T) {
@@ -151,15 +162,12 @@ func TestPostingsRoundTrip(t *testing.T) {
 		n := rng.Intn(int(numDocs))
 		postings := randomPostings(rng, n, numDocs)
 		w := bitio.NewWriter(1024)
-		if err := EncodePostings(w, postings, numDocs); err != nil {
+		if err := AppendList(w, postings, numDocs, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodePostings(nil, bitio.NewReader(w.Bytes()), len(postings), numDocs)
-		if err != nil {
+		got := make([]Posting, len(postings))
+		if _, err := DecodeList(got, w.Bytes(), numDocs, 0, nil); err != nil {
 			t.Fatal(err)
-		}
-		if len(got) != len(postings) {
-			t.Fatalf("decoded %d postings, want %d", len(got), len(postings))
 		}
 		for i := range got {
 			if got[i] != postings[i] {
@@ -171,15 +179,15 @@ func TestPostingsRoundTrip(t *testing.T) {
 
 func TestPostingsRejectUnsorted(t *testing.T) {
 	w := bitio.NewWriter(64)
-	err := EncodePostings(w, []Posting{{Doc: 5, FDT: 1}, {Doc: 5, FDT: 2}}, 10)
+	err := AppendList(w, []Posting{{Doc: 5, FDT: 1}, {Doc: 5, FDT: 2}}, 10, 0, nil)
 	if err == nil {
 		t.Fatal("duplicate docs: want error")
 	}
-	err = EncodePostings(w, []Posting{{Doc: 5, FDT: 1}, {Doc: 3, FDT: 2}}, 10)
+	err = AppendList(w, []Posting{{Doc: 5, FDT: 1}, {Doc: 3, FDT: 2}}, 10, 0, nil)
 	if err == nil {
 		t.Fatal("descending docs: want error")
 	}
-	err = EncodePostings(w, []Posting{{Doc: 12, FDT: 1}}, 10)
+	err = AppendList(w, []Posting{{Doc: 12, FDT: 1}}, 10, 0, nil)
 	if err == nil {
 		t.Fatal("doc outside collection: want error")
 	}
@@ -187,19 +195,18 @@ func TestPostingsRejectUnsorted(t *testing.T) {
 
 func TestPostingsRejectZeroFDT(t *testing.T) {
 	w := bitio.NewWriter(64)
-	if err := EncodePostings(w, []Posting{{Doc: 1, FDT: 0}}, 10); err == nil {
+	if err := AppendList(w, []Posting{{Doc: 1, FDT: 0}}, 10, 0, nil); err == nil {
 		t.Fatal("zero f_dt: want error")
 	}
 }
 
 func TestPostingsEmpty(t *testing.T) {
 	w := bitio.NewWriter(8)
-	if err := EncodePostings(w, nil, 100); err != nil {
+	if err := AppendList(w, nil, 100, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePostings(nil, bitio.NewReader(w.Bytes()), 0, 100)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty round trip: got %v, %v", got, err)
+	if used, err := DecodeList(nil, w.Bytes(), 100, 0, nil); err != nil || used != 0 || w.BitLen() != 0 {
+		t.Fatalf("empty round trip: %d bits coded, %d decoded (%v)", w.BitLen(), used, err)
 	}
 }
 
@@ -210,7 +217,7 @@ func TestCompressionRatio(t *testing.T) {
 	numDocs := uint32(50_000)
 	postings := randomPostings(rng, 5_000, numDocs)
 	w := bitio.NewWriter(1 << 16)
-	if err := EncodePostings(w, postings, numDocs); err != nil {
+	if err := AppendList(w, postings, numDocs, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	compressed := len(w.Bytes())
@@ -260,7 +267,7 @@ func bitString(w *bitio.Writer) string {
 	return string(out)
 }
 
-func BenchmarkEncodePostings(b *testing.B) {
+func BenchmarkAppendList(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	postings := randomPostings(rng, 10_000, 1_000_000)
 	w := bitio.NewWriter(1 << 18)
@@ -268,27 +275,25 @@ func BenchmarkEncodePostings(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Reset()
-		if err := EncodePostings(w, postings, 1_000_000); err != nil {
+		if err := AppendList(w, postings, 1_000_000, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkDecodePostings(b *testing.B) {
+func BenchmarkDecodeList(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	postings := randomPostings(rng, 10_000, 1_000_000)
 	w := bitio.NewWriter(1 << 18)
-	if err := EncodePostings(w, postings, 1_000_000); err != nil {
+	if err := AppendList(w, postings, 1_000_000, 0, nil); err != nil {
 		b.Fatal(err)
 	}
 	data := w.Bytes()
-	dst := make([]Posting, 0, len(postings))
+	dst := make([]Posting, len(postings))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		dst, err = DecodePostings(dst[:0], bitio.NewReader(data), len(postings), 1_000_000)
-		if err != nil {
+		if _, err := DecodeList(dst, data, 1_000_000, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,7 +313,7 @@ func BenchmarkDecodePostingsInto(b *testing.B) {
 		g := NewGolombCode(GolombParameter(uint64(numDocs), n))
 		b.Run(fmt.Sprintf("b=%d", g.b), func(b *testing.B) {
 			w := bitio.NewWriter(1 << 16)
-			if err := EncodePostings(w, postings, numDocs); err != nil {
+			if err := AppendList(w, postings, numDocs, 0, nil); err != nil {
 				b.Fatal(err)
 			}
 			data := w.Bytes()

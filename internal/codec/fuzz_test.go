@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"reflect"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // postingsFromBytes derives a valid postings list from arbitrary fuzz
 // bytes: consecutive byte pairs become (gap, f_dt) with gap ≥ 1 and
-// f_dt ≥ 1, truncated at numDocs — exactly the contract EncodePostings
+// f_dt ≥ 1, truncated at numDocs — exactly the contract AppendList
 // demands (strictly increasing docs below numDocs, positive frequencies).
 func postingsFromBytes(data []byte, numDocs uint32) []Posting {
 	var postings []Posting
@@ -42,15 +43,12 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 		}
 		postings := postingsFromBytes(data, numDocs)
 		w := bitio.NewWriter(len(postings) * 2)
-		if err := EncodePostings(w, postings, numDocs); err != nil {
+		if err := AppendList(w, postings, numDocs, 0, nil); err != nil {
 			t.Fatalf("encode valid postings (%d entries, N=%d): %v", len(postings), numDocs, err)
 		}
-		got, err := DecodePostings(nil, bitio.NewReader(w.Bytes()), len(postings), numDocs)
-		if err != nil {
-			t.Fatalf("decode (%d entries, N=%d): %v", len(postings), numDocs, err)
-		}
-		if len(got) != len(postings) {
-			t.Fatalf("decoded %d postings, want %d", len(got), len(postings))
+		got := make([]Posting, len(postings))
+		if used, err := DecodeList(got, w.Bytes(), numDocs, 0, nil); err != nil || used != w.BitLen() {
+			t.Fatalf("decode (%d entries, N=%d): %d of %d bits, %v", len(postings), numDocs, used, w.BitLen(), err)
 		}
 		for i := range postings {
 			if got[i] != postings[i] {
@@ -60,9 +58,10 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzPostingsDecodeCorrupt throws arbitrary bits at DecodePostings: it
-// must error or succeed without panicking, and every posting it does
-// produce must respect the doc < numDocs invariant.
+// FuzzPostingsDecodeCorrupt throws arbitrary bits at DecodeList, the
+// decoder of lists from files and peers: it must error or succeed without
+// panicking, and a list it accepts must hold ascending documents below
+// numDocs with non-zero frequencies.
 func FuzzPostingsDecodeCorrupt(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0xaa}, 3, uint32(100))
 	f.Add([]byte{}, 1, uint32(1))
@@ -76,10 +75,13 @@ func FuzzPostingsDecodeCorrupt(f *testing.F) {
 		if count > 1<<16 {
 			count = 1 << 16 // decoded postings are bounded by input bits anyway
 		}
-		got, _ := DecodePostings(nil, bitio.NewReader(data), count, numDocs)
+		got := make([]Posting, count)
+		if _, err := DecodeList(got, data, numDocs, 0, nil); err != nil {
+			return
+		}
 		for i, p := range got {
-			if p.Doc >= numDocs {
-				t.Fatalf("posting %d: doc %d escaped collection of %d", i, p.Doc, numDocs)
+			if p.Doc >= numDocs || p.FDT == 0 || (i > 0 && p.Doc <= got[i-1].Doc) {
+				t.Fatalf("posting %d: %+v in a collection of %d, after %+v", i, p, numDocs, got[max(i-1, 0)])
 			}
 		}
 	})
@@ -94,17 +96,14 @@ func TestPostingsQuickRoundTrip(t *testing.T) {
 		}
 		postings := postingsFromBytes(data, numDocs)
 		w := bitio.NewWriter(len(postings) * 2)
-		if err := EncodePostings(w, postings, numDocs); err != nil {
+		if err := AppendList(w, postings, numDocs, 0, nil); err != nil {
 			return false
 		}
-		got, err := DecodePostings(nil, bitio.NewReader(w.Bytes()), len(postings), numDocs)
-		if err != nil {
+		got := make([]Posting, len(postings))
+		if _, err := DecodeList(got, w.Bytes(), numDocs, 0, nil); err != nil {
 			return false
 		}
-		if len(postings) == 0 {
-			return len(got) == 0
-		}
-		return reflect.DeepEqual(got, postings)
+		return len(postings) == 0 || reflect.DeepEqual(got, postings)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -200,6 +199,9 @@ func refDecodePostings(dst []Posting, r *refBits, b uint64, prevDoc int64) (int6
 			return doc, fmt.Errorf("codec: posting %d gap: %w", i, err)
 		}
 		fdt, err := r.gamma()
+		if err == nil && fdt > math.MaxUint32 {
+			err = errWide
+		}
 		if err != nil {
 			return doc, fmt.Errorf("codec: posting %d f_dt: %w", i, err)
 		}

@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"teraphim/internal/bitio"
@@ -14,34 +16,66 @@ type Posting struct {
 	FDT uint32 // f_{d,t}: occurrences of the term in the document
 }
 
-// EncodePostings appends the compressed form of postings to w using the MG
-// layout: document gaps Golomb-coded with a parameter derived from the list
-// density, frequencies gamma-coded. Postings must be sorted by Doc with no
-// duplicates. numDocs is the collection size N used to tune the Golomb
-// parameter; it must be greater than the largest Doc.
-func EncodePostings(w *bitio.Writer, postings []Posting, numDocs uint32) error {
-	if len(postings) == 0 {
-		return nil
-	}
-	b := GolombParameter(uint64(numDocs), uint64(len(postings)))
-	prev := int64(-1)
+// AppendList appends to w the MG code of postings, one list of a
+// collection of numDocs documents: documents strictly ascending below
+// numDocs, each with a non-zero frequency. Document gaps are Golomb-coded
+// under the divisor the list's density gives and frequencies gamma-coded,
+// and the gaps run on across the list, so a decoder can resume at any
+// posting from the document before it. skips receives the list's n =
+// len(skips)/2 sync points, one before each block of ivl postings after the
+// first: skips[k] is the last document before block k+1, and skips[n+k] the
+// bit, counted from the list's first, where that block starts.
+func AppendList(w *bitio.Writer, postings []Posting, numDocs uint32, ivl int, skips []uint32) error {
+	g := NewGolombCode(GolombParameter(uint64(numDocs), uint64(len(postings))))
+	start, n := w.BitLen(), len(skips)/2
+	prev, k, next := int64(-1), 0, ivl // next: the posting sync point k precedes
 	for i, p := range postings {
-		gap := int64(p.Doc) - prev
-		if gap <= 0 {
-			return fmt.Errorf("codec: postings not strictly increasing at index %d (doc %d)", i, p.Doc)
+		if i == next && k < n {
+			skips[k], skips[n+k] = uint32(prev), uint32(w.BitLen()-start)
+			k, next = k+1, next+ivl
 		}
-		if p.Doc >= numDocs {
-			return fmt.Errorf("codec: doc %d outside collection of %d documents", p.Doc, numDocs)
+		if int64(p.Doc) <= prev || p.Doc >= numDocs || p.FDT == 0 {
+			return fmt.Errorf("codec: posting %d (%d, %d) not ascending inside %d documents", i, p.Doc, p.FDT, numDocs)
 		}
-		if err := PutGolomb(w, uint64(gap), b); err != nil {
-			return err
-		}
-		if err := PutGamma(w, uint64(p.FDT)); err != nil {
-			return fmt.Errorf("codec: f_dt for doc %d: %w", p.Doc, err)
-		}
+		g.put(w, uint64(int64(p.Doc)-prev))
+		PutGamma(w, uint64(p.FDT))
 		prev = int64(p.Doc)
 	}
 	return nil
+}
+
+// DecodeList decodes into dst the len(dst) postings that AppendList coded at
+// the start of data for a collection of numDocs documents, and returns the
+// bits their code takes. It is the checked decoder of a list read from a
+// file or a peer: it refuses a document at or past numDocs, and so a gap
+// wider than 32 bits, and a frequency wider than 32 bits; and it refuses a
+// list whose sync points are not the ones skips holds, ivl postings apart in
+// AppendList's layout: 2·⌊(len(dst)−1)/ivl⌋ values, or none.
+func DecodeList(dst []Posting, data []byte, numDocs uint32, ivl int, skips []uint32) (int, error) {
+	n := len(skips) / 2
+	var r bitio.Reader
+	r.Reset(data)
+	g := NewGolombCode(GolombParameter(uint64(numDocs), uint64(len(dst))))
+	prev := int64(-1)
+	for k := 0; ; k++ {
+		blk := dst[k*ivl:]
+		if k < n {
+			blk = blk[:ivl]
+		}
+		var err error
+		if prev, err = g.DecodePostingsInto(blk, &r, prev); err != nil {
+			return 0, err
+		}
+		if prev >= int64(numDocs) {
+			return 0, fmt.Errorf("codec: document %d outside %d", prev, numDocs)
+		}
+		if k == n {
+			return r.BitPos(), nil
+		}
+		if skips[k] != uint32(prev) || skips[n+k] != uint32(r.BitPos()) {
+			return 0, fmt.Errorf("codec: sync point %d is (%d, bit %d), the list's (%d, bit %d)", k, skips[k], skips[n+k], prev, r.BitPos())
+		}
+	}
 }
 
 // DecodePostingsInto is the allocation-free block decoder under the
@@ -50,14 +84,16 @@ func EncodePostings(w *bitio.Writer, postings []Posting, numDocs uint32) error {
 // coding is continuous across blocks, so a decoder that seeks to a skip point
 // resumes with the skip entry's last document). It returns the last document
 // id decoded so the caller can chain blocks. No bounds validation is
-// performed beyond the bitstream itself; callers wanting the checked path use
-// DecodePostings.
+// performed beyond the bitstream itself and the frequency's width; callers
+// wanting the checked path use DecodeList.
 //
 // Postings are taken from the reader's 64-bit window, as many as fit per
 // refill, and one comparison of a posting's length against the valid bits
 // left stands in for every per-field end-of-input check. A posting that does
 // not fit a whole window — a very long code, or the end of the input — goes
-// through the single-value readers, which report the error.
+// through the single-value readers, which report the error. Only there can a
+// frequency be wider than 32 bits — a window holds a gamma code of at most 31
+// data bits — and it is refused rather than truncated.
 func (g *GolombCode) DecodePostingsInto(dst []Posting, r *bitio.Reader, prevDoc int64) (int64, error) {
 	doc := prevDoc
 	long := g.short + 1
@@ -113,6 +149,9 @@ func (g *GolombCode) DecodePostingsInto(dst []Posting, r *bitio.Reader, prevDoc 
 			return doc, fmt.Errorf("codec: posting %d gap: %w", i, err)
 		}
 		fdt, err := Gamma(r)
+		if err == nil && fdt > math.MaxUint32 {
+			err = errWide
+		}
 		if err != nil {
 			return doc, fmt.Errorf("codec: posting %d f_dt: %w", i, err)
 		}
@@ -123,28 +162,5 @@ func (g *GolombCode) DecodePostingsInto(dst []Posting, r *bitio.Reader, prevDoc 
 	return doc, nil
 }
 
-// DecodePostings reads count postings previously written by EncodePostings
-// with the same numDocs, appending them to dst and returning it.
-func DecodePostings(dst []Posting, r *bitio.Reader, count int, numDocs uint32) ([]Posting, error) {
-	if count == 0 {
-		return dst, nil
-	}
-	g := NewGolombCode(GolombParameter(uint64(numDocs), uint64(count)))
-	doc := int64(-1)
-	for i := 0; i < count; i++ {
-		gap, err := g.Read(r)
-		if err != nil {
-			return dst, fmt.Errorf("codec: posting %d gap: %w", i, err)
-		}
-		fdt, err := Gamma(r)
-		if err != nil {
-			return dst, fmt.Errorf("codec: posting %d f_dt: %w", i, err)
-		}
-		doc += int64(gap)
-		if doc >= int64(numDocs) {
-			return dst, fmt.Errorf("codec: decoded doc %d outside collection of %d documents", doc, numDocs)
-		}
-		dst = append(dst, Posting{Doc: uint32(doc), FDT: uint32(fdt)})
-	}
-	return dst, nil
-}
+// errWide is the error of a frequency wider than the 32 bits of a posting.
+var errWide = errors.New("over 32 bits")

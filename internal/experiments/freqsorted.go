@@ -155,11 +155,11 @@ func (c *freqCursor) nextRun() (fdt uint32, docs []uint32, ok bool) {
 		c.runsLeft = 0
 		return 0, nil, false
 	}
-	b := codec.GolombParameter(uint64(c.numDocs), n)
+	code := codec.NewGolombCode(codec.GolombParameter(uint64(c.numDocs), n))
 	c.docs = c.docs[:0]
 	prevDoc := int64(-1)
 	for i := uint64(0); i < n; i++ {
-		g, err := codec.Golomb(&c.r, b)
+		g, err := code.Read(&c.r)
 		if err != nil {
 			c.runsLeft = 0
 			return 0, nil, false

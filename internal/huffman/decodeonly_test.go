@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"teraphim/internal/textproc"
 )
 
 // frozenSeeds returns the texts of FuzzFrozenModelRoundTrip's seed corpus.
@@ -66,6 +68,51 @@ func TestUnmarshalledModelDecodesWithoutLookup(t *testing.T) {
 		}
 		if _, err := wire.CompressDoc("the first encode"); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestTrainedModelBuildsLookupOnFirstEncode: a model fresh from its Trainer
+// holds no lookup table, as an unmarshalled one does not; its first encode
+// builds them, and it then numbers every token as the Trainer did and codes
+// every seed as the unmarshalled copy of it does.
+func TestTrainedModelBuildsLookupOnFirstEncode(t *testing.T) {
+	tr := NewTrainer()
+	words := map[string]uint32{}
+	for _, doc := range sampleCorpus() {
+		spans, tail := textproc.SplitWords(doc)
+		for _, s := range spans {
+			tr.SepSymbol(s.Sep)
+			words[s.Word] = tr.WordSymbol(s.Word)
+		}
+		tr.SepSymbol(tail)
+	}
+	m, err := tr.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.words.byToken != nil || m.seps.byToken != nil {
+		t.Fatal("a trained model holds lookup tables before its first encode")
+	}
+	wire, err := UnmarshalTextModel(m.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range frozenSeeds(t) {
+		data, err := m.CompressDoc(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := wire.CompressDoc(text); err != nil || string(again) != string(data) {
+			t.Fatalf("%q: the trained model codes %d bytes, its unmarshalled copy %d (%v)", text, len(data), len(again), err)
+		}
+	}
+	if m.words.byToken == nil || m.seps.byToken == nil {
+		t.Fatal("no lookup tables after the first encode")
+	}
+	for word, sym := range words {
+		if got := m.WordSymbol(word); got != sym {
+			t.Fatalf("%q: symbol %d, the trainer's %d", word, got, sym)
 		}
 	}
 }

@@ -35,7 +35,7 @@ const Escape = 0
 // one-letter word — indexes byByte, and any other sits in byToken, so the
 // commonest lookups hash nothing. An absent token reads as the escape symbol.
 // The tables are built from tokens on the first lookup: a model that only
-// decodes — the receptionist's — never builds them.
+// decodes — the receptionist's, or a static librarian's — never builds them.
 type lexicon struct {
 	index   sync.Once
 	byByte  [256]uint32
@@ -115,8 +115,10 @@ func count(lx *lexicon, freqs *[]uint64, tok string) uint32 {
 // Model trains the text model on the counts: every token counted is a
 // lexicon entry, and the escape codeword weighs one per thousand word
 // tokens, minimum 1, so that novel tokens in later documents are
-// representable at near-maximal length. The model shares the trainer's
-// lexicons: call Model once, after the last token.
+// representable at near-maximal length. The model takes the trainer's
+// tokens into lexicons of its own, which build their lookup tables on its
+// first encode, so the trainer's tables go with the trainer: call Model
+// once, after the last token.
 func (t *Trainer) Model() (*TextModel, error) {
 	var total uint64
 	for _, f := range t.wordFreq {
@@ -131,7 +133,7 @@ func (t *Trainer) Model() (*TextModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("huffman: separator code: %w", err)
 	}
-	return &TextModel{words: t.words, seps: t.seps, wordCode: wordCode, sepCode: sepCode}, nil
+	return &TextModel{words: &lexicon{tokens: t.words.tokens}, seps: &lexicon{tokens: t.seps.tokens}, wordCode: wordCode, sepCode: sepCode}, nil
 }
 
 // NewTextModel trains a model over the given documents — MG's first pass,

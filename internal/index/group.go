@@ -3,7 +3,10 @@ package index
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+
+	"teraphim/internal/codec"
 )
 
 // A GroupSource yields one part of a collection's postings lists in
@@ -35,7 +38,6 @@ type indexGroups struct {
 	ix      *Index
 	base, g uint32
 	i, end  int // current entry; the entry the source stops before
-	cur     TermCursor
 }
 
 func (s *indexGroups) NextTerm() (string, error) {
@@ -45,37 +47,47 @@ func (s *indexGroups) NextTerm() (string, error) {
 	return s.ix.entries[s.i].term, nil
 }
 
+// AppendGroups decodes the current list after dst and folds it into groups
+// in place: each group is written at or before the first of its documents.
 func (s *indexGroups) AppendGroups(dst []Posting) ([]Posting, error) {
-	s.ix.resetCursorEntry(&s.cur, s.i)
-	start := len(dst)
-	for blk := s.cur.NextBlock(); blk != nil; blk = s.cur.NextBlock() {
-		for _, p := range blk {
-			grp := (s.base + p.Doc) / s.g
-			if n := len(dst); n > start && dst[n-1].Doc == grp {
-				dst[n-1].FDT += p.FDT
-			} else {
-				dst = append(dst, Posting{Doc: grp, FDT: p.FDT})
-			}
+	start, e := len(dst), &s.ix.entries[s.i]
+	list, _, _ := s.ix.list(s.i)
+	dst = slices.Grow(dst, int(e.ft))[:start+int(e.ft)]
+	if _, err := codec.DecodeList(dst[start:], list, s.ix.numDocs, 0, nil); err != nil {
+		return dst[:start], fmt.Errorf("index: term %q: %w", e.term, err)
+	}
+	if s.g == 1 { // a merge: each document its own group
+		for j := start; j < len(dst); j++ {
+			dst[j].Doc += s.base
+		}
+		return dst, nil
+	}
+	n := start
+	for _, p := range dst[start:] {
+		if grp := (s.base + p.Doc) / s.g; n > start && dst[n-1].Doc == grp {
+			dst[n-1].FDT += p.FDT
+		} else {
+			dst[n] = Posting{Doc: grp, FDT: p.FDT}
+			n++
 		}
 	}
-	if s.cur.pos != s.cur.ft || s.cur.cur.Doc >= s.ix.numDocs {
-		return dst, fmt.Errorf("index: term %q: corrupt list (%d of %d postings decoded)", s.ix.entries[s.i].term, s.cur.pos, s.cur.ft)
-	}
-	return dst, nil
+	return dst[:n], nil
 }
 
 // FoldGroups merges srcs — the parts of one collection, in ascending
-// document order — term by term, in the k-way manner of Merge: for each term
-// in lexicographic order it concatenates the parts' groups, summing the group
-// two adjacent parts share, and calls emit with the folded list, which is
-// valid only during the call.
+// document order — term by term, a k-way pass over their dictionaries: for
+// each term in lexicographic order it concatenates the parts' groups, summing
+// the group two adjacent parts share, and calls emit with the folded list,
+// which is valid only during the call. A shared group whose frequencies sum
+// past 2³²−1 is an error.
 func FoldGroups(srcs []GroupSource, emit func(term string, groups []Posting) error) error {
-	heads := make([]string, len(srcs))
+	heads := make([]string, 0, 8) // on the stack for up to eight parts
 	for i, s := range srcs {
-		var err error
-		if heads[i], err = s.NextTerm(); err != nil {
+		h, err := s.NextTerm()
+		if err != nil {
 			return fmt.Errorf("index: part %d: %w", i, err)
 		}
+		heads = append(heads, h)
 	}
 	list := make([]Posting, 0, 256)
 	for {
@@ -99,7 +111,11 @@ func FoldGroups(srcs []GroupSource, emit func(term string, groups []Posting) err
 				return fmt.Errorf("index: part %d: %w", i, err)
 			}
 			if start > 0 && len(list) > start && list[start].Doc == list[start-1].Doc {
-				list[start-1].FDT += list[start].FDT
+				f := uint64(list[start-1].FDT) + uint64(list[start].FDT)
+				if f > math.MaxUint32 {
+					return fmt.Errorf("index: part %d: term %q: group %d sums to %d", i, term, list[start].Doc, f)
+				}
+				list[start-1].FDT = uint32(f)
 				list = append(list[:start], list[start+1:]...)
 			}
 			if heads[i], err = s.NextTerm(); err != nil {
@@ -162,7 +178,7 @@ var logSq = func() (t [64]float64) {
 // EachTerm calls fn for every term of ixs in lexicographic order with f_t
 // summed over them: a k-way pass over their sorted dictionaries.
 func EachTerm(ixs []*Index, fn func(term string, ft uint32)) {
-	next := make([]int, len(ixs))
+	next := slices.Grow(make([]int, 0, 8), len(ixs))[:len(ixs)] // zeroes, on the stack for up to eight
 	for {
 		term, found := "", false
 		for i, ix := range ixs {

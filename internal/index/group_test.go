@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -171,9 +172,10 @@ func TestBuildFromGroupsMergesSplitLists(t *testing.T) {
 
 func TestBuildFromGroupsRejectsBadLists(t *testing.T) {
 	for name, lists := range map[string][][]Posting{
-		"group outside":  {{{Doc: 4, FDT: 1}}},
-		"zero frequency": {{{Doc: 1, FDT: 0}}},
-		"descending":     {{{Doc: 2, FDT: 1}}, {{Doc: 1, FDT: 1}}},
+		"group outside":           {{{Doc: 4, FDT: 1}}},
+		"zero frequency":          {{{Doc: 1, FDT: 0}}},
+		"descending":              {{{Doc: 2, FDT: 1}}, {{Doc: 1, FDT: 1}}},
+		"shared group past 2³²−1": {{{Doc: 1, FDT: math.MaxUint32}}, {{Doc: 1, FDT: 2}}},
 	} {
 		srcs := make([]GroupSource, len(lists))
 		for i, l := range lists {

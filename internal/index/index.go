@@ -220,46 +220,31 @@ func numSkips(ft, skipIvl uint32) int {
 }
 
 // appendList codes term's postings — ascending, inside the collection — at
-// the ends of the arenas, and adds its entry: the one writer of an index's
-// lists, which Build, Merge, BuildFromGroups and ReadFrom all append
-// through. Gap coding runs on across blocks, so a cursor that seeks to a
-// sync point resumes from the block's preceding document.
+// the ends of the arenas, with its sync points, and adds its entry: the one
+// coder of an index's lists, which Build, Merge and BuildFromGroups append
+// through.
 func (ix *Index) appendList(term string, postings []Posting) error {
-	ft := uint32(len(postings))
+	n := 2 * numSkips(uint32(len(postings)), ix.skipIvl)
+	ix.skips = grow(ix.skips, n)
+	var w bitio.Writer
+	w.ResetTo(grow(ix.arena, len(postings)))
+	if err := codec.AppendList(&w, postings, ix.numDocs, int(ix.skipIvl), ix.skips[len(ix.skips):][:n]); err != nil {
+		return err
+	}
+	return ix.addEntry(term, uint32(len(postings)), w.Bytes(), n)
+}
+
+// addEntry adds term's entry over the ft postings that end arena, ix.arena
+// extended by their list, and the n skip values past the end of ix.skips.
+func (ix *Index) addEntry(term string, ft uint32, arena []byte, n int) error {
 	if len(term) == 0 || len(term) > 255 || ft == 0 {
 		return fmt.Errorf("%d-byte term with %d postings, want [1, 255] bytes and a posting", len(term), ft)
 	}
-	n := numSkips(ft, ix.skipIvl)
-	e := termEntry{term: term, ft: ft, off: uint32(len(ix.arena)), skip: uint32(len(ix.skips))}
-	ix.skips = grow(ix.skips, 2*n)
-	skips := ix.skips[len(ix.skips) : len(ix.skips)+2*n]
-	var w bitio.Writer
-	w.ResetTo(grow(ix.arena, len(postings)))
-	b := codec.GolombParameter(uint64(ix.numDocs), uint64(ft))
-	prev := int64(-1)
-	for i, p := range postings {
-		if n > 0 && i > 0 && i%int(ix.skipIvl) == 0 {
-			k := i/int(ix.skipIvl) - 1
-			skips[k], skips[n+k] = uint32(prev), uint32(w.BitLen()-8*int(e.off))
-		}
-		if int64(p.Doc) <= prev || p.Doc >= ix.numDocs || p.FDT == 0 {
-			return fmt.Errorf("posting %d (%d, %d) not ascending inside %d documents", i, p.Doc, p.FDT, ix.numDocs)
-		}
-		if err := codec.PutGolomb(&w, uint64(int64(p.Doc)-prev), b); err != nil {
-			return err
-		}
-		if err := codec.PutGamma(&w, uint64(p.FDT)); err != nil {
-			return err
-		}
-		prev = int64(p.Doc)
-	}
-	if arena := w.Bytes(); uint64(len(arena)) <= math.MaxUint32 {
-		ix.arena = arena
-	} else {
+	if uint64(len(arena)) > math.MaxUint32 {
 		return errors.New("postings exceed 4 GiB")
 	}
-	ix.skips = ix.skips[:len(ix.skips)+2*n]
-	ix.entries = append(grow(ix.entries, 1), e)
+	ix.entries = append(grow(ix.entries, 1), termEntry{term: term, ft: ft, off: uint32(len(ix.arena)), skip: uint32(len(ix.skips))})
+	ix.arena, ix.skips = arena, ix.skips[:len(ix.skips)+n]
 	ix.numPtrs += uint64(ft)
 	return nil
 }
@@ -307,21 +292,6 @@ func (ix *Index) list(i int) (postings []byte, skipDocs, skipBits []uint32) {
 	}
 	s, n := e.skip, uint32(numSkips(e.ft, ix.skipIvl))
 	return ix.arena[e.off:end:end], ix.skips[s : s+n : s+n], ix.skips[s+n : s+2*n : s+2*n]
-}
-
-// decodeList appends to dst the ft postings that data codes in a collection
-// of numDocs documents, failing unless they all lie inside it.
-func decodeList(dst []Posting, data []byte, ft, numDocs uint32) ([]Posting, error) {
-	start := len(dst)
-	dst = slices.Grow(dst, int(ft))[:start+int(ft)]
-	var r bitio.Reader
-	r.Reset(data)
-	code := codec.NewGolombCode(codec.GolombParameter(uint64(numDocs), uint64(ft)))
-	last, err := code.DecodePostingsInto(dst[start:], &r, -1)
-	if err == nil && last >= int64(numDocs) {
-		err = fmt.Errorf("document %d outside %d", last, numDocs)
-	}
-	return dst, err
 }
 
 // NumDocs returns the number of documents in the collection.

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -293,6 +294,11 @@ func TestPersistRejectsCorrupt(t *testing.T) {
 	bad := append([]byte("XXXX"), raw[4:]...)
 	if _, err := ReadFrom(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic: want error")
+	}
+	for name, file := range corruptLists(t) {
+		if _, err := ReadFrom(bytes.NewReader(file)); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: error %v, want one wrapping errCorrupt", name, err)
+		}
 	}
 }
 

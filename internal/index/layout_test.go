@@ -2,12 +2,16 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"runtime"
 	"strconv"
 	"testing"
 	"unsafe"
+
+	"teraphim/internal/bitio"
+	"teraphim/internal/codec"
 )
 
 // TestTermEntrySize pins the dictionary entry at a term, f_t and two arena
@@ -112,10 +116,9 @@ func TestProducersAllocatePerArena(t *testing.T) {
 	}
 }
 
-// reversedSkips returns an index file whose list for "t" — 334 postings,
-// every third of 1,000 documents, so five skip entries — has those entries
-// in reverse order, and the index it was written from.
-func reversedSkips(t testing.TB) ([]byte, *Index) {
+// everyThird returns the index of 1,000 documents that all hold "a" and of
+// which every third holds "t" too: 334 postings, so five skip entries.
+func everyThird(t testing.TB) *Index {
 	t.Helper()
 	docs := make([][]string, 1000)
 	for d := range docs {
@@ -124,7 +127,15 @@ func reversedSkips(t testing.TB) ([]byte, *Index) {
 			docs[d] = append(docs[d], "t")
 		}
 	}
-	ix := buildOver(t, docs)
+	return buildOver(t, docs)
+}
+
+// reversedSkips returns an index file whose list for "t" — 334 postings,
+// every third of 1,000 documents, so five skip entries — has those entries
+// in reverse order, and the index it was written from.
+func reversedSkips(t testing.TB) ([]byte, *Index) {
+	t.Helper()
+	ix := everyThird(t)
 	file := serialised(t, ix)
 	// "t" sorts last, so its skip table ends the file: five last documents,
 	// then five bit offsets, four bytes each.
@@ -137,6 +148,63 @@ func reversedSkips(t testing.TB) ([]byte, *Index) {
 		}
 	}
 	return file, ix
+}
+
+// corruptLists returns everyThird's file with one edit to the list of "t",
+// the last term, by name: each edit is one the load check must refuse. A
+// list re-coded with its last frequency at 2³² keeps its skip table, which
+// points before that posting.
+func corruptLists(t testing.TB) map[string][]byte {
+	t.Helper()
+	ix := everyThird(t)
+	list, skipDocs, skipBits := ix.list(ix.NumTerms() - 1)
+	postings, err := ix.Cursor("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := postings.Decode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used, err := codec.DecodeList(make([]Posting, len(want)), list, ix.NumDocs(), int(ix.SkipInterval()), append(skipDocs, skipBits...))
+	if err != nil || used%8 == 0 {
+		t.Fatalf("the list of t takes %d bits (%v); want a code with pad bits", used, err)
+	}
+	file := serialised(t, ix)
+	// "t" sorts last: its postings length, list, skip count and table of
+	// ten values end the file.
+	end := len(file) - 4 - 40
+	start := end - len(list)
+	withList := func(list []byte) []byte {
+		out := binary.LittleEndian.AppendUint32(append([]byte(nil), file[:start-4]...), uint32(len(list)))
+		return append(append(out, list...), file[end:]...)
+	}
+	edited := func(at int, edit func([]byte)) []byte {
+		out := append([]byte(nil), file...)
+		edit(out[at:])
+		return out
+	}
+	plusOne := func(b []byte) { binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)+1) }
+	var w bitio.Writer
+	b := codec.GolombParameter(uint64(ix.NumDocs()), uint64(len(want)))
+	prev := int64(-1)
+	for i, p := range want {
+		fdt := uint64(p.FDT)
+		if i == len(want)-1 {
+			fdt = 1 << 32
+		}
+		if codec.PutGolomb(&w, uint64(int64(p.Doc)-prev), b) != nil || codec.PutGamma(&w, fdt) != nil {
+			t.Fatal("coding the wide list")
+		}
+		prev = int64(p.Doc)
+	}
+	return map[string][]byte{
+		"pad bits not zero":       edited(end-1, func(b []byte) { b[0] |= 1 }),
+		"spare byte after a list": withList(append(append([]byte(nil), list...), 0)),
+		"skip document one off":   edited(len(file)-40, plusOne),
+		"skip bit offset one off": edited(len(file)-20, plusOne),
+		"frequency of 2^32":       withList(w.Bytes()),
+	}
 }
 
 // TestReadFromRejectsReversedSkips: a skip table whose entries are out of
@@ -169,6 +237,9 @@ func FuzzIndexReadFrom(f *testing.F) {
 	f.Add(serialised(f, buildOver(f, [][]string{{"a", "b"}, {"b"}, {"a"}, {"b", "c"}}, WithSkipInterval(1))))
 	corrupt, _ := reversedSkips(f)
 	f.Add(corrupt)
+	lists := corruptLists(f)
+	f.Add(lists["pad bits not zero"])
+	f.Add(lists["spare byte after a list"])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -12,12 +12,12 @@ import "fmt"
 // so the serialised bytes) to indexing the concatenated collection directly,
 // because document weights depend only on per-document term frequencies.
 //
-// It is a streaming k-way merge over the inputs' sorted dictionaries: the
-// smallest pending term is decoded from every input that holds it, input by
-// input. Since the inputs tile the document space in order, the decoded
-// lists concatenate into a sorted list, which is recompressed under the
-// merged collection's Golomb parameter. One term's postings are in memory at
-// a time.
+// It folds the inputs' lists through FoldGroups, each document its own
+// group: the smallest pending term is decoded from every input that holds
+// it, input by input. Since the inputs tile the document space in order, the
+// decoded lists concatenate into a sorted list, which is recompressed under
+// the merged collection's Golomb parameter. One term's postings are in
+// memory at a time.
 func Merge(subIndexes []*Index, offsets []uint32, totalDocs uint32, opts ...BuilderOption) (*Index, error) {
 	if len(subIndexes) == 0 {
 		return nil, fmt.Errorf("index: nothing to merge")
@@ -28,10 +28,6 @@ func Merge(subIndexes []*Index, offsets []uint32, totalDocs uint32, opts ...Buil
 	var covered uint64
 	listBytes := 0
 	for i, ix := range subIndexes {
-		if uint64(offsets[i])+uint64(ix.NumDocs()) > uint64(totalDocs) {
-			return nil, fmt.Errorf("index: input %d (offset %d, %d docs) exceeds collection of %d",
-				i, offsets[i], ix.NumDocs(), totalDocs)
-		}
 		if uint64(offsets[i]) != covered {
 			return nil, fmt.Errorf("index: input %d starts at doc %d, the inputs before it end at %d",
 				i, offsets[i], covered)
@@ -43,12 +39,12 @@ func Merge(subIndexes []*Index, offsets []uint32, totalDocs uint32, opts ...Buil
 		return nil, fmt.Errorf("index: inputs cover %d docs, collection has %d", covered, totalDocs)
 	}
 
-	// One pass over the dictionaries sizes the result: its entries, its skip
-	// tables and its longest list. Its lists take about what the inputs' do.
+	// One pass over the dictionaries sizes the result: its entries and its
+	// skip tables. Its lists take about what the inputs' do.
 	skipIvl := skipIntervalOf(opts)
-	terms, skips, longest := 0, 0, uint32(0)
+	terms, skips := 0, 0
 	EachTerm(subIndexes, func(_ string, ft uint32) {
-		terms, skips, longest = terms+1, skips+2*numSkips(ft, skipIvl), max(longest, ft)
+		terms, skips = terms+1, skips+2*numSkips(ft, skipIvl)
 	})
 	merged := newIndex(totalDocs, skipIvl, terms, listBytes, skips)
 	merged.weights, merged.lens = make([]float32, totalDocs), make([]uint32, totalDocs)
@@ -57,40 +53,18 @@ func Merge(subIndexes []*Index, offsets []uint32, totalDocs uint32, opts ...Buil
 		copy(merged.lens[offsets[i]:], ix.lens)
 	}
 
-	next := make([]int, len(subIndexes)) // each input's first unmerged entry
-	list := make([]Posting, 0, longest)
-	for {
-		term, found := "", false
-		for i, ix := range subIndexes {
-			if next[i] < len(ix.entries) {
-				if t := ix.entries[next[i]].term; !found || t < term {
-					term, found = t, true
-				}
-			}
-		}
-		if !found {
-			return merged.seal(), nil
-		}
-		list = list[:0]
-		for i, ix := range subIndexes {
-			if next[i] == len(ix.entries) || ix.entries[next[i]].term != term {
-				continue
-			}
-			// Gaps decode positive, so a list whose last document lies inside
-			// its input stays inside the input's range once shifted.
-			data, _, _ := ix.list(next[i])
-			start := len(list)
-			var err error
-			if list, err = decodeList(list, data, ix.entries[next[i]].ft, ix.numDocs); err != nil {
-				return nil, fmt.Errorf("index: merge term %q: input %d: %w", term, i, err)
-			}
-			for j := start; j < len(list); j++ {
-				list[j].Doc += offsets[i]
-			}
-			next[i]++
-		}
-		if err := merged.appendList(term, list); err != nil {
-			return nil, fmt.Errorf("index: merge term %q: %w", term, err)
-		}
+	srcs := make([]GroupSource, 0, 8) // on the stack for up to eight inputs
+	for i, ix := range subIndexes {
+		srcs = append(srcs, ix.Groups(offsets[i], 1, "", ""))
 	}
+	err := FoldGroups(srcs, func(term string, list []Posting) error {
+		if err := merged.appendList(term, list); err != nil {
+			return fmt.Errorf("index: merge term %q: %w", term, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return merged.seal(), nil
 }

@@ -10,6 +10,8 @@ import (
 	"io/fs"
 	"math"
 	"strings"
+
+	"teraphim/internal/codec"
 )
 
 // File format (little endian):
@@ -67,10 +69,12 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom deserialises an index written by WriteTo, reading r to its end.
 // It trusts nothing it reads: header counts are checked against the bytes
-// present before anything is sized by them, and every list is decoded and
-// coded again by the appender the builders use and must come out byte for
-// byte as read, its skip table with it — so the cursors' skips agree with
-// their lists, and WriteTo writes the input back. Bytes WriteTo could not
+// present before anything is sized by them, and every list goes through the
+// checked decoder before it and its skip table are copied into the arenas:
+// its documents inside the collection, its sync points the ones its skip
+// table holds, its code ending in its last byte with zero pad bits. Golomb
+// and gamma give each value one codeword, so such a list is the one the
+// builders code, and WriteTo writes the input back. Bytes WriteTo could not
 // have written fail with an error wrapping errCorrupt.
 func ReadFrom(r io.Reader) (*Index, error) {
 	// Sized from what r can tell of its length, the read lands in one
@@ -121,7 +125,7 @@ func ReadFrom(r io.Reader) (*Index, error) {
 	}
 	var terms strings.Builder
 	terms.Grow(termBytes) // every term is a substring of this one string
-	list := make([]Posting, 0, longest)
+	list := make([]Posting, longest)
 	d.data = termSection
 	prev := ""
 	for i := range int(numTerms) {
@@ -134,23 +138,27 @@ func ReadFrom(r io.Reader) (*Index, error) {
 			return nil, d.fail("term %q after %q, sharing %d bytes", term, prev, rec.shared)
 		}
 		prev = term
-		if n := numSkips(rec.ft, skipIvl); len(rec.skips) != 8*n {
+		n := numSkips(rec.ft, skipIvl)
+		if len(rec.skips) != 8*n {
 			return nil, d.fail("term %q: %d skip bytes, want %d for %d postings", term, len(rec.skips), 8*n, rec.ft)
 		}
-		var err error
-		if list, err = decodeList(list[:0], rec.list, rec.ft, numDocs); err == nil {
-			err = ix.appendList(term, list)
+		ix.skips = grow(ix.skips, 2*n)
+		skips := ix.skips[len(ix.skips):][:2*n]
+		for j := range skips {
+			skips[j] = binary.LittleEndian.Uint32(rec.skips[4*j:])
+		}
+		used, err := codec.DecodeList(list[:rec.ft], rec.list, numDocs, int(skipIvl), skips)
+		switch {
+		case err != nil:
+		case (used+7)/8 != len(rec.list):
+			err = fmt.Errorf("a %d-bit code in %d bytes", used, len(rec.list))
+		case used%8 != 0 && rec.list[len(rec.list)-1]<<(used%8) != 0:
+			err = errors.New("pad bits not zero")
+		default:
+			err = ix.addEntry(term, rec.ft, append(ix.arena, rec.list...), 2*n)
 		}
 		if err != nil {
 			return nil, d.fail("term %q: %v", term, err)
-		}
-		if got, _, _ := ix.list(i); !bytes.Equal(got, rec.list) {
-			return nil, d.fail("term %q: postings not as WriteTo codes them", term)
-		}
-		for j, v := range ix.skips[ix.entries[i].skip:] {
-			if binary.LittleEndian.Uint32(rec.skips[4*j:]) != v {
-				return nil, d.fail("term %q: skip table disagrees with its list", term)
-			}
 		}
 	}
 	return ix.seal(), nil

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 
+	"teraphim/internal/bitio"
 	"teraphim/internal/codec"
 	"teraphim/internal/search"
 )
@@ -38,6 +39,9 @@ type overflowError struct {
 }
 
 func (e *overflowError) Error() string {
+	if e.bits == 64 { // v is not known: it is wider than any uint64
+		return "protocol: an integer overflows 64 bits"
+	}
 	return fmt.Sprintf("protocol: %d overflows a %d-bit field", e.v, e.bits)
 }
 
@@ -110,8 +114,10 @@ func (c *coder) uint(v, max uint64) uint64 {
 	}
 	v, n, err := codec.VByte(c.b[c.r:])
 	switch {
-	case err != nil:
+	case err == bitio.ErrUnexpectedEOF:
 		c.short()
+	case err != nil:
+		c.fail(&overflowError{bits: 64})
 	case v > max:
 		c.fail(&overflowError{v, bits.Len64(max)})
 	default:

@@ -42,14 +42,14 @@ func (w *ListWriter) Append(term string, groups []codec.Posting) error {
 	if term <= w.prev || len(groups) == 0 {
 		return fmt.Errorf("protocol: list %q with %d groups after %q", term, len(groups), w.prev)
 	}
-	w.bits.Reset()
-	if err := codec.EncodePostings(&w.bits, groups, w.reply.Hi-w.reply.Lo); err != nil {
-		return fmt.Errorf("protocol: list %q: %w", term, err)
-	}
 	c := coder{b: w.reply.Lists}
 	c.front(w.prev, &term)
 	c.put(uint64(len(groups)))
-	w.reply.Lists = append(c.b, w.bits.Bytes()...)
+	w.bits.ResetTo(c.b)
+	if err := codec.AppendList(&w.bits, groups, w.reply.Hi-w.reply.Lo, 0, nil); err != nil {
+		return fmt.Errorf("protocol: list %q: %w", term, err)
+	}
+	w.reply.Lists = w.bits.Bytes()
 	w.prev = term
 	return nil
 }
@@ -65,7 +65,6 @@ type ListReader struct {
 	lo, n uint32
 	prev  string
 	count uint64 // groups in the current list
-	bits  bitio.Reader
 }
 
 // NewListReader returns the reader of reply's lists.
@@ -105,26 +104,18 @@ func (r *ListReader) NextTerm() (string, error) {
 	return term, nil
 }
 
-// AppendGroups implements index.GroupSource. It runs the cursors' block
-// decoder and then checks its result: the last group — so, groups ascending,
-// every group — below Hi−Lo, and no zero frequency.
+// AppendGroups implements index.GroupSource. It decodes the list through
+// the checked decoder, which refuses a group at or past Hi−Lo and a
+// frequency wider than 32 bits.
 func (r *ListReader) AppendGroups(dst []codec.Posting) ([]codec.Posting, error) {
 	start := len(dst)
 	dst = slices.Grow(dst, int(r.count))[:start+int(r.count)]
-	r.bits.Reset(r.data)
-	code := codec.NewGolombCode(codec.GolombParameter(uint64(r.n), r.count))
-	last, err := code.DecodePostingsInto(dst[start:], &r.bits, -1)
+	used, err := codec.DecodeList(dst[start:], r.data, r.n, 0, nil)
 	if err != nil {
 		return dst[:start], r.fail("term %q: %v", r.prev, err)
 	}
-	if last >= int64(r.n) {
-		return dst[:start], r.fail("term %q: group %d not below %d", r.prev, last, r.n)
-	}
-	r.data = r.data[(r.bits.BitPos()+7)/8:]
+	r.data = r.data[(used+7)/8:]
 	for i := start; i < len(dst); i++ {
-		if dst[i].FDT == 0 {
-			return dst[:start], r.fail("term %q: zero frequency", r.prev)
-		}
 		dst[i].Doc += r.lo
 	}
 	return dst, nil

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"teraphim/internal/bitio"
 	"teraphim/internal/codec"
 )
 
@@ -54,9 +55,19 @@ func TestListsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestListReaderRejects: truncated, reordered, out-of-range and inflated
-// input is a typed error, and an inflated count fails before any group is
-// decoded.
+// wideFrequencyReply is an IndexReply whose one list holds group 2 of 10 at
+// frequency 2³²+5, which a reader that kept the low 32 bits would read as 5.
+func wideFrequencyReply() *IndexReply {
+	var w bitio.Writer
+	if codec.PutGolomb(&w, 3, codec.GolombParameter(10, 1)) != nil || codec.PutGamma(&w, 1<<32+5) != nil {
+		panic("coding the wide list")
+	}
+	return &IndexReply{Lo: 0, Hi: 10, Lists: append(putUint(putString(putUint(nil, 0), "a"), 1), w.Bytes()...)}
+}
+
+// TestListReaderRejects: truncated, reordered, out-of-range, inflated and
+// wide input is a typed error, and an inflated count fails before any group
+// is decoded.
 func TestListReaderRejects(t *testing.T) {
 	good := seedIndexReply().Lists
 	entry := func(shared int, suffix string, count uint64, postings ...byte) []byte {
@@ -79,6 +90,9 @@ func TestListReaderRejects(t *testing.T) {
 			t.Errorf("%s: error %v, want ErrBadIndexReply", name, err)
 		}
 	}
+	if lists, err := readLists(t, wideFrequencyReply()); !errors.Is(err, ErrBadIndexReply) {
+		t.Errorf("wide frequency: read as %+v, error %v; want ErrBadIndexReply", lists, err)
+	}
 	r := NewListReader(&IndexReply{Lo: 0, Hi: 1 << 31, Lists: entry(0, "a", 1<<30, 0x00)})
 	if _, err := r.NextTerm(); !errors.Is(err, ErrBadIndexReply) {
 		t.Fatalf("a count the payload cannot hold: error %v, want ErrBadIndexReply from NextTerm", err)
@@ -94,6 +108,7 @@ func FuzzGroupedIndexReply(f *testing.F) {
 	f.Add(encode(seedIndexReply(), nil))
 	f.Add(encode(&IndexReply{Lo: 5, Hi: 5}, nil))
 	f.Add(encode(&IndexReply{Lo: 7, Hi: 3, Lists: seedIndexReply().Lists}, nil))
+	f.Add(encode(wideFrequencyReply(), nil))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var m IndexReply
 		if err := decode(&m, payload); err != nil {

@@ -294,7 +294,7 @@ type IndexRequest struct {
 // [Lo, Hi) its documents fall in, and Lists, written by a ListWriter and read
 // back by a ListReader — per term, in lexicographic order, the term
 // front-coded against the previous one, its group count, and its groups
-// relative to Lo coded by codec.EncodePostings over Hi−Lo groups, padded to a
+// relative to Lo coded by codec.AppendList over Hi−Lo groups, padded to a
 // byte. A group the librarian shares with a neighbour holds only its own
 // documents' frequencies; the receptionist sums the two.
 type IndexReply struct {

@@ -287,6 +287,8 @@ func overflowFrames() []struct {
 		{"helloreply-numdocs", &HelloReply{}, 32, cat(putString(nil, "AP"), putUint(nil, wide), none, none, none, none)},
 		{"helloreply-numterms", &HelloReply{}, 32, cat(putString(nil, "AP"), putUint(nil, 3), putUint(nil, wide), none, none, none)},
 		{"vocabreply-ft", &VocabReply{}, 32, cat(putUint(nil, 1), none, putString(nil, "a"), putUint(nil, wide))},
+		{"helloreply-indexbytes", &HelloReply{}, 64, cat(putString(nil, "AP"), putUint(nil, 3), none,
+			[]byte{0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x83}, none, none)},
 	}
 }
 
