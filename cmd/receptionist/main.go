@@ -28,7 +28,6 @@ import (
 
 	"teraphim/internal/core"
 	"teraphim/internal/obs"
-	"teraphim/internal/search"
 	"teraphim/internal/simnet"
 	"teraphim/internal/textproc"
 )
@@ -64,16 +63,11 @@ func run(w io.Writer, stdin io.Reader, args []string) error {
 	queueWait := fs.Duration("queuewait", 0, "with -inflight, max time a query waits for admission (0 = until deadline)")
 	topR := fs.Int("topr", 0, "collection selection: contact only the R librarians ranked most promising per query (0 = full fan-out)")
 	hedge := fs.Float64("hedge", 0, "race a second replica when an exchange outlives this latency quantile, e.g. 0.95 (0 = off; needs replicated -libs)")
-	evalName := fs.String("eval", "exact", "rank evaluation strategy: exact, maxscore or wand (rank-safe dynamic pruning)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *libs == "" {
 		return fmt.Errorf("-libs is required")
-	}
-	evaluator, err := search.ParseEvaluator(*evalName)
-	if err != nil {
-		return err
 	}
 	var qmode core.Mode
 	switch strings.ToLower(*mode) {
@@ -192,7 +186,6 @@ func run(w io.Writer, stdin io.Reader, args []string) error {
 		MinLibrarians:      *minLibs,
 		TopR:               *topR,
 		HedgeAfter:         *hedge,
-		Evaluator:          evaluator,
 	}
 	scanner := bufio.NewScanner(stdin)
 	fmt.Fprint(w, "query> ")

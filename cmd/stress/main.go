@@ -38,7 +38,6 @@ import (
 
 	"teraphim/internal/core"
 	"teraphim/internal/obs"
-	"teraphim/internal/search"
 	"teraphim/internal/simnet"
 )
 
@@ -78,16 +77,11 @@ func run(w io.Writer, args []string) error {
 	topR := fs.Int("topr", 0, "collection selection: contact only the R librarians ranked most promising per query (0 = full fan-out)")
 	hedge := fs.Float64("hedge", 0, "race a second replica when an exchange outlives this latency quantile, e.g. 0.95 (0 = off; needs replicated -libs)")
 	batchWindow := fs.Duration("batchwindow", 0, "coalesce concurrent rank queries to the same librarian within this window into one frame (0 = off)")
-	evalName := fs.String("eval", "exact", "rank evaluation strategy: exact, maxscore or wand (rank-safe dynamic pruning)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *libs == "" || *queryFile == "" {
 		return fmt.Errorf("-libs and -queryfile are required")
-	}
-	evaluator, err := search.ParseEvaluator(*evalName)
-	if err != nil {
-		return err
 	}
 	if *clients < 1 || *n < 1 {
 		return fmt.Errorf("-clients and -n must be positive")
@@ -133,7 +127,6 @@ func run(w io.Writer, args []string) error {
 		TopR:               *topR,
 		HedgeAfter:         *hedge,
 		BatchWindow:        *batchWindow,
-		Evaluator:          evaluator,
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -6,8 +6,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"teraphim/internal/search"
 )
 
 // TestBooleanTimeoutBoundsStalledLibrarian: a Boolean query runs under the
@@ -111,7 +109,6 @@ func TestQueryValidationTable(t *testing.T) {
 		{"k=2^32", nil, 0, math.MaxUint32 + 1, Options{}, ErrInvalidK},
 		{"k=2^32+3", nil, 0, math.MaxUint32 + 4, Options{}, ErrInvalidK},
 		{"merge=42", nil, 0, 5, Options{Merge: MergeStrategy(42)}, ErrUnknownMergeStrategy},
-		{"evaluator=9", nil, 0, 5, Options{Evaluator: search.Evaluator(9)}, search.ErrUnknownEvaluator},
 		{"unsupported mode", nil, Mode(42), 5, Options{}, ErrUnsupportedMode},
 		{"cancelled ctx", cancelled, 0, 5, Options{}, context.Canceled},
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"teraphim/internal/obs"
-	"teraphim/internal/search"
 )
 
 // The receptionist is the shared bottleneck of the "multiple users at
@@ -92,11 +91,6 @@ type cacheKey struct {
 	kPrime int
 	fetch  bool
 	topR   int
-	// eval participates even though every evaluator returns the same
-	// ranking: the trace (librarian stats, postings decoded) differs, and a
-	// caller who asked to exercise a pruning evaluator should not be served
-	// an exact-evaluation trace from the cache, or vice versa.
-	eval search.Evaluator
 }
 
 // cacheEntry is one stored result plus its LRU bookkeeping.

@@ -182,13 +182,12 @@ func (g *GroupedIndex) WriteTo(w io.Writer) (int64, error) {
 // central index.
 func (g *GroupedIndex) SizeBytes() uint64 { return g.engine.Index().SizeBytes() }
 
-// RankGroupsEval returns the k' best groups for the query under eval, with
-// the grouped index's own statistics, on a caller-owned search.Scratch,
-// together with the index work performed. It is search.RankParts over the
-// grouped index as one part, so CI's central ranking runs the librarians'
-// kernel and its rank-safe pruning.
-func (g *GroupedIndex) RankGroupsEval(s *search.Scratch, query string, kPrime int, eval search.Evaluator) ([]uint32, search.Stats, error) {
-	results, stats, err := search.RankParts(nil, s, []search.Part{{Engine: g.engine}}, query, kPrime, nil, eval)
+// RankGroups returns the k' best groups for the query, with the grouped
+// index's own statistics, on a caller-owned search.Scratch, together with the
+// index work performed. It is search.RankParts over the grouped index as one
+// part, so CI's central ranking runs the librarians' kernel.
+func (g *GroupedIndex) RankGroups(s *search.Scratch, query string, kPrime int) ([]uint32, search.Stats, error) {
+	results, stats, err := search.RankParts(nil, s, []search.Part{{Engine: g.engine}}, query, kPrime, nil)
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: rank groups: %w", err)
 	}

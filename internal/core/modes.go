@@ -34,7 +34,7 @@ func (e *exec) queryCN(res *Result, query string) error {
 	}
 	top := e.fetchTop(len(names))
 	replies, err := e.callParallel(&res.Trace, PhaseRank, names, func(string) protocol.Message {
-		return &protocol.RankQuery{Query: query, K: uint32(e.k), Evaluator: uint8(e.eval), FetchTop: top, Compressed: e.compressed}
+		return &protocol.RankQuery{Query: query, K: uint32(e.k), FetchTop: top, Compressed: e.compressed}
 	})
 	if err != nil {
 		return err
@@ -94,7 +94,7 @@ func (e *exec) queryCV(res *Result, query string) error {
 	}
 	top := e.fetchTop(len(names))
 	replies, err := e.callParallel(&res.Trace, PhaseRank, names, func(string) protocol.Message {
-		return &protocol.RankQuery{Query: query, K: uint32(e.k), Weights: weights, Evaluator: uint8(e.eval), FetchTop: top, Compressed: e.compressed}
+		return &protocol.RankQuery{Query: query, K: uint32(e.k), Weights: weights, FetchTop: top, Compressed: e.compressed}
 	})
 	if err != nil {
 		return err
@@ -116,7 +116,7 @@ func (e *exec) queryCI(res *Result, query string) error {
 		return err
 	}
 	scratch := search.GetScratch()
-	groups, centralStats, err := central.RankGroupsEval(scratch, query, e.kPrime, e.eval)
+	groups, centralStats, err := central.RankGroups(scratch, query, e.kPrime)
 	scratch.Release()
 	if err != nil {
 		return err

@@ -47,7 +47,7 @@ func (m *MonoServer) Query(query string, k int, opts Options) (*Result, error) {
 		return nil, err
 	}
 	s := search.GetScratch()
-	results, stats, err := search.RankParts(nil, s, []search.Part{{Engine: m.engine}}, query, pl.k, nil, pl.eval)
+	results, stats, err := search.RankParts(nil, s, []search.Part{{Engine: m.engine}}, query, pl.k, nil)
 	s.Release()
 	if err != nil {
 		return nil, fmt.Errorf("core: mono-server rank: %w", err)

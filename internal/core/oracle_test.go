@@ -13,7 +13,6 @@ import (
 
 	"teraphim/internal/librarian"
 	"teraphim/internal/oracle"
-	"teraphim/internal/search"
 	"teraphim/internal/simnet"
 	"teraphim/internal/store"
 )
@@ -39,7 +38,6 @@ var oracleAxes = [...]struct {
 	values []string
 }{
 	{"mode", []string{"CN", "CV", "CI", "CI k'=2"}},
-	{"evaluator", []string{"exact", "maxscore", "wand"}},
 	{"topR", []string{"0", "all"}},
 	{"fetch", []string{"off", "plain", "compressed"}},
 	{"batch", []string{"0", "2ms"}},
@@ -51,7 +49,6 @@ var oracleAxes = [...]struct {
 // Indices into oracleAxes.
 const (
 	axMode = iota
-	axEval
 	axTopR
 	axFetch
 	axBatch
@@ -325,7 +322,6 @@ func traceFaults(tr oracleTrial, tt *Trace, answers []Answer) string {
 // options are the query options a trial sets.
 func (c *oracleCorpus) options(tr oracleTrial) Options {
 	opts := Options{
-		Evaluator:          []search.Evaluator{search.EvalExact, search.EvalMaxScore, search.EvalWAND}[tr[axEval]],
 		Fetch:              tr[axFetch] > 0,
 		CompressedTransfer: tr[axFetch] == 2,
 	}
@@ -559,10 +555,10 @@ func runOracle(t *testing.T, seed int64, draw func(*rand.Rand) []oracleTrial) *o
 	return run
 }
 
-// TestOracle crosses mode, evaluator, TopR, fetch, batch window, two-round
+// TestOracle crosses mode, TopR, fetch, batch window, two-round
 // fetch, segment count and replicas on random federations. Every answer must
 // hold the oracle's ranking, be == to the same seed's plain configuration
-// (one segment, one replica, exact, nothing else set), be == to the MS
+// (one segment, one replica, nothing else set), be == to the MS
 // baseline in CV and covering CI, and carry its document when fetched. Once
 // every seed has run, every pair of axis values must have run, batched
 // queries must have shared a frame, and at most 5 % of CI k' = 2 queries may
@@ -689,36 +685,6 @@ func TestCIMatchesCVOrderingWithFullExpansion(t *testing.T) {
 // the shared Federation holds no mutable per-query state.
 func TestCVIdenticalToMSConcurrent(t *testing.T) {
 	runSlice(t, 8, crossTrials(map[int][]int{axMode: {1}}))
-}
-
-// TestEvaluatorModesParity pins Options.Evaluator end to end: in every
-// methodology — MS locally, CN and CV over the wire, CI through the grouped
-// central index — MaxScore and WAND must return exactly the answers exact
-// evaluation returns, bit-identical scores included, because every
-// evaluator in the stack is rank-safe.
-func TestEvaluatorModesParity(t *testing.T) {
-	runs := runSlice(t, 1, crossTrials(map[int][]int{axMode: allModes, axEval: {1, 2}}))
-	for _, run := range runs {
-		for _, q := range run.queries {
-			exact, err := run.c.mono.Query(q.text, q.k, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _ := run.c.want(ModeCV, 0, q.text)
-			if msg := run.c.check(exact.Answers, want, q.k); msg != "" {
-				t.Fatalf("MS query %q k=%d against the oracle: %s", q.text, q.k, msg)
-			}
-			for _, eval := range []search.Evaluator{search.EvalMaxScore, search.EvalWAND} {
-				got, err := run.c.mono.Query(q.text, q.k, Options{Evaluator: eval})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if msg := sameAnswers(got.Answers, exact.Answers); msg != "" {
-					t.Fatalf("MS %v query %q k=%d against exact: %s", eval, q.text, q.k, msg)
-				}
-			}
-		}
-	}
 }
 
 // TestSingleReplicaGoldenEquivalence: a pool with one replica a librarian,

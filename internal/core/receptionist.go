@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"teraphim/internal/obs"
-	"teraphim/internal/search"
 	"teraphim/internal/textproc"
 )
 
@@ -92,14 +91,6 @@ type Options struct {
 	// is free), and cannot change results — replicas serve identical
 	// subcollections. Zero, or any value outside (0,1), disables hedging.
 	HedgeAfter float64
-	// Evaluator selects the librarians' rank-phase evaluation strategy:
-	// EvalExact (zero, the default) is the exhaustive document-sorted
-	// kernel; EvalMaxScore and EvalWAND are the rank-safe dynamic-pruning
-	// evaluators, which skip postings that provably cannot reach the top k
-	// while returning bit-identical rankings. The choice is threaded to
-	// every librarian in all modes (MS/CN/CV/CI); an unknown value fails
-	// the query with search.ErrUnknownEvaluator before any wire work.
-	Evaluator search.Evaluator
 	// BatchWindow lets a rank-phase request linger this long at the
 	// receptionist waiting for other clients' requests to the same
 	// librarian; everything that accumulates is shipped in one BatchQuery
@@ -183,9 +174,9 @@ type plan struct {
 
 // resolve is the one reader of Options. It rejects a k the wire cannot carry,
 // a mode this entry point does not serve (fed is nil for MonoServer, which
-// serves only MS), an undefined merge strategy and an undefined evaluator —
-// each before any librarian sees a frame — and defaults or clamps the rest.
-// Merge and Evaluator fail in every mode, including those that ignore them:
+// serves only MS) and an undefined merge strategy — each before any librarian
+// sees a frame — and defaults or clamps the rest. Merge fails in every mode,
+// including those that ignore it:
 // an out-of-range value is a caller bug worth surfacing, not a knob that
 // happens not to matter today.
 func resolve(fed *Federation, mode Mode, k int, opts Options) (plan, error) {
@@ -204,11 +195,8 @@ func resolve(fed *Federation, mode Mode, k int, opts Options) (plan, error) {
 	default:
 		return plan{}, fmt.Errorf("%w: %v", ErrUnknownMergeStrategy, opts.Merge)
 	}
-	if !opts.Evaluator.Valid() {
-		return plan{}, fmt.Errorf("%w: %d", search.ErrUnknownEvaluator, uint8(opts.Evaluator))
-	}
 	p := plan{
-		cacheKey: cacheKey{mode: mode, k: k, merge: MergeFaceValue, fetch: opts.Fetch, eval: opts.Evaluator},
+		cacheKey: cacheKey{mode: mode, k: k, merge: MergeFaceValue, fetch: opts.Fetch},
 		// Negative counts and durations are treated like zero. A negative
 		// timeout would otherwise set a conn deadline in the past and fail
 		// every exchange instantly — counted as librarian failures when the

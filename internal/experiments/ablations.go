@@ -53,7 +53,7 @@ func (r *Runner) Skipping(w io.Writer) error {
 			var withD, withoutD uint64
 			queriesScored := 0
 			for _, qText := range mix.queries {
-				groups, _, err := gi.RankGroupsEval(scratch, qText, kPrime, search.EvalExact)
+				groups, _, err := gi.RankGroups(scratch, qText, kPrime)
 				if err != nil {
 					return err
 				}

@@ -148,7 +148,7 @@ func TestPrunedValidation(t *testing.T) {
 
 // TestPrunedTiedCapDeterministicOrder is the regression test for the
 // unstable-sort bug: "aa" and "bb" are engineered to have identical
-// contribution caps (same f_t, same f_qt, same MaxFDT), and d2/d3 are
+// contribution caps (same f_t, same f_qt, same max f_dt), and d2/d3 are
 // mirror images — each has one f_dt=4 match and one f_dt=1 match, on
 // opposite terms. With Insert high enough that f_dt=1 runs may only update
 // existing accumulators, whichever tied list is processed first decides

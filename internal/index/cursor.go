@@ -73,18 +73,11 @@ func (ix *Index) ResetCursor(c *TermCursor, term string) error {
 // lists with one pooled cursor, where a small segment lacks most query terms.
 func (ix *Index) OpenCursor(c *TermCursor, term string) bool {
 	i, ok := ix.byTerm[term]
-	if ok {
-		ix.resetCursorEntry(c, int(i))
+	if !ok {
+		return false
 	}
-	return ok
-}
-
-// resetCursorEntry is ResetCursor given a resolved entry — the dictionary
-// lookup factored out for internal whole-index walks (the MaxFDT table
-// build) that already hold the entry's position.
-func (ix *Index) resetCursorEntry(c *TermCursor, i int) {
 	c.ft = ix.entries[i].ft
-	c.list, c.skipDocs, c.skipBits = ix.list(i)
+	c.list, c.skipDocs, c.skipBits = ix.list(int(i))
 	c.r.Reset(c.list)
 	c.code = codec.NewGolombCode(codec.GolombParameter(uint64(ix.numDocs), uint64(c.ft)))
 	c.skipIvl = ix.skipIvl
@@ -94,10 +87,8 @@ func (ix *Index) resetCursorEntry(c *TermCursor, i int) {
 	c.bufStart, c.bufLen = 0, 0
 	c.streamPrev = -1
 	c.DecodedPostings = 0
+	return true
 }
-
-// FT returns f_t for the cursor's term.
-func (c *TermCursor) FT() uint32 { return c.ft }
 
 // ListBytes reports the exact compressed size in bytes of the cursor's
 // postings list. It feeds Stats.IndexBytesRead.

@@ -60,22 +60,9 @@ type Index struct {
 	// invW caches 1/W_d (0 where W_d is 0), built lazily: the scoring
 	// kernel's normalisation pass is then a pure array scan with no
 	// error-returning DocWeight calls. Safe because the index is immutable
-	// once constructed. maxInv caches max_d 1/W_d alongside it — the
-	// document-independent normalisation bound the dynamic-pruning
-	// evaluators use before a candidate document is known.
+	// once constructed.
 	invOnce sync.Once
 	invW    []float64
-	maxInv  float64
-
-	// maxFDT caches, per term entry, the largest within-document frequency
-	// in that term's list — the quantity behind the exact per-term score
-	// upper bound w_qt·log(maxFDT+1) that rank-safe dynamic pruning
-	// (MaxScore/WAND) compares against the current top-k threshold. The
-	// on-disk format does not store it, so the table is built lazily with
-	// one full decode pass over every list and cached; immutability makes
-	// the sync.Once sufficient.
-	maxOnce sync.Once
-	maxFDT  []uint32
 }
 
 // Builder accumulates documents and produces an Index. Terms are interned to
@@ -313,64 +300,14 @@ func (ix *Index) NumPostings() uint64 { return ix.numPtrs }
 func (ix *Index) InvDocWeights() []float64 {
 	ix.invOnce.Do(func() {
 		inv := make([]float64, len(ix.weights))
-		maxInv := 0.0
 		for d, w := range ix.weights {
 			if w != 0 {
 				inv[d] = 1 / float64(w)
-				if inv[d] > maxInv {
-					maxInv = inv[d]
-				}
 			}
 		}
 		ix.invW = inv
-		ix.maxInv = maxInv
 	})
 	return ix.invW
-}
-
-// MaxInvDocWeight returns max_d 1/W_d over the collection (0 when every
-// document weight is 0). Dynamic pruning scales accumulator upper bounds by
-// it when no specific candidate document is in hand yet: for any document,
-// score ≤ bound·MaxInvDocWeight/W_q.
-func (ix *Index) MaxInvDocWeight() float64 {
-	ix.InvDocWeights()
-	return ix.maxInv
-}
-
-// MaxFDT returns the largest within-document frequency among term's
-// postings (0 when the term is absent). Together with the query weight it
-// yields the exact per-list contribution cap w_qt·log(MaxFDT+1) that the
-// rank-safe evaluators prune against. The whole table is computed on first
-// use — one sequential decode of every list, amortised across all
-// subsequent queries — because the document-sorted format does not carry
-// the maximum in its dictionary. A corrupt list
-// yields the maximum of its decodable prefix, which still bounds every
-// posting any evaluator can reach.
-func (ix *Index) MaxFDT(term string) uint32 {
-	i, ok := ix.byTerm[term]
-	if !ok {
-		return 0
-	}
-	ix.maxOnce.Do(func() {
-		table := make([]uint32, len(ix.entries))
-		var c TermCursor
-		for j := range ix.entries {
-			ix.resetCursorEntry(&c, j)
-			for {
-				blk := c.NextBlock()
-				if blk == nil {
-					break
-				}
-				for _, p := range blk {
-					if p.FDT > table[j] {
-						table[j] = p.FDT
-					}
-				}
-			}
-		}
-		ix.maxFDT = table
-	})
-	return ix.maxFDT[i]
 }
 
 // TermFreq returns f_t, the number of documents containing term (0 when the

@@ -13,7 +13,6 @@
 package librarian
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -122,9 +121,6 @@ type BuildOptions struct {
 	// Analyzer used for documents and queries; nil selects the standard
 	// pipeline (stopwords + Porter stemming).
 	Analyzer *textproc.Analyzer
-	// SkipInterval is forwarded to the index builder; zero keeps the
-	// default. Negative disables skip structures.
-	SkipInterval int
 }
 
 // Build constructs a librarian from raw documents in the one scan an
@@ -138,8 +134,7 @@ func Build(name string, docs []store.Document, opts BuildOptions) (*Librarian, e
 	if analyzer == nil {
 		analyzer = textproc.NewAnalyzer()
 	}
-	skip := uint32(max(0, cmp.Or(opts.SkipInterval, index.DefaultSkipInterval))) // negative: none
-	sg, err := buildSegment(name, docs, analyzer, skip, huffman.NewTrainer())
+	sg, err := buildSegment(name, docs, analyzer, index.DefaultSkipInterval, huffman.NewTrainer())
 	if err != nil {
 		return nil, err
 	}

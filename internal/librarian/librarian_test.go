@@ -343,7 +343,7 @@ func TestSavedLibrarianCanGrow(t *testing.T) {
 	fresh := servedAs(t, docs, 1)
 	for _, req := range []protocol.Message{
 		&protocol.RankQuery{Query: "whale reef tide", K: 30},
-		&protocol.RankQuery{Query: "anchor gull", K: 5, Evaluator: uint8(search.EvalMaxScore)},
+		&protocol.RankQuery{Query: "anchor gull", K: 5},
 		&protocol.ScoreDocs{Query: "storm lantern", Docs: []uint32{89, 0, 59, 60, 61, 30}},
 		&protocol.FetchDocs{Docs: []uint32{0, 29, 30, 59, 60, 89}},
 		&protocol.VocabRequest{},

@@ -154,15 +154,13 @@ var parityPins = map[string]string{
 	"index":                     "f9371e3f91040de00f44d8ca176379a4a55a25c071e17b1d1c10b5d9e1cb8139",
 	"model":                     "c16bb5526350d7f091e747d569a7dc7ff80f741bf1817399f552f69dcfe8a998",
 	"rank bad evaluator":        "8712b33c0f5430e90d444c2b6fab3a6319d3a263fb6ef08fa8cafeddb031b0c1",
+	"rank former evaluator 1":   "eec14d936c61e4c235b6bbf42fa4b983a0bbc426163dd15c6d6aeaa74ccaf0d0",
+	"rank former evaluator 2":   "c8c7fc0e78a4f1db29b85dab954b9eb6790898c65685576b4e30e5e6bb1d2c8e",
 	"rank exact":                "52923997fb2f6abeb3138e3b18501303a8f707d9530ef4c2d571dc123a1c02e9",
 	"rank fetchtop compressed":  "63810fa4db4ce6efb3fc56b5021711fd6de9fb3f3db348cfb4b5f28b4aad0d8e",
 	"rank fetchtop plain":       "c181c874e5a202232ccb9ad61e33e07bef4ddff42b70f6af4b33980ca582e7c9",
 	"rank k=0":                  "9e699593bc46f7c0b9035a11b0319a2870fb4a083439356d8763d6c532977aeb",
-	"rank maxscore":             "81d69671fef1d7035b792582623218462f3a9be8e8e1a03c8e5149a40ad9a7c2",
-	"rank wand":                 "52923997fb2f6abeb3138e3b18501303a8f707d9530ef4c2d571dc123a1c02e9",
 	"rank weights exact":        "b064847ad28b6091f5f1809ecb27fc117877c76dbc521c5266e15435b9b0e309",
-	"rank weights maxscore":     "cf23318df31c26d5000ad25da2d61db78207c1fe3ee805496ef2e2b2bb547636",
-	"rank weights wand":         "db986e66f938f6678c76f8d7437023406915754308ef9812518efdae23699975",
 	"score fetchtop compressed": "3c433af91b1bbe622960faa12da158ad9f0dfe4ed2bc9fcb849c688c3d1aa7f8",
 	"score k=0":                 "0efd40fb1ea12aaf699a6c4aa4f7753d70ffbf78417feccc53849d13835f8fca",
 	"score k=5 weights":         "5cd2da8a6b715862c7d840ecc3456b88c2c3ada350c5d06e48163ead79838abf",
@@ -215,15 +213,16 @@ func TestSegmentCountParity(t *testing.T) {
 		{"empty score weights", &protocol.ScoreDocs{Query: "!!!", Docs: []uint32{1, 999}, Weights: weights(short)}, true},
 		{"rank k=0", &protocol.RankQuery{Query: short, K: 0}, true},
 		{"rank bad evaluator", &protocol.RankQuery{Query: short, K: 5, Evaluator: 99}, true},
+		// The requests that once asked for MaxScore and WAND are refused.
+		{"rank former evaluator 1", &protocol.RankQuery{Query: long, K: 20, Evaluator: 1}, true},
+		{"rank former evaluator 2", &protocol.RankQuery{Query: long, K: 20, Evaluator: 2}, true},
 		{"score out of range", &protocol.ScoreDocs{Query: short, Docs: []uint32{3, 300}}, true},
 		{"fetch out of range", &protocol.FetchDocs{Docs: []uint32{3, 300}}, true},
 		{"unexpected message", &protocol.VocabReply{}, true},
 	}
-	for _, eval := range []search.Evaluator{search.EvalExact, search.EvalMaxScore, search.EvalWAND} {
-		rows = append(rows,
-			row{"rank " + eval.String(), &protocol.RankQuery{Query: long, K: 20, Evaluator: uint8(eval)}, false},
-			row{"rank weights " + eval.String(), &protocol.RankQuery{Query: short, K: 7, Weights: weights(short), Evaluator: uint8(eval)}, false})
-	}
+	rows = append(rows,
+		row{"rank exact", &protocol.RankQuery{Query: long, K: 20}, false},
+		row{"rank weights exact", &protocol.RankQuery{Query: short, K: 7, Weights: weights(short)}, false})
 
 	for _, n := range []int{2, 5} {
 		many := servedAs(t, docs, n)
@@ -231,6 +230,11 @@ func TestSegmentCountParity(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%d segments", r.name, n), func(t *testing.T) {
 				want, wantFrame := exchange(t, one, r.req)
 				got, gotFrame := exchange(t, many, r.req)
+				if rq, ok := r.req.(*protocol.RankQuery); ok && rq.Evaluator != 0 {
+					if er, ok := want.(*protocol.ErrorReply); !ok || er.Message != fmt.Sprintf("unknown evaluator %d", rq.Evaluator) {
+						t.Fatalf("evaluator %d answered %+v, want its refusal", rq.Evaluator, want)
+					}
+				}
 				if n == 2 {
 					if sum := fmt.Sprintf("%x", sha256.Sum256(wantFrame)); sum != parityPins[r.name] {
 						t.Errorf("one-segment reply frame hashes to\n%s, pinned\n%s", sum, parityPins[r.name])

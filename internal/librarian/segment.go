@@ -148,13 +148,13 @@ func (m *manifest) locate(id uint32) *segment {
 // every segment and N the manifest total, which in the paper's cosine
 // measure is all the collection dependence there is — and each segment
 // evaluates it into one result, so the ranking and every score equal those of
-// a single index built over the whole collection.
+// a single index built over the whole collection. The exact kernel is the
+// one evaluator; any other value in RankQuery's evaluator byte is refused.
 func (m *manifest) rank(scratch *search.Scratch, q *protocol.RankQuery) protocol.Message {
-	eval := search.Evaluator(q.Evaluator)
-	if !eval.Valid() {
+	if q.Evaluator != 0 {
 		return &protocol.ErrorReply{Message: fmt.Sprintf("unknown evaluator %d", q.Evaluator)}
 	}
-	return evalReply(search.RankParts(nil, scratch, m.parts, q.Query, int(q.K), q.Weights, eval))
+	return evalReply(search.RankParts(nil, scratch, m.parts, q.Query, int(q.K), q.Weights))
 }
 
 func (m *manifest) score(scratch *search.Scratch, q *protocol.ScoreDocs) protocol.Message {

@@ -48,8 +48,7 @@ func refLocalWeights(m *manifest, query string) (map[string]float64, bool) {
 }
 
 func refRank(m *manifest, scratch *search.Scratch, q *protocol.RankQuery) protocol.Message {
-	eval := search.Evaluator(q.Evaluator)
-	if !eval.Valid() {
+	if q.Evaluator != 0 {
 		return &protocol.ErrorReply{Message: fmt.Sprintf("unknown evaluator %d", q.Evaluator)}
 	}
 	k := int(q.K)
@@ -66,7 +65,7 @@ func refRank(m *manifest, scratch *search.Scratch, q *protocol.RankQuery) protoc
 	var all []search.Result
 	var stats search.Stats
 	for _, sg := range m.segs {
-		res, st, err := sg.engine.RankWithEval(scratch, q.Query, k, weights, eval)
+		res, st, err := search.RankParts(nil, scratch, []search.Part{{Engine: sg.engine}}, q.Query, k, weights)
 		if err != nil {
 			if errors.Is(err, search.ErrEmptyQuery) {
 				return &protocol.RankReply{Stats: stats}
@@ -199,24 +198,19 @@ func TestRankAcrossSegmentsMatchesPerSegmentSort(t *testing.T) {
 				explicit[term] = 0.25 + 2*rng.Float64()
 			}
 			for _, weights := range []map[string]float64{nil, explicit} {
-				for _, eval := range []search.Evaluator{search.EvalExact, search.EvalMaxScore, search.EvalWAND} {
-					for _, k := range []uint32{1, 10, 100} {
-						req := &protocol.RankQuery{Query: query, K: k, Weights: weights, Evaluator: uint8(eval)}
-						label := fmt.Sprintf("round %d (%d segments) %v k=%d %q weights %v", round, len(m.segs), eval, k, query, weights)
-						want, ok := refRank(m, scratch, req).(*protocol.RankReply)
-						if !ok {
-							t.Fatalf("%s: reference answered %T", label, want)
-						}
-						got, ok := m.rank(scratch, req).(*protocol.RankReply)
-						if !ok {
-							t.Fatalf("%s: answered %T", label, got)
-						}
-						if eval != search.EvalExact {
-							got.Stats, want.Stats = search.Stats{}, search.Stats{}
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s:\ngot  %+v\nwant %+v", label, got, want)
-						}
+				for _, k := range []uint32{1, 10, 100} {
+					req := &protocol.RankQuery{Query: query, K: k, Weights: weights}
+					label := fmt.Sprintf("round %d (%d segments) k=%d %q weights %v", round, len(m.segs), k, query, weights)
+					want, ok := refRank(m, scratch, req).(*protocol.RankReply)
+					if !ok {
+						t.Fatalf("%s: reference answered %T", label, want)
+					}
+					got, ok := m.rank(scratch, req).(*protocol.RankReply)
+					if !ok {
+						t.Fatalf("%s: answered %T", label, got)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s:\ngot  %+v\nwant %+v", label, got, want)
 					}
 				}
 			}
@@ -224,8 +218,7 @@ func TestRankAcrossSegmentsMatchesPerSegmentSort(t *testing.T) {
 	}
 }
 
-// TestRankAllocationsFlatInSegments: a rank request under every evaluator,
-// and a Boolean request, dispatched to the parity corpus allocate the same
+// TestRankAllocationsFlatInSegments: a rank request and a Boolean request dispatched to the parity corpus allocate the same
 // served as 1, 2 or 5 segments — nothing of a query's evaluation is per
 // segment.
 func TestRankAllocationsFlatInSegments(t *testing.T) {
@@ -234,9 +227,7 @@ func TestRankAllocationsFlatInSegments(t *testing.T) {
 	terms := strings.Fields(queries[0].Text)
 	reqs := map[string]protocol.Message{
 		"boolean": &protocol.BooleanQuery{Expr: fmt.Sprintf("%s or (%s and not %s)", terms[0], terms[1], terms[2])},
-	}
-	for _, eval := range []search.Evaluator{search.EvalExact, search.EvalMaxScore, search.EvalWAND} {
-		reqs["rank "+eval.String()] = &protocol.RankQuery{Query: queries[0].Text, K: 20, Evaluator: uint8(eval)}
+		"rank":    &protocol.RankQuery{Query: queries[0].Text, K: 20},
 	}
 	for label, req := range reqs {
 		var counts []float64

@@ -170,10 +170,10 @@ type RankQuery struct {
 	Query   string
 	K       uint32
 	Weights map[string]float64
-	// Evaluator is the wire form of search.Evaluator — 0 exact, 1 MaxScore,
-	// 2 WAND. It is encoded only when non-zero, so exact queries remain
-	// byte-identical to the original frame format (the Hello Version
-	// convention).
+	// Evaluator is 0, the exact kernel; a librarian refuses any other value
+	// (1 and 2 were MaxScore and WAND). Like the fields after it, it is
+	// encoded only when it or a later field is non-zero, so every frame
+	// keeps the original format's bytes (the Hello Version convention).
 	Evaluator uint8
 	// FetchTop asks the librarian to attach the documents of its best
 	// FetchTop results to the RankReply (RankReply.Docs), in the wire form

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -121,14 +123,14 @@ func TestRankSteadyStateAllocations(t *testing.T) {
 	// Warm up: size the accumulators, cursor buffer, heap backing, and the
 	// index's reciprocal-weight cache.
 	for _, q := range queries {
-		if _, _, err := RankParts(nil, s, parts, q, 100, nil, EvalExact); err != nil {
+		if _, _, err := RankParts(nil, s, parts, q, 100, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, q := range queries {
 		q := q
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, _, err := RankParts(nil, s, parts, q, 10, nil, EvalExact); err != nil {
+			if _, _, err := RankParts(nil, s, parts, q, 10, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -144,12 +146,12 @@ func TestScoreDocsSteadyStateAllocations(t *testing.T) {
 	s := NewScratch()
 	targets := []uint32{3, 77, 150, 400, 801, 1100}
 	for _, q := range queries {
-		if _, _, err := e.ScoreDocsWith(s, q, targets, nil); err != nil {
+		if _, _, err := ScoreParts(s, []Part{{Engine: e}}, q, targets, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := e.ScoreDocsWith(s, queries[0], targets, nil); err != nil {
+		if _, _, err := ScoreParts(s, []Part{{Engine: e}}, queries[0], targets, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -160,26 +162,35 @@ func TestScoreDocsSteadyStateAllocations(t *testing.T) {
 
 // TestRankAbsentTermsAllocateNothing: a CV rank whose weights name terms the
 // index lacks allocates no more than one whose weights name only present
-// terms, under every evaluator — a missing list is skipped, not reported
-// through an error that is built and thrown away.
+// terms — a missing list is skipped, not reported through an error that is
+// built and thrown away.
 func TestRankAbsentTermsAllocateNothing(t *testing.T) {
 	e, _ := goldenCorpus(t)
 	weights := map[string]float64{"t1": 1.5, "t2": 1.2, "t3": 0.9, "t1000": 2, "t1001": 2, "t1002": 2, "t1003": 2}
-	for _, eval := range []Evaluator{EvalExact, EvalMaxScore, EvalWAND} {
-		s := NewScratch()
-		allocs := func(q string) float64 {
-			rank := func() {
-				if _, _, err := e.RankWithEval(s, q, 10, weights, eval); err != nil {
-					t.Fatal(err)
-				}
+	s := NewScratch()
+	allocs := func(q string) float64 {
+		rank := func() {
+			if _, _, err := RankParts(nil, s, []Part{{Engine: e}}, q, 10, weights); err != nil {
+				t.Fatal(err)
 			}
-			rank()
-			return testing.AllocsPerRun(50, rank)
 		}
-		present, absent := allocs("t1 t2 t3"), allocs("t1 t1000 t2 t1001 t3 t1002 t1003")
-		if absent > present {
-			t.Fatalf("%v: %v allocs with absent terms weighted, %v without", eval, absent, present)
-		}
+		rank()
+		return testing.AllocsPerRun(50, rank)
+	}
+	present, absent := allocs("t1 t2 t3"), allocs("t1 t1000 t2 t1001 t3 t1002 t1003")
+	if absent > present {
+		t.Fatalf("%v allocs with absent terms weighted, %v without", absent, present)
+	}
+}
+
+// TestRankContextEvalCancellation: a rank under an already cancelled context
+// fails with the context's error.
+func TestRankContextEvalCancellation(t *testing.T) {
+	e, queries := goldenCorpus(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := RankParts(ctx, NewScratch(), []Part{{Engine: e}}, queries[0], 10, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -210,7 +221,7 @@ func TestConcurrentRankWithPooledScratch(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				qi := (g + round) % len(queries)
 				s := GetScratch()
-				got, _, err := RankParts(nil, s, []Part{{Engine: e}}, queries[qi], 20, nil, EvalExact)
+				got, _, err := RankParts(nil, s, []Part{{Engine: e}}, queries[qi], 20, nil)
 				s.Release()
 				if err != nil {
 					errc <- err

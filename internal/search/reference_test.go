@@ -104,19 +104,17 @@ func TestEngineAgainstBruteForce(t *testing.T) {
 			for _, weights := range []map[string]float64{nil, whole.QueryWeights(whole.ParseQuery(q))} {
 				for _, parts := range partings {
 					label := fmt.Sprintf("seed %d query %q k=%d parts=%d explicit=%v", seed, q, k, len(parts), weights != nil)
-					for _, eval := range []Evaluator{EvalExact, EvalMaxScore, EvalWAND} {
-						got, _, err := RankParts(nil, NewScratch(), parts, q, k, weights, eval)
-						if err != nil {
-							t.Fatalf("%s %v: %v", label, eval, err)
-						}
-						if msg := checkRanking(got, want, k); msg != "" {
-							t.Fatalf("%s %v: %s", label, eval, msg)
-						}
-						if !ran {
-							first, ran = got, true
-						} else if !slices.Equal(got, first) {
-							t.Fatalf("%s %v: %v, the one-part exact ranking %v", label, eval, got, first)
-						}
+					got, _, err := RankParts(nil, NewScratch(), parts, q, k, weights)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if msg := checkRanking(got, want, k); msg != "" {
+						t.Fatalf("%s: %s", label, msg)
+					}
+					if !ran {
+						first, ran = got, true
+					} else if !slices.Equal(got, first) {
+						t.Fatalf("%s: %v, the one-part ranking %v", label, got, first)
 					}
 				}
 			}

@@ -61,35 +61,6 @@ type Scratch struct {
 	docbuf []uint32 // ScoreDocs sorted-target buffer
 
 	cur index.TermCursor // reusable block-decoding cursor
-
-	// Document-at-a-time state for the dynamic-pruning evaluators
-	// (MaxScore/WAND), which hold one open cursor per matched term instead
-	// of reading lists to the end one at a time. All grow-only, so steady
-	// state stays allocation-free.
-	curs    []index.TermCursor // one cursor per matched term
-	live    []liveTerm         // per-matched-term pruning state
-	contrib []float64          // per-qterm contributions of one candidate, appearance order
-	prefix  []float64          // cumulative cap sums over the sorted live terms
-}
-
-// ensureCursors grows s.curs to hold at least n cursors, carrying the old
-// cursors (and their decode buffers) over.
-func (s *Scratch) ensureCursors(n int) {
-	if len(s.curs) < n {
-		curs := make([]index.TermCursor, n)
-		copy(curs, s.curs)
-		s.curs = curs
-	}
-}
-
-// ensureFloats returns buf grown to exactly n zeroed entries.
-func ensureFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
 }
 
 // NewScratch returns an empty Scratch; its buffers grow on first use.

@@ -119,11 +119,11 @@ func TestScratchHygiene(t *testing.T) {
 				for _, weights := range []map[string]float64{nil, explicit} {
 					// Cancelled before the first part's last list: half-built
 					// accumulators are left behind.
-					if _, _, err := RankParts(&cancelAfter{context.Background(), unique - 1}, shared, parts, q, k, weights, EvalExact); !errors.Is(err, context.Canceled) {
+					if _, _, err := RankParts(&cancelAfter{context.Background(), unique - 1}, shared, parts, q, k, weights); !errors.Is(err, context.Canceled) {
 						t.Fatalf("%s: cancelled rank err = %v", label, err)
 					}
 
-					got, st, err := RankParts(nil, shared, parts, q, k, weights, EvalExact)
+					got, st, err := RankParts(nil, shared, parts, q, k, weights)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -132,7 +132,7 @@ func TestScratchHygiene(t *testing.T) {
 					} else {
 						sawSparse = true
 					}
-					fresh, fst, _ := RankParts(nil, NewScratch(), parts, q, k, weights, EvalExact)
+					fresh, fst, _ := RankParts(nil, NewScratch(), parts, q, k, weights)
 					if !slices.Equal(got, fresh) || st.CandidateDocs != fst.CandidateDocs {
 						t.Fatalf("%s rank k=%d:\nreused %v, %d candidates\nfresh  %v, %d candidates", label, k, got, st.CandidateDocs, fresh, fst.CandidateDocs)
 					}
@@ -143,12 +143,6 @@ func TestScratchHygiene(t *testing.T) {
 						if st.CandidateDocs != matching {
 							t.Fatalf("%s rank: %d candidates, the oracle has %d matching", label, st.CandidateDocs, matching)
 						}
-					}
-
-					// A dynamic evaluator between exact ones: it leaves the
-					// accumulators as the exact rank before it did.
-					if _, _, err := RankParts(nil, shared, parts, q, k, weights, EvalMaxScore); err != nil {
-						t.Fatalf("%s maxscore: %v", label, err)
 					}
 
 					nominated := rng.Perm(n)[:1+n/3]
@@ -188,7 +182,7 @@ func TestScratchHygiene(t *testing.T) {
 }
 
 // TestInvalidWeightsRejected: a weight map holding a NaN, an infinity or a
-// negative value fails RankParts (every evaluator) and ScoreParts with
+// negative value fails RankParts and ScoreParts with
 // ErrInvalidWeight, even for a term the query does not use; zero weights
 // are valid and simply skip their lists.
 func TestInvalidWeightsRejected(t *testing.T) {
@@ -200,17 +194,15 @@ func TestInvalidWeightsRejected(t *testing.T) {
 			{"cat": bad, "fish": 1},
 			{"cat": 1, "fish": 1, "whale": bad}, // not a query term
 		} {
-			for _, eval := range []Evaluator{EvalExact, EvalMaxScore, EvalWAND} {
-				if _, _, err := RankParts(nil, s, parts, "cat fish", 3, weights, eval); !errors.Is(err, ErrInvalidWeight) {
-					t.Fatalf("RankParts %v weights %v: err = %v, want ErrInvalidWeight", eval, weights, err)
-				}
+			if _, _, err := RankParts(nil, s, parts, "cat fish", 3, weights); !errors.Is(err, ErrInvalidWeight) {
+				t.Fatalf("RankParts weights %v: err = %v, want ErrInvalidWeight", weights, err)
 			}
 			if _, _, err := ScoreParts(s, parts, "cat fish", []uint32{0, 2}, weights, 0); !errors.Is(err, ErrInvalidWeight) {
 				t.Fatalf("ScoreParts weights %v: err = %v, want ErrInvalidWeight", weights, err)
 			}
 		}
 	}
-	got, _, err := RankParts(nil, s, parts, "cat fish", 3, map[string]float64{"cat": 0, "fish": 1}, EvalExact)
+	got, _, err := RankParts(nil, s, parts, "cat fish", 3, map[string]float64{"cat": 0, "fish": 1})
 	if err != nil || len(got) == 0 {
 		t.Fatalf("zero weight: %v, %v", got, err)
 	}

@@ -197,23 +197,15 @@ func (s *Scratch) prepare(parts []Part, query string, weights map[string]float64
 	return nil
 }
 
-// Rank is RankParts over this engine alone on a pooled Scratch, under the
-// exact evaluator: the top k documents in decreasing score order. If weights
-// is nil the engine derives local weights (MS and CN behaviour); otherwise
-// the supplied global weights are used verbatim (CV behaviour) and terms
-// absent from weights are skipped.
+// Rank is RankParts over this engine alone on a pooled Scratch: the top k
+// documents in decreasing score order. If weights is nil the engine derives
+// local weights (MS and CN behaviour); otherwise the supplied global weights
+// are used verbatim (CV behaviour) and terms absent from weights are skipped.
 func (e *Engine) Rank(query string, k int, weights map[string]float64) (Ranking, error) {
 	s := GetScratch()
 	defer s.Release()
-	results, stats, err := RankParts(nil, s, []Part{{Engine: e}}, query, k, weights, EvalExact)
+	results, stats, err := RankParts(nil, s, []Part{{Engine: e}}, query, k, weights)
 	return Ranking{Results: results, Stats: stats}, err
-}
-
-// RankWithEval is RankParts over this engine alone on a caller-owned
-// Scratch. It is kept for the benchmark's kernel probe, which predates
-// RankParts; everything else calls RankParts.
-func (e *Engine) RankWithEval(s *Scratch, query string, k int, weights map[string]float64, eval Evaluator) ([]Result, Stats, error) {
-	return RankParts(nil, s, []Part{{Engine: e}}, query, k, weights, eval)
 }
 
 // RankParts ranks query over parts as one collection: prepared once, every
@@ -221,13 +213,10 @@ func (e *Engine) RankWithEval(s *Scratch, query string, k int, weights map[strin
 // selector, so a later part starts from the threshold earlier parts set and
 // ties break by ascending global id as on a single index. Stats sum every
 // part's work. A nil ctx skips the cancellation checks entirely.
-func RankParts(ctx context.Context, s *Scratch, parts []Part, query string, k int, weights map[string]float64, eval Evaluator) ([]Result, Stats, error) {
+func RankParts(ctx context.Context, s *Scratch, parts []Part, query string, k int, weights map[string]float64) ([]Result, Stats, error) {
 	var stats Stats
 	if k <= 0 {
 		return nil, stats, fmt.Errorf("search: k must be positive, got %d", k)
-	}
-	if !eval.Valid() {
-		return nil, stats, fmt.Errorf("%w: %d", ErrUnknownEvaluator, uint8(eval))
 	}
 	if err := s.prepare(parts, query, weights); err != nil {
 		return nil, stats, err
@@ -235,7 +224,7 @@ func RankParts(ctx context.Context, s *Scratch, parts []Part, query string, k in
 	sel := NewTopK(k, LessResult, s.heap)
 	var err error
 	for _, p := range parts {
-		if err = p.Engine.rankPrepared(ctx, s, p.Base, eval, &sel, &stats); err != nil {
+		if err = p.Engine.rankPrepared(ctx, s, p.Base, &sel, &stats); err != nil {
 			break
 		}
 	}
@@ -247,14 +236,11 @@ func RankParts(ctx context.Context, s *Scratch, parts []Part, query string, k in
 }
 
 // rankPrepared is the one ranking kernel: it evaluates the query prepared in
-// s over this engine under eval, offers every scored document to sel with
-// its id offset by base, and adds its work to stats. The dynamic evaluators
-// prune against the threshold sel already holds.
-func (e *Engine) rankPrepared(ctx context.Context, s *Scratch, base uint32, eval Evaluator, sel *TopK[Result], stats *Stats) error {
+// s over this engine term at a time, every posting of every list into flat
+// accumulators, offers every scored document to sel with its id offset by
+// base, and adds its work to stats.
+func (e *Engine) rankPrepared(ctx context.Context, s *Scratch, base uint32, sel *TopK[Result], stats *Stats) error {
 	stats.TermsLooked += len(s.qterms)
-	if eval != EvalExact {
-		return e.rankDynamic(ctx, s, base, sel, eval, stats)
-	}
 	s.reset(e.ix.NumDocs())
 	acc, touched, n := s.acc[:e.ix.NumDocs()], s.touched[:cap(s.touched)], 0
 	for i := range s.qterms {
@@ -304,6 +290,15 @@ func (s *Scratch) offerTouched(sel *TopK[Result], inv []float64, base uint32) {
 	}
 }
 
+// threshold is the score a candidate must reach to enter sel: the root's
+// once sel is full — set by earlier parts too — and -∞ while it fills.
+func threshold(sel *TopK[Result]) float64 {
+	if len(sel.h) < sel.k {
+		return math.Inf(-1)
+	}
+	return sel.h[0].Score
+}
+
 // rejectBelow is a bound under which every x divides, x/wq, to strictly
 // below root: root·wq·(1−1e−9), whose few roundings of 2⁻⁵³ the margin
 // covers while root and the bound are normal numbers. Otherwise — a filling
@@ -342,14 +337,8 @@ func (s *Scratch) extract(sel *TopK[Result]) []Result {
 func (e *Engine) ScoreDocs(query string, docs []uint32, weights map[string]float64) (Ranking, error) {
 	s := GetScratch()
 	defer s.Release()
-	results, stats, err := e.ScoreDocsWith(s, query, docs, weights)
+	results, stats, err := ScoreParts(s, []Part{{Engine: e}}, query, docs, weights, 0)
 	return Ranking{Results: results, Stats: stats}, err
-}
-
-// ScoreDocsWith is ScoreDocs on a caller-owned Scratch, kept for the
-// benchmark's kernel probe; everything else calls ScoreParts.
-func (e *Engine) ScoreDocsWith(s *Scratch, query string, docs []uint32, weights map[string]float64) ([]Result, Stats, error) {
-	return ScoreParts(s, []Part{{Engine: e}}, query, docs, weights, 0)
 }
 
 // ScoreParts is ScoreDocs over parts as one collection, docs being ids in the

@@ -76,11 +76,6 @@ type kernelRow struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	Ops         int     `json:"ops"`
-	// CandidatesScored/PostingsDecoded are recorded for the evaluator rows
-	// only (one untimed evaluation): they are what dynamic pruning saves,
-	// and the exact row is the denominator for the reduction factor.
-	CandidatesScored int    `json:"candidates_scored,omitempty"`
-	PostingsDecoded  uint64 `json:"postings_decoded,omitempty"`
 }
 
 // kernelBenchFile is the before/after record: "baseline" is the seed
@@ -125,8 +120,6 @@ func BenchmarkSearchKernel(b *testing.B) {
 	}
 
 	e := kernelBenchEngine(b)
-	scratch := search.NewScratch()
-	parts := []search.Part{{Engine: e}}
 	const rankQuery = "w1 w2 w3 w4 w5 w6 w7 w8"
 	for _, k := range []int{10, 100} {
 		k := k
@@ -134,29 +127,6 @@ func BenchmarkSearchKernel(b *testing.B) {
 			_, err := e.Rank(rankQuery, k, nil)
 			return err
 		})
-	}
-	// Evaluator dimension: the same ranking under exact evaluation and the
-	// two rank-safe pruning evaluators, with the work drop (candidates fully
-	// scored, postings decoded) recorded alongside the timing.
-	for _, eval := range []search.Evaluator{search.EvalExact, search.EvalMaxScore, search.EvalWAND} {
-		eval := eval
-		for _, k := range []int{10, 100} {
-			k := k
-			name := "Engine/RankEval/" + eval.String() + "/k=" + strconv.Itoa(k)
-			measure(name, func(int) error {
-				_, _, err := search.RankParts(nil, scratch, parts, rankQuery, k, nil, eval)
-				return err
-			})
-			if row, ok := rows[name]; ok {
-				_, stats, err := search.RankParts(nil, scratch, parts, rankQuery, k, nil, eval)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row.CandidatesScored = stats.CandidateDocs
-				row.PostingsDecoded = stats.PostingsDecoded
-				rows[name] = row
-			}
-		}
 	}
 
 	targets := []uint32{10, 500, 900, 2500, 4000, 4500}

@@ -214,28 +214,6 @@ const (
 	MergeNormalized = core.MergeNormalized
 )
 
-// Evaluator selects the rank-phase evaluation strategy (see
-// Options.Evaluator): EvalExact is the exhaustive document-sorted kernel;
-// EvalMaxScore and EvalWAND are rank-safe dynamic-pruning evaluators that
-// skip postings which provably cannot reach the top k while returning
-// bit-identical rankings.
-type Evaluator = search.Evaluator
-
-// Rank-phase evaluators.
-const (
-	EvalExact    = search.EvalExact
-	EvalMaxScore = search.EvalMaxScore
-	EvalWAND     = search.EvalWAND
-)
-
-// ParseEvaluator maps "exact" (or ""), "maxscore" and "wand" to their
-// Evaluator values, for flag and config parsing.
-func ParseEvaluator(s string) (Evaluator, error) { return search.ParseEvaluator(s) }
-
-// ErrUnknownEvaluator is returned by the query path when Options.Evaluator
-// names no defined evaluation strategy. Test with errors.Is.
-var ErrUnknownEvaluator = search.ErrUnknownEvaluator
-
 // ErrOverloaded is returned by the query path when admission control sheds
 // a request (in-flight limit reached, queue full or deadline unmeetable).
 // Test with errors.Is; a shed query consumed no librarian resources.
