@@ -47,7 +47,8 @@ loc:
 # codec invariants (the wire decoders, the CI set-up's grouped-postings
 # reader among them; two compare the windowed bit reader and the block postings
 # decoder against bit-at-a-time references; one holds a text model frozen at
-# training to restoring any later string; one compares the write path's
+# training to restoring any later string, and one holds the model decoder a
+# receptionist runs on its peers' bytes to writing them back; one compares the write path's
 # word scanner with the rune loop it replaced; one holds Build's one scan
 # to the two passes it replaced; the last feeds the index file reader
 # arbitrary bytes), short enough for every verify run. -run='^$$' skips the unit tests, which `race` already covered.
@@ -64,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlockMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/bitio
 	$(GO) test -run='^$$' -fuzz=FuzzFrozenModelRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/huffman
+	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalTextModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/huffman
 	$(GO) test -run='^$$' -fuzz=FuzzSplitWordsMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/textproc
 	$(GO) test -run='^$$' -fuzz=FuzzBuildMatchesTwoPass -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/librarian
 	$(GO) test -run='^$$' -fuzz=FuzzIndexReadFrom -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/index

@@ -32,6 +32,7 @@ var testOnlyExports = map[string]string{
 	"search.Engine.QueryWeights":   "w_qt for the supplied weights of TestSegmentCountParity's explicit-weight rows and TestEngineAgainstBruteForce's CV pass",
 	"oracle.Scores":                "the reference every ranking differential test compares against",
 	"store.Store.Fetches":          "read counter the no-re-read tests pin (TestIngestDoesNotRereadStore, the merge and Concat tests)",
+	"intern.Table.Indexed":         "slot probe: TestUnmarshalledModelDecodesWithoutLookup and TestTrainedModelBuildsLookupOnFirstEncode check that a model that only decodes builds no lookup slots",
 }
 
 // modulePackage is one package of the module, type-checked from its non-test

@@ -168,8 +168,8 @@ func (f *Federation) VocabularySize() (terms int, bytes uint64) {
 	if vs == nil {
 		return 0, 0
 	}
-	terms, bytes = vs.vocab.Len()
-	return terms, bytes + 8*uint64(terms)
+	terms, b := vs.vocab.Len()
+	return terms, uint64(b) + 8*uint64(terms)
 }
 
 // SetupCentralIndex installs the grouped central index for CI queries. The

@@ -75,29 +75,30 @@ func BuildGroupedFromIndexes(subIndexes []*index.Index, offsets []uint32, totalD
 	}
 	srcs := make([]index.GroupSource, len(subIndexes))
 	var covered uint64
-	var terms, postings int // at most what the indexes hold between them
+	var terms, termBytes, postings int // the merged vocabulary's size, and at most the folded postings
 	for i, ix := range subIndexes {
 		if uint64(offsets[i]) != covered {
 			return nil, fmt.Errorf("core: index %d starts at doc %d, the indexes before it end at %d", i, offsets[i], covered)
 		}
 		covered += uint64(ix.NumDocs())
-		terms, postings = terms+ix.NumTerms(), postings+int(ix.NumPostings())
+		postings += int(ix.NumPostings())
 		srcs[i] = ix.Groups(offsets[i], uint32(groupSize), "", "")
 	}
 	if covered != uint64(totalDocs) {
 		return nil, fmt.Errorf("core: indexes cover %d docs, collection has %d", covered, totalDocs)
 	}
-	return foldGrouped(srcs, totalDocs, uint32(groupSize), terms, postings, analyzer)
+	index.EachTerm(subIndexes, func(term string, _ uint32) { terms, termBytes = terms+1, termBytes+len(term) })
+	return foldGrouped(srcs, totalDocs, uint32(groupSize), terms, termBytes, postings, analyzer)
 }
 
 // foldGrouped builds the grouped index of totalDocs documents, g to a group,
-// from the grouped lists of its parts in document order; terms and postings
-// estimate its size, 0 where nothing does.
-func foldGrouped(srcs []index.GroupSource, totalDocs, g uint32, terms, postings int, analyzer *textproc.Analyzer) (*GroupedIndex, error) {
+// from the grouped lists of its parts in document order; terms, termBytes and
+// postings estimate its size, 0 where nothing does.
+func foldGrouped(srcs []index.GroupSource, totalDocs, g uint32, terms, termBytes, postings int, analyzer *textproc.Analyzer) (*GroupedIndex, error) {
 	if totalDocs == 0 {
 		return nil, fmt.Errorf("core: empty collection")
 	}
-	ix, err := index.BuildFromGroups(srcs, (totalDocs-1)/g+1, terms, postings)
+	ix, err := index.BuildFromGroups(srcs, (totalDocs-1)/g+1, terms, termBytes, postings)
 	if err != nil {
 		return nil, fmt.Errorf("core: build grouped index: %w", err)
 	}

@@ -505,8 +505,11 @@ func (p *Pool) SetupCentralIndexRemote(groupSize int) (Trace, error) {
 		}
 	}
 	// The merged vocabulary, once exchanged, holds the grouped index's terms.
-	terms, _ := p.fed.VocabularySize()
-	grouped, err := foldGrouped(srcs, p.fed.totalDocs, g, terms, 0, p.fed.analyzer)
+	var terms, termBytes int
+	if vs := p.fed.vocab.Load(); vs != nil {
+		terms, termBytes = vs.vocab.Len()
+	}
+	grouped, err := foldGrouped(srcs, p.fed.totalDocs, g, terms, termBytes, 0, p.fed.analyzer)
 	if err != nil {
 		fail(err)
 	}

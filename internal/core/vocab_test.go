@@ -4,10 +4,11 @@ import (
 	"reflect"
 	"testing"
 
+	"teraphim/internal/intern"
 	"teraphim/internal/librarian"
 )
 
-// countMaps counts the distinct maps reachable from v.
+// countMaps counts the distinct maps and term tables reachable from v.
 func countMaps(v reflect.Value, seen map[uintptr]bool) int {
 	n := 0
 	switch v.Kind() {
@@ -16,6 +17,9 @@ func countMaps(v reflect.Value, seen map[uintptr]bool) int {
 			return 0
 		}
 		seen[v.Pointer()] = true
+		if v.Type() == reflect.TypeOf((*intern.Table)(nil)) {
+			return 1
+		}
 		if v.Kind() == reflect.Pointer {
 			return countMaps(v.Elem(), seen)
 		}
@@ -43,7 +47,7 @@ func countMaps(v reflect.Value, seen map[uintptr]bool) int {
 }
 
 // TestSetupVocabularyKeepsOneTermMap: the merged vocabulary is one table —
-// one term map over rows holding each term's global f_t, its collection
+// one term table over rows holding each term's global f_t, its collection
 // frequency and every librarian's f_t, which the selection index reads too —
 // not a map per librarian beside a global one and selection's own. Every
 // row agrees with the librarians' dictionaries.
@@ -55,7 +59,7 @@ func TestSetupVocabularyKeepsOneTermMap(t *testing.T) {
 	}
 	vs := f.recep.Federation().vocab.Load()
 	if n := countMaps(reflect.ValueOf(vs), map[uintptr]bool{}); n != 1 {
-		t.Fatalf("the installed vocabulary holds %d maps, want one term map", n)
+		t.Fatalf("the installed vocabulary holds %d maps and term tables, want one term table", n)
 	}
 	want := map[string][]uint32{}
 	for i, name := range order {

@@ -53,8 +53,8 @@ func TestUnmarshalledModelDecodesWithoutLookup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (wire.words.byToken != nil) != built || (wire.seps.byToken != nil) != built {
-				t.Fatalf("round %d: lookup tables built = %v, want %v", round, wire.words.byToken != nil, built)
+			if wire.words.tokens.Indexed() != built || wire.seps.tokens.Indexed() != built {
+				t.Fatalf("round %d: lookup tables built = %v, want %v", round, wire.words.tokens.Indexed(), built)
 			}
 			if got, err := wire.DecompressDoc(data); err != nil || got != text {
 				t.Fatalf("round %d: %q came back as %q (%v)", round, text, got, err)
@@ -91,7 +91,7 @@ func TestTrainedModelBuildsLookupOnFirstEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.words.byToken != nil || m.seps.byToken != nil {
+	if m.words.tokens.Indexed() || m.seps.tokens.Indexed() {
 		t.Fatal("a trained model holds lookup tables before its first encode")
 	}
 	wire, err := UnmarshalTextModel(m.Marshal())
@@ -107,7 +107,7 @@ func TestTrainedModelBuildsLookupOnFirstEncode(t *testing.T) {
 			t.Fatalf("%q: the trained model codes %d bytes, its unmarshalled copy %d (%v)", text, len(data), len(again), err)
 		}
 	}
-	if m.words.byToken == nil || m.seps.byToken == nil {
+	if !m.words.tokens.Indexed() || !m.seps.tokens.Indexed() {
 		t.Fatal("no lookup tables after the first encode")
 	}
 	for word, sym := range words {

@@ -406,7 +406,10 @@ func TestOneByteTokens(t *testing.T) {
 
 // sortedTokens is a test helper exposing lexicon contents deterministically.
 func (m *TextModel) sortedTokens() []string {
-	out := append([]string(nil), m.words.tokens[1:]...)
+	out := make([]string, m.words.tokens.Len())
+	for i := range out {
+		out[i] = m.words.tokens.At(uint32(i))
+	}
 	sort.Strings(out)
 	return out
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"teraphim/internal/bitio"
 	"teraphim/internal/codec"
+	"teraphim/internal/intern"
 	"teraphim/internal/textproc"
 )
 
@@ -30,49 +30,28 @@ type TextModel struct {
 // Escape is the symbol, in each lexicon, of every token outside it.
 const Escape = 0
 
-// A lexicon maps each token to its symbol through one of two tables: a
-// one-byte token — the single space that is nine separators in ten, a
-// one-letter word — indexes byByte, and any other sits in byToken, so the
-// commonest lookups hash nothing. An absent token reads as the escape symbol.
-// The tables are built from tokens on the first lookup: a model that only
-// decodes — the receptionist's, or a static librarian's — never builds them.
+// A lexicon numbers its tokens from 1 in a term table, token s being the
+// table's string s-1: symbol 0 is the escape of every token outside it, and
+// no string, so an empty separator is a token like any other. A one-byte
+// token — the single space that is nine separators in ten, a one-letter
+// word — is looked up in byByte, so the commonest lookups hash nothing; any
+// other in the table, which builds its lookup slots on its first lookup: a
+// model that only decodes — the receptionist's, or a static librarian's —
+// never builds them.
 type lexicon struct {
-	index   sync.Once
-	byByte  [256]uint32
-	byToken map[string]uint32
-	tokens  []string // tokens[0] is the escape pseudo-token ""
+	byByte [256]uint32
+	tokens *intern.Table
 }
 
 // symbol returns tok's symbol, or the escape symbol if tok is not in lx.
 func (lx *lexicon) symbol(tok string) uint32 {
-	lx.index.Do(lx.build)
-	return lx.lookup(tok)
-}
-
-// lookup is symbol on built tables, as a Trainer's are from the start: its
-// count runs once per token of a collection, unguarded.
-func (lx *lexicon) lookup(tok string) uint32 {
 	if len(tok) == 1 {
 		return lx.byByte[tok[0]]
 	}
-	return lx.byToken[tok]
-}
-
-// build fills the lookup tables from tokens.
-func (lx *lexicon) build() {
-	lx.byToken = make(map[string]uint32, len(lx.tokens))
-	for i, tok := range lx.tokens[1:] {
-		lx.set(tok, uint32(i+1))
+	if id, ok := lx.tokens.Lookup(tok); ok {
+		return id + 1
 	}
-}
-
-// set makes id the symbol of tok.
-func (lx *lexicon) set(tok string, id uint32) {
-	if len(tok) == 1 {
-		lx.byByte[tok[0]] = id
-	} else {
-		lx.byToken[tok] = id
-	}
+	return Escape
 }
 
 // Trainer is MG's first pass one token at a time: it interns every word and
@@ -87,10 +66,7 @@ type Trainer struct {
 
 // NewTrainer returns a trainer that has counted nothing.
 func NewTrainer() *Trainer {
-	t := &Trainer{words: &lexicon{tokens: []string{""}}, seps: &lexicon{tokens: []string{""}}, wordFreq: []uint64{0}, sepFreq: []uint64{0}}
-	t.words.index.Do(t.words.build)
-	t.seps.index.Do(t.seps.build)
-	return t
+	return &Trainer{words: &lexicon{tokens: intern.New(0, 0)}, seps: &lexicon{tokens: intern.New(0, 0)}, wordFreq: []uint64{0}, sepFreq: []uint64{0}}
 }
 
 // WordSymbol interns and counts word and returns its symbol.
@@ -101,24 +77,23 @@ func (t *Trainer) SepSymbol(sep string) uint32 { return count(t.seps, &t.sepFreq
 
 // count interns tok in lx, counts it in freqs and returns its symbol.
 func count(lx *lexicon, freqs *[]uint64, tok string) uint32 {
-	id := lx.lookup(tok)
-	if id == Escape {
-		id = uint32(len(lx.tokens))
-		lx.tokens = append(lx.tokens, tok)
-		lx.set(tok, id)
+	sym := lx.symbol(tok)
+	if sym == Escape {
+		if sym = lx.tokens.Add(tok) + 1; len(tok) == 1 {
+			lx.byByte[tok[0]] = sym
+		}
 		*freqs = append(*freqs, 0)
 	}
-	(*freqs)[id]++
-	return id
+	(*freqs)[sym]++
+	return sym
 }
 
 // Model trains the text model on the counts: every token counted is a
 // lexicon entry, and the escape codeword weighs one per thousand word
 // tokens, minimum 1, so that novel tokens in later documents are
 // representable at near-maximal length. The model takes the trainer's
-// tokens into lexicons of its own, which build their lookup tables on its
-// first encode, so the trainer's tables go with the trainer: call Model
-// once, after the last token.
+// lexicons with their tables sealed, their lookup slots dropped until its
+// first encode: call Model once, after the last token.
 func (t *Trainer) Model() (*TextModel, error) {
 	var total uint64
 	for _, f := range t.wordFreq {
@@ -133,7 +108,9 @@ func (t *Trainer) Model() (*TextModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("huffman: separator code: %w", err)
 	}
-	return &TextModel{words: &lexicon{tokens: t.words.tokens}, seps: &lexicon{tokens: t.seps.tokens}, wordCode: wordCode, sepCode: sepCode}, nil
+	t.words.tokens.Seal()
+	t.seps.tokens.Seal()
+	return &TextModel{words: t.words, seps: t.seps, wordCode: wordCode, sepCode: sepCode}, nil
 }
 
 // NewTextModel trains a model over the given documents — MG's first pass,
@@ -272,10 +249,10 @@ func (m *TextModel) getToken(r *bitio.Reader, lx *lexicon, code *Code) (string, 
 		return "", err
 	}
 	if sym != Escape {
-		if int(sym) >= len(lx.tokens) {
+		if sym > uint32(lx.tokens.Len()) {
 			return "", fmt.Errorf("huffman: symbol %d outside lexicon", sym)
 		}
-		return lx.tokens[sym], nil
+		return lx.tokens.At(sym - 1), nil
 	}
 	n, err := codec.Gamma(r)
 	if err != nil {
@@ -298,19 +275,18 @@ func (m *TextModel) getToken(r *bitio.Reader, lx *lexicon, code *Code) (string, 
 
 // Marshal serialises the model (lexicons + codeword lengths) so a collection
 // can be reopened without retraining. Layout: for each of the two lexicons,
-// a uint32 count, then per token a vbyte length + raw bytes + one length
-// byte for its codeword.
+// a uint32 count, then per symbol a vbyte length + raw bytes + one length
+// byte for its codeword, the escape symbol first as an empty token.
 func (m *TextModel) Marshal() []byte {
 	var out []byte
 	emit := func(lx *lexicon, code *Code) {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(lx.tokens)))
-		out = append(out, hdr[:]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(lx.tokens.Len()+1))
 		lengths := code.Lengths()
-		for i, tok := range lx.tokens {
+		out = append(codec.PutVByte(out, 0), lengths[Escape])
+		for id := range uint32(lx.tokens.Len()) {
+			tok := lx.tokens.At(id)
 			out = codec.PutVByte(out, uint64(len(tok)))
-			out = append(out, tok...)
-			out = append(out, lengths[i])
+			out = append(append(out, tok...), lengths[id+1])
 		}
 	}
 	emit(m.words, m.wordCode)
@@ -318,11 +294,12 @@ func (m *TextModel) Marshal() []byte {
 	return out
 }
 
-// UnmarshalTextModel reconstructs a model serialised by Marshal. Its tokens
-// are substrings of one copy of data, and its lexicons build their lookup
-// tables only when the model first encodes.
+// UnmarshalTextModel reconstructs a model serialised by Marshal, or fails on
+// bytes Marshal could not have written: a non-empty escape token, a token
+// that two symbols share, a length coded in more bytes than it needs.
+// Its tokens are copied into its lexicons' tables, which build their lookup
+// slots only when the model first encodes.
 func UnmarshalTextModel(data []byte) (*TextModel, error) {
-	all := string(data)
 	read := func() (*lexicon, *Code, error) {
 		if len(data) < 4 {
 			return nil, nil, fmt.Errorf("huffman: truncated model header")
@@ -332,29 +309,41 @@ func UnmarshalTextModel(data []byte) (*TextModel, error) {
 		if n == 0 || n > math.MaxInt32 {
 			return nil, nil, fmt.Errorf("huffman: implausible lexicon size %d", n)
 		}
-		hint := n
-		if max := uint32(len(data)/2 + 1); hint > max {
-			// Each token costs at least two bytes on disk; a larger count
-			// is corrupt, so do not pre-allocate for it.
-			hint = max
-		}
-		lx := &lexicon{tokens: make([]string, 0, hint)}
+		// Each token costs at least two bytes besides its own; a larger
+		// count is corrupt, so do not pre-allocate for it.
+		hint := min(n, uint32(len(data)/2+1))
+		lx := &lexicon{tokens: intern.New(int(hint), max(len(data)-2*int(hint), 0))}
 		lengths := make([]uint8, 0, hint)
 		for i := uint32(0); i < n; i++ {
 			tl, used, err := codec.VByte(data)
-			if err != nil {
+			switch {
+			case err != nil:
 				return nil, nil, fmt.Errorf("huffman: token %d length: %w", i, err)
+			case used > 1 && data[used-1]&0x7f == 0:
+				return nil, nil, fmt.Errorf("huffman: token %d length coded in %d bytes", i, used)
 			}
 			data = data[used:]
 			if uint64(len(data)) < tl+1 {
 				return nil, nil, fmt.Errorf("huffman: token %d truncated", i)
 			}
-			off := len(all) - len(data)
-			lx.tokens = append(lx.tokens, all[off:off+int(tl)])
+			if tok := data[:tl]; i == Escape {
+				if tl != 0 {
+					return nil, nil, fmt.Errorf("huffman: %d-byte escape token", tl)
+				}
+			} else if sym := lx.tokens.AddBytes(tok) + 1; tl == 1 {
+				lx.byByte[tok[0]] = sym
+			}
 			data = data[tl:]
 			lengths = append(lengths, data[0])
 			data = data[1:]
 		}
+		// A repeated token's lookup finds its first symbol, not its own.
+		for id := range uint32(lx.tokens.Len()) {
+			if first, _ := lx.tokens.Lookup(lx.tokens.At(id)); first != id {
+				return nil, nil, fmt.Errorf("huffman: symbols %d and %d are both %q", first+1, id+1, lx.tokens.At(id))
+			}
+		}
+		lx.tokens.Seal()
 		code, err := NewFromLengths(lengths)
 		if err != nil {
 			return nil, nil, err

@@ -72,7 +72,7 @@ func (ix *Index) ResetCursor(c *TermCursor, term string) error {
 // error. It is the allocation-free path the scoring kernel uses to walk many
 // lists with one pooled cursor, where a small segment lacks most query terms.
 func (ix *Index) OpenCursor(c *TermCursor, term string) bool {
-	i, ok := ix.byTerm[term]
+	i, ok := ix.terms.Lookup(term)
 	if !ok {
 		return false
 	}

@@ -25,7 +25,7 @@ type GroupSource interface {
 // in group (base+d)/g. base+NumDocs must not exceed 2³², and g must be ≥ 1.
 func (ix *Index) Groups(base, g uint32, from, to string) GroupSource {
 	seek := func(t string) int {
-		return sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].term >= t })
+		return sort.Search(len(ix.entries), func(i int) bool { return ix.terms.At(uint32(i)) >= t })
 	}
 	first, end := seek(from), len(ix.entries)
 	if to != "" {
@@ -44,7 +44,7 @@ func (s *indexGroups) NextTerm() (string, error) {
 	if s.i++; s.i >= s.end {
 		return "", nil
 	}
-	return s.ix.entries[s.i].term, nil
+	return s.ix.terms.At(uint32(s.i)), nil
 }
 
 // AppendGroups decodes the current list after dst and folds it into groups
@@ -54,7 +54,7 @@ func (s *indexGroups) AppendGroups(dst []Posting) ([]Posting, error) {
 	list, _, _ := s.ix.list(s.i)
 	dst = slices.Grow(dst, int(e.ft))[:start+int(e.ft)]
 	if _, err := codec.DecodeList(dst[start:], list, s.ix.numDocs, 0, nil); err != nil {
-		return dst[:start], fmt.Errorf("index: term %q: %w", e.term, err)
+		return dst[:start], fmt.Errorf("index: term %q: %w", s.ix.terms.At(uint32(s.i)), err)
 	}
 	if s.g == 1 { // a merge: each document its own group
 		for j := start; j < len(dst); j++ {
@@ -131,13 +131,13 @@ func FoldGroups(srcs []GroupSource, emit func(term string, groups []Posting) err
 // BuildFromGroups builds the index of numDocs groups whose lists FoldGroups
 // folds from srcs. A group's weight and length come from its postings —
 // W_g = sqrt(Σ_t log(f_gt+1)²) and Σ_t f_gt — which is what Builder gives a
-// document made of the group's terms. terms and postings are the caller's
-// estimates of the folded index's size, 0 where it has none: they size the
-// arenas, which grow by doubling past them, and seal trims what they
-// overshoot.
-func BuildFromGroups(srcs []GroupSource, numDocs uint32, terms, postings int, opts ...BuilderOption) (*Index, error) {
+// document made of the group's terms. terms, termBytes and postings are the
+// caller's estimates of the folded index's term count, term bytes and
+// postings, 0 where it has none: they size the arenas, which grow by doubling
+// past them, and seal trims what they overshoot.
+func BuildFromGroups(srcs []GroupSource, numDocs uint32, terms, termBytes, postings int, opts ...BuilderOption) (*Index, error) {
 	// A posting takes about a byte, and a list at least one.
-	ix := newIndex(numDocs, skipIntervalOf(opts), terms, max(postings, terms), 0)
+	ix := newIndex(numDocs, skipIntervalOf(opts), terms, termBytes, max(postings, terms), 0)
 	ix.weights, ix.lens = make([]float32, numDocs), make([]uint32, numDocs)
 	sumSq := make([]float64, numDocs)
 	err := FoldGroups(srcs, func(term string, groups []Posting) error {
@@ -183,7 +183,7 @@ func EachTerm(ixs []*Index, fn func(term string, ft uint32)) {
 		term, found := "", false
 		for i, ix := range ixs {
 			if next[i] < len(ix.entries) {
-				if t := ix.entries[next[i]].term; !found || t < term {
+				if t := ix.terms.At(uint32(next[i])); !found || t < term {
 					term, found = t, true
 				}
 			}
@@ -193,7 +193,7 @@ func EachTerm(ixs []*Index, fn func(term string, ft uint32)) {
 		}
 		var ft uint32
 		for i, ix := range ixs {
-			if next[i] < len(ix.entries) && ix.entries[next[i]].term == term {
+			if next[i] < len(ix.entries) && ix.terms.At(uint32(next[i])) == term {
 				ft += ix.entries[next[i]].ft
 				next[i]++
 			}

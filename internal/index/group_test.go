@@ -18,7 +18,7 @@ func groupCut(t testing.TB, docs [][]string, cuts []int, g uint32, opts ...Build
 	for i := 0; i+1 < len(cuts); i++ {
 		srcs = append(srcs, buildOver(t, docs[cuts[i]:cuts[i+1]], opts...).Groups(uint32(cuts[i]), g, "", ""))
 	}
-	return BuildFromGroups(srcs, (uint32(len(docs))+g-1)/g, 0, 0, opts...)
+	return BuildFromGroups(srcs, (uint32(len(docs))+g-1)/g, 0, 0, 0, opts...)
 }
 
 // groupDocs concatenates each run of g documents into one.
@@ -148,7 +148,7 @@ func TestBuildFromGroupsMergesSplitLists(t *testing.T) {
 		&listSource{terms: []string{"u"}, lists: [][]Posting{{{Doc: 61, FDT: 2}}}},
 		&listSource{terms: []string{"t"}, lists: [][]Posting{{{Doc: 70, FDT: 1}}}},
 	}
-	ix, err := BuildFromGroups(srcs, 100, 0, 0)
+	ix, err := BuildFromGroups(srcs, 100, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestBuildFromGroupsRejectsBadLists(t *testing.T) {
 		for i, l := range lists {
 			srcs[i] = &listSource{terms: []string{"t"}, lists: [][]Posting{l}}
 		}
-		if _, err := BuildFromGroups(srcs, 4, 0, 0); err == nil {
+		if _, err := BuildFromGroups(srcs, 4, 0, 0, 0); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 
 	"teraphim/internal/bitio"
 	"teraphim/internal/codec"
+	"teraphim/internal/intern"
 )
 
 // DefaultSkipInterval is the number of postings between synchronisation
@@ -31,28 +32,29 @@ var ErrTermNotFound = errors.New("index: term not found")
 // Posting aliases codec.Posting: one (doc, f_dt) pair.
 type Posting = codec.Posting
 
-// termEntry is one dictionary entry: the term, f_t and where its list and
-// skip table start in the index's arenas. The list runs to the next entry's
-// offset (to the arena's end for the last entry); the skip table holds
-// numSkips(f_t) values — the last document of each block before a sync
-// point — then as many bit offsets, each where the block after it starts.
+// termEntry is one dictionary entry, its term the index's term of the same
+// number: f_t and where its list and skip table start in the index's arenas.
+// The list runs to the next entry's offset (to the arena's end for the last
+// entry); the skip table holds numSkips(f_t) values — the last document of
+// each block before a sync point — then as many bit offsets, each where the
+// block after it starts.
 type termEntry struct {
-	term string
 	ft   uint32 // number of documents containing the term
 	off  uint32 // the list's first byte in Index.arena
 	skip uint32 // the skip table's first value in Index.skips
 }
 
-// Index is an immutable inverted file over one collection. Its lists sit
-// end to end in one byte arena and their skip tables in one uint32 arena,
-// both in term order, so a dictionary entry is a term, f_t and two offsets.
+// Index is an immutable inverted file over one collection. Its terms sit end
+// to end in one term table, its lists in one byte arena and their skip tables
+// in one uint32 arena, all in term order, so a dictionary entry is f_t and
+// two offsets.
 type Index struct {
-	entries []termEntry       // sorted by term
-	byTerm  map[string]uint32 // term -> entries index
-	arena   []byte            // every compressed list
-	skips   []uint32          // every skip table
-	weights []float32         // W_d per document
-	lens    []uint32          // indexed-term count per document (for stats)
+	terms   *intern.Table // term i is entry i's, ascending
+	entries []termEntry
+	arena   []byte    // every compressed list
+	skips   []uint32  // every skip table
+	weights []float32 // W_d per document
+	lens    []uint32  // indexed-term count per document (for stats)
 	numDocs uint32
 	numPtrs uint64 // total postings count
 	skipIvl uint32
@@ -71,12 +73,11 @@ type Index struct {
 // terms in the order each first appears in it: the float64 sum, and so the
 // float32 weight, is the same on every run.
 type Builder struct {
-	ids     map[string]uint32 // term -> id
-	terms   []string          // id -> term
-	lists   [][]Posting       // id -> postings, ascending doc
-	tf      []uint32          // id -> f_dt in the document being added; 0 between documents
-	seen    []uint32          // that document's distinct ids, first appearance order
-	scratch []uint32          // Add's ids
+	terms   *intern.Table // id -> term, in first-sight order
+	lists   [][]Posting   // id -> postings, ascending doc
+	tf      []uint32      // id -> f_dt in the document being added; 0 between documents
+	seen    []uint32      // that document's distinct ids, first appearance order
+	scratch []uint32      // Add's ids
 	weights []float32
 	lens    []uint32
 	skipIvl uint32
@@ -106,7 +107,7 @@ func skipIntervalOf(opts []BuilderOption) uint32 {
 
 // NewBuilder returns an empty Builder.
 func NewBuilder(opts ...BuilderOption) *Builder {
-	return &Builder{ids: make(map[string]uint32, 1024), skipIvl: skipIntervalOf(opts)}
+	return &Builder{terms: intern.New(0, 0), skipIvl: skipIntervalOf(opts)}
 }
 
 // Add indexes one document given its analysed terms and returns the document
@@ -122,14 +123,11 @@ func (b *Builder) Add(terms []string) uint32 {
 
 // TermID returns term's id in this Builder, interning it on first sight.
 func (b *Builder) TermID(term string) uint32 {
-	if id, ok := b.ids[term]; ok {
-		return id
+	id, added := b.terms.Intern(term)
+	if added {
+		b.lists = append(b.lists, nil)
+		b.tf = append(b.tf, 0)
 	}
-	id := uint32(len(b.terms))
-	b.ids[term] = id
-	b.terms = append(b.terms, term)
-	b.lists = append(b.lists, nil)
-	b.tf = append(b.tf, 0)
 	return id
 }
 
@@ -158,7 +156,7 @@ func (b *Builder) AddIDs(ids []uint32) uint32 {
 }
 
 // Build freezes the builder into an immutable Index. The Builder must not be
-// used afterwards: its term map becomes the index's dictionary lookup.
+// used afterwards.
 func (b *Builder) Build() (*Index, error) {
 	var postings, skips int
 	for _, l := range b.lists {
@@ -166,29 +164,30 @@ func (b *Builder) Build() (*Index, error) {
 		skips += 2 * numSkips(uint32(len(l)), b.skipIvl)
 	}
 	// A posting takes about a byte; seal trims what the estimate overshoots.
-	ix := newIndex(uint32(len(b.weights)), b.skipIvl, len(b.terms), postings, skips)
-	ix.byTerm, ix.weights, ix.lens = b.ids, b.weights, b.lens
-	order := make([]uint32, len(b.terms)) // ids in term order
+	ix := newIndex(uint32(len(b.weights)), b.skipIvl, b.terms.Len(), b.terms.Bytes(), postings, skips)
+	ix.weights, ix.lens = b.weights, b.lens
+	order := make([]uint32, b.terms.Len()) // ids in term order
 	for i := range order {
 		order[i] = uint32(i)
 	}
-	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(b.terms[x], b.terms[y]) })
+	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(b.terms.At(x), b.terms.At(y)) })
 	for _, id := range order {
 		// Builder.Add appends docs in increasing order, so the list is
 		// already sorted; appendList verifies it cheaply in case of misuse.
-		if err := ix.appendList(b.terms[id], b.lists[id]); err != nil {
-			return nil, fmt.Errorf("index: term %q: %w", b.terms[id], err)
+		if err := ix.appendList(b.terms.At(id), b.lists[id]); err != nil {
+			return nil, fmt.Errorf("index: term %q: %w", b.terms.At(id), err)
 		}
 	}
-	b.ids, b.terms, b.lists = nil, nil, nil
+	b.terms, b.lists = nil, nil
 	return ix.seal(), nil
 }
 
 // newIndex returns an index of numDocs documents with no lists yet, its
-// arenas sized for terms entries, listBytes bytes of lists and skips skip
-// values.
-func newIndex(numDocs, skipIvl uint32, terms, listBytes, skips int) *Index {
+// arenas sized for terms entries of termBytes bytes of terms, listBytes bytes
+// of lists and skips skip values.
+func newIndex(numDocs, skipIvl uint32, terms, termBytes, listBytes, skips int) *Index {
 	return &Index{
+		terms:   intern.New(terms, termBytes),
 		entries: make([]termEntry, 0, terms),
 		arena:   make([]byte, 0, listBytes),
 		skips:   make([]uint32, 0, skips),
@@ -206,11 +205,12 @@ func numSkips(ft, skipIvl uint32) int {
 	return int((ft - 1) / skipIvl)
 }
 
-// appendList codes term's postings — ascending, inside the collection — at
-// the ends of the arenas, with its sync points, and adds its entry: the one
-// coder of an index's lists, which Build, Merge and BuildFromGroups append
-// through.
+// appendList adds term to the term table, codes its postings — ascending,
+// inside the collection — at the ends of the arenas, with its sync points,
+// and adds its entry: the one coder of an index's lists, which Build, Merge
+// and BuildFromGroups append through.
 func (ix *Index) appendList(term string, postings []Posting) error {
+	ix.terms.Add(term)
 	n := 2 * numSkips(uint32(len(postings)), ix.skipIvl)
 	ix.skips = grow(ix.skips, n)
 	var w bitio.Writer
@@ -218,35 +218,32 @@ func (ix *Index) appendList(term string, postings []Posting) error {
 	if err := codec.AppendList(&w, postings, ix.numDocs, int(ix.skipIvl), ix.skips[len(ix.skips):][:n]); err != nil {
 		return err
 	}
-	return ix.addEntry(term, uint32(len(postings)), w.Bytes(), n)
+	return ix.addEntry(uint32(len(postings)), w.Bytes(), n)
 }
 
-// addEntry adds term's entry over the ft postings that end arena, ix.arena
-// extended by their list, and the n skip values past the end of ix.skips.
-func (ix *Index) addEntry(term string, ft uint32, arena []byte, n int) error {
+// addEntry adds the entry of the term table's newest term, over the ft
+// postings that end arena, ix.arena extended by their list, and the n skip
+// values past the end of ix.skips: every producer's one way in.
+func (ix *Index) addEntry(ft uint32, arena []byte, n int) error {
+	term := ix.terms.At(uint32(len(ix.entries)))
 	if len(term) == 0 || len(term) > 255 || ft == 0 {
 		return fmt.Errorf("%d-byte term with %d postings, want [1, 255] bytes and a posting", len(term), ft)
 	}
 	if uint64(len(arena)) > math.MaxUint32 {
 		return errors.New("postings exceed 4 GiB")
 	}
-	ix.entries = append(grow(ix.entries, 1), termEntry{term: term, ft: ft, off: uint32(len(ix.arena)), skip: uint32(len(ix.skips))})
+	ix.entries = append(grow(ix.entries, 1), termEntry{ft: ft, off: uint32(len(ix.arena)), skip: uint32(len(ix.skips))})
 	ix.arena, ix.skips = arena, ix.skips[:len(ix.skips)+n]
 	ix.numPtrs += uint64(ft)
 	return nil
 }
 
 // seal trims the slack the producer's estimates and doubling left in the
-// arenas, and points the term lookup — a map the producer handed over, or a
-// new one — at the entries.
+// arenas, and freezes the term table with its lookup built.
 func (ix *Index) seal() *Index {
 	ix.entries, ix.arena, ix.skips = trim(ix.entries), trim(ix.arena), trim(ix.skips)
-	if ix.byTerm == nil {
-		ix.byTerm = make(map[string]uint32, len(ix.entries))
-	}
-	for i, e := range ix.entries {
-		ix.byTerm[e.term] = uint32(i)
-	}
+	ix.terms.Seal()
+	ix.terms.Index()
 	return ix
 }
 
@@ -313,7 +310,7 @@ func (ix *Index) InvDocWeights() []float64 {
 // TermFreq returns f_t, the number of documents containing term (0 when the
 // term is absent).
 func (ix *Index) TermFreq(term string) uint32 {
-	if i, ok := ix.byTerm[term]; ok {
+	if i, ok := ix.terms.Lookup(term); ok {
 		return ix.entries[i].ft
 	}
 	return 0
@@ -322,8 +319,8 @@ func (ix *Index) TermFreq(term string) uint32 {
 // Terms calls fn for every indexed term in lexicographic order with its f_t.
 // fn returning false stops the walk.
 func (ix *Index) Terms(fn func(term string, ft uint32) bool) {
-	for _, e := range ix.entries {
-		if !fn(e.term, e.ft) {
+	for i, e := range ix.entries {
+		if !fn(ix.terms.At(uint32(i)), e.ft) {
 			return
 		}
 	}
@@ -337,9 +334,5 @@ func (ix *Index) SizeBytes() uint64 { return uint64(len(ix.arena)) }
 // DictSizeBytes approximates the dictionary ("vocabulary") size: the
 // quantity a CV receptionist must store per collection.
 func (ix *Index) DictSizeBytes() uint64 {
-	var n uint64
-	for _, e := range ix.entries {
-		n += uint64(len(e.term)) + 8 // term bytes + f_t + offset bookkeeping
-	}
-	return n
+	return uint64(ix.terms.Bytes()) + 8*uint64(len(ix.entries)) // term bytes + f_t + offset bookkeeping
 }

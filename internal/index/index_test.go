@@ -400,7 +400,7 @@ func (b *mapBuilder) Add(terms []string) uint32 {
 }
 
 func (b *mapBuilder) Build() (*Index, error) {
-	idx := newIndex(uint32(len(b.weights)), b.skipIvl, 0, 0, 0)
+	idx := newIndex(uint32(len(b.weights)), b.skipIvl, 0, 0, 0, 0)
 	idx.weights, idx.lens = b.weights, b.lens
 	terms := make([]string, 0, len(b.terms))
 	for t := range b.terms {

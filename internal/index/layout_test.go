@@ -14,11 +14,12 @@ import (
 	"teraphim/internal/codec"
 )
 
-// TestTermEntrySize pins the dictionary entry at a term, f_t and two arena
-// offsets: 32 bytes, where a list averages about 56 compressed bytes.
+// TestTermEntrySize pins the dictionary entry at f_t and two arena offsets,
+// its term held by number in the index's term table: 12 bytes, where a list
+// averages about 56 compressed bytes.
 func TestTermEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(termEntry{}); n > 32 {
-		t.Fatalf("termEntry is %d bytes, want at most 32", n)
+	if n := unsafe.Sizeof(termEntry{}); n > 12 {
+		t.Fatalf("termEntry is %d bytes, want at most 12", n)
 	}
 }
 
@@ -98,9 +99,10 @@ func TestProducersAllocatePerArena(t *testing.T) {
 			}
 			srcs[i] = &parts[i]
 		}
-		// What core passes: the merged vocabulary's term count, and here the
-		// parts' postings, which bound the folded lists'.
-		postings := 0
+		// What core passes: the merged vocabulary's term count and term
+		// bytes, and here the parts' postings, which bound the folded lists'.
+		termBytes, postings := 0, 0
+		EachTerm([]*Index{a, b}, func(term string, _ uint32) { termBytes += len(term) })
 		for _, p := range parts {
 			for _, l := range p.lists {
 				postings += len(l)
@@ -108,7 +110,7 @@ func TestProducersAllocatePerArena(t *testing.T) {
 		}
 		measure("BuildFromGroups", func() (*Index, error) {
 			parts[0].i, parts[1].i = 0, 0
-			return BuildFromGroups(srcs, uint32(len(docs)+g-1)/g, terms, postings)
+			return BuildFromGroups(srcs, uint32(len(docs)+g-1)/g, terms, termBytes, postings)
 		})
 
 		file := serialised(t, buildOver(t, docs))

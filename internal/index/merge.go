@@ -39,14 +39,14 @@ func Merge(subIndexes []*Index, offsets []uint32, totalDocs uint32, opts ...Buil
 		return nil, fmt.Errorf("index: inputs cover %d docs, collection has %d", covered, totalDocs)
 	}
 
-	// One pass over the dictionaries sizes the result: its entries and its
-	// skip tables. Its lists take about what the inputs' do.
+	// One pass over the dictionaries sizes the result: its entries, its
+	// terms and its skip tables. Its lists take about what the inputs' do.
 	skipIvl := skipIntervalOf(opts)
-	terms, skips := 0, 0
-	EachTerm(subIndexes, func(_ string, ft uint32) {
-		terms, skips = terms+1, skips+2*numSkips(ft, skipIvl)
+	terms, termBytes, skips := 0, 0, 0
+	EachTerm(subIndexes, func(term string, ft uint32) {
+		terms, termBytes, skips = terms+1, termBytes+len(term), skips+2*numSkips(ft, skipIvl)
 	})
-	merged := newIndex(totalDocs, skipIvl, terms, listBytes, skips)
+	merged := newIndex(totalDocs, skipIvl, terms, termBytes, listBytes, skips)
 	merged.weights, merged.lens = make([]float32, totalDocs), make([]uint32, totalDocs)
 	for i, ix := range subIndexes {
 		copy(merged.weights[offsets[i]:], ix.weights)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"io/fs"
 	"math"
-	"strings"
 
 	"teraphim/internal/codec"
 )
@@ -49,11 +48,12 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	}
 	prev := ""
 	for i, e := range ix.entries {
-		shared := sharedPrefix(prev, e.term)
+		term := ix.terms.At(uint32(i))
+		shared := sharedPrefix(prev, term)
 		bw.WriteByte(byte(shared))
-		bw.WriteByte(byte(len(e.term) - shared))
-		bw.WriteString(e.term[shared:])
-		prev = e.term
+		bw.WriteByte(byte(len(term) - shared))
+		bw.WriteString(term[shared:])
+		prev = term
 		list, skipDocs, _ := ix.list(i)
 		put(e.ft)
 		put(uint32(len(list)))
@@ -117,23 +117,20 @@ func ReadFrom(r io.Reader) (*Index, error) {
 		return nil, d.err
 	}
 
-	ix := newIndex(numDocs, skipIvl, int(numTerms), listBytes, skips)
+	ix := newIndex(numDocs, skipIvl, int(numTerms), termBytes, listBytes, skips)
 	ix.weights, ix.lens = make([]float32, numDocs), make([]uint32, numDocs)
 	for i := range ix.weights {
 		ix.weights[i] = math.Float32frombits(binary.LittleEndian.Uint32(docs[8*i:]))
 		ix.lens[i] = binary.LittleEndian.Uint32(docs[8*i+4:])
 	}
-	var terms strings.Builder
-	terms.Grow(termBytes) // every term is a substring of this one string
 	list := make([]Posting, longest)
+	front := make([]byte, 0, 2*255) // a term's shared bytes, then its suffix
 	d.data = termSection
 	prev := ""
 	for i := range int(numTerms) {
 		rec := d.record()
-		start := terms.Len()
-		terms.WriteString(prev[:rec.shared])
-		terms.Write(rec.suffix)
-		term := terms.String()[start:]
+		front = append(append(front[:0], prev[:rec.shared]...), rec.suffix...)
+		term := ix.terms.At(ix.terms.AddBytes(front))
 		if (i > 0 && term <= prev) || rec.shared != sharedPrefix(prev, term) {
 			return nil, d.fail("term %q after %q, sharing %d bytes", term, prev, rec.shared)
 		}
@@ -155,7 +152,7 @@ func ReadFrom(r io.Reader) (*Index, error) {
 		case used%8 != 0 && rec.list[len(rec.list)-1]<<(used%8) != 0:
 			err = errors.New("pad bits not zero")
 		default:
-			err = ix.addEntry(term, rec.ft, append(ix.arena, rec.list...), 2*n)
+			err = ix.addEntry(rec.ft, append(ix.arena, rec.list...), 2*n)
 		}
 		if err != nil {
 			return nil, d.fail("term %q: %v", term, err)

@@ -39,8 +39,8 @@ func (ix *Index) QuantizeWeights() (*Index, error) {
 	// weight cache (and its sync.Once) must start fresh, since the quantized
 	// copy has different weights.
 	out := Index{
+		terms:   ix.terms,
 		entries: ix.entries,
-		byTerm:  ix.byTerm,
 		arena:   ix.arena,
 		skips:   ix.skips,
 		lens:    ix.lens,

@@ -16,6 +16,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"teraphim/internal/intern"
 )
 
 // belief is CORI's default belief floor: the score a collection gets for a
@@ -23,33 +25,29 @@ import (
 const belief = 0.4
 
 // Vocabulary is the receptionist's one table of term statistics, merged
-// from every collection's vocabulary: a row per term holding its global f_t
-// (summed over the collections), its collection frequency cf_t (CORI's count
-// of the collections holding it) and each collection's own f_t, all in one
-// flat slice. Global term weights, CV's eligibility test and CORI selection
+// from every collection's vocabulary: a row per term of its term table
+// holding its global f_t (summed over the collections), its collection
+// frequency cf_t (CORI's count of the collections holding it) and each
+// collection's own f_t, all in one flat slice. Global term weights, CV's eligibility test and CORI selection
 // read it; a vocabulary delta would update its rows. Fill it with Add, then
 // hand it to NewIndex, after which it is read-only and safe for concurrent
 // use.
 type Vocabulary struct {
-	rows      map[string]uint32 // term -> row
-	cells     []uint32          // row r is cells[r·width : (r+1)·width]
-	width     int               // 2 + the number of collections
-	termBytes uint64
+	terms *intern.Table // term r's row is row r
+	cells []uint32      // row r is cells[r·width : (r+1)·width]
+	width int           // 2 + the number of collections
 }
 
 // NewVocabulary returns an empty table over n collections.
 func NewVocabulary(n int) *Vocabulary {
-	return &Vocabulary{rows: make(map[string]uint32), width: n + 2}
+	return &Vocabulary{terms: intern.New(0, 0), width: n + 2}
 }
 
 // Add records that collection c holds term in ft of its documents.
 func (v *Vocabulary) Add(c int, term string, ft uint32) {
-	r, ok := v.rows[term]
-	if !ok {
-		r = uint32(len(v.cells) / v.width)
-		v.rows[term] = r
+	r, added := v.terms.Intern(term)
+	if added {
 		v.cells = append(v.cells, make([]uint32, v.width)...)
-		v.termBytes += uint64(len(term))
 	}
 	row := v.cells[int(r)*v.width:][:v.width]
 	if row[2+c] == 0 && ft > 0 {
@@ -63,7 +61,7 @@ func (v *Vocabulary) Add(c int, term string, ft uint32) {
 // in collection order — or nil when no collection listed it. The row is
 // shared and must not be modified.
 func (v *Vocabulary) Row(term string) []uint32 {
-	r, ok := v.rows[term]
+	r, ok := v.terms.Lookup(term)
 	if !ok {
 		return nil
 	}
@@ -71,7 +69,7 @@ func (v *Vocabulary) Row(term string) []uint32 {
 }
 
 // Len returns the number of terms in the table and the bytes of their text.
-func (v *Vocabulary) Len() (terms int, termBytes uint64) { return len(v.rows), v.termBytes }
+func (v *Vocabulary) Len() (terms, termBytes int) { return v.terms.Len(), v.terms.Bytes() }
 
 // Index is an immutable collection-selection index: per-collection df
 // normalisers over a Vocabulary, precomputed once so per-query scoring is
@@ -93,6 +91,8 @@ type Index struct {
 // freezes v: it must not be added to afterwards.
 func NewIndex(names []string, v *Vocabulary) *Index {
 	v.cells = slices.Clone(v.cells) // without the slack Add's appends left
+	v.terms.Seal()
+	v.terms.Index()
 	ix := &Index{names: names, vocab: v, denom: make([]float64, len(names))}
 	var totalCW float64
 	cw := make([]float64, len(names))
