@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"teraphim/internal/core"
 	"teraphim/internal/eval"
@@ -50,10 +49,6 @@ func run(w io.Writer, args []string) error {
 	kPrime := fs.Int("kprime", 100, "CI groups to expand")
 	groupSize := fs.Int("G", 10, "CI group size")
 	topK := fs.Int("top", 20, "relevant-in-top depth")
-	timeout := fs.Duration("timeout", 0, "per-exchange deadline (0 = none)")
-	retries := fs.Int("retries", 0, "extra attempts per librarian exchange after a transient failure")
-	backoff := fs.Duration("backoff", 50*time.Millisecond, "base retry backoff, doubled per attempt")
-	partial := fs.Bool("partial", false, "score degraded rankings when librarians fail instead of aborting")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -91,17 +86,13 @@ func run(w io.Writer, args []string) error {
 		dialer.Wait()
 	}()
 
+	// The librarians are in-process links with no faults to tolerate, so
+	// the options carry no fault policy.
 	var qmode core.Mode
-	opts := core.Options{
-		Timeout:      *timeout,
-		Retries:      *retries,
-		Backoff:      *backoff,
-		AllowPartial: *partial,
-	}
+	var opts core.Options
 	switch strings.ToLower(*mode) {
 	case "ms":
-		qmode = core.ModeMS // approximated by CV, which is score-identical
-		qmode = core.ModeCV
+		qmode = core.ModeCV // MS is approximated by CV, which is score-identical
 	case "cn":
 		qmode = core.ModeCN
 	case "cv":
@@ -129,14 +120,10 @@ func run(w io.Writer, args []string) error {
 	}
 	for kind, qs := range byKind {
 		runs := make(map[string]eval.Run, len(qs))
-		degraded := 0
 		for _, q := range qs {
 			res, err := pool.Query(qmode, q.text, *k, opts)
 			if err != nil {
 				return fmt.Errorf("query %s: %w", q.id, err)
-			}
-			if res.Trace.Degraded {
-				degraded++
 			}
 			run := make(eval.Run, len(res.Answers))
 			for i, a := range res.Answers {
@@ -147,10 +134,6 @@ func run(w io.Writer, args []string) error {
 		s := eval.EvaluateFull(qrels, runs, *k, *topK)
 		fmt.Fprintf(w, "%s queries (%s mode): %s; MAP %.2f%%, R-precision %.2f%%\n",
 			kind, strings.ToUpper(*mode), s.Summary, s.MAP, s.RPrecision)
-		if degraded > 0 {
-			fmt.Fprintf(w, "  %d of %d queries answered degraded (librarian failures tolerated)\n",
-				degraded, len(qs))
-		}
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ func fixture(t *testing.T) (queries, qrels string, cols []string) {
 
 func TestEvalRunModes(t *testing.T) {
 	queries, qrels, cols := fixture(t)
-	for _, mode := range []string{"cv", "cn", "ci"} {
+	for _, mode := range []string{"ms", "cv", "cn", "ci"} {
 		var buf bytes.Buffer
 		err := run(&buf, []string{
 			"-queries", queries, "-qrels", qrels,
@@ -88,6 +88,13 @@ func TestEvalRunValidation(t *testing.T) {
 	}
 	if err := run(&buf, []string{"-queries", "/nonexistent", "-qrels", qrels, "-cols", cols[0]}); err == nil {
 		t.Fatal("bad queries path: want error")
+	}
+	// In-process librarians have no failures to tolerate, so evalrun takes
+	// no fault policy.
+	for _, flag := range []string{"-timeout=1s", "-retries=1", "-backoff=1ms", "-partial"} {
+		if err := run(&buf, []string{flag, "-queries", queries, "-qrels", qrels, "-cols", strings.Join(cols, ",")}); err == nil {
+			t.Fatalf("%s: want an unknown-flag error", flag)
+		}
 	}
 }
 

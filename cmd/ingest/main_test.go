@@ -10,7 +10,6 @@ func TestIngestUnderQueryLoad(t *testing.T) {
 	var buf bytes.Buffer
 	err := run(&buf, []string{
 		"-seed", "40", "-docs", "120", "-batch", "10",
-		"-clients", "2", "-k", "5",
 		"-queue", "4", "-fanin", "2", "-minseg", "10",
 		"-compact",
 	})
@@ -21,7 +20,6 @@ func TestIngestUnderQueryLoad(t *testing.T) {
 	for _, want := range []string{
 		"160 docs (40 seeded + 120 streamed)",
 		"ingest rate",
-		"query rate",
 		"merges",
 		"compacted to             1 segment(s)",
 	} {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -208,17 +209,138 @@ func scrapeOnce(addr string) (string, error) {
 
 func TestReceptionistValidation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, strings.NewReader(""), nil); err == nil {
-		t.Fatal("missing -libs: want error")
+	for _, tc := range []struct {
+		why  string
+		args []string
+	}{
+		{"missing -libs", nil},
+		{"malformed spec", []string{"-libs", "badspec"}},
+		{"unsupported mode", []string{"-libs", "a=x", "-mode", "warp"}},
+		{"unreachable librarian", []string{"-libs", "a=127.0.0.1:1"}},
+	} {
+		if err := run(&buf, strings.NewReader(""), tc.args); err == nil {
+			t.Errorf("%s: want error", tc.why)
+		}
 	}
-	if err := run(&buf, strings.NewReader(""), []string{"-libs", "badspec"}); err == nil {
-		t.Fatal("malformed spec: want error")
+}
+
+// TestLoadValidation: a -clients run rejects bad flags before any client
+// starts, and needs at least one query on stdin.
+func TestLoadValidation(t *testing.T) {
+	var buf bytes.Buffer
+	for _, tc := range []struct {
+		why  string
+		args []string
+	}{
+		{"missing -libs", []string{"-clients", "2"}},
+		{"malformed spec", []string{"-libs", "badspec", "-clients", "2"}},
+		{"unsupported mode", []string{"-libs", "a=x", "-clients", "2", "-mode", "warp"}},
+		{"negative clients", []string{"-libs", "a=x", "-clients", "-1"}},
+		{"zero queries", []string{"-libs", "a=x", "-clients", "2", "-n", "0"}},
+	} {
+		if err := run(&buf, strings.NewReader(loadQueries), tc.args); err == nil {
+			t.Errorf("%s: want error", tc.why)
+		}
 	}
-	if err := run(&buf, strings.NewReader(""), []string{"-libs", "a=x", "-mode", "ci"}); err == nil {
-		t.Fatal("unsupported mode: want error")
+	if err := run(&buf, strings.NewReader("\n\n"), []string{"-libs", startFleet(t), "-clients", "2"}); err == nil {
+		t.Error("empty stdin under -clients: want error")
 	}
-	// Unreachable librarian.
-	if err := run(&buf, strings.NewReader(""), []string{"-libs", "a=127.0.0.1:1"}); err == nil {
-		t.Fatal("unreachable librarian: want error")
+}
+
+// loadQueries is stdin for a -clients run: a bare query and a
+// cmd/trecgen-style TSV line, whose last field is the query.
+const loadQueries = "election networks\nQ1\tshort\tdistributed state\nnews\n"
+
+// TestEachQueryTSV: each non-blank stdin line is a query, and a TSV line
+// gives its last field.
+func TestEachQueryTSV(t *testing.T) {
+	var got []string
+	if err := eachQuery(strings.NewReader(loadQueries+"\n  \n"), func(q string) { got = append(got, q) }); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"election networks", "distributed state", "news"}; !slices.Equal(got, want) {
+		t.Fatalf("queries %q, want %q", got, want)
+	}
+}
+
+// loadRun drives a -clients run over the fleet and returns its report.
+func loadRun(t *testing.T, libs string, args ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	args = append([]string{"-libs", libs, "-nostem", "-nostop"}, args...)
+	if err := run(&buf, strings.NewReader(loadQueries), args); err != nil {
+		t.Fatalf("%v: %v\n%s", args, err, buf.String())
+	}
+	return buf.String()
+}
+
+// setupLine extracts the "setup ... round trips" report line.
+func setupLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "setup") {
+			return line
+		}
+	}
+	t.Fatalf("no setup line in:\n%s", out)
+	return ""
+}
+
+// TestLoadMode drives each of the paper's methodologies under -clients and
+// pins each one's set-up cost per librarian: the Hello, then the vocabulary
+// (CV, CI) and the central index's eight parts (CI).
+func TestLoadMode(t *testing.T) {
+	libs := startFleet(t)
+	for _, tc := range []struct {
+		mode  string
+		args  []string
+		trips string
+	}{
+		{"CN", []string{"-fetch", "-compressed=false"}, " 2 round trips"},
+		{"CV", nil, " 4 round trips"},
+		{"CI", []string{"-group", "2", "-kprime", "2"}, " 20 round trips"},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			out := loadRun(t, libs, append([]string{"-mode", tc.mode, "-clients", "3", "-n", "30", "-k", "3"}, tc.args...)...)
+			for _, want := range []string{"30 queries, 3 clients, mode " + tc.mode, "throughput", "latency p99", "wire rt/query"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("missing %q in:\n%s", want, out)
+				}
+			}
+			if line := setupLine(t, out); !strings.Contains(line, tc.trips) {
+				t.Errorf("set-up over two librarians: %q, want%s", line, tc.trips)
+			}
+		})
+	}
+}
+
+// TestLoadSetupOnce pins the shared-pool contract: the set-up round trips
+// do not depend on -clients, because the vocabulary and model exchanges run
+// once on the pool, not once per client.
+func TestLoadSetupOnce(t *testing.T) {
+	libs := startFleet(t)
+	var lines []string
+	for _, clients := range []string{"1", "8"} {
+		lines = append(lines, setupLine(t, loadRun(t, libs, "-mode", "cv", "-fetch", "-clients", clients, "-n", "16", "-k", "3")))
+	}
+	if lines[0] != lines[1] {
+		t.Fatalf("setup cost grew with clients:\n1 client:  %s\n8 clients: %s", lines[0], lines[1])
+	}
+}
+
+// TestInteractiveCISession: the prompt serves CI as well as CN and CV, and
+// reads a TSV line's last field as the query.
+func TestInteractiveCISession(t *testing.T) {
+	libs := startFleet(t)
+	var buf bytes.Buffer
+	stdin := strings.NewReader("Q1\tshort\telection networks\n")
+	if err := run(&buf, stdin, []string{"-libs", libs, "-mode", "ci", "-group", "1", "-k", "5", "-nostem", "-nostop"}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"central index: groups of 1 documents", "answers from 2 librarians", "news:"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in:\n%s", want, out)
+		}
 	}
 }

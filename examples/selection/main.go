@@ -1,19 +1,12 @@
 // Collection selection: the extension the paper's analysis points to —
 // "net savings are possible only if, given a query, it can be reliably
 // determined that many of the subcollections can be neglected." A CV
-// receptionist already holds every subcollection's vocabulary, so it can
-// rank librarians by a GlOSS-style goodness score and query only the most
-// promising ones.
+// receptionist already holds every subcollection's vocabulary, so
+// Options.TopR ranks the librarians per query (CORI-style) and contacts only
+// the R most promising.
 //
-// This example splits a synthetic corpus into 12 subcollections, then
-// sweeps "query only the top-n librarians" from 1 to 12 and reports how
-// much of the full-fleet answer quality survives at each n — together with
-// the work saved.
-//
-// The library now does this natively: Options.TopR applies CORI-style
-// selection inside the receptionist (see the README's "Collection
-// selection" section). This example keeps the hand-rolled client-side
-// variant to show the mechanics.
+// This example sweeps R over 12 synthetic subcollections and reports how
+// much of the full fan-out's top 20 survives at each R, and at what work.
 //
 //	go run ./examples/selection
 package main
@@ -21,9 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
-	"sort"
-	"strings"
 
 	"teraphim"
 	"teraphim/internal/trecsynth"
@@ -53,9 +43,6 @@ func run() error {
 	analyzer := teraphim.NewAnalyzer(teraphim.WithoutStopwords(), teraphim.WithoutStemming())
 	var libs []*teraphim.Librarian
 	var names []string
-	// Keep each librarian's vocabulary for selection scoring.
-	vocabs := map[string]map[string]uint32{}
-	docCounts := map[string]int{}
 	for _, sub := range corpus.Subcollections {
 		lib, err := teraphim.BuildLibrarianWith(sub.Name, sub.Docs, teraphim.BuildOptions{Analyzer: analyzer})
 		if err != nil {
@@ -63,23 +50,14 @@ func run() error {
 		}
 		libs = append(libs, lib)
 		names = append(names, sub.Name)
-		v := map[string]uint32{}
-		lib.Engine().Index().Terms(func(term string, ft uint32) bool {
-			v[term] = ft
-			return true
-		})
-		vocabs[sub.Name] = v
-		docCounts[sub.Name] = len(sub.Docs)
 	}
 	dialer := teraphim.NewInProcessDialer(libs, teraphim.LinkConfig{})
 	pool, err := teraphim.ConnectPool(dialer, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
 	if err != nil {
 		return err
 	}
-	defer func() {
-		pool.Close()
-		dialer.Wait()
-	}()
+	defer dialer.Wait() // after pool.Close, below: the links drain once closed
+	defer pool.Close()
 	if _, err := pool.SetupVocabulary(); err != nil {
 		return err
 	}
@@ -87,97 +65,35 @@ func run() error {
 	queries := corpus.QueriesOf(trecsynth.ShortQuery)
 	fmt.Printf("%d subcollections, %d queries\n\n", len(names), len(queries))
 	fmt.Printf("%-10s %16s %16s\n", "librarians", "overlap@20 (%)", "postings vs full")
-
-	for _, n := range []int{1, 2, 3, 6, 12} {
-		var overlap, full float64
-		var postingsSel, postingsFull float64
+	for _, r := range []int{1, 2, 3, 6, 12} {
+		var overlap, postings, fullPostings float64
 		for _, q := range queries {
-			// Full-fleet CV answer as the reference.
-			ref, err := pool.Query(teraphim.ModeCV, q.Text, 20, teraphim.Options{})
+			full, err := pool.Query(teraphim.ModeCV, q.Text, 20, teraphim.Options{})
 			if err != nil {
 				return err
 			}
-			postingsFull += float64(ref.Trace.LibrarianWork().PostingsDecoded)
-
-			// GlOSS-style selection: score each librarian by
-			// sum over query terms of ft(lib)/docs(lib) weighted by global idf.
-			selected := selectLibrarians(pool.Federation(), vocabs, docCounts, analyzer, q.Text, n)
-			// Evaluate by filtering the reference answers to selected
-			// librarians (a CV query to a fleet subset returns exactly the
-			// subset's answers, since scores are global).
-			keep := map[string]bool{}
-			for _, s := range selected {
-				keep[s] = true
+			top, err := pool.Query(teraphim.ModeCV, q.Text, 20, teraphim.Options{TopR: r})
+			if err != nil {
+				return err
+			}
+			inFull := map[string]bool{}
+			for _, a := range full.Answers {
+				inFull[a.Key()] = true
 			}
 			hits := 0
-			for _, a := range ref.Answers {
-				if keep[a.Librarian] {
+			for _, a := range top.Answers {
+				if inFull[a.Key()] {
 					hits++
 				}
 			}
-			if len(ref.Answers) > 0 {
-				overlap += float64(hits) / float64(len(ref.Answers))
-				full++
-			}
-			// Work saved: postings at selected librarians only.
-			var sel float64
-			for _, c := range ref.Trace.Calls {
-				if keep[c.Librarian] {
-					sel += float64(c.LibStats.PostingsDecoded)
-				}
-			}
-			postingsSel += sel
+			overlap += float64(hits) / float64(max(len(full.Answers), 1))
+			postings += float64(top.Trace.LibrarianWork().PostingsDecoded)
+			fullPostings += float64(full.Trace.LibrarianWork().PostingsDecoded)
 		}
-		fmt.Printf("top %-6d %15.1f%% %15.1f%%\n", n,
-			100*overlap/full, 100*postingsSel/postingsFull)
+		fmt.Printf("top %-6d %15.1f%% %15.1f%%\n", r,
+			100*overlap/float64(len(queries)), 100*postings/fullPostings)
 	}
-	fmt.Println("\nWith topically skewed subcollections, a handful of well-chosen librarians")
-	fmt.Println("retain most of the top-20 answers at a fraction of the index work — the")
-	fmt.Println("paper's route to making distribution pay for itself.")
+	fmt.Println("\nA few well-chosen librarians keep most of the top 20 at a fraction of the")
+	fmt.Println("index work: the paper's route to making distribution pay for itself.")
 	return nil
-}
-
-// selectLibrarians ranks librarians for a query by a GlOSS-style goodness
-// estimate: Σ_t idf_global(t) · ft(lib,t)/numDocs(lib).
-func selectLibrarians(fed *teraphim.Federation, vocabs map[string]map[string]uint32,
-	docCounts map[string]int, analyzer *teraphim.Analyzer, query string, n int) []string {
-	terms := analyzer.Terms(nil, query)
-	weights, err := fed.GlobalWeights(query)
-	if err != nil {
-		return nil
-	}
-	type scored struct {
-		name  string
-		score float64
-	}
-	var ranking []scored
-	for name, vocab := range vocabs {
-		var s float64
-		seen := map[string]bool{}
-		for _, t := range terms {
-			if seen[t] {
-				continue
-			}
-			seen[t] = true
-			if ft := vocab[t]; ft > 0 {
-				idf := weights[t]
-				s += idf * math.Log(float64(ft)+1) / math.Log(float64(docCounts[name])+1)
-			}
-		}
-		ranking = append(ranking, scored{name, s})
-	}
-	sort.Slice(ranking, func(i, j int) bool {
-		if ranking[i].score != ranking[j].score {
-			return ranking[i].score > ranking[j].score
-		}
-		return strings.Compare(ranking[i].name, ranking[j].name) < 0
-	})
-	if n > len(ranking) {
-		n = len(ranking)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = ranking[i].name
-	}
-	return out
 }

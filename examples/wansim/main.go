@@ -2,16 +2,16 @@
 // Canberra, Brisbane, Hamilton and Tel Aviv, receptionist in Melbourne —
 // run in-process with Table 2's measured round-trip times shaped onto the
 // links (scaled 20x so the demo finishes quickly), plus the analytic cost
-// model's view of the same queries.
+// model's view of the same queries. Coalescing concurrent clients' queries
+// into one frame and answering without a lost site are cmd/receptionist's
+// -batchwindow and -partial.
 //
 //	go run ./examples/wansim
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"teraphim"
@@ -136,89 +136,6 @@ func run() error {
 	fmt.Println("\nAs the paper found: wide-area response time is dominated by link latency,")
 	fmt.Println("not by computation — handshaking must be kept to an absolute minimum.")
 
-	// That remedy is a wire-level lever here: every connection is
-	// pipelined, and Options.BatchWindow coalesces concurrent clients'
-	// queries to the same librarian into one round trip. Same fleet and
-	// links, eight concurrent clients, no window vs a 5 ms window.
-	fmt.Println("\nWire efficiency: 8 concurrent clients over the same WAN links:")
-	for _, wire := range []struct {
-		label  string
-		window time.Duration
-	}{
-		{label: "pipelined, no window"},
-		{label: "pipelined + 5ms batch window", window: 5 * time.Millisecond},
-	} {
-		pool, err := teraphim.ConnectPool(dialer, names, teraphim.ReceptionistConfig{
-			Analyzer:             analyzer,
-			MaxConnsPerLibrarian: 2,
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := pool.SetupVocabulary(); err != nil {
-			pool.Close()
-			return err
-		}
-		m := pool.Metrics()
-		rt0 := m.WireRoundTrips()
-		const wireClients = 8
-		errs := make(chan error, wireClients)
-		start := time.Now()
-		for c := 0; c < wireClients; c++ {
-			go func(c int) {
-				for _, q := range queries {
-					if _, err := pool.Query(teraphim.ModeCV, q.Text, 5,
-						teraphim.Options{BatchWindow: wire.window}); err != nil {
-						errs <- err
-						return
-					}
-				}
-				errs <- nil
-			}(c)
-		}
-		for c := 0; c < wireClients; c++ {
-			if err := <-errs; err != nil {
-				pool.Close()
-				return err
-			}
-		}
-		elapsed := time.Since(start)
-		done := wireClients * len(queries)
-		fmt.Printf("  %-28s %2d queries in %7v, %4.1f wire round trips/query\n",
-			wire.label, done, elapsed.Round(time.Millisecond),
-			float64(m.WireRoundTrips()-rt0)/float64(done))
-		pool.Close()
-	}
-
-	// On a real WAN, sites also disappear: the paper's Tel Aviv link was the
-	// slowest and flakiest. Demonstrate degraded operation — WSJ answers its
-	// setup exchanges and then drops off the network for good; with
-	// AllowPartial the receptionist retries, gives up, and still answers the
-	// query from the three surviving sites.
-	fmt.Println("\nDegraded operation: the Tel Aviv librarian (WSJ) dies after setup:")
-	flaky := &flakySite{inner: dialer, site: "WSJ", writesLeft: 2} // Hello + vocabulary
-	pool2, err := teraphim.ConnectPool(flaky, names, teraphim.ReceptionistConfig{Analyzer: analyzer})
-	if err != nil {
-		return err
-	}
-	defer pool2.Close()
-	if _, err := pool2.SetupVocabulary(); err != nil {
-		return err
-	}
-	res, err := pool2.Query(teraphim.ModeCV, queries[0].Text, 5, teraphim.Options{
-		Retries:      1,
-		Backoff:      10 * time.Millisecond,
-		AllowPartial: true,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  query %s: %d answers from the survivors (degraded=%v)\n",
-		queries[0].ID, len(res.Answers), res.Trace.Degraded)
-	for _, f := range res.Trace.Failures {
-		fmt.Printf("  lost %s in the %s phase after %d attempt(s): %v\n",
-			f.Librarian, f.Phase, f.Attempts, f.Err)
-	}
 	return nil
 }
 
@@ -250,46 +167,4 @@ func fetchTraces(libs []*teraphim.Librarian, names []string, analyzer *teraphim.
 		traces = append(traces, &res.Trace)
 	}
 	return traces, nil
-}
-
-// flakySite fails one site mid-session: its first connection permits
-// writesLeft writes (enough for the setup exchanges) before the link drops,
-// and every redial is refused.
-type flakySite struct {
-	inner teraphim.Dialer
-	site  string
-	// writesLeft counts protocol messages the first connection will accept;
-	// dialed tracks whether the one doomed connection was already handed out.
-	writesLeft int
-	dialed     bool
-}
-
-func (f *flakySite) Dial(name string) (net.Conn, error) {
-	if name != f.site {
-		return f.inner.Dial(name)
-	}
-	if f.dialed {
-		return nil, errors.New("no route to host")
-	}
-	f.dialed = true
-	conn, err := f.inner.Dial(name)
-	if err != nil {
-		return nil, err
-	}
-	return &dyingConn{Conn: conn, writesLeft: f.writesLeft}, nil
-}
-
-// dyingConn forwards writesLeft whole messages, then fails every write —
-// each protocol.WriteMessage issues exactly one Write call.
-type dyingConn struct {
-	net.Conn
-	writesLeft int
-}
-
-func (c *dyingConn) Write(p []byte) (int, error) {
-	if c.writesLeft <= 0 {
-		return 0, errors.New("link down")
-	}
-	c.writesLeft--
-	return c.Conn.Write(p)
 }

@@ -143,11 +143,9 @@ func NewRegistry() *Registry {
 }
 
 // lookup finds or creates the (family, series) pair, enforcing kind
-// consistency per name. It returns the series and whether it already held an
-// instrument.
+// consistency per name. The caller holds r.mu until it has given a new
+// series its instrument, so every caller of one series shares one instrument.
 func (r *Registry) lookup(name, help string, kind metricKind, labels string) *series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f := r.byName[name]
 	if f == nil {
 		f = &family{name: name, help: help, kind: kind}
@@ -170,6 +168,8 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels string) *se
 // it on first use. labels is a pre-formatted Prometheus label body such as
 // `mode="CV"`, or "" for none.
 func (r *Registry) Counter(name, help, labels string) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.lookup(name, help, kindCounter, labels)
 	if s.c == nil {
 		s.c = &Counter{}
@@ -179,6 +179,8 @@ func (r *Registry) Counter(name, help, labels string) *Counter {
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
 func (r *Registry) Gauge(name, help, labels string) *Gauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.lookup(name, help, kindGauge, labels)
 	if s.g == nil {
 		s.g = &Gauge{}
@@ -191,6 +193,8 @@ func (r *Registry) Gauge(name, help, labels string) *Gauge {
 // Bounds are fixed at creation; a second call with different bounds returns
 // the original instrument.
 func (r *Registry) Histogram(name, help, labels string, bounds []float64) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.lookup(name, help, kindHistogram, labels)
 	if s.h == nil {
 		if bounds == nil {
