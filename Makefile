@@ -45,13 +45,16 @@ loc:
 
 # Short fuzz runs: long enough to catch regressions in the decoders and
 # codec invariants (the wire decoders, the CI set-up's grouped-postings
-# reader among them; two compare the windowed bit reader and the block postings
-# decoder against bit-at-a-time references; one holds a text model frozen at
-# training to restoring any later string, and one holds the model decoder a
-# receptionist runs on its peers' bytes to writing them back; one compares the write path's
-# word scanner with the rune loop it replaced; one holds Build's one scan
-# to the two passes it replaced; the last feeds the index file reader
-# arbitrary bytes), short enough for every verify run. -run='^$$' skips the unit tests, which `race` already covered.
+# reader among them; two compare the windowed bit reader and the block
+# postings decoder against bit-at-a-time references, and two the bit writer
+# and the one-write postings coder against a bit-at-a-time writer and the
+# per-field coder; one holds a text model frozen at training to restoring any
+# later string, and one holds the model decoder a receptionist runs on its
+# peers' bytes to writing them back; one compares the write path's word
+# scanner with the rune loop it replaced; one holds Build's one scan to the
+# two passes it replaced; the last feeds the index file reader arbitrary
+# bytes), short enough for every verify run. -run='^$$' skips the unit tests,
+# which `race` already covered.
 # -fuzzminimizetime=1s caps the time the engine spends minimising each new
 # input, which without it can take most of a short run at 0 execs/sec.
 fuzz-smoke:
@@ -63,7 +66,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPostingsRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzPostingsDecodeCorrupt -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBlockMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/codec
+	$(GO) test -run='^$$' -fuzz=FuzzAppendListMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/bitio
+	$(GO) test -run='^$$' -fuzz=FuzzWriterMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/bitio
 	$(GO) test -run='^$$' -fuzz=FuzzFrozenModelRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/huffman
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalTextModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/huffman
 	$(GO) test -run='^$$' -fuzz=FuzzSplitWordsMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/textproc

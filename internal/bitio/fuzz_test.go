@@ -2,6 +2,7 @@ package bitio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -221,4 +222,83 @@ func TestWriterMatchesBitAtATime(t *testing.T) {
 			t.Fatalf("trial %d: wrote %x, want %x", trial, got, want)
 		}
 	}
+}
+
+// refWriter is a bit-at-a-time writer: the bytes it keeps from a ResetTo,
+// then every bit written since as one byte.
+type refWriter struct {
+	kept []byte
+	bits []byte
+}
+
+func (r *refWriter) writeBits(v uint64, n uint) {
+	for i := int(n) - 1; i >= 0; i-- {
+		r.bits = append(r.bits, byte(v>>uint(i)&1))
+	}
+}
+
+func (r *refWriter) bytes() []byte {
+	out := append([]byte(nil), r.kept...)
+	for i, bit := range r.bits {
+		if i%8 == 0 {
+			out = append(out, 0)
+		}
+		out[len(out)-1] |= bit << (7 - uint(i%8))
+	}
+	return out
+}
+
+// checkWriterAgainstReference drives the Writer and the reference through
+// the same operations, decoded from ops: WriteBits of every width from 0 to
+// 64 (so fields over 56 bits are split) with a value from the next eight
+// bytes, WriteUnary runs past 56 ones, Bytes mid-stream, Reset, and ResetTo
+// onto a copy of kept. BitLen is compared after every operation, Bytes after
+// those that call it and at the end.
+func checkWriterAgainstReference(t *testing.T, kept, ops []byte) {
+	t.Helper()
+	var w Writer
+	ref := &refWriter{}
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i]%5, uint(ops[i+1])
+		switch op {
+		case 0:
+			var word [8]byte
+			copy(word[:], ops[i+2:])
+			v, n := binary.BigEndian.Uint64(word[:]), arg%65
+			w.WriteBits(v, n)
+			ref.writeBits(v, n)
+			i += len(word)
+		case 1:
+			w.WriteUnary(uint64(arg))
+			for range arg {
+				ref.writeBits(1, 1)
+			}
+			ref.writeBits(0, 1)
+		case 2:
+			if got, want := w.Bytes(), ref.bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("op %d: Bytes %x, reference %x", i/2, got, want)
+			}
+		case 3:
+			w.Reset()
+			ref.kept, ref.bits = nil, nil
+		case 4:
+			w.ResetTo(append([]byte(nil), kept...))
+			ref.kept, ref.bits = kept, nil
+		}
+		if w.BitLen() != len(ref.kept)*8+len(ref.bits) {
+			t.Fatalf("op %d (kind %d, arg %d): BitLen %d, reference %d", i/2, op, arg, w.BitLen(), len(ref.kept)*8+len(ref.bits))
+		}
+	}
+	if got, want := w.Bytes(), ref.bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("end: Bytes %x, reference %x", got, want)
+	}
+}
+
+// FuzzWriterMatchesReference is the differential fuzz of the accumulator
+// Writer against the bit-at-a-time one.
+func FuzzWriterMatchesReference(f *testing.F) {
+	f.Add([]byte{0xab, 0xcd}, []byte{0, 3, 0xff, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 13, 2, 0, 1, 70, 0, 64, 1, 2, 3, 4, 5, 6, 7, 8, 2, 0})
+	f.Add([]byte{}, []byte{0, 57, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0, 56, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 2, 0, 1, 200})
+	f.Add([]byte{1, 2, 3}, []byte{4, 0, 0, 7, 0x80, 0, 0, 0, 0, 0, 0, 0x7f, 2, 0, 0, 64, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe, 1, 57, 2, 0})
+	f.Fuzz(checkWriterAgainstReference)
 }

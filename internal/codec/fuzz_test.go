@@ -1,11 +1,13 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -284,6 +286,110 @@ func FuzzDecodeBlockMatchesReference(f *testing.F) {
 				checkBlockAgainstReference(t, stream[:cut], len(pairs), b)
 			}
 			checkBlockAgainstReference(t, data, len(data)/2+1, b)
+		}
+	})
+}
+
+// refAppendList is the per-field coder AppendList's one-write postings
+// replaced, kept as the oracle: per posting the gap's Golomb code through
+// put (a division, then unary and remainder writes) and the frequency's gamma
+// code through PutGamma. It returns the list's sync points, laid out as
+// AppendList lays them.
+func refAppendList(w *bitio.Writer, postings []Posting, numDocs uint32, ivl int) []uint32 {
+	g := NewGolombCode(GolombParameter(uint64(numDocs), uint64(len(postings))))
+	n := 0
+	if ivl > 0 && len(postings) > 0 {
+		n = (len(postings) - 1) / ivl
+	}
+	skips := make([]uint32, 2*n)
+	start, prev := w.BitLen(), int64(-1)
+	for i, p := range postings {
+		if ivl > 0 && i > 0 && i%ivl == 0 {
+			k := i/ivl - 1
+			skips[k], skips[n+k] = uint32(prev), uint32(w.BitLen()-start)
+		}
+		g.put(w, uint64(int64(p.Doc)-prev))
+		if err := PutGamma(w, uint64(p.FDT)); err != nil {
+			panic(err)
+		}
+		prev = int64(p.Doc)
+	}
+	return skips
+}
+
+// runListFromBytes derives a valid list from fuzz bytes: a uvarint of
+// leading bits to write before the list, a uvarint of documents past the
+// last posting, then (gap, f_dt, repeat) uvarint triples, each adding repeat+1
+// postings at that gap and frequency, gaps and frequencies clamped to ≥ 1 and
+// 32 bits and the list to 1<<22 postings. Repeats let a short input describe
+// a list dense enough for a divisor of 1.
+func runListFromBytes(data []byte) (lead uint, postings []Posting, numDocs uint32) {
+	next := func() uint64 {
+		v, n := binary.Uvarint(data)
+		if n <= 0 {
+			data = nil
+			return 0
+		}
+		data = data[n:]
+		return v
+	}
+	lead = uint(next() % 64)
+	slack := next()
+	doc := int64(-1)
+	for len(data) > 0 && len(postings) < 1<<22 {
+		gap, fdt, repeat := max(next()%(1<<32), 1), next()%math.MaxUint32+1, next()
+		for r := uint64(0); r <= repeat && len(postings) < 1<<22; r++ {
+			if doc+int64(gap) >= math.MaxUint32-1 {
+				break
+			}
+			doc += int64(gap)
+			postings = append(postings, Posting{Doc: uint32(doc), FDT: uint32(fdt)})
+		}
+	}
+	return lead, postings, uint32(min(uint64(doc+1)+slack, math.MaxUint32))
+}
+
+// FuzzAppendListMatchesReference holds AppendList, which writes a posting in
+// one call when its codes fit 56 bits and takes its quotient from a
+// reciprocal, to the per-field coder: the same bits, from a start that is not
+// byte-aligned, and the same sync points, at skip interval 0 and 64.
+func FuzzAppendListMatchesReference(f *testing.F) {
+	seed := func(lead, slack uint64, runs ...[3]uint64) []byte {
+		b := binary.AppendUvarint(binary.AppendUvarint(nil, lead), slack)
+		for _, r := range runs {
+			b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, r[0]), r[1]), r[2])
+		}
+		return b
+	}
+	// b = 1 (2,333,953 postings over 3,382,528 documents) and a gap of 2²⁰,
+	// whose unary quotient takes the per-field path.
+	f.Add(seed(3, 0, [3]uint64{1, 1, 2333951}, [3]uint64{1 << 20, 2, 0}))
+	f.Add(seed(0, 0, [3]uint64{1, 1, 219}, [3]uint64{100, 1, 0}))                 // the same at 320 documents
+	f.Add(seed(0, 9, [3]uint64{5, math.MaxUint32 - 1, 0}, [3]uint64{1, 1, 2}))    // f_dt of 2³²−1
+	f.Add(seed(5, 1000, [3]uint64{7, 3, 200}, [3]uint64{300, 1, 3}))              // ends mid-word
+	f.Add(seed(1, 0, [3]uint64{1 << 31, 1, 0}, [3]uint64{1<<31 - 3, 1 << 20, 0})) // near 2³² documents
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lead, postings, numDocs := runListFromBytes(data)
+		for _, ivl := range []int{0, 64} {
+			var got, want bitio.Writer
+			got.WriteBits(0x5a5a5a5a5a5a5a5a, lead)
+			want.WriteBits(0x5a5a5a5a5a5a5a5a, lead)
+			n := 0
+			if ivl > 0 && len(postings) > 0 {
+				n = (len(postings) - 1) / ivl
+			}
+			skips := make([]uint32, 2*n)
+			if err := AppendList(&got, postings, numDocs, ivl, skips); err != nil {
+				t.Fatalf("ivl %d: %d postings over %d documents: %v", ivl, len(postings), numDocs, err)
+			}
+			wantSkips := refAppendList(&want, postings, numDocs, ivl)
+			if got.BitLen() != want.BitLen() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("ivl %d: %d postings over %d documents: %d bits, reference %d, or other bytes",
+					ivl, len(postings), numDocs, got.BitLen(), want.BitLen())
+			}
+			if !slices.Equal(skips, wantSkips) {
+				t.Fatalf("ivl %d: sync points %v, reference %v", ivl, skips, wantSkips)
+			}
 		}
 	})
 }

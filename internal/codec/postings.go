@@ -25,8 +25,11 @@ type Posting struct {
 // len(skips)/2 sync points, one before each block of ivl postings after the
 // first: skips[k] is the last document before block k+1, and skips[n+k] the
 // bit, counted from the list's first, where that block starts.
+// A posting whose codes fit 56 bits is one write. Its quotient x/b is hi(x·m)
+// for Lemire's m = ⌊(2⁶⁴−1)/b⌋+1, exact for x, b < 2³²; m is 0 when b = 1.
 func AppendList(w *bitio.Writer, postings []Posting, numDocs uint32, ivl int, skips []uint32) error {
 	g := NewGolombCode(GolombParameter(uint64(numDocs), uint64(len(postings))))
+	m := ^uint64(0)/g.b + 1
 	start, n := w.BitLen(), len(skips)/2
 	prev, k, next := int64(-1), 0, ivl // next: the posting sync point k precedes
 	for i, p := range postings {
@@ -37,9 +40,23 @@ func AppendList(w *bitio.Writer, postings []Posting, numDocs uint32, ivl int, sk
 		if int64(p.Doc) <= prev || p.Doc >= numDocs || p.FDT == 0 {
 			return fmt.Errorf("codec: posting %d (%d, %d) not ascending inside %d documents", i, p.Doc, p.FDT, numDocs)
 		}
-		g.put(w, uint64(int64(p.Doc)-prev))
-		PutGamma(w, uint64(p.FDT))
+		x, f := uint64(int64(p.Doc)-prev)-1, uint64(p.FDT)
 		prev = int64(p.Doc)
+		q, _ := bits.Mul64(x, m)
+		if m == 0 {
+			q = x
+		}
+		rem, rn := x-q*g.b, g.short // the remainder's truncated-binary code
+		if rem >= g.thresh {
+			rem, rn = rem+g.thresh, rn+1
+		}
+		glen := uint(bits.Len64(f)) - 1 // gamma: glen ones, a zero, f's glen low bits
+		if width := uint(q) + rn + 2*glen + 2; width <= 56 {
+			w.WriteBits(((1<<q-1)<<(rn+1)|rem)<<(2*glen+1)|(1<<glen-1)<<(glen+1)|f&(1<<glen-1), width)
+			continue
+		}
+		g.put(w, x+1)
+		PutGamma(w, f)
 	}
 	return nil
 }

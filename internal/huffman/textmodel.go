@@ -137,25 +137,7 @@ func (m *TextModel) Model() (*TextModel, error) { return m, nil }
 // CompressDoc returns the compressed byte representation of text.
 func (m *TextModel) CompressDoc(text string) ([]byte, error) {
 	spans, tail := textproc.SplitWords(text)
-	return m.CompressSpans(spans, tail)
-}
-
-// WordSymbol returns word's symbol in the model's word lexicon, or the escape
-// symbol for a word the model was not trained on.
-func (m *TextModel) WordSymbol(word string) uint32 {
-	return m.words.symbol(word)
-}
-
-// SepSymbol returns sep's symbol in the model's separator lexicon, or Escape.
-func (m *TextModel) SepSymbol(sep string) uint32 {
-	return m.seps.symbol(sep)
-}
-
-// CompressSpans compresses a document that SplitWords or AppendWords has split
-// into spans and tail, looking every token up as it goes.
-func (m *TextModel) CompressSpans(spans []textproc.WordSpan, tail string) ([]byte, error) {
-	w := bitio.NewWriter(2*len(spans) + 16)
-	// Span count first so the decoder knows the structure.
+	w := bitio.NewWriter(2*len(spans) + 16) // the span count first, then each token
 	if err := codec.PutGamma(w, uint64(len(spans))+1); err != nil {
 		return nil, err
 	}
@@ -173,19 +155,38 @@ func (m *TextModel) CompressSpans(spans []textproc.WordSpan, tail string) ([]byt
 	return append([]byte(nil), w.Bytes()...), nil
 }
 
+// WordSymbol returns word's symbol in the model's word lexicon, or the escape
+// symbol for a word the model was not trained on.
+func (m *TextModel) WordSymbol(word string) uint32 {
+	return m.words.symbol(word)
+}
+
+// SepSymbol returns sep's symbol in the model's separator lexicon, or Escape.
+func (m *TextModel) SepSymbol(sep string) uint32 {
+	return m.seps.symbol(sep)
+}
+
 // CompressSymbols codes one document from its symbols: per span its
 // separator's and its word's, then the tail's, as SepSymbol and WordSymbol
 // number them. esc holds, in order, the tokens whose symbol is Escape;
 // CompressSymbols codes those it meets and returns the rest. Its bytes are
-// CompressDoc's for the same text.
-func (m *TextModel) CompressSymbols(syms []uint32, esc []string) ([]byte, []string, error) {
-	w := bitio.NewWriter(len(syms) + 16)
+// CompressDoc's for the same text. It codes through w, which it resets
+// first, so a writer of many documents reuses one buffer.
+func (m *TextModel) CompressSymbols(w *bitio.Writer, syms []uint32, esc []string) ([]byte, []string, error) {
+	w.Reset()
 	if err := codec.PutGamma(w, uint64(len(syms)/2)+1); err != nil {
 		return nil, esc, err
 	}
 	codes := [2]*Code{m.sepCode, m.wordCode}
-	for i, sym := range syms {
-		var tok string
+	for i := 0; i < len(syms); i++ {
+		if i%2 == 0 && i+1 < len(syms) {
+			if code, n := span(m.sepCode, m.wordCode, syms[i], syms[i+1]); n != 0 {
+				w.WriteBits(code, n)
+				i++
+				continue
+			}
+		}
+		sym, tok := syms[i], ""
 		if sym == Escape {
 			tok, esc = esc[0], esc[1:]
 		}
@@ -194,6 +195,17 @@ func (m *TextModel) CompressSymbols(syms []uint32, esc []string) ([]byte, []stri
 		}
 	}
 	return append([]byte(nil), w.Bytes()...), esc, nil
+}
+
+// span returns separator s's and word t's codewords as one code of n bits,
+// or n = 0 when either is the escape or has no codeword or the two pass 56.
+func span(sep, word *Code, s, t uint32) (code uint64, n uint) {
+	if s != Escape && t != Escape && int(s) < len(sep.lengths) && int(t) < len(word.lengths) {
+		if ls, lt := uint(sep.lengths[s]), uint(word.lengths[t]); ls != 0 && lt != 0 && ls+lt <= 56 {
+			return sep.codes[s]<<lt | word.codes[t], ls + lt
+		}
+	}
+	return 0, 0
 }
 
 // DecompressDoc reconstructs the exact original text.

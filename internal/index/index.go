@@ -74,14 +74,19 @@ type Index struct {
 // float32 weight, is the same on every run.
 type Builder struct {
 	terms   *intern.Table // id -> term, in first-sight order
-	lists   [][]Posting   // id -> postings, ascending doc
+	ft      []uint32      // id -> f_t so far, which sizes its list when Build inverts
 	tf      []uint32      // id -> f_dt in the document being added; 0 between documents
-	seen    []uint32      // that document's distinct ids, first appearance order
+	pairs   [][]docTerm   // every document's distinct terms, first appearance order, in blocks
+	counts  []int         // how many pairs document d has
+	logs    []float64     // logs[f] = log(f+1), for every f_dt met so far
 	scratch []uint32      // Add's ids
 	weights []float32
 	lens    []uint32
 	skipIvl uint32
 }
+
+// docTerm is one of a document's distinct terms, with its f_dt.
+type docTerm struct{ id, fdt uint32 }
 
 // BuilderOption configures a Builder.
 type BuilderOption func(*Builder)
@@ -125,7 +130,7 @@ func (b *Builder) Add(terms []string) uint32 {
 func (b *Builder) TermID(term string) uint32 {
 	id, added := b.terms.Intern(term)
 	if added {
-		b.lists = append(b.lists, nil)
+		b.ft = append(b.ft, 0)
 		b.tf = append(b.tf, 0)
 	}
 	return id
@@ -133,23 +138,29 @@ func (b *Builder) TermID(term string) uint32 {
 
 // AddIDs is Add for a document given as the TermIDs of its analysed terms.
 func (b *Builder) AddIDs(ids []uint32) uint32 {
-	doc := uint32(len(b.weights))
-	seen := b.seen[:0]
+	// A document's pairs go in one block, and a full block is never moved.
+	if n := len(b.pairs); n == 0 || cap(b.pairs[n-1])-len(b.pairs[n-1]) < len(ids) {
+		b.pairs = append(b.pairs, make([]docTerm, 0, max(4096, len(ids))))
+	}
+	doc, pairs := uint32(len(b.weights)), &b.pairs[len(b.pairs)-1]
+	from := len(*pairs)
 	for _, id := range ids {
 		if b.tf[id] == 0 {
-			seen = append(seen, id)
+			*pairs = append(*pairs, docTerm{id: id})
 		}
 		b.tf[id]++
 	}
 	var sumSq float64
-	for _, id := range seen {
-		f := b.tf[id]
-		b.tf[id] = 0
-		b.lists[id] = append(b.lists[id], Posting{Doc: doc, FDT: f})
-		w := math.Log(float64(f) + 1)
-		sumSq += w * w
+	for i := from; i < len(*pairs); i++ {
+		p := &(*pairs)[i]
+		p.fdt, b.tf[p.id] = b.tf[p.id], 0
+		b.ft[p.id]++
+		for int(p.fdt) >= len(b.logs) {
+			b.logs = append(b.logs, math.Log(float64(len(b.logs))+1))
+		}
+		sumSq += b.logs[p.fdt] * b.logs[p.fdt]
 	}
-	b.seen = seen
+	b.counts = append(b.counts, len(*pairs)-from)
 	b.weights = append(b.weights, float32(math.Sqrt(sumSq)))
 	b.lens = append(b.lens, uint32(len(ids)))
 	return doc
@@ -158,27 +169,37 @@ func (b *Builder) AddIDs(ids []uint32) uint32 {
 // Build freezes the builder into an immutable Index. The Builder must not be
 // used afterwards.
 func (b *Builder) Build() (*Index, error) {
-	var postings, skips int
-	for _, l := range b.lists {
-		postings += len(l)
-		skips += 2 * numSkips(uint32(len(l)), b.skipIvl)
-	}
-	// A posting takes about a byte; seal trims what the estimate overshoots.
-	ix := newIndex(uint32(len(b.weights)), b.skipIvl, b.terms.Len(), b.terms.Bytes(), postings, skips)
-	ix.weights, ix.lens = b.weights, b.lens
 	order := make([]uint32, b.terms.Len()) // ids in term order
 	for i := range order {
 		order[i] = uint32(i)
 	}
 	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(b.terms.At(x), b.terms.At(y)) })
+	// next[id] is where term id's next posting goes, its list in term order.
+	next, postings, skips := make([]int, len(order)), 0, 0
 	for _, id := range order {
-		// Builder.Add appends docs in increasing order, so the list is
-		// already sorted; appendList verifies it cheaply in case of misuse.
-		if err := ix.appendList(b.terms.At(id), b.lists[id]); err != nil {
+		next[id], postings = postings, postings+int(b.ft[id])
+		skips += 2 * numSkips(b.ft[id], b.skipIvl)
+	}
+	arena, blk, from := make([]Posting, postings), 0, 0
+	for doc, n := range b.counts {
+		if from+n > len(b.pairs[blk]) { // the document opened the next block
+			blk, from = blk+1, 0
+		}
+		for _, p := range b.pairs[blk][from : from+n] {
+			arena[next[p.id]] = Posting{Doc: uint32(doc), FDT: p.fdt}
+			next[p.id]++
+		}
+		from += n
+	}
+	// A posting takes about a byte; seal trims what the estimate overshoots.
+	ix := newIndex(uint32(len(b.weights)), b.skipIvl, b.terms.Len(), b.terms.Bytes(), postings, skips)
+	ix.weights, ix.lens = b.weights, b.lens
+	for _, id := range order {
+		if err := ix.appendList(b.terms.At(id), arena[next[id]-int(b.ft[id]):next[id]]); err != nil {
 			return nil, fmt.Errorf("index: term %q: %w", b.terms.At(id), err)
 		}
 	}
-	b.terms, b.lists = nil, nil
+	b.terms, b.ft, b.pairs, b.counts = nil, nil, nil, nil
 	return ix.seal(), nil
 }
 

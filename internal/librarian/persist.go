@@ -2,6 +2,7 @@ package librarian
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -58,15 +59,10 @@ func writeFileWith(path string, writeTo func(w io.Writer) (int64, error)) error 
 		return err
 	}
 	bw := bufio.NewWriter(f)
-	if _, err := writeTo(bw); err != nil {
-		f.Close()
-		return err
+	if _, err = writeTo(bw); err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return errors.Join(err, f.Close())
 }
 
 // Load reopens a collection saved with Save.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"teraphim/internal/bitio"
 	"teraphim/internal/huffman"
 	"teraphim/internal/index"
 	"teraphim/internal/protocol"
@@ -101,10 +102,11 @@ func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyze
 	if err != nil {
 		return nil, fmt.Errorf("librarian %q: train model: %w", name, err)
 	}
+	var w bitio.Writer
 	st, err := store.Assemble(model, docs, func(i int) (blob []byte, err error) {
 		from, to := ends[i], ends[i+1]
 		ib.AddIDs(ids[from[1]:to[1]])
-		blob, esc, err = model.CompressSymbols(syms[from[0]:to[0]], esc)
+		blob, esc, err = model.CompressSymbols(&w, syms[from[0]:to[0]], esc)
 		return blob, err
 	})
 	if err != nil {

@@ -201,6 +201,37 @@ func TestBuildSegmentConcurrent(t *testing.T) {
 	}
 }
 
+// TestBatchAllocatesPerDocument pins what inversion by counting is for: an
+// ingested batch of 100 documents, coded under a frozen model, allocates at
+// most 20 times a document. When each term's postings grew a list of their
+// own, it allocated 61; the batch's blobs take one each, and its
+// symbol stream, term ids, pair blocks and index arenas a few per batch.
+func TestBatchAllocatesPerDocument(t *testing.T) {
+	cfg := trecsynth.DefaultConfig()
+	cfg.VocabSize = 20000
+	cfg.Subs = []trecsynth.SubSpec{{Name: "AP", NumDocs: 2000 + 100}}
+	corpus, err := trecsynth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := corpus.Subcollections[0].Docs
+	lib, err := Build("AP", docs[:2000], BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := docs[2000:]
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := buildSegment(lib.name, batch, lib.analyzer, lib.skip, lib.model); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perDoc := allocs / float64(len(batch))
+	t.Logf("%.1f allocations per document", perDoc)
+	if perDoc > 20 {
+		t.Errorf("a %d-document batch allocates %.1f times per document, want at most 20", len(batch), perDoc)
+	}
+}
+
 // BenchmarkBuildSegment prices the write path per document, both ways a
 // librarian writes: build is a static Build of cv-long-inproc's AP
 // subcollection (20,800 documents of that workload's vocabulary; one scan

@@ -62,11 +62,21 @@ import (
 //     merged vocabulary's exact term count and bytes (the vocabulary's at
 //     SetupCentralIndexRemote, an EachTerm pass at BuildGroupedFromIndexes)
 //     instead of a guess of eight bytes a term.
+//   - write 2815 -> 2848 and codec 572 -> 589: the write path's kernels.
+//     AppendList writes a posting in one call with its quotient from a
+//     reciprocal, CompressSymbols writes a span in one call through a writer
+//     its caller reuses, and index.Builder inverts by counting into one
+//     arena from pair blocks. Over six alternating pairs
+//     BenchmarkAppendList took 0.45-0.52x the parent's time and
+//     BenchmarkBuildSegment/build 0.76x in the median, with 1.04
+//     allocations a document (7.38) and 4,484 B (5,726); /batch allocates
+//     2.5 times a document (58.8). setup_s on cv-long-inproc -26.3 %.
 //
 // Falls: protocol 1598 -> 1314 (each message lists its fields once);
 // protocol 1314 -> 1311 and write 2809 -> 2779 (one postings codec); core
 // 4323 -> 4317, librarian 1675 -> 1670, search 1518 -> 986 and write 2779
-// -> 2707 (the exact kernel is the only evaluator). The codec ceiling was
+// -> 2707 (the exact kernel is the only evaluator); librarian 1670 -> 1668
+// (writeFileWith's error exits are one errors.Join). The codec ceiling was
 // first set at 572, and the cmd + examples ceiling at 1899, when
 // cmd/stress folded into cmd/receptionist and the examples moved onto the
 // library's one path (2454 before).
@@ -76,11 +86,11 @@ var lineCeilings = []struct {
 	max  int
 }{
 	{"internal/core", []string{"internal/core"}, 4321},
-	{"internal/librarian", []string{"internal/librarian"}, 1670},
+	{"internal/librarian", []string{"internal/librarian"}, 1668},
 	{"internal/search", []string{"internal/search"}, 986},
 	{"internal/protocol", []string{"internal/protocol"}, 1311},
-	{"write path", []string{"internal/textproc", "internal/index", "internal/huffman", "internal/store", "internal/intern"}, 2815},
-	{"codec", []string{"internal/codec", "internal/bitio"}, 572},
+	{"write path", []string{"internal/textproc", "internal/index", "internal/huffman", "internal/store", "internal/intern"}, 2848},
+	{"codec", []string{"internal/codec", "internal/bitio"}, 589},
 	{"cmd + examples", []string{"cmd/*", "examples/*"}, 1899},
 }
 
