@@ -64,11 +64,10 @@ func run(w io.Writer, stdin io.Reader, args []string) error {
 
 func answer(w io.Writer, lib *librarian.Librarian, query string, k int, boolean, show bool) error {
 	if boolean {
-		q, err := lib.Engine().ParseBoolean(query)
+		docs, stats, err := lib.Engine().Boolean(query)
 		if err != nil {
 			return err
 		}
-		docs, stats := lib.Engine().EvaluateBoolean(q)
 		fmt.Fprintf(w, "%d documents match (%d postings decoded)\n", len(docs), stats.PostingsDecoded)
 		if len(docs) > k {
 			docs = docs[:k]

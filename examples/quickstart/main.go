@@ -44,11 +44,10 @@ func main() {
 	}
 
 	// Boolean retrieval over the same index.
-	q, err := lib.Engine().ParseBoolean("(ranked OR distributed) AND NOT monolithic")
+	matches, _, err := lib.Engine().Boolean("(ranked OR distributed) AND NOT monolithic")
 	if err != nil {
 		log.Fatal(err)
 	}
-	matches, _ := lib.Engine().EvaluateBoolean(q)
 	fmt.Printf("\nBoolean matches: %v\n", matches)
 
 	// The whole collection — index and documents — lives compressed.

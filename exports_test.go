@@ -28,8 +28,6 @@ var testOnlyExports = map[string]string{
 	"simnet.Chaos.SetDelay":        "chaos hook: the hedging and transport tests slow one endpoint",
 	"core.BuildGroupedFromIndexes": "a source TestFormatPinned hashes: the CI index regrouped from sub-indexes",
 	"core.GroupedIndex.WriteTo":    "the bytes TestFormatPinned hashes for the grouped index",
-	"search.Engine.ParseQuery":     "f_qt for the supplied weights of TestSegmentCountParity's explicit-weight rows and TestEngineAgainstBruteForce's CV pass",
-	"search.Engine.QueryWeights":   "w_qt for the supplied weights of TestSegmentCountParity's explicit-weight rows and TestEngineAgainstBruteForce's CV pass",
 	"oracle.Scores":                "the reference every ranking differential test compares against",
 	"store.Store.Fetches":          "read counter the no-re-read tests pin (TestIngestDoesNotRereadStore, the merge and Concat tests)",
 	"intern.Table.Indexed":         "slot probe: TestUnmarshalledModelDecodesWithoutLookup and TestTrainedModelBuildsLookupOnFirstEncode check that a model that only decodes builds no lookup slots",

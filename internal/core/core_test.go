@@ -250,7 +250,7 @@ func TestCISmallKPrimeLimitsCandidates(t *testing.T) {
 	}
 	// However many groups are expanded, each librarian returns only its
 	// top k (ScoreDocs.K), so at most asked x k scores reach the merge.
-	res, err = f.recep.Query(ModeCI, "alpha federal wallstreet", 3, Options{KPrime: int(g.engine.Index().NumDocs())})
+	res, err = f.recep.Query(ModeCI, "alpha federal wallstreet", 3, Options{KPrime: int(g.ix.NumDocs())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,19 +415,19 @@ func TestGroupedIndexProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g1.engine.Index().NumDocs() != uint32(len(f.termsOf)) {
-		t.Fatalf("G=1 groups = %d, want %d", g1.engine.Index().NumDocs(), len(f.termsOf))
+	if g1.ix.NumDocs() != uint32(len(f.termsOf)) {
+		t.Fatalf("G=1 groups = %d, want %d", g1.ix.NumDocs(), len(f.termsOf))
 	}
 	wantGroups := (len(f.termsOf) + 9) / 10
-	if g10.engine.Index().NumDocs() != uint32(wantGroups) {
-		t.Fatalf("G=10 groups = %d, want %d", g10.engine.Index().NumDocs(), wantGroups)
+	if g10.ix.NumDocs() != uint32(wantGroups) {
+		t.Fatalf("G=10 groups = %d, want %d", g10.ix.NumDocs(), wantGroups)
 	}
 	// Grouping must shrink the index (the paper: G=10 halves it).
 	if g10.SizeBytes() >= g1.SizeBytes() {
 		t.Fatalf("G=10 index %d bytes >= G=1 index %d bytes", g10.SizeBytes(), g1.SizeBytes())
 	}
 	// Expand clips at the collection end.
-	lastGroup := g10.engine.Index().NumDocs() - 1
+	lastGroup := g10.ix.NumDocs() - 1
 	docs := g10.Expand([]uint32{lastGroup})
 	for _, d := range docs {
 		if d >= uint32(len(f.termsOf)) {

@@ -398,7 +398,7 @@ func TestPartialResultAcrossModes(t *testing.T) {
 				}
 				// Expand every group so the dead librarian's documents are
 				// nominated and its failure exercised.
-				opts.KPrime = int(g.engine.Index().NumDocs())
+				opts.KPrime = int(g.ix.NumDocs())
 			}
 			res, err := recep.Query(tc.mode, "shared", 30, opts)
 			if err != nil {

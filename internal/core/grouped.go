@@ -22,7 +22,8 @@ import (
 type GroupedIndex struct {
 	groupSize uint32
 	totalDocs uint32
-	engine    *search.Engine
+	ix        *index.Index
+	analyzer  *textproc.Analyzer // the librarians', which queries are analysed with
 }
 
 // BuildGrouped builds the grouped central index from the analysed term
@@ -37,10 +38,7 @@ func BuildGrouped(docTerms [][]string, groupSize int, analyzer *textproc.Analyze
 	}
 	b := index.NewBuilder()
 	for lo := 0; lo < len(docTerms); lo += groupSize {
-		hi := lo + groupSize
-		if hi > len(docTerms) {
-			hi = len(docTerms)
-		}
+		hi := min(lo+groupSize, len(docTerms))
 		var groupTerms []string
 		for _, terms := range docTerms[lo:hi] {
 			groupTerms = append(groupTerms, terms...)
@@ -51,11 +49,7 @@ func BuildGrouped(docTerms [][]string, groupSize int, analyzer *textproc.Analyze
 	if err != nil {
 		return nil, fmt.Errorf("core: build grouped index: %w", err)
 	}
-	return &GroupedIndex{
-		groupSize: uint32(groupSize),
-		totalDocs: uint32(len(docTerms)),
-		engine:    search.NewEngine(ix, analyzer),
-	}, nil
+	return &GroupedIndex{groupSize: uint32(groupSize), totalDocs: uint32(len(docTerms)), ix: ix, analyzer: analyzer}, nil
 }
 
 // BuildGroupedFromIndexes builds the grouped central index from the
@@ -102,7 +96,7 @@ func foldGrouped(srcs []index.GroupSource, totalDocs, g uint32, terms, termBytes
 	if err != nil {
 		return nil, fmt.Errorf("core: build grouped index: %w", err)
 	}
-	return &GroupedIndex{groupSize: g, totalDocs: totalDocs, engine: search.NewEngine(ix, analyzer)}, nil
+	return &GroupedIndex{groupSize: g, totalDocs: totalDocs, ix: ix, analyzer: analyzer}, nil
 }
 
 // partSource is one librarian's grouped lists as SetupCentralIndexRemote
@@ -174,21 +168,21 @@ func (g *GroupedIndex) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return int64(n), err
 	}
-	m, err := g.engine.Index().WriteTo(w)
+	m, err := g.ix.WriteTo(w)
 	return int64(n) + m, err
 }
 
 // SizeBytes reports the compressed postings size of the grouped index — the
 // receptionist-side storage cost the paper compares against the full
 // central index.
-func (g *GroupedIndex) SizeBytes() uint64 { return g.engine.Index().SizeBytes() }
+func (g *GroupedIndex) SizeBytes() uint64 { return g.ix.SizeBytes() }
 
 // RankGroups returns the k' best groups for the query, with the grouped
 // index's own statistics, on a caller-owned search.Scratch, together with the
 // index work performed. It is search.RankParts over the grouped index as one
 // part, so CI's central ranking runs the librarians' kernel.
 func (g *GroupedIndex) RankGroups(s *search.Scratch, query string, kPrime int) ([]uint32, search.Stats, error) {
-	results, stats, err := search.RankParts(nil, s, []search.Part{{Engine: g.engine}}, query, kPrime, nil)
+	results, stats, err := search.RankParts(nil, s, []search.Part{{Index: g.ix}}, g.analyzer, query, kPrime, nil)
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: rank groups: %w", err)
 	}

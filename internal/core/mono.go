@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 
+	"teraphim/internal/index"
 	"teraphim/internal/search"
 	"teraphim/internal/store"
+	"teraphim/internal/textproc"
 )
 
 // MonoServer is the MS baseline: the whole collection in one index on one
@@ -12,32 +14,34 @@ import (
 // exactly as Pool.Query does, so experiments can drive every mode uniformly
 // and a value one rejects the other rejects too.
 type MonoServer struct {
-	engine *search.Engine
-	docs   *store.Store
+	ix       *index.Index
+	analyzer *textproc.Analyzer // the one the collection was indexed with
+	docs     *store.Store
 	// keys maps local doc id to the distributed global key
 	// ("subcollection:localid") so MS runs are comparable with distributed
 	// runs in the evaluation.
 	keys []string
 }
 
-// NewMonoServer wraps an engine and document store. keys may be nil when
-// run-file compatibility with distributed modes is not needed; Answer.Key
-// then falls back to "MS:<doc>".
+// NewMonoServer serves an engine's index, queried with its analyser, and a
+// document store. keys may be nil when run-file compatibility with
+// distributed modes is not needed; Answer.Key then falls back to "MS:<doc>".
 func NewMonoServer(engine *search.Engine, docs *store.Store, keys []string) (*MonoServer, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("core: engine is required")
 	}
-	if docs != nil && engine.Index().NumDocs() != docs.NumDocs() {
-		return nil, fmt.Errorf("core: index has %d docs, store has %d", engine.Index().NumDocs(), docs.NumDocs())
+	m := &MonoServer{ix: engine.Index(), analyzer: engine.Analyzer(), docs: docs, keys: keys}
+	if docs != nil && m.ix.NumDocs() != docs.NumDocs() {
+		return nil, fmt.Errorf("core: index has %d docs, store has %d", m.ix.NumDocs(), docs.NumDocs())
 	}
-	if keys != nil && uint32(len(keys)) != engine.Index().NumDocs() {
-		return nil, fmt.Errorf("core: %d keys for %d docs", len(keys), engine.Index().NumDocs())
+	if keys != nil && uint32(len(keys)) != m.ix.NumDocs() {
+		return nil, fmt.Errorf("core: %d keys for %d docs", len(keys), m.ix.NumDocs())
 	}
-	return &MonoServer{engine: engine, docs: docs, keys: keys}, nil
+	return m, nil
 }
 
-// Engine exposes the underlying search engine.
-func (m *MonoServer) Engine() *search.Engine { return m.engine }
+// Engine builds a one-collection search handle over the served index.
+func (m *MonoServer) Engine() *search.Engine { return search.NewEngine(m.ix, m.analyzer) }
 
 // Query evaluates the query locally. The trace contains only central
 // statistics (no network calls).
@@ -47,7 +51,7 @@ func (m *MonoServer) Query(query string, k int, opts Options) (*Result, error) {
 		return nil, err
 	}
 	s := search.GetScratch()
-	results, stats, err := search.RankParts(nil, s, []search.Part{{Engine: m.engine}}, query, pl.k, nil)
+	results, stats, err := search.RankParts(nil, s, []search.Part{{Index: m.ix}}, m.analyzer, query, pl.k, nil)
 	s.Release()
 	if err != nil {
 		return nil, fmt.Errorf("core: mono-server rank: %w", err)

@@ -21,11 +21,11 @@ import (
 // common terms, whose long inverted lists are where skipping pays — across
 // k' ∈ {10, 100}.
 func (r *Runner) Skipping(w io.Writer) error {
-	withSkips, err := buildGlobalEngine(r, index.DefaultSkipInterval)
+	withSkips, err := buildGlobalIndex(r, index.DefaultSkipInterval)
 	if err != nil {
 		return err
 	}
-	noSkips, err := buildGlobalEngine(r, 0)
+	noSkips, err := buildGlobalIndex(r, 0)
 	if err != nil {
 		return err
 	}
@@ -62,16 +62,14 @@ func (r *Runner) Skipping(w io.Writer) error {
 					continue
 				}
 				queriesScored++
-				withRanking, err := withSkips.ScoreDocs(qText, docs, nil)
+				_, s1, err := search.ScoreParts(scratch, []search.Part{{Index: withSkips}}, r.analyzer, qText, docs, nil, 0)
 				if err != nil {
 					return fmt.Errorf("experiments: skipping ablation: %w", err)
 				}
-				s1 := withRanking.Stats
-				withoutRanking, err := noSkips.ScoreDocs(qText, docs, nil)
+				_, s2, err := search.ScoreParts(scratch, []search.Part{{Index: noSkips}}, r.analyzer, qText, docs, nil, 0)
 				if err != nil {
 					return fmt.Errorf("experiments: skipping ablation: %w", err)
 				}
-				s2 := withoutRanking.Stats
 				withD += s1.PostingsDecoded
 				withoutD += s2.PostingsDecoded
 			}
@@ -90,13 +88,13 @@ func (r *Runner) Skipping(w io.Writer) error {
 
 // headTermQuery builds a query from the n most frequent indexed terms — the
 // long-list regime where skip structures matter most.
-func headTermQuery(engine *search.Engine, n int) string {
+func headTermQuery(ix *index.Index, n int) string {
 	type tf struct {
 		term string
 		ft   uint32
 	}
 	var all []tf
-	engine.Index().Terms(func(term string, ft uint32) bool {
+	ix.Terms(func(term string, ft uint32) bool {
 		all = append(all, tf{term, ft})
 		return true
 	})
@@ -119,16 +117,12 @@ func queryTexts(queries []trecsynth.Query) []string {
 	return out
 }
 
-func buildGlobalEngine(r *Runner, skipInterval uint32) (*search.Engine, error) {
+func buildGlobalIndex(r *Runner, skipInterval uint32) (*index.Index, error) {
 	b := index.NewBuilder(index.WithSkipInterval(skipInterval))
 	for _, terms := range r.docTerms {
 		b.Add(terms)
 	}
-	ix, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return search.NewEngine(ix, r.analyzer), nil
+	return b.Build()
 }
 
 // Threshold reproduces the §5 preliminary finding: pruning index postings
@@ -141,16 +135,16 @@ func (r *Runner) Threshold(w io.Writer) error {
 	line(w, "Index thresholding ablation (short queries, MS ranking)\n")
 	line(w, "%-22s %14s %14s %16s\n", "Index", "size bytes", "11-pt avg (%)", "Rel. in top 20")
 
-	baseRuns, err := r.msRuns(r.mono.Engine(), queries)
+	baseRuns, err := r.msRuns(r.msIx, queries)
 	if err != nil {
 		return err
 	}
 	base := eval.Evaluate(r.Corpus.Qrels, baseRuns, evalDepth, topK)
-	baseSize := r.mono.Engine().Index().SizeBytes()
+	baseSize := r.msIx.SizeBytes()
 	line(w, "%-22s %14d %14.2f %16.1f\n", "full index", baseSize, base.ElevenPtAvg, base.MeanRelevantTop)
 
 	for _, minFDT := range []uint32{2, 3} {
-		pruned, err := r.prunedEngine(minFDT, 50)
+		pruned, err := r.prunedIndex(minFDT, 50)
 		if err != nil {
 			return err
 		}
@@ -159,15 +153,15 @@ func (r *Runner) Threshold(w io.Writer) error {
 			return err
 		}
 		s := eval.Evaluate(r.Corpus.Qrels, runs, evalDepth, topK)
-		size := pruned.Index().SizeBytes()
+		size := pruned.SizeBytes()
 		line(w, "drop f_dt<%-13d %14d %14.2f %16.1f\n", minFDT, size, s.ElevenPtAvg, s.MeanRelevantTop)
 	}
 	return nil
 }
 
-// prunedEngine rebuilds the MS index keeping, for terms whose document
+// prunedIndex rebuilds the MS index keeping, for terms whose document
 // frequency exceeds minList, only postings with f_dt >= minFDT.
-func (r *Runner) prunedEngine(minFDT uint32, minList int) (*search.Engine, error) {
+func (r *Runner) prunedIndex(minFDT uint32, minList int) (*index.Index, error) {
 	// Pass 1: document frequencies.
 	df := make(map[string]int, 4096)
 	for _, terms := range r.docTerms {
@@ -197,20 +191,16 @@ func (r *Runner) prunedEngine(minFDT uint32, minList int) (*search.Engine, error
 		}
 		b.Add(kept)
 	}
-	ix, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return search.NewEngine(ix, r.analyzer), nil
+	return b.Build()
 }
 
-// msRuns ranks the query set on a bare engine, translating the engine's
+// msRuns ranks the query set on a bare MS-shaped index, translating its
 // global doc numbers into qrels keys via the runner's key table.
-func (r *Runner) msRuns(engine *search.Engine, queries []trecsynth.Query) (map[string]eval.Run, error) {
+func (r *Runner) msRuns(ix *index.Index, queries []trecsynth.Query) (map[string]eval.Run, error) {
 	runs := make(map[string]eval.Run, len(queries))
+	scratch := search.NewScratch()
 	for _, q := range queries {
-		ranking, err := engine.Rank(q.Text, evalDepth, nil)
-		results := ranking.Results
+		results, _, err := search.RankParts(nil, scratch, []search.Part{{Index: ix}}, r.analyzer, q.Text, evalDepth, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -47,11 +47,14 @@ func buildFreqSorted(ix *index.Index) (*freqSorted, error) {
 	fs := &freqSorted{lists: make(map[string]fsList, ix.NumTerms()), inv: ix.InvDocWeights(), numDocs: ix.NumDocs()}
 	var err error
 	w := bitio.NewWriter(4096)
+	var cur index.TermCursor
+	var postings []index.Posting
 	ix.Terms(func(term string, _ uint32) bool {
-		var cur *index.TermCursor
-		var postings []index.Posting
-		if cur, err = ix.Cursor(term); err == nil {
-			postings, err = cur.Decode(nil)
+		postings = postings[:0]
+		if err = ix.ResetCursor(&cur, term); err == nil {
+			for blk := cur.NextBlock(); blk != nil; blk = cur.NextBlock() {
+				postings = append(postings, blk...)
+			}
 		}
 		var l fsList
 		if err == nil {

@@ -5,7 +5,7 @@ import (
 	"io"
 
 	"teraphim/internal/eval"
-	"teraphim/internal/search"
+	"teraphim/internal/index"
 	"teraphim/internal/trecsynth"
 )
 
@@ -17,7 +17,7 @@ import (
 // pruning; effectiveness and decoded postings are reported for the short
 // query set against the MS collection.
 func (r *Runner) FreqSorted(w io.Writer) error {
-	fs, err := buildFreqSorted(r.mono.Engine().Index())
+	fs, err := buildFreqSorted(r.msIx)
 	if err != nil {
 		return err
 	}
@@ -55,7 +55,7 @@ func (r *Runner) FreqSorted(w io.Writer) error {
 			label, decoded/uint64(len(queries)), s.ElevenPtAvg, s.MeanRelevantTop)
 	}
 	line(w, "(frequency-sorted index: %d B vs document-sorted %d B)\n",
-		fs.bytes, r.mono.Engine().Index().SizeBytes())
+		fs.bytes, r.msIx.SizeBytes())
 	return nil
 }
 
@@ -64,24 +64,22 @@ func (r *Runner) FreqSorted(w io.Writer) error {
 // effectiveness essentially unchanged.
 func (r *Runner) QuantizedWeights(w io.Writer) error {
 	queries := r.Corpus.QueriesOf(trecsynth.ShortQuery)
-	exact := r.mono.Engine()
-	qix, err := exact.Index().QuantizeWeights()
+	qix, err := r.msIx.QuantizeWeights()
 	if err != nil {
 		return err
 	}
-	quantized := search.NewEngine(qix, r.analyzer)
 
 	line(w, "Approximate document weights (short queries, MS ranking)\n")
 	line(w, "%-14s %16s %14s %16s\n", "Weights", "table bytes", "11-pt avg (%)", "Rel. in top 20")
 	for _, row := range []struct {
-		label  string
-		engine *search.Engine
-		bytes  uint64
+		label string
+		ix    *index.Index
+		bytes uint64
 	}{
-		{"exact f32", exact, exact.Index().WeightsTableBytes(false)},
-		{"1-byte log", quantized, qix.WeightsTableBytes(true)},
+		{"exact f32", r.msIx, r.msIx.WeightsTableBytes(false)},
+		{"1-byte log", qix, qix.WeightsTableBytes(true)},
 	} {
-		runs, err := r.msRuns(row.engine, queries)
+		runs, err := r.msRuns(row.ix, queries)
 		if err != nil {
 			return err
 		}

@@ -42,6 +42,7 @@ type Runner struct {
 	dialer *librarian.InProcessDialer
 	pool   *core.Pool
 	mono   *core.MonoServer
+	msIx   *index.Index // the MS baseline's index, queried with analyzer
 
 	docTerms [][]string // analysed docs in global order
 	keys     []string   // global doc keys in global order
@@ -114,7 +115,7 @@ func newRunnerFromCorpus(corpus *trecsynth.Corpus) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.mono = mono
+	r.mono, r.msIx = mono, ix
 	return r, nil
 }
 

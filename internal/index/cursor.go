@@ -20,7 +20,7 @@ const fallbackBlock = 64
 // Postings are decoded a skip-block at a time into an internal buffer by the
 // list's codec.GolombCode, so the per-posting cost is an array read rather
 // than a bit-level decode call. The buffer (and the cursor itself, through
-// Index.ResetCursor) is reusable across terms and queries, which is what
+// Index.Open) is reusable across terms and queries, which is what
 // keeps the scoring kernel allocation-free in steady state.
 type TermCursor struct {
 	ft       uint32
@@ -50,34 +50,28 @@ type TermCursor struct {
 	DecodedPostings uint64
 }
 
-// Cursor returns a cursor over the postings of term.
-func (ix *Index) Cursor(term string) (*TermCursor, error) {
-	c := &TermCursor{}
-	if err := ix.ResetCursor(c, term); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // ResetCursor re-initialises c over the postings of term, retaining its
-// decode buffer.
+// decode buffer: Lookup, then Open.
 func (ix *Index) ResetCursor(c *TermCursor, term string) error {
-	if !ix.OpenCursor(c, term) {
+	if !ix.Open(c, ix.Lookup(term)) {
 		return fmt.Errorf("index: %w: %q", ErrTermNotFound, term)
 	}
 	return nil
 }
 
-// OpenCursor is ResetCursor reporting an absent term as false instead of an
-// error. It is the allocation-free path the scoring kernel uses to walk many
-// lists with one pooled cursor, where a small segment lacks most query terms.
-func (ix *Index) OpenCursor(c *TermCursor, term string) bool {
-	i, ok := ix.terms.Lookup(term)
-	if !ok {
+// TermFreq is Lookup's f_t, for the benchmark's scan probe, which predates
+// Lookup; it goes when the benchmark drops it.
+func (ix *Index) TermFreq(term string) uint32 { return ix.Lookup(term).FT() }
+
+// Open re-initialises c over the postings of e, an entry of ix's Lookup,
+// retaining its decode buffer; the zero Entry reports false. The kernel walks
+// many lists with one pooled cursor this way, allocating nothing.
+func (ix *Index) Open(c *TermCursor, e Entry) bool {
+	if e.ft == 0 {
 		return false
 	}
-	c.ft = ix.entries[i].ft
-	c.list, c.skipDocs, c.skipBits = ix.list(int(i))
+	c.ft = e.ft
+	c.list, c.skipDocs, c.skipBits = ix.list(int(e.i))
 	c.r.Reset(c.list)
 	c.code = codec.NewGolombCode(codec.GolombParameter(uint64(ix.numDocs), uint64(c.ft)))
 	c.skipIvl = ix.skipIvl
@@ -229,23 +223,4 @@ func (c *TermCursor) Advance(target uint32) bool {
 		}
 	}
 	return false
-}
-
-// Decode reads the entire list into dst (appending) and returns it. The
-// cursor must be fresh (no Next/Advance calls yet).
-func (c *TermCursor) Decode(dst []Posting) ([]Posting, error) {
-	if c.pos != 0 {
-		return dst, fmt.Errorf("index: Decode on a consumed cursor")
-	}
-	for {
-		blk := c.NextBlock()
-		if blk == nil {
-			break
-		}
-		dst = append(dst, blk...)
-	}
-	if c.pos != c.ft {
-		return dst, fmt.Errorf("index: decoded %d of %d postings", c.pos, c.ft)
-	}
-	return dst, nil
 }

@@ -9,6 +9,8 @@
 package index
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -26,7 +28,7 @@ import (
 // format simple while preserving the asymptotics.
 const DefaultSkipInterval = 64
 
-// ErrTermNotFound is returned by Cursor when the term is not indexed.
+// ErrTermNotFound is returned by ResetCursor when the term is not indexed.
 var ErrTermNotFound = errors.New("index: term not found")
 
 // Posting aliases codec.Posting: one (doc, f_dt) pair.
@@ -169,11 +171,21 @@ func (b *Builder) AddIDs(ids []uint32) uint32 {
 // Build freezes the builder into an immutable Index. The Builder must not be
 // used afterwards.
 func (b *Builder) Build() (*Index, error) {
-	order := make([]uint32, b.terms.Len()) // ids in term order
-	for i := range order {
-		order[i] = uint32(i)
+	// Ids in term order, strings.Compare's: compared first as each term's
+	// leading eight bytes, zero-padded, in one big-endian word, and whole
+	// only where those tie.
+	order, keys := make([]uint32, b.terms.Len()), make([]uint64, b.terms.Len())
+	for id := range order {
+		var lead [8]byte
+		copy(lead[:], b.terms.At(uint32(id)))
+		order[id], keys[id] = uint32(id), binary.BigEndian.Uint64(lead[:])
 	}
-	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(b.terms.At(x), b.terms.At(y)) })
+	slices.SortFunc(order, func(x, y uint32) int {
+		if keys[x] != keys[y] {
+			return cmp.Compare(keys[x], keys[y])
+		}
+		return strings.Compare(b.terms.At(x), b.terms.At(y))
+	})
 	// next[id] is where term id's next posting goes, its list in term order.
 	next, postings, skips := make([]int, len(order)), 0, 0
 	for _, id := range order {
@@ -328,13 +340,20 @@ func (ix *Index) InvDocWeights() []float64 {
 	return ix.invW
 }
 
-// TermFreq returns f_t, the number of documents containing term (0 when the
-// term is absent).
-func (ix *Index) TermFreq(term string) uint32 {
+// Entry is a term's dictionary entry in one index, as its Lookup resolved
+// it: f_t and the entry's number. The zero Entry is a term the index lacks.
+type Entry struct{ ft, i uint32 }
+
+// FT returns f_t, the number of documents holding the entry's term.
+func (e Entry) FT() uint32 { return e.ft }
+
+// Lookup resolves term to its dictionary entry, the zero Entry when it is
+// absent: the index's one lookup by term string.
+func (ix *Index) Lookup(term string) Entry {
 	if i, ok := ix.terms.Lookup(term); ok {
-		return ix.entries[i].ft
+		return Entry{ft: ix.entries[i].ft, i: i}
 	}
-	return 0
+	return Entry{}
 }
 
 // Terms calls fn for every indexed term in lexicographic order with its f_t.

@@ -42,11 +42,11 @@ func TestBuilderBasics(t *testing.T) {
 	}
 	wantFT := map[string]uint32{"cat": 2, "dog": 2, "fish": 2, "bird": 2}
 	for term, want := range wantFT {
-		if got := ix.TermFreq(term); got != want {
+		if got := ix.Lookup(term).FT(); got != want {
 			t.Errorf("TermFreq(%q) = %d, want %d", term, got, want)
 		}
 	}
-	if got := ix.TermFreq("absent"); got != 0 {
+	if got := ix.Lookup("absent").FT(); got != 0 {
 		t.Errorf("TermFreq(absent) = %d", got)
 	}
 	if ix.NumPostings() != 8 {

@@ -367,9 +367,9 @@ func (l *Librarian) maybeMerge() {
 func (l *Librarian) findRun(m *manifest) (int, int) {
 	fan := l.fanIn()
 	for i := 0; i < len(m.segs); {
-		tier := l.tierOf(m.segs[i].docs)
+		tier := l.tierOf(m.segs[i].Index.NumDocs())
 		j := i + 1
-		for j < len(m.segs) && l.tierOf(m.segs[j].docs) == tier {
+		for j < len(m.segs) && l.tierOf(m.segs[j].Index.NumDocs()) == tier {
 			j++
 		}
 		if j-i >= fan {
@@ -448,10 +448,10 @@ func (l *Librarian) SegmentStats() SegmentStats {
 	}
 	for i, sg := range m.segs {
 		s.Segments[i] = SegmentInfo{
-			Base:       sg.base,
-			Docs:       sg.docs,
-			Tier:       l.tierOf(sg.docs),
-			IndexBytes: sg.engine.Index().SizeBytes(),
+			Base:       sg.Base,
+			Docs:       sg.Index.NumDocs(),
+			Tier:       l.tierOf(sg.Index.NumDocs()),
+			IndexBytes: sg.Index.SizeBytes(),
 			StoreBytes: sg.store.CompressedSize(),
 		}
 	}

@@ -92,27 +92,27 @@ type Librarian struct {
 }
 
 // New assembles a librarian from its parts, as a one-segment collection.
-func New(name string, engine *search.Engine, docs *store.Store) (*Librarian, error) {
+func New(name string, ix *index.Index, analyzer *textproc.Analyzer, docs *store.Store) (*Librarian, error) {
 	if name == "" {
 		return nil, errors.New("librarian: name must be non-empty")
 	}
-	if engine == nil || docs == nil {
-		return nil, errors.New("librarian: engine and store are required")
+	if ix == nil || analyzer == nil || docs == nil {
+		return nil, errors.New("librarian: index, analyser and store are required")
 	}
-	if engine.Index().NumDocs() != docs.NumDocs() {
+	if ix.NumDocs() != docs.NumDocs() {
 		return nil, fmt.Errorf("librarian %q: index has %d docs, store has %d",
-			name, engine.Index().NumDocs(), docs.NumDocs())
+			name, ix.NumDocs(), docs.NumDocs())
 	}
 	l := &Librarian{
 		name:     name,
-		analyzer: engine.Analyzer(),
-		skip:     engine.Index().SkipInterval(),
+		analyzer: analyzer,
+		skip:     ix.SkipInterval(),
 		model:    docs.Model(),
 		closing:  make(chan struct{}),
 		sendSlot: make(chan struct{}, 1),
 		notify:   make(chan struct{}),
 	}
-	l.man.Store(l.newManifest([]*segment{{engine: engine, store: docs, docs: docs.NumDocs()}}))
+	l.man.Store(l.newManifest([]*segment{{Part: search.Part{Index: ix}, store: docs}}))
 	return l, nil
 }
 
@@ -138,17 +138,17 @@ func Build(name string, docs []store.Document, opts BuildOptions) (*Librarian, e
 	if err != nil {
 		return nil, err
 	}
-	return New(name, sg.engine, sg.store)
+	return New(name, sg.Index, analyzer, sg.store)
 }
 
 // Name returns the librarian's collection name.
 func (l *Librarian) Name() string { return l.name }
 
-// Engine exposes the search engine over the whole collection (for local
-// experimentation): the sole segment's, or on a multi-segment manifest the
+// Engine builds a search handle over the whole collection (for commands and
+// examples): the sole segment's index, or on a multi-segment manifest the
 // merged view, materialised once per manifest. The snapshot is immutable
 // and stays valid after later ingestion.
-func (l *Librarian) Engine() *search.Engine { return l.view().engine }
+func (l *Librarian) Engine() *search.Engine { return search.NewEngine(l.view().Index, l.analyzer) }
 
 // Store exposes the document store over the whole collection, as Engine.
 func (l *Librarian) Store() *store.Store { return l.view().store }

@@ -42,7 +42,7 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build("", testDocs(), BuildOptions{}); err == nil {
 		t.Fatal("empty name: want error")
 	}
-	if _, err := New("x", nil, nil); err == nil {
+	if _, err := New("x", nil, nil, nil); err == nil {
 		t.Fatal("nil parts: want error")
 	}
 }

@@ -180,8 +180,8 @@ func TestSegmentCountParity(t *testing.T) {
 	terms := strings.Fields(short)
 	one := servedAs(t, docs, 1)
 	weights := func(q string) map[string]float64 {
-		eng := one.Engine()
-		return eng.QueryWeights(eng.ParseQuery(q))
+		w, _ := refLocalWeights(one.man.Load(), q)
+		return w
 	}
 	nominated := []uint32{299, 0, 150, 149, 151, 60, 59, 61, 7, 240, 120, 119}
 

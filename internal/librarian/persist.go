@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"teraphim/internal/index"
-	"teraphim/internal/search"
 	"teraphim/internal/store"
 	"teraphim/internal/textproc"
 )
@@ -44,10 +43,11 @@ func Save(dir string, lib *Librarian, opts SaveOptions) error {
 	if err := os.WriteFile(filepath.Join(dir, confFile), []byte(conf), 0o644); err != nil {
 		return fmt.Errorf("librarian: write conf: %w", err)
 	}
-	if err := writeFileWith(filepath.Join(dir, indexFile), lib.Engine().Index().WriteTo); err != nil {
+	view := lib.view()
+	if err := writeFileWith(filepath.Join(dir, indexFile), view.Index.WriteTo); err != nil {
 		return fmt.Errorf("librarian: write index: %w", err)
 	}
-	if err := writeFileWith(filepath.Join(dir, storeFile), lib.Store().WriteTo); err != nil {
+	if err := writeFileWith(filepath.Join(dir, storeFile), view.store.WriteTo); err != nil {
 		return fmt.Errorf("librarian: write store: %w", err)
 	}
 	return nil
@@ -93,7 +93,7 @@ func Load(dir string) (*Librarian, error) {
 	if err != nil {
 		return nil, fmt.Errorf("librarian: load store: %w", err)
 	}
-	return New(name, search.NewEngine(ix, analyzer), st)
+	return New(name, ix, analyzer, st)
 }
 
 func parseConf(conf string) (string, *textproc.Analyzer, error) {

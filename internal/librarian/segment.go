@@ -26,13 +26,12 @@ import (
 // frames — against a consistent snapshot. A built or loaded collection is the
 // one-segment case of the same loops.
 
-// segment is one immutable slice of the collection. base is the global id
-// of the segment's local document 0; docs is its document count.
+// segment is one immutable slice of the collection: an index part — its
+// index and the global id of its local document 0 — and its store. Its text
+// was analysed with the librarian's analyser, which queries share.
 type segment struct {
-	engine *search.Engine
-	store  *store.Store
-	base   uint32
-	docs   uint32
+	search.Part
+	store *store.Store
 }
 
 // A lexicon numbers a segment's tokens as its scan meets them, then yields
@@ -116,7 +115,7 @@ func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyze
 	if err != nil {
 		return nil, fmt.Errorf("librarian %q: build index: %w", name, err)
 	}
-	return &segment{engine: search.NewEngine(ix, analyzer), store: st, docs: st.NumDocs()}, nil
+	return &segment{Part: search.Part{Index: ix}, store: st}, nil
 }
 
 // manifest is one published snapshot of the collection. It is immutable
@@ -126,7 +125,7 @@ func buildSegment(name string, docs []store.Document, analyzer *textproc.Analyze
 type manifest struct {
 	lib   *Librarian
 	segs  []*segment    // ascending base, tiling [0, total)
-	parts []search.Part // the segments' engines and bases, as search takes them
+	parts []search.Part // the segments' indexes and bases, as search takes them
 	total uint32
 
 	statsOnce sync.Once
@@ -141,7 +140,7 @@ type manifest struct {
 // locate returns the segment holding global doc id — the ResolveGlobal
 // binary-search idiom over segment bases. The caller checks id < m.total.
 func (m *manifest) locate(id uint32) *segment {
-	i := sort.Search(len(m.segs), func(i int) bool { return m.segs[i].base > id }) - 1
+	i := sort.Search(len(m.segs), func(i int) bool { return m.segs[i].Base > id }) - 1
 	return m.segs[i]
 }
 
@@ -156,21 +155,20 @@ func (m *manifest) rank(scratch *search.Scratch, q *protocol.RankQuery) protocol
 	if q.Evaluator != 0 {
 		return &protocol.ErrorReply{Message: fmt.Sprintf("unknown evaluator %d", q.Evaluator)}
 	}
-	return evalReply(search.RankParts(nil, scratch, m.parts, q.Query, int(q.K), q.Weights))
+	return evalReply(search.RankParts(nil, scratch, m.parts, m.lib.analyzer, q.Query, int(q.K), q.Weights))
 }
 
 func (m *manifest) score(scratch *search.Scratch, q *protocol.ScoreDocs) protocol.Message {
-	return evalReply(search.ScoreParts(scratch, m.parts, q.Query, q.Docs, q.Weights, int(q.K)))
+	return evalReply(search.ScoreParts(scratch, m.parts, m.lib.analyzer, q.Query, q.Docs, q.Weights, int(q.K)))
 }
 
 // boolean parses the expression once, with the librarian's one analyser,
 // and evaluates it over the segments as one collection.
 func (m *manifest) boolean(q *protocol.BooleanQuery) protocol.Message {
-	bq, err := m.segs[0].engine.ParseBoolean(q.Expr)
+	docs, stats, err := search.BooleanParts(m.parts, m.lib.analyzer, q.Expr)
 	if err != nil {
 		return &protocol.ErrorReply{Message: err.Error()}
 	}
-	docs, stats := search.BooleanParts(m.parts, bq)
 	return &protocol.BooleanReply{Docs: docs, Stats: stats}
 }
 
@@ -178,7 +176,7 @@ func (m *manifest) boolean(q *protocol.BooleanQuery) protocol.Message {
 func (m *manifest) indexes() []*index.Index {
 	ixs := make([]*index.Index, len(m.segs))
 	for i, sg := range m.segs {
-		ixs[i] = sg.engine.Index()
+		ixs[i] = sg.Index
 	}
 	return ixs
 }
@@ -207,7 +205,7 @@ func (m *manifest) hello() protocol.Message {
 	m.initStats()
 	var ixBytes, storeBytes uint64
 	for _, sg := range m.segs {
-		ixBytes += sg.engine.Index().SizeBytes()
+		ixBytes += sg.Index.SizeBytes()
 		storeBytes += sg.store.CompressedSize()
 	}
 	return &protocol.HelloReply{
@@ -229,17 +227,17 @@ func (m *manifest) fetchOne(id uint32, compressed bool) (protocol.DocBlob, error
 	if compressed {
 		// Every segment is coded under the model ModelRequest advertises:
 		// the stored blob ships as it is.
-		title, err := sg.store.Title(id - sg.base)
+		title, err := sg.store.Title(id - sg.Base)
 		if err != nil {
 			return protocol.DocBlob{}, err
 		}
-		data, err := sg.store.FetchCompressed(id - sg.base)
+		data, err := sg.store.FetchCompressed(id - sg.Base)
 		if err != nil {
 			return protocol.DocBlob{}, err
 		}
 		return protocol.DocBlob{Doc: id, Title: title, Data: append([]byte(nil), data...), Compressed: true}, nil
 	}
-	doc, err := sg.store.Fetch(id - sg.base)
+	doc, err := sg.store.Fetch(id - sg.Base)
 	return protocol.DocBlob{Doc: id, Title: doc.Title, Data: []byte(doc.Text)}, err
 }
 
@@ -261,7 +259,7 @@ func (m *manifest) shipIndex(q *protocol.IndexRequest) protocol.Message {
 	}
 	srcs := make([]index.GroupSource, len(m.segs))
 	for i, sg := range m.segs {
-		srcs[i] = sg.engine.Index().Groups(q.Base%q.G+sg.base, q.G, from, to)
+		srcs[i] = sg.Index.Groups(q.Base%q.G+sg.Base, q.G, from, to)
 	}
 	if err := index.FoldGroups(srcs, protocol.NewListWriter(reply).Append); err != nil {
 		return &protocol.ErrorReply{Message: fmt.Sprintf("group index: %v", err)}
@@ -311,7 +309,7 @@ func (m *manifest) merged() (*segment, error) {
 		stores := make([]*store.Store, len(m.segs))
 		offs := make([]uint32, len(m.segs))
 		for i, sg := range m.segs {
-			stores[i], offs[i] = sg.store, sg.base
+			stores[i], offs[i] = sg.store, sg.Base
 		}
 		var ix *index.Index
 		if ix, m.viewErr = index.Merge(m.indexes(), offs, m.total, index.WithSkipInterval(m.lib.skip)); m.viewErr != nil {
@@ -319,7 +317,7 @@ func (m *manifest) merged() (*segment, error) {
 		}
 		var st *store.Store
 		if st, m.viewErr = store.Concat(stores); m.viewErr == nil {
-			m.view = &segment{engine: search.NewEngine(ix, m.lib.analyzer), store: st, docs: st.NumDocs()}
+			m.view = &segment{Part: search.Part{Index: ix}, store: st}
 		}
 	})
 	return m.view, m.viewErr

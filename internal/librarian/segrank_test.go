@@ -37,7 +37,7 @@ func refLocalWeights(m *manifest, query string) (map[string]float64, bool) {
 	for t, fqt := range freqs {
 		var ft uint64
 		for _, sg := range m.segs {
-			ft += uint64(sg.engine.Index().TermFreq(t))
+			ft += uint64(sg.Index.Lookup(t).FT())
 		}
 		if ft == 0 {
 			continue
@@ -65,7 +65,7 @@ func refRank(m *manifest, scratch *search.Scratch, q *protocol.RankQuery) protoc
 	var all []search.Result
 	var stats search.Stats
 	for _, sg := range m.segs {
-		res, st, err := search.RankParts(nil, scratch, []search.Part{{Engine: sg.engine}}, q.Query, k, weights)
+		res, st, err := search.RankParts(nil, scratch, []search.Part{{Index: sg.Index}}, m.lib.analyzer, q.Query, k, weights)
 		if err != nil {
 			if errors.Is(err, search.ErrEmptyQuery) {
 				return &protocol.RankReply{Stats: stats}
@@ -74,7 +74,7 @@ func refRank(m *manifest, scratch *search.Scratch, q *protocol.RankQuery) protoc
 		}
 		stats.Add(st)
 		for i := range res {
-			res[i].Doc += sg.base
+			res[i].Doc += sg.Base
 		}
 		if all == nil {
 			all = res
@@ -310,12 +310,13 @@ var longFleet = sync.OnceValues(func() (fleet, error) {
 				errs[i] = err
 				return
 			}
-			sg, err := buildSegment(sub.Name, sub.Docs, textproc.NewAnalyzer(), index.DefaultSkipInterval, model)
+			analyzer := textproc.NewAnalyzer()
+			sg, err := buildSegment(sub.Name, sub.Docs, analyzer, index.DefaultSkipInterval, model)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			libs[i], errs[i] = New(sub.Name, sg.engine, sg.store)
+			libs[i], errs[i] = New(sub.Name, sg.Index, analyzer, sg.store)
 		}()
 	}
 	wg.Wait()

@@ -21,7 +21,7 @@ import (
 func (l *Librarian) newManifest(segs []*segment) *manifest {
 	kept := make([]*segment, 0, len(segs))
 	for _, sg := range segs {
-		if sg.docs > 0 {
+		if sg.Index.NumDocs() > 0 {
 			kept = append(kept, sg)
 		}
 	}
@@ -32,9 +32,9 @@ func (l *Librarian) newManifest(segs []*segment) *manifest {
 	parts := make([]search.Part, len(kept))
 	var base uint32
 	for i, sg := range kept {
-		out[i] = &segment{engine: sg.engine, store: sg.store, docs: sg.docs, base: base}
-		parts[i] = search.Part{Engine: sg.engine, Base: base}
-		base += sg.docs
+		out[i] = &segment{Part: search.Part{Index: sg.Index, Base: base}, store: sg.store}
+		parts[i] = out[i].Part
+		base += sg.Index.NumDocs()
 	}
 	return &manifest{lib: l, segs: out, parts: parts, total: base}
 }

@@ -97,7 +97,7 @@ func assertStringPath(t testing.TB, label string, sg *segment, docs []store.Docu
 	if !bytes.Equal(sg.store.Model().Marshal(), model.Marshal()) {
 		t.Fatalf("%s: model bytes differ from the string path's", label)
 	}
-	if !bytes.Equal(serialised(t, sg.engine.Index()), serialised(t, ix)) {
+	if !bytes.Equal(serialised(t, sg.Index), serialised(t, ix)) {
 		t.Fatalf("%s: index bytes differ from the string path's", label)
 	}
 	if !bytes.Equal(serialised(t, sg.store), serialised(t, st)) {
@@ -194,7 +194,7 @@ func TestBuildSegmentConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(serialised(t, segs[i].engine.Index()), serialised(t, serial.engine.Index())) ||
+		if !bytes.Equal(serialised(t, segs[i].Index), serialised(t, serial.Index)) ||
 			!bytes.Equal(serialised(t, segs[i].store), serialised(t, serial.store)) {
 			t.Fatalf("batch %d: a concurrent build wrote other bytes than a serial one", i)
 		}

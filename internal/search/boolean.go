@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"teraphim/internal/index"
+	"teraphim/internal/textproc"
 )
 
 // The paper contrasts ranked queries with Boolean queries, whose distributed
@@ -18,23 +19,19 @@ import (
 //	andExpr:= notExpr { AND notExpr }
 //	notExpr:= NOT notExpr | '(' expr ')' | term
 //
-// Terms pass through the engine's analyzer; a term that analyses to nothing
+// Terms pass through the caller's analyser; a term that analyses to nothing
 // (for example a stopword) matches no documents.
-
-// BooleanQuery is a parsed Boolean expression: a tree of analysed terms that
-// names no engine, so one parse evaluates over every part of a collection.
-type BooleanQuery struct {
-	root boolNode
-}
 
 type boolNode interface {
 	eval(b *boolEval) []uint32
 }
 
-// boolEval is one evaluation over parts tiling [0, total): each term's lists
-// are read part by part, through one reused cursor, into one list of ids.
+// boolEval is one evaluation over parts tiling [0, total): each term is
+// looked up once per part into ents, and its lists are read part by part,
+// through one reused cursor, into one list of ids.
 type boolEval struct {
 	parts []Part
+	ents  []index.Entry // the term being read's entry in each part
 	total uint32
 	cur   index.TermCursor
 	stats Stats
@@ -45,39 +42,26 @@ type orNode struct{ left, right boolNode }
 type notNode struct{ child boolNode }
 type termNode struct{ term string }
 
-// ParseBoolean parses a Boolean expression using the engine's analyzer for
-// term normalisation.
-func (e *Engine) ParseBoolean(expr string) (*BooleanQuery, error) {
-	p := &boolParser{tokens: tokenizeBoolean(expr), engine: e}
+// BooleanParts returns, ascending, the ids in the space parts tile of the
+// documents matching the Boolean expression expr, its terms analysed with a.
+// NOT complements over the whole space, and a term is one list of ids however
+// many parts hold it, so an evaluation allocates the same whatever the number
+// of parts.
+func BooleanParts(parts []Part, a *textproc.Analyzer, expr string) ([]uint32, Stats, error) {
+	p := &boolParser{tokens: tokenizeBoolean(expr), analyzer: a}
 	root, err := p.parseOr()
 	if err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
 	if p.pos != len(p.tokens) {
-		return nil, fmt.Errorf("search: trailing input at token %q", p.tokens[p.pos])
+		return nil, Stats{}, fmt.Errorf("search: trailing input at token %q", p.tokens[p.pos])
 	}
-	return &BooleanQuery{root: root}, nil
-}
-
-// EvaluateBoolean is BooleanParts over this engine alone.
-func (e *Engine) EvaluateBoolean(q *BooleanQuery) ([]uint32, Stats) {
-	return BooleanParts([]Part{{Engine: e}}, q)
-}
-
-// BooleanParts returns, ascending, the ids in the space parts tile of the
-// documents matching q. NOT complements over the whole space, and a term is
-// one list of ids however many parts hold it, so an evaluation allocates the
-// same whatever the number of parts.
-func BooleanParts(parts []Part, q *BooleanQuery) ([]uint32, Stats) {
-	if q == nil || q.root == nil {
-		return nil, Stats{}
-	}
-	b := &boolEval{parts: parts}
+	b := &boolEval{parts: parts, ents: make([]index.Entry, len(parts))}
 	for _, p := range parts {
-		b.total += p.Engine.ix.NumDocs()
+		b.total += p.Index.NumDocs()
 	}
-	docs := q.root.eval(b)
-	return docs, b.stats
+	docs := root.eval(b)
+	return docs, b.stats, nil
 }
 
 func tokenizeBoolean(expr string) []string {
@@ -105,9 +89,9 @@ func tokenizeBoolean(expr string) []string {
 }
 
 type boolParser struct {
-	tokens []string
-	pos    int
-	engine *Engine
+	tokens   []string
+	pos      int
+	analyzer *textproc.Analyzer
 }
 
 func (p *boolParser) peek() string {
@@ -176,7 +160,7 @@ func (p *boolParser) parseNot() (boolNode, error) {
 		return nil, fmt.Errorf("search: unexpected ')'")
 	default:
 		p.pos++
-		terms := p.engine.analyzer.Terms(nil, tok)
+		terms := p.analyzer.Terms(nil, tok)
 		if len(terms) == 0 {
 			return &termNode{term: ""}, nil
 		}
@@ -193,15 +177,16 @@ func (p *boolParser) parseNot() (boolNode, error) {
 func (n *termNode) eval(b *boolEval) []uint32 {
 	b.stats.TermsLooked++
 	var ft int
-	for _, p := range b.parts {
-		ft += int(p.Engine.ix.TermFreq(n.term))
+	for i, p := range b.parts {
+		b.ents[i] = p.Index.Lookup(n.term)
+		ft += int(b.ents[i].FT())
 	}
 	if ft == 0 {
 		return nil
 	}
 	docs := make([]uint32, 0, ft)
-	for _, p := range b.parts {
-		if !p.Engine.ix.OpenCursor(&b.cur, n.term) {
+	for i, p := range b.parts {
+		if !p.Index.Open(&b.cur, b.ents[i]) {
 			continue
 		}
 		b.stats.ListsFetched++

@@ -119,18 +119,18 @@ func TestGoldenScoreDocsMatchesSeedEvaluator(t *testing.T) {
 func TestRankSteadyStateAllocations(t *testing.T) {
 	e, queries := goldenCorpus(t)
 	s := NewScratch()
-	parts := []Part{{Engine: e}}
+	parts := []Part{{Index: e.Index()}}
 	// Warm up: size the accumulators, cursor buffer, heap backing, and the
 	// index's reciprocal-weight cache.
 	for _, q := range queries {
-		if _, _, err := RankParts(nil, s, parts, q, 100, nil); err != nil {
+		if _, _, err := RankParts(nil, s, parts, e.Analyzer(), q, 100, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, q := range queries {
 		q := q
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, _, err := RankParts(nil, s, parts, q, 10, nil); err != nil {
+			if _, _, err := RankParts(nil, s, parts, e.Analyzer(), q, 10, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -146,12 +146,12 @@ func TestScoreDocsSteadyStateAllocations(t *testing.T) {
 	s := NewScratch()
 	targets := []uint32{3, 77, 150, 400, 801, 1100}
 	for _, q := range queries {
-		if _, _, err := ScoreParts(s, []Part{{Engine: e}}, q, targets, nil, 0); err != nil {
+		if _, _, err := ScoreParts(s, []Part{{Index: e.Index()}}, e.Analyzer(), q, targets, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := ScoreParts(s, []Part{{Engine: e}}, queries[0], targets, nil, 0); err != nil {
+		if _, _, err := ScoreParts(s, []Part{{Index: e.Index()}}, e.Analyzer(), queries[0], targets, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -170,7 +170,7 @@ func TestRankAbsentTermsAllocateNothing(t *testing.T) {
 	s := NewScratch()
 	allocs := func(q string) float64 {
 		rank := func() {
-			if _, _, err := RankParts(nil, s, []Part{{Engine: e}}, q, 10, weights); err != nil {
+			if _, _, err := RankParts(nil, s, []Part{{Index: e.Index()}}, e.Analyzer(), q, 10, weights); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -189,7 +189,7 @@ func TestRankContextEvalCancellation(t *testing.T) {
 	e, queries := goldenCorpus(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := RankParts(ctx, NewScratch(), []Part{{Engine: e}}, queries[0], 10, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := RankParts(ctx, NewScratch(), []Part{{Index: e.Index()}}, e.Analyzer(), queries[0], 10, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -221,7 +221,7 @@ func TestConcurrentRankWithPooledScratch(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				qi := (g + round) % len(queries)
 				s := GetScratch()
-				got, _, err := RankParts(nil, s, []Part{{Engine: e}}, queries[qi], 20, nil)
+				got, _, err := RankParts(nil, s, []Part{{Index: e.Index()}}, e.Analyzer(), queries[qi], 20, nil)
 				s.Release()
 				if err != nil {
 					errc <- err

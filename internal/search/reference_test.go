@@ -85,16 +85,49 @@ func oracleQuery(rng *rand.Rand, vocab int) string {
 	return strings.Join(qt, " ")
 }
 
+// oracleBoolean draws a Boolean expression of up to depth levels of AND, OR
+// and NOT over vocab, its terms sometimes absent from the collection, and
+// returns it with the documents it matches by set evaluation over terms.
+func oracleBoolean(rng *rand.Rand, vocab int, terms [][]string, depth int) (string, []bool) {
+	match := make([]bool, len(terms))
+	if depth == 0 || rng.Intn(3) == 0 {
+		t := "t" + strconv.Itoa(rng.Intn(vocab+3))
+		for d, ts := range terms {
+			match[d] = slices.Contains(ts, t)
+		}
+		return t, match
+	}
+	left, lm := oracleBoolean(rng, vocab, terms, depth-1)
+	if rng.Intn(4) == 0 {
+		for d := range match {
+			match[d] = !lm[d]
+		}
+		return "NOT (" + left + ")", match
+	}
+	right, rm := oracleBoolean(rng, vocab, terms, depth-1)
+	op := "AND"
+	if rng.Intn(2) == 0 {
+		op = "OR"
+	}
+	for d := range match {
+		match[d] = lm[d] && rm[d] || op == "OR" && (lm[d] || rm[d])
+	}
+	return "(" + left + " " + op + " " + right + ")", match
+}
+
 // TestEngineAgainstBruteForce is the kernel's oracle property. On random
 // corpora cut into 1, 2 and 5 parts, every evaluator's RankParts, with
 // collection weights derived (nil) and supplied (CV), must hold the oracle's
-// ranking and be == to every other combination's.
+// ranking and be == to every other combination's; and BooleanParts must
+// match, over every parting, the documents a set evaluation of a random
+// AND/OR/NOT expression finds.
 func TestEngineAgainstBruteForce(t *testing.T) {
 	a := plainAnalyzer()
 	for seed := int64(1); seed <= 24; seed++ {
 		rng, docs, terms, vocab := oracleCorpus(seed)
 		whole := buildEngine(t, docs)
-		partings := [][]Part{{{Engine: whole}}, cutParts(t, docs, 2), cutParts(t, docs, 5)}
+		partings := [][]Part{{{Index: whole.Index()}}, cutParts(t, docs, 2), cutParts(t, docs, 5)}
+		boolRng := rand.New(rand.NewSource(seed)) // its own, so the ranked queries are as before
 		for trial := 0; trial < 6; trial++ {
 			q := oracleQuery(rng, vocab)
 			k := 1 + rng.Intn(len(docs)+5)
@@ -104,7 +137,7 @@ func TestEngineAgainstBruteForce(t *testing.T) {
 			for _, weights := range []map[string]float64{nil, whole.QueryWeights(whole.ParseQuery(q))} {
 				for _, parts := range partings {
 					label := fmt.Sprintf("seed %d query %q k=%d parts=%d explicit=%v", seed, q, k, len(parts), weights != nil)
-					got, _, err := RankParts(nil, NewScratch(), parts, q, k, weights)
+					got, _, err := RankParts(nil, NewScratch(), parts, a, q, k, weights)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -116,6 +149,19 @@ func TestEngineAgainstBruteForce(t *testing.T) {
 					} else if !slices.Equal(got, first) {
 						t.Fatalf("%s: %v, the one-part ranking %v", label, got, first)
 					}
+				}
+			}
+			expr, match := oracleBoolean(boolRng, vocab, terms, 3)
+			var matching []uint32
+			for d, m := range match {
+				if m {
+					matching = append(matching, uint32(d))
+				}
+			}
+			for _, parts := range partings {
+				got, _, err := BooleanParts(parts, a, expr)
+				if err != nil || !slices.Equal(got, matching) {
+					t.Fatalf("seed %d %q parts=%d: %v, %v; the set evaluation matches %v", seed, expr, len(parts), got, err, matching)
 				}
 			}
 		}
@@ -131,7 +177,7 @@ func TestScoreDocsAgainstBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng, docs, terms, vocab := oracleCorpus(seed)
 		whole := buildEngine(t, docs)
-		partings := [][]Part{{{Engine: whole}}, cutParts(t, docs, 2), cutParts(t, docs, 5)}
+		partings := [][]Part{{{Index: whole.Index()}}, cutParts(t, docs, 2), cutParts(t, docs, 5)}
 		for trial := 0; trial < 6; trial++ {
 			q := oracleQuery(rng, vocab)
 			want := oracle.Scores(terms, a.Terms(nil, q))
@@ -143,7 +189,7 @@ func TestScoreDocsAgainstBruteForce(t *testing.T) {
 			for _, weights := range []map[string]float64{nil, whole.QueryWeights(whole.ParseQuery(q))} {
 				for _, parts := range partings {
 					label := fmt.Sprintf("seed %d query %q parts=%d explicit=%v", seed, q, len(parts), weights != nil)
-					scored, _, err := ScoreParts(NewScratch(), parts, q, nominated, weights, 0)
+					scored, _, err := ScoreParts(NewScratch(), parts, a, q, nominated, weights, 0)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

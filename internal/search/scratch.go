@@ -38,12 +38,12 @@ type queryTerm struct {
 }
 
 // Scratch holds the reusable per-query state of the ranked-evaluation
-// kernel: the prepared query, flat accumulators sized to the collection,
-// decode and tokenizer buffers, a pooled term cursor, and top-k heap
-// backing. One Scratch serves one query at a time; recycle it through
-// GetScratch/Release (a sync.Pool, safe under the connection Pool's
-// concurrent sessions — each Get hands out exclusive ownership) or own one
-// per session.
+// kernel: the prepared query and its terms' entries in every part, flat
+// accumulators sized to the collection, decode and tokenizer buffers, a
+// pooled term cursor, and top-k heap backing. One Scratch serves one query
+// at a time; recycle it through GetScratch/Release (a sync.Pool, safe under
+// the connection Pool's concurrent sessions — each Get hands out exclusive
+// ownership) or own one per session.
 //
 // An accumulator is live iff non-zero: each contribution w_qt·log(f_dt+1)
 // is positive, as w_qt ≤ 0 is skipped, prepare refuses NaN and infinities,
@@ -55,7 +55,8 @@ type Scratch struct {
 	raw    []string // tokenizer buffer
 	terms  []string // analysed-terms buffer
 	qterms []queryTerm
-	wq     float64 // W_q of the prepared query (see prepare)
+	ents   []index.Entry // part p's entry of qterms[i] at p·len(qterms)+i
+	wq     float64       // W_q of the prepared query (see prepare)
 
 	heap   []Result // top-k selector backing
 	docbuf []uint32 // ScoreDocs sorted-target buffer

@@ -66,7 +66,7 @@ func cutParts(t *testing.T, docs []string, np int) []Part {
 	parts := make([]Part, np)
 	for i := range parts {
 		lo, hi := len(docs)*i/np, len(docs)*(i+1)/np
-		parts[i] = Part{Engine: buildEngine(t, docs[lo:hi]), Base: uint32(lo)}
+		parts[i] = Part{Index: buildEngine(t, docs[lo:hi]).Index(), Base: uint32(lo)}
 	}
 	return parts
 }
@@ -119,11 +119,11 @@ func TestScratchHygiene(t *testing.T) {
 				for _, weights := range []map[string]float64{nil, explicit} {
 					// Cancelled before the first part's last list: half-built
 					// accumulators are left behind.
-					if _, _, err := RankParts(&cancelAfter{context.Background(), unique - 1}, shared, parts, q, k, weights); !errors.Is(err, context.Canceled) {
+					if _, _, err := RankParts(&cancelAfter{context.Background(), unique - 1}, shared, parts, a, q, k, weights); !errors.Is(err, context.Canceled) {
 						t.Fatalf("%s: cancelled rank err = %v", label, err)
 					}
 
-					got, st, err := RankParts(nil, shared, parts, q, k, weights)
+					got, st, err := RankParts(nil, shared, parts, a, q, k, weights)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -132,7 +132,7 @@ func TestScratchHygiene(t *testing.T) {
 					} else {
 						sawSparse = true
 					}
-					fresh, fst, _ := RankParts(nil, NewScratch(), parts, q, k, weights)
+					fresh, fst, _ := RankParts(nil, NewScratch(), parts, a, q, k, weights)
 					if !slices.Equal(got, fresh) || st.CandidateDocs != fst.CandidateDocs {
 						t.Fatalf("%s rank k=%d:\nreused %v, %d candidates\nfresh  %v, %d candidates", label, k, got, st.CandidateDocs, fresh, fst.CandidateDocs)
 					}
@@ -154,11 +154,11 @@ func TestScratchHygiene(t *testing.T) {
 							matched++
 						}
 					}
-					got, st, err = ScoreParts(shared, parts, q, docsIn, weights, 0)
+					got, st, err = ScoreParts(shared, parts, a, q, docsIn, weights, 0)
 					if err != nil {
 						t.Fatalf("%s score: %v", label, err)
 					}
-					fresh, fst, _ = ScoreParts(NewScratch(), parts, q, docsIn, weights, 0)
+					fresh, fst, _ = ScoreParts(NewScratch(), parts, a, q, docsIn, weights, 0)
 					if !slices.Equal(got, fresh) || st.CandidateDocs != fst.CandidateDocs {
 						t.Fatalf("%s score:\nreused %v, %d candidates\nfresh  %v, %d candidates", label, got, st.CandidateDocs, fresh, fst.CandidateDocs)
 					}
@@ -187,22 +187,22 @@ func TestScratchHygiene(t *testing.T) {
 // are valid and simply skip their lists.
 func TestInvalidWeightsRejected(t *testing.T) {
 	e := buildEngine(t, tinyDocs)
-	parts := []Part{{Engine: e}}
+	parts := []Part{{Index: e.Index()}}
 	s := NewScratch()
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
 		for _, weights := range []map[string]float64{
 			{"cat": bad, "fish": 1},
 			{"cat": 1, "fish": 1, "whale": bad}, // not a query term
 		} {
-			if _, _, err := RankParts(nil, s, parts, "cat fish", 3, weights); !errors.Is(err, ErrInvalidWeight) {
+			if _, _, err := RankParts(nil, s, parts, e.Analyzer(), "cat fish", 3, weights); !errors.Is(err, ErrInvalidWeight) {
 				t.Fatalf("RankParts weights %v: err = %v, want ErrInvalidWeight", weights, err)
 			}
-			if _, _, err := ScoreParts(s, parts, "cat fish", []uint32{0, 2}, weights, 0); !errors.Is(err, ErrInvalidWeight) {
+			if _, _, err := ScoreParts(s, parts, e.Analyzer(), "cat fish", []uint32{0, 2}, weights, 0); !errors.Is(err, ErrInvalidWeight) {
 				t.Fatalf("ScoreParts weights %v: err = %v, want ErrInvalidWeight", weights, err)
 			}
 		}
 	}
-	got, _, err := RankParts(nil, s, parts, "cat fish", 3, map[string]float64{"cat": 0, "fish": 1})
+	got, _, err := RankParts(nil, s, parts, e.Analyzer(), "cat fish", 3, map[string]float64{"cat": 0, "fish": 1})
 	if err != nil || len(got) == 0 {
 		t.Fatalf("zero weight: %v, %v", got, err)
 	}

@@ -18,11 +18,12 @@
 // a memoised log table, and normalisation reads the index's cached
 // reciprocal-weight array.
 //
-// A collection may be several engines tiled over one document-id space (a
+// A collection may be several indexes tiled over one document-id space (a
 // segmented librarian): RankParts, ScoreParts and BooleanParts analyse the
-// query once, then evaluate it over every part into one result. They are the
-// only evaluation entry points; a single engine is the one-part case, and
-// Rank and ScoreDocs are that case on a pooled Scratch.
+// query once with the analyser the caller owns, resolve each term once per
+// part, then evaluate it over every part into one result. They are the only
+// evaluation entry points; a single index is the one-part case, and Engine
+// is that case as a handle.
 package search
 
 import (
@@ -50,8 +51,8 @@ type Result struct {
 }
 
 // Ranking is a completed query evaluation: the answers in decreasing score
-// order plus the work the evaluation performed. The one-engine conveniences
-// (Rank, ScoreDocs) return it; RankParts and ScoreParts keep the flat form
+// order plus the work the evaluation performed. The one-collection handle's
+// Rank and ScoreDocs return it; RankParts and ScoreParts keep the flat form
 // for zero-allocation use.
 type Ranking struct {
 	Results []Result
@@ -77,39 +78,13 @@ func (s *Stats) Add(other Stats) {
 	s.CandidateDocs += other.CandidateDocs
 }
 
-// Engine evaluates queries against one collection.
-type Engine struct {
-	ix       *index.Index
-	analyzer *textproc.Analyzer
-}
-
-// NewEngine wraps an index with the analysis pipeline used at build time.
-func NewEngine(ix *index.Index, analyzer *textproc.Analyzer) *Engine {
-	return &Engine{ix: ix, analyzer: analyzer}
-}
-
-// Index exposes the underlying index (read-only usage expected).
-func (e *Engine) Index() *index.Index { return e.ix }
-
-// Analyzer exposes the engine's analysis pipeline so other components (a
-// receptionist, an evaluation harness) can analyse queries identically.
-func (e *Engine) Analyzer() *textproc.Analyzer { return e.analyzer }
-
-// Part is one engine of a collection tiled over a global document-id space:
-// Base is the global id of its local document 0. Parts share an analyser.
+// Part is one index of a collection tiled over a global document-id space:
+// Base is the global id of its local document 0. The kernel's unit is the
+// part; the analyser belongs to whoever owns the text, and every part of a
+// collection was indexed with it.
 type Part struct {
-	Engine *Engine
-	Base   uint32
-}
-
-// ParseQuery analyses raw query text into term frequencies f_{q,t}.
-func (e *Engine) ParseQuery(query string) map[string]uint32 {
-	terms := e.analyzer.Terms(nil, query)
-	freqs := make(map[string]uint32, len(terms))
-	for _, t := range terms {
-		freqs[t]++
-	}
-	return freqs
+	Index *index.Index
+	Base  uint32
 }
 
 // parseQueryInto analyses query into s.qterms (term + f_qt, in order of first
@@ -143,49 +118,49 @@ func CollectionWeight(fqt, ft, numDocs uint32) float64 {
 	return logF1(fqt) * math.Log(float64(numDocs)/float64(ft)+1)
 }
 
-// QueryWeights computes the local w_{q,t} map for an analysed query.
-func (e *Engine) QueryWeights(freqs map[string]uint32) map[string]float64 {
-	weights := make(map[string]float64, len(freqs))
-	for t, fqt := range freqs {
-		if w := CollectionWeight(fqt, e.ix.TermFreq(t), e.ix.NumDocs()); w > 0 {
-			weights[t] = w
-		}
-	}
-	return weights
-}
-
-// prepare analyses query once and resolves it in s for every part to
-// evaluate: s.qterms in first-appearance order with f_qt and w_qt, and s.wq =
-// W_q. With weights nil a term's weight comes from f_t summed over parts and
-// N their total (MS/CN); otherwise weights is authoritative (CV) and terms
-// absent from it weigh 0. W_q sums in query order, never map order, so every
-// evaluator of a query — the mono server and each CV librarian — gets the
-// bitwise-same norm; ULP wobble would reorder tied documents across
-// collections. A zero norm is taken as 1.
-func (s *Scratch) prepare(parts []Part, query string, weights map[string]float64) error {
+// prepare analyses query once with a and resolves it in s for every part
+// to evaluate: s.qterms in first-appearance order with f_qt and w_qt, s.ents
+// each term's dictionary entry in each part, and s.wq = W_q. A term is looked
+// up once per part, and the f_t sums, the lists and the cursors all read its
+// entry. With weights nil a term's weight comes from f_t summed over parts
+// and N their total (MS/CN); otherwise weights is authoritative (CV), terms
+// absent from it weigh 0 and only terms of positive weight are looked up.
+// W_q sums in query order, never map order, so every evaluator of a query —
+// the mono server and each CV librarian — gets the bitwise-same norm; ULP
+// wobble would reorder tied documents across collections. A zero norm is
+// taken as 1.
+func (s *Scratch) prepare(parts []Part, a *textproc.Analyzer, query string, weights map[string]float64) error {
 	for term, w := range weights {
 		if !(w >= 0 && w <= math.MaxFloat64) {
 			return fmt.Errorf("%w: %q weighs %v", ErrInvalidWeight, term, w)
 		}
 	}
-	parseQueryInto(s, parts[0].Engine.analyzer, query)
-	if len(s.qterms) == 0 {
+	parseQueryInto(s, a, query)
+	nq := len(s.qterms)
+	if nq == 0 {
 		return ErrEmptyQuery
 	}
+	s.ents = slices.Grow(s.ents[:0], nq*len(parts))[:nq*len(parts)]
 	var numDocs uint32
 	for _, p := range parts {
-		numDocs += p.Engine.ix.NumDocs()
+		numDocs += p.Index.NumDocs()
 	}
 	var sum float64
 	for i := range s.qterms {
 		qt := &s.qterms[i]
 		if weights != nil {
 			qt.wqt = weights[qt.term]
-		} else {
-			var ft uint32
-			for _, p := range parts {
-				ft += p.Engine.ix.TermFreq(qt.term)
+		}
+		var ft uint32
+		for pi, p := range parts {
+			var e index.Entry
+			if weights == nil || qt.wqt > 0 {
+				e = p.Index.Lookup(qt.term)
 			}
+			s.ents[pi*nq+i] = e
+			ft += e.FT()
+		}
+		if weights == nil {
 			qt.wqt = CollectionWeight(qt.fqt, ft, numDocs)
 		}
 		sum += qt.wqt * qt.wqt
@@ -197,34 +172,24 @@ func (s *Scratch) prepare(parts []Part, query string, weights map[string]float64
 	return nil
 }
 
-// Rank is RankParts over this engine alone on a pooled Scratch: the top k
-// documents in decreasing score order. If weights is nil the engine derives
-// local weights (MS and CN behaviour); otherwise the supplied global weights
-// are used verbatim (CV behaviour) and terms absent from weights are skipped.
-func (e *Engine) Rank(query string, k int, weights map[string]float64) (Ranking, error) {
-	s := GetScratch()
-	defer s.Release()
-	results, stats, err := RankParts(nil, s, []Part{{Engine: e}}, query, k, weights)
-	return Ranking{Results: results, Stats: stats}, err
-}
-
-// RankParts ranks query over parts as one collection: prepared once, every
-// part offering its candidates (ids offset by its base) to one top-k
-// selector, so a later part starts from the threshold earlier parts set and
-// ties break by ascending global id as on a single index. Stats sum every
-// part's work. A nil ctx skips the cancellation checks entirely.
-func RankParts(ctx context.Context, s *Scratch, parts []Part, query string, k int, weights map[string]float64) ([]Result, Stats, error) {
+// RankParts ranks query over parts as one collection: analysed with a and
+// prepared once, every part offering its candidates (ids offset by its base)
+// to one top-k selector, so a later part starts from the threshold earlier
+// parts set and ties break by ascending global id as on a single index.
+// Stats sum every part's work. A nil ctx skips the cancellation checks
+// entirely.
+func RankParts(ctx context.Context, s *Scratch, parts []Part, a *textproc.Analyzer, query string, k int, weights map[string]float64) ([]Result, Stats, error) {
 	var stats Stats
 	if k <= 0 {
 		return nil, stats, fmt.Errorf("search: k must be positive, got %d", k)
 	}
-	if err := s.prepare(parts, query, weights); err != nil {
+	if err := s.prepare(parts, a, query, weights); err != nil {
 		return nil, stats, err
 	}
 	sel := NewTopK(k, LessResult, s.heap)
 	var err error
-	for _, p := range parts {
-		if err = p.Engine.rankPrepared(ctx, s, p.Base, &sel, &stats); err != nil {
+	for pi, p := range parts {
+		if err = p.rankPrepared(ctx, s, s.ents[pi*len(s.qterms):], &sel, &stats); err != nil {
 			break
 		}
 	}
@@ -236,28 +201,29 @@ func RankParts(ctx context.Context, s *Scratch, parts []Part, query string, k in
 }
 
 // rankPrepared is the one ranking kernel: it evaluates the query prepared in
-// s over this engine term at a time, every posting of every list into flat
-// accumulators, offers every scored document to sel with its id offset by
-// base, and adds its work to stats.
-func (e *Engine) rankPrepared(ctx context.Context, s *Scratch, base uint32, sel *TopK[Result], stats *Stats) error {
+// s over this part term at a time, through ents, the part's entries of the
+// query's terms in query order, every posting of every list into flat accumulators, offers
+// every scored document to sel with its id offset by the part's base, and
+// adds its work to stats.
+func (p Part) rankPrepared(ctx context.Context, s *Scratch, ents []index.Entry, sel *TopK[Result], stats *Stats) error {
 	stats.TermsLooked += len(s.qterms)
-	s.reset(e.ix.NumDocs())
-	acc, touched, n := s.acc[:e.ix.NumDocs()], s.touched[:cap(s.touched)], 0
+	s.reset(p.Index.NumDocs())
+	acc, touched, n := s.acc[:p.Index.NumDocs()], s.touched[:cap(s.touched)], 0
 	for i := range s.qterms {
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
 		qt := &s.qterms[i]
-		if qt.wqt <= 0 || !e.ix.OpenCursor(&s.cur, qt.term) {
-			continue // zero weight, or in the weight map but not this collection
+		if qt.wqt <= 0 || !p.Index.Open(&s.cur, ents[i]) {
+			continue // zero weight, or in the weight map but not this part
 		}
 		stats.ListsFetched++
 		stats.IndexBytesRead += s.cur.ListBytes()
 		// First touch by conditional move, not a coin-toss branch: d always
 		// takes the next touched slot, kept only if its accumulator was zero.
 		for blk := s.cur.NextBlock(); blk != nil; blk = s.cur.NextBlock() {
-			for _, p := range blk {
-				d := p.Doc
+			for _, post := range blk {
+				d := post.Doc
 				if int(d) >= len(acc) {
 					continue // corrupt list; flat accumulators cannot hold it
 				}
@@ -266,14 +232,14 @@ func (e *Engine) rankPrepared(ctx context.Context, s *Scratch, base uint32, sel 
 				if a == 0 {
 					n++
 				}
-				acc[d] = a + qt.wqt*logF1(p.FDT)
+				acc[d] = a + qt.wqt*logF1(post.FDT)
 			}
 		}
 		s.touched = touched[:n]
 		stats.PostingsDecoded += s.cur.DecodedPostings
 	}
 	stats.CandidateDocs += len(s.touched)
-	s.offerTouched(sel, e.ix.InvDocWeights(), base)
+	s.offerTouched(sel, p.Index.InvDocWeights(), p.Base)
 	return nil
 }
 
@@ -330,33 +296,24 @@ func (s *Scratch) extract(sel *TopK[Result]) []Result {
 	return out
 }
 
-// ScoreDocs is ScoreParts over this engine alone on a pooled Scratch, every
-// nominated document returned in the order requested (score 0 if no query
-// term matches). Skip-based cursor advancement decodes only a fraction of
-// each list: the librarian-side fast path of the Central Index methodology.
-func (e *Engine) ScoreDocs(query string, docs []uint32, weights map[string]float64) (Ranking, error) {
-	s := GetScratch()
-	defer s.Release()
-	results, stats, err := ScoreParts(s, []Part{{Engine: e}}, query, docs, weights, 0)
-	return Ranking{Results: results, Stats: stats}, err
-}
-
-// ScoreParts is ScoreDocs over parts as one collection, docs being ids in the
-// space the parts tile: the query is prepared once and each part scores the
-// nominated documents it holds. With k zero every nominated document is
+// ScoreParts scores the nominated docs, ids in the space parts tile, under
+// query analysed with a: the query is prepared once and each part scores the
+// nominated documents it holds, decoding only the blocks of each list its
+// skips lead to — the librarian-side fast path of the Central Index
+// methodology. With k zero every nominated document is
 // returned in request order; otherwise the k best, best first, ties by
 // ascending id. A nominated document no part holds is an error, reported
 // only after an unindexable query had its chance to return ErrEmptyQuery.
-func ScoreParts(s *Scratch, parts []Part, query string, docs []uint32, weights map[string]float64, k int) ([]Result, Stats, error) {
+func ScoreParts(s *Scratch, parts []Part, a *textproc.Analyzer, query string, docs []uint32, weights map[string]float64, k int) ([]Result, Stats, error) {
 	var stats Stats
-	if err := s.prepare(parts, query, weights); err != nil {
+	if err := s.prepare(parts, a, query, weights); err != nil {
 		return nil, stats, err
 	}
 	out := make([]Result, len(docs))
 	var total uint32
-	for _, p := range parts {
-		p.Engine.scorePrepared(s, docs, p.Base, out, &stats)
-		total += p.Engine.ix.NumDocs()
+	for pi, p := range parts {
+		p.scorePrepared(s, s.ents[pi*len(s.qterms):], docs, out, &stats)
+		total += p.Index.NumDocs()
 	}
 	for _, d := range docs {
 		if d >= total {
@@ -376,12 +333,13 @@ func ScoreParts(s *Scratch, parts []Part, query string, docs []uint32, weights m
 }
 
 // scorePrepared is the kernel of ScoreParts for one part: it scores, under
-// the query prepared in s, the docs that fall in this engine's range — ids in
-// a space where its document 0 is base — writing out[i] for docs[i] and
-// adding its work to stats. Slots of documents outside the range are left
-// alone, and with none inside it no list is touched.
-func (e *Engine) scorePrepared(s *Scratch, docs []uint32, base uint32, out []Result, stats *Stats) {
-	numDocs := e.ix.NumDocs()
+// the query prepared in s and through ents, the part's entries of its terms,
+// the docs that fall in this part's range — ids in a space where its
+// document 0 is its base — writing out[i] for docs[i] and adding its work to
+// stats. Slots of documents outside the range are left alone, and with none
+// inside it no list is touched.
+func (p Part) scorePrepared(s *Scratch, ents []index.Entry, docs []uint32, out []Result, stats *Stats) {
+	base, numDocs := p.Base, p.Index.NumDocs()
 	s.docbuf = s.docbuf[:0]
 	for _, d := range docs {
 		if d-base < numDocs {
@@ -397,7 +355,7 @@ func (e *Engine) scorePrepared(s *Scratch, docs []uint32, base uint32, out []Res
 
 	for i := range s.qterms {
 		qt := &s.qterms[i]
-		if qt.wqt <= 0 || !e.ix.OpenCursor(&s.cur, qt.term) {
+		if qt.wqt <= 0 || !p.Index.Open(&s.cur, ents[i]) {
 			continue
 		}
 		stats.ListsFetched++
@@ -406,15 +364,15 @@ func (e *Engine) scorePrepared(s *Scratch, docs []uint32, base uint32, out []Res
 			if !s.cur.Advance(d) {
 				break
 			}
-			if p := s.cur.Posting(); p.Doc == d {
-				s.add(d, qt.wqt*logF1(p.FDT))
+			if post := s.cur.Posting(); post.Doc == d {
+				s.add(d, qt.wqt*logF1(post.FDT))
 			}
 		}
 		stats.PostingsDecoded += s.cur.DecodedPostings
 	}
 	stats.CandidateDocs += len(s.touched)
 
-	inv := e.ix.InvDocWeights()
+	inv := p.Index.InvDocWeights()
 	for i, d := range docs {
 		local := d - base
 		if local >= numDocs {

@@ -34,6 +34,27 @@ func buildEngine(t testing.TB, docs []string) *Engine {
 	return NewEngine(ix, a)
 }
 
+// ParseQuery analyses raw query text into term frequencies f_{q,t}.
+func (e *Engine) ParseQuery(query string) map[string]uint32 {
+	freqs := map[string]uint32{}
+	for _, t := range e.analyzer.Terms(nil, query) {
+		freqs[t]++
+	}
+	return freqs
+}
+
+// QueryWeights computes the local w_{q,t} map for an analysed query: the
+// weights a CV receptionist would supply for a collection of this one index.
+func (e *Engine) QueryWeights(freqs map[string]uint32) map[string]float64 {
+	weights := make(map[string]float64, len(freqs))
+	for t, fqt := range freqs {
+		if w := CollectionWeight(fqt, e.ix.Lookup(t).FT(), e.ix.NumDocs()); w > 0 {
+			weights[t] = w
+		}
+	}
+	return weights
+}
+
 var tinyDocs = []string{
 	"cat dog cat",        // 0
 	"dog fish",           // 1
@@ -222,7 +243,7 @@ func TestScorePartsTopKOrder(t *testing.T) {
 	if x <= 0 || all.Results[3].Score != x {
 		t.Fatalf("docs 0 and 2 should tie above zero: %v", all.Results)
 	}
-	got, _, err := ScoreParts(NewScratch(), []Part{{Engine: e}}, "dog", []uint32{3, 2, 1, 0}, nil, 3)
+	got, _, err := ScoreParts(NewScratch(), []Part{{Index: e.Index()}}, e.Analyzer(), "dog", []uint32{3, 2, 1, 0}, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +270,10 @@ func TestBooleanQueries(t *testing.T) {
 		{"cat and fish", []uint32{2}}, // lowercase keywords
 	}
 	for _, c := range cases {
-		q, err := e.ParseBoolean(c.expr)
+		got, _, err := e.Boolean(c.expr)
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.expr, err)
 		}
-		got, _ := e.EvaluateBoolean(q)
 		if len(got) == 0 {
 			got = nil
 		}
@@ -266,7 +286,7 @@ func TestBooleanQueries(t *testing.T) {
 func TestBooleanParseErrors(t *testing.T) {
 	e := buildEngine(t, tinyDocs)
 	for _, expr := range []string{"", "cat AND", "(cat", "cat)", "AND cat", "NOT"} {
-		if _, err := e.ParseBoolean(expr); err == nil {
+		if _, _, err := e.Boolean(expr); err == nil {
 			t.Errorf("parse %q: want error", expr)
 		}
 	}
@@ -274,11 +294,10 @@ func TestBooleanParseErrors(t *testing.T) {
 
 func TestBooleanHyphenatedToken(t *testing.T) {
 	e := buildEngine(t, []string{"wide area network", "local area", "wide ocean"})
-	q, err := e.ParseBoolean("wide-area")
+	got, _, err := e.Boolean("wide-area")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := e.EvaluateBoolean(q)
 	if !reflect.DeepEqual(got, []uint32{0}) {
 		t.Fatalf("wide-area = %v, want [0]", got)
 	}

@@ -30,14 +30,14 @@ func (e Evaluator) String() string {
 	return "exact"
 }
 
-// RankWithEval is RankParts over this engine alone on a caller-owned
+// RankWithEval is RankParts over the engine's collection on a caller-owned
 // Scratch; the evaluator is ignored.
 func (e *Engine) RankWithEval(s *Scratch, query string, k int, weights map[string]float64, _ Evaluator) ([]Result, Stats, error) {
-	return RankParts(nil, s, []Part{{Engine: e}}, query, k, weights)
+	return RankParts(nil, s, []Part{{Index: e.ix}}, e.analyzer, query, k, weights)
 }
 
-// ScoreDocsWith is ScoreParts over this engine alone on a caller-owned
+// ScoreDocsWith is ScoreParts over the engine's collection on a caller-owned
 // Scratch, every nominated document in request order.
 func (e *Engine) ScoreDocsWith(s *Scratch, query string, docs []uint32, weights map[string]float64) ([]Result, Stats, error) {
-	return ScoreParts(s, []Part{{Engine: e}}, query, docs, weights, 0)
+	return ScoreParts(s, []Part{{Index: e.ix}}, e.analyzer, query, docs, weights, 0)
 }

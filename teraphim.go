@@ -167,7 +167,10 @@ type (
 	GroupedIndex = core.GroupedIndex
 	// MonoServer is the monolithic (MS) baseline.
 	MonoServer = core.MonoServer
-	// Engine is the mono-server ranked-query evaluator.
+	// Engine is a one-collection search handle: an index and the analyser
+	// its text was indexed with, each method (Rank, ScoreDocs, Boolean) one
+	// call into the kernel. Librarian.Engine and MonoServer.Engine build one
+	// on demand; nothing in the system holds one.
 	Engine = search.Engine
 	// SearchResult is one (document, score) pair from an Engine.
 	SearchResult = search.Result
@@ -347,8 +350,8 @@ func BuildGroupedIndex(docTerms [][]string, groupSize int, analyzer *Analyzer) (
 	return core.BuildGrouped(docTerms, groupSize, analyzer)
 }
 
-// NewMonoServer wraps an engine (and optional store and key table) as the
-// MS baseline.
+// NewMonoServer serves an engine's index, queried with its analyser (and an
+// optional store and key table), as the MS baseline.
 func NewMonoServer(engine *Engine, docs *DocumentStore, keys []string) (*MonoServer, error) {
 	return core.NewMonoServer(engine, docs, keys)
 }
